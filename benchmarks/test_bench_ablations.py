@@ -26,7 +26,7 @@ from repro.core.prediction import PerceptualPredictor
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import Catalog, Connection, SessionContext
+from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext
 from repro.db.types import is_missing
 from repro.experiments.context import build_perceptual_space
 from repro.learn.metrics import g_mean
@@ -254,9 +254,8 @@ def test_ablation_hybrid_acquisition(movie_context, report_writer, metric_writer
         conn.set_value_source(source)
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=batch_size))
         if hybrid:
-            conn.set_predictor(
-                PerceptualPredictor(movie_context.space, seed=0), sample_fraction=0.25
-            )
+            conn.set_predictor(PerceptualPredictor(movie_context.space, seed=0))
+            conn.set_policy(conn.policy.with_overrides(sample_fraction=0.25))
         (comedies,) = conn.execute(
             "SELECT count(*) FROM movies WHERE is_comedy = true"
         ).fetchone()
@@ -330,10 +329,12 @@ def test_ablation_concurrent_acquisition(report_writer, metric_writer):
         conn = Connection(
             Catalog(),
             session=SessionContext(
-                max_concurrent_batches=concurrency,
-                # keep cells MISSING in storage so the repeat query
-                # exercises the AnswerCache instead of the write-back path
-                crowd_write_back=False,
+                policy=AcquisitionPolicy(
+                    max_concurrent_batches=concurrency,
+                    # keep cells MISSING in storage so the repeat query
+                    # exercises the AnswerCache instead of the write-back path
+                    crowd_write_back=False,
+                )
             ),
         )
         conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, name TEXT)")
@@ -722,11 +723,12 @@ def test_ablation_served_load(report_writer, metric_writer, repetitions):
     source = _MeteredSource()
 
     def factory(tenant: TenantConfig) -> SessionContext:
-        session = SessionContext(max_cost=tenant.max_cost, value_source=source)
         # Keep answers out of storage so the zero-call repeat below is
         # carried by the shared AnswerCache, not by write-back.
-        session.crowd_write_back = False
-        return session
+        return SessionContext(
+            policy=AcquisitionPolicy(max_cost=tenant.max_cost, crowd_write_back=False),
+            value_source=source,
+        )
 
     tenants = [TenantConfig(name="alice", max_cost=5.0), TenantConfig(name="bob", max_cost=5.0)]
     with ReproServer(ServerConfig(port=0), tenants=tenants, session_factory=factory) as srv:

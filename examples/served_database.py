@@ -20,6 +20,7 @@ import threading
 from typing import Any, Sequence
 
 import repro.client
+from repro.db.acquisition import AcquisitionPolicy
 from repro.db.connection import SessionContext
 from repro.server import ReproServer, ServerConfig, TenantConfig
 
@@ -45,11 +46,12 @@ def main() -> None:
     source = MeteredSource()
 
     def tenant_session(config: TenantConfig) -> SessionContext:
-        session = SessionContext(max_cost=config.max_cost, value_source=source)
         # Keep crowd answers in the shared cache (not table storage) so the
         # cross-tenant reuse below is visibly the cache's doing.
-        session.crowd_write_back = False
-        return session
+        return SessionContext(
+            policy=AcquisitionPolicy(max_cost=config.max_cost, crowd_write_back=False),
+            value_source=source,
+        )
 
     tenants = [
         TenantConfig(name="alice", max_cost=5.0),

@@ -28,15 +28,15 @@ from repro.analysis.core import Finding, Module, Project, Rule, register
 __all__ = ["ChargeOnceRule"]
 
 #: Modules allowed to issue value-source dispatches directly.  This
-#: sanctions the runtime itself, the simulated sources, and the physical
-#: operators that dispatch through the runtime (``CrowdFill`` and the
-#: open-world ``CrowdEnumerate``, both in ``db/sql/operators.py``) —
-#: their per-batch costs are charged exactly once by the issuing path.
+#: sanctions the runtime itself, the simulated sources and the standalone
+#: ``CrowdFillOperator``.  The physical query operators (``CrowdFill``,
+#: ``PredictFill``, ``CrowdEnumerate`` in ``db/sql/operators.py``) are
+#: deliberately absent: they acquire only through the runtime, which
+#: charges each dispatch exactly once.
 ALLOWED_DISPATCH_MODULES = (
     "crowd/runtime.py",
     "crowd/sources.py",
     "db/crowd_operators.py",
-    "db/sql/operators.py",
 )
 
 DISPATCH_NAMES = frozenset(

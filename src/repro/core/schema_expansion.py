@@ -27,7 +27,6 @@ New code should configure expansion through the fluent
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -296,9 +295,12 @@ class ExpansionPipeline:
             .with_key("movie_id")
             .with_truth({"cult_film": truth})
             .allow("cult_film")
-            .with_budget(25.0)
             .attach()
         )
+
+    The session budget is an acquisition knob like every other: set
+    ``AcquisitionPolicy.max_cost`` through
+    :meth:`~repro.db.connection.Connection.set_policy`.
     """
 
     def __init__(self, database: DatabaseLike) -> None:
@@ -309,11 +311,8 @@ class ExpansionPipeline:
         self._allowed: set[str] | None = None
         self._column_type = ColumnType.BOOLEAN
         self._ledger: ExpansionLedger | None = None
-        self._budget: float | None = None
-        self._budget_set = False
         self._value_source: object | None = None
         self._value_source_set = False
-        self._crowd_batch_size: int | None = None
 
     def with_policy(self, policy: ExpansionPolicy) -> "ExpansionPipeline":
         """Use *policy* to obtain values for expanded attributes."""
@@ -349,73 +348,26 @@ class ExpansionPipeline:
         self._ledger = ledger
         return self
 
-    def with_budget(self, max_cost: float | None) -> "ExpansionPipeline":
-        """Set the session's expansion budget in dollars (None = unlimited).
-
-        The budget is applied to the session when the pipeline is built, so
-        an abandoned builder never changes connection behaviour.
-
-        .. deprecated::
-            Set ``AcquisitionPolicy.max_cost`` via
-            :meth:`~repro.db.connection.Connection.set_policy` or ``PRAGMA
-            acquisition_max_cost`` instead (see docs/api.md).
-        """
-        warnings.warn(
-            "ExpansionPipeline.with_budget() is deprecated; set "
-            "AcquisitionPolicy.max_cost via Connection.set_policy() or "
-            "PRAGMA acquisition_max_cost (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if getattr(self._database, "session", None) is None:
-            raise ExpansionError("with_budget requires a connection with a session")
-        self._budget = max_cost
-        self._budget_set = True
-        return self
-
-    def with_value_source(
-        self, source: object, *, batch_size: int | None = None
-    ) -> "ExpansionPipeline":
+    def with_value_source(self, source: object) -> "ExpansionPipeline":
         """Install a batch ValueSource for query-time ``CrowdFill`` batching.
 
         Once attached, queries touching crowd-sourced columns with MISSING
         values dispatch them to *source* in coalesced batches (one platform
-        call per attribute per ``batch_size`` missing rows) instead of
-        resolving row by row.
-
-        .. deprecated::
-            The ``batch_size`` keyword; set
-            ``AcquisitionPolicy.crowd_batch_size`` via
-            :meth:`~repro.db.connection.Connection.set_policy` or ``PRAGMA
-            acquisition_crowd_batch_size``.
+        call per attribute per ``AcquisitionPolicy.crowd_batch_size``
+        missing rows).
         """
         if getattr(self._database, "session", None) is None:
             raise ExpansionError("with_value_source requires a connection with a session")
-        if batch_size is not None:
-            warnings.warn(
-                "with_value_source(batch_size=...) is deprecated; set "
-                "AcquisitionPolicy.crowd_batch_size via Connection.set_policy() "
-                "or PRAGMA acquisition_crowd_batch_size (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"crowd batch_size must be positive, got {batch_size}")
         self._value_source = source
         self._value_source_set = True
-        self._crowd_batch_size = batch_size
         return self
 
     def build(self) -> SchemaExpander:
         """Construct the :class:`SchemaExpander` without attaching it."""
         if self._policy is None:
             raise ExpansionError("ExpansionPipeline needs a policy; call with_policy(...)")
-        if self._budget_set:
-            self._database.session.max_cost = self._budget
         if self._value_source_set:
             self._database.session.value_source = self._value_source
-            if self._crowd_batch_size is not None:
-                self._database.session.crowd_batch_size = self._crowd_batch_size
         return SchemaExpander(
             self._database,
             self._policy,

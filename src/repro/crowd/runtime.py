@@ -244,9 +244,18 @@ class AcquisitionOutcome:
     #: Platform assignments adaptive sizing avoided versus paying
     #: ``max_assignments`` for every settled item.
     assignments_saved: int = 0
-    #: Mean estimated accuracy of the workers that answered this acquire's
-    #: quality-tracked dispatches (None when none ran).
-    mean_worker_accuracy: float | None = None
+    #: Sum and count of the worker-accuracy estimates reported by this
+    #: acquire's quality-tracked dispatches (one estimate per dispatch).
+    accuracy_sum: float = 0.0
+    accuracy_dispatches: int = 0
+
+    @property
+    def mean_worker_accuracy(self) -> float | None:
+        """Mean worker-accuracy estimate over the quality-tracked dispatches
+        (None when none ran)."""
+        if not self.accuracy_dispatches:
+            return None
+        return self.accuracy_sum / self.accuracy_dispatches
 
 
 class _PendingBatch:
@@ -384,11 +393,12 @@ class AcquisitionRuntime:
         that finds the budget spent is skipped, leaving its cells
         MISSING — and charges its cost as it completes (coalesced cells
         are paid by the dispatch owner; cache hits are free).  A session
-        with a cost cap (``max_cost``) has its dispatches executed
-        *serially* so the cap is enforced exactly: dispatch costs are
-        unknowable up front, and N concurrent dispatches could otherwise
-        all pass the budget check before any cost lands, overspending the
-        cap by up to N batches.  Concurrency is for unbudgeted sessions.
+        whose ``policy`` carries a cost cap (``max_cost``) has its
+        dispatches executed *serially* so the cap is enforced exactly:
+        dispatch costs are unknowable up front, and N concurrent dispatches
+        could otherwise all pass the budget check before any cost lands,
+        overspending the cap by up to N batches.  Concurrency is for
+        unbudgeted sessions.
         """
         outcome = AcquisitionOutcome()
         own: list[tuple[str, list[tuple[int, dict[str, Any]]], _PendingBatch, list[CellKey]]] = []
@@ -425,7 +435,8 @@ class AcquisitionRuntime:
             if to_dispatch:
                 own.append((attribute, to_dispatch, pending, keys))
 
-        serialize = session is not None and getattr(session, "max_cost", None) is not None
+        policy = getattr(session, "policy", None)
+        serialize = policy is not None and policy.max_cost is not None
         if own and serialize:
             # Exact budget enforcement: run the dispatches one after the
             # other on the caller's thread, so each one observes the cost
@@ -530,12 +541,8 @@ class AcquisitionRuntime:
                 outcome.values.setdefault(attribute, {}).update(values)
             for attribute, confidences in sub.confidences.items():
                 outcome.confidences.setdefault(attribute, {}).update(confidences)
-            if sub.mean_worker_accuracy is not None:
-                outcome.mean_worker_accuracy = (
-                    sub.mean_worker_accuracy
-                    if outcome.mean_worker_accuracy is None
-                    else (outcome.mean_worker_accuracy + sub.mean_worker_accuracy) / 2.0
-                )
+            outcome.accuracy_sum += sub.accuracy_sum
+            outcome.accuracy_dispatches += sub.accuracy_dispatches
         return outcome
 
     @staticmethod
@@ -552,11 +559,8 @@ class AcquisitionRuntime:
         outcome.assignments_saved += int(quality.get("assignments_saved", 0))
         accuracy = quality.get("mean_worker_accuracy")
         if accuracy is not None:
-            outcome.mean_worker_accuracy = (
-                float(accuracy)
-                if outcome.mean_worker_accuracy is None
-                else (outcome.mean_worker_accuracy + float(accuracy)) / 2.0
-            )
+            outcome.accuracy_sum += float(accuracy)
+            outcome.accuracy_dispatches += 1
 
     def _abandon_from(
         self,

@@ -373,18 +373,18 @@ class PredictSpec:
     the planner-chosen sample, the predictor trains on every known value
     streaming by and fills the rest, tagging provenance and confidence.
 
-    ``runtime`` optionally names the session's
-    :class:`~repro.crowd.runtime.AcquisitionRuntime`; the operator then
-    routes its training/prediction steps through the runtime's accounting
+    ``runtime`` is the session's
+    :class:`~repro.crowd.runtime.AcquisitionRuntime`; the operator routes
+    its training/prediction steps through the runtime's accounting
     chokepoint so all acquisition work — platform dispatches *and* model
     fits — shows up in one place.
     """
 
     predictor: AttributePredictor
+    runtime: Any
     policy: AcquisitionPolicy = field(default_factory=AcquisitionPolicy)
     write_back: bool = True
     session: Any = None
-    runtime: Any = None
 
     def remaining_budget(self) -> float | None:
         """Money the session may still spend (None = unlimited)."""

@@ -19,10 +19,11 @@ three capabilities the paper's query-driven workload needs at scale:
   hot repeated queries skip tokenize/parse/plan (plans are invalidated via
   the catalog's schema version when DDL changes the schema); and
 * a **session-scoped crowd context** (:class:`SessionContext`) carrying the
-  missing-value resolver, the schema-expansion handler, the cost ledger and
-  a per-session budget.  Two connections sharing one
-  :class:`~repro.db.catalog.Catalog` can run different crowd policies
-  concurrently; the catalog's lock guards shared reads and writes.
+  batch value source and predictor, the schema-expansion handler, the cost
+  ledger and the session's :class:`~repro.db.acquisition.AcquisitionPolicy`
+  (budget, batching, prediction and runtime knobs).  Two connections
+  sharing one :class:`~repro.db.catalog.Catalog` can run different crowd
+  policies concurrently; the catalog's lock guards shared reads and writes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.executor import Executor, QueryResult, SelectStream
-from repro.db.sql.expressions import MissingResolver
 from repro.db.sql.operators import CrowdFillSpec, Operator
 from repro.db.sql.parameters import bind_select_plan, bind_statement, check_arity, count_parameters
 from repro.db.sql.parser import parse_script, parse_statement
@@ -70,19 +70,13 @@ def _normalize_params(params: Sequence[Any]) -> tuple[Any, ...]:
     return tuple(params)
 
 
-def _validate_batch_size(batch_size: int) -> int:
-    """Reject non-positive crowd batch sizes at configuration time."""
-    if batch_size <= 0:
-        raise ValueError(f"crowd batch_size must be positive, got {batch_size}")
-    return batch_size
-
-
-#: Distinguishes "knob not passed" from an explicit None (a valid TTL value).
+#: Distinguishes "knob not passed" from an explicit None (a valid value).
 _UNSET: Any = object()
 
 #: Knob names `PRAGMA acquisition_<knob>` exposes — exactly the fields of
 #: :class:`~repro.db.acquisition.AcquisitionPolicy`.
 _POLICY_FIELDS: tuple[str, ...] = tuple(f.name for f in dataclass_fields(AcquisitionPolicy))
+_DEFAULT_POLICY = AcquisitionPolicy()
 _POLICY_INT_FIELDS = frozenset(
     {
         "min_sample",
@@ -143,36 +137,24 @@ def _coerce_policy_pragma_value(knob: str, raw: Any) -> Any:
 class SessionContext:
     """Per-connection crowd-sourcing policy state.
 
-    Replaces the legacy global ``set_missing_resolver`` /
-    ``set_expansion_handler`` mutators: each connection owns one session, so
-    two connections to the same shared catalog can resolve MISSING values
-    and expand schemas with entirely different policies without clobbering
-    each other.
+    Each connection owns one session, so two connections to the same
+    shared catalog can acquire MISSING values and expand schemas with
+    entirely different policies without clobbering each other.
 
     Parameters
     ----------
-    missing_resolver:
-        Hook consulted when a query reads a value marked MISSING.
     expansion_handler:
         Hook consulted when a SELECT references an unknown column.
     ledger:
         Cost/time ledger shared with the expansion machinery (created
         lazily when first accessed).
-    max_cost:
-        Optional budget in dollars.  Once ``cost_spent`` reaches it the
-        session refuses further crowd-backed schema expansions.
     value_source:
         Optional batch :class:`~repro.db.crowd_operators.ValueSource`.
         When set, queries referencing crowd-sourced (perceptual) columns
         get a ``CrowdFill`` operator in their physical plan that acquires
-        MISSING values in coalesced batches of ``crowd_batch_size`` rows —
-        one platform call per attribute per batch instead of one
-        ``missing_resolver`` call per row.
-    crowd_batch_size:
-        Number of missing rows coalesced into one batch dispatch.
-    crowd_write_back:
-        Whether batch-obtained values are persisted to storage so later
-        queries need no further crowd work (default True).
+        MISSING values through the acquisition runtime in coalesced batches
+        of ``policy.crowd_batch_size`` rows — one platform call per
+        attribute per batch.
     predictor:
         Optional :class:`~repro.db.acquisition.AttributePredictor` (e.g. a
         :class:`~repro.core.prediction.PerceptualPredictor`).  When set
@@ -181,96 +163,41 @@ class SessionContext:
         acquires only a planner-chosen sample and ``PredictFill`` trains
         the predictor on the crowd answers and fills the remaining rows
         with predictions (provenance- and confidence-tagged in storage).
-    acquisition:
-        Legacy alias of *policy* (the historical name when the policy only
-        carried the prediction knobs).  Passing both raises ``ValueError``.
-    policy:
-        The unified :class:`~repro.db.acquisition.AcquisitionPolicy` this
-        session starts from: prediction knobs, budget, crowd batching,
-        runtime knobs and enumeration knobs in one typed bundle.  Explicit
-        legacy keyword arguments (``max_cost``, ``crowd_batch_size``, …)
-        override the corresponding policy fields.  All of those legacy
-        attributes remain readable/settable on the session and delegate to
-        the policy.
     runtime:
         Optional session-private
         :class:`~repro.crowd.runtime.AcquisitionRuntime`.  By default the
         session dispatches through the *catalog's* shared runtime (created
-        lazily from the three knobs below), which is what enables
+        lazily from the policy's runtime knobs), which is what enables
         cross-connection answer caching and in-flight request coalescing;
         pass an explicit runtime to isolate a session or to pin different
         knobs.
-    max_concurrent_batches:
-        Worker-pool bound of the lazily created runtime: how many crowd
-        platform dispatches (HIT-group batches of different attributes and
-        batches) may be in flight at once.  ``1`` serializes all crowd
-        calls.
-    answer_cache_size, answer_cache_ttl:
-        Capacity and expiry (seconds; ``None`` = never) of the runtime's
-        cross-query :class:`~repro.crowd.runtime.AnswerCache`.
     on_runtime_knobs_ignored:
         Optional callback invoked (instead of emitting the
-        ``RuntimeWarning``) when this session's explicit runtime knobs are
-        ignored because the catalog's shared runtime was already created
+        ``RuntimeWarning``) when this session's runtime knobs are ignored
+        because the catalog's shared runtime was already created
         first-caller-wins with different knobs.  The server installs this
         to aggregate per-tenant mismatches into one log line rather than
         warning once per tenant session.
+    policy:
+        The :class:`~repro.db.acquisition.AcquisitionPolicy` carrying every
+        acquisition knob: prediction sampling, the session budget
+        (``max_cost``), crowd batching, the runtime knobs and the
+        open-world enumeration targets.  Read and replace it through
+        :attr:`policy`.
     """
 
     def __init__(
         self,
         *,
-        missing_resolver: MissingResolver | None = None,
         expansion_handler: ExpansionHandler | None = None,
         ledger: "ExpansionLedger | None" = None,
-        max_cost: float | None = None,
         value_source: Any = None,
-        crowd_batch_size: int | None = None,
-        crowd_write_back: bool | None = None,
         predictor: AttributePredictor | None = None,
-        acquisition: AcquisitionPolicy | None = None,
         runtime: Any = None,
-        max_concurrent_batches: int | None = None,
-        answer_cache_size: int | None = None,
-        answer_cache_ttl: float | None = _UNSET,
         on_runtime_knobs_ignored: Callable[[], None] | None = None,
         policy: AcquisitionPolicy | None = None,
     ) -> None:
-        if policy is not None and acquisition is not None:
-            raise ValueError("pass either policy= or its legacy alias acquisition=, not both")
-        base = policy if policy is not None else acquisition
-        if base is None:
-            base = AcquisitionPolicy()
-        defaults = AcquisitionPolicy()
-        #: Whether the caller expressed runtime knobs at all — a session
-        #: that kept the defaults must not be warned when the catalog's
-        #: shared runtime happens to be configured differently.  A policy
-        #: carrying non-default runtime knobs counts as explicit.
-        self.runtime_knobs_explicit = (
-            max_concurrent_batches is not None
-            or answer_cache_size is not None
-            or answer_cache_ttl is not _UNSET
-            or base.max_concurrent_batches != defaults.max_concurrent_batches
-            or base.answer_cache_size != defaults.answer_cache_size
-            or base.answer_cache_ttl != defaults.answer_cache_ttl
-        )
-        if max_concurrent_batches is not None and max_concurrent_batches < 1:
-            raise ValueError("max_concurrent_batches must be >= 1")
-        overrides: dict[str, Any] = {}
-        if max_cost is not None:
-            overrides["max_cost"] = max_cost
-        if crowd_batch_size is not None:
-            overrides["crowd_batch_size"] = _validate_batch_size(crowd_batch_size)
-        if crowd_write_back is not None:
-            overrides["crowd_write_back"] = crowd_write_back
-        if max_concurrent_batches is not None:
-            overrides["max_concurrent_batches"] = max_concurrent_batches
-        if answer_cache_size is not None:
-            overrides["answer_cache_size"] = answer_cache_size
-        if answer_cache_ttl is not _UNSET:
-            overrides["answer_cache_ttl"] = answer_cache_ttl
-        self._policy = base.with_overrides(**overrides) if overrides else base
-        self.missing_resolver = missing_resolver
+        self.policy = policy
         self.expansion_handler = expansion_handler
         self._ledger = ledger
         self.cost_spent = 0.0
@@ -279,35 +206,49 @@ class SessionContext:
         self.runtime = runtime
         self.on_runtime_knobs_ignored = on_runtime_knobs_ignored
 
-    def crowd_spec(self, runtime: Any = None) -> CrowdFillSpec | None:
+    @property
+    def runtime_knobs_explicit(self) -> bool:
+        """Whether the policy sets any runtime knob away from its default.
+
+        A session that kept the defaults must not be warned when the
+        catalog's shared runtime happens to be configured differently.
+        """
+        policy, defaults = self._policy, _DEFAULT_POLICY
+        return (
+            policy.max_concurrent_batches != defaults.max_concurrent_batches
+            or policy.answer_cache_size != defaults.answer_cache_size
+            or policy.answer_cache_ttl != defaults.answer_cache_ttl
+        )
+
+    def crowd_spec(self, runtime: Any) -> CrowdFillSpec | None:
         """The batch crowd-fill configuration, or None when not set up.
 
         The session itself rides along as the budget hook: batch crowd
         spending is charged to ``cost_spent`` (for cost-aware sources) and
         stops once ``budget_exhausted``.  *runtime* is the acquisition
-        runtime the operator should dispatch through (the session's own
-        one wins over the caller-provided default).
+        runtime the operator dispatches through
+        (:meth:`Connection.acquisition_runtime`).
         """
         if self.value_source is None:
             return None
         return CrowdFillSpec(
             source=self.value_source,
-            batch_size=self.crowd_batch_size,
-            write_back=self.crowd_write_back,
+            runtime=runtime,
+            batch_size=self._policy.crowd_batch_size,
+            write_back=self._policy.crowd_write_back,
             session=self,
-            runtime=self.runtime if self.runtime is not None else runtime,
         )
 
-    def predict_spec(self, runtime: Any = None) -> PredictSpec | None:
+    def predict_spec(self, runtime: Any) -> PredictSpec | None:
         """The prediction-stage configuration, or None when no predictor."""
         if self.predictor is None:
             return None
         return PredictSpec(
             predictor=self.predictor,
-            policy=self.acquisition,
-            write_back=self.crowd_write_back,
+            runtime=runtime,
+            policy=self._policy,
+            write_back=self._policy.crowd_write_back,
             session=self,
-            runtime=self.runtime if self.runtime is not None else runtime,
         )
 
     @property
@@ -326,142 +267,35 @@ class SessionContext:
     @property
     def remaining_budget(self) -> float | None:
         """Money left before the budget is exhausted (None = unlimited)."""
-        if self.max_cost is None:
+        max_cost = self._policy.max_cost
+        if max_cost is None:
             return None
-        return max(0.0, self.max_cost - self.cost_spent)
+        return max(0.0, max_cost - self.cost_spent)
 
     @property
     def budget_exhausted(self) -> bool:
         """True once the session has spent its entire budget."""
-        return self.max_cost is not None and self.cost_spent >= self.max_cost
+        max_cost = self._policy.max_cost
+        return max_cost is not None and self.cost_spent >= max_cost
 
     def record_cost(self, cost: float) -> None:
         """Account *cost* dollars of crowd spending against this session."""
         self.cost_spent += float(cost)
 
-    # -- unified acquisition policy -----------------------------------------
-    #
-    # All acquisition knobs live on one AcquisitionPolicy; the attributes
-    # below are the legacy per-knob views, kept so existing call sites (and
-    # the PRAGMA surface) read and write the same underlying state.
-
     @property
     def policy(self) -> AcquisitionPolicy:
-        """The session's unified :class:`~repro.db.acquisition.AcquisitionPolicy`."""
+        """The session's :class:`~repro.db.acquisition.AcquisitionPolicy`."""
         return self._policy
 
     @policy.setter
     def policy(self, value: AcquisitionPolicy | None) -> None:
         self._policy = value if value is not None else AcquisitionPolicy()
 
-    @property
-    def acquisition(self) -> AcquisitionPolicy:
-        """Legacy alias of :attr:`policy`."""
-        return self._policy
-
-    @acquisition.setter
-    def acquisition(self, value: AcquisitionPolicy | None) -> None:
-        # Historically `acquisition` carried only the prediction-side knobs,
-        # so assigning one merges exactly those fields: it must not clobber
-        # the budget or runtime knobs now unified into the policy.
-        if value is None:
-            value = AcquisitionPolicy()
-        self._policy = self._policy.with_overrides(
-            sample_fraction=value.sample_fraction,
-            min_sample=value.min_sample,
-            max_sample=value.max_sample,
-            min_confidence=value.min_confidence,
-            cost_ratio=value.cost_ratio,
-            crowd_cost_per_value=value.crowd_cost_per_value,
-        )
-
-    @property
-    def max_cost(self) -> float | None:
-        """Session budget in dollars (None = unlimited)."""
-        return self._policy.max_cost
-
-    @max_cost.setter
-    def max_cost(self, value: float | None) -> None:
-        self._policy = self._policy.with_overrides(max_cost=value)
-
-    @property
-    def crowd_batch_size(self) -> int:
-        """Rows coalesced into one crowd batch dispatch."""
-        return self._policy.crowd_batch_size
-
-    @crowd_batch_size.setter
-    def crowd_batch_size(self, value: int) -> None:
-        self._policy = self._policy.with_overrides(crowd_batch_size=_validate_batch_size(value))
-
-    @property
-    def crowd_write_back(self) -> bool:
-        """Whether batch-obtained values are persisted to storage."""
-        return self._policy.crowd_write_back
-
-    @crowd_write_back.setter
-    def crowd_write_back(self, value: bool) -> None:
-        self._policy = self._policy.with_overrides(crowd_write_back=bool(value))
-
-    @property
-    def max_concurrent_batches(self) -> int:
-        """Worker-pool bound of the lazily created acquisition runtime."""
-        return self._policy.max_concurrent_batches
-
-    @max_concurrent_batches.setter
-    def max_concurrent_batches(self, value: int) -> None:
-        if value < 1:
-            raise ValueError("max_concurrent_batches must be >= 1")
-        self._policy = self._policy.with_overrides(max_concurrent_batches=value)
-
-    @property
-    def answer_cache_size(self) -> int:
-        """Capacity of the runtime's cross-query answer cache."""
-        return self._policy.answer_cache_size
-
-    @answer_cache_size.setter
-    def answer_cache_size(self, value: int) -> None:
-        self._policy = self._policy.with_overrides(answer_cache_size=value)
-
-    @property
-    def answer_cache_ttl(self) -> float | None:
-        """Expiry (seconds; None = never) of cached crowd answers."""
-        return self._policy.answer_cache_ttl
-
-    @answer_cache_ttl.setter
-    def answer_cache_ttl(self, value: float | None) -> None:
-        self._policy = self._policy.with_overrides(answer_cache_ttl=value)
-
-    @property
-    def completeness_target(self) -> float | None:
-        """Default ``WITH COMPLETENESS >=`` target for FROM CROWD queries."""
-        return self._policy.completeness_target
-
-    @completeness_target.setter
-    def completeness_target(self, value: float | None) -> None:
-        self._policy = self._policy.with_overrides(completeness_target=value)
-
-    @property
-    def enum_dry_batches(self) -> int:
-        """Consecutive no-new-entity batches before an enumeration stops."""
-        return self._policy.enum_dry_batches
-
-    @enum_dry_batches.setter
-    def enum_dry_batches(self, value: int) -> None:
-        self._policy = self._policy.with_overrides(enum_dry_batches=value)
-
-    @property
-    def max_enum_batches(self) -> int:
-        """Hard cap on platform batches one enumeration may pull."""
-        return self._policy.max_enum_batches
-
-    @max_enum_batches.setter
-    def max_enum_batches(self, value: int) -> None:
-        self._policy = self._policy.with_overrides(max_enum_batches=value)
-
     def __repr__(self) -> str:
-        budget = "unlimited" if self.max_cost is None else f"${self.max_cost:.2f}"
+        max_cost = self._policy.max_cost
+        budget = "unlimited" if max_cost is None else f"${max_cost:.2f}"
         return (
-            f"SessionContext(resolver={self.missing_resolver is not None}, "
+            f"SessionContext(source={self.value_source is not None}, "
             f"expansion={self.expansion_handler is not None}, budget={budget})"
         )
 
@@ -884,10 +718,6 @@ class Connection:
 
     # -- session configuration ----------------------------------------------------
 
-    def set_missing_resolver(self, resolver: MissingResolver | None) -> None:
-        """Install the session's resolver for MISSING values at query time."""
-        self.session.missing_resolver = resolver
-
     def set_expansion_handler(self, handler: ExpansionHandler | None) -> None:
         """Install the session's handler for unknown-column expansion."""
         self.session.expansion_handler = handler
@@ -904,9 +734,7 @@ class Connection:
         prediction sampling, the session budget, crowd batching, the
         runtime cache knobs and the open-world enumeration targets.
         Individual knobs are also readable/settable as ``PRAGMA
-        acquisition_<knob>`` and listable via ``PRAGMA acquisition_policy``;
-        see ``docs/api.md`` for the migration table from the legacy
-        per-knob setters.
+        acquisition_<knob>`` and listable via ``PRAGMA acquisition_policy``.
         """
         if policy is not None and not isinstance(policy, AcquisitionPolicy):
             raise TypeError(
@@ -914,75 +742,26 @@ class Connection:
             )
         self.session.policy = policy
 
-    def set_value_source(
-        self, source: Any, *, batch_size: int | None = None
-    ) -> None:
+    def set_value_source(self, source: Any) -> None:
         """Install a batch ValueSource for coalesced crowd acquisition.
 
         Queries referencing crowd-sourced (perceptual) columns then carry a
         ``CrowdFill(batch_size=…)`` operator in their physical plan that
-        dispatches MISSING values to *source* one batch per attribute.
-
-        .. deprecated::
-            The ``batch_size`` keyword; set
-            ``AcquisitionPolicy.crowd_batch_size`` through
-            :meth:`set_policy` or ``PRAGMA acquisition_crowd_batch_size``.
+        dispatches MISSING values to *source* one batch per attribute; the
+        batch size is ``AcquisitionPolicy.crowd_batch_size``.
         """
         self.session.value_source = source
-        if batch_size is not None:
-            warnings.warn(
-                "set_value_source(batch_size=...) is deprecated; configure "
-                "AcquisitionPolicy.crowd_batch_size via Connection.set_policy() "
-                "or PRAGMA acquisition_crowd_batch_size (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.session.crowd_batch_size = _validate_batch_size(batch_size)
 
-    def set_predictor(
-        self,
-        predictor: AttributePredictor | None,
-        *,
-        policy: AcquisitionPolicy | None = None,
-        sample_fraction: float | None = None,
-        min_confidence: float | None = None,
-        cost_ratio: float | None = None,
-    ) -> None:
+    def set_predictor(self, predictor: AttributePredictor | None) -> None:
         """Install (or remove) the session's hybrid-acquisition predictor.
 
         Together with a batch value source this turns crowd acquisition
         hybrid: ``CrowdFill`` asks the crowd for a planner-chosen sample,
         ``PredictFill`` predicts the rest from perceptual-space features.
-
-        .. deprecated::
-            The per-knob keywords (``policy``, ``sample_fraction``,
-            ``min_confidence``, ``cost_ratio``); configure the session's
-            :class:`~repro.db.acquisition.AcquisitionPolicy` through
-            :meth:`set_policy` or ``PRAGMA acquisition_<knob>``.
+        The sampling knobs live on the session's
+        :class:`~repro.db.acquisition.AcquisitionPolicy`.
         """
         self.session.predictor = predictor
-        overrides = {
-            name: value
-            for name, value in (
-                ("sample_fraction", sample_fraction),
-                ("min_confidence", min_confidence),
-                ("cost_ratio", cost_ratio),
-            )
-            if value is not None
-        }
-        if policy is not None or overrides:
-            warnings.warn(
-                "set_predictor's policy/sample_fraction/min_confidence/"
-                "cost_ratio keywords are deprecated; configure the "
-                "AcquisitionPolicy via Connection.set_policy() or PRAGMA "
-                "acquisition_<knob> (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if policy is not None:
-            self.session.acquisition = policy
-        if overrides:
-            self.session.policy = self.session.policy.with_overrides(**overrides)
 
     def set_acquisition_runtime(self, runtime: Any) -> None:
         """Install a session-private acquisition runtime (None = shared).
@@ -1003,7 +782,7 @@ class Connection:
 
         Returns the session-private runtime when one is installed,
         otherwise the catalog's shared runtime — creating it (lazily) from
-        the session's ``max_concurrent_batches`` / ``answer_cache_size`` /
+        the policy's ``max_concurrent_batches`` / ``answer_cache_size`` /
         ``answer_cache_ttl`` knobs on first use.
         """
         runtime = self.session.runtime
@@ -1013,18 +792,19 @@ class Connection:
             # runtimes without extra bookkeeping here.
             self.catalog.register_runtime(runtime)
             return runtime
+        policy = self.session.policy
         shared = self.catalog.acquisition_runtime(
-            max_concurrent_batches=self.session.max_concurrent_batches,
-            cache_size=self.session.answer_cache_size,
-            cache_ttl_seconds=self.session.answer_cache_ttl,
+            max_concurrent_batches=policy.max_concurrent_batches,
+            cache_size=policy.answer_cache_size,
+            cache_ttl_seconds=policy.answer_cache_ttl,
         )
         if (
             not self._runtime_knobs_warned
             and self.session.runtime_knobs_explicit
             and (
-                shared.max_concurrent_batches != self.session.max_concurrent_batches
-                or shared.cache.capacity != self.session.answer_cache_size
-                or shared.cache.ttl_seconds != self.session.answer_cache_ttl
+                shared.max_concurrent_batches != policy.max_concurrent_batches
+                or shared.cache.capacity != policy.answer_cache_size
+                or shared.cache.ttl_seconds != policy.answer_cache_ttl
             )
         ):
             # The shared runtime was created (by whichever session touched
@@ -1164,9 +944,7 @@ class Connection:
                         if params
                         else prepared.statement
                     )
-                    result = self._executor.execute(
-                        statement, missing_resolver=self.session.missing_resolver
-                    )
+                    result = self._executor.execute(statement)
                     total += result.rowcount
         return total
 
@@ -1185,14 +963,12 @@ class Connection:
             if stream and not explain:
                 return self._executor.open_select(
                     bound_plan,
-                    missing_resolver=self.session.missing_resolver,
                     crowd=self._crowd_spec(),
                     predict=self._predict_spec(),
                     lock=self.catalog.lock,
                 )
             return self._executor.execute_select_plan(
                 bound_plan,
-                missing_resolver=self.session.missing_resolver,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
                 explain=explain,
@@ -1208,7 +984,6 @@ class Connection:
             return pragma_result
         return self._executor.execute(
             statement,
-            missing_resolver=self.session.missing_resolver,
             crowd=self._crowd_spec(),
             predict=self._predict_spec(),
             explain=explain,
@@ -1267,7 +1042,6 @@ class Connection:
         result = self._execute_with_expansion(
             lambda: self._executor.execute(
                 statement,
-                missing_resolver=self.session.missing_resolver,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
                 lock=self.catalog.lock,
@@ -1322,7 +1096,6 @@ class Connection:
                 plan = bind_select_plan(plan, params)
             return self._executor.describe_physical_plan(
                 plan,
-                missing_resolver=self.session.missing_resolver,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
             )
@@ -1451,7 +1224,7 @@ def connect(
 
     Pass an existing :class:`~repro.db.catalog.Catalog` to share one set of
     tables between several connections, each with its own
-    :class:`SessionContext` (resolver, expansion policy, budget).  A
+    :class:`SessionContext` (value source, expansion handler, budget).  A
     *policy* — the unified
     :class:`~repro.db.acquisition.AcquisitionPolicy` — seeds the session's
     acquisition knobs (budget, batching, prediction, enumeration); when a

@@ -10,11 +10,12 @@ stream into a materialized :class:`QueryResult` for callers that want the
 whole result at once.  DDL and DML statements are executed directly against
 the catalog.
 
-Crowd integration happens at two levels: a per-row ``missing_resolver``
-(the legacy hook consulted when an expression reads a MISSING value) and a
-batch :class:`~repro.db.sql.operators.CrowdFillSpec`, which makes the
+Crowd integration has one entry point: a
+:class:`~repro.db.sql.operators.CrowdFillSpec` (plus, for hybrid
+acquisition, a :class:`~repro.db.acquisition.PredictSpec`) makes the
 lowering insert a ``CrowdFill`` operator that acquires missing
-crowd-sourced values in coalesced batches.
+crowd-sourced values in coalesced batches through the session's
+acquisition runtime.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
-    MissingResolver,
     RowContext,
     evaluate,
     evaluate_predicate,
@@ -233,7 +233,6 @@ class Executor:
         self,
         statement: ast.Statement,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
@@ -252,19 +251,12 @@ class Executor:
             with guard:
                 plan = self._planner.plan_select(statement)
             return self.execute_select_plan(
-                plan,
-                missing_resolver=missing_resolver,
-                crowd=crowd,
-                predict=predict,
-                explain=explain,
-                lock=lock,
+                plan, crowd=crowd, predict=predict, explain=explain, lock=lock
             )
         if isinstance(statement, ast.ExplainStatement):
             with guard:
                 plan = self._planner.plan_select(statement.statement)
-                description = self.describe_physical_plan(
-                    plan, missing_resolver=missing_resolver, crowd=crowd, predict=predict
-                )
+                description = self.describe_physical_plan(plan, crowd=crowd, predict=predict)
             return QueryResult(
                 columns=["plan"],
                 rows=[(line,) for line in description.splitlines()],
@@ -302,7 +294,6 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         lock: ContextManager[Any] | None = None,
@@ -318,7 +309,6 @@ class Executor:
         with guard:
             root = self._planner.lower(
                 plan,
-                missing_resolver=missing_resolver,
                 crowd=crowd,
                 predict=predict,
                 lock=lock,
@@ -331,16 +321,13 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
         lock: ContextManager[Any] | None = None,
     ) -> QueryResult:
         """Execute an already-planned SELECT to completion."""
-        stream = self.open_select(
-            plan, missing_resolver=missing_resolver, crowd=crowd, predict=predict, lock=lock
-        )
+        stream = self.open_select(plan, crowd=crowd, predict=predict, lock=lock)
         result = stream.materialize()
         if explain:
             description = stream.describe(include_stats=True)
@@ -359,7 +346,6 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
     ) -> str:
@@ -369,11 +355,7 @@ class Executor:
         lowering reads table schemas).
         """
         root = self._planner.lower(
-            plan,
-            missing_resolver=missing_resolver,
-            crowd=crowd,
-            predict=predict,
-            hash_joins=self.hash_joins,
+            plan, crowd=crowd, predict=predict, hash_joins=self.hash_joins
         )
         return describe_operator_tree(root, include_stats=False)
 

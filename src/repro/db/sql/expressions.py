@@ -18,10 +18,6 @@ from repro.db.sql import ast
 from repro.db.types import is_missing
 from repro.errors import ExecutionError, UnknownColumnError
 
-#: Signature of the optional hook consulted when a referenced value is MISSING.
-MissingResolver = Callable[[ast.ColumnRef, Mapping[str, Any]], Any]
-
-
 class RowContext:
     """Column lookup environment for one (possibly joined) row.
 
@@ -158,28 +154,13 @@ def _to_truth(value: Any) -> Optional[bool]:
     raise ExecutionError(f"value {value!r} is not a boolean predicate")
 
 
-def evaluate(
-    expr: ast.Expression,
-    context: RowContext,
-    *,
-    missing_resolver: MissingResolver | None = None,
-) -> Any:
-    """Evaluate *expr* against *context*.
-
-    If *missing_resolver* is given, a MISSING value read through a column
-    reference is first offered to the resolver, which may supply the value
-    (e.g. by issuing a crowd HIT); otherwise MISSING propagates as unknown.
-    """
+def evaluate(expr: ast.Expression, context: RowContext) -> Any:
+    """Evaluate *expr* against *context*; MISSING propagates as unknown."""
     if isinstance(expr, ast.Literal):
         return expr.value
 
     if isinstance(expr, ast.ColumnRef):
-        value = context.lookup(expr)
-        if is_missing(value) and missing_resolver is not None:
-            resolved = missing_resolver(expr, context.as_mapping())
-            if not is_missing(resolved):
-                return resolved
-        return value
+        return context.lookup(expr)
 
     if isinstance(expr, ast.Star):
         raise ExecutionError("'*' is only valid inside COUNT(*) or a SELECT list")
@@ -190,7 +171,7 @@ def evaluate(
         )
 
     if isinstance(expr, ast.UnaryOp):
-        operand = evaluate(expr.operand, context, missing_resolver=missing_resolver)
+        operand = evaluate(expr.operand, context)
         if expr.op == "not":
             truth = _to_truth(operand)
             return None if truth is None else (not truth)
@@ -205,20 +186,20 @@ def evaluate(
     if isinstance(expr, ast.BinaryOp):
         op = expr.op
         if op == "and":
-            left = _to_truth(evaluate(expr.left, context, missing_resolver=missing_resolver))
+            left = _to_truth(evaluate(expr.left, context))
             if left is False:
                 return False
-            right = _to_truth(evaluate(expr.right, context, missing_resolver=missing_resolver))
+            right = _to_truth(evaluate(expr.right, context))
             return _logical_and(left, right)
         if op == "or":
-            left = _to_truth(evaluate(expr.left, context, missing_resolver=missing_resolver))
+            left = _to_truth(evaluate(expr.left, context))
             if left is True:
                 return True
-            right = _to_truth(evaluate(expr.right, context, missing_resolver=missing_resolver))
+            right = _to_truth(evaluate(expr.right, context))
             return _logical_or(left, right)
 
-        left_value = evaluate(expr.left, context, missing_resolver=missing_resolver)
-        right_value = evaluate(expr.right, context, missing_resolver=missing_resolver)
+        left_value = evaluate(expr.left, context)
+        right_value = evaluate(expr.right, context)
         if op in {"=", "!=", "<", "<=", ">", ">="}:
             return _compare(op, left_value, right_value)
         if op == "like":
@@ -228,7 +209,7 @@ def evaluate(
         return _arithmetic(op, left_value, right_value)
 
     if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.operand, context, missing_resolver=None)
+        value = evaluate(expr.operand, context)
         if expr.missing:
             result = is_missing(value)
         else:
@@ -236,12 +217,12 @@ def evaluate(
         return (not result) if expr.negated else result
 
     if isinstance(expr, ast.InList):
-        value = evaluate(expr.operand, context, missing_resolver=missing_resolver)
+        value = evaluate(expr.operand, context)
         if _is_unknown(value):
             return None
         found_unknown = False
         for item in expr.items:
-            candidate = evaluate(item, context, missing_resolver=missing_resolver)
+            candidate = evaluate(item, context)
             if _is_unknown(candidate):
                 found_unknown = True
                 continue
@@ -252,9 +233,9 @@ def evaluate(
         return True if expr.negated else False
 
     if isinstance(expr, ast.Between):
-        value = evaluate(expr.operand, context, missing_resolver=missing_resolver)
-        low = evaluate(expr.low, context, missing_resolver=missing_resolver)
-        high = evaluate(expr.high, context, missing_resolver=missing_resolver)
+        value = evaluate(expr.operand, context)
+        low = evaluate(expr.low, context)
+        high = evaluate(expr.high, context)
         lower = _compare(">=", value, low)
         upper = _compare("<=", value, high)
         result = _logical_and(lower, upper)
@@ -263,15 +244,15 @@ def evaluate(
         return (not result) if expr.negated else result
 
     if isinstance(expr, ast.FunctionCall):
-        return _evaluate_scalar_function(expr, context, missing_resolver)
+        return _evaluate_scalar_function(expr, context)
 
     if isinstance(expr, ast.CaseExpression):
         for condition, value in expr.branches:
-            truth = _to_truth(evaluate(condition, context, missing_resolver=missing_resolver))
+            truth = _to_truth(evaluate(condition, context))
             if truth:
-                return evaluate(value, context, missing_resolver=missing_resolver)
+                return evaluate(value, context)
         if expr.default is not None:
-            return evaluate(expr.default, context, missing_resolver=missing_resolver)
+            return evaluate(expr.default, context)
         return None
 
     raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
@@ -287,11 +268,7 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 }
 
 
-def _evaluate_scalar_function(
-    expr: ast.FunctionCall,
-    context: RowContext,
-    missing_resolver: MissingResolver | None,
-) -> Any:
+def _evaluate_scalar_function(expr: ast.FunctionCall, context: RowContext) -> Any:
     name = expr.name.lower()
     if name in ast.AGGREGATE_FUNCTIONS:
         raise ExecutionError(
@@ -299,27 +276,22 @@ def _evaluate_scalar_function(
         )
     if name == "coalesce":
         for arg in expr.args:
-            value = evaluate(arg, context, missing_resolver=missing_resolver)
+            value = evaluate(arg, context)
             if not _is_unknown(value):
                 return value
         return None
     handler = _SCALAR_FUNCTIONS.get(name)
     if handler is None:
         raise ExecutionError(f"unknown function {expr.name!r}")
-    args = [evaluate(arg, context, missing_resolver=missing_resolver) for arg in expr.args]
+    args = [evaluate(arg, context) for arg in expr.args]
     return handler(*args)
 
 
-def evaluate_predicate(
-    expr: ast.Expression | None,
-    context: RowContext,
-    *,
-    missing_resolver: MissingResolver | None = None,
-) -> bool:
+def evaluate_predicate(expr: ast.Expression | None, context: RowContext) -> bool:
     """Evaluate a WHERE/HAVING/ON predicate; unknown collapses to False."""
     if expr is None:
         return True
-    result = _to_truth(evaluate(expr, context, missing_resolver=missing_resolver))
+    result = _to_truth(evaluate(expr, context))
     return bool(result)
 
 

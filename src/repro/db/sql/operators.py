@@ -9,19 +9,18 @@ operators, each a pull-based iterator:
   (ordered-index range probe and/or Sort-eliminating ordered walk), all
   snapshotting the row set under the catalog lock at ``open()`` time and
   copying rows lazily as they are pulled;
-* :class:`CrowdFill` — the crowd-acquisition operator.  It watches the rows
-  streaming out of a scan for MISSING values of crowd-sourced (perceptual)
-  attributes and dispatches them to a batch :class:`ValueSource` in
-  configurable batches: one coalesced platform call per attribute per
-  ``batch_size`` missing rows instead of one resolver call per row.  When
-  the session has an :class:`~repro.crowd.runtime.AcquisitionRuntime`
-  (connections always do), the dispatches go through it: per-attribute
-  batches execute concurrently on a bounded worker pool, repeat requests
-  are served from the cross-query answer cache, and cells another query is
-  already acquiring are coalesced onto that in-flight dispatch.  Under
-  hybrid acquisition it acquires only the planner-chosen *sample* of the
-  missing rows (plus any low-confidence predicted cells up for
-  re-acquisition) and leaves the rest to :class:`PredictFill`;
+* :class:`CrowdFill` — the crowd-acquisition operator, the one way a
+  MISSING cell gets filled from the crowd.  It watches the rows streaming
+  out of a scan for MISSING values of crowd-sourced (perceptual)
+  attributes and acquires them in configurable batches — one coalesced
+  platform call per attribute per ``batch_size`` missing rows — through
+  the session's :class:`~repro.crowd.runtime.AcquisitionRuntime`:
+  per-attribute batches execute concurrently on a bounded worker pool,
+  repeat requests are served from the cross-query answer cache, and cells
+  another query is already acquiring are coalesced onto that in-flight
+  dispatch.  Under hybrid acquisition it acquires only the planner-chosen
+  *sample* of the missing rows (plus any low-confidence predicted cells up
+  for re-acquisition) and leaves the rest to :class:`PredictFill`;
 * :class:`PredictFill` — the prediction stage of hybrid acquisition.  It
   trains an :class:`~repro.db.acquisition.AttributePredictor` (e.g. an
   SVR/SVC over perceptual-space coordinates) on every known value streaming
@@ -81,6 +80,7 @@ from repro.db.acquisition import (
     PROVENANCE_CROWD,
     PROVENANCE_PREDICTED,
     PROVENANCE_STORED,
+    AcquisitionPolicy,
     PredictSpec,
     SamplePlan,
     plan_sample,
@@ -89,7 +89,6 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
-    MissingResolver,
     RowContext,
     evaluate,
     evaluate_predicate,
@@ -123,8 +122,15 @@ class CrowdFillSpec:
     ----------
     source:
         A batch :class:`~repro.db.crowd_operators.ValueSource`; each
-        ``request_values`` call corresponds to one coalesced crowd dispatch
-        (e.g. one HIT group on the simulated platform).
+        runtime dispatch to it is one coalesced crowd call (e.g. one HIT
+        group on the simulated platform).
+    runtime:
+        The :class:`~repro.crowd.runtime.AcquisitionRuntime` the operator
+        dispatches through.  The runtime executes the per-attribute batches
+        concurrently on its bounded worker pool, serves repeat requests
+        from its cross-query :class:`~repro.crowd.runtime.AnswerCache`,
+        coalesces duplicate cells with other in-flight queries and charges
+        each dispatch's cost to *session*.
     batch_size:
         Number of missing rows coalesced into one platform call.  N missing
         rows for one attribute produce ``ceil(N / batch_size)`` calls.
@@ -132,29 +138,17 @@ class CrowdFillSpec:
         Whether obtained values are persisted to storage (under the catalog
         lock) so later queries need no further crowd work.
     session:
-        Optional session-budget hook (duck-typed: ``budget_exhausted`` and
-        ``record_cost(cost)``, i.e. a
+        Optional session-budget hook (a
         :class:`~repro.db.connection.SessionContext`).  When set, no batch
-        is dispatched once the budget is exhausted, and sources that track
-        spending through a ``total_cost`` attribute (e.g.
-        :class:`~repro.crowd.sources.SimulatedCrowdValueSource`) have each
-        dispatch's cost charged against the session.
-    runtime:
-        Optional :class:`~repro.crowd.runtime.AcquisitionRuntime` the
-        operator dispatches through.  The runtime executes the
-        per-attribute batches concurrently on its bounded worker pool,
-        serves repeat requests from its cross-query
-        :class:`~repro.crowd.runtime.AnswerCache` and coalesces duplicate
-        cells with other in-flight queries.  Without one (``None``, the
-        bare-executor path) batches are dispatched directly and
-        sequentially.
+        is dispatched once the budget is exhausted, and the runtime charges
+        every dispatch's cost against the session.
     """
 
     source: "ValueSource"
+    runtime: "AcquisitionRuntime"
     batch_size: int = 50
     write_back: bool = True
     session: Any = None
-    runtime: "AcquisitionRuntime | None" = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -583,9 +577,10 @@ class CrowdFill(Operator):
     Sits directly above a table's scan.  Rows stream through in input
     order; whenever ``batch_size`` rows with at least one MISSING watched
     attribute have accumulated (or the input is exhausted), one coalesced
-    ``request_values`` call per attribute is dispatched to the batch
-    source.  Obtained values are patched into the in-flight rows and, when
-    ``write_back`` is set, persisted to storage under the catalog lock.
+    batch per attribute is handed to the acquisition runtime, which
+    dispatches it to the batch source.  Obtained values are patched into
+    the in-flight rows and, when ``write_back`` is set, persisted to
+    storage under the catalog lock.
 
     Contract: N missing rows for one attribute produce
     ``ceil(N / batch_size)`` platform calls — never one call per row.
@@ -632,9 +627,10 @@ class CrowdFill(Operator):
         self.coalesced = 0
         #: Platform assignments adaptive sizing avoided (quality dispatches).
         self.assignments_saved = 0
-        #: Mean estimated accuracy of the workers behind this operator's
-        #: quality-tracked dispatches (None when none ran).
-        self.mean_worker_accuracy: float | None = None
+        #: Sum and count of the per-dispatch worker-accuracy estimates of
+        #: this operator's quality-tracked dispatches.
+        self._accuracy_sum = 0.0
+        self._accuracy_dispatches = 0
         #: attribute -> rowid -> posterior confidence of quality dispatches;
         #: written back as provenance confidence so low-confidence crowd
         #: cells feed the re-acquisition loop.
@@ -690,16 +686,14 @@ class CrowdFill(Operator):
             ]
             if items:
                 requests.append((attribute, items))
-        if self.spec.runtime is not None:
-            self._flush_through_runtime(requests)
-        else:
-            self._flush_direct(requests)
+        if requests:
+            self._acquire(requests)
         return pending
 
-    def _flush_through_runtime(
+    def _acquire(
         self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]
     ) -> None:
-        """Resolve the flush through the shared acquisition runtime.
+        """Resolve the flush through the acquisition runtime.
 
         The runtime serves what it can from the cross-query answer cache,
         joins cells another query is already acquiring, and dispatches the
@@ -707,8 +701,6 @@ class CrowdFill(Operator):
         pool — the wall-clock win on multi-attribute queries.  Budget cost
         for the dispatches this flush owns is charged inside the runtime.
         """
-        if not requests:
-            return
         outcome = self.spec.runtime.acquire(
             self.spec.source,
             self.table,
@@ -722,35 +714,13 @@ class CrowdFill(Operator):
         self.cache_hits += outcome.cache_hits
         self.coalesced += outcome.coalesced
         self.assignments_saved += outcome.assignments_saved
-        if outcome.mean_worker_accuracy is not None:
-            self.mean_worker_accuracy = (
-                outcome.mean_worker_accuracy
-                if self.mean_worker_accuracy is None
-                else (self.mean_worker_accuracy + outcome.mean_worker_accuracy) / 2.0
-            )
+        self._accuracy_sum += outcome.accuracy_sum
+        self._accuracy_dispatches += outcome.accuracy_dispatches
         for attribute, confidences in outcome.confidences.items():
             self._cell_confidences.setdefault(attribute, {}).update(confidences)
         for attribute, items in requests:
             self.values_requested += len(items)
             self._apply_resolved(attribute, items, outcome.values.get(attribute, {}))
-
-    def _flush_direct(
-        self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]
-    ) -> None:
-        """Legacy runtime-less path: one sequential dispatch per attribute."""
-        session = self.spec.session
-        for attribute, items in requests:
-            if session is not None and session.budget_exhausted:
-                break
-            cost_before = getattr(self.spec.source, "total_cost", None)
-            values = self.spec.source.request_values(
-                attribute, [(rowid, dict(row)) for rowid, row in items]
-            )
-            self.batches_dispatched += 1
-            if session is not None and cost_before is not None:
-                session.record_cost(self.spec.source.total_cost - cost_before)
-            self.values_requested += len(items)
-            self._apply_resolved(attribute, items, values)
 
     def _apply_resolved(
         self,
@@ -793,10 +763,7 @@ class CrowdFill(Operator):
                         # value is authoritative.  The cache may hold our
                         # answer (the UPDATE's invalidation can have fired
                         # before the dispatch cached it) — evict it.
-                        if self.spec.runtime is not None:
-                            self.spec.runtime.cache.invalidate(
-                                self.table, attribute, rowid
-                            )
+                        self.spec.runtime.cache.invalidate(self.table, attribute, rowid)
                         continue
                     writable[rowid] = value
                 if writable:
@@ -813,6 +780,14 @@ class CrowdFill(Operator):
                         },
                     )
 
+    @property
+    def mean_worker_accuracy(self) -> float | None:
+        """Mean worker-accuracy estimate over this operator's quality-tracked
+        dispatches (None when none ran)."""
+        if not self._accuracy_dispatches:
+            return None
+        return self._accuracy_sum / self._accuracy_dispatches
+
     def detail(self) -> str:
         return ", ".join(f"{self.table}.{a}" for a in self.attributes)
 
@@ -827,10 +802,9 @@ class CrowdFill(Operator):
         parts = [
             f"batches={self.batches_dispatched}",
             f"filled={self.values_filled}/{self.values_requested}",
+            f"cache_hits={self.cache_hits}",
+            f"coalesced={self.coalesced}",
         ]
-        if self.spec.runtime is not None:
-            parts.append(f"cache_hits={self.cache_hits}")
-            parts.append(f"coalesced={self.coalesced}")
         if self.mean_worker_accuracy is not None:
             parts.append(f"mean_worker_accuracy={self.mean_worker_accuracy:.3f}")
             parts.append(f"assignments_saved={self.assignments_saved}")
@@ -924,6 +898,7 @@ class PredictFill(Operator):
             for rowid, row in rows
             if not is_missing(row.get(attribute)) and rowid not in previously_predicted
         ]
+
         def fit_predict():
             return self.spec.predictor.fit_predict(
                 attribute,
@@ -931,13 +906,10 @@ class PredictFill(Operator):
                 [(rowid, dict(row)) for rowid, row in targets],
             )
 
-        # Train/predict through the runtime's accounting chokepoint when
-        # one is configured (inline — prediction is CPU work and must not
-        # occupy the platform dispatch pool).
-        if self.spec.runtime is not None:
-            batch = self.spec.runtime.run_prediction(fit_predict)
-        else:
-            batch = fit_predict()
+        # Train/predict through the runtime's accounting chokepoint (inline —
+        # prediction is CPU work and must not occupy the platform dispatch
+        # pool).
+        batch = self.spec.runtime.run_prediction(fit_predict)
         self.model_kinds[attribute] = batch.model_kind
         self.training_sizes[attribute] = batch.training_size
         if batch.rmse is not None:
@@ -1028,8 +1000,8 @@ class CrowdEnumerateSpec:
     ----------
     source:
         Batch :class:`~repro.db.crowd_operators.ValueSource`; each HIT
-        batch is one ``request_values`` call whose single "row" is the
-        batch index and whose answer is a *list* of worker answers.
+        batch is one runtime dispatch whose single "row" is the batch
+        index and whose answer is a *list* of worker answers.
     predicate:
         Natural-language description posted to workers.
     completeness:
@@ -1042,12 +1014,12 @@ class CrowdEnumerateSpec:
         as soon as accumulated cost reaches the cap
         (``stopped_on == "budget"``).  The *session* budget is honoured as
         well, independently of this cap.
-    session:
-        Optional session-budget hook (duck-typed ``budget_exhausted`` /
-        ``record_cost``), as in :class:`CrowdFillSpec`.
     runtime:
-        Optional :class:`~repro.crowd.runtime.AcquisitionRuntime` — batch
-        answers are cached and coalesced exactly like closed-world fills.
+        The :class:`~repro.crowd.runtime.AcquisitionRuntime` batches are
+        pulled through — answers are cached and coalesced exactly like
+        closed-world fills.
+    session:
+        Optional session-budget hook, as in :class:`CrowdFillSpec`.
     dry_batches:
         Stop after this many consecutive batches with no new species
         (``stopped_on == "exhausted"``) — the open-world analogue of
@@ -1069,10 +1041,10 @@ class CrowdEnumerateSpec:
 
     source: "ValueSource"
     predicate: str
+    runtime: "AcquisitionRuntime"
     completeness: Optional[float] = None
     budget: Optional[float] = None
     session: Any = None
-    runtime: "AcquisitionRuntime | None" = None
     dry_batches: int = 3
     max_batches: int = 256
     existing_keys: frozenset[str] = frozenset()
@@ -1192,33 +1164,20 @@ class CrowdEnumerate(Operator):
         return True
 
     def _pull_batch(self, attribute: str, batch_index: int) -> list[Any]:
-        """Fetch one HIT batch of answers (through the runtime when present)."""
+        """Fetch one HIT batch of answers through the runtime."""
         spec = self.spec
-        items = [(batch_index, {})]
-        if spec.runtime is not None:
-            outcome = spec.runtime.acquire(
-                spec.source,
-                ENUMERATION_TABLE,
-                [(attribute, items)],
-                session=spec.session,
-            )
-            self.batches_dispatched += outcome.dispatches
-            self.cache_hits += outcome.cache_hits
-            self.coalesced += outcome.coalesced
-            self.cost_spent += outcome.cost
-            dispatched = outcome.dispatches > 0
-            answers = outcome.values.get(attribute, {}).get(batch_index)
-        else:
-            cost_before = getattr(spec.source, "total_cost", None)
-            values = spec.source.request_values(attribute, items)
-            self.batches_dispatched += 1
-            dispatched = True
-            if cost_before is not None:
-                cost = spec.source.total_cost - cost_before
-                self.cost_spent += cost
-                if spec.session is not None:
-                    spec.session.record_cost(cost)
-            answers = values.get(batch_index)
+        outcome = spec.runtime.acquire(
+            spec.source,
+            ENUMERATION_TABLE,
+            [(attribute, [(batch_index, {})])],
+            session=spec.session,
+        )
+        self.batches_dispatched += outcome.dispatches
+        self.cache_hits += outcome.cache_hits
+        self.coalesced += outcome.coalesced
+        self.cost_spent += outcome.cost
+        dispatched = outcome.dispatches > 0
+        answers = outcome.values.get(attribute, {}).get(batch_index)
         if answers is None or is_missing(answers):
             batch: list[Any] = []
         elif isinstance(answers, (list, tuple)):
@@ -1275,8 +1234,8 @@ class CrowdEnumerate(Operator):
             f"coalesced={self.coalesced}",
             f"cost={self.cost_spent:.4f}",
         ]
-        tracker = getattr(self.spec.runtime, "worker_quality", None)
-        if tracker is not None and tracker.n_workers:
+        tracker = self.spec.runtime.worker_quality
+        if tracker.n_workers:
             parts.append(f"mean_worker_accuracy={tracker.mean_accuracy():.3f}")
         return parts
 
@@ -1304,14 +1263,12 @@ class NestedLoopJoin(Operator):
         condition: Optional[ast.Expression],
         kind: str,
         right_columns: Sequence[str],
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(left, right)
         self.alias = alias
         self.condition = condition
         self.kind = kind
         self._right_columns = list(right_columns)
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[RowContext]:
         right_rows = list(self.children[1])  # materialized once per join
@@ -1320,9 +1277,7 @@ class NestedLoopJoin(Operator):
             matched = False
             for rowid, row in right_rows:
                 candidate = _merge_context(context, self.alias, rowid, row)
-                if self.kind == "cross" or evaluate_predicate(
-                    self.condition, candidate, missing_resolver=self._resolver
-                ):
+                if self.kind == "cross" or evaluate_predicate(self.condition, candidate):
                     matched = True
                     yield candidate
             if self.kind == "left" and not matched:
@@ -1339,10 +1294,9 @@ class HashJoin(Operator):
     """Equi-join fast path: hash the right input once, probe per left row.
 
     Only lowered for ``left.col = right.col`` conditions with qualified
-    references and no per-row missing-value resolver (the resolver could
-    change key values mid-probe, which only the nested-loop path models).
-    Unknown keys (NULL/MISSING) never match, matching SQL three-valued
-    equality; unmatched left rows of a LEFT JOIN get the hoisted null row.
+    references.  Unknown keys (NULL/MISSING) never match, matching SQL
+    three-valued equality; unmatched left rows of a LEFT JOIN get the
+    hoisted null row.
     """
 
     label = "HashJoin"
@@ -1406,23 +1360,15 @@ class Filter(Operator):
 
     label = "Filter"
 
-    def __init__(
-        self,
-        child: Operator,
-        predicate: ast.Expression,
-        missing_resolver: MissingResolver | None = None,
-    ) -> None:
+    def __init__(self, child: Operator, predicate: ast.Expression) -> None:
         super().__init__(child)
         self.predicate = predicate
-        self._resolver = missing_resolver
         self.rows_in = 0
 
     def _produce(self) -> Iterator[RowContext]:
         for context in self.children[0]:
             self.rows_in += 1
-            if evaluate_predicate(
-                self.predicate, context, missing_resolver=self._resolver
-            ):
+            if evaluate_predicate(self.predicate, context):
                 yield context
 
     def detail(self) -> str:
@@ -1434,22 +1380,13 @@ class Project(Operator):
 
     label = "Project"
 
-    def __init__(
-        self,
-        child: Operator,
-        output: Sequence[OutputColumn],
-        missing_resolver: MissingResolver | None = None,
-    ) -> None:
+    def __init__(self, child: Operator, output: Sequence[OutputColumn]) -> None:
         super().__init__(child)
         self.output = tuple(output)
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         for context in self.children[0]:
-            row = tuple(
-                evaluate(column.expression, context, missing_resolver=self._resolver)
-                for column in self.output
-            )
+            row = tuple(evaluate(column.expression, context) for column in self.output)
             yield row, context
 
     def detail(self) -> str:
@@ -1459,11 +1396,7 @@ class Project(Operator):
 # -- aggregation -------------------------------------------------------------
 
 
-def compute_aggregate(
-    call: ast.FunctionCall,
-    group: Sequence[RowContext],
-    missing_resolver: MissingResolver | None,
-) -> Any:
+def compute_aggregate(call: ast.FunctionCall, group: Sequence[RowContext]) -> Any:
     """Compute one aggregate function over a group of row contexts."""
     name = call.name.lower()
     if call.star:
@@ -1474,7 +1407,7 @@ def compute_aggregate(
         raise ExecutionError(f"aggregate {name.upper()} takes exactly one argument")
     values = []
     for context in group:
-        value = evaluate(call.args[0], context, missing_resolver=missing_resolver)
+        value = evaluate(call.args[0], context)
         if value is None or is_missing(value):
             continue
         values.append(value)
@@ -1506,26 +1439,19 @@ def evaluate_aggregate_expression(
     expr: ast.Expression,
     group: Sequence[RowContext],
     representative: RowContext,
-    missing_resolver: MissingResolver | None,
 ) -> Any:
     """Evaluate an expression that may mix aggregates and scalars."""
     if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return compute_aggregate(expr, group, missing_resolver)
+        return compute_aggregate(expr, group)
     if isinstance(expr, ast.BinaryOp):
-        left = evaluate_aggregate_expression(
-            expr.left, group, representative, missing_resolver
-        )
-        right = evaluate_aggregate_expression(
-            expr.right, group, representative, missing_resolver
-        )
+        left = evaluate_aggregate_expression(expr.left, group, representative)
+        right = evaluate_aggregate_expression(expr.right, group, representative)
         synthetic = ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right))
         return evaluate(synthetic, representative)
     if isinstance(expr, ast.UnaryOp):
-        operand = evaluate_aggregate_expression(
-            expr.operand, group, representative, missing_resolver
-        )
+        operand = evaluate_aggregate_expression(expr.operand, group, representative)
         return evaluate(ast.UnaryOp(expr.op, ast.Literal(operand)), representative)
-    return evaluate(expr, representative, missing_resolver=missing_resolver)
+    return evaluate(expr, representative)
 
 
 class Aggregate(Operator):
@@ -1539,25 +1465,18 @@ class Aggregate(Operator):
         output: Sequence[OutputColumn],
         group_by: Sequence[ast.Expression],
         having: Optional[ast.Expression],
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
         self.group_by = tuple(group_by)
         self.having = having
-        self._resolver = missing_resolver
         self.groups_built = 0
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         groups: dict[tuple[Any, ...], list[RowContext]] = {}
         if self.group_by:
             for context in self.children[0]:
-                key = tuple(
-                    hashable_key(
-                        evaluate(expr, context, missing_resolver=self._resolver)
-                    )
-                    for expr in self.group_by
-                )
+                key = tuple(hashable_key(evaluate(expr, context)) for expr in self.group_by)
                 groups.setdefault(key, []).append(context)
         else:
             # A global aggregate always emits one row, even over no input.
@@ -1568,14 +1487,12 @@ class Aggregate(Operator):
             representative = group_contexts[0] if group_contexts else RowContext()
             if self.having is not None:
                 having_value = evaluate_aggregate_expression(
-                    self.having, group_contexts, representative, self._resolver
+                    self.having, group_contexts, representative
                 )
                 if not _truthy(having_value):
                     continue
             row = tuple(
-                evaluate_aggregate_expression(
-                    column.expression, group_contexts, representative, self._resolver
-                )
+                evaluate_aggregate_expression(column.expression, group_contexts, representative)
                 for column in self.output
             )
             yield row, representative
@@ -1620,13 +1537,11 @@ class Sort(Operator):
         order_by: Sequence[ast.OrderItem],
         output_names: Sequence[str],
         aggregate: bool,
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(child)
         self.order_by = tuple(order_by)
         self._output_names = list(output_names)
         self._aggregate = aggregate
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         ordered = list(self.children[0])
@@ -1644,13 +1559,9 @@ class Sort(Operator):
                 row, context = entry
                 extended = sort_key_context(row, context)
                 if self._aggregate:
-                    value = evaluate_aggregate_expression(
-                        item.expression, [context], extended, self._resolver
-                    )
+                    value = evaluate_aggregate_expression(item.expression, [context], extended)
                 else:
-                    value = evaluate(
-                        item.expression, extended, missing_resolver=self._resolver
-                    )
+                    value = evaluate(item.expression, extended)
                 missing = value is None or is_missing(value)
                 return missing, value
 
@@ -1902,23 +1813,22 @@ def build_enumerate_spec(
 
     Statement-level constraints win; the session's acquisition policy
     supplies the completeness target fallback and the dry-batch/backstop
-    knobs (bare sessions fall back to the defaults).
+    knobs (a spec without a session falls back to the policy defaults).
     """
     session = crowd.session
+    policy = session.policy if session is not None else AcquisitionPolicy()
     completeness = relation.completeness
-    if completeness is None and session is not None:
-        completeness = getattr(session, "completeness_target", None)
-    dry_batches = getattr(session, "enum_dry_batches", None) or 3
-    max_batches = getattr(session, "max_enum_batches", None) or 256
+    if completeness is None:
+        completeness = policy.completeness_target
     return CrowdEnumerateSpec(
         source=crowd.source,
         predicate=relation.predicate,
+        runtime=crowd.runtime,
         completeness=completeness,
         budget=relation.budget,
         session=session,
-        runtime=crowd.runtime,
-        dry_batches=dry_batches,
-        max_batches=max_batches,
+        dry_batches=policy.enum_dry_batches,
+        max_batches=policy.max_enum_batches,
         existing_keys=existing_keys,
         record_answers=record_answers,
     )
@@ -1928,7 +1838,6 @@ def lower_select_plan(
     plan: SelectPlan,
     catalog: Catalog,
     *,
-    missing_resolver: MissingResolver | None = None,
     crowd: CrowdFillSpec | None = None,
     predict: PredictSpec | None = None,
     lock: ContextManager[Any] | None = None,
@@ -1978,12 +1887,7 @@ def lower_select_plan(
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
             keys = None
-            if (
-                hash_joins
-                and missing_resolver is None
-                and join.kind in ("inner", "left")
-                and join.condition is not None
-            ):
+            if hash_joins and join.kind in ("inner", "left") and join.condition is not None:
                 keys = _equi_join_keys(join.condition, aliases, join.scan.alias)
             strategy = choose_join_strategy(
                 left_est, right_est, equi_keys=keys is not None
@@ -2011,7 +1915,6 @@ def lower_select_plan(
                     join.condition,
                     join.kind,
                     right_columns,
-                    missing_resolver,
                 )
                 if join.condition is None:  # cross join: full product
                     left_est = max(1, left_est * right_est)
@@ -2021,7 +1924,7 @@ def lower_select_plan(
             aliases.add(join.scan.alias.lower())
 
     if plan.where is not None:
-        root = Filter(root, plan.where, missing_resolver)
+        root = Filter(root, plan.where)
 
     if plan.aggregate is not None:
         root = Aggregate(
@@ -2029,10 +1932,9 @@ def lower_select_plan(
             plan.output,
             plan.aggregate.group_by,
             plan.aggregate.having,
-            missing_resolver,
         )
     else:
-        root = Project(root, plan.output, missing_resolver)
+        root = Project(root, plan.output)
 
     if plan.distinct:
         root = Distinct(root)
@@ -2045,7 +1947,6 @@ def lower_select_plan(
             plan.order_by,
             [column.name for column in plan.output],
             plan.aggregate is not None,
-            missing_resolver,
         )
 
     if plan.limit is not None or plan.offset:

@@ -17,9 +17,8 @@ the catalog lock) additionally runs a small cost model over the table's
 count makes the index walk cheaper than a full scan, and a single-column
 ORDER BY over an indexed column is served by an ordered index walk with
 the Sort operator eliminated.  Cost-model choices are only made for
-*vanilla* scans — no crowd acquisition, no missing-value resolver, no
-joins — where an index probe is guaranteed to see exactly the rows a
-sequential scan would.
+*vanilla* scans — no crowd acquisition, no joins — where an index probe
+is guaranteed to see exactly the rows a sequential scan would.
 """
 
 from __future__ import annotations
@@ -223,7 +222,6 @@ class Planner:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver=None,
         crowd=None,
         predict=None,
         lock=None,
@@ -246,7 +244,7 @@ class Planner:
 
         The cost model also runs here (statistics are runtime state, so
         its choices must not be cached with the logical plan): vanilla
-        scans — no resolver, no crowd, no predict, no joins, no equality
+        scans — no crowd, no predict, no joins, no equality
         index probe already chosen — may be upgraded to an
         :class:`~repro.db.sql.operators.IndexRangeScan` or an ordered
         index walk via :meth:`choose_scan_path`.
@@ -255,8 +253,7 @@ class Planner:
 
         access_path = None
         if (
-            missing_resolver is None
-            and crowd is None
+            crowd is None
             and predict is None
             and plan.from_crowd is None
             and plan.scan is not None
@@ -267,7 +264,6 @@ class Planner:
         return lower_select_plan(
             plan,
             self._catalog,
-            missing_resolver=missing_resolver,
             crowd=crowd,
             predict=predict,
             lock=lock,

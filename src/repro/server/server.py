@@ -52,7 +52,12 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.server import protocol
-from repro.server.tenancy import TenantConfig, TenantRegistry, TenantState
+from repro.server.tenancy import (
+    TenantConfig,
+    TenantRegistry,
+    TenantState,
+    default_session_factory,
+)
 
 __all__ = ["ReproServer", "ServerConfig"]
 
@@ -179,10 +184,8 @@ class ReproServer:
     # -- tenancy hooks -------------------------------------------------------
 
     def _make_session(self, config: TenantConfig) -> SessionContext:
-        factory = self._session_factory
-        session = factory(config) if factory is not None else SessionContext(
-            max_cost=config.max_cost
-        )
+        factory = self._session_factory or default_session_factory
+        session = factory(config)
         if session.on_runtime_knobs_ignored is None:
             # Server-managed sessions share the catalog runtime by design;
             # a per-tenant RuntimeWarning would fire once per tenant for

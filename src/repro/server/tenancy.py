@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.db.acquisition import AcquisitionPolicy
 from repro.db.connection import SessionContext
 from repro.errors import TenantAuthError
 
@@ -181,7 +182,7 @@ class TenantState:
                 "statement_cache_hits": self._cache_hits,
                 "statement_cache_misses": self._cache_misses,
                 "cost_spent": round(self.session.cost_spent, 6),
-                "max_cost": self.session.max_cost,
+                "max_cost": self.session.policy.max_cost,
                 "remaining_budget": self.session.remaining_budget,
                 "budget_exhausted": self.session.budget_exhausted,
             }
@@ -192,7 +193,7 @@ class TenantState:
 
 def default_session_factory(config: TenantConfig) -> SessionContext:
     """A plain session carrying only the tenant's budget cap."""
-    return SessionContext(max_cost=config.max_cost)
+    return SessionContext(policy=AcquisitionPolicy(max_cost=config.max_cost))
 
 
 class TenantRegistry:

@@ -265,6 +265,21 @@ class TestChargeOnce:
         assert len(findings) == 1
         assert "outside the runtime/operator layer" in findings[0].message
 
+    def test_flags_direct_dispatch_in_query_operators(self):
+        # Query operators acquire through the runtime; a direct source call
+        # there would bypass the answer cache, coalescing and accounting.
+        findings = findings_of(
+            {
+                "src/repro/db/sql/operators.py": """
+                def flush(source, attribute, items):
+                    return source.request_values(attribute, items)
+                """
+            },
+            "charge-once",
+        )
+        assert len(findings) == 1
+        assert "outside the runtime/operator layer" in findings[0].message
+
     def test_flags_discarded_cost(self):
         findings = findings_of(
             {
@@ -308,10 +323,10 @@ class TestChargeOnce:
         assert "2 times" in findings[0].message
 
     def test_loop_with_dispatch_charges_clean(self):
-        # The legacy operator path: one dispatch, one charge, per batch.
+        # Total-cost observation: one dispatch, one charge, per batch.
         findings = findings_of(
             {
-                "src/repro/db/sql/operators.py": """
+                "src/repro/crowd/runtime.py": """
                 def flush(session, source, attribute, batches):
                     for batch in batches:
                         before = source.total_cost

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import ExpansionPolicy, PolicyResult
-from repro.db import connect
+from repro.db import AcquisitionPolicy, connect
 from repro.errors import ExpansionError, UnknownColumnError
 
 
@@ -74,13 +74,8 @@ class TestExpansionPipeline:
 
     def test_budget_stops_expansion(self, conn):
         policy = StubPolicy(cost=2.0)
-        (
-            conn.expansion()
-            .with_policy(policy)
-            .with_key("movie_id")
-            .with_budget(3.0)
-            .attach()
-        )
+        conn.set_policy(AcquisitionPolicy(max_cost=3.0))
+        conn.expansion().with_policy(policy).with_key("movie_id").attach()
         conn.execute("SELECT name FROM movies WHERE first_attr = ?", (True,))
         conn.execute("SELECT name FROM movies WHERE second_attr = ?", (True,))
         # Two expansions spent $4 > $3: the third is refused.
@@ -90,14 +85,11 @@ class TestExpansionPipeline:
 
     def test_budget_of_zero_blocks_immediately(self, conn):
         policy = StubPolicy()
-        conn.expansion().with_policy(policy).with_key("movie_id").with_budget(0.0).attach()
+        conn.set_policy(AcquisitionPolicy(max_cost=0.0))
+        conn.expansion().with_policy(policy).with_key("movie_id").attach()
         with pytest.raises(UnknownColumnError):
             conn.execute("SELECT name FROM movies WHERE cult_film = ?", (True,))
         assert policy.expansions == []
-
-    def test_abandoned_builder_does_not_change_session(self, conn):
-        conn.expansion().with_policy(StubPolicy()).with_budget(5.0)  # never built
-        assert conn.session.max_cost is None
 
     def test_concurrent_expansions_of_same_attribute_coalesce(self):
         import threading

@@ -9,6 +9,7 @@ from typing import Any, Sequence
 import pytest
 
 from repro.crowd.runtime import AcquisitionRuntime, AnswerCache
+from repro.db.acquisition import AcquisitionPolicy
 
 
 class RecordingSource:
@@ -242,12 +243,12 @@ class TestAcquire:
 
         class Session:
             def __init__(self, max_cost: float) -> None:
-                self.max_cost = max_cost
+                self.policy = AcquisitionPolicy(max_cost=max_cost)
                 self.cost_spent = 0.0
 
             @property
             def budget_exhausted(self) -> bool:
-                return self.cost_spent >= self.max_cost
+                return self.cost_spent >= self.policy.max_cost
 
             def record_cost(self, cost: float) -> None:
                 self.cost_spent += cost
@@ -299,13 +300,30 @@ class TestAcquire:
         assert outcome.dispatches == 4
         assert session.cost_spent == pytest.approx(1.0)  # never 2*c1 + ...
 
+    def test_outcome_mean_worker_accuracy_is_the_mean_over_dispatches(self):
+        class QualitySource:
+            quality_enabled = True
+            accuracies = {"a": 0.6, "b": 0.6, "c": 0.9}
+
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                stats = {"mean_worker_accuracy": self.accuracies[attribute]}
+                return {rowid: 1.0 for rowid, _row in items}, 0.0, stats
+
+        runtime = AcquisitionRuntime(max_concurrent_batches=1)
+        outcome = runtime.acquire(
+            QualitySource(), "t", [(attr, items_for([1])) for attr in ("a", "b", "c")]
+        )
+        assert outcome.dispatches == 3
+        assert outcome.mean_worker_accuracy == pytest.approx(0.7)
+        assert AcquisitionRuntime().acquire(RecordingSource(), "t", []).mean_worker_accuracy is None
+
     def test_joiner_with_budget_retries_budget_skipped_cells(self):
         # A joins cells onto B's in-flight batch, but B's session turns out
         # to be broke and skips the dispatch.  A can pay, so A must
         # re-acquire the cells itself instead of returning MISSING.
         class BrokeSession:
             def __init__(self) -> None:
-                self.max_cost = 1.0
+                self.policy = AcquisitionPolicy(max_cost=1.0)
                 self.reached_check = threading.Event()
                 self.gate = threading.Event()
 

@@ -103,7 +103,8 @@ class TestQueryIntegration:
             [(i, f"movie-{i}") for i in range(1, 21)],
         )
         conn.add_perceptual_column("movies", "is_comedy")
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
 
         (count,) = conn.execute(
             "SELECT count(*) FROM movies WHERE is_comedy = ?", (True,)

@@ -179,14 +179,16 @@ class TestLowering:
     def test_predictfill_only_with_predictor(self):
         _catalog, conn = make_movies()
         truth = {i: float(i % 7) for i in range(1, 41)}
-        conn.set_value_source(CountingSource(truth), batch_size=10)
+        conn.set_value_source(CountingSource(truth))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         cursor = conn.execute("SELECT humor FROM movies")
         assert CrowdFill in operator_types(cursor)
         assert PredictFill not in operator_types(cursor)
 
     def test_predictfill_only_for_predictable_columns(self):
         _catalog, conn = make_movies()
-        conn.set_value_source(CountingSource({}), batch_size=10)
+        conn.set_value_source(CountingSource({}))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         conn.set_predictor(MeanPredictor())
         cursor = conn.execute("SELECT name FROM movies")
         assert CrowdFill not in operator_types(cursor)
@@ -197,7 +199,8 @@ class TestLowering:
     def test_predictfill_skipped_when_sample_covers_everything(self):
         _catalog, conn = make_movies(n=8)
         truth = {i: 1.0 for i in range(1, 9)}
-        conn.set_value_source(CountingSource(truth), batch_size=10)
+        conn.set_value_source(CountingSource(truth))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         # min_sample 10 > 8 candidates: crowd-only is the cost model's call.
         conn.set_predictor(MeanPredictor())
         cursor = conn.execute("SELECT humor FROM movies")
@@ -216,8 +219,11 @@ class TestLowering:
 
     def test_explain_renders_two_stage_plan(self):
         _catalog, conn = make_movies()
-        conn.set_value_source(CountingSource({}), batch_size=10)
-        conn.set_predictor(MeanPredictor(), sample_fraction=0.25, min_confidence=0.9)
+        conn.set_value_source(CountingSource({}))
+        conn.set_predictor(MeanPredictor())
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, sample_fraction=0.25, min_confidence=0.9)
+        )
         text = conn.explain("SELECT humor FROM movies")
         assert "CrowdFill(batch_size=10, sample=10)" in text
         assert "PredictFill(sample_fraction=0.25, min_confidence=0.9)" in text
@@ -233,9 +239,11 @@ class TestHybridExecution:
         _catalog, conn = make_movies(n=40)
         truth = {i: float(i % 5) for i in range(1, 41)}
         source = CountingSource(truth)
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         predictor = MeanPredictor()
-        conn.set_predictor(predictor, sample_fraction=0.25)
+        conn.set_predictor(predictor)
+        conn.set_policy(conn.policy.with_overrides(sample_fraction=0.25))
 
         conn.execute("SELECT humor FROM movies").fetchall()
         # 40 candidates, fraction 0.25 -> 10 crowd rows -> 1 platform call.
@@ -247,8 +255,9 @@ class TestHybridExecution:
     def test_provenance_and_confidence_written_back(self):
         _catalog, conn = make_movies(n=40)
         truth = {i: float(i % 5) for i in range(1, 41)}
-        conn.set_value_source(CountingSource(truth), batch_size=10)
-        conn.set_predictor(MeanPredictor(confidence=0.7), sample_fraction=0.25)
+        conn.set_value_source(CountingSource(truth))
+        conn.set_predictor(MeanPredictor(confidence=0.7))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10, sample_fraction=0.25))
         conn.execute("SELECT humor FROM movies").fetchall()
 
         counts = conn.provenance_counts("movies", "humor")
@@ -261,8 +270,9 @@ class TestHybridExecution:
 
     def test_direct_update_resets_provenance_to_stored(self):
         _catalog, conn = make_movies(n=40)
-        conn.set_value_source(CountingSource({i: 1.0 for i in range(1, 41)}), batch_size=10)
-        conn.set_predictor(MeanPredictor(), sample_fraction=0.25)
+        conn.set_value_source(CountingSource({i: 1.0 for i in range(1, 41)}))
+        conn.set_predictor(MeanPredictor())
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10, sample_fraction=0.25))
         conn.execute("SELECT humor FROM movies").fetchall()
         conn.execute("UPDATE movies SET humor = ? WHERE item_id = ?", (9.5, 1))
         storage = conn.table("movies")
@@ -273,11 +283,10 @@ class TestHybridExecution:
         _catalog, conn = make_movies(n=30)
         truth = {i: float(i % 3) for i in range(1, 31)}
         source = CountingSource(truth)
-        conn.set_value_source(source, batch_size=30)
-        conn.set_predictor(
-            MeanPredictor(confidence=0.4),
-            sample_fraction=0.34,
-            min_confidence=0.6,
+        conn.set_value_source(source)
+        conn.set_predictor(MeanPredictor(confidence=0.4))
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=30, sample_fraction=0.34, min_confidence=0.6)
         )
         conn.execute("SELECT humor FROM movies").fetchall()
         first_counts = conn.provenance_counts("movies", "humor")
@@ -286,17 +295,17 @@ class TestHybridExecution:
 
         # Re-acquisition: full-sample policy turns every low-confidence
         # predicted cell back into a crowd answer on the next query.
-        conn.set_predictor(MeanPredictor(confidence=0.4), sample_fraction=1.0, min_confidence=0.6)
+        conn.set_predictor(MeanPredictor(confidence=0.4))
+        conn.set_policy(conn.policy.with_overrides(sample_fraction=1.0, min_confidence=0.6))
         conn.execute("SELECT humor FROM movies").fetchall()
         assert conn.provenance_counts("movies", "humor") == {"crowd": 30}
 
     def test_budget_caps_the_crowd_sample(self):
         catalog = Catalog()
         session = SessionContext(
-            max_cost=0.05,
             predictor=MeanPredictor(),
-            acquisition=AcquisitionPolicy(
-                sample_fraction=1.0, min_sample=1, crowd_cost_per_value=0.01
+            policy=AcquisitionPolicy(
+                max_cost=0.05, sample_fraction=1.0, min_sample=1, crowd_cost_per_value=0.01
             ),
         )
         conn = Connection(catalog, session=session)
@@ -307,7 +316,8 @@ class TestHybridExecution:
         )
         conn.add_perceptual_column("movies", "humor")
         source = CountingSource({i: 2.0 for i in range(1, 41)})
-        conn.set_value_source(source, batch_size=50)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=50))
         conn.execute("SELECT humor FROM movies").fetchall()
         # $0.05 at $0.01/value affords 5 crowd answers; the rest is predicted.
         assert sum(n for _a, n in source.calls) == 5
@@ -316,9 +326,11 @@ class TestHybridExecution:
     def test_predictor_never_trains_on_its_own_predictions(self):
         _catalog, conn = make_movies(n=40)
         truth = {i: float(i % 5) for i in range(1, 61)}
-        conn.set_value_source(CountingSource(truth), batch_size=10)
+        conn.set_value_source(CountingSource(truth))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         predictor = MeanPredictor()
-        conn.set_predictor(predictor, sample_fraction=0.25)
+        conn.set_predictor(predictor)
+        conn.set_policy(conn.policy.with_overrides(sample_fraction=0.25))
         conn.execute("SELECT humor FROM movies").fetchall()
         assert predictor.fit_calls == [("humor", 10, 30)]
 
@@ -336,10 +348,9 @@ class TestHybridExecution:
     def test_budget_is_apportioned_across_attributes(self):
         catalog = Catalog()
         session = SessionContext(
-            max_cost=0.10,
             predictor=MeanPredictor(),
-            acquisition=AcquisitionPolicy(
-                sample_fraction=1.0, min_sample=1, crowd_cost_per_value=0.01
+            policy=AcquisitionPolicy(
+                max_cost=0.10, sample_fraction=1.0, min_sample=1, crowd_cost_per_value=0.01
             ),
         )
         conn = Connection(catalog, session=session)
@@ -351,7 +362,8 @@ class TestHybridExecution:
         conn.add_perceptual_column("movies", "humor")
         conn.add_perceptual_column("movies", "suspense")
         source = CountingSource({i: 2.0 for i in range(1, 41)})
-        conn.set_value_source(source, batch_size=50)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=50))
         conn.execute("SELECT humor, suspense FROM movies").fetchall()
         # $0.10 at $0.01/value affords 10 crowd answers *total*, not per
         # attribute: the plan splits them instead of double-spending.
@@ -360,8 +372,9 @@ class TestHybridExecution:
     def test_explain_analyze_reports_prediction_stats(self):
         _catalog, conn = make_movies(n=40)
         truth = {i: float(i % 5) for i in range(1, 41)}
-        conn.set_value_source(CountingSource(truth), batch_size=10)
-        conn.set_predictor(MeanPredictor(), sample_fraction=0.25)
+        conn.set_value_source(CountingSource(truth))
+        conn.set_predictor(MeanPredictor())
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10, sample_fraction=0.25))
         text = conn.explain_analyze("SELECT humor FROM movies")
         assert "CrowdFill(batch_size=10, sample=10)" in text
         assert "batches=1" in text
@@ -376,7 +389,8 @@ class TestHybridExecution:
             def fit_predict(self, attribute, train, targets):
                 return PredictionBatch(training_size=len(train))
 
-        conn.set_value_source(CountingSource({i: 1.0 for i in range(1, 21)}), batch_size=5)
-        conn.set_predictor(NoPredictor(), sample_fraction=0.5)
+        conn.set_value_source(CountingSource({i: 1.0 for i in range(1, 21)}))
+        conn.set_predictor(NoPredictor())
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=5, sample_fraction=0.5))
         conn.execute("SELECT humor FROM movies").fetchall()
         assert conn.missing_count("movies", "humor") == 10

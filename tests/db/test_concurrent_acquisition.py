@@ -17,7 +17,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import Catalog, Connection, SessionContext
+from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext
 
 
 class BlockingSource:
@@ -73,8 +73,10 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         conn.set_acquisition_runtime(runtime)
         source = BlockingSource()
-        conn.set_value_source(source, batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(source)
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+        )
 
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(source.calls) == 1
@@ -92,8 +94,10 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
         source = BlockingSource(value=0.9)
-        conn.set_value_source(source, batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(source)
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+        )
 
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 4
@@ -111,7 +115,8 @@ class TestAnswerCacheThroughTheEngine:
         # direct UPDATE must evict the cache entry (the stored value wins).
         conn = make_items_connection(3)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(value=0.9), batch_size=10)
+        conn.set_value_source(BlockingSource(value=0.9))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 3
         conn.execute("UPDATE items SET appeal = ? WHERE item_id = ?", (0.2, 1))
@@ -121,7 +126,8 @@ class TestAnswerCacheThroughTheEngine:
     def test_acquisition_write_back_does_not_invalidate_its_own_entries(self):
         conn = make_items_connection(5)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(value=0.7), batch_size=10)
+        conn.set_value_source(BlockingSource(value=0.7))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         # fill_values persisted 5 crowd answers; none of those writes may
         # evict the cache entries they correspond to.
@@ -136,7 +142,8 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
         source = BlockingSource(value=0.9)
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         source.release.clear()
 
         results: list[list] = []
@@ -162,8 +169,10 @@ class TestAnswerCacheThroughTheEngine:
     def test_delete_evicts_cached_answers(self):
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+        )
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 4
         conn.execute("DELETE FROM items WHERE item_id = ?", (2,))
@@ -174,8 +183,10 @@ class TestAnswerCacheThroughTheEngine:
     def test_drop_table_invalidates_cached_answers(self):
         conn = make_items_connection(3)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+        )
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 3
         conn.execute("DROP TABLE items")
@@ -191,7 +202,9 @@ class TestSharedRuntimeKnobs:
         catalog = Catalog()
         first = make_items_connection(2, catalog)
         first.acquisition_runtime()  # shared runtime created with defaults
-        second = Connection(catalog, session=SessionContext(answer_cache_ttl=60.0))
+        second = Connection(
+            catalog, session=SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=60.0))
+        )
         with pytest.warns(RuntimeWarning, match="first-caller-wins"):
             runtime = second.acquisition_runtime()
         # First-caller-wins: the TTL knob did not apply...
@@ -214,7 +227,8 @@ class TestSharedRuntimeKnobs:
         first.acquisition_runtime()  # shared runtime created with defaults
         calls: list[int] = []
         session = SessionContext(
-            answer_cache_ttl=60.0, on_runtime_knobs_ignored=lambda: calls.append(1)
+            policy=AcquisitionPolicy(answer_cache_ttl=60.0),
+            on_runtime_knobs_ignored=lambda: calls.append(1),
         )
         second = Connection(catalog, session=session)
         with warnings_module.catch_warnings():
@@ -232,7 +246,10 @@ class TestSharedRuntimeKnobs:
 
         catalog = Catalog()
         pinned = Connection(
-            catalog, session=SessionContext(answer_cache_ttl=60.0, answer_cache_size=8)
+            catalog,
+            session=SessionContext(
+                policy=AcquisitionPolicy(answer_cache_ttl=60.0, answer_cache_size=8)
+            ),
         )
         pinned.acquisition_runtime()  # creates the shared runtime, custom knobs
         plain = Connection(catalog)
@@ -249,8 +266,10 @@ class TestCrossConnectionCoalescing:
         second = Connection(catalog)
         source = BlockingSource(value=0.8)
         for conn in (first, second):
-            conn.set_value_source(source, batch_size=10)
-            conn.session.crowd_write_back = False
+            conn.set_value_source(source)
+            conn.set_policy(
+                conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+            )
 
         source.release.clear()
         counts: list[int] = []
@@ -287,7 +306,7 @@ class TestConcurrencyDeterminism:
             attribute: {i: (i + offset) % 3 == 0 for i in range(1, 25)}
             for offset, attribute in enumerate(self.ATTRIBUTES)
         }
-        session = SessionContext(max_concurrent_batches=concurrency)
+        session = SessionContext(policy=AcquisitionPolicy(max_concurrent_batches=concurrency))
         conn = make_items_connection(24, session=session)
         for attribute in self.ATTRIBUTES:
             conn.add_perceptual_column("items", attribute)
@@ -301,7 +320,8 @@ class TestConcurrencyDeterminism:
         )
         # Small batches force several dispatches per attribute, so at
         # concurrency 4 their completion order genuinely interleaves.
-        conn.set_value_source(source, batch_size=8)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=8))
         conn.execute(
             "SELECT item_id, funny, scary, romantic FROM items"
         ).fetchall()
@@ -320,8 +340,10 @@ class TestConcurrencyDeterminism:
 class TestExplainAnalyzeCounters:
     def test_reports_wall_time_cache_hits_and_coalescing(self):
         conn = make_items_connection(4)
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(
+            conn.policy.with_overrides(crowd_batch_size=10, crowd_write_back=False)
+        )
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         text = conn.explain_analyze("SELECT count(appeal) FROM items")
         crowd_line = next(line for line in text.splitlines() if "CrowdFill" in line)
@@ -332,3 +354,57 @@ class TestExplainAnalyzeCounters:
         # Every operator line carries its inclusive wall time.
         for line in text.splitlines():
             assert "time=" in line
+
+
+class TestBudgetSerialization:
+    def test_budgeted_session_dispatches_one_batch_at_a_time(self):
+        # The runtime reads the cap from the session's policy; with it,
+        # four attribute batches that would otherwise run concurrently on
+        # the default pool of 4 are serialized, so the first dispatch
+        # spends the whole budget and the other three are skipped.
+        class SlowCostedSource:
+            def __init__(self) -> None:
+                self.dispatches = 0
+                self._lock = threading.Lock()
+
+            def request_values_with_cost(self, attribute, items):
+                with self._lock:
+                    self.dispatches += 1
+                time.sleep(0.05)
+                return {rowid: 0.9 for rowid, _row in items}, 0.5
+
+        conn = make_items_connection(
+            3, session=SessionContext(policy=AcquisitionPolicy(max_cost=0.5))
+        )
+        for attribute in ("a", "b", "c", "d"):
+            conn.add_perceptual_column("items", attribute)
+        assert conn.policy.max_concurrent_batches == 4
+        source = SlowCostedSource()
+        conn.set_value_source(source)
+        conn.execute("SELECT a, b, c, d FROM items").fetchall()
+        assert source.dispatches == 1
+        assert conn.session.cost_spent == 0.5
+
+
+class TestMeanWorkerAccuracy:
+    def test_explain_analyze_reports_the_mean_over_dispatches(self):
+        class QualitySource:
+            """Reports one worker-accuracy estimate per dispatch."""
+
+            quality_enabled = True
+
+            def __init__(self, accuracies: list[float]) -> None:
+                self.accuracies = list(accuracies)
+
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                stats = {"mean_worker_accuracy": self.accuracies.pop(0)}
+                return {rowid: 0.9 for rowid, _row in items}, 0.0, stats
+
+        conn = make_items_connection(3)
+        conn.set_value_source(QualitySource([0.6, 0.6, 0.9]))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=1))
+        text = conn.explain_analyze("SELECT appeal FROM items")
+        crowd_line = next(line for line in text.splitlines() if "CrowdFill" in line)
+        assert "batches=3" in crowd_line
+        # The mean over the three dispatches: (0.6 + 0.6 + 0.9) / 3.
+        assert "mean_worker_accuracy=0.700" in crowd_line

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.db import Catalog, Connection, SessionContext, connect
+from repro.crowd.runtime import AcquisitionRuntime
+from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext, connect
 from repro.db.types import ColumnType, MISSING
 from repro.errors import (
     ExecutionError,
@@ -297,11 +299,39 @@ class TestConnectionLifecycle:
         )
 
 
+class ConstantSource:
+    """Batch ValueSource answering every cell with one value."""
+
+    def __init__(self, value: float, latency: float = 0.0) -> None:
+        self.value = value
+        self.latency = latency
+        self.calls = 0
+
+    def request_values(self, attribute, items):
+        time.sleep(self.latency)
+        self.calls += 1
+        return {rowid: self.value for rowid, _row in items}
+
+
+def private_session(value: float) -> SessionContext:
+    """A session whose crowd answers stay private to it.
+
+    A session-private runtime keeps its answers out of the catalog-shared
+    AnswerCache, and no write-back keeps them out of table storage, so
+    two such sessions on one catalog never see each other's answers.
+    """
+    return SessionContext(
+        value_source=ConstantSource(value),
+        runtime=AcquisitionRuntime(),
+        policy=AcquisitionPolicy(crowd_write_back=False),
+    )
+
+
 class TestSessionScopedCrowdContext:
     def _shared_catalog(self) -> Catalog:
         catalog = Catalog()
         setup = Connection(catalog)
-        setup.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, score REAL)")
+        setup.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, score REAL PERCEPTUAL)")
         setup.executemany(
             "INSERT INTO items (item_id, score) VALUES (?, ?)",
             [(i, None) for i in range(1, 6)],
@@ -309,35 +339,38 @@ class TestSessionScopedCrowdContext:
         setup.table("items").fill_values("score", {rowid: MISSING for rowid in range(1, 6)})
         return catalog
 
-    def test_two_connections_with_different_resolvers(self):
+    def test_two_connections_with_different_value_sources(self):
         catalog = self._shared_catalog()
-
-        def resolver_for(value):
-            def resolver(ref, row):
-                return value
-
-            return resolver
-
-        low = Connection(catalog, session=SessionContext(missing_resolver=resolver_for(0.1)))
-        high = Connection(catalog, session=SessionContext(missing_resolver=resolver_for(0.9)))
+        low = Connection(catalog, session=private_session(0.1))
+        high = Connection(catalog, session=private_session(0.9))
         query = "SELECT count(*) FROM items WHERE score > ?"
-        assert low.execute(query, (0.5,)).fetchone() == (0,)
-        assert high.execute(query, (0.5,)).fetchone() == (5,)
+        try:
+            assert low.execute(query, (0.5,)).fetchone() == (0,)
+            assert high.execute(query, (0.5,)).fetchone() == (5,)
+            assert low.execute(query, (0.5,)).fetchone() == (0,)
+        finally:
+            for connection in (low, high):
+                connection.session.runtime.shutdown()
+        assert low.missing_count("items", "score") == 5  # nothing written back
 
     def test_concurrent_connections_do_not_clobber_each_other(self):
         catalog = self._shared_catalog()
         failures: list[str] = []
 
         def run(value, expected):
-            session = SessionContext(missing_resolver=lambda ref, row: value)
-            connection = Connection(catalog, session=session)
-            for _ in range(50):
-                (count,) = connection.execute(
-                    "SELECT count(*) FROM items WHERE score > ?", (0.5,)
-                ).fetchone()
-                if count != expected:
-                    failures.append(f"resolver {value} saw count {count}")
-                    return
+            connection = Connection(catalog, session=private_session(value))
+            try:
+                for _ in range(50):
+                    (count,) = connection.execute(
+                        "SELECT count(*) FROM items WHERE score > ?", (0.5,)
+                    ).fetchone()
+                    if count != expected:
+                        failures.append(f"source {value} saw count {count}")
+                        return
+            except Exception as exc:  # pragma: no cover - only on regression
+                failures.append(f"source {value} raised {exc!r}")
+            finally:
+                connection.session.runtime.shutdown()
 
         threads = [
             threading.Thread(target=run, args=(0.1, 0)),
@@ -379,21 +412,16 @@ class TestSessionScopedCrowdContext:
             thread.join()
         assert errors == []
 
-    def test_slow_missing_resolver_does_not_block_other_connections(self):
-        import time
-
+    def test_slow_value_source_does_not_block_other_connections(self):
         catalog = self._shared_catalog()
-
-        def slow_resolver(ref, row):
-            time.sleep(0.4)  # crowd-sourcing one MISSING cell
-            return 1.0
-
-        resolving = Connection(catalog, session=SessionContext(missing_resolver=slow_resolver))
+        # One platform dispatch standing in for crowd-sourcing the cells.
+        source = ConstantSource(1.0, latency=0.4)
+        resolving = Connection(catalog, session=SessionContext(value_source=source))
         probing = Connection(catalog)
         latencies: list[float] = []
 
         def probe():
-            time.sleep(0.2)  # land inside the resolver's crowd time
+            time.sleep(0.2)  # land inside the source's crowd time
             for _ in range(3):
                 start = time.perf_counter()
                 probing.execute("SELECT count(*) FROM items").fetchone()
@@ -404,7 +432,7 @@ class TestSessionScopedCrowdContext:
             threading.Thread(
                 target=lambda: resolving.execute(
                     "SELECT count(*) FROM items WHERE score > ?", (0.5,)
-                )
+                ).fetchone()
             ),
             threading.Thread(target=probe),
         ]
@@ -412,8 +440,9 @@ class TestSessionScopedCrowdContext:
             thread.start()
         for thread in threads:
             thread.join()
-        # Evaluation (where the resolver runs) happens on row copies outside
-        # the catalog lock, so the probing connection must stay fast.
+        # Rows are pulled (and the crowd dispatched) outside the catalog
+        # lock, so the probing connection must stay fast.
+        assert source.calls == 1
         assert latencies and max(latencies) < 0.25
 
     def test_slow_expansion_does_not_block_other_connections(self):
@@ -518,7 +547,7 @@ class TestSessionScopedCrowdContext:
         assert results[0].rows == [("Rocky",)]
 
     def test_budget_exhausted_session(self):
-        session = SessionContext(max_cost=1.0)
+        session = SessionContext(policy=AcquisitionPolicy(max_cost=1.0))
         assert not session.budget_exhausted
         assert session.remaining_budget == 1.0
         session.record_cost(0.6)
@@ -530,6 +559,3 @@ class TestSessionScopedCrowdContext:
     def test_connection_exposes_session(self):
         db = Connection()
         assert isinstance(db.session, SessionContext)
-        resolver = lambda ref, row: 1.0  # noqa: E731
-        db.set_missing_resolver(resolver)
-        assert db.session.missing_resolver is resolver

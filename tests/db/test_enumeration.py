@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -104,7 +105,7 @@ class TestStoppingRules:
         stats = cur.result.enumeration
         assert stats["stopped_on"] == "completeness"
         # Stopped before exhausting the simulated universe...
-        assert stats["batches"] < conn.session.max_enum_batches
+        assert stats["batches"] < conn.policy.max_enum_batches
         # ...yet covering >= 0.9 of the true population.
         assert stats["unique_seen"] / len(UNIVERSE) >= 0.9
         assert 0.0 <= stats["est_coverage"] <= 1.0
@@ -121,7 +122,7 @@ class TestStoppingRules:
         assert stats["cost"] <= 0.08 + 1e-9
 
     def test_session_budget_stops_enumeration(self):
-        session = SessionContext(max_cost=0.05)
+        session = SessionContext(policy=AcquisitionPolicy(max_cost=0.05))
         conn = make_conn(make_source(), session=session)
         cur = conn.execute("INSERT INTO birds (name) FROM CROWD WHERE 'birds'")
         stats = cur.result.enumeration
@@ -206,7 +207,9 @@ class TestInsertFromCrowd:
 
 class TestDeterminism:
     def enumerate_with_concurrency(self, max_concurrent_batches: int) -> list[str]:
-        session = SessionContext(max_concurrent_batches=max_concurrent_batches)
+        session = SessionContext(
+            policy=AcquisitionPolicy(max_concurrent_batches=max_concurrent_batches)
+        )
         conn = make_conn(make_source(seed=42), session=session)
         conn.execute(
             "INSERT INTO birds (name) FROM CROWD WHERE 'birds' WITH COMPLETENESS >= 0.9"
@@ -239,40 +242,23 @@ class TestAcquisitionPolicy:
         policy = AcquisitionPolicy(max_cost=3.0, crowd_batch_size=10, completeness_target=0.8)
         conn = connect(policy=policy)
         assert conn.policy.max_cost == 3.0
-        assert conn.session.crowd_batch_size == 10
-        assert conn.session.completeness_target == pytest.approx(0.8)
+        assert conn.policy.crowd_batch_size == 10
+        assert conn.policy.completeness_target == pytest.approx(0.8)
 
     def test_set_policy_replaces_wholesale(self):
         conn = connect()
         conn.set_policy(AcquisitionPolicy(max_cost=1.0))
-        assert conn.session.max_cost == 1.0
+        assert conn.session.policy.max_cost == 1.0
+        assert conn.session.remaining_budget == 1.0
         conn.set_policy(None)
-        assert conn.session.max_cost is None
-
-    def test_legacy_attributes_delegate_to_policy(self):
-        session = SessionContext()
-        session.max_cost = 2.0
-        session.crowd_batch_size = 7
-        session.completeness_target = 0.75
-        assert session.policy.max_cost == 2.0
-        assert session.policy.crowd_batch_size == 7
-        assert session.policy.completeness_target == pytest.approx(0.75)
+        assert conn.session.policy.max_cost is None
+        assert conn.session.remaining_budget is None
 
     def test_session_completeness_target_is_the_default_for_enumeration(self):
         session = SessionContext(policy=AcquisitionPolicy(completeness_target=0.9))
         conn = make_conn(make_source(), session=session)
         cur = conn.execute("INSERT INTO birds (name) FROM CROWD WHERE 'birds'")
         assert cur.result.enumeration["stopped_on"] == "completeness"
-
-    def test_policy_and_acquisition_kwargs_conflict(self):
-        with pytest.raises(ValueError):
-            SessionContext(policy=AcquisitionPolicy(), acquisition=AcquisitionPolicy())
-
-    def test_assigning_acquisition_preserves_budget(self):
-        session = SessionContext(max_cost=5.0)
-        session.acquisition = AcquisitionPolicy(sample_fraction=0.5)
-        assert session.max_cost == 5.0
-        assert session.policy.sample_fraction == pytest.approx(0.5)
 
     def test_policy_validation_rejects_bad_values(self):
         with pytest.raises(ExecutionError):
@@ -289,13 +275,11 @@ class TestAcquisitionPolicy:
         conn.execute("PRAGMA acquisition_completeness_target = none")
         assert conn.execute("PRAGMA acquisition_completeness_target").fetchone() == (None,)
         conn.execute("PRAGMA acquisition_crowd_write_back = off")
-        assert conn.session.crowd_write_back is False
+        assert conn.policy.crowd_write_back is False
 
     def test_pragma_policy_lists_every_knob(self):
         conn = connect()
         rows = dict(conn.execute("PRAGMA acquisition_policy").fetchall())
-        from dataclasses import fields
-
         assert set(rows) == {f.name for f in fields(AcquisitionPolicy)}
 
     def test_pragma_rejects_unknown_and_invalid(self):
@@ -305,28 +289,30 @@ class TestAcquisitionPolicy:
         with pytest.raises(ExecutionError):
             conn.execute("PRAGMA acquisition_completeness_target = 1.5")
         # A failed write leaves the session untouched.
-        assert conn.session.completeness_target is None
+        assert conn.policy.completeness_target is None
 
-    def test_deprecated_setters_warn_but_delegate(self):
-        conn = connect()
-        with pytest.warns(DeprecationWarning):
-            conn.set_value_source(None, batch_size=9)
-        assert conn.session.crowd_batch_size == 9
-        with pytest.warns(DeprecationWarning):
-            conn.set_predictor(None, sample_fraction=0.25)
-        assert conn.policy.sample_fraction == pytest.approx(0.25)
+    def test_session_exposes_knobs_only_through_its_policy(self):
+        import inspect
 
-    def test_deprecated_pipeline_budget_warns_but_delegates(self):
-        conn = connect()
-        from repro.core.policies import ExpansionPolicy, PolicyResult
-
-        class StubPolicy(ExpansionPolicy):
-            def expand(self, attribute, item_ids, truth):
-                return PolicyResult(values={}, cost=0.0, minutes=0.0, judgments=0)
-
-        with pytest.warns(DeprecationWarning):
-            conn.expansion().with_policy(StubPolicy()).with_budget(4.0).build()
-        assert conn.session.max_cost == 4.0
+        params = inspect.signature(SessionContext.__init__).parameters
+        assert [name for name in params if name != "self"] == [
+            "expansion_handler",
+            "ledger",
+            "value_source",
+            "predictor",
+            "runtime",
+            "on_runtime_knobs_ignored",
+            "policy",
+        ]
+        knobs = {f.name for f in fields(AcquisitionPolicy)}
+        exposed = {
+            name
+            for name, member in inspect.getmembers(SessionContext)
+            if isinstance(member, property)
+        }
+        assert exposed & knobs == set()
+        with pytest.raises(TypeError):
+            SessionContext(max_cost=1.0)
 
 
 class TestCrashRecovery:

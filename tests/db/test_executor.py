@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.connection import Connection
-from repro.db.types import MISSING, is_missing
+from repro.db.types import is_missing
 from repro.errors import ExecutionError
 
 
@@ -228,19 +228,3 @@ class TestDDL:
     def test_drop_table(self, db):
         db.run_statement("DROP TABLE ratings")
         assert "ratings" not in db.table_names()
-
-
-class TestMissingResolution:
-    def test_resolver_fills_value_at_query_time(self, db):
-        def resolver(ref, row):
-            if ref.name == "humor":
-                return 9.0
-            return MISSING
-
-        db.set_missing_resolver(resolver)
-        result = db.run_statement("SELECT name FROM movies WHERE humor >= 8")
-        assert len(result) == 5
-
-    def test_without_resolver_missing_is_unknown(self, db):
-        db.set_missing_resolver(None)
-        assert db.run_statement("SELECT name FROM movies WHERE humor >= 8").rows == []

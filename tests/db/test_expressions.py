@@ -159,33 +159,6 @@ class TestThreeValuedLogic:
         assert evaluate_predicate(None, RowContext()) is True
 
 
-class TestMissingResolver:
-    def test_resolver_supplies_value(self):
-        calls = []
-
-        def resolver(ref, row):
-            calls.append(ref.name)
-            return 9.0
-
-        ctx = context(humor=MISSING)
-        result = evaluate(where_expr("humor >= 8"), ctx, missing_resolver=resolver)
-        assert result is True
-        assert calls == ["humor"]
-
-    def test_resolver_returning_missing_keeps_unknown(self):
-        ctx = context(humor=MISSING)
-        result = evaluate(
-            where_expr("humor >= 8"), ctx, missing_resolver=lambda ref, row: MISSING
-        )
-        assert result is None
-
-    def test_resolver_not_called_for_present_values(self):
-        def resolver(ref, row):  # pragma: no cover - should not run
-            raise AssertionError("resolver must not be called")
-
-        assert evaluate(where_expr("year = 1980"), context(year=1980), missing_resolver=resolver)
-
-
 class TestRowContext:
     def test_ambiguous_bare_name(self):
         ctx = RowContext()

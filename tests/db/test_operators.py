@@ -6,7 +6,7 @@ from typing import Any, Sequence
 
 import pytest
 
-from repro.db import Catalog, Connection, connect
+from repro.db import AcquisitionPolicy, Catalog, Connection, connect
 from repro.db.sql.operators import (
     CrowdFill,
     HashJoin,
@@ -16,6 +16,7 @@ from repro.db.sql.operators import (
     _ComparableValue,
 )
 from repro.db.types import MISSING
+from repro.errors import ExecutionError
 
 
 class CountingSource:
@@ -91,13 +92,21 @@ class TestJoinLowering:
         assert NestedLoopJoin in operators_of(cursor)
         assert HashJoin not in operators_of(cursor)
 
-    def test_per_row_resolver_disables_hash_join(self):
+    def test_equi_join_over_crowd_column_uses_hash_join(self):
         conn = Connection(make_joined_catalog())
-        conn.set_missing_resolver(lambda ref, row: MISSING)
+        conn.add_perceptual_column("movies", "is_comedy")
+        source = CountingSource(True)
+        conn.set_value_source(source)
         cursor = conn.execute(
-            "SELECT m.name FROM movies m JOIN ratings r ON m.movie_id = r.movie_id"
+            "SELECT m.name, m.is_comedy FROM movies m "
+            "JOIN ratings r ON m.movie_id = r.movie_id"
         )
-        assert NestedLoopJoin in operators_of(cursor)
+        rows = cursor.fetchall()
+        assert sorted(rows) == [("Psycho", True), ("Rocky", True), ("Rocky", True)]
+        assert CrowdFill in operators_of(cursor)
+        assert HashJoin in operators_of(cursor)
+        assert NestedLoopJoin not in operators_of(cursor)
+        assert source.calls == [("is_comedy", 4)]
 
     def test_point_lookup_uses_index_scan(self):
         conn = Connection(make_joined_catalog())
@@ -181,7 +190,8 @@ class TestPhysicalExplain:
     def test_crowd_fill_appears_with_value_source(self):
         conn = Connection(make_joined_catalog())
         conn.add_perceptual_column("movies", "is_funny")
-        conn.set_value_source(CountingSource(True), batch_size=7)
+        conn.set_value_source(CountingSource(True))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=7))
         text = conn.explain(
             "SELECT m.name FROM movies m JOIN ratings r ON m.movie_id = r.movie_id "
             "WHERE m.is_funny = true LIMIT 2"
@@ -211,7 +221,8 @@ class TestCrowdFillBatching:
     def test_n_missing_rows_produce_ceil_n_over_b_calls(self):
         conn = self._connection(10)
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=3)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=3))
         (count,) = conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert count == 10
         # 10 missing rows, batch_size 3 -> ceil(10/3) = 4 coalesced calls
@@ -220,14 +231,16 @@ class TestCrowdFillBatching:
     def test_batch_of_exact_multiple(self):
         conn = self._connection(6)
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=3)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=3))
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert [size for _attr, size in source.calls] == [3, 3]
 
     def test_write_back_persists_values(self):
         conn = self._connection(8)
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=4)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4))
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert len(source.calls) == 2
         assert conn.missing_count("items", "appeal") == 0
@@ -238,8 +251,8 @@ class TestCrowdFillBatching:
     def test_without_write_back_values_stay_missing(self):
         conn = self._connection(4)
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=4)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4, crowd_write_back=False))
         (count,) = conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert count == 4
         assert conn.missing_count("items", "appeal") == 4
@@ -257,14 +270,16 @@ class TestCrowdFillBatching:
                 return {rowid: 1.0 for rowid, _row in items if rowid % 2 == 0}
 
         conn = self._connection(6)
-        conn.set_value_source(PartialSource(), batch_size=10)
+        conn.set_value_source(PartialSource())
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         (count,) = conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert count == 3
         assert conn.missing_count("items", "appeal") == 3
 
     def test_crowd_fill_stats_in_explain_analyze(self):
         conn = self._connection(10)
-        conn.set_value_source(CountingSource(0.9), batch_size=5)
+        conn.set_value_source(CountingSource(0.9))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=5))
         text = conn.explain_analyze("SELECT count(*) FROM items WHERE appeal > 0.5")
         crowd_line = next(line for line in text.splitlines() if "CrowdFill" in line)
         assert "batch_size=5" in crowd_line
@@ -275,7 +290,8 @@ class TestCrowdFillBatching:
         """The full paper loop: unknown column -> expansion -> batched fill."""
         conn = self._connection(9)
         source = CountingSource(True)
-        conn.set_value_source(source, batch_size=4)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4))
 
         def handler(table: str, column: str) -> bool:
             conn.add_perceptual_column(table, column)
@@ -289,10 +305,11 @@ class TestCrowdFillBatching:
 
     def test_invalid_batch_size_rejected_at_configuration_time(self):
         conn = self._connection(2)
-        with pytest.raises(ValueError):
-            conn.set_value_source(CountingSource(1.0), batch_size=0)
-        with pytest.raises(ValueError):
-            conn.expansion().with_value_source(CountingSource(1.0), batch_size=-1)
+        with pytest.raises(ExecutionError):
+            conn.set_policy(conn.policy.with_overrides(crowd_batch_size=0))
+        with pytest.raises(ExecutionError):
+            conn.execute("PRAGMA acquisition_crowd_batch_size = 0")
+        assert conn.policy.crowd_batch_size == AcquisitionPolicy().crowd_batch_size
 
     def test_fully_populated_column_streams_without_buffering(self):
         """Regression: CrowdFill must not hold up rows that need no filling."""
@@ -301,7 +318,8 @@ class TestCrowdFillBatching:
             "appeal", {rowid: 0.9 for rowid in conn.table("items").rowids()}
         )
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         cursor = conn.execute("SELECT item_id FROM items WHERE appeal > 0.5 LIMIT 5")
         assert len(cursor.fetchall()) == 5
         scan = next(op for op in cursor.plan.walk() if isinstance(op, SeqScan))
@@ -319,7 +337,8 @@ class TestCrowdFillBatching:
         conn.add_perceptual_column("movies", "is_comedy")
         conn.add_perceptual_column("reviews", "is_comedy")
         source = CountingSource(True)
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         conn.execute(
             "SELECT m.name FROM movies m JOIN reviews r ON m.movie_id = r.movie_id "
             "WHERE m.is_comedy = ?",
@@ -332,11 +351,12 @@ class TestCrowdFillBatching:
         from repro.db import SessionContext
 
         conn = self._connection(6)
-        conn.session.max_cost = 1.0
+        conn.set_policy(conn.policy.with_overrides(max_cost=1.0))
         conn.session.cost_spent = 1.0
         assert isinstance(conn.session, SessionContext)
         source = CountingSource(0.9)
-        conn.set_value_source(source, batch_size=2)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=2))
         (count,) = conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert count == 0  # nothing dispatched, cells stay MISSING
         assert source.calls == []
@@ -350,7 +370,8 @@ class TestCrowdFillBatching:
                 return super().request_values(attribute, items)
 
         conn = self._connection(8)
-        conn.set_value_source(CostedSource(0.9), batch_size=4)
+        conn.set_value_source(CostedSource(0.9))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4))
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert conn.session.cost_spent == pytest.approx(0.5)  # two batches
 
@@ -399,7 +420,8 @@ class TestScanCounters:
         conn.execute("CREATE TABLE t (item_id INTEGER PRIMARY KEY)")
         conn.execute("INSERT INTO t VALUES (1), (2)")
         conn.add_perceptual_column("t", "appeal")
-        conn.set_value_source(CountingSource(0.5), batch_size=2)
+        conn.set_value_source(CountingSource(0.5))
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=2))
         cursor = conn.execute("SELECT appeal FROM t")
         cursor.fetchall()
         fill = next(op for op in cursor.plan.walk() if isinstance(op, CrowdFill))

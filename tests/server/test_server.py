@@ -23,6 +23,7 @@ import pytest
 
 import repro
 import repro.client
+from repro.db.acquisition import AcquisitionPolicy
 from repro.db.connection import SessionContext
 from repro.db.types import MISSING
 from repro.errors import (
@@ -208,11 +209,12 @@ class TestAdmissionAndLimits:
 class TestCrowdTenancy:
     def _crowd_server(self, source: CountingSource) -> ReproServer:
         def factory(config: TenantConfig) -> SessionContext:
-            session = SessionContext(max_cost=config.max_cost, value_source=source)
             # Keep answers out of storage so the cross-tenant zero-call
             # property is carried by the shared AnswerCache, not write-back.
-            session.crowd_write_back = False
-            return session
+            return SessionContext(
+                policy=AcquisitionPolicy(max_cost=config.max_cost, crowd_write_back=False),
+                value_source=source,
+            )
 
         tenants = [
             TenantConfig(name="alice", max_cost=5.0),
@@ -278,7 +280,8 @@ class TestRuntimeKnobAggregation:
         def factory(config: TenantConfig) -> SessionContext:
             # Explicit per-session knobs that cannot apply once the shared
             # runtime exists: the classic first-caller-wins mismatch.
-            return SessionContext(answer_cache_ttl=60.0 if config.name != "first" else None)
+            ttl = 60.0 if config.name != "first" else None
+            return SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=ttl))
 
         with ReproServer(ServerConfig(port=0), session_factory=factory) as srv:
             first = repro.client.connect(*srv.address, tenant="first")
@@ -443,7 +446,8 @@ class TestServedEnumeration:
     def _enumeration_server(self, max_cost: float | None = 5.0) -> ReproServer:
         def factory(config: TenantConfig) -> SessionContext:
             return SessionContext(
-                max_cost=config.max_cost, value_source=self._make_source()
+                policy=AcquisitionPolicy(max_cost=config.max_cost),
+                value_source=self._make_source(),
             )
 
         tenants = [TenantConfig(name="alice", max_cost=max_cost)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.acquisition import AcquisitionPolicy
 from repro.db.connection import SessionContext
 from repro.errors import TenantAuthError
 from repro.server.tenancy import TenantConfig, TenantRegistry, TenantState, TokenBucket
@@ -139,13 +140,13 @@ class TestTenantState:
 
     def test_custom_session_factory(self):
         def factory(config: TenantConfig) -> SessionContext:
-            session = SessionContext(max_cost=config.max_cost)
-            session.crowd_write_back = False
-            return session
+            return SessionContext(
+                policy=AcquisitionPolicy(max_cost=config.max_cost, crowd_write_back=False)
+            )
 
         registry = TenantRegistry(
             [TenantConfig(name="a", max_cost=3.0)], session_factory=factory
         )
         session = registry.authenticate("a").session
-        assert session.max_cost == 3.0
-        assert session.crowd_write_back is False
+        assert session.policy.max_cost == 3.0
+        assert session.policy.crowd_write_back is False
