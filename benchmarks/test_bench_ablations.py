@@ -26,7 +26,7 @@ from repro.core.prediction import PerceptualPredictor
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext
 from repro.db.types import is_missing
 from repro.experiments.context import build_perceptual_space
 from repro.learn.metrics import g_mean
@@ -632,12 +632,17 @@ class _MeteredSource:
         self.dispatches = 0
         self._lock = threading.Lock()
 
-    def request_values_with_cost(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         with self._lock:
             self.dispatches += 1
-        return {rowid: 0.8 for rowid, _row in items}, 0.05 * len(items)
+        return Dispatch({rowid: 0.8 for rowid, _row in items}, 0.05 * len(items))
 
 
 def test_ablation_served_load(report_writer, metric_writer, repetitions):

@@ -20,7 +20,7 @@ import threading
 from typing import Any, Sequence
 
 import repro.client
-from repro.db.acquisition import AcquisitionPolicy
+from repro.db.acquisition import AcquisitionPolicy, Dispatch
 from repro.db.connection import SessionContext
 from repro.server import ReproServer, ServerConfig, TenantConfig
 
@@ -33,13 +33,18 @@ class MeteredSource:
         self.platform_calls = 0
         self._lock = threading.Lock()
 
-    def request_values_with_cost(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: AcquisitionPolicy | None,
+        tracker: Any,
+    ) -> Dispatch:
         with self._lock:
             self.platform_calls += 1
         values = {rowid: round(0.3 + 0.1 * (rowid % 5), 2) for rowid, _row in items}
-        return values, self.cost_per_item * len(items)
+        return Dispatch(values, self.cost_per_item * len(items))
 
 
 def main() -> None:

@@ -6,11 +6,11 @@ dispatch, one ``session.record_cost`` — charged by the runtime or the
 operator that issued the dispatch, nowhere else.  Four failure shapes are
 checked:
 
-1. dispatch calls (``request_values`` / ``request_values_with_cost``)
-   outside the modules allowed to issue them — anything else must go
-   through the runtime so dedup/caching/accounting happen;
-2. a discarded ``request_values_with_cost(...)`` result — the cost half of
-   the tuple is the ledger entry; dropping it loses the charge;
+1. value-source dispatch calls (:data:`DISPATCH_METHOD`) outside the
+   modules allowed to issue them — anything else must go through the
+   runtime so dedup/caching/accounting happen;
+2. a discarded dispatch result — the returned ``Dispatch.cost`` is the
+   ledger entry; dropping it loses the charge;
 3. ``record_cost`` inside a loop body with no dispatch in the same loop —
    charging per-iteration for a single dispatch double-counts;
 4. two unconditional ``record_cost`` calls on the same straight-line path
@@ -27,22 +27,23 @@ from repro.analysis.core import Finding, Module, Project, Rule, register
 
 __all__ = ["ChargeOnceRule"]
 
-#: Modules allowed to issue value-source dispatches directly.  This
-#: sanctions the runtime itself, the simulated sources and the standalone
-#: ``CrowdFillOperator``.  The physical query operators (``CrowdFill``,
-#: ``PredictFill``, ``CrowdEnumerate`` in ``db/sql/operators.py``) are
-#: deliberately absent: they acquire only through the runtime, which
-#: charges each dispatch exactly once.
+#: The one value-source method (see ``repro.db.acquisition.ValueSource``);
+#: ``lock-blocking`` reads it too.
+DISPATCH_METHOD = "request_values_with_quality"
+
+#: Modules allowed to issue value-source dispatches directly: the runtime
+#: itself and the simulated sources.  The physical query operators
+#: (``CrowdFill``, ``PredictFill``, ``CrowdEnumerate`` in
+#: ``db/sql/operators.py``) are deliberately absent: they acquire only
+#: through the runtime, which charges each dispatch exactly once.
 ALLOWED_DISPATCH_MODULES = (
     "crowd/runtime.py",
     "crowd/sources.py",
-    "db/crowd_operators.py",
 )
 
 DISPATCH_NAMES = frozenset(
     {
-        "request_values",
-        "request_values_with_cost",
+        DISPATCH_METHOD,
         "_run_dispatch",
         "acquire",
         "run_group",
@@ -96,7 +97,7 @@ class ChargeOnceRule(Rule):
         "The crowd budget is the paper's scarce resource; the ledger invariant "
         "is one record_cost per dispatch, charged by the issuing runtime/"
         "operator. Stray dispatch sites bypass dedup and accounting; discarded "
-        "request_values_with_cost results lose the charge; per-iteration "
+        "dispatch results lose the charge; per-iteration "
         "charges for a single dispatch double-count."
     )
     roles = frozenset({"src"})
@@ -108,10 +109,7 @@ class ChargeOnceRule(Rule):
             # (1) dispatch outside the allowed modules
             if isinstance(node, ast.Call):
                 name = _terminal_name(node)
-                if (
-                    name in {"request_values", "request_values_with_cost"}
-                    and not dispatch_allowed
-                ):
+                if name == DISPATCH_METHOD and not dispatch_allowed:
                     yield Finding(
                         rule=self.id,
                         message=(
@@ -123,15 +121,15 @@ class ChargeOnceRule(Rule):
                         line=node.lineno,
                         col=node.col_offset,
                     )
-            # (2) discarded request_values_with_cost result
+            # (2) discarded dispatch result
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                if _terminal_name(node.value) == "request_values_with_cost":
+                if _terminal_name(node.value) == DISPATCH_METHOD:
                     yield Finding(
                         rule=self.id,
                         message=(
-                            "request_values_with_cost() result discarded; the "
-                            "returned cost is the ledger entry and must be "
-                            "charged via session.record_cost"
+                            f"{DISPATCH_METHOD}() result discarded; the "
+                            "returned Dispatch.cost is the ledger entry and "
+                            "must be charged via session.record_cost"
                         ),
                         path=module.path,
                         line=node.lineno,

@@ -31,21 +31,13 @@ from typing import Iterable
 
 from repro.analysis.callgraph import build_lock_graph, index_functions
 from repro.analysis.core import Finding, Module, Project, Rule, register
+from repro.analysis.rules.budget import DISPATCH_METHOD
 
 __all__ = ["LockBlockingRule", "LockOrderRule"]
 
 #: Call names that block: sleeping, fsyncing, waiting on futures/events,
-#: and the crowd dispatch entry points themselves.
-BLOCKING_NAMES = frozenset(
-    {
-        "sleep",
-        "fsync",
-        "result",
-        "wait",
-        "request_values",
-        "request_values_with_cost",
-    }
-)
+#: and the crowd dispatch method itself.
+BLOCKING_NAMES = frozenset({"sleep", "fsync", "result", "wait", DISPATCH_METHOD})
 
 
 @register

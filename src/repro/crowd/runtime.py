@@ -3,7 +3,7 @@
 The query engine's acquisition operators
 (:class:`~repro.db.sql.operators.CrowdFill` and
 :class:`~repro.db.sql.operators.PredictFill`) do not talk to a
-:class:`~repro.db.crowd_operators.ValueSource` directly any more: they hand
+:class:`~repro.db.acquisition.ValueSource` directly: they hand
 their per-attribute HIT-group batches to an :class:`AcquisitionRuntime`,
 which is shared by every connection of a catalog.  The runtime adds the
 three behaviours that make crowd-backed queries tractable under concurrent
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.crowd.worker_quality import WorkerQualityTracker
+from repro.db.acquisition import ValueSource
 from repro.db.types import is_missing
 
 __all__ = ["AcquisitionRuntime", "AnswerCache", "AnswerCacheStats", "AcquisitionOutcome"]
@@ -319,11 +320,6 @@ class AcquisitionRuntime:
         self._lock = threading.Lock()
         self._in_flight: dict[CellKey, _PendingBatch] = {}
         self._pool: ThreadPoolExecutor | None = None
-        # Serializes dispatches of legacy sources whose cost can only be
-        # observed as a total_cost delta — concurrent sampling would race
-        # and over-charge session budgets.  Sources implementing
-        # request_values_with_cost stay fully concurrent.
-        self._legacy_cost_lock = threading.Lock()
         #: Platform dispatches executed over the runtime's lifetime.
         self.total_dispatches = 0
         #: Cells ever served from the cache / joined onto in-flight work.
@@ -368,7 +364,7 @@ class AcquisitionRuntime:
 
     def acquire(
         self,
-        source: Any,
+        source: ValueSource,
         table: str,
         requests: Sequence[tuple[str, Sequence[tuple[int, dict[str, Any]]]]],
         *,
@@ -583,7 +579,7 @@ class AcquisitionRuntime:
 
     def _run_dispatch(
         self,
-        source: Any,
+        source: ValueSource,
         table: str,
         attribute: str,
         items: list[tuple[int, dict[str, Any]]],
@@ -607,45 +603,27 @@ class AcquisitionRuntime:
                 pending.values = {}
                 pending.skipped = True
                 return 0.0, False
-            quality = getattr(source, "request_values_with_quality", None)
-            detailed = getattr(source, "request_values_with_cost", None)
-            if quality is not None and getattr(source, "quality_enabled", False):
-                # Quality-tracked sources run adaptive assignment sizing
-                # against the runtime's catalog-wide worker tracker; the
-                # session's policy supplies the sizing knobs.
-                values, cost, quality_stats = quality(
-                    attribute,
-                    items,
-                    policy=getattr(session, "policy", None),
-                    tracker=self.worker_quality,
-                )
-                pending.quality = quality_stats or None
-                # Persist the new worker evidence (no-op without a journal
-                # hook; the catalog installs one on its shared runtime).
-                self.worker_quality.flush()
-            elif detailed is not None:
-                values, cost = detailed(attribute, items)
-            elif getattr(source, "total_cost", None) is not None:
-                # Legacy cost observation (total_cost delta) is only exact
-                # when dispatches on the source do not overlap; serialize
-                # them rather than over-charge the budget.
-                with self._legacy_cost_lock:
-                    before = source.total_cost
-                    values = source.request_values(attribute, items)
-                    cost = float(source.total_cost - before)
-            else:
-                values = source.request_values(attribute, items)
-                cost = 0.0
-            if session is not None and cost:
+            dispatch = source.request_values_with_quality(
+                attribute,
+                items,
+                policy=getattr(session, "policy", None),
+                tracker=self.worker_quality,
+            )
+            pending.quality = dispatch.quality or None
+            # Persist new worker evidence (a no-op when nothing is dirty or
+            # without a journal hook; the catalog installs one on its
+            # shared runtime).
+            self.worker_quality.flush()
+            if session is not None and dispatch.cost:
                 with self._lock:  # record_cost is not itself thread-safe
-                    session.record_cost(cost)
+                    session.record_cost(dispatch.cost)
             resolved = {
-                rowid: value for rowid, value in values.items() if not is_missing(value)
+                rowid: value for rowid, value in dispatch.values.items() if not is_missing(value)
             }
             for rowid, value in resolved.items():
                 self.cache.put(table, attribute, rowid, value)
             pending.values = resolved
-            return cost, True
+            return dispatch.cost, True
         except BaseException as exc:
             pending.error = exc
             raise

@@ -1,8 +1,10 @@
 """Batched value sources bridging the crowd platform to the query engine.
 
 The query engine's ``CrowdFill`` operator acquires MISSING attribute values
-through the narrow :class:`~repro.db.crowd_operators.ValueSource` protocol:
-one ``request_values(attribute, items)`` call per coalesced batch.  This
+through the narrow :class:`~repro.db.acquisition.ValueSource` protocol: one
+``request_values_with_quality(attribute, items, *, policy, tracker)`` call
+per coalesced batch, returning a typed
+:class:`~repro.db.acquisition.Dispatch`.  This
 module provides the production-shaped implementation of that protocol on
 top of the simulated crowd platform: every batch becomes exactly one
 :class:`~repro.crowd.hit.HITGroup` dispatched to a
@@ -34,7 +36,7 @@ from repro.crowd.platform import CrowdPlatform, CrowdRunResult
 from repro.crowd.quality_control import QualityControl
 from repro.crowd.worker import WorkerPool
 from repro.crowd.worker_quality import WorkerQualityTracker
-from repro.db.acquisition import AcquisitionPolicy
+from repro.db.acquisition import AcquisitionPolicy, Dispatch
 from repro.db.types import is_missing
 from repro.utils.rng import RandomState, derive_seed, ensure_rng
 
@@ -171,10 +173,10 @@ class SimulatedCrowdValueSource:
             if gold_answers is not None
             else {}
         )
-        #: Whether the runtime should route this source's dispatches
-        #: through :meth:`request_values_with_quality` (accuracy-weighted
-        #: aggregation + adaptive assignment sizing).  Defaults on when
-        #: gold answers or per-worker error rates were configured.
+        #: Whether dispatches run the quality-tracked path (accuracy-
+        #: weighted aggregation + adaptive assignment sizing) instead of
+        #: one flat HIT group.  Defaults on when gold answers or
+        #: per-worker error rates were configured.
         self.quality_enabled = (
             bool(self._gold or worker_error_rates) if quality is None else bool(quality)
         )
@@ -187,39 +189,50 @@ class SimulatedCrowdValueSource:
         self.total_assignments = 0
         self.runs: list[CrowdRunResult] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
-        """Answer one batch: dispatch a single HIT group for *attribute*.
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: AcquisitionPolicy | None = None,
+        tracker: WorkerQualityTracker | None = None,
+    ) -> Dispatch:
+        """Answer one batch of ``(rowid, row)`` items for *attribute*.
 
         Rows whose *key_column* is NULL/MISSING cannot be mapped to a
         platform item and stay unanswered; items without a clear majority
-        are likewise omitted, leaving their cells MISSING.
-        """
-        values, _cost = self.request_values_with_cost(attribute, items)
-        return values
+        are likewise omitted, leaving their cells MISSING.  Enumeration
+        attributes (``__enumerate__:<predicate>``) answer open-world
+        batches instead (see :meth:`_enumerate_batch`).
 
-    def request_values_with_cost(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
-        """Like :meth:`request_values`, also returning this dispatch's cost.
-
-        The per-dispatch cost lets the
-        :class:`~repro.crowd.runtime.AcquisitionRuntime` charge session
-        budgets exactly even when several dispatches run concurrently
-        (sampling ``total_cost`` deltas would race).
+        With ``quality_enabled`` the batch runs adaptive assignment sizing
+        against *tracker* under *policy*'s knobs (see
+        :meth:`_quality_batch`); otherwise it is one flat HIT group at the
+        source's ``judgments_per_item``, and *policy* and *tracker* are
+        unused.
         """
         predicate = enumeration_predicate(attribute)
         if predicate is not None:
             return self._enumerate_batch(predicate, items)
+        if self.quality_enabled:
+            return self._quality_batch(attribute, items, policy, tracker)
+        return self._flat_batch(attribute, items)
+
+    def _item_ids(self, items: Sequence[tuple[int, dict[str, Any]]]) -> dict[int, int]:
+        """``rowid -> platform item id`` for the rows carrying a key."""
         rowid_to_item: dict[int, int] = {}
         for rowid, row in items:
             key = row.get(self.key_column)
             if key is None or is_missing(key):
                 continue
             rowid_to_item[rowid] = int(key)
+        return rowid_to_item
+
+    def _flat_batch(self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]) -> Dispatch:
+        """One HIT group at ``judgments_per_item``, majority-voted."""
+        rowid_to_item = self._item_ids(items)
         if not rowid_to_item:
-            return {}, 0.0
+            return Dispatch({})
 
         item_ids = sorted(set(rowid_to_item.values()))
         group = HITGroup(
@@ -263,16 +276,15 @@ class SimulatedCrowdValueSource:
             for rowid, item_id in rowid_to_item.items()
             if item_id in labels
         }
-        return values, result.total_cost
+        return Dispatch(values, result.total_cost)
 
-    def request_values_with_quality(
+    def _quality_batch(
         self,
         attribute: str,
         items: Sequence[tuple[int, dict[str, Any]]],
-        *,
-        policy: AcquisitionPolicy | None = None,
-        tracker: WorkerQualityTracker | None = None,
-    ) -> tuple[dict[int, Any], float, dict[str, Any]]:
+        policy: AcquisitionPolicy | None,
+        tracker: WorkerQualityTracker | None,
+    ) -> Dispatch:
         """Quality-tracked batch: adaptive sizing + accuracy-weighted votes.
 
         Instead of one dispatch at a fixed ``judgments_per_item``, the
@@ -286,26 +298,18 @@ class SimulatedCrowdValueSource:
         (``gold_fraction``) whose known answers feed the tracker; settled
         labels feed it agreement evidence.
 
-        Returns ``(values, cost, stats)`` where ``stats`` carries the
-        per-rowid posterior ``confidences``, the billable ``assignments``
-        completed, ``assignments_saved`` versus paying ``max_assignments``
-        for every item, the ``rounds`` dispatched, ``gold_injected`` and
-        the ``mean_worker_accuracy`` over the workers seen.
+        The returned :class:`~repro.db.acquisition.Dispatch`'s ``quality``
+        carries the per-rowid posterior ``confidences``, the billable
+        ``assignments`` completed, ``assignments_saved`` versus paying
+        ``max_assignments`` for every item, the ``rounds`` dispatched,
+        ``gold_injected`` and the ``mean_worker_accuracy`` over the workers
+        seen.
         """
-        predicate = enumeration_predicate(attribute)
-        if predicate is not None:
-            values, cost = self._enumerate_batch(predicate, items)
-            return values, cost, {}
         if policy is None:
             policy = AcquisitionPolicy()
-        rowid_to_item: dict[int, int] = {}
-        for rowid, row in items:
-            key = row.get(self.key_column)
-            if key is None or is_missing(key):
-                continue
-            rowid_to_item[rowid] = int(key)
+        rowid_to_item = self._item_ids(items)
         if not rowid_to_item:
-            return {}, 0.0, {}
+            return Dispatch({})
 
         item_ids = sorted(set(rowid_to_item.values()))
         truth = self._truth.get(attribute, {})
@@ -448,13 +452,13 @@ class SimulatedCrowdValueSource:
                 else None
             ),
         }
-        return values, cost, stats
+        return Dispatch(values, cost, stats)
 
     # -- enumeration mode ----------------------------------------------------
 
     def _enumerate_batch(
         self, predicate: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
+    ) -> Dispatch:
         """Answer one open-world enumeration HIT batch for *predicate*.
 
         Each item id is a *batch index*, not a rowid; the answer for a
@@ -481,7 +485,7 @@ class SimulatedCrowdValueSource:
                     universe = candidate
                     break
         if not universe:
-            return {batch_index: [] for batch_index, _row in items}, 0.0
+            return Dispatch({batch_index: [] for batch_index, _row in items})
 
         count = self.answers_per_batch or self.items_per_hit
         weights = [1.0 / (rank + 1) for rank in range(len(universe))]
@@ -500,4 +504,4 @@ class SimulatedCrowdValueSource:
         with self._stats_lock:
             self.dispatches += len(items)
             self.total_cost += cost
-        return values, cost
+        return Dispatch(values, cost)

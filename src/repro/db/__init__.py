@@ -2,8 +2,8 @@
 
 This subpackage implements the database the paper's schema-expansion layer
 sits on: a typed relational store with a SQL front end (tokenizer, parser,
-planner, executor) and crowd-backed operators that can fill missing values
-or rank tuples by perceptual criteria at query time.
+planner, executor) and crowd-backed operators that fill missing values at
+query time from a :class:`~repro.db.acquisition.ValueSource`.
 
 Public entry point: :func:`repro.db.connect`, returning a DB-API-2.0-style
 :class:`~repro.db.connection.Connection` with cursors, qmark parameter
@@ -16,9 +16,11 @@ configured through one typed
 from repro.db.acquisition import (
     AcquisitionPolicy,
     AttributePredictor,
+    Dispatch,
     PredictionBatch,
     PredictSpec,
     SamplePlan,
+    ValueSource,
     plan_sample,
 )
 from repro.db.catalog import Catalog
@@ -31,7 +33,6 @@ from repro.db.connection import (
     StatementCache,
     connect,
 )
-from repro.db.crowd_operators import ValueSource
 from repro.db.durability import DurabilityManager, open_database
 from repro.db.schema import AttributeKind, Column, ColumnType, TableSchema
 from repro.db.sql.executor import QueryResult, SelectStream
@@ -50,6 +51,7 @@ __all__ = [
     "Connection",
     "CrowdFillSpec",
     "Cursor",
+    "Dispatch",
     "DurabilityManager",
     "ExpansionHandler",
     "MISSING",

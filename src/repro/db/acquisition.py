@@ -15,8 +15,11 @@ the planner-side machinery for that trade-off:
 * :class:`PredictSpec` — the runtime bundle (predictor + policy) that the
   lowering turns into a :class:`~repro.db.sql.operators.PredictFill`
   operator on top of :class:`~repro.db.sql.operators.CrowdFill`;
-* the :class:`AttributePredictor` protocol that decouples the query engine
-  from the concrete perceptual-space models (see
+* the :class:`ValueSource` protocol (one batch in, one typed
+  :class:`Dispatch` out) and its twin :class:`AttributePredictor`, which
+  decouple the query engine from the concrete crowd platform and
+  perceptual-space models (see
+  :class:`repro.crowd.sources.SimulatedCrowdValueSource` and
   :class:`repro.core.prediction.PerceptualPredictor`).
 
 Everything here is deterministic: the coverage-driven sample is chosen by
@@ -28,9 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, Sequence
 
 from repro.errors import ExecutionError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crowd.worker_quality import WorkerQualityTracker
 
 #: Provenance tags recorded for acquired cells.
 PROVENANCE_STORED = "stored"
@@ -111,9 +117,9 @@ class AcquisitionPolicy:
     min_assignments, max_assignments:
         Judgments-per-item bounds of adaptive sizing: every item starts
         with ``min_assignments`` judgments, and unconfident items buy more
-        in later rounds up to ``max_assignments``.  Only quality-capable
-        value sources (``request_values_with_quality``) consult these; the
-        flat path keeps its source-configured ``judgments_per_item``.
+        in later rounds up to ``max_assignments``.  Only quality-tracking
+        value sources consult these; flat sources keep their configured
+        ``judgments_per_item``.
     """
 
     sample_fraction: float = 0.25
@@ -310,6 +316,61 @@ def plan_sample(
         return SamplePlan(attribute, candidates, frozenset())
     size = choose_sample_size(len(candidates), policy, budget=budget)
     return SamplePlan(attribute, candidates, select_sample(candidates, size))
+
+
+# ---------------------------------------------------------------------------
+# Value-source protocol
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Dispatch:
+    """What a :class:`ValueSource` returns for one batch.
+
+    ``values`` maps rowids to answers (unanswered rows are simply absent),
+    ``cost`` is the dollars this one dispatch spent — the runtime charges
+    it to the session exactly once — and ``quality`` optionally carries
+    quality-tracked statistics: per-rowid posterior ``confidences``,
+    ``assignments_saved`` and ``mean_worker_accuracy``.
+
+    A cost that is negative or not finite is rejected at construction: it
+    would let a source defeat the session budget cap.
+    """
+
+    values: dict[int, Any]
+    cost: float = 0.0
+    quality: dict[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.cost) or self.cost < 0:
+            raise ValueError(f"dispatch cost must be finite and non-negative, got {self.cost!r}")
+
+
+class ValueSource(Protocol):
+    """Anything that can answer a batch of MISSING cells of one attribute.
+
+    Implementations live outside :mod:`repro.db` (the simulated crowd
+    platform bridge is :class:`repro.crowd.sources.SimulatedCrowdValueSource`);
+    the :class:`~repro.crowd.runtime.AcquisitionRuntime` is the only caller.
+    """
+
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: AcquisitionPolicy | None,
+        tracker: WorkerQualityTracker,
+    ) -> Dispatch:
+        """Answer one batch of ``(rowid, row)`` items for *attribute*.
+
+        *policy* is the dispatching session's policy (None outside a
+        session) and *tracker* the runtime's catalog-wide worker-accuracy
+        tracker; sources without quality tracking ignore both.  A source may
+        answer fewer items than requested (e.g. workers did not know the
+        item); those cells stay MISSING.
+        """
+        ...  # pragma: no cover - protocol definition
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ class SessionContext:
         Cost/time ledger shared with the expansion machinery (created
         lazily when first accessed).
     value_source:
-        Optional batch :class:`~repro.db.crowd_operators.ValueSource`.
+        Optional batch :class:`~repro.db.acquisition.ValueSource`.
         When set, queries referencing crowd-sourced (perceptual) columns
         get a ``CrowdFill`` operator in their physical plan that acquires
         MISSING values through the acquisition runtime in coalesced batches
@@ -743,7 +743,8 @@ class Connection:
         self.session.policy = policy
 
     def set_value_source(self, source: Any) -> None:
-        """Install a batch ValueSource for coalesced crowd acquisition.
+        """Install a batch :class:`~repro.db.acquisition.ValueSource` for
+        coalesced crowd acquisition.
 
         Queries referencing crowd-sourced (perceptual) columns then carry a
         ``CrowdFill(batch_size=…)`` operator in their physical plan that

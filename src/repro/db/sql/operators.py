@@ -83,6 +83,7 @@ from repro.db.acquisition import (
     AcquisitionPolicy,
     PredictSpec,
     SamplePlan,
+    ValueSource,
     plan_sample,
 )
 from repro.db.catalog import Catalog
@@ -106,7 +107,6 @@ from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crowd.runtime import AcquisitionRuntime
-    from repro.db.crowd_operators import ValueSource
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ class CrowdFillSpec:
     Parameters
     ----------
     source:
-        A batch :class:`~repro.db.crowd_operators.ValueSource`; each
+        A batch :class:`~repro.db.acquisition.ValueSource`; each
         runtime dispatch to it is one coalesced crowd call (e.g. one HIT
         group on the simulated platform).
     runtime:
@@ -144,7 +144,7 @@ class CrowdFillSpec:
         every dispatch's cost against the session.
     """
 
-    source: "ValueSource"
+    source: ValueSource
     runtime: "AcquisitionRuntime"
     batch_size: int = 50
     write_back: bool = True
@@ -999,7 +999,7 @@ class CrowdEnumerateSpec:
     Parameters
     ----------
     source:
-        Batch :class:`~repro.db.crowd_operators.ValueSource`; each HIT
+        Batch :class:`~repro.db.acquisition.ValueSource`; each HIT
         batch is one runtime dispatch whose single "row" is the batch
         index and whose answer is a *list* of worker answers.
     predicate:
@@ -1039,7 +1039,7 @@ class CrowdEnumerateSpec:
         after a restart — repeat enumerations then replay at zero spend.
     """
 
-    source: "ValueSource"
+    source: ValueSource
     predicate: str
     runtime: "AcquisitionRuntime"
     completeness: Optional[float] = None

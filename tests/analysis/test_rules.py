@@ -138,13 +138,15 @@ class TestLockBlocking:
                 class CrowdFill:
                     def run(self, source, attribute, items):
                         with self._lock:  # injected catalog lock
-                            return source.request_values(attribute, items)
+                            return source.request_values_with_quality(
+                                attribute, items, policy=None, tracker=None
+                            )
                 """
             },
             "lock-blocking",
         )
         assert len(findings) == 1
-        assert "request_values" in findings[0].message
+        assert "request_values_with_quality" in findings[0].message
 
     def test_blocking_outside_lock_is_clean(self):
         findings = findings_of(
@@ -257,7 +259,9 @@ class TestChargeOnce:
             {
                 "src/repro/core/quality.py": """
                 def resample(source, attribute, items):
-                    return source.request_values(attribute, items)
+                    return source.request_values_with_quality(
+                        attribute, items, policy=None, tracker=None
+                    )
                 """
             },
             "charge-once",
@@ -272,7 +276,9 @@ class TestChargeOnce:
             {
                 "src/repro/db/sql/operators.py": """
                 def flush(source, attribute, items):
-                    return source.request_values(attribute, items)
+                    return source.request_values_with_quality(
+                        attribute, items, policy=None, tracker=None
+                    )
                 """
             },
             "charge-once",
@@ -286,7 +292,9 @@ class TestChargeOnce:
                 "src/repro/crowd/sources.py": """
                 class Source:
                     def warm(self, attribute, items):
-                        self.request_values_with_cost(attribute, items)
+                        self.request_values_with_quality(
+                            attribute, items, policy=None, tracker=None
+                        )
                 """
             },
             "charge-once",
@@ -323,16 +331,17 @@ class TestChargeOnce:
         assert "2 times" in findings[0].message
 
     def test_loop_with_dispatch_charges_clean(self):
-        # Total-cost observation: one dispatch, one charge, per batch.
+        # One dispatch, one charge of its Dispatch.cost, per batch.
         findings = findings_of(
             {
                 "src/repro/crowd/runtime.py": """
                 def flush(session, source, attribute, batches):
                     for batch in batches:
-                        before = source.total_cost
-                        values = source.request_values(attribute, batch)
-                        session.record_cost(source.total_cost - before)
-                    return values
+                        dispatch = source.request_values_with_quality(
+                            attribute, batch, policy=None, tracker=None
+                        )
+                        session.record_cost(dispatch.cost)
+                    return dispatch.values
                 """
             },
             "charge-once",

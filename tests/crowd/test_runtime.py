@@ -9,31 +9,37 @@ from typing import Any, Sequence
 import pytest
 
 from repro.crowd.runtime import AcquisitionRuntime, AnswerCache
-from repro.db.acquisition import AcquisitionPolicy
+from repro.db.acquisition import AcquisitionPolicy, Dispatch
 
 
 class RecordingSource:
     """ValueSource that counts calls and can block mid-dispatch."""
 
-    def __init__(self, value: Any = 1.0, latency: float = 0.0) -> None:
+    def __init__(self, value: Any = 1.0, latency: float = 0.0, cost: float = 0.0) -> None:
         self.value = value
         self.latency = latency
+        self.cost = cost
         self.calls: list[tuple[str, tuple[int, ...]]] = []
         self._lock = threading.Lock()
         self.release = threading.Event()
         self.release.set()  # blocks only when a test clears it
         self.entered = threading.Event()
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         with self._lock:
             self.calls.append((attribute, tuple(rowid for rowid, _row in items)))
         self.entered.set()
         if self.latency:
             time.sleep(self.latency)
         assert self.release.wait(timeout=10.0), "test forgot to release the source"
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items}, self.cost)
 
 
 def items_for(rowids: Sequence[int]) -> list[tuple[int, dict[str, Any]]]:
@@ -183,16 +189,6 @@ class TestAcquire:
         assert total_coalesced + total_hits == 9
 
     def test_session_is_charged_for_own_dispatches_only(self):
-        class CostedSource(RecordingSource):
-            def __init__(self) -> None:
-                super().__init__(value=1.0)
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                values = super().request_values(attribute, items)
-                self.total_cost += 0.25
-                return values
-
         class Session:
             def __init__(self) -> None:
                 self.cost_spent = 0.0
@@ -201,7 +197,7 @@ class TestAcquire:
                 self.cost_spent += cost
 
         runtime = AcquisitionRuntime()
-        source = CostedSource()
+        source = RecordingSource(value=1.0, cost=0.25)
         session = Session()
         runtime.acquire(source, "t", [("a", items_for([1, 2]))], session=session)
         assert session.cost_spent == pytest.approx(0.25)
@@ -209,15 +205,7 @@ class TestAcquire:
         runtime.acquire(source, "t", [("a", items_for([1, 2]))], session=session)
         assert session.cost_spent == pytest.approx(0.25)
 
-    def test_source_with_cost_protocol_is_charged_exactly(self):
-        class DetailedSource:
-            def __init__(self) -> None:
-                self.calls = 0
-
-            def request_values_with_cost(self, attribute, items):
-                self.calls += 1
-                return {rowid: 1.0 for rowid, _row in items}, 0.4
-
+    def test_dispatch_cost_is_charged_exactly(self):
         class Session:
             cost_spent = 0.0
 
@@ -225,22 +213,13 @@ class TestAcquire:
                 Session.cost_spent += cost
 
         runtime = AcquisitionRuntime()
-        runtime.acquire(DetailedSource(), "t", [("a", items_for([1]))], session=Session())
+        source = RecordingSource(cost=0.4)
+        runtime.acquire(source, "t", [("a", items_for([1]))], session=Session())
         assert Session.cost_spent == pytest.approx(0.4)
 
     def test_budget_exhaustion_mid_flush_skips_later_dispatches(self):
         # A dispatch that exhausts the budget must stop the flush's later
         # dispatches: each one re-checks the budget at execution time.
-        class CostedSource(RecordingSource):
-            def __init__(self) -> None:
-                super().__init__(value=1.0)
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                values = super().request_values(attribute, items)
-                self.total_cost += 1.0
-                return values
-
         class Session:
             def __init__(self, max_cost: float) -> None:
                 self.policy = AcquisitionPolicy(max_cost=max_cost)
@@ -257,7 +236,7 @@ class TestAcquire:
         # concurrency knob, so the cap is enforced exactly: a worker pool
         # of 4 must not let 4 dispatches race past the check.
         runtime = AcquisitionRuntime(max_concurrent_batches=4)
-        source = CostedSource()
+        source = RecordingSource(value=1.0, cost=1.0)
         session = Session(max_cost=1.0)
         outcome = runtime.acquire(
             source,
@@ -269,19 +248,9 @@ class TestAcquire:
         assert session.cost_spent == pytest.approx(1.0)
         assert outcome.values == {"a": {1: 1.0}, "b": {}, "c": {}}
 
-    def test_concurrent_legacy_cost_sources_are_charged_exactly(self):
-        # Sources without the request_values_with_cost protocol expose cost
-        # only as a total_cost delta; the runtime must not over-charge the
-        # session when several of their dispatches are scheduled at once.
-        class SlowCostedSource:
-            def __init__(self) -> None:
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                time.sleep(0.02)
-                self.total_cost += 0.25
-                return {rowid: 1.0 for rowid, _row in items}
-
+    def test_concurrent_dispatch_costs_are_charged_exactly(self):
+        # Four overlapping dispatches on a pool of 4: each Dispatch.cost is
+        # charged once, never lost or double-counted by a racing charge.
         class Session:
             def __init__(self) -> None:
                 self.cost_spent = 0.0
@@ -292,22 +261,22 @@ class TestAcquire:
         runtime = AcquisitionRuntime(max_concurrent_batches=4)
         session = Session()
         outcome = runtime.acquire(
-            SlowCostedSource(),
+            RecordingSource(latency=0.02, cost=0.25),
             "t",
             [(attr, items_for([1])) for attr in ("a", "b", "c", "d")],
             session=session,
         )
         assert outcome.dispatches == 4
-        assert session.cost_spent == pytest.approx(1.0)  # never 2*c1 + ...
+        assert outcome.cost == pytest.approx(1.0)
+        assert session.cost_spent == pytest.approx(1.0)
 
     def test_outcome_mean_worker_accuracy_is_the_mean_over_dispatches(self):
         class QualitySource:
-            quality_enabled = True
             accuracies = {"a": 0.6, "b": 0.6, "c": 0.9}
 
             def request_values_with_quality(self, attribute, items, *, policy, tracker):
                 stats = {"mean_worker_accuracy": self.accuracies[attribute]}
-                return {rowid: 1.0 for rowid, _row in items}, 0.0, stats
+                return Dispatch({rowid: 1.0 for rowid, _row in items}, quality=stats)
 
         runtime = AcquisitionRuntime(max_concurrent_batches=1)
         outcome = runtime.acquire(
@@ -388,7 +357,7 @@ class TestAcquire:
 
     def test_dispatch_errors_propagate_and_unregister(self):
         class FailingSource:
-            def request_values(self, attribute, items):
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
                 raise RuntimeError("platform down")
 
         runtime = AcquisitionRuntime()
@@ -407,7 +376,7 @@ class TestAcquire:
         release = threading.Event()
 
         class FailingSource:
-            def request_values(self, attribute, items):
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
                 entered.set()
                 assert release.wait(timeout=10.0)
                 raise RuntimeError("owner's platform down")
@@ -441,8 +410,8 @@ class TestAcquire:
 
     def test_unanswered_cells_are_not_cached(self):
         class SilentSource:
-            def request_values(self, attribute, items):
-                return {}
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                return Dispatch({})
 
         runtime = AcquisitionRuntime()
         outcome = runtime.acquire(SilentSource(), "t", [("a", items_for([1, 2]))])

@@ -7,7 +7,7 @@ import pytest
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import connect
+from repro.db import Dispatch, connect
 
 
 @pytest.fixture
@@ -27,10 +27,15 @@ def source(truth) -> SimulatedCrowdValueSource:
     )
 
 
-class TestRequestValues:
+def labels(rowids, letters: str) -> dict[int, bool]:
+    """``rowid -> bool`` from a string of ``T``/``F`` answers."""
+    return {rowid: letter == "T" for rowid, letter in zip(rowids, letters)}
+
+
+class TestFlatDispatch:
     def test_one_dispatch_per_batch(self, source):
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 11)]
-        values = source.request_values("is_comedy", items)
+        values = source.request_values_with_quality("is_comedy", items).values
         assert source.dispatches == 1
         assert source.total_cost > 0
         assert source.total_judgments >= len(values)
@@ -38,11 +43,12 @@ class TestRequestValues:
 
     def test_rows_without_key_are_skipped(self, source):
         items = [(1, {"item_id": 1}), (2, {"item_id": None}), (3, {})]
-        values = source.request_values("is_comedy", items)
+        values = source.request_values_with_quality("is_comedy", items).values
         assert set(values) <= {1}
 
     def test_empty_batch_dispatches_nothing(self, source):
-        assert source.request_values("is_comedy", [(5, {"item_id": None})]) == {}
+        dispatch = source.request_values_with_quality("is_comedy", [(5, {"item_id": None})])
+        assert dispatch == Dispatch({})
         assert source.dispatches == 0
 
 
@@ -62,7 +68,10 @@ class TestDeterminism:
         for _ in range(2):
             source = self.make_source(truth, seed=42)
             runs.append(
-                [source.request_values("is_comedy", items[i : i + 10]) for i in (0, 10)]
+                [
+                    source.request_values_with_quality("is_comedy", items[i : i + 10])
+                    for i in (0, 10)
+                ]
             )
         assert runs[0] == runs[1]
 
@@ -71,12 +80,33 @@ class TestDeterminism:
         # dispatch ordinal: different batches get independent streams ...
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 21)]
         source = self.make_source(truth, seed=42)
-        source.request_values("is_comedy", items[:10])
-        source.request_values("is_comedy", items[10:])
+        source.request_values_with_quality("is_comedy", items[:10])
+        source.request_values_with_quality("is_comedy", items[10:])
         first, second = source.runs
         assert [j.worker_id for j in first.judgments] != [
             j.worker_id for j in second.judgments
         ]
+
+    def test_flat_answers_are_pinned_to_the_seed_derivation(self, truth):
+        # The paper tables rest on the flat path's child-seed derivation
+        # (source seed, attribute, sorted item ids).  A mixed honest/spam
+        # pool makes the answers seed-sensitive: these are the exact
+        # dispatches the seeded source has always produced.
+        source = SimulatedCrowdValueSource(
+            CrowdPlatform(seed=11),
+            WorkerPool.build(n_honest=8, n_spammers=7, seed=3),
+            truth={"is_comedy": truth},
+            judgments_per_item=3,
+            seed=42,
+        )
+        assert not source.quality_enabled
+        items = [(rowid, {"item_id": rowid}) for rowid in range(1, 21)]
+        first, second = (
+            source.request_values_with_quality("is_comedy", batch)
+            for batch in (items[:10], items[10:])
+        )
+        assert first == Dispatch(labels(range(1, 11), "TTTTFFTFTT"), 0.06)
+        assert second == Dispatch(labels(range(12, 21), "FTTTFTFFF"), 0.06)  # 11 unanswered
 
     def test_identical_batches_reproduce_identical_answers(self, truth):
         # ... while re-asking the exact same batch deterministically
@@ -85,8 +115,8 @@ class TestDeterminism:
         # are a pure function of the request, not of scheduling.
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 11)]
         source = self.make_source(truth, seed=42)
-        first_values = source.request_values("is_comedy", items)
-        second_values = source.request_values("is_comedy", items)
+        first_values = source.request_values_with_quality("is_comedy", items)
+        second_values = source.request_values_with_quality("is_comedy", items)
         first, second = source.runs
         assert first_values == second_values
         assert [j.worker_id for j in first.judgments] == [

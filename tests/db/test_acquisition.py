@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.db import Catalog, Connection, SessionContext
 from repro.db.acquisition import (
     AcquisitionPolicy,
+    Dispatch,
     PredictionBatch,
     choose_sample_size,
     plan_sample,
@@ -34,16 +35,23 @@ class CountingSource:
         self.calls: list[tuple[str, int]] = []
         self.requested_rowids: list[int] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         self.calls.append((attribute, len(items)))
         self.requested_rowids.extend(rowid for rowid, _row in items)
-        return {
-            rowid: self.truth[row[self.key_column]]
-            for rowid, row in items
-            if row.get(self.key_column) in self.truth
-        }
+        return Dispatch(
+            {
+                rowid: self.truth[row[self.key_column]]
+                for rowid, row in items
+                if row.get(self.key_column) in self.truth
+            }
+        )
 
 
 class MeanPredictor:

@@ -9,15 +9,18 @@ EXPLAIN ANALYZE counters.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Sequence
+
+import pytest
 
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext
 
 
 class BlockingSource:
@@ -31,14 +34,19 @@ class BlockingSource:
         self.release = threading.Event()
         self.release.set()
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         with self._lock:
             self.calls.append((attribute, tuple(rowid for rowid, _row in items)))
         self.entered.set()
         assert self.release.wait(timeout=10.0), "test forgot to release the source"
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items})
 
 
 class FakeClock:
@@ -367,11 +375,11 @@ class TestBudgetSerialization:
                 self.dispatches = 0
                 self._lock = threading.Lock()
 
-            def request_values_with_cost(self, attribute, items):
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
                 with self._lock:
                     self.dispatches += 1
                 time.sleep(0.05)
-                return {rowid: 0.9 for rowid, _row in items}, 0.5
+                return Dispatch({rowid: 0.9 for rowid, _row in items}, 0.5)
 
         conn = make_items_connection(
             3, session=SessionContext(policy=AcquisitionPolicy(max_cost=0.5))
@@ -385,20 +393,48 @@ class TestBudgetSerialization:
         assert source.dispatches == 1
         assert conn.session.cost_spent == 0.5
 
+    @pytest.mark.parametrize("bad_cost", [math.nan, -1.0])
+    def test_invalid_dispatch_cost_fails_the_query_without_charging(self, bad_cost):
+        # A NaN or negative cost would defeat the budget cap (NaN never
+        # compares >= max_cost; a negative cost refunds the session).
+        # Dispatch rejects it, so the query fails through the source-error
+        # path: nothing is charged and no cell stays registered in flight.
+        class PricedSource:
+            def __init__(self) -> None:
+                self.cost = 0.1
+
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                return Dispatch({rowid: 0.9 for rowid, _row in items}, self.cost)
+
+        conn = make_items_connection(
+            5, session=SessionContext(policy=AcquisitionPolicy(max_cost=0.5))
+        )
+        conn.add_perceptual_column("items", "charm")
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=1))
+        source = PricedSource()
+        conn.set_value_source(source)
+        conn.execute("SELECT appeal FROM items WHERE item_id = 1").fetchall()
+        assert conn.session.cost_spent == pytest.approx(0.1)
+
+        source.cost = bad_cost
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            conn.execute("SELECT charm FROM items").fetchall()
+        assert conn.session.cost_spent == pytest.approx(0.1)
+        assert not conn.session.budget_exhausted
+        assert conn.acquisition_runtime().stats()["in_flight"] == 0
+
 
 class TestMeanWorkerAccuracy:
     def test_explain_analyze_reports_the_mean_over_dispatches(self):
         class QualitySource:
             """Reports one worker-accuracy estimate per dispatch."""
 
-            quality_enabled = True
-
             def __init__(self, accuracies: list[float]) -> None:
                 self.accuracies = list(accuracies)
 
             def request_values_with_quality(self, attribute, items, *, policy, tracker):
                 stats = {"mean_worker_accuracy": self.accuracies.pop(0)}
-                return {rowid: 0.9 for rowid, _row in items}, 0.0, stats
+                return Dispatch({rowid: 0.9 for rowid, _row in items}, quality=stats)
 
         conn = make_items_connection(3)
         conn.set_value_source(QualitySource([0.6, 0.6, 0.9]))

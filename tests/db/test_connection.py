@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.crowd.runtime import AcquisitionRuntime
-from repro.db import AcquisitionPolicy, Catalog, Connection, SessionContext, connect
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext, connect
 from repro.db.types import ColumnType, MISSING
 from repro.errors import (
     ExecutionError,
@@ -307,10 +307,10 @@ class ConstantSource:
         self.latency = latency
         self.calls = 0
 
-    def request_values(self, attribute, items):
+    def request_values_with_quality(self, attribute, items, *, policy, tracker):
         time.sleep(self.latency)
         self.calls += 1
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items})
 
 
 def private_session(value: float) -> SessionContext:

@@ -6,7 +6,7 @@ from typing import Any, Sequence
 
 import pytest
 
-from repro.db import AcquisitionPolicy, Catalog, Connection, connect
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, connect
 from repro.db.sql.operators import (
     CrowdFill,
     HashJoin,
@@ -26,11 +26,16 @@ class CountingSource:
         self.value = value
         self.calls: list[tuple[str, int]] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         self.calls.append((attribute, len(items)))
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items})
 
 
 def make_joined_catalog() -> Catalog:
@@ -266,8 +271,8 @@ class TestCrowdFillBatching:
 
     def test_partial_answers_leave_rest_missing(self):
         class PartialSource:
-            def request_values(self, attribute, items):
-                return {rowid: 1.0 for rowid, _row in items if rowid % 2 == 0}
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                return Dispatch({rowid: 1.0 for rowid, _row in items if rowid % 2 == 0})
 
         conn = self._connection(6)
         conn.set_value_source(PartialSource())
@@ -363,11 +368,11 @@ class TestCrowdFillBatching:
 
     def test_cost_aware_source_charges_session(self):
         class CostedSource(CountingSource):
-            total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                CostedSource.total_cost += 0.25
-                return super().request_values(attribute, items)
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                dispatch = super().request_values_with_quality(
+                    attribute, items, policy=policy, tracker=tracker
+                )
+                return Dispatch(dispatch.values, cost=0.25)
 
         conn = self._connection(8)
         conn.set_value_source(CostedSource(0.9))

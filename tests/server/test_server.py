@@ -23,7 +23,7 @@ import pytest
 
 import repro
 import repro.client
-from repro.db.acquisition import AcquisitionPolicy
+from repro.db.acquisition import AcquisitionPolicy, Dispatch
 from repro.db.connection import SessionContext
 from repro.db.types import MISSING
 from repro.errors import (
@@ -45,13 +45,18 @@ class CountingSource:
         self.calls: list[tuple[str, tuple[int, ...]]] = []
         self._lock = threading.Lock()
 
-    def request_values_with_cost(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
+    def request_values_with_quality(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: Any,
+        tracker: Any,
+    ) -> Dispatch:
         with self._lock:
             self.calls.append((attribute, tuple(rowid for rowid, _row in items)))
         values = {rowid: self.value for rowid, _row in items}
-        return values, self.cost_per_item * len(items)
+        return Dispatch(values, self.cost_per_item * len(items))
 
 
 @pytest.fixture()

@@ -4,8 +4,8 @@ CI's ``docs`` job runs this module.  It fails on
 
 * broken intra-repo links (file targets and ``#heading`` anchors) in
   ``docs/**/*.md`` and ``README.md``, and
-* a ``docs/api.md`` quickstart that no longer executes against the
-  current code.
+* a ``docs/api.md`` or README quickstart, or an ``examples/*.py`` script,
+  that no longer executes against the current code.
 """
 
 from __future__ import annotations
@@ -101,15 +101,17 @@ def test_readme_quickstart_executes():
     exec(compile(code, "README.md::quickstart", "exec"), namespace)  # noqa: S102
 
 
-def test_served_database_example_executes():
-    """The docs/server.md walkthrough (examples/served_database.py) runs.
+@pytest.mark.parametrize(
+    "script", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.name
+)
+def test_example_executes(script: Path):
+    """Every ``examples/*.py`` script runs to completion.
 
-    The example asserts its own punchline — the second tenant's repeat of
-    a crowd query costs zero additional platform calls — so executing it
-    is the regression test for the cross-tenant reuse the page documents.
+    Several examples assert their own punchline (e.g. served_database.py:
+    the second tenant's repeat of a crowd query costs zero additional
+    platform calls), so executing them is the regression test for what
+    the docs pages walk through.
     """
     import runpy
 
-    runpy.run_path(
-        str(REPO_ROOT / "examples" / "served_database.py"), run_name="__main__"
-    )
+    runpy.run_path(str(script), run_name="__main__")
