@@ -45,7 +45,6 @@ from repro.db.catalog import Catalog
 from repro.db.pager import DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES, Pager
 from repro.db.schema import Column
 from repro.db.snapshot import (
-    catalog_state,
     column_from_state,
     column_state,
     load_snapshot,
@@ -439,8 +438,7 @@ class DurabilityManager:
         """
         with self.catalog.lock:
             self.wal.flush()
-            state = catalog_state(self.catalog, last_lsn=self.wal.next_lsn - 1)
-            write_snapshot(self.directory, state)
+            write_snapshot(self.directory, self.catalog, last_lsn=self.wal.next_lsn - 1)
             self.wal.truncate()
             self.checkpoints += 1
             self._records_since_checkpoint = 0

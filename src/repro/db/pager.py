@@ -455,6 +455,22 @@ class PagedRowStore:
         return self._pager.read_record(rowid, loc)
 
 
+def _decode_payload(payload: bytes, fills: dict[str, Any]) -> dict[str, Any]:
+    """Decode one stored row, applying ADD COLUMN fills for older records.
+
+    The MISSING codec pass runs only when the payload mentions the
+    sentinel: :func:`~repro.db.wal.encode_row` always writes MISSING as the
+    literal ASCII key ``__missing__``, so a payload without it decodes to
+    the same row without the pass.
+    """
+    row: dict[str, Any] = json.loads(payload.decode("utf-8"))
+    if b"__missing__" in payload:
+        row = decode_row(row)
+    for column, value in fills.items():
+        row.setdefault(column, value)
+    return row
+
+
 class _PagedSnapshot:
     """Lazy point-in-time scan: captured directory, rows decoded on pull.
 
@@ -473,10 +489,7 @@ class _PagedSnapshot:
 
     def __iter__(self) -> Iterator[tuple[int, dict[str, Any]]]:
         for rowid, loc in self._pairs:
-            row = decode_row(json.loads(self._store.read(rowid, loc).decode("utf-8")))
-            for column, value in self._fills.items():
-                row.setdefault(column, value)
-            yield rowid, row
+            yield rowid, _decode_payload(self._store.read(rowid, loc), self._fills)
 
 
 class PagedRowMap(MutableMapping):
@@ -495,12 +508,6 @@ class PagedRowMap(MutableMapping):
 
     # -- codec -------------------------------------------------------------------
 
-    def _decode(self, payload: bytes) -> dict[str, Any]:
-        row = decode_row(json.loads(payload.decode("utf-8")))
-        for column, value in self._fills.items():
-            row.setdefault(column, value)
-        return row
-
     @staticmethod
     def _encode(row: dict[str, Any]) -> bytes:
         return json.dumps(encode_row(row), separators=(",", ":")).encode("utf-8")
@@ -511,7 +518,7 @@ class PagedRowMap(MutableMapping):
         payload = self._store.get(rowid)
         if payload is None:
             raise KeyError(rowid)
-        return self._decode(payload)
+        return _decode_payload(payload, self._fills)
 
     def __setitem__(self, rowid: int, row: dict[str, Any]) -> None:
         self._store.put(rowid, self._encode(row))

@@ -11,6 +11,11 @@ after a restart is *snapshot + WAL tail*: records with ``lsn <=
 last_lsn`` are skipped, which is what makes replay idempotent even when a
 crash lands between snapshot publication and WAL truncation.
 
+The document is streamed to disk table by table, each table's rows in
+batches, so a checkpoint never holds the whole catalog as one encoded
+string; the bytes are exactly ``json.dumps(document, separators=(",",
+":"))`` of the document :func:`load_snapshot` reads back.
+
 Snapshots are published atomically: written to a temp file, fsynced,
 ``os.replace``d over ``snapshot.json``, then the directory entry is
 fsynced.  A crash mid-checkpoint therefore leaves either the old snapshot
@@ -25,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.storage import TableStorage, ValueProvenance
@@ -39,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SNAPSHOT_NAME",
-    "catalog_state",
     "load_snapshot",
     "restore_catalog",
     "write_snapshot",
@@ -50,6 +54,12 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 #: File name of the current snapshot inside a database directory.
 SNAPSHOT_NAME = "snapshot.json"
+
+#: Rows encoded per ``json.dumps`` call while a table is streamed out.
+_ROW_BATCH = 1024
+
+#: Write buffer of the snapshot file handle.
+_WRITE_BUFFER = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +112,23 @@ def schema_from_state(state: dict[str, Any]) -> TableSchema:
 # ---------------------------------------------------------------------------
 
 
-def table_state(storage: TableStorage) -> dict[str, Any]:
-    """Serialize one table: schema, rows, indexes, provenance, rowid mark."""
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _row_batches(storage: TableStorage) -> Iterator[dict[str, Any]]:
+    """The table's encoded ``rowid -> row`` entries, :data:`_ROW_BATCH` at a time."""
+    batch: dict[str, Any] = {}
+    for rowid, row in storage.scan():
+        batch[str(rowid)] = encode_row(row)
+        if len(batch) >= _ROW_BATCH:
+            yield batch
+            batch = {}
+    if batch:
+        yield batch
+
+
+def _provenance_state(storage: TableStorage) -> dict[str, dict[str, Any]]:
     provenance: dict[str, dict[str, Any]] = {}
     for column in storage.schema.column_names:
         entries = storage.provenance_map(column)
@@ -112,16 +137,30 @@ def table_state(storage: TableStorage) -> dict[str, Any]:
                 str(rowid): {"source": entry.source, "confidence": entry.confidence}
                 for rowid, entry in entries.items()
             }
-    return {
-        "schema": schema_state(storage.schema),
-        "next_rowid": storage.next_rowid,
-        "rows": {str(rowid): encode_row(row) for rowid, row in storage.scan()},
+    return provenance
+
+
+def _write_table(write: Callable[[str], Any], storage: TableStorage) -> None:
+    """Stream one table object: schema, rows, indexes, provenance, rowid mark.
+
+    Written as the compact JSON object ``{"schema", "next_rowid", "rows",
+    "indexes", "provenance", "stats"}`` (in that key order), with ``rows``
+    emitted batch by batch.
+    """
+    head = {"schema": schema_state(storage.schema), "next_rowid": storage.next_rowid}
+    write(_dumps(head)[:-1] + ',"rows":{')
+    separator = ""
+    for batch in _row_batches(storage):
+        write(separator + _dumps(batch)[1:-1])
+        separator = ","
+    tail = {
         "indexes": sorted(storage.index_columns()),
-        "provenance": provenance,
+        "provenance": _provenance_state(storage),
         # Planner statistics ride the checkpoint so a recovered database
         # costs plans with the numbers it had before the restart.
         "stats": storage.stats.to_state(),
     }
+    write("}," + _dumps(tail)[1:])
 
 
 def restore_table(catalog: "Catalog", state: dict[str, Any]) -> TableStorage:
@@ -149,12 +188,18 @@ def restore_table(catalog: "Catalog", state: dict[str, Any]) -> TableStorage:
     return storage
 
 
-def catalog_state(catalog: "Catalog", *, last_lsn: int) -> dict[str, Any]:
-    """Serialize a whole catalog as a snapshot document."""
-    return {
-        "format_version": SNAPSHOT_FORMAT_VERSION,
-        "last_lsn": int(last_lsn),
-        "tables": [table_state(storage) for storage in catalog],
+def _write_catalog(
+    write: Callable[[str], Any], catalog: "Catalog", *, last_lsn: int
+) -> None:
+    """Stream a whole catalog as a snapshot document, one table at a time."""
+    head = {"format_version": SNAPSHOT_FORMAT_VERSION, "last_lsn": int(last_lsn)}
+    write(_dumps(head)[:-1] + ',"tables":[')
+    separator = ""
+    for storage in catalog:
+        write(separator)
+        _write_table(write, storage)
+        separator = ","
+    tail = {
         "rowid_watermarks": dict(catalog.rowid_watermarks()),
         # Dispatched open-world enumeration batches (checkpointing truncates
         # the WAL, so they must ride the snapshot to stay recoverable).
@@ -169,6 +214,7 @@ def catalog_state(catalog: "Catalog", *, last_lsn: int) -> dict[str, Any]:
             for worker_id, (correct, incorrect) in sorted(catalog.worker_stats().items())
         ],
     }
+    write("]," + _dumps(tail)[1:])
 
 
 def restore_catalog(catalog: "Catalog", state: dict[str, Any]) -> None:
@@ -194,19 +240,23 @@ def restore_catalog(catalog: "Catalog", state: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot(directory: str | os.PathLike[str], state: dict[str, Any]) -> Path:
-    """Atomically publish *state* as the directory's current snapshot.
+def write_snapshot(
+    directory: str | os.PathLike[str], catalog: "Catalog", *, last_lsn: int
+) -> Path:
+    """Atomically publish *catalog* as the directory's current snapshot.
 
-    temp-write + fsync + rename + directory fsync: a reader never sees a
-    partially written snapshot, and after a crash the rename either
-    happened completely or not at all.
+    The document is streamed through a buffered handle (see the module
+    docstring).  temp-write + fsync + rename + directory fsync: a reader
+    never sees a partially written snapshot, and after a crash the rename
+    either happened completely or not at all.
     """
     directory = Path(directory)
     target = directory / SNAPSHOT_NAME
     temp = directory / (SNAPSHOT_NAME + ".tmp")
-    blob = json.dumps(state, separators=(",", ":")).encode("utf-8")
-    with open(temp, "wb") as handle:
-        handle.write(blob)
+    with open(
+        temp, "w", encoding="utf-8", newline="", buffering=_WRITE_BUFFER
+    ) as handle:
+        _write_catalog(handle.write, catalog, last_lsn=last_lsn)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, target)

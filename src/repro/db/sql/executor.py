@@ -31,14 +31,14 @@ from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     RowContext,
+    compile_expression,
+    compile_predicate,
     evaluate,
-    evaluate_predicate,
 )
 from repro.db.sql.operators import (
     CrowdEnumerate,
     CrowdFillSpec,
     Operator,
-    _ComparableValue,  # noqa: F401  (re-exported for backwards compatibility)
     build_enumerate_spec,
     describe_operator_tree,
 )
@@ -668,27 +668,29 @@ class Executor:
 
     def _execute_update(self, statement: ast.UpdateStatement) -> QueryResult:
         table = self._catalog.table(statement.table)
+        alias = table.schema.name
+        matches = compile_predicate(statement.where)
+        assignments = [
+            (column, compile_expression(expr)) for column, expr in statement.assignments
+        ]
         updated = 0
         for rowid, row in list(table.scan()):
-            context = RowContext()
-            context.add_table_row(table.schema.name, row)
-            if evaluate_predicate(statement.where, context):
-                changes = {
-                    column: evaluate(expr, context)
-                    for column, expr in statement.assignments
-                }
+            context = RowContext.for_table_row(alias, row)
+            if matches(context):
+                changes = {column: value_of(context) for column, value_of in assignments}
                 table.update(rowid, changes)
                 updated += 1
         return QueryResult(columns=[], rows=[], rowcount=updated)
 
     def _execute_delete(self, statement: ast.DeleteStatement) -> QueryResult:
         table = self._catalog.table(statement.table)
-        to_delete = []
-        for rowid, row in table.scan():
-            context = RowContext()
-            context.add_table_row(table.schema.name, row)
-            if evaluate_predicate(statement.where, context):
-                to_delete.append(rowid)
+        alias = table.schema.name
+        matches = compile_predicate(statement.where)
+        to_delete = [
+            rowid
+            for rowid, row in table.scan()
+            if matches(RowContext.for_table_row(alias, row))
+        ]
         for rowid in to_delete:
             table.delete(rowid)
         return QueryResult(columns=[], rows=[], rowcount=len(to_delete))

@@ -2,21 +2,34 @@
 
 Values flow through evaluation as plain Python objects; SQL ``NULL`` and the
 crowd-database :data:`~repro.db.types.MISSING` marker both evaluate to the
-*unknown* truth value in predicates.  ``evaluate`` returns ``None`` for
-unknown results; :func:`evaluate_predicate` collapses unknown to ``False``
-(a row with an unknown predicate does not qualify), which matches the
-behaviour the paper assumes for not-yet-crowdsourced values.
+*unknown* truth value in predicates.  Evaluation returns ``None`` for
+unknown results; predicates collapse unknown to ``False`` (a row with an
+unknown predicate does not qualify), which matches the behaviour the paper
+assumes for not-yet-crowdsourced values.
+
+:func:`compile_expression` is the one evaluator: it turns an expression
+AST into a Python closure over a :class:`RowContext` once, so operators
+compile their expressions at lowering time and pay no tree walk per row.
+Errors (unknown columns, bad functions, type errors) are raised when the
+closure runs, never at compile time, so an expression on a branch or a row
+that is never evaluated cannot fail a query.  :func:`evaluate` and
+:func:`evaluate_predicate` are one-shot conveniences over the compiler.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.db.sql import ast
-from repro.db.types import is_missing
+from repro.db.types import MISSING
 from repro.errors import ExecutionError, UnknownColumnError
+
+#: A compiled expression: evaluates against one row context.
+Evaluator = Callable[["RowContext"], Any]
+
 
 class RowContext:
     """Column lookup environment for one (possibly joined) row.
@@ -26,16 +39,59 @@ class RowContext:
     from two joined tables) are detected at build time and raise on lookup.
     """
 
-    def __init__(self) -> None:
-        self._values: dict[str, Any] = {}
+    __slots__ = ("_values", "_ambiguous")
+
+    def __init__(self, values: Optional[dict[str, Any]] = None) -> None:
+        self._values: dict[str, Any] = {} if values is None else values
         self._ambiguous: set[str] = set()
 
     @classmethod
-    def from_mapping(cls, values: Mapping[str, Any]) -> "RowContext":
-        """Build a context from a plain mapping (no ambiguity tracking)."""
-        context = cls()
-        context._values.update(values)
-        return context
+    def for_table_row(
+        cls, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
+    ) -> "RowContext":
+        """The context of one scanned row, built in one pass.
+
+        Equivalent to ``add_table_row(alias, row)`` on an empty context
+        followed by binding ``alias.__rowid__`` when *rowid* is given.
+        """
+        prefix = alias + "."
+        values = dict(row)
+        for column, value in row.items():
+            values[prefix + column] = value
+        if len(values) != 2 * len(row):
+            # A column name collided with a qualified key (a column named
+            # like "alias.x"): take the general path, which flags it.
+            context = cls()
+            context.add_table_row(alias, row)
+            if rowid is not None:
+                context.set(prefix + "__rowid__", rowid)
+            return context
+        if rowid is not None:
+            values[prefix + "__rowid__"] = rowid
+        return cls(values)
+
+    def joined(
+        self, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
+    ) -> "RowContext":
+        """A copy of this context extended with one more table row.
+
+        The copy starts with no ambiguity flags of its own; only bare names
+        that *row* shares with this context are flagged.
+        """
+        merged = RowContext(dict(self._values))
+        merged.add_table_row(alias, row)
+        if rowid is not None:
+            merged.set(f"{alias}.__rowid__", rowid)
+        return merged
+
+    def with_bindings(self, names: Sequence[str], values: Sequence[Any]) -> "RowContext":
+        """A copy of this context with *names* bound to *values* (last wins).
+
+        Used for projection aliases; the copy carries no ambiguity flags.
+        """
+        extended = dict(self._values)
+        extended.update(zip(names, values))
+        return RowContext(extended)
 
     def add_table_row(self, alias: str, row: Mapping[str, Any]) -> None:
         """Merge the columns of *row* under table alias *alias*."""
@@ -54,16 +110,7 @@ class RowContext:
 
     def lookup(self, ref: ast.ColumnRef) -> Any:
         """Resolve a column reference or raise UnknownColumnError."""
-        key = ref.key()
-        if ref.table is None and key in self._ambiguous:
-            raise ExecutionError(f"ambiguous column reference: {ref.name!r}")
-        if key not in self._values:
-            raise UnknownColumnError(ref.name, ref.table)
-        return self._values[key]
-
-    def contains(self, key: str) -> bool:
-        """True if *key* (qualified or bare) is bound in this context."""
-        return key in self._values
+        return compile_expression(ref)(self)
 
     def as_mapping(self) -> Mapping[str, Any]:
         """Read-only view of the underlying bindings."""
@@ -71,7 +118,7 @@ class RowContext:
 
 
 def _is_unknown(value: Any) -> bool:
-    return value is None or is_missing(value)
+    return value is None or value is MISSING
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
@@ -79,27 +126,35 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
     return re.compile(f"^{regex}$", re.IGNORECASE)
 
 
-def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
-    """Three-valued comparison; returns None when either side is unknown."""
-    if _is_unknown(left) or _is_unknown(right):
-        return None
-    # Booleans compare with numbers the Python way; text compares with text.
-    try:
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError as exc:
-        raise ExecutionError(f"cannot compare {left!r} and {right!r}") from exc
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _comparison(op: str) -> Callable[[Any, Any], Optional[bool]]:
+    """Three-valued comparison; the result is None when either side is unknown."""
+    compare = _COMPARATORS[op]
+
+    def comparison(left: Any, right: Any) -> Optional[bool]:
+        if left is None or right is None or left is MISSING or right is MISSING:
+            return None
+        # Booleans compare with numbers the Python way; text compares with text.
+        try:
+            return compare(left, right)
+        except TypeError as exc:
+            raise ExecutionError(f"cannot compare {left!r} and {right!r}") from exc
+
+    return comparison
+
+
+_COMPARISONS = {op: _comparison(op) for op in _COMPARATORS}
+_GREATER_EQUAL = _COMPARISONS[">="]
+_LESS_EQUAL = _COMPARISONS["<="]
 
 
 def _arithmetic(op: str, left: Any, right: Any) -> Any:
@@ -127,6 +182,12 @@ def _arithmetic(op: str, left: Any, right: Any) -> Any:
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
 
 
+def _like(left: Any, right: Any) -> Optional[bool]:
+    if _is_unknown(left) or _is_unknown(right):
+        return None
+    return bool(_like_to_regex(str(right)).match(str(left)))
+
+
 def _logical_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
     if left is False or right is False:
         return False
@@ -145,7 +206,7 @@ def _logical_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
 
 def _to_truth(value: Any) -> Optional[bool]:
     """Coerce an evaluated value to the three-valued logic domain."""
-    if _is_unknown(value):
+    if value is None or value is MISSING:
         return None
     if isinstance(value, bool):
         return value
@@ -154,108 +215,62 @@ def _to_truth(value: Any) -> Optional[bool]:
     raise ExecutionError(f"value {value!r} is not a boolean predicate")
 
 
-def evaluate(expr: ast.Expression, context: RowContext) -> Any:
-    """Evaluate *expr* against *context*; MISSING propagates as unknown."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
+def _value_and(left: Any, right: Any) -> Optional[bool]:
+    truth = _to_truth(left)
+    if truth is False:
+        return False
+    return _logical_and(truth, _to_truth(right))
 
-    if isinstance(expr, ast.ColumnRef):
-        return context.lookup(expr)
 
-    if isinstance(expr, ast.Star):
-        raise ExecutionError("'*' is only valid inside COUNT(*) or a SELECT list")
+def _value_or(left: Any, right: Any) -> Optional[bool]:
+    truth = _to_truth(left)
+    if truth is True:
+        return True
+    return _logical_or(truth, _to_truth(right))
 
-    if isinstance(expr, ast.Parameter):
-        raise ExecutionError(
-            f"unbound parameter {expr.index + 1}; bind values before execution"
-        )
 
-    if isinstance(expr, ast.UnaryOp):
-        operand = evaluate(expr.operand, context)
-        if expr.op == "not":
-            truth = _to_truth(operand)
-            return None if truth is None else (not truth)
-        if expr.op == "neg":
-            if _is_unknown(operand):
-                return None
-            if not isinstance(operand, (int, float)):
-                raise ExecutionError(f"cannot negate {operand!r}")
-            return -operand
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+def binary_operator(op: str) -> Callable[[Any, Any], Any]:
+    """Value-level semantics of binary operator *op* over two evaluated operands.
 
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op
-        if op == "and":
-            left = _to_truth(evaluate(expr.left, context))
-            if left is False:
-                return False
-            right = _to_truth(evaluate(expr.right, context))
-            return _logical_and(left, right)
-        if op == "or":
-            left = _to_truth(evaluate(expr.left, context))
-            if left is True:
-                return True
-            right = _to_truth(evaluate(expr.right, context))
-            return _logical_or(left, right)
+    AND/OR here see both operands already evaluated; compiled expressions
+    short-circuit them instead (the right side of ``FALSE AND x`` is never
+    evaluated) with the same truth table.
+    """
+    if op == "and":
+        return _value_and
+    if op == "or":
+        return _value_or
+    if op in _COMPARISONS:
+        return _COMPARISONS[op]
+    if op == "like":
+        return _like
+    return lambda left, right: _arithmetic(op, left, right)
 
-        left_value = evaluate(expr.left, context)
-        right_value = evaluate(expr.right, context)
-        if op in {"=", "!=", "<", "<=", ">", ">="}:
-            return _compare(op, left_value, right_value)
-        if op == "like":
-            if _is_unknown(left_value) or _is_unknown(right_value):
-                return None
-            return bool(_like_to_regex(str(right_value)).match(str(left_value)))
-        return _arithmetic(op, left_value, right_value)
 
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.operand, context)
-        if expr.missing:
-            result = is_missing(value)
-        else:
-            result = value is None or is_missing(value)
-        return (not result) if expr.negated else result
-
-    if isinstance(expr, ast.InList):
-        value = evaluate(expr.operand, context)
-        if _is_unknown(value):
-            return None
-        found_unknown = False
-        for item in expr.items:
-            candidate = evaluate(item, context)
-            if _is_unknown(candidate):
-                found_unknown = True
-                continue
-            if candidate == value:
-                return False if expr.negated else True
-        if found_unknown:
-            return None
-        return True if expr.negated else False
-
-    if isinstance(expr, ast.Between):
-        value = evaluate(expr.operand, context)
-        low = evaluate(expr.low, context)
-        high = evaluate(expr.high, context)
-        lower = _compare(">=", value, low)
-        upper = _compare("<=", value, high)
-        result = _logical_and(lower, upper)
-        if result is None:
-            return None
-        return (not result) if expr.negated else result
-
-    if isinstance(expr, ast.FunctionCall):
-        return _evaluate_scalar_function(expr, context)
-
-    if isinstance(expr, ast.CaseExpression):
-        for condition, value in expr.branches:
-            truth = _to_truth(evaluate(condition, context))
-            if truth:
-                return evaluate(value, context)
-        if expr.default is not None:
-            return evaluate(expr.default, context)
+def _negate(value: Any) -> Any:
+    if _is_unknown(value):
         return None
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"cannot negate {value!r}")
+    return -value
 
-    raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
+
+def _not(value: Any) -> Optional[bool]:
+    truth = _to_truth(value)
+    return None if truth is None else (not truth)
+
+
+def unary_operator(op: str) -> Callable[[Any], Any]:
+    """Value-level semantics of unary operator *op* over an evaluated operand."""
+    if op == "not":
+        return _not
+    if op == "neg":
+        return _negate
+
+    def unknown(_value: Any) -> Any:
+        raise ExecutionError(f"unknown unary operator {op!r}")
+
+    return unknown
 
 
 _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
@@ -264,35 +279,249 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
     "lower": lambda x: None if _is_unknown(x) else str(x).lower(),
     "upper": lambda x: None if _is_unknown(x) else str(x).upper(),
     "length": lambda x: None if _is_unknown(x) else len(str(x)),
-    "coalesce": None,  # handled specially (variadic, lazy)
 }
 
 
-def _evaluate_scalar_function(expr: ast.FunctionCall, context: RowContext) -> Any:
+# ---------------------------------------------------------------------------
+# The compiler
+# ---------------------------------------------------------------------------
+
+
+def _failing(message: str) -> Evaluator:
+    def fail(_context: RowContext) -> Any:
+        raise ExecutionError(message)
+
+    return fail
+
+
+def _compile_column(ref: ast.ColumnRef) -> Evaluator:
+    key = ref.key()
+    name, table = ref.name, ref.table
+
+    if table is None:
+
+        def bare_column(context: RowContext) -> Any:
+            if key in context._ambiguous:
+                raise ExecutionError(f"ambiguous column reference: {name!r}")
+            try:
+                return context._values[key]
+            except KeyError:
+                raise UnknownColumnError(name, table) from None
+
+        return bare_column
+
+    def qualified_column(context: RowContext) -> Any:
+        try:
+            return context._values[key]
+        except KeyError:
+            raise UnknownColumnError(name, table) from None
+
+    return qualified_column
+
+
+def _compile_binary(expr: ast.BinaryOp) -> Evaluator:
+    op = expr.op
+    left = compile_expression(expr.left)
+    right = compile_expression(expr.right)
+    if op == "and":
+
+        def conjunction(context: RowContext) -> Optional[bool]:
+            truth = _to_truth(left(context))
+            if truth is False:
+                return False
+            return _logical_and(truth, _to_truth(right(context)))
+
+        return conjunction
+    if op == "or":
+
+        def disjunction(context: RowContext) -> Optional[bool]:
+            truth = _to_truth(left(context))
+            if truth is True:
+                return True
+            return _logical_or(truth, _to_truth(right(context)))
+
+        return disjunction
+    combine = binary_operator(op)
+    # A literal operand is a constant: read it once, here.
+    if isinstance(expr.right, ast.Literal):
+        constant = expr.right.value
+        return lambda context: combine(left(context), constant)
+    if isinstance(expr.left, ast.Literal):
+        constant = expr.left.value
+        return lambda context: combine(constant, right(context))
+    return lambda context: combine(left(context), right(context))
+
+
+def _compile_unary(expr: ast.UnaryOp) -> Evaluator:
+    operand = compile_expression(expr.operand)
+    apply = unary_operator(expr.op)
+    return lambda context: apply(operand(context))
+
+
+def _compile_is_null(expr: ast.IsNull) -> Evaluator:
+    operand = compile_expression(expr.operand)
+    negated = bool(expr.negated)
+    if expr.missing:
+        return lambda context: (operand(context) is MISSING) is not negated
+
+    def is_null(context: RowContext) -> bool:
+        value = operand(context)
+        return (value is None or value is MISSING) is not negated
+
+    return is_null
+
+
+def _compile_in_list(expr: ast.InList) -> Evaluator:
+    operand = compile_expression(expr.operand)
+    items = [compile_expression(item) for item in expr.items]
+    negated = bool(expr.negated)
+
+    def in_list(context: RowContext) -> Optional[bool]:
+        value = operand(context)
+        if value is None or value is MISSING:
+            return None
+        found_unknown = False
+        for item in items:
+            candidate = item(context)
+            if candidate is None or candidate is MISSING:
+                found_unknown = True
+                continue
+            if candidate == value:
+                return not negated
+        if found_unknown:
+            return None
+        return negated
+
+    return in_list
+
+
+def _compile_between(expr: ast.Between) -> Evaluator:
+    operand = compile_expression(expr.operand)
+    low = compile_expression(expr.low)
+    high = compile_expression(expr.high)
+    negated = bool(expr.negated)
+
+    def between(context: RowContext) -> Optional[bool]:
+        value = operand(context)
+        low_value = low(context)
+        high_value = high(context)
+        result = _logical_and(
+            _GREATER_EQUAL(value, low_value), _LESS_EQUAL(value, high_value)
+        )
+        if result is None:
+            return None
+        return result is not negated
+
+    return between
+
+
+def _compile_function(expr: ast.FunctionCall) -> Evaluator:
     name = expr.name.lower()
     if name in ast.AGGREGATE_FUNCTIONS:
-        raise ExecutionError(
+        return _failing(
             f"aggregate function {name.upper()} used outside of an aggregation context"
         )
+    args = [compile_expression(arg) for arg in expr.args]
     if name == "coalesce":
-        for arg in expr.args:
-            value = evaluate(arg, context)
-            if not _is_unknown(value):
-                return value
-        return None
+
+        def coalesce(context: RowContext) -> Any:
+            for arg in args:
+                value = arg(context)
+                if value is not None and value is not MISSING:
+                    return value
+            return None
+
+        return coalesce
     handler = _SCALAR_FUNCTIONS.get(name)
     if handler is None:
-        raise ExecutionError(f"unknown function {expr.name!r}")
-    args = [evaluate(arg, context) for arg in expr.args]
-    return handler(*args)
+        return _failing(f"unknown function {expr.name!r}")
+    return lambda context: handler(*[arg(context) for arg in args])
+
+
+def _compile_case(expr: ast.CaseExpression) -> Evaluator:
+    branches = [
+        (compile_expression(condition), compile_expression(value))
+        for condition, value in expr.branches
+    ]
+    default = compile_expression(expr.default) if expr.default is not None else None
+
+    def case(context: RowContext) -> Any:
+        for condition, value in branches:
+            if _to_truth(condition(context)):
+                return value(context)
+        if default is not None:
+            return default(context)
+        return None
+
+    return case
+
+
+def _compile_literal(expr: ast.Literal) -> Evaluator:
+    value = expr.value
+    return lambda _context: value
+
+
+def _compile_star(_expr: ast.Star) -> Evaluator:
+    return _failing("'*' is only valid inside COUNT(*) or a SELECT list")
+
+
+def _compile_parameter(expr: ast.Parameter) -> Evaluator:
+    return _failing(f"unbound parameter {expr.index + 1}; bind values before execution")
+
+
+_COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
+    ast.Literal: _compile_literal,
+    ast.ColumnRef: _compile_column,
+    ast.Star: _compile_star,
+    ast.Parameter: _compile_parameter,
+    ast.UnaryOp: _compile_unary,
+    ast.BinaryOp: _compile_binary,
+    ast.IsNull: _compile_is_null,
+    ast.InList: _compile_in_list,
+    ast.Between: _compile_between,
+    ast.FunctionCall: _compile_function,
+    ast.CaseExpression: _compile_case,
+}
+
+
+def compile_expression(expr: ast.Expression) -> Evaluator:
+    """Compile *expr* once into a closure evaluating it against a row context.
+
+    MISSING propagates as unknown; AND/OR/CASE/COALESCE short-circuit left
+    to right.  Callers on a per-row path compile at lowering time and call
+    the closure per row.
+    """
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        return _failing(f"cannot evaluate expression of type {type(expr).__name__}")
+    return compiler(expr)
+
+
+def compile_predicate(expr: ast.Expression | None) -> Callable[[RowContext], bool]:
+    """Compile a WHERE/HAVING/ON predicate; unknown collapses to False."""
+    if expr is None:
+        return lambda _context: True
+    evaluator = compile_expression(expr)
+
+    def predicate(context: RowContext) -> bool:
+        value = evaluator(context)
+        if value is True:
+            return True
+        if value is False or value is None:
+            return False
+        return bool(_to_truth(value))
+
+    return predicate
+
+
+def evaluate(expr: ast.Expression, context: RowContext) -> Any:
+    """Evaluate *expr* once against *context* (one-shot callers)."""
+    return compile_expression(expr)(context)
 
 
 def evaluate_predicate(expr: ast.Expression | None, context: RowContext) -> bool:
-    """Evaluate a WHERE/HAVING/ON predicate; unknown collapses to False."""
-    if expr is None:
-        return True
-    result = _to_truth(evaluate(expr, context))
-    return bool(result)
+    """Evaluate a WHERE/HAVING/ON predicate once; unknown collapses to False."""
+    return compile_predicate(expr)(context)
 
 
 def expression_label(expr: ast.Expression) -> str:

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -91,9 +92,12 @@ from repro.db.schema import AttributeKind, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     RowContext,
+    binary_operator,
+    compile_expression,
+    compile_predicate,
     evaluate,
-    evaluate_predicate,
     expression_label,
+    unary_operator,
 )
 from repro.db.sql.planner import (
     AccessPath,
@@ -102,7 +106,7 @@ from repro.db.sql.planner import (
     SelectPlan,
     choose_join_strategy,
 )
-from repro.db.types import is_missing, sort_rank
+from repro.db.types import MISSING, is_missing, sort_rank
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -275,26 +279,6 @@ def _copy_row(row: dict[str, Any]) -> dict[str, Any]:
             continue
 
 
-def _context_for(alias: str, rowid: Optional[int], row: dict[str, Any]) -> RowContext:
-    """Build the evaluation context of one scanned row."""
-    context = RowContext()
-    context.add_table_row(alias, row)
-    if rowid is not None:
-        context.set(f"{alias}.__rowid__", rowid)
-    return context
-
-
-def _merge_context(
-    context: RowContext, alias: str, rowid: Optional[int], row: dict[str, Any]
-) -> RowContext:
-    """Extend a join's left-side context with one right-side row."""
-    merged = RowContext.from_mapping(context.as_mapping())
-    merged.add_table_row(alias, row)
-    if rowid is not None:
-        merged.set(f"{alias}.__rowid__", rowid)
-    return merged
-
-
 def hashable_key(value: Any) -> Any:
     """Map a value to a hashable stand-in (MISSING gets a private sentinel)."""
     if is_missing(value):
@@ -310,41 +294,6 @@ def _truthy(value: Any) -> bool:
 
 def _is_unknown(value: Any) -> bool:
     return value is None or is_missing(value)
-
-
-class _ComparableValue:
-    """Total-order sort-key wrapper so heterogeneous keys never raise.
-
-    Values are ranked numeric < text < other; ``None`` and MISSING rank
-    **last** (NULLS LAST).  The :class:`Sort` operator additionally
-    re-partitions unknown values to the end for descending sorts, so the
-    contract is: unknown sort keys always appear after all known keys,
-    regardless of sort direction.  ``__hash__`` is defined consistently
-    with ``__eq__`` (two wrappers comparing equal hash equal), so wrapped
-    keys are usable in sets and dictionaries.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def _rank(self) -> tuple[int, Any]:
-        # Delegates to the engine-wide total order: the ordered secondary
-        # index ranks through the same function, which is what makes an
-        # index-backed ORDER BY agree row-for-row with this operator.
-        return sort_rank(self.value)
-
-    def __lt__(self, other: "_ComparableValue") -> bool:
-        return self._rank() < other._rank()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _ComparableValue):
-            return NotImplemented
-        return self._rank() == other._rank()
-
-    def __hash__(self) -> int:
-        return hash(self._rank())
 
 
 # ---------------------------------------------------------------------------
@@ -976,8 +925,10 @@ class Bind(Operator):
         self.alias = alias
 
     def _produce(self) -> Iterator[RowContext]:
+        for_table_row = RowContext.for_table_row
+        alias = self.alias
         for rowid, row in self.children[0]:
-            yield _context_for(self.alias, rowid, row)
+            yield for_table_row(alias, row, rowid)
 
 
 class SingleRow(Operator):
@@ -1269,19 +1220,21 @@ class NestedLoopJoin(Operator):
         self.condition = condition
         self.kind = kind
         self._right_columns = list(right_columns)
+        self._matches = compile_predicate(condition)
 
     def _produce(self) -> Iterator[RowContext]:
         right_rows = list(self.children[1])  # materialized once per join
         null_row = {column: None for column in self._right_columns}  # hoisted
+        cross = self.kind == "cross"
         for context in self.children[0]:
             matched = False
             for rowid, row in right_rows:
-                candidate = _merge_context(context, self.alias, rowid, row)
-                if self.kind == "cross" or evaluate_predicate(self.condition, candidate):
+                candidate = context.joined(self.alias, row, rowid)
+                if cross or self._matches(candidate):
                     matched = True
                     yield candidate
             if self.kind == "left" and not matched:
-                yield _merge_context(context, self.alias, None, null_row)
+                yield context.joined(self.alias, null_row)
 
     def detail(self) -> str:
         condition = (
@@ -1317,6 +1270,7 @@ class HashJoin(Operator):
         self.right_key_column = right_key_column
         self.kind = kind
         self._right_columns = list(right_columns)
+        self._left_key = compile_expression(left_key)
         #: Number of buckets in the build-side hash table (for EXPLAIN).
         self.build_rows = 0
 
@@ -1329,14 +1283,16 @@ class HashJoin(Operator):
             table.setdefault(key, []).append((rowid, row))
             self.build_rows += 1
         null_row = {column: None for column in self._right_columns}
+        left_key = self._left_key
+        alias = self.alias
         for context in self.children[0]:
-            key = evaluate(self.left_key, context)
+            key = left_key(context)
             matches = None if _is_unknown(key) else table.get(key)
             if matches:
                 for rowid, row in matches:
-                    yield _merge_context(context, self.alias, rowid, row)
+                    yield context.joined(alias, row, rowid)
             elif self.kind == "left":
-                yield _merge_context(context, self.alias, None, null_row)
+                yield context.joined(alias, null_row)
 
     def detail(self) -> str:
         left = (
@@ -1363,12 +1319,14 @@ class Filter(Operator):
     def __init__(self, child: Operator, predicate: ast.Expression) -> None:
         super().__init__(child)
         self.predicate = predicate
+        self._matches = compile_predicate(predicate)
         self.rows_in = 0
 
     def _produce(self) -> Iterator[RowContext]:
+        matches = self._matches
         for context in self.children[0]:
             self.rows_in += 1
-            if evaluate_predicate(self.predicate, context):
+            if matches(context):
                 yield context
 
     def detail(self) -> str:
@@ -1383,11 +1341,12 @@ class Project(Operator):
     def __init__(self, child: Operator, output: Sequence[OutputColumn]) -> None:
         super().__init__(child)
         self.output = tuple(output)
+        self._columns = [compile_expression(column.expression) for column in self.output]
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
+        columns = self._columns
         for context in self.children[0]:
-            row = tuple(evaluate(column.expression, context) for column in self.output)
-            yield row, context
+            yield tuple([column(context) for column in columns]), context
 
     def detail(self) -> str:
         return ", ".join(column.name for column in self.output)
@@ -1396,62 +1355,81 @@ class Project(Operator):
 # -- aggregation -------------------------------------------------------------
 
 
-def compute_aggregate(call: ast.FunctionCall, group: Sequence[RowContext]) -> Any:
-    """Compute one aggregate function over a group of row contexts."""
+#: A compiled expression in an aggregation context: evaluates against a
+#: group of row contexts and the group's representative context.
+GroupEvaluator = Callable[[Sequence[RowContext], RowContext], Any]
+
+
+def _failing_group(message: str) -> GroupEvaluator:
+    def fail(_group: Sequence[RowContext], _representative: RowContext) -> Any:
+        raise ExecutionError(message)
+
+    return fail
+
+
+def _compile_aggregate_call(call: ast.FunctionCall) -> GroupEvaluator:
+    """Compile one aggregate function call over a group of row contexts."""
     name = call.name.lower()
     if call.star:
         if name != "count":
-            raise ExecutionError(f"{name.upper()}(*) is not a valid aggregate")
-        return len(group)
+            return _failing_group(f"{name.upper()}(*) is not a valid aggregate")
+        return lambda group, _representative: len(group)
     if len(call.args) != 1:
-        raise ExecutionError(f"aggregate {name.upper()} takes exactly one argument")
-    values = []
-    for context in group:
-        value = evaluate(call.args[0], context)
-        if value is None or is_missing(value):
-            continue
-        values.append(value)
-    if call.distinct:
-        unique: list[Any] = []
-        seen: set[Any] = set()
-        for value in values:
-            key = hashable_key(value)
-            if key not in seen:
-                seen.add(key)
-                unique.append(value)
-        values = unique
-    if name == "count":
-        return len(values)
-    if not values:
-        return None
-    if name == "sum":
-        return sum(values)
-    if name == "avg":
-        return sum(values) / len(values)
-    if name == "min":
-        return min(values)
-    if name == "max":
+        return _failing_group(f"aggregate {name.upper()} takes exactly one argument")
+    argument = compile_expression(call.args[0])
+    distinct = call.distinct
+
+    def aggregate(group: Sequence[RowContext], _representative: RowContext) -> Any:
+        values = [
+            value
+            for value in map(argument, group)
+            if value is not None and value is not MISSING
+        ]
+        if distinct:
+            unique: list[Any] = []
+            seen: set[Any] = set()
+            for value in values:
+                key = hashable_key(value)
+                if key not in seen:
+                    seen.add(key)
+                    unique.append(value)
+            values = unique
+        if name == "count":
+            return len(values)
+        if not values:
+            return None
+        if name == "sum":
+            return sum(values)
+        if name == "avg":
+            return sum(values) / len(values)
+        if name == "min":
+            return min(values)
         return max(values)
-    raise ExecutionError(f"unknown aggregate {name!r}")
+
+    return aggregate
 
 
-def evaluate_aggregate_expression(
-    expr: ast.Expression,
-    group: Sequence[RowContext],
-    representative: RowContext,
-) -> Any:
-    """Evaluate an expression that may mix aggregates and scalars."""
+def compile_group_expression(expr: ast.Expression) -> GroupEvaluator:
+    """Compile an expression that may mix aggregates and scalars.
+
+    Aggregate calls reduce the group; operators combine their operands'
+    values; anything else is a scalar evaluated on the representative.
+    """
     if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return compute_aggregate(expr, group)
+        return _compile_aggregate_call(expr)
     if isinstance(expr, ast.BinaryOp):
-        left = evaluate_aggregate_expression(expr.left, group, representative)
-        right = evaluate_aggregate_expression(expr.right, group, representative)
-        synthetic = ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right))
-        return evaluate(synthetic, representative)
+        left = compile_group_expression(expr.left)
+        right = compile_group_expression(expr.right)
+        combine = binary_operator(expr.op)
+        return lambda group, representative: combine(
+            left(group, representative), right(group, representative)
+        )
     if isinstance(expr, ast.UnaryOp):
-        operand = evaluate_aggregate_expression(expr.operand, group, representative)
-        return evaluate(ast.UnaryOp(expr.op, ast.Literal(operand)), representative)
-    return evaluate(expr, representative)
+        operand = compile_group_expression(expr.operand)
+        apply = unary_operator(expr.op)
+        return lambda group, representative: apply(operand(group, representative))
+    scalar = compile_expression(expr)
+    return lambda _group, representative: scalar(representative)
 
 
 class Aggregate(Operator):
@@ -1470,13 +1448,17 @@ class Aggregate(Operator):
         self.output = tuple(output)
         self.group_by = tuple(group_by)
         self.having = having
+        self._keys = [compile_expression(expr) for expr in self.group_by]
+        self._having = compile_group_expression(having) if having is not None else None
+        self._columns = [compile_group_expression(column.expression) for column in self.output]
         self.groups_built = 0
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         groups: dict[tuple[Any, ...], list[RowContext]] = {}
-        if self.group_by:
+        if self._keys:
+            keys = self._keys
             for context in self.children[0]:
-                key = tuple(hashable_key(evaluate(expr, context)) for expr in self.group_by)
+                key = tuple([hashable_key(key_of(context)) for key_of in keys])
                 groups.setdefault(key, []).append(context)
         else:
             # A global aggregate always emits one row, even over no input.
@@ -1485,16 +1467,11 @@ class Aggregate(Operator):
 
         for group_contexts in groups.values():
             representative = group_contexts[0] if group_contexts else RowContext()
-            if self.having is not None:
-                having_value = evaluate_aggregate_expression(
-                    self.having, group_contexts, representative
-                )
-                if not _truthy(having_value):
-                    continue
-            row = tuple(
-                evaluate_aggregate_expression(column.expression, group_contexts, representative)
-                for column in self.output
-            )
+            if self._having is not None and not _truthy(
+                self._having(group_contexts, representative)
+            ):
+                continue
+            row = tuple([column(group_contexts, representative) for column in self._columns])
             yield row, representative
 
     def detail(self) -> str:
@@ -1523,10 +1500,13 @@ class Distinct(Operator):
 
 
 class Sort(Operator):
-    """Blocking multi-key sort.
+    """Blocking multi-key sort on precomputed keys.
 
-    Unknown sort keys (NULL/MISSING) are placed last regardless of sort
-    direction (NULLS LAST) — see :class:`_ComparableValue`.
+    Each row's key is ``(unknown, sort_rank(value))``, computed once per row
+    and ORDER BY item, so comparisons never re-rank values.  Unknown sort
+    keys (NULL/MISSING) are placed last regardless of sort direction (NULLS
+    LAST); known values order through :func:`~repro.db.types.sort_rank`,
+    the same total order the ordered secondary index uses.
     """
 
     label = "Sort"
@@ -1542,43 +1522,62 @@ class Sort(Operator):
         self.order_by = tuple(order_by)
         self._output_names = list(output_names)
         self._aggregate = aggregate
+        self._keys = [
+            (item.ascending, self._compile_key(item.expression)) for item in self.order_by
+        ]
+
+    def _compile_key(
+        self, expression: ast.Expression
+    ) -> Callable[[tuple[tuple[Any, ...], RowContext]], tuple[bool, tuple[int, Any]]]:
+        """Compile one ORDER BY item into a per-row sort-key function.
+
+        The key expression sees the row's context with the output columns
+        bound by name (so ``ORDER BY alias`` works); a bare reference to an
+        output column reads the projected value directly.
+        """
+        names = self._output_names
+        if (
+            isinstance(expression, ast.ColumnRef)
+            and expression.table is None
+            and expression.name in names
+        ):
+            # The last binding of a name wins, as in the extended context.
+            index = len(names) - 1 - names[::-1].index(expression.name)
+
+            def output_key(
+                entry: tuple[tuple[Any, ...], RowContext]
+            ) -> tuple[bool, tuple[int, Any]]:
+                value = entry[0][index]
+                return value is None or value is MISSING, sort_rank(value)
+
+            return output_key
+
+        if self._aggregate:
+            grouped = compile_group_expression(expression)
+
+            def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
+                return grouped([context], context.with_bindings(names, row))
+
+        else:
+            scalar = compile_expression(expression)
+
+            def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
+                return scalar(context.with_bindings(names, row))
+
+        def key(entry: tuple[tuple[Any, ...], RowContext]) -> tuple[bool, tuple[int, Any]]:
+            value = value_of(*entry)
+            return value is None or value is MISSING, sort_rank(value)
+
+        return key
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         ordered = list(self.children[0])
-
-        def sort_key_context(
-            row: tuple[Any, ...], context: RowContext
-        ) -> RowContext:
-            extended = RowContext.from_mapping(context.as_mapping())
-            for name, value in zip(self._output_names, row):
-                extended.set(name, value)
-            return extended
-
-        def key_for(item: ast.OrderItem):
-            def compute(entry: tuple[tuple[Any, ...], RowContext]):
-                row, context = entry
-                extended = sort_key_context(row, context)
-                if self._aggregate:
-                    value = evaluate_aggregate_expression(item.expression, [context], extended)
-                else:
-                    value = evaluate(item.expression, extended)
-                missing = value is None or is_missing(value)
-                return missing, value
-
-            return compute
-
-        for item in reversed(self.order_by):
-            compute = key_for(item)
-            decorated = [(compute(entry), entry) for entry in ordered]
-
-            def sort_value(element):
-                (missing, value), _entry = element
-                return (missing, _ComparableValue(value))
-
-            # Python's sort is stable, so applying keys from least to most
-            # significant yields a correct multi-key ordering.
-            decorated.sort(key=sort_value, reverse=not item.ascending)
-            if not item.ascending:
+        # Python's sort is stable, so applying keys from least to most
+        # significant yields a correct multi-key ordering.
+        for ascending, key_of in reversed(self._keys):
+            decorated = [(key_of(entry), entry) for entry in ordered]
+            decorated.sort(key=_first, reverse=not ascending)
+            if not ascending:
                 # NULLS LAST also for descending sorts.
                 known = [d for d in decorated if not d[0][0]]
                 unknown = [d for d in decorated if d[0][0]]
@@ -1592,6 +1591,9 @@ class Sort(Operator):
             expression_label(item.expression) + ("" if item.ascending else " DESC")
             for item in self.order_by
         )
+
+
+_first = itemgetter(0)
 
 
 class Limit(Operator):

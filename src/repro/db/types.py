@@ -71,7 +71,7 @@ def sort_rank(value: Any) -> tuple[int, Any]:
     """Total-order sort key over heterogeneous SQL values.
 
     This is the *single* definition of the engine's value ordering: the
-    ``Sort`` operator's ``_ComparableValue`` wrapper and the ordered
+    ``Sort`` operator's precomputed per-row keys and the ordered
     secondary index both rank values through it, which is what guarantees
     that an index-backed ORDER BY and an explicit sort agree row-for-row.
     Values rank numeric (bools included) < text < other; ``None`` and

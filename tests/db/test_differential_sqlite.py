@@ -261,6 +261,118 @@ class TestGenerativeDifferential:
                 reference.close()
 
 
+_AGGREGATES = ("count(*)", "count({c})", "sum({c})", "min({c})", "max({c})", "avg({c})")
+
+
+@st.composite
+def int_rows(draw, columns: int, min_size: int = 0):
+    """NULL-free rows ``(pk, v1, ..., vN)`` over a small domain (many ties)."""
+    n = draw(st.integers(min_value=min_size, max_value=30))
+    return [
+        (pk, *(draw(st.integers(min_value=0, max_value=6)) for _ in range(columns)))
+        for pk in range(1, n + 1)
+    ]
+
+
+def run_both(tables, sql):
+    """Load *tables* (``name -> (column names, rows)``) into both engines and run *sql*."""
+    ours = Connection()
+    reference = sqlite3.connect(":memory:")
+    try:
+        for name, (columns, rows) in tables.items():
+            decl = ", ".join(
+                ["pk INTEGER PRIMARY KEY"] + [f"{column} INTEGER" for column in columns]
+            )
+            for engine_exec in (ours.run_statement, reference.execute):
+                engine_exec(f"CREATE TABLE {name} ({decl})")
+            placeholders = ", ".join("?" * (len(columns) + 1))
+            ours.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
+            reference.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
+        mine = [tuple(row) for row in ours.run_statement(sql).rows]
+        theirs = [tuple(row) for row in reference.execute(sql).fetchall()]
+    finally:
+        reference.close()
+    return mine, theirs
+
+
+def approx_rows(rows):
+    """Rows with numbers as floats rounded past summation noise (for AVG)."""
+    return [
+        tuple(round(float(c), 9) if isinstance(c, (int, float)) else c for c in row)
+        for row in rows
+    ]
+
+
+class TestGeneratedQueryShapes:
+    """Generated GROUP BY/HAVING, multi-key ORDER BY and inner equi-joins.
+
+    NULL-free integer domains keep both engines on shared semantics; every
+    ORDER BY ends in a unique key so the expected order is total.
+    """
+
+    @common_settings
+    @given(
+        int_rows(3),
+        st.sampled_from(("a", "b", "c")),
+        st.lists(st.sampled_from(_AGGREGATES), min_size=1, max_size=3),
+        st.sampled_from(("a", "b", "c")),
+        st.sampled_from(_COMPARISONS),
+        st.integers(0, 12),
+        st.booleans(),
+    )
+    def test_group_by_having(self, rows, group, aggregates, argument, cmp, bound, where):
+        selected = ", ".join(a.format(c=argument) for a in aggregates)
+        sql = (
+            f"SELECT {group}, {selected} FROM t "
+            + (f"WHERE {argument} {cmp} {bound % 7} " if where else "")
+            + f"GROUP BY {group} HAVING {aggregates[0].format(c=argument)} {cmp} {bound}"
+        )
+        mine, theirs = run_both({"t": (("a", "b", "c"), rows)}, sql)
+        assert sorted(approx_rows(mine)) == sorted(approx_rows(theirs)), sql
+
+    @common_settings
+    @given(
+        int_rows(3),
+        st.lists(
+            st.tuples(st.sampled_from(("a", "b", "c", "a + b", "c * 2 - a")), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+        st.integers(0, 40),
+    )
+    def test_multi_key_order_by(self, rows, keys, pk_descending, limit):
+        order = ", ".join(f"{key} {'ASC' if ascending else 'DESC'}" for key, ascending in keys)
+        sql = (
+            f"SELECT pk, a, b, c FROM t ORDER BY {order}, pk "
+            f"{'DESC' if pk_descending else 'ASC'} LIMIT {limit}"
+        )
+        mine, theirs = run_both({"t": (("a", "b", "c"), rows)}, sql)
+        assert mine == theirs, sql
+
+    @common_settings
+    @given(
+        int_rows(2),
+        int_rows(2),
+        st.sampled_from(("a", "b")),
+        st.sampled_from(("x", "y")),
+        st.sampled_from(_COMPARISONS),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    def test_inner_equi_join(self, left, right, left_key, right_key, cmp, bound, grouped):
+        tables = {"t": (("a", "b"), left), "u": (("x", "y"), right)}
+        join = f"FROM t JOIN u ON t.{left_key} = u.{right_key} WHERE u.y {cmp} {bound}"
+        if grouped:
+            sql = f"SELECT t.a, count(*), sum(u.x) {join} GROUP BY t.a"
+            mine, theirs = run_both(tables, sql)
+            assert sorted(mine) == sorted(theirs), sql
+        else:
+            sql = f"SELECT t.pk, u.pk, t.b, u.x {join} ORDER BY t.b DESC, t.pk, u.pk"
+            mine, theirs = run_both(tables, sql)
+            assert mine == theirs, sql
+
+
 class TestKnownSemanticDifferencesAreContained:
     """Behaviours where the engine intentionally differs from sqlite."""
 

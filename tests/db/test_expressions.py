@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     RowContext,
+    compile_expression,
+    compile_predicate,
     evaluate,
     evaluate_predicate,
     expression_label,
@@ -210,3 +212,153 @@ class TestEvaluationProperties:
         ctx = context(a=a, b=b)
         assert evaluate(where_expr("a AND b"), ctx) is (a and b)
         assert evaluate(where_expr("a OR b"), ctx) is (a or b)
+
+
+def select_expr(sql_expression: str) -> ast.Expression:
+    return parse_statement(f"SELECT {sql_expression} FROM t").items[0].expression
+
+
+_ROW = {"n": 5, "x": 2.5, "s": "Rocky", "z": 0, "nul": None, "mis": MISSING, "yes": True}
+
+#: (expression, expected value) over ``_ROW``; every node type the compiler
+#: handles, with NULL and MISSING operands.
+EVALUATION_TABLE = [
+    ("42", 42),
+    ("n", 5),
+    ("t.n", 5),
+    ("n + 2", 7),
+    ("n - x", 2.5),
+    ("n * 2", 10),
+    ("n / 2", 2.5),
+    ("n / z", None),
+    ("n % 3", 2),
+    ("x % 2", 0.5),
+    ("n % z", None),
+    ("s || n", "Rocky5"),
+    ("nul + 1", None),
+    ("mis * 2", None),
+    ("-n", -5),
+    ("-nul", None),
+    ("NOT yes", False),
+    ("NOT nul", None),
+    ("n = 5", True),
+    ("n != 5", False),
+    ("n < x", False),
+    ("n <= 5", True),
+    ("n > nul", None),
+    ("mis >= n", None),
+    ("yes = 1", True),
+    # AND/OR: three-valued, short-circuit left to right.
+    ("FALSE AND 'x' + 1", False),
+    ("TRUE OR 'x' + 1", True),
+    ("nul AND FALSE", False),
+    ("nul AND TRUE", None),
+    ("mis OR TRUE", True),
+    ("mis OR FALSE", None),
+    ("n AND x", True),
+    ("z OR FALSE", False),
+    # NULL vs MISSING.
+    ("nul IS NULL", True),
+    ("mis IS NULL", True),
+    ("n IS NULL", False),
+    ("mis IS NOT NULL", False),
+    ("nul IS MISSING", False),
+    ("mis IS MISSING", True),
+    ("nul IS NOT MISSING", True),
+    ("mis IS NOT MISSING", False),
+    # IN with NULL items.
+    ("n IN (1, 5)", True),
+    ("n IN (1, 2)", False),
+    ("n IN (1, NULL)", None),
+    ("n IN (5, NULL)", True),
+    ("n NOT IN (1, NULL)", None),
+    ("n NOT IN (1, 2)", True),
+    ("n NOT IN (5, NULL)", False),
+    ("nul IN (1)", None),
+    ("mis IN (1)", None),
+    # BETWEEN, plain and negated.
+    ("n BETWEEN 1 AND 5", True),
+    ("n BETWEEN 6 AND 9", False),
+    ("n NOT BETWEEN 1 AND 5", False),
+    ("n NOT BETWEEN 6 AND 9", True),
+    ("n BETWEEN 1 AND nul", None),
+    ("n NOT BETWEEN 6 AND nul", True),
+    ("mis NOT BETWEEN 1 AND 9", None),
+    # LIKE: case-insensitive, % and _ wildcards, regex characters literal.
+    ("s LIKE 'r%'", True),
+    ("s LIKE 'R_cky'", True),
+    ("s LIKE 'R.cky'", False),
+    ("nul LIKE 'a%'", None),
+    ("s LIKE mis", None),
+    # Scalar functions, COALESCE (lazy) and CASE (short-circuit).
+    ("abs(-n)", 5),
+    ("round(x)", 2.0),
+    ("lower(s)", "rocky"),
+    ("upper(nul)", None),
+    ("length(mis)", None),
+    ("coalesce(nul, mis, n, 'x' + 1)", 5),
+    ("coalesce(nul, mis)", None),
+    ("CASE WHEN n > 9 THEN 'big' WHEN n > 1 THEN 'mid' ELSE 'x' + 1 END", "mid"),
+    ("CASE WHEN nul THEN 1 END", None),
+    ("CASE WHEN mis THEN 1 ELSE 2 END", 2),
+]
+
+
+class TestCompiledEvaluator:
+    @pytest.mark.parametrize("sql_expression, expected", EVALUATION_TABLE)
+    def test_evaluation_table(self, sql_expression, expected):
+        evaluator = compile_expression(select_expr(sql_expression))
+        value = evaluator(RowContext.for_table_row("t", _ROW))
+        assert value == expected and type(value) is type(expected)
+
+    def test_compiled_closure_is_reusable_across_rows(self):
+        evaluator = compile_expression(select_expr("n * 2 + 1"))
+        assert [evaluator(context(n=n)) for n in (1, 2, None)] == [3, 5, None]
+
+    def test_predicate_collapses_unknown_to_false(self):
+        predicate = compile_predicate(select_expr("n > 3"))
+        assert [predicate(context(n=n)) for n in (5, 1, None, MISSING)] == [
+            True,
+            False,
+            False,
+            False,
+        ]
+        assert compile_predicate(None)(RowContext()) is True
+
+    @pytest.mark.parametrize(
+        "sql_expression, error",
+        [
+            ("n", ExecutionError),  # ambiguous: both tables have n
+            ("nope", UnknownColumnError),
+            ("t.nope", UnknownColumnError),
+            ("s > 5", ExecutionError),
+            ("s + 1", ExecutionError),
+            ("-s", ExecutionError),
+            ("s AND TRUE", ExecutionError),
+            ("sqrt(4)", ExecutionError),
+            ("count(n)", ExecutionError),
+        ],
+    )
+    def test_errors_are_raised_when_evaluated_not_when_compiled(
+        self, sql_expression, error
+    ):
+        evaluator = compile_expression(select_expr(sql_expression))
+        joined = RowContext.for_table_row("t", {"n": 1, "s": "a"}).joined("u", {"n": 2})
+        with pytest.raises(error):
+            evaluator(joined)
+
+    def test_ambiguous_name_resolves_when_qualified(self):
+        joined = RowContext.for_table_row("t", {"n": 1}, 7).joined("u", {"n": 2}, 9)
+        assert compile_expression(select_expr("t.n + u.n"))(joined) == 3
+        assert evaluate(ast.ColumnRef("__rowid__", table="u"), joined) == 9
+
+    def test_for_table_row_matches_add_table_row(self):
+        # A column literally named like a qualified key collides; both
+        # construction paths must flag it identically.
+        for row in ({"a": 1, "b": 2}, {"a": 1, "t.a": 2}):
+            fast = RowContext.for_table_row("t", row, 3)
+            slow = RowContext()
+            slow.add_table_row("t", row)
+            slow.set("t.__rowid__", 3)
+            assert fast.as_mapping() == slow.as_mapping()
+            assert fast._ambiguous == slow._ambiguous

@@ -13,9 +13,8 @@ from repro.db.sql.operators import (
     IndexScan,
     NestedLoopJoin,
     SeqScan,
-    _ComparableValue,
 )
-from repro.db.types import MISSING
+from repro.db.types import MISSING, sort_rank
 from repro.errors import ExecutionError
 
 
@@ -381,20 +380,21 @@ class TestCrowdFillBatching:
         assert conn.session.cost_spent == pytest.approx(0.5)  # two batches
 
 
-class TestComparableValue:
-    def test_hash_consistent_with_eq(self):
-        assert _ComparableValue(1) == _ComparableValue(1.0)
-        assert hash(_ComparableValue(1)) == hash(_ComparableValue(1.0))
-        assert _ComparableValue(True) == _ComparableValue(1)
-        assert hash(_ComparableValue(True)) == hash(_ComparableValue(1))
+class TestSortKeys:
+    """Sort keys are ``(unknown, sort_rank(value))`` tuples, precomputed per row."""
+
+    def test_numeric_ranks_are_equal_across_types(self):
+        assert sort_rank(1) == sort_rank(1.0)
+        assert hash(sort_rank(1)) == hash(sort_rank(1.0))
+        assert sort_rank(True) == sort_rank(1)
+        assert hash(sort_rank(True)) == hash(sort_rank(1))
 
     def test_unknowns_share_rank_and_hash(self):
-        assert _ComparableValue(None) == _ComparableValue(MISSING)
-        assert hash(_ComparableValue(None)) == hash(_ComparableValue(MISSING))
+        assert sort_rank(None) == sort_rank(MISSING)
+        assert hash(sort_rank(None)) == hash(sort_rank(MISSING))
 
     def test_usable_in_sets(self):
-        values = {_ComparableValue(1), _ComparableValue(1.0), _ComparableValue("a")}
-        assert len(values) == 2
+        assert len({sort_rank(1), sort_rank(1.0), sort_rank("a")}) == 2
 
     def test_nulls_last_regression_both_directions(self):
         conn = connect()
@@ -432,3 +432,99 @@ class TestScanCounters:
         fill = next(op for op in cursor.plan.walk() if isinstance(op, CrowdFill))
         assert fill.batches_dispatched == 1
         assert fill.values_filled == 2
+
+
+class TestCompileOnce:
+    """Expressions compile at lowering, once per statement, never per row."""
+
+    QUERY = (
+        "SELECT grp, count(*), sum(v) + 1 AS total FROM t "
+        "WHERE v >= 0 AND name LIKE 'n%' GROUP BY grp HAVING count(*) > 0 "
+        "ORDER BY total DESC, grp"
+    )
+
+    @staticmethod
+    def _compiles_for(rows: int, monkeypatch) -> int:
+        import repro.db.sql.executor as executor_module
+        import repro.db.sql.expressions as expressions_module
+        import repro.db.sql.operators as operators_module
+
+        conn = connect()
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, v INTEGER, name TEXT)")
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?)",
+            [(i, i // 10, i % 7, f"n{i}") for i in range(rows)],
+        )
+        calls = 0
+        original = expressions_module.compile_expression
+
+        def counting(expr):
+            nonlocal calls
+            calls += 1
+            return original(expr)
+
+        for module in (expressions_module, operators_module, executor_module):
+            monkeypatch.setattr(module, "compile_expression", counting)
+        result = conn.execute(TestCompileOnce.QUERY).fetchall()
+        conn.execute("UPDATE t SET v = v + 1 WHERE grp < 3")
+        monkeypatch.undo()
+        assert len(result) == rows // 10
+        return calls
+
+    def test_compile_count_is_independent_of_row_count(self, monkeypatch):
+        small = self._compiles_for(500, monkeypatch)
+        large = self._compiles_for(5000, monkeypatch)
+        assert small > 0
+        assert small == large
+
+
+class TestMixedTypeOrdering:
+    """Multi-key mixed ASC/DESC ORDER BY over NULL, MISSING, bool, int,
+    float and text: the output order is pinned to the values captured
+    before sort keys were precomputed."""
+
+    MIXED = (
+        "CASE WHEN id % 7 = 0 THEN NULL WHEN id % 7 = 1 THEN p "
+        "WHEN id % 7 = 2 THEN id % 2 = 0 WHEN id % 7 = 3 THEN id % 4 "
+        "WHEN id % 7 = 4 THEN id * 0.25 ELSE name END"
+    )
+
+    @staticmethod
+    def _connection() -> Connection:
+        conn = connect()
+        conn.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, name TEXT, p REAL PERCEPTUAL)"
+        )
+        for i in range(1, 29):
+            name = f"n{(i * 7) % 11}"
+            if i % 5 == 0:  # p left MISSING
+                conn.execute("INSERT INTO t (id, grp, name) VALUES (?, ?, ?)", (i, i % 3, name))
+            else:
+                p = i * 0.25 if i % 3 else None
+                conn.execute("INSERT INTO t VALUES (?, ?, ?, ?)", (i, i % 3, name, p))
+        return conn
+
+    @pytest.mark.parametrize(
+        "order, expected",
+        [
+            (
+                "grp DESC, mixed, id DESC",
+                [23, 17, 2, 8, 11, 5, 26, 20, 14, 1, 16, 4, 10, 22,
+                 25, 19, 13, 28, 7, 24, 9, 3, 18, 27, 12, 6, 21, 15],
+            ),
+            (
+                "mixed DESC, grp, id",
+                [6, 20, 12, 26, 13, 27, 5, 19, 25, 22, 18, 3, 11, 10,
+                 8, 4, 16, 2, 17, 1, 9, 24, 23, 15, 21, 7, 28, 14],
+            ),
+            (
+                "p DESC, grp DESC, id",
+                [28, 26, 23, 22, 19, 17, 16, 14, 13, 11, 8, 7, 4, 2,
+                 1, 5, 20, 10, 25, 3, 6, 9, 12, 15, 18, 21, 24, 27],
+            ),
+        ],
+    )
+    def test_order_is_pinned(self, order, expected):
+        conn = self._connection()
+        sql = f"SELECT id, grp, {self.MIXED} AS mixed, p FROM t ORDER BY {order}"
+        assert [row[0] for row in conn.execute(sql).fetchall()] == expected

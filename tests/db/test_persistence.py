@@ -8,6 +8,7 @@ platform calls after a restart."""
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -21,7 +22,14 @@ import pytest
 import repro
 from repro.db import Catalog, Connection
 from repro.db.durability import DurabilityManager
-from repro.db.snapshot import SNAPSHOT_FORMAT_VERSION, load_snapshot
+from repro.db.snapshot import (
+    SNAPSHOT_FORMAT_VERSION,
+    load_snapshot,
+    schema_state,
+    write_snapshot,
+)
+from repro.db.wal import encode_row, encode_value
+from repro.db.types import MISSING
 from repro.errors import ExecutionError, PersistenceError
 
 
@@ -111,6 +119,44 @@ class TestRoundTrip:
         reopened.close()
 
 
+def _whole_document(catalog, *, last_lsn):
+    """The snapshot document built whole in memory, as checkpoints once did."""
+    tables = []
+    for storage in catalog:
+        provenance = {}
+        for column in storage.schema.column_names:
+            entries = storage.provenance_map(column)
+            if entries:
+                provenance[column] = {
+                    str(rowid): {"source": entry.source, "confidence": entry.confidence}
+                    for rowid, entry in entries.items()
+                }
+        tables.append(
+            {
+                "schema": schema_state(storage.schema),
+                "next_rowid": storage.next_rowid,
+                "rows": {str(rowid): encode_row(row) for rowid, row in storage.scan()},
+                "indexes": sorted(storage.index_columns()),
+                "provenance": provenance,
+                "stats": storage.stats.to_state(),
+            }
+        )
+    return {
+        "format_version": SNAPSHOT_FORMAT_VERSION,
+        "last_lsn": last_lsn,
+        "tables": tables,
+        "rowid_watermarks": dict(catalog.rowid_watermarks()),
+        "enum_answers": [
+            [attribute, batch, [encode_value(value) for value in values]]
+            for (attribute, batch), values in sorted(catalog.enum_answers().items())
+        ],
+        "worker_stats": [
+            [worker_id, correct, incorrect]
+            for worker_id, (correct, incorrect) in sorted(catalog.worker_stats().items())
+        ],
+    }
+
+
 class TestCheckpointing:
     def test_manual_checkpoint_truncates_wal(self, tmp_path):
         conn = make_db(tmp_path / "db", checkpoint_interval=None)
@@ -153,6 +199,38 @@ class TestCheckpointing:
             "SELECT name FROM movies WHERE movie_id = ?", (9,)
         ).fetchone() == ("late",)
         reopened.close()
+
+    def test_streamed_snapshot_matches_whole_document_encoding(self, tmp_path):
+        conn = repro.connect()
+        conn.execute("CREATE TABLE movies (movie_id INTEGER PRIMARY KEY, name TEXT)")
+        conn.executemany(
+            "INSERT INTO movies (movie_id, name) VALUES (?, ?)",
+            [(i, f"movie-{i} \u00e9\"q\"") for i in range(1, 2600)],
+        )
+        conn.execute("CREATE INDEX ON movies (name)")
+        conn.add_perceptual_column("movies", "is_comedy")
+        conn.table("movies").fill_values(
+            "is_comedy", {1: True, 2: False}, provenance="crowd", confidences={1: 0.9, 2: 0.75}
+        )
+        conn.table("movies").fill_values(
+            "is_comedy", {3: True}, provenance="predicted", confidences={3: 0.6}
+        )
+        conn.execute("CREATE TABLE empty (id INTEGER PRIMARY KEY, score REAL)")
+        conn.execute("CREATE TABLE dropped (id INTEGER PRIMARY KEY)")
+        conn.execute("INSERT INTO dropped VALUES (1)")
+        conn.execute("DROP TABLE dropped")
+        catalog = conn.catalog
+        catalog.restore_enum_answers("is_city", 0, ["Paris", "paris", MISSING])
+        catalog.restore_enum_answers("is_city", 1, [])
+        catalog.restore_worker_stats({3: (4.0, 1.0), 1: (2.5, 0.5)})
+
+        write_snapshot(tmp_path, catalog, last_lsn=42)
+        written = (tmp_path / "snapshot.json").read_bytes()
+        assert written == json.dumps(
+            _whole_document(catalog, last_lsn=42), separators=(",", ":")
+        ).encode("utf-8")
+        rows = load_snapshot(tmp_path)["tables"][0]["rows"]
+        assert rows["4"]["is_comedy"] == {"__missing__": True}
 
     def test_checkpoint_requires_durable_database(self):
         conn = repro.connect()
