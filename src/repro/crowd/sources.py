@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 from repro.crowd.aggregation import AccuracyWeightedVote, group_judgments
 from repro.crowd.estimation import enumeration_predicate
 from repro.crowd.hit import Answer, HITGroup, Question, make_task_items
-from repro.crowd.platform import CrowdPlatform, CrowdRunResult
+from repro.crowd.platform import CrowdPlatform
 from repro.crowd.quality_control import QualityControl
 from repro.crowd.worker import WorkerPool
 from repro.crowd.worker_quality import WorkerQualityTracker
@@ -91,11 +91,12 @@ class SimulatedCrowdValueSource:
     Statistics
     ----------
     ``dispatches`` counts platform calls (one per CrowdFill batch per
-    attribute — the quantity the batching contract bounds), ``total_cost``
-    and ``total_judgments`` accumulate over all dispatches, and ``runs``
-    keeps every :class:`~repro.crowd.platform.CrowdRunResult` for
-    inspection.  All statistics are updated atomically under an internal
-    lock so concurrent dispatches never lose counts.
+    attribute — the quantity the batching contract bounds), and
+    ``total_cost``, ``total_judgments`` and ``total_assignments``
+    accumulate over all dispatches.  No per-dispatch run is kept, so a
+    long-lived source holds constant memory.  All statistics are updated
+    atomically under an internal lock so concurrent dispatches never lose
+    counts.
     """
 
     def __init__(
@@ -187,7 +188,6 @@ class SimulatedCrowdValueSource:
         #: Billable platform assignments completed (the unit adaptive
         #: sizing saves; one dispatch completes many assignments).
         self.total_assignments = 0
-        self.runs: list[CrowdRunResult] = []
 
     def request_values_with_quality(
         self,
@@ -268,7 +268,6 @@ class SimulatedCrowdValueSource:
             self.total_cost += result.total_cost
             self.total_judgments += len(result.judgments)
             self.total_assignments += result.assignments_completed
-            self.runs.append(result)
 
         labels = result.majority_labels()
         values = {
@@ -389,7 +388,6 @@ class SimulatedCrowdValueSource:
                 self.total_cost += result.total_cost
                 self.total_judgments += len(result.judgments)
                 self.total_assignments += result.assignments_completed
-                self.runs.append(result)
 
             gold_truth = {gold_id: gold_pool[gold_id] for gold_id in gold_ids}
             for judgment in result.judgments:

@@ -13,7 +13,7 @@ metadata, which is generated independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -284,34 +284,3 @@ class SyntheticWorld:
         scores = self.item_traits @ weights
         return {item_id: float(score) for item_id, score in zip(self.item_ids, scores)}
 
-
-def perceptual_documents_overlap(
-    documents: Mapping[int, str], truth: Mapping[int, bool]
-) -> float:
-    """Crude diagnostic: fraction of positive items whose document mentions
-    any token that is statistically over-represented in the positive class.
-
-    Used in tests to confirm that metadata documents do *not* leak the
-    perceptual labels (the property that makes the LSI baseline fail).
-    """
-    from collections import Counter
-
-    positive_tokens: Counter[str] = Counter()
-    negative_tokens: Counter[str] = Counter()
-    for item_id, document in documents.items():
-        target = positive_tokens if truth.get(item_id, False) else negative_tokens
-        target.update(set(document.lower().split()))
-    overlap = 0
-    positives = [item_id for item_id, label in truth.items() if label]
-    if not positives:
-        return 0.0
-    discriminative = {
-        token
-        for token, count in positive_tokens.items()
-        if count > 3 * (negative_tokens.get(token, 0) + 1)
-    }
-    for item_id in positives:
-        tokens = set(documents.get(item_id, "").lower().split())
-        if tokens & discriminative:
-            overlap += 1
-    return overlap / len(positives)

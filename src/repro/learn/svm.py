@@ -5,12 +5,13 @@ attributes (like ``is_comedy``) from the perceptual space (Section 4.2):
 an SVM with an RBF kernel trained on a small crowd-sourced gold sample.
 Training sets in all experiments are tiny (tens to around a thousand
 points), so the classic Sequential Minimal Optimization algorithm in pure
-Python/numpy is more than fast enough.
+Python/numpy is fast enough: the scalar SMO steps run on Python floats,
+and only the O(n) error-cache update after each step runs in numpy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -104,10 +105,15 @@ class SVC:
         gram = self.kernel(X, X)
 
         n = X.shape[0]
-        per_sample_C = self._per_sample_C(labels)
-        alphas = np.zeros(n)
+        # Scalar steps read Python lists: a numpy element read boxes a scalar
+        # that costs more than the arithmetic.  Same operations, same order.
+        K = gram.tolist()
+        rows = list(gram)
+        signs = labels.tolist()
+        C = self._per_sample_C(labels).tolist()
+        alphas = [0.0] * n
         bias = 0.0
-        rng = spawn_rng(self._seed, "svc", n)
+        partners = _partner_draws(spawn_rng(self._seed, "svc", n), n)
 
         # Error cache: errors[k] = f(x_k) - y_k, updated incrementally after
         # every alpha change so each SMO step stays O(n).
@@ -118,51 +124,53 @@ class SVC:
         while passes < self.max_passes and iterations < self.max_iterations:
             alphas_changed = 0
             for i in range(n):
-                error_i = errors[i]
+                error_i = errors.item(i)
+                y_i = signs[i]
+                alpha_i_old = alphas[i]
                 if not (
-                    (labels[i] * error_i < -self.tol and alphas[i] < per_sample_C[i])
-                    or (labels[i] * error_i > self.tol and alphas[i] > 0)
+                    (y_i * error_i < -self.tol and alpha_i_old < C[i])
+                    or (y_i * error_i > self.tol and alpha_i_old > 0)
                 ):
                     continue
-                j = int(rng.integers(0, n - 1))
+                j = next(partners)
                 if j >= i:
                     j += 1
-                error_j = errors[j]
+                error_j = errors.item(j)
+                y_j = signs[j]
 
-                alpha_i_old = alphas[i]
                 alpha_j_old = alphas[j]
-                if labels[i] != labels[j]:
-                    low = max(0.0, alphas[j] - alphas[i])
-                    high = min(per_sample_C[j], per_sample_C[j] + alphas[j] - alphas[i])
+                if y_i != y_j:
+                    low = max(0.0, alpha_j_old - alpha_i_old)
+                    high = min(C[j], C[j] + alpha_j_old - alpha_i_old)
                 else:
-                    low = max(0.0, alphas[i] + alphas[j] - per_sample_C[i])
-                    high = min(per_sample_C[j], alphas[i] + alphas[j])
+                    low = max(0.0, alpha_i_old + alpha_j_old - C[i])
+                    high = min(C[j], alpha_i_old + alpha_j_old)
                 if low >= high:
                     continue
 
-                eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+                K_ij, K_ii, K_jj = K[i][j], K[i][i], K[j][j]
+                eta = 2.0 * K_ij - K_ii - K_jj
                 if eta >= 0:
                     continue
 
-                alphas[j] -= labels[j] * (error_i - error_j) / eta
-                alphas[j] = float(np.clip(alphas[j], low, high))
-                if abs(alphas[j] - alpha_j_old) < 1e-7:
-                    alphas[j] = alpha_j_old
+                alpha_j = min(max(alpha_j_old - y_j * (error_i - error_j) / eta, low), high)
+                if abs(alpha_j - alpha_j_old) < 1e-7:
                     continue
-                alphas[i] += labels[i] * labels[j] * (alpha_j_old - alphas[j])
+                alpha_i = alpha_i_old + y_i * y_j * (alpha_j_old - alpha_j)
+                alphas[i], alphas[j] = alpha_i, alpha_j
 
-                delta_i = labels[i] * (alphas[i] - alpha_i_old)
-                delta_j = labels[j] * (alphas[j] - alpha_j_old)
-                b1 = bias - error_i - delta_i * gram[i, i] - delta_j * gram[i, j]
-                b2 = bias - error_j - delta_i * gram[i, j] - delta_j * gram[j, j]
-                if 0 < alphas[i] < per_sample_C[i]:
+                delta_i = y_i * (alpha_i - alpha_i_old)
+                delta_j = y_j * (alpha_j - alpha_j_old)
+                b1 = bias - error_i - delta_i * K_ii - delta_j * K_ij
+                b2 = bias - error_j - delta_i * K_ij - delta_j * K_jj
+                if 0 < alpha_i < C[i]:
                     new_bias = b1
-                elif 0 < alphas[j] < per_sample_C[j]:
+                elif 0 < alpha_j < C[j]:
                     new_bias = b2
                 else:
                     new_bias = (b1 + b2) / 2.0
 
-                errors += delta_i * gram[i] + delta_j * gram[j] + (new_bias - bias)
+                errors += delta_i * rows[i] + delta_j * rows[j] + (new_bias - bias)
                 bias = new_bias
                 alphas_changed += 1
             iterations += 1
@@ -171,9 +179,10 @@ class SVC:
             else:
                 passes = 0
 
-        support = alphas > 1e-8
+        alpha = np.array(alphas)
+        support = alpha > 1e-8
         self._support_vectors = X[support]
-        self._support_alpha_y = (alphas * labels)[support]
+        self._support_alpha_y = (alpha * labels)[support]
         self.intercept_ = float(bias)
         self.n_support_ = int(support.sum())
         self.n_iterations_ = iterations
@@ -251,3 +260,9 @@ class SVC:
             f"SVC(C={self.C}, kernel={self._kernel_spec!r}, "
             f"class_weight={self.class_weight!r}, n_support={self.n_support_})"
         )
+
+
+def _partner_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
+    """SMO partner offsets, drawn ``n`` at a time: the stream of scalar draws."""
+    while True:
+        yield from rng.integers(0, n - 1, size=n).tolist()

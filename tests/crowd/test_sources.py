@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.crowd.platform import CrowdPlatform
+from repro.crowd.platform import CrowdPlatform, CrowdRunResult
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
+from repro.crowd.worker_quality import WorkerQualityTracker
 from repro.db import Dispatch, connect
+
+
+class RecordingPlatform(CrowdPlatform):
+    """A platform that keeps every run it completes, for inspection."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.runs: list[CrowdRunResult] = []
+
+    def run_group(self, *args, **kwargs) -> CrowdRunResult:
+        result = super().run_group(*args, **kwargs)
+        self.runs.append(result)
+        return result
 
 
 @pytest.fixture
@@ -53,9 +69,9 @@ class TestFlatDispatch:
 
 
 class TestDeterminism:
-    def make_source(self, truth, seed):
+    def make_source(self, truth, seed, platform=None):
         return SimulatedCrowdValueSource(
-            CrowdPlatform(seed=11),
+            platform or CrowdPlatform(seed=11),
             WorkerPool.build(n_honest=15, seed=3),
             truth={"is_comedy": truth},
             judgments_per_item=5,
@@ -79,10 +95,11 @@ class TestDeterminism:
         # Child seeds hash the request (attribute + item ids), not the
         # dispatch ordinal: different batches get independent streams ...
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 21)]
-        source = self.make_source(truth, seed=42)
+        platform = RecordingPlatform(seed=11)
+        source = self.make_source(truth, seed=42, platform=platform)
         source.request_values_with_quality("is_comedy", items[:10])
         source.request_values_with_quality("is_comedy", items[10:])
-        first, second = source.runs
+        first, second = platform.runs
         assert [j.worker_id for j in first.judgments] != [
             j.worker_id for j in second.judgments
         ]
@@ -114,14 +131,61 @@ class TestDeterminism:
         # This is the invariant concurrent acquisition rests on: answers
         # are a pure function of the request, not of scheduling.
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 11)]
-        source = self.make_source(truth, seed=42)
+        platform = RecordingPlatform(seed=11)
+        source = self.make_source(truth, seed=42, platform=platform)
         first_values = source.request_values_with_quality("is_comedy", items)
         second_values = source.request_values_with_quality("is_comedy", items)
-        first, second = source.runs
+        first, second = platform.runs
         assert first_values == second_values
         assert [j.worker_id for j in first.judgments] == [
             j.worker_id for j in second.judgments
         ]
+
+
+class TestNoPerDispatchRetention:
+    """A long-lived source, as under ``repro serve``, keeps counters, not runs."""
+
+    @pytest.mark.parametrize(
+        ("quality", "expected"),
+        [(False, (50, 3.000000000000002, 1500, 150)), (True, (126, 9.039999999999994, 2134, 452))],
+        ids=["flat", "quality"],
+    )
+    def test_dispatched_runs_are_released(self, quality, expected):
+        truth = {i: i % 3 == 0 for i in range(1, 61)}
+        pool = WorkerPool.build(n_honest=12, n_spammers=3, seed=3)
+        extra = {}
+        if quality:
+            extra = dict(
+                worker_error_rates={w.worker_id: 0.1 if w.worker_id % 4 else 0.4 for w in pool},
+                gold_answers={"is_comedy": {i: i % 2 == 0 for i in range(100, 108)}},
+            )
+        source = SimulatedCrowdValueSource(
+            CrowdPlatform(seed=11),
+            pool,
+            truth={"is_comedy": truth},
+            judgments_per_item=3,
+            seed=42,
+            **extra,
+        )
+        assert source.quality_enabled is quality
+        tracker = WorkerQualityTracker() if quality else None
+
+        def live_runs() -> int:
+            gc.collect()
+            return sum(isinstance(obj, CrowdRunResult) for obj in gc.get_objects())
+
+        before = live_runs()
+        for k in range(50):
+            batch = [(rowid, {"item_id": rowid}) for rowid in range(1 + k, 11 + k)]
+            source.request_values_with_quality("is_comedy", batch, tracker=tracker)
+        assert live_runs() == before
+        # The counters are exactly what they were when every run was kept.
+        assert (
+            source.dispatches,
+            source.total_cost,
+            source.total_judgments,
+            source.total_assignments,
+        ) == expected
 
 
 class TestQueryIntegration:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,57 @@ class TestClassificationQuality:
         model = SVC(seed=0).fit(X, y)
         assert model.predict(np.array([[0.1, 0.0]]))[0] == np.False_
         assert model.predict(np.array([[3.0, 3.1]]))[0] == np.True_
+
+
+class TestSolverIsPinned:
+    """The SMO solver's exact output, bit for bit.
+
+    The paper tables and ``fill_accuracy`` rest on these fits, so a
+    rewrite of the solver loop must not move a single bit of the alphas,
+    the bias or the sweep count.
+    """
+
+    @staticmethod
+    def dataset(n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 16))
+        score = X[:, 0] + 0.5 * X[:, 1] - 0.3 * X[:, 2] + rng.normal(0.0, 0.8, n)
+        return X, score > 0.6
+
+    @pytest.mark.parametrize(
+        ("n", "seed", "intercept", "iterations", "n_support", "alpha_y_sha256"),
+        [
+            (
+                75,
+                7,
+                "-0x1.ea84d28a7bbfbp-3",
+                200,
+                66,
+                "8d23ebe08f269e8c2b0ec37a80aad483285eceb2466a04c8de6e3b5dcf4b576e",
+            ),
+            (
+                200,
+                8,
+                "-0x1.4995f72fa026cp-6",
+                200,
+                154,
+                "de98c9f0baae3114ba9f9ac1b3fc10abffc40de93986ceafe8142953175f636e",
+            ),
+        ],
+    )
+    def test_balanced_rbf_fit(self, n, seed, intercept, iterations, n_support, alpha_y_sha256):
+        X, y = self.dataset(n, seed)
+        model = SVC(C=2.0, class_weight="balanced", seed=seed).fit(X, y)
+        assert model.intercept_.hex() == intercept
+        assert model.n_iterations_ == iterations
+        assert model.n_support_ == n_support
+        digest = hashlib.sha256(model._support_alpha_y.tobytes()).hexdigest()
+        assert digest == alpha_y_sha256
+
+    def test_block_draw_matches_scalar_draws(self):
+        # The solver draws SMO partners in blocks; that only reproduces the
+        # historical one-draw-per-step stream if numpy's block draw does.
+        for k, m in ((1, 5), (19, 20), (74, 75), (199, 200), (319, 320)):
+            block = np.random.default_rng(k).integers(0, k, size=m).tolist()
+            scalar_rng = np.random.default_rng(k)
+            assert block == [int(scalar_rng.integers(0, k)) for _ in range(m)]
