@@ -13,8 +13,9 @@ This module is the public entry point of :mod:`repro.db`:
 Compared with the legacy ``CrowdDatabase`` facade it replaced, it adds
 three capabilities the paper's query-driven workload needs at scale:
 
-* **parameter binding** — qmark-style ``?`` placeholders bound through the
-  AST, so values never get interpolated into SQL strings;
+* **parameter binding** — qmark-style ``?`` placeholders compiled into
+  reads of the execution's parameter tuple, so values never get
+  interpolated into SQL strings and a cached plan is never rewritten;
 * a **prepared-statement LRU cache** per connection, keyed on SQL text:
   hot repeated queries skip tokenize/parse/plan (plans are invalidated via
   the catalog's schema version when DDL changes the schema); and
@@ -42,7 +43,7 @@ from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.executor import Executor, QueryResult, SelectStream
 from repro.db.sql.operators import CrowdFillSpec, Operator
-from repro.db.sql.parameters import bind_select_plan, bind_statement, check_arity, count_parameters
+from repro.db.sql.parameters import check_arity, count_parameters
 from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.storage import TableStorage, ValueProvenance
@@ -916,7 +917,7 @@ class Connection:
             return execute()
 
     def _run_many(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> int:
-        """Prepare *sql* once, then bind and execute per parameter tuple.
+        """Prepare *sql* once, then execute it per parameter tuple.
 
         Returns the total affected row count.  Statements that return rows
         are rejected (DB-API behaviour); DML never triggers expansion, so
@@ -930,9 +931,7 @@ class Connection:
             if isinstance(prepared.statement, (ast.SelectStatement, ast.ExplainStatement)):
                 raise ExecutionError("executemany() cannot execute statements that return rows")
             # Drain and validate the caller's iterable outside the catalog
-            # lock (a slow generator must not stall other connections);
-            # binding itself is cheap CPU work and happens per tuple inside
-            # the lock so only the raw parameter tuples are materialized.
+            # lock (a slow generator must not stall other connections).
             batches = []
             for params in seq_of_params:
                 params = _normalize_params(params)
@@ -940,12 +939,7 @@ class Connection:
                 batches.append(params)
             with self.catalog.lock:
                 for params in batches:
-                    statement = (
-                        bind_statement(prepared.statement, params, verify_arity=False)
-                        if params
-                        else prepared.statement
-                    )
-                    result = self._executor.execute(statement)
+                    result = self._executor.execute(prepared.statement, params=params)
                     total += result.rowcount
         return total
 
@@ -960,31 +954,29 @@ class Connection:
         if prepared.is_select:
             with self.catalog.lock:
                 plan = prepared.plan_for(self._planner, self.catalog.version)
-                bound_plan = bind_select_plan(plan, params)
             if stream and not explain:
                 return self._executor.open_select(
-                    bound_plan,
+                    plan,
+                    params=params,
                     crowd=self._crowd_spec(),
                     predict=self._predict_spec(),
                     lock=self.catalog.lock,
                 )
             return self._executor.execute_select_plan(
-                bound_plan,
+                plan,
+                params=params,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
                 explain=explain,
                 lock=self.catalog.lock,
             )
-        statement = (
-            bind_statement(prepared.statement, params, verify_arity=False)
-            if params
-            else prepared.statement
-        )
+        statement = prepared.statement
         pragma_result = self._maybe_acquisition_pragma(statement)
         if pragma_result is not None:
             return pragma_result
         return self._executor.execute(
             statement,
+            params=params,
             crowd=self._crowd_spec(),
             predict=self._predict_spec(),
             explain=explain,
@@ -1035,14 +1027,13 @@ class Connection:
         propagates.
         """
         check_arity(count_parameters(statement), params)
-        if params:
-            statement = bind_statement(statement, params, verify_arity=False)
         pragma_result = self._maybe_acquisition_pragma(statement)
         if pragma_result is not None:
             return pragma_result
         result = self._execute_with_expansion(
             lambda: self._executor.execute(
                 statement,
+                params=params,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
                 lock=self.catalog.lock,
@@ -1083,7 +1074,9 @@ class Connection:
         join strategies (``HashJoin`` / ``NestedLoopJoin``), and a
         ``CrowdFill(batch_size=…)`` operator whenever the query references
         a crowd-sourced attribute and the session has a batch value source.
-        Unbound ``?`` placeholders render as ``?N``.
+        Placeholders render as the values in *params*; without any they
+        render as ``?N``.  The access path is chosen from the values, as
+        it is when the statement runs.
         """
         self._check_open()
         with self._lock, self.catalog.lock:
@@ -1094,9 +1087,9 @@ class Connection:
             if params:
                 params = _normalize_params(params)
                 check_arity(prepared.parameter_count, params)
-                plan = bind_select_plan(plan, params)
             return self._executor.describe_physical_plan(
                 plan,
+                params=params,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
             )

@@ -29,8 +29,9 @@ class Literal(Expression):
 class Parameter(Expression):
     """A qmark-style ``?`` placeholder, numbered left to right from 0.
 
-    Parameters are bound to concrete values at execution time (see
-    :mod:`repro.db.sql.parameters`), never interpolated into SQL text.
+    Each execution compiles a placeholder into a read of its slot in the
+    execution's parameter tuple (see :mod:`repro.db.sql.parameters`); values
+    are never interpolated into SQL text.
     """
 
     index: int

@@ -30,6 +30,7 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
+    Params,
     RowContext,
     compile_expression,
     compile_predicate,
@@ -233,6 +234,7 @@ class Executor:
         self,
         statement: ast.Statement,
         *,
+        params: Params = (),
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
@@ -245,18 +247,23 @@ class Executor:
         phase of SELECTs — where crowd-backed resolution may spend real
         time — runs outside it on row copies, so one session's
         crowd-sourcing does not serialize others.
+
+        *params* is the execution's ``?`` tuple, read by the compiled
+        expressions (see :func:`~repro.db.sql.expressions.compile_expression`).
         """
         guard = lock if lock is not None else nullcontext()
         if isinstance(statement, ast.SelectStatement):
             with guard:
                 plan = self._planner.plan_select(statement)
             return self.execute_select_plan(
-                plan, crowd=crowd, predict=predict, explain=explain, lock=lock
+                plan, params=params, crowd=crowd, predict=predict, explain=explain, lock=lock
             )
         if isinstance(statement, ast.ExplainStatement):
             with guard:
                 plan = self._planner.plan_select(statement.statement)
-                description = self.describe_physical_plan(plan, crowd=crowd, predict=predict)
+                description = self.describe_physical_plan(
+                    plan, params=params, crowd=crowd, predict=predict
+                )
             return QueryResult(
                 columns=["plan"],
                 rows=[(line,) for line in description.splitlines()],
@@ -271,7 +278,7 @@ class Executor:
             if isinstance(statement, ast.PragmaStatement):
                 return self._execute_pragma(statement)
             if isinstance(statement, ast.CreateTableStatement):
-                return self._execute_create_table(statement)
+                return self._execute_create_table(statement, params)
             if isinstance(statement, ast.CreateIndexStatement):
                 table = self._catalog.table(statement.table)
                 table.create_index(statement.column)
@@ -279,13 +286,13 @@ class Executor:
             if isinstance(statement, ast.DropTableStatement):
                 return self._execute_drop_table(statement)
             if isinstance(statement, ast.AlterTableAddColumn):
-                return self._execute_alter_add_column(statement)
+                return self._execute_alter_add_column(statement, params)
             if isinstance(statement, ast.InsertStatement):
-                return self._execute_insert(statement)
+                return self._execute_insert(statement, params)
             if isinstance(statement, ast.UpdateStatement):
-                return self._execute_update(statement)
+                return self._execute_update(statement, params)
             if isinstance(statement, ast.DeleteStatement):
-                return self._execute_delete(statement)
+                return self._execute_delete(statement, params)
         raise ExecutionError(f"unsupported statement type {type(statement).__name__}")
 
     # -- SELECT -----------------------------------------------------------------
@@ -294,6 +301,7 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
+        params: Params = (),
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         lock: ContextManager[Any] | None = None,
@@ -309,6 +317,7 @@ class Executor:
         with guard:
             root = self._planner.lower(
                 plan,
+                params=params,
                 crowd=crowd,
                 predict=predict,
                 lock=lock,
@@ -321,13 +330,14 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
+        params: Params = (),
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
         lock: ContextManager[Any] | None = None,
     ) -> QueryResult:
         """Execute an already-planned SELECT to completion."""
-        stream = self.open_select(plan, crowd=crowd, predict=predict, lock=lock)
+        stream = self.open_select(plan, params=params, crowd=crowd, predict=predict, lock=lock)
         result = stream.materialize()
         if explain:
             description = stream.describe(include_stats=True)
@@ -346,26 +356,30 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
+        params: Params = (),
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
     ) -> str:
         """Render the physical operator tree for *plan* without executing.
 
         Must run under the catalog lock when the catalog is shared (the
-        lowering reads table schemas).
+        lowering reads table schemas).  Placeholders render as their
+        *params* values, or as ``?N`` when none are given.
         """
         root = self._planner.lower(
-            plan, crowd=crowd, predict=predict, hash_joins=self.hash_joins
+            plan, params=params, crowd=crowd, predict=predict, hash_joins=self.hash_joins
         )
         return describe_operator_tree(root, include_stats=False)
 
     # -- DDL -----------------------------------------------------------------------
 
-    def _execute_create_table(self, statement: ast.CreateTableStatement) -> QueryResult:
+    def _execute_create_table(
+        self, statement: ast.CreateTableStatement, params: Params
+    ) -> QueryResult:
         columns = []
         primary_key = None
         for definition in statement.columns:
-            column = _column_from_definition(definition)
+            column = _column_from_definition(definition, params)
             columns.append(column)
             if definition.primary_key:
                 if primary_key is not None:
@@ -537,9 +551,11 @@ class Executor:
             rowcount=0,
         )
 
-    def _execute_alter_add_column(self, statement: ast.AlterTableAddColumn) -> QueryResult:
+    def _execute_alter_add_column(
+        self, statement: ast.AlterTableAddColumn, params: Params
+    ) -> QueryResult:
         table = self._catalog.table(statement.table)
-        column = _column_from_definition(statement.column)
+        column = _column_from_definition(statement.column, params)
         fill = column.default if column.default is not None else (
             MISSING if column.kind is AttributeKind.PERCEPTUAL else None
         )
@@ -548,10 +564,11 @@ class Executor:
 
     # -- DML -----------------------------------------------------------------------
 
-    def _execute_insert(self, statement: ast.InsertStatement) -> QueryResult:
+    def _execute_insert(self, statement: ast.InsertStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)
         schema = table.schema
         columns = list(statement.columns) or schema.column_names
+        context = RowContext()
         inserted = 0
         for value_exprs in statement.rows:
             if len(value_exprs) != len(columns):
@@ -559,7 +576,7 @@ class Executor:
                     f"INSERT expects {len(columns)} values, got {len(value_exprs)}"
                 )
             values = {
-                column: evaluate(expr, RowContext())
+                column: evaluate(expr, context, params)
                 for column, expr in zip(columns, value_exprs)
             }
             table.insert(values)
@@ -666,12 +683,12 @@ class Executor:
             result.plan_description = description
         return result
 
-    def _execute_update(self, statement: ast.UpdateStatement) -> QueryResult:
+    def _execute_update(self, statement: ast.UpdateStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)
         alias = table.schema.name
-        matches = compile_predicate(statement.where)
+        matches = compile_predicate(statement.where, params)
         assignments = [
-            (column, compile_expression(expr)) for column, expr in statement.assignments
+            (column, compile_expression(expr, params)) for column, expr in statement.assignments
         ]
         updated = 0
         for rowid, row in list(table.scan()):
@@ -682,10 +699,10 @@ class Executor:
                 updated += 1
         return QueryResult(columns=[], rows=[], rowcount=updated)
 
-    def _execute_delete(self, statement: ast.DeleteStatement) -> QueryResult:
+    def _execute_delete(self, statement: ast.DeleteStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)
         alias = table.schema.name
-        matches = compile_predicate(statement.where)
+        matches = compile_predicate(statement.where, params)
         to_delete = [
             rowid
             for rowid, row in table.scan()
@@ -701,11 +718,11 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
-def _column_from_definition(definition: ast.ColumnDefinition) -> Column:
+def _column_from_definition(definition: ast.ColumnDefinition, params: Params) -> Column:
     column_type = ColumnType.from_name(definition.type_name)
     default: Any = None
     if definition.default is not None:
-        default = evaluate(definition.default, RowContext())
+        default = evaluate(definition.default, RowContext(), params)
     kind = AttributeKind.PERCEPTUAL if definition.perceptual else AttributeKind.FACTUAL
     if definition.perceptual and definition.default is None:
         default = MISSING

@@ -12,8 +12,10 @@ AST into a Python closure over a :class:`RowContext` once, so operators
 compile their expressions at lowering time and pay no tree walk per row.
 Errors (unknown columns, bad functions, type errors) are raised when the
 closure runs, never at compile time, so an expression on a branch or a row
-that is never evaluated cannot fail a query.  :func:`evaluate` and
-:func:`evaluate_predicate` are one-shot conveniences over the compiler.
+that is never evaluated cannot fail a query.  The one exception is a ``?``
+with no slot in a non-empty parameter tuple, a binding error raised before
+the statement runs.  :func:`evaluate` and :func:`evaluate_predicate` are
+one-shot conveniences over the compiler.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.db.sql import ast
 from repro.db.types import MISSING
-from repro.errors import ExecutionError, UnknownColumnError
+from repro.errors import ExecutionError, ParameterBindingError, UnknownColumnError
 
 #: A compiled expression: evaluates against one row context.
 Evaluator = Callable[["RowContext"], Any]
+
+#: One execution's ``?`` values, read by position (empty: unbound).
+Params = Sequence[Any]
 
 
 class RowContext:
@@ -294,7 +299,7 @@ def _failing(message: str) -> Evaluator:
     return fail
 
 
-def _compile_column(ref: ast.ColumnRef) -> Evaluator:
+def _compile_column(ref: ast.ColumnRef, _params: Params) -> Evaluator:
     key = ref.key()
     name, table = ref.name, ref.table
 
@@ -319,10 +324,10 @@ def _compile_column(ref: ast.ColumnRef) -> Evaluator:
     return qualified_column
 
 
-def _compile_binary(expr: ast.BinaryOp) -> Evaluator:
+def _compile_binary(expr: ast.BinaryOp, params: Params) -> Evaluator:
     op = expr.op
-    left = compile_expression(expr.left)
-    right = compile_expression(expr.right)
+    left = compile_expression(expr.left, params)
+    right = compile_expression(expr.right, params)
     if op == "and":
 
         def conjunction(context: RowContext) -> Optional[bool]:
@@ -342,24 +347,24 @@ def _compile_binary(expr: ast.BinaryOp) -> Evaluator:
 
         return disjunction
     combine = binary_operator(op)
-    # A literal operand is a constant: read it once, here.
-    if isinstance(expr.right, ast.Literal):
-        constant = expr.right.value
+    # A literal or bound-parameter operand is a constant: read it once, here.
+    constant = _constant(expr.right, params)
+    if constant is not _NOT_CONSTANT:
         return lambda context: combine(left(context), constant)
-    if isinstance(expr.left, ast.Literal):
-        constant = expr.left.value
+    constant = _constant(expr.left, params)
+    if constant is not _NOT_CONSTANT:
         return lambda context: combine(constant, right(context))
     return lambda context: combine(left(context), right(context))
 
 
-def _compile_unary(expr: ast.UnaryOp) -> Evaluator:
-    operand = compile_expression(expr.operand)
+def _compile_unary(expr: ast.UnaryOp, params: Params) -> Evaluator:
+    operand = compile_expression(expr.operand, params)
     apply = unary_operator(expr.op)
     return lambda context: apply(operand(context))
 
 
-def _compile_is_null(expr: ast.IsNull) -> Evaluator:
-    operand = compile_expression(expr.operand)
+def _compile_is_null(expr: ast.IsNull, params: Params) -> Evaluator:
+    operand = compile_expression(expr.operand, params)
     negated = bool(expr.negated)
     if expr.missing:
         return lambda context: (operand(context) is MISSING) is not negated
@@ -371,9 +376,9 @@ def _compile_is_null(expr: ast.IsNull) -> Evaluator:
     return is_null
 
 
-def _compile_in_list(expr: ast.InList) -> Evaluator:
-    operand = compile_expression(expr.operand)
-    items = [compile_expression(item) for item in expr.items]
+def _compile_in_list(expr: ast.InList, params: Params) -> Evaluator:
+    operand = compile_expression(expr.operand, params)
+    items = [compile_expression(item, params) for item in expr.items]
     negated = bool(expr.negated)
 
     def in_list(context: RowContext) -> Optional[bool]:
@@ -395,10 +400,10 @@ def _compile_in_list(expr: ast.InList) -> Evaluator:
     return in_list
 
 
-def _compile_between(expr: ast.Between) -> Evaluator:
-    operand = compile_expression(expr.operand)
-    low = compile_expression(expr.low)
-    high = compile_expression(expr.high)
+def _compile_between(expr: ast.Between, params: Params) -> Evaluator:
+    operand = compile_expression(expr.operand, params)
+    low = compile_expression(expr.low, params)
+    high = compile_expression(expr.high, params)
     negated = bool(expr.negated)
 
     def between(context: RowContext) -> Optional[bool]:
@@ -415,13 +420,13 @@ def _compile_between(expr: ast.Between) -> Evaluator:
     return between
 
 
-def _compile_function(expr: ast.FunctionCall) -> Evaluator:
+def _compile_function(expr: ast.FunctionCall, params: Params) -> Evaluator:
     name = expr.name.lower()
     if name in ast.AGGREGATE_FUNCTIONS:
         return _failing(
             f"aggregate function {name.upper()} used outside of an aggregation context"
         )
-    args = [compile_expression(arg) for arg in expr.args]
+    args = [compile_expression(arg, params) for arg in expr.args]
     if name == "coalesce":
 
         def coalesce(context: RowContext) -> Any:
@@ -438,12 +443,12 @@ def _compile_function(expr: ast.FunctionCall) -> Evaluator:
     return lambda context: handler(*[arg(context) for arg in args])
 
 
-def _compile_case(expr: ast.CaseExpression) -> Evaluator:
+def _compile_case(expr: ast.CaseExpression, params: Params) -> Evaluator:
     branches = [
-        (compile_expression(condition), compile_expression(value))
+        (compile_expression(condition, params), compile_expression(value, params))
         for condition, value in expr.branches
     ]
-    default = compile_expression(expr.default) if expr.default is not None else None
+    default = compile_expression(expr.default, params) if expr.default is not None else None
 
     def case(context: RowContext) -> Any:
         for condition, value in branches:
@@ -456,20 +461,38 @@ def _compile_case(expr: ast.CaseExpression) -> Evaluator:
     return case
 
 
-def _compile_literal(expr: ast.Literal) -> Evaluator:
+def _compile_literal(expr: ast.Literal, _params: Params) -> Evaluator:
     value = expr.value
     return lambda _context: value
 
 
-def _compile_star(_expr: ast.Star) -> Evaluator:
+def _compile_star(_expr: ast.Star, _params: Params) -> Evaluator:
     return _failing("'*' is only valid inside COUNT(*) or a SELECT list")
 
 
-def _compile_parameter(expr: ast.Parameter) -> Evaluator:
-    return _failing(f"unbound parameter {expr.index + 1}; bind values before execution")
+def _compile_parameter(expr: ast.Parameter, params: Params) -> Evaluator:
+    if not params:
+        return _failing(f"unbound parameter {expr.index + 1}; bind values before execution")
+    value = _constant(expr, params)
+    return lambda _context: value
 
 
-_COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
+_NOT_CONSTANT = object()
+
+
+def _constant(expr: ast.Expression, params: Params) -> Any:
+    """The value of a literal or bound placeholder, else ``_NOT_CONSTANT``."""
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.Parameter) and params:
+        try:
+            return params[expr.index]
+        except IndexError:
+            raise ParameterBindingError(f"no value bound for parameter {expr.index + 1}") from None
+    return _NOT_CONSTANT
+
+
+_COMPILERS: dict[type, Callable[[Any, Params], Evaluator]] = {
     ast.Literal: _compile_literal,
     ast.ColumnRef: _compile_column,
     ast.Star: _compile_star,
@@ -484,24 +507,28 @@ _COMPILERS: dict[type, Callable[[Any], Evaluator]] = {
 }
 
 
-def compile_expression(expr: ast.Expression) -> Evaluator:
+def compile_expression(expr: ast.Expression, params: Params = ()) -> Evaluator:
     """Compile *expr* once into a closure evaluating it against a row context.
 
-    MISSING propagates as unknown; AND/OR/CASE/COALESCE short-circuit left
-    to right.  Callers on a per-row path compile at lowering time and call
-    the closure per row.
+    Each ``?`` placeholder reads its slot of *params*, the execution's
+    parameter tuple, here at compile time; with no tuple a placeholder
+    fails when evaluated.  MISSING propagates as unknown; AND/OR/CASE/
+    COALESCE short-circuit left to right.  Callers on a per-row path
+    compile at lowering time and call the closure per row.
     """
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
         return _failing(f"cannot evaluate expression of type {type(expr).__name__}")
-    return compiler(expr)
+    return compiler(expr, params)
 
 
-def compile_predicate(expr: ast.Expression | None) -> Callable[[RowContext], bool]:
+def compile_predicate(
+    expr: ast.Expression | None, params: Params = ()
+) -> Callable[[RowContext], bool]:
     """Compile a WHERE/HAVING/ON predicate; unknown collapses to False."""
     if expr is None:
         return lambda _context: True
-    evaluator = compile_expression(expr)
+    evaluator = compile_expression(expr, params)
 
     def predicate(context: RowContext) -> bool:
         value = evaluator(context)
@@ -514,9 +541,9 @@ def compile_predicate(expr: ast.Expression | None) -> Callable[[RowContext], boo
     return predicate
 
 
-def evaluate(expr: ast.Expression, context: RowContext) -> Any:
+def evaluate(expr: ast.Expression, context: RowContext, params: Params = ()) -> Any:
     """Evaluate *expr* once against *context* (one-shot callers)."""
-    return compile_expression(expr)(context)
+    return compile_expression(expr, params)(context)
 
 
 def evaluate_predicate(expr: ast.Expression | None, context: RowContext) -> bool:
@@ -524,8 +551,13 @@ def evaluate_predicate(expr: ast.Expression | None, context: RowContext) -> bool
     return compile_predicate(expr)(context)
 
 
-def expression_label(expr: ast.Expression) -> str:
-    """Human-readable label used as the output column name for an expression."""
+def expression_label(expr: ast.Expression, params: Params = ()) -> str:
+    """Human-readable label used as the output column name for an expression.
+
+    Output names are labelled from the statement template, so a ``?``
+    renders as ``?N``; EXPLAIN passes the execution's *params* to render
+    the bound values instead.
+    """
     if isinstance(expr, ast.ColumnRef):
         return expr.name
     if isinstance(expr, ast.Literal):
@@ -533,16 +565,19 @@ def expression_label(expr: ast.Expression) -> str:
     if isinstance(expr, ast.FunctionCall):
         if expr.star:
             return f"{expr.name}(*)"
-        inner = ", ".join(expression_label(arg) for arg in expr.args)
+        inner = ", ".join(expression_label(arg, params) for arg in expr.args)
         prefix = "distinct " if expr.distinct else ""
         return f"{expr.name}({prefix}{inner})"
     if isinstance(expr, ast.BinaryOp):
-        return f"{expression_label(expr.left)} {expr.op} {expression_label(expr.right)}"
+        left = expression_label(expr.left, params)
+        return f"{left} {expr.op} {expression_label(expr.right, params)}"
     if isinstance(expr, ast.UnaryOp):
-        return f"{expr.op} {expression_label(expr.operand)}"
+        return f"{expr.op} {expression_label(expr.operand, params)}"
     if isinstance(expr, ast.Star):
         return "*"
     if isinstance(expr, ast.Parameter):
+        if expr.index < len(params):
+            return repr(params[expr.index])
         # Include the position: distinct placeholders must never compare
         # equal (GROUP BY validation matches expressions by label).
         return f"?{expr.index + 1}"

@@ -91,6 +91,7 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
+    Params,
     RowContext,
     binary_operator,
     compile_expression,
@@ -349,6 +350,7 @@ class IndexScan(Operator):
         alias: str,
         column: str,
         value_expr: ast.Expression,
+        params: Params = (),
     ) -> None:
         super().__init__()
         self._catalog = catalog
@@ -356,6 +358,7 @@ class IndexScan(Operator):
         self.alias = alias
         self.column = column
         self._value_expr = value_expr
+        self._params = params
         self._snapshot: list[tuple[int, dict[str, Any]]] = []
         self.rows_scanned = 0
 
@@ -370,7 +373,7 @@ class IndexScan(Operator):
         if index is None:  # index vanished between planning and execution
             self._snapshot = storage.snapshot()
             return
-        value = evaluate(self._value_expr, RowContext())
+        value = evaluate(self._value_expr, RowContext(), self._params)
         self._snapshot = [
             (rowid, storage.get(rowid)) for rowid in sorted(index.lookup(value))
         ]
@@ -400,9 +403,10 @@ class IndexRangeScan(Operator):
     lowering has eliminated the Sort operator.  An ascending ordered walk
     composes with bounds (a range is emitted in index order already).
 
-    Bound expressions are resolved at ``open()`` time.  A NULL bound makes
-    the range predicate unknown for every row, so the scan is empty.  Like
-    :class:`IndexScan`, a vanished index degrades to a full snapshot scan
+    Bound expressions (literals or ``?`` slots of *params*) are resolved
+    at ``open()`` time.  A NULL bound makes the range predicate unknown
+    for every row, so the scan is empty.  Like :class:`IndexScan`, a
+    vanished index degrades to a full snapshot scan
     — the residual filter keeps the result correct (the dialect has no
     DROP INDEX, so an eliminated Sort can only lose its index to DROP
     TABLE, which makes the whole query fail on lookup instead).
@@ -423,6 +427,7 @@ class IndexRangeScan(Operator):
         high_inclusive: bool = True,
         ordered: bool = False,
         descending: bool = False,
+        params: Params = (),
     ) -> None:
         super().__init__()
         self._catalog = catalog
@@ -431,6 +436,7 @@ class IndexRangeScan(Operator):
         self.column = column
         self._low = low
         self._high = high
+        self._params = params
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
         self.ordered = ordered
@@ -447,11 +453,11 @@ class IndexRangeScan(Operator):
             return
         low = high = None
         if self._low is not None:
-            low = evaluate(self._low, RowContext())
+            low = evaluate(self._low, RowContext(), self._params)
             if _is_unknown(low):
                 return  # NULL bound: predicate unknown for every row
         if self._high is not None:
-            high = evaluate(self._high, RowContext())
+            high = evaluate(self._high, RowContext(), self._params)
             if _is_unknown(high):
                 return
         if low is None and high is None:
@@ -489,10 +495,10 @@ class IndexRangeScan(Operator):
         pieces = []
         if self._low is not None:
             op = ">=" if self.low_inclusive else ">"
-            pieces.append(f"{self.column} {op} {expression_label(self._low)}")
+            pieces.append(f"{self.column} {op} {expression_label(self._low, self._params)}")
         if self._high is not None:
             op = "<=" if self.high_inclusive else "<"
-            pieces.append(f"{self.column} {op} {expression_label(self._high)}")
+            pieces.append(f"{self.column} {op} {expression_label(self._high, self._params)}")
         condition = " AND ".join(pieces) if pieces else self.column
         suffix = ""
         if self.ordered:
@@ -1214,13 +1220,15 @@ class NestedLoopJoin(Operator):
         condition: Optional[ast.Expression],
         kind: str,
         right_columns: Sequence[str],
+        params: Params = (),
     ) -> None:
         super().__init__(left, right)
         self.alias = alias
         self.condition = condition
         self.kind = kind
         self._right_columns = list(right_columns)
-        self._matches = compile_predicate(condition)
+        self._params = params
+        self._matches = compile_predicate(condition, params)
 
     def _produce(self) -> Iterator[RowContext]:
         right_rows = list(self.children[1])  # materialized once per join
@@ -1238,7 +1246,7 @@ class NestedLoopJoin(Operator):
 
     def detail(self) -> str:
         condition = (
-            expression_label(self.condition) if self.condition is not None else "TRUE"
+            expression_label(self.condition, self._params) if self.condition is not None else "TRUE"
         )
         return f"{self.kind.upper()} {self.alias} ON {condition}"
 
@@ -1316,10 +1324,11 @@ class Filter(Operator):
 
     label = "Filter"
 
-    def __init__(self, child: Operator, predicate: ast.Expression) -> None:
+    def __init__(self, child: Operator, predicate: ast.Expression, params: Params = ()) -> None:
         super().__init__(child)
         self.predicate = predicate
-        self._matches = compile_predicate(predicate)
+        self._params = params
+        self._matches = compile_predicate(predicate, params)
         self.rows_in = 0
 
     def _produce(self) -> Iterator[RowContext]:
@@ -1330,7 +1339,7 @@ class Filter(Operator):
                 yield context
 
     def detail(self) -> str:
-        return expression_label(self.predicate)
+        return expression_label(self.predicate, self._params)
 
 
 class Project(Operator):
@@ -1338,10 +1347,12 @@ class Project(Operator):
 
     label = "Project"
 
-    def __init__(self, child: Operator, output: Sequence[OutputColumn]) -> None:
+    def __init__(
+        self, child: Operator, output: Sequence[OutputColumn], params: Params = ()
+    ) -> None:
         super().__init__(child)
         self.output = tuple(output)
-        self._columns = [compile_expression(column.expression) for column in self.output]
+        self._columns = [compile_expression(column.expression, params) for column in self.output]
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         columns = self._columns
@@ -1367,7 +1378,7 @@ def _failing_group(message: str) -> GroupEvaluator:
     return fail
 
 
-def _compile_aggregate_call(call: ast.FunctionCall) -> GroupEvaluator:
+def _compile_aggregate_call(call: ast.FunctionCall, params: Params) -> GroupEvaluator:
     """Compile one aggregate function call over a group of row contexts."""
     name = call.name.lower()
     if call.star:
@@ -1376,7 +1387,7 @@ def _compile_aggregate_call(call: ast.FunctionCall) -> GroupEvaluator:
         return lambda group, _representative: len(group)
     if len(call.args) != 1:
         return _failing_group(f"aggregate {name.upper()} takes exactly one argument")
-    argument = compile_expression(call.args[0])
+    argument = compile_expression(call.args[0], params)
     distinct = call.distinct
 
     def aggregate(group: Sequence[RowContext], _representative: RowContext) -> Any:
@@ -1409,26 +1420,26 @@ def _compile_aggregate_call(call: ast.FunctionCall) -> GroupEvaluator:
     return aggregate
 
 
-def compile_group_expression(expr: ast.Expression) -> GroupEvaluator:
+def compile_group_expression(expr: ast.Expression, params: Params = ()) -> GroupEvaluator:
     """Compile an expression that may mix aggregates and scalars.
 
     Aggregate calls reduce the group; operators combine their operands'
     values; anything else is a scalar evaluated on the representative.
     """
     if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return _compile_aggregate_call(expr)
+        return _compile_aggregate_call(expr, params)
     if isinstance(expr, ast.BinaryOp):
-        left = compile_group_expression(expr.left)
-        right = compile_group_expression(expr.right)
+        left = compile_group_expression(expr.left, params)
+        right = compile_group_expression(expr.right, params)
         combine = binary_operator(expr.op)
         return lambda group, representative: combine(
             left(group, representative), right(group, representative)
         )
     if isinstance(expr, ast.UnaryOp):
-        operand = compile_group_expression(expr.operand)
+        operand = compile_group_expression(expr.operand, params)
         apply = unary_operator(expr.op)
         return lambda group, representative: apply(operand(group, representative))
-    scalar = compile_expression(expr)
+    scalar = compile_expression(expr, params)
     return lambda _group, representative: scalar(representative)
 
 
@@ -1443,14 +1454,18 @@ class Aggregate(Operator):
         output: Sequence[OutputColumn],
         group_by: Sequence[ast.Expression],
         having: Optional[ast.Expression],
+        params: Params = (),
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
         self.group_by = tuple(group_by)
         self.having = having
-        self._keys = [compile_expression(expr) for expr in self.group_by]
-        self._having = compile_group_expression(having) if having is not None else None
-        self._columns = [compile_group_expression(column.expression) for column in self.output]
+        self._params = params
+        self._keys = [compile_expression(expr, params) for expr in self.group_by]
+        self._having = compile_group_expression(having, params) if having is not None else None
+        self._columns = [
+            compile_group_expression(column.expression, params) for column in self.output
+        ]
         self.groups_built = 0
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
@@ -1475,7 +1490,7 @@ class Aggregate(Operator):
             yield row, representative
 
     def detail(self) -> str:
-        keys = ", ".join(expression_label(e) for e in self.group_by) or "<all>"
+        keys = ", ".join(expression_label(e, self._params) for e in self.group_by) or "<all>"
         return f"BY {keys}"
 
     def extra_stats(self) -> list[str]:
@@ -1517,11 +1532,13 @@ class Sort(Operator):
         order_by: Sequence[ast.OrderItem],
         output_names: Sequence[str],
         aggregate: bool,
+        params: Params = (),
     ) -> None:
         super().__init__(child)
         self.order_by = tuple(order_by)
         self._output_names = list(output_names)
         self._aggregate = aggregate
+        self._params = params
         self._keys = [
             (item.ascending, self._compile_key(item.expression)) for item in self.order_by
         ]
@@ -1553,13 +1570,13 @@ class Sort(Operator):
             return output_key
 
         if self._aggregate:
-            grouped = compile_group_expression(expression)
+            grouped = compile_group_expression(expression, self._params)
 
             def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
                 return grouped([context], context.with_bindings(names, row))
 
         else:
-            scalar = compile_expression(expression)
+            scalar = compile_expression(expression, self._params)
 
             def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
                 return scalar(context.with_bindings(names, row))
@@ -1588,7 +1605,7 @@ class Sort(Operator):
 
     def detail(self) -> str:
         return ", ".join(
-            expression_label(item.expression) + ("" if item.ascending else " DESC")
+            expression_label(item.expression, self._params) + ("" if item.ascending else " DESC")
             for item in self.order_by
         )
 
@@ -1715,6 +1732,7 @@ def _lower_scan(
     predict: PredictSpec | None,
     lock: ContextManager[Any] | None,
     access_path: AccessPath | None = None,
+    params: Params = (),
 ) -> Operator:
     """Lower one table scan, stacking acquisition operators as configured.
 
@@ -1738,11 +1756,12 @@ def _lower_scan(
             high_inclusive=access_path.high_inclusive,
             ordered=access_path.ordered,
             descending=access_path.descending,
+            params=params,
         )
         source.est_rows = access_path.est_rows
     elif scan.uses_index and scan.index_value is not None:
         source = IndexScan(
-            catalog, scan.table, scan.alias, scan.index_column or "", scan.index_value
+            catalog, scan.table, scan.alias, scan.index_column or "", scan.index_value, params
         )
         source.est_rows = storage.stats.estimate_equality(
             scan.index_column or "", len(storage)
@@ -1845,6 +1864,7 @@ def lower_select_plan(
     lock: ContextManager[Any] | None = None,
     hash_joins: bool = True,
     access_path: AccessPath | None = None,
+    params: Params = (),
 ) -> Operator:
     """Lower a logical :class:`SelectPlan` into a physical operator tree.
 
@@ -1859,6 +1879,10 @@ def lower_select_plan(
     :meth:`~repro.db.sql.planner.Planner.choose_scan_path`); when it is
     ``ordered`` the index walk already emits rows in ORDER BY order and no
     Sort operator is planted.
+
+    *params* is the execution's ``?`` tuple: every operator compiles its
+    expressions with it, so placeholders become slot reads and the cached
+    plan itself is never rewritten.
     """
     root: Operator
     if plan.from_crowd is not None:
@@ -1879,13 +1903,13 @@ def lower_select_plan(
         root = SingleRow()
     else:
         source = _lower_scan(
-            plan, plan.scan, catalog, crowd, predict, lock, access_path
+            plan, plan.scan, catalog, crowd, predict, lock, access_path, params
         )
         root = Bind(source, plan.scan.alias)
         left_est = source.est_rows if source.est_rows is not None else 1
         aliases = {plan.scan.alias.lower()}
         for join in plan.joins:
-            right = _lower_scan(plan, join.scan, catalog, crowd, predict, lock)
+            right = _lower_scan(plan, join.scan, catalog, crowd, predict, lock, params=params)
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
             keys = None
@@ -1917,6 +1941,7 @@ def lower_select_plan(
                     join.condition,
                     join.kind,
                     right_columns,
+                    params,
                 )
                 if join.condition is None:  # cross join: full product
                     left_est = max(1, left_est * right_est)
@@ -1926,7 +1951,7 @@ def lower_select_plan(
             aliases.add(join.scan.alias.lower())
 
     if plan.where is not None:
-        root = Filter(root, plan.where)
+        root = Filter(root, plan.where, params)
 
     if plan.aggregate is not None:
         root = Aggregate(
@@ -1934,9 +1959,10 @@ def lower_select_plan(
             plan.output,
             plan.aggregate.group_by,
             plan.aggregate.having,
+            params,
         )
     else:
-        root = Project(root, plan.output)
+        root = Project(root, plan.output, params)
 
     if plan.distinct:
         root = Distinct(root)
@@ -1949,6 +1975,7 @@ def lower_select_plan(
             plan.order_by,
             [column.name for column in plan.output],
             plan.aggregate is not None,
+            params,
         )
 
     if plan.limit is not None or plan.offset:

@@ -1,20 +1,18 @@
-"""Binding of qmark-style ``?`` parameters into parsed statements and plans.
+"""Qmark-style ``?`` parameters: counting, arity checks and plan rewriting.
 
 Placeholders are lexed as first-class tokens (never inside string literals)
-and parsed into :class:`~repro.db.sql.ast.Parameter` leaves, so values are
-bound structurally instead of being interpolated into SQL text.  Binding
-replaces each ``Parameter`` with a :class:`~repro.db.sql.ast.Literal`
-carrying the supplied Python value; because all AST (and plan) nodes are
-frozen dataclasses, the template stays reusable and can be cached, and one
-generic traversal over dataclass fields and tuples covers every node type —
-new AST constructs are counted and bound automatically.
+and parsed into :class:`~repro.db.sql.ast.Parameter` leaves numbered left to
+right, so values are never interpolated into SQL text.  The engine binds
+them without touching the AST: each execution hands its parameter tuple
+down to :func:`~repro.db.sql.expressions.compile_expression`, which turns
+every placeholder into a read of its slot.  A parsed statement and its
+cached plan are therefore shared, unchanged, by every execution.
 
-Two binding granularities are provided:
-
-* :func:`bind_statement` rewrites a parsed statement (used for DML/DDL), and
-* :func:`bind_select_plan` rewrites an already-planned SELECT, so a cached
-  plan can be re-executed with fresh values without re-tokenizing,
-  re-parsing or re-planning.
+This module keeps the checks that run before an execution
+(:func:`count_parameters`, :func:`check_arity`) and
+:func:`bind_select_plan`, a structural rewrite of a planned SELECT that
+replaces each placeholder with a literal.  The engine does not call it;
+the benchmark's traced front-end replay (``perfbench/layers.py``) does.
 """
 
 from __future__ import annotations
@@ -56,35 +54,11 @@ def check_arity(expected: int, params: Sequence[Any]) -> None:
         )
 
 
-def bind_statement(
-    statement: ast.Statement, params: Sequence[Any], *, verify_arity: bool = True
-) -> ast.Statement:
-    """Return *statement* with every ``?`` placeholder replaced by a literal.
-
-    The parameter arity is validated against the placeholders actually
-    present; a statement without placeholders is returned unchanged.
-    Callers that already validated arity against a cached placeholder count
-    (the prepared-statement hot path) pass ``verify_arity=False`` to skip
-    the extra AST walk.
-    """
-    if verify_arity:
-        check_arity(count_parameters(statement), params)
-    if not params:
-        return statement
-    return _rebuild(statement, tuple(params))
-
-
-def bind_expression(expr: ast.Expression, params: Sequence[Any]) -> ast.Expression:
-    """Replace ``Parameter`` leaves in *expr* with literals from *params*."""
-    return _rebuild(expr, tuple(params))
-
-
 def bind_select_plan(plan: SelectPlan, params: Sequence[Any]) -> SelectPlan:
-    """Return *plan* with parameters bound into all of its expressions.
+    """Return *plan* with every ``?`` replaced by a literal from *params*.
 
-    This is the statement-cache fast path: the plan was built once from the
-    parameter template and only its expression trees are rewritten per
-    execution.
+    Used only by the benchmark's front-end replay, which lowers the result
+    with :meth:`~repro.db.sql.planner.Planner.lower` and no parameters.
     """
     if not params:
         return plan

@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from repro.db.catalog import Catalog
 from repro.db.sql import ast
-from repro.db.sql.expressions import RowContext, evaluate, expression_label
+from repro.db.sql.expressions import Params, RowContext, evaluate, expression_label
 from repro.db.types import is_absent
 from repro.errors import PlanningError, UnknownColumnError
 
@@ -60,7 +60,7 @@ class AccessPath:
     Produced by :meth:`Planner.choose_scan_path` and consumed by
     :func:`~repro.db.sql.operators.lower_select_plan`, which lowers it to
     an :class:`~repro.db.sql.operators.IndexRangeScan`.  Bounds are kept
-    as expressions (literals or bound parameters) and resolved at operator
+    as expressions (literals or ``?`` placeholders) and resolved at operator
     ``open()`` time; ``None`` bounds are open ends.  With ``ordered`` set
     the scan walks the whole index in order and the Sort operator is
     eliminated from the lowered tree.
@@ -222,6 +222,7 @@ class Planner:
         self,
         plan: SelectPlan,
         *,
+        params: Params = (),
         crowd=None,
         predict=None,
         lock=None,
@@ -248,6 +249,9 @@ class Planner:
         index probe already chosen — may be upgraded to an
         :class:`~repro.db.sql.operators.IndexRangeScan` or an ordered
         index walk via :meth:`choose_scan_path`.
+
+        *params* is the execution's ``?`` tuple: the cost model sizes
+        range bounds from its values and the operators read its slots.
         """
         from repro.db.sql.operators import lower_select_plan
 
@@ -260,7 +264,7 @@ class Planner:
             and not plan.joins
             and not plan.scan.uses_index
         ):
-            access_path = self.choose_scan_path(plan)
+            access_path = self.choose_scan_path(plan, params)
         return lower_select_plan(
             plan,
             self._catalog,
@@ -269,9 +273,10 @@ class Planner:
             lock=lock,
             hash_joins=hash_joins,
             access_path=access_path,
+            params=params,
         )
 
-    def choose_scan_path(self, plan: SelectPlan) -> Optional[AccessPath]:
+    def choose_scan_path(self, plan: SelectPlan, params: Params = ()) -> Optional[AccessPath]:
         """Cost out index alternatives for the driving scan of *plan*.
 
         Returns None to keep the sequential scan, otherwise an
@@ -302,7 +307,7 @@ class Planner:
         for column, bounds in self._range_candidates(plan.where, alias).items():
             if storage.index_on(column) is None:
                 continue
-            resolved = self._resolve_bounds(bounds)
+            resolved = self._resolve_bounds(bounds, params)
             if resolved is None:
                 continue
             low_value, high_value = resolved
@@ -439,6 +444,7 @@ class Planner:
         bounds: tuple[
             Optional[ast.Expression], Optional[ast.Expression], bool, bool
         ],
+        params: Params,
     ) -> Optional[tuple[Any, Any]]:
         """Evaluate bound expressions to values; None rejects the candidate.
 
@@ -453,7 +459,7 @@ class Planner:
                 values.append(None)
                 continue
             try:
-                value = evaluate(expr, RowContext())
+                value = evaluate(expr, RowContext(), params)
             except Exception:
                 return None
             if is_absent(value):

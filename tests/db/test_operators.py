@@ -458,10 +458,10 @@ class TestCompileOnce:
         calls = 0
         original = expressions_module.compile_expression
 
-        def counting(expr):
+        def counting(expr, params=()):
             nonlocal calls
             calls += 1
-            return original(expr)
+            return original(expr, params)
 
         for module in (expressions_module, operators_module, executor_module):
             monkeypatch.setattr(module, "compile_expression", counting)
