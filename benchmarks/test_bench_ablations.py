@@ -84,9 +84,7 @@ def test_ablation_embedding_vs_svd(benchmark, movie_context, repetitions, report
                 )
                 gold = {i: True for i in positives}
                 gold.update({i: False for i in negatives})
-                extraction = PerceptualAttributeExtractor(space, seed=repetition).extract_boolean(
-                    "is_comedy", gold
-                )
+                extraction = PerceptualAttributeExtractor(space).extract_boolean("is_comedy", gold)
                 ids = [i for i in labels if i in extraction.values]
                 truth = np.array([labels[i] for i in ids])
                 predictions = np.array([extraction.values[i] for i in ids])
@@ -120,7 +118,7 @@ def test_ablation_extractor_training_cost(benchmark, movie_context, report_write
     positives, negatives = sample_balanced_training_set(usable, per_class, seed=0)
     gold = {i: True for i in positives}
     gold.update({i: False for i in negatives})
-    extractor = PerceptualAttributeExtractor(movie_context.space, seed=0)
+    extractor = PerceptualAttributeExtractor(movie_context.space)
 
     result = benchmark(extractor.extract_boolean, "is_comedy", gold)
     assert len(result.values) == movie_context.space.n_items

@@ -20,7 +20,7 @@ def test_figure3_boosting_over_time(benchmark, movie_context, crowd_outcome, rep
     series = benchmark.pedantic(
         run_boosting_experiments,
         args=(movie_context, crowd_outcome),
-        kwargs={"retrain_every_minutes": 5.0, "seed": 23},
+        kwargs={"retrain_every_minutes": 5.0},
         rounds=1,
         iterations=1,
     )

@@ -17,7 +17,7 @@ def test_figure4_boosting_over_money(benchmark, movie_context, crowd_outcome, re
     series = benchmark.pedantic(
         run_boosting_experiments,
         args=(movie_context, crowd_outcome),
-        kwargs={"retrain_every_minutes": 5.0, "seed": 24},
+        kwargs={"retrain_every_minutes": 5.0},
         rounds=1,
         iterations=1,
     )

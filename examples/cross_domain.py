@@ -34,7 +34,7 @@ def expand_categories(corpus, categories, *, n_per_class: int = 20, seed: int = 
             continue
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(space, seed=seed)
+        extractor = PerceptualAttributeExtractor(space)
         extraction = extractor.extract_boolean(category, gold)
         ids = [i for i in labels if i in extraction.values]
         truth = np.array([labels[i] for i in ids])

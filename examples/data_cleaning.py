@@ -47,7 +47,7 @@ def main() -> None:
           f"{len(swapped)} of them wrong ({label_accuracy(crowd_labels, truth) * 100:.1f}% accurate)")
 
     # 2. Flag questionable responses.
-    detector = QuestionableResponseDetector(space, seed=11)
+    detector = QuestionableResponseDetector(space)
     scan = detector.scan("is_horror", crowd_labels)
     precision, recall = scan.score_against(swapped)
     print(

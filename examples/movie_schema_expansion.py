@@ -89,7 +89,7 @@ def main() -> None:
     collector = GoldSampleCollector(platform, pool.only_trusted(), seed=13)
     expansion = (
         conn_space.expansion()
-        .with_policy(PerceptualSpacePolicy(space, collector, gold_sample_size=80, seed=13))
+        .with_policy(PerceptualSpacePolicy(space, collector, gold_sample_size=80))
         .with_key("item_id")
         .with_truth({"is_comedy": truth})
         .build()

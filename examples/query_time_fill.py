@@ -68,7 +68,7 @@ def main() -> None:
     gold = {
         i: float(np.clip((7.5 if labels[i] else 3.5) + rng.normal(0, 1), 1, 10)) for i in gold_ids
     }
-    extractor = PerceptualAttributeExtractor(space, seed=21)
+    extractor = PerceptualAttributeExtractor(space)
     source = ExtractionValueSource(
         extractor.extract_numeric("humor", gold, value_range=(1.0, 10.0)).values
     )

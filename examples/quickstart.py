@@ -60,7 +60,7 @@ def main() -> None:
     platform = CrowdPlatform(seed=7)
     pool = WorkerPool.build(n_honest=25, n_experts=10, n_spammers=10, seed=7)
     collector = GoldSampleCollector(platform, pool.only_trusted(), seed=7)
-    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60, seed=7)
+    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60)
     expander = (
         conn.expansion()
         .with_policy(policy)

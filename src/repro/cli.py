@@ -186,7 +186,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     platform = CrowdPlatform(seed=args.seed)
     pool = WorkerPool.build(n_honest=25, n_experts=10, n_spammers=10, seed=args.seed)
     collector = GoldSampleCollector(platform, pool.only_trusted(), seed=args.seed)
-    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60, seed=args.seed)
+    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60)
     expander = (
         conn.expansion()
         .with_policy(policy)

@@ -17,7 +17,6 @@ from repro.errors import InsufficientTrainingDataError, LearningError
 from repro.learn.svm import SVC
 from repro.learn.svr import SVR
 from repro.perceptual.space import PerceptualSpace
-from repro.utils.rng import RandomState
 
 
 @dataclass
@@ -61,14 +60,12 @@ class PerceptualAttributeExtractor:
         gamma: float | str = "scale",
         class_weight: str | None = "balanced",
         min_training_size: int = 6,
-        seed: RandomState = None,
     ) -> None:
         self.space = space
         self.C = C
         self.gamma = gamma
         self.class_weight = class_weight
         self.min_training_size = min_training_size
-        self._seed = seed
 
     # -- binary attributes -----------------------------------------------------------
 
@@ -96,7 +93,6 @@ class PerceptualAttributeExtractor:
             kernel="rbf",
             gamma=self.gamma,
             class_weight=self.class_weight,
-            seed=self._seed,
         )
         classifier.fit(X, y)
         return classifier

@@ -28,7 +28,6 @@ from repro.crowd.quality_control import QualityControl
 from repro.crowd.worker import WorkerPool
 from repro.errors import ExpansionError
 from repro.perceptual.space import PerceptualSpace
-from repro.utils.rng import RandomState
 
 
 @dataclass
@@ -132,12 +131,11 @@ class PerceptualSpacePolicy(ExpansionPolicy):
         *,
         gold_sample_size: int = 100,
         extractor_C: float = 2.0,
-        seed: RandomState = None,
     ) -> None:
         self.space = space
         self.gold_collector = gold_collector
         self.gold_sample_size = gold_sample_size
-        self.extractor = PerceptualAttributeExtractor(space, C=extractor_C, seed=seed)
+        self.extractor = PerceptualAttributeExtractor(space, C=extractor_C)
         self.last_gold_sample = None
 
     def expand(

@@ -55,6 +55,9 @@ class PerceptualPredictor:
         scarce-label fallback).  0 disables the fallback.
     value_range:
         Optional ``(low, high)`` clip range for numeric predictions.
+    seed:
+        Unused: every model here trains deterministically.  Accepted so
+        existing callers keep working.
     """
 
     def __init__(
@@ -76,7 +79,6 @@ class PerceptualPredictor:
         self.min_training_size = min_training_size
         self.tsvm_threshold = tsvm_threshold
         self.value_range = value_range
-        self._seed = seed
 
     # -- protocol --------------------------------------------------------------
 
@@ -133,9 +135,7 @@ class PerceptualPredictor:
             # One-class gold samples cannot train a discriminative model.
             return PredictionBatch(training_size=len(y_train))
         if 0 < len(y_train) < self.tsvm_threshold:
-            model: SVC | TransductiveSVC = TransductiveSVC(
-                C=self.C, kernel="rbf", gamma=self.gamma, seed=self._seed
-            )
+            model: SVC | TransductiveSVC = TransductiveSVC(C=self.C, kernel="rbf", gamma=self.gamma)
             model.fit(X_train, y_train, X_targets)
             model_kind = "tsvm-rbf"
         else:
@@ -144,7 +144,6 @@ class PerceptualPredictor:
                 kernel="rbf",
                 gamma=self.gamma,
                 class_weight="balanced",
-                seed=self._seed,
             )
             model.fit(X_train, y_train)
             model_kind = "svc-rbf"

@@ -19,7 +19,6 @@ from repro.errors import InsufficientTrainingDataError
 from repro.learn.metrics import precision_recall
 from repro.learn.svm import SVC
 from repro.perceptual.space import PerceptualSpace
-from repro.utils.rng import RandomState
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class QuestionableResponseDetector:
         C: float = 0.3,
         gamma: float | str = "scale",
         class_weight: str | None = "balanced",
-        seed: RandomState = None,
     ) -> None:
         # The default C is deliberately small: the detector must *not* be
         # able to fit the wrong labels it is supposed to expose, so the SVM
@@ -80,7 +78,6 @@ class QuestionableResponseDetector:
         self.C = C
         self.gamma = gamma
         self.class_weight = class_weight
-        self._seed = seed
 
     def scan(self, attribute: str, crowd_labels: Mapping[int, bool]) -> QualityScanResult:
         """Train on all crowd labels and flag the ones the model disagrees with."""
@@ -103,7 +100,6 @@ class QuestionableResponseDetector:
             kernel="rbf",
             gamma=self.gamma,
             class_weight=self.class_weight,
-            seed=self._seed,
         )
         model.fit(X, y)
         scores = model.decision_function(X)

@@ -21,7 +21,6 @@ from repro.crowd.platform import CrowdRunResult
 from repro.errors import InsufficientTrainingDataError
 from repro.experiments.context import MovieExperimentContext
 from repro.experiments.crowd_quality import CrowdQualityOutcome
-from repro.utils.rng import RandomState
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,12 @@ def _boost_run(
     *,
     retrain_every_minutes: float,
     extractor_C: float,
-    seed: RandomState,
 ) -> BoostingSeries:
     item_ids = sorted(truth)
     truth_array = np.array([truth[i] for i in item_ids])
     # The training labels come from noisy majority votes, so the extractor is
     # regularised more strongly than in the clean small-sample experiments.
-    extractor = PerceptualAttributeExtractor(context.space, C=extractor_C, seed=seed)
+    extractor = PerceptualAttributeExtractor(context.space, C=extractor_C)
     series = BoostingSeries(
         experiment=label, base_experiment=base_label, n_items=len(item_ids)
     )
@@ -135,7 +133,6 @@ def run_boosting_experiments(
     *,
     retrain_every_minutes: float = 5.0,
     extractor_C: float = 0.75,
-    seed: RandomState = 23,
 ) -> list[BoostingSeries]:
     """Run Experiments 4–6 on top of the Experiments 1–3 judgment streams."""
     mapping = [
@@ -157,7 +154,6 @@ def run_boosting_experiments(
                 context,
                 retrain_every_minutes=retrain_every_minutes,
                 extractor_C=extractor_C,
-                seed=seed,
             )
         )
     return series

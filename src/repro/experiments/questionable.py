@@ -74,7 +74,7 @@ def _scan_spaces(
         scores: dict[str, tuple[float, float]] = {}
         try:
             for name, space in spaces.items():
-                detector = QuestionableResponseDetector(space, seed=rep_seed)
+                detector = QuestionableResponseDetector(space)
                 scan = detector.scan("attribute", corrupted)
                 scores[name] = scan.score_against(swapped)
         except LearningError:

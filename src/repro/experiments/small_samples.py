@@ -65,7 +65,7 @@ def evaluate_space_gmean(
             continue
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(space, C=extractor_C, seed=rep_seed)
+        extractor = PerceptualAttributeExtractor(space, C=extractor_C)
         try:
             extraction = extractor.extract_boolean("attribute", gold, target_items=evaluation_ids)
         except LearningError:

@@ -63,7 +63,7 @@ def run_tsvm_comparison(
 
         # Plain SVM through the standard extractor.
         start = time.perf_counter()
-        extractor = PerceptualAttributeExtractor(context.space, seed=rep_seed)
+        extractor = PerceptualAttributeExtractor(context.space)
         extraction = extractor.extract_boolean(genre, gold, target_items=evaluation_ids)
         svm_seconds = time.perf_counter() - start
         svm_predictions = np.array([bool(extraction.values[i]) for i in evaluation_ids])
@@ -77,9 +77,7 @@ def run_tsvm_comparison(
         X_unlabeled = context.space.vectors(unlabeled_ids)
 
         start = time.perf_counter()
-        tsvm = TransductiveSVC(
-            positive_fraction=float(np.mean(list(gold.values()))), seed=rep_seed
-        )
+        tsvm = TransductiveSVC(positive_fraction=float(np.mean(list(gold.values()))))
         tsvm.fit(X_labeled, y_labeled, X_unlabeled)
         tsvm_predictions_all = tsvm.predict(context.space.vectors(evaluation_ids))
         tsvm_seconds = time.perf_counter() - start

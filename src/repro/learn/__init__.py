@@ -4,9 +4,11 @@ The paper trains Support Vector Machines (RBF kernel) on perceptual-space
 coordinates, compares against an LSI "metadata space" baseline, and briefly
 evaluates transductive SVMs.  scikit-learn is not available in this offline
 environment, so the required algorithms are implemented here on top of
-numpy/scipy: kernels, an SMO-based SVC, an ε-insensitive kernel SVR, a
-label-switching TSVM, latent semantic indexing and the evaluation metrics
-(including the g-mean measure used throughout Section 4).
+numpy/scipy: kernels, an SVC solved by SMO with second-order working-set
+selection and a duality-gap stop (deterministic: it draws no random
+numbers), an ε-insensitive kernel SVR, a label-switching TSVM, latent
+semantic indexing and the evaluation metrics (including the g-mean
+measure used throughout Section 4).
 """
 
 from repro.learn.kernels import Kernel, LinearKernel, PolynomialKernel, RBFKernel, resolve_kernel

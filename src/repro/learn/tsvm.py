@@ -6,8 +6,12 @@ while being orders of magnitude slower (minutes instead of seconds).  The
 implementation here follows the classic Joachims-style label-switching
 scheme: train on the labelled gold sample, impute labels for the unlabelled
 database items, then alternate between retraining on the combined set and
-switching the most conflicting unlabelled label pairs while the influence
-of the unlabelled data is annealed upwards.
+switching the most conflicting unlabelled label pairs.
+
+Every retraining is a full :class:`~repro.learn.svm.SVC` fit: SMO with
+second-order working-set selection that runs until its duality gap is below
+``tol`` and draws no random numbers, so the label switches, and with them
+the whole transductive fit, are a deterministic function of the data.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 from repro.errors import LearningError, NotFittedError
 from repro.learn.kernels import Kernel
 from repro.learn.svm import SVC
-from repro.utils.rng import RandomState
 
 
 class TransductiveSVC:
@@ -28,7 +31,6 @@ class TransductiveSVC:
     def __init__(
         self,
         C: float = 1.0,
-        C_unlabeled: float = 0.1,
         kernel: Union[str, Kernel] = "rbf",
         *,
         gamma: Union[float, str] = "scale",
@@ -36,21 +38,18 @@ class TransductiveSVC:
         n_switch_rounds: int = 20,
         positive_fraction: float | None = None,
         class_weight: str | None = "balanced",
-        seed: RandomState = None,
     ) -> None:
-        if C <= 0 or C_unlabeled <= 0:
-            raise LearningError("C and C_unlabeled must be positive")
+        if C <= 0:
+            raise LearningError("C must be positive")
         if n_outer_iterations <= 0 or n_switch_rounds < 0:
             raise LearningError("iteration counts must be positive")
         self.C = C
-        self.C_unlabeled = C_unlabeled
         self.kernel = kernel
         self.gamma = gamma
         self.n_outer_iterations = n_outer_iterations
         self.n_switch_rounds = n_switch_rounds
         self.positive_fraction = positive_fraction
         self.class_weight = class_weight
-        self._seed = seed
 
         self._model: SVC | None = None
         self.n_label_switches_: int = 0
@@ -88,15 +87,11 @@ class TransductiveSVC:
             imputed = scores >= threshold
 
         self.n_label_switches_ = 0
-        unlabeled_weight = self.C_unlabeled / (2.0 ** (self.n_outer_iterations - 1))
 
         model = base
         for _ in range(self.n_outer_iterations):
             X_combined = np.vstack([X_labeled, X_unlabeled])
             y_combined = np.concatenate([y_labeled, imputed])
-            # The unlabelled influence is approximated through sample
-            # duplication weighting: the effective C ratio is annealed by
-            # blending predictions rather than duplicating rows.
             model = self._make_svc(self.C)
             if len(np.unique(y_combined)) < 2:
                 break
@@ -108,7 +103,6 @@ class TransductiveSVC:
                 if not switched:
                     break
                 self.n_label_switches_ += 1
-            unlabeled_weight = min(self.C_unlabeled, unlabeled_weight * 2.0)
 
         self._model = model
         return self
@@ -132,7 +126,6 @@ class TransductiveSVC:
             kernel=self.kernel,
             gamma=self.gamma,
             class_weight=self.class_weight,
-            seed=self._seed,
         )
 
     # -- prediction ------------------------------------------------------------------

@@ -30,7 +30,7 @@ class TestBooleanExtraction:
         positives, negatives = sample_balanced_training_set(clustered_labels, 10, seed=0)
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_boolean("is_positive", gold)
         truth = np.array([clustered_labels[i] for i in clustered_space.item_ids])
         predictions = np.array([result.values[i] for i in clustered_space.item_ids])
@@ -40,13 +40,13 @@ class TestBooleanExtraction:
 
     def test_target_items_restriction(self, clustered_space, clustered_labels):
         gold = {i: clustered_labels[i] for i in list(range(1, 16)) + list(range(61, 76))}
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_boolean("x", gold, target_items=[1, 2, 100])
         assert set(result.values) == {1, 2, 100}
 
     def test_decision_scores_align_with_predictions(self, clustered_space, clustered_labels):
         gold = {i: clustered_labels[i] for i in list(range(50, 71))}
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_boolean("x", gold)
         for item_id, value in result.values.items():
             assert (result.decision_scores[item_id] >= 0) == value
@@ -54,7 +54,7 @@ class TestBooleanExtraction:
     def test_items_outside_space_are_ignored_for_training(self, clustered_space, clustered_labels):
         gold = {i: clustered_labels[i] for i in range(55, 70)}
         gold[9999] = True  # unknown item
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_boolean("x", gold)
         assert 9999 not in result.values
 
@@ -70,7 +70,7 @@ class TestBooleanExtraction:
 
     def test_no_target_items_in_space(self, clustered_space, clustered_labels):
         gold = {i: clustered_labels[i] for i in range(55, 70)}
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         with pytest.raises(LearningError):
             extractor.extract_boolean("x", gold, target_items=[5000, 5001])
 
@@ -80,7 +80,7 @@ class TestNumericExtraction:
         # Numeric target proportional to the first coordinate.
         truth = {i: float(clustered_space.vector(i)[0]) for i in clustered_space.item_ids}
         gold = {i: truth[i] for i in list(clustered_space.item_ids)[::7]}
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_numeric("score", gold)
         predictions = np.array([result.values[i] for i in clustered_space.item_ids])
         target = np.array([truth[i] for i in clustered_space.item_ids])
@@ -90,7 +90,7 @@ class TestNumericExtraction:
 
     def test_value_range_clipping(self, clustered_space):
         gold = {i: float(clustered_space.vector(i)[0]) * 10 for i in list(clustered_space.item_ids)[:30]}
-        extractor = PerceptualAttributeExtractor(clustered_space, seed=0)
+        extractor = PerceptualAttributeExtractor(clustered_space)
         result = extractor.extract_numeric("score", gold, value_range=(0.0, 5.0))
         values = np.array(list(result.values.values()))
         assert values.min() >= 0.0
@@ -108,7 +108,7 @@ class TestOnRealisticSpace:
         positives, negatives = sample_balanced_training_set(labels, 25, seed=3)
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(small_space, seed=3)
+        extractor = PerceptualAttributeExtractor(small_space)
         result = extractor.extract_boolean("is_comedy", gold)
         ids = [i for i in labels if i in result.values]
         truth = np.array([labels[i] for i in ids])

@@ -55,7 +55,7 @@ class TestDirectCrowdPolicy:
 class TestPerceptualSpacePolicy:
     def test_full_coverage_and_low_cost(self, platform, pool, space, truth):
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=4)
-        space_policy = PerceptualSpacePolicy(space, collector, gold_sample_size=50, seed=4)
+        space_policy = PerceptualSpacePolicy(space, collector, gold_sample_size=50)
         crowd_policy = DirectCrowdPolicy(platform, pool, judgments_per_item=10)
 
         space_result = space_policy.expand("is_positive", sorted(truth), truth)
@@ -69,13 +69,13 @@ class TestPerceptualSpacePolicy:
 
     def test_rejects_items_outside_space(self, platform, pool, space, truth):
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=4)
-        policy = PerceptualSpacePolicy(space, collector, seed=4)
+        policy = PerceptualSpacePolicy(space, collector)
         with pytest.raises(ExpansionError):
             policy.expand("x", [9000, 9001], truth)
 
     def test_empty_items_rejected(self, platform, pool, space, truth):
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=4)
-        policy = PerceptualSpacePolicy(space, collector, seed=4)
+        policy = PerceptualSpacePolicy(space, collector)
         with pytest.raises(ExpansionError):
             policy.expand("x", [], truth)
 
@@ -83,7 +83,7 @@ class TestPerceptualSpacePolicy:
 class TestHybridPolicy:
     def test_combines_space_and_crowd(self, platform, pool, space, truth):
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=5)
-        space_policy = PerceptualSpacePolicy(space, collector, gold_sample_size=40, seed=5)
+        space_policy = PerceptualSpacePolicy(space, collector, gold_sample_size=40)
         crowd_policy = DirectCrowdPolicy(platform, pool, judgments_per_item=5)
         hybrid = HybridPolicy(space_policy, crowd_policy)
 

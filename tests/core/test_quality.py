@@ -44,7 +44,7 @@ class TestCorruptLabels:
 class TestDetector:
     def test_detects_most_swapped_labels(self, space, labels):
         corrupted, swapped = corrupt_labels(labels, 0.2, seed=1)
-        detector = QuestionableResponseDetector(space, seed=1)
+        detector = QuestionableResponseDetector(space)
         scan = detector.scan("is_positive", corrupted)
         precision, recall = scan.score_against(swapped)
         assert recall > 0.6
@@ -53,13 +53,13 @@ class TestDetector:
         assert 0.0 < scan.flagged_fraction < 0.6
 
     def test_clean_labels_produce_few_flags(self, space, labels):
-        detector = QuestionableResponseDetector(space, seed=1)
+        detector = QuestionableResponseDetector(space)
         scan = detector.scan("is_positive", labels)
         assert scan.flagged_fraction < 0.15
 
     def test_flags_reference_real_disagreements(self, space, labels):
         corrupted, _swapped = corrupt_labels(labels, 0.1, seed=2)
-        scan = QuestionableResponseDetector(space, seed=2).scan("x", corrupted)
+        scan = QuestionableResponseDetector(space).scan("x", corrupted)
         for flag in scan.flags:
             assert flag.given_label != flag.predicted_label
             assert flag.item_id in corrupted
@@ -76,7 +76,7 @@ class TestDetector:
 
     def test_repair_fixes_flagged_items(self, space, labels):
         corrupted, swapped = corrupt_labels(labels, 0.15, seed=3)
-        detector = QuestionableResponseDetector(space, seed=3)
+        detector = QuestionableResponseDetector(space)
         repaired = detector.repair("x", corrupted, verified_labels=labels)
         before = np.mean([corrupted[i] == labels[i] for i in labels])
         after = np.mean([repaired[i] == labels[i] for i in labels])
@@ -85,5 +85,5 @@ class TestDetector:
     def test_items_outside_space_ignored(self, space, labels):
         extended = dict(labels)
         extended[9999] = True
-        scan = QuestionableResponseDetector(space, seed=0).scan("x", extended)
+        scan = QuestionableResponseDetector(space).scan("x", extended)
         assert 9999 not in scan.predictions

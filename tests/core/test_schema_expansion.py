@@ -40,7 +40,7 @@ def build_space_policy(space) -> PerceptualSpacePolicy:
     platform = CrowdPlatform(seed=6)
     pool = WorkerPool.build(n_experts=12, seed=6)
     collector = GoldSampleCollector(platform, pool, seed=6)
-    return PerceptualSpacePolicy(space, collector, gold_sample_size=40, seed=6)
+    return PerceptualSpacePolicy(space, collector, gold_sample_size=40)
 
 
 class TestExplicitExpansion:

@@ -109,9 +109,7 @@ class TestCrowdQuality:
 
 class TestBoosting:
     def test_series_structure(self, movie_context, crowd_outcome):
-        series = run_boosting_experiments(
-            movie_context, crowd_outcome, retrain_every_minutes=15, seed=23
-        )
+        series = run_boosting_experiments(movie_context, crowd_outcome, retrain_every_minutes=15)
         assert len(series) == 3
         for entry in series:
             assert entry.points, "every series needs at least one checkpoint"
@@ -120,9 +118,7 @@ class TestBoosting:
             assert final.cost > 0
 
     def test_boosting_beats_crowd_at_the_end(self, movie_context, crowd_outcome):
-        series = run_boosting_experiments(
-            movie_context, crowd_outcome, retrain_every_minutes=15, seed=23
-        )
+        series = run_boosting_experiments(movie_context, crowd_outcome, retrain_every_minutes=15)
         # Experiments 4 and 5 (boosting Exp 1/2): the extractor classifies
         # every item, so it should beat the partial crowd coverage.
         for entry in series[:2]:
@@ -130,9 +126,7 @@ class TestBoosting:
             assert final.boosted_correct > final.crowd_correct
 
     def test_series_render_and_accessors(self, movie_context, crowd_outcome):
-        series = run_boosting_experiments(
-            movie_context, crowd_outcome, retrain_every_minutes=20, seed=23
-        )
+        series = run_boosting_experiments(movie_context, crowd_outcome, retrain_every_minutes=20)
         over_time = series[0].correct_over_time()
         over_money = series[0].correct_over_money()
         assert len(over_time) == len(series[0].points)

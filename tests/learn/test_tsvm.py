@@ -22,8 +22,6 @@ class TestValidation:
         with pytest.raises(LearningError):
             TransductiveSVC(C=0)
         with pytest.raises(LearningError):
-            TransductiveSVC(C_unlabeled=0)
-        with pytest.raises(LearningError):
             TransductiveSVC(n_outer_iterations=0)
 
     def test_dimension_mismatch(self):
@@ -42,8 +40,8 @@ class TestSemiSupervisedLearning:
         labeled_idx = rng.choice(len(X), 40, replace=False)
         unlabeled_idx = np.setdiff1d(np.arange(len(X)), labeled_idx)
 
-        supervised = SVC(seed=0).fit(X[labeled_idx], y[labeled_idx])
-        transductive = TransductiveSVC(seed=0, positive_fraction=0.5)
+        supervised = SVC().fit(X[labeled_idx], y[labeled_idx])
+        transductive = TransductiveSVC(positive_fraction=0.5)
         transductive.fit(X[labeled_idx], y[labeled_idx], X[unlabeled_idx])
 
         supervised_accuracy = np.mean(supervised.predict(X) == y)
@@ -52,12 +50,12 @@ class TestSemiSupervisedLearning:
 
     def test_works_without_unlabeled_data(self):
         X, y = blobs(30, seed=3)
-        model = TransductiveSVC(seed=0).fit(X, y, np.empty((0, X.shape[1])))
+        model = TransductiveSVC().fit(X, y, np.empty((0, X.shape[1])))
         assert np.mean(model.predict(X) == y) > 0.9
 
     def test_decision_function_available(self):
         X, y = blobs(30, seed=4)
-        model = TransductiveSVC(seed=0).fit(X[:40], y[:40], X[40:])
+        model = TransductiveSVC().fit(X[:40], y[:40], X[40:])
         scores = model.decision_function(X)
         assert scores.shape == (len(X),)
         assert np.array_equal(scores >= 0, model.predict(X))
@@ -67,7 +65,7 @@ class TestSemiSupervisedLearning:
         rng = np.random.default_rng(6)
         labeled_idx = rng.choice(len(X), 10, replace=False)
         unlabeled_idx = np.setdiff1d(np.arange(len(X)), labeled_idx)
-        model = TransductiveSVC(seed=0)
+        model = TransductiveSVC()
         model.fit(X[labeled_idx], y[labeled_idx], X[unlabeled_idx])
         assert model.n_label_switches_ >= 0
 
@@ -76,7 +74,7 @@ class TestSemiSupervisedLearning:
         rng = np.random.default_rng(8)
         labeled_idx = rng.choice(len(X), 12, replace=False)
         unlabeled_idx = np.setdiff1d(np.arange(len(X)), labeled_idx)
-        model = TransductiveSVC(seed=0, positive_fraction=0.5)
+        model = TransductiveSVC(positive_fraction=0.5)
         model.fit(X[labeled_idx], y[labeled_idx], X[unlabeled_idx])
         predictions = model.predict(X)
         positive_rate = predictions.mean()
@@ -91,11 +89,11 @@ class TestSemiSupervisedLearning:
         unlabeled_idx = np.setdiff1d(np.arange(len(X)), labeled_idx)
 
         start = time.perf_counter()
-        supervised = SVC(seed=0).fit(X[labeled_idx], y[labeled_idx])
+        supervised = SVC().fit(X[labeled_idx], y[labeled_idx])
         svc_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        transductive = TransductiveSVC(seed=0).fit(
+        transductive = TransductiveSVC().fit(
             X[labeled_idx], y[labeled_idx], X[unlabeled_idx]
         )
         tsvm_time = time.perf_counter() - start

@@ -41,7 +41,7 @@ class TestEndToEndSchemaExpansion:
         platform = CrowdPlatform(seed=31)
         pool = WorkerPool.build(n_honest=20, n_experts=10, n_spammers=15, seed=31)
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=31)
-        policy = PerceptualSpacePolicy(small_space, collector, gold_sample_size=60, seed=31)
+        policy = PerceptualSpacePolicy(small_space, collector, gold_sample_size=60)
         expander = SchemaExpander(
             loaded_db, policy, key_column="item_id", truth={"is_comedy": truth}
         )
@@ -76,7 +76,7 @@ class TestEndToEndSchemaExpansion:
         crowd_result = crowd_policy.expand("is_comedy", item_ids, truth)
 
         collector = GoldSampleCollector(platform, pool.only_trusted(), seed=37)
-        space_policy = PerceptualSpacePolicy(small_space, collector, gold_sample_size=60, seed=37)
+        space_policy = PerceptualSpacePolicy(small_space, collector, gold_sample_size=60)
         space_result = space_policy.expand("is_comedy", item_ids, truth)
 
         assert space_result.cost < crowd_result.cost / 2
@@ -89,7 +89,7 @@ class TestEndToEndSchemaExpansion:
             i: l for i, l in small_corpus.labels_for("Comedy").items() if i in small_space
         }
         corrupted, _swapped = corrupt_labels(truth, 0.2, seed=5)
-        detector = QuestionableResponseDetector(small_space, seed=5)
+        detector = QuestionableResponseDetector(small_space)
         repaired = detector.repair("is_comedy", corrupted, verified_labels=truth)
         before = np.mean([corrupted[i] == truth[i] for i in truth])
         after = np.mean([repaired[i] == truth[i] for i in truth])
