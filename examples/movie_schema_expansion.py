@@ -1,16 +1,17 @@
-"""Direct crowd-sourcing vs. perceptual-space expansion on the movie domain.
+"""Crowd-only vs. hybrid (crowd + perceptual space) expansion on the movie domain.
 
 Reproduces the cost/quality trade-off at the heart of the paper: the same
-``is_comedy`` schema expansion is performed twice —
+query-driven ``is_comedy`` expansion is performed twice —
 
-* once by crowd-sourcing a judgment for every movie (ten votes each,
-  Experiment-1-style worker population), and
-* once by crowd-sourcing only a small gold sample and extrapolating from
-  the perceptual space.
+* once on a connection with only a crowd value source, so the crowd
+  judges every movie (ten votes each, Experiment-1-style worker
+  population), and
+* once on a connection that also has a perceptual-space predictor, so the
+  crowd answers only a small sample and the predictor fills the rest.
 
-Both strategies run on their own connection with their own session-scoped
-expansion pipeline, so neither clobbers the other's policy.  The script
-prints accuracy, coverage, cost and simulated wall-clock time for both.
+On both connections the expansion handler only adds the column; the
+query's ``CrowdFill``/``PredictFill`` operators do the filling.  The
+script prints cost, judgments, coverage and accuracy for both.
 
 Run with:  python examples/movie_schema_expansion.py
 """
@@ -20,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.core import DirectCrowdPolicy, GoldSampleCollector, PerceptualSpacePolicy
-from repro.crowd import CrowdPlatform, WorkerPool
+from repro.core import PerceptualPredictor
+from repro.crowd import CrowdPlatform, SimulatedCrowdValueSource, WorkerPool
 from repro.datasets import build_expert_databases, build_movie_corpus, majority_reference
-from repro.db import Connection
+from repro.db import ColumnType, Connection
 from repro.perceptual import EuclideanEmbeddingModel, FactorModelConfig
 
 
@@ -38,6 +39,12 @@ def build_connection(corpus) -> Connection:
         "INSERT INTO movies (item_id, name, year) VALUES (?, ?, ?)",
         [(r["item_id"], r["name"], r["year"]) for r in corpus.items],
     )
+
+    def expand(table: str, column: str) -> bool:
+        conn.add_perceptual_column(table, column, ColumnType.BOOLEAN)
+        return True
+
+    conn.set_expansion_handler(expand)
     return conn
 
 
@@ -71,55 +78,48 @@ def main() -> None:
 
     platform = CrowdPlatform(seed=13)
     pool = WorkerPool.build(n_honest=35, n_spammers=45, n_experts=12, seed=13)
+    query = "SELECT count(*) FROM movies WHERE is_comedy = ?"
 
-    # -- Strategy 1: direct crowd-sourcing of every value --------------------------
-    conn_direct = build_connection(corpus)
-    direct = (
-        conn_direct.expansion()
-        .with_policy(DirectCrowdPolicy(platform, pool, judgments_per_item=10))
-        .with_key("item_id")
-        .with_truth({"is_comedy": truth})
-        .build()
+    # -- Crowd-only: no predictor, so the crowd judges every movie ---------------------
+    conn_crowd = build_connection(corpus)
+    crowd = SimulatedCrowdValueSource(
+        platform, pool, truth={"is_comedy": truth}, judgments_per_item=10, seed=13
     )
-    direct_report = direct.expand_attribute("movies", "is_comedy")
-    direct_coverage, direct_accuracy = accuracy_of(conn_direct, truth)
+    conn_crowd.set_value_source(crowd)
+    conn_crowd.execute(query, (True,)).fetchone()
+    crowd_coverage, crowd_accuracy = accuracy_of(conn_crowd, truth)
 
-    # -- Strategy 2: perceptual-space expansion from a small gold sample -------------
+    # -- Hybrid: a small crowd sample, the perceptual space predicts the rest ----------
     conn_space = build_connection(corpus)
-    collector = GoldSampleCollector(platform, pool.only_trusted(), seed=13)
-    expansion = (
-        conn_space.expansion()
-        .with_policy(PerceptualSpacePolicy(space, collector, gold_sample_size=80))
-        .with_key("item_id")
-        .with_truth({"is_comedy": truth})
-        .build()
+    hybrid = SimulatedCrowdValueSource(
+        platform, pool.only_trusted(), truth={"is_comedy": truth}, seed=13
     )
-    space_report = expansion.expand_attribute("movies", "is_comedy")
+    conn_space.set_value_source(hybrid)
+    conn_space.set_predictor(PerceptualPredictor(space))
+    (comedies,) = conn_space.execute(query, (True,)).fetchone()
     space_coverage, space_accuracy = accuracy_of(conn_space, truth)
 
     print("Strategy comparison for expanding movies.is_comedy")
     print("---------------------------------------------------")
     rows = [
-        ("direct crowd", direct_report, direct_coverage, direct_accuracy),
-        ("perceptual space", space_report, space_coverage, space_accuracy),
+        ("crowd only", crowd, crowd_coverage, crowd_accuracy),
+        ("hybrid", hybrid, space_coverage, space_accuracy),
     ]
-    for label, report, coverage, accuracy in rows:
+    for label, source, coverage, accuracy in rows:
         print(
-            f"{label:18s}  cost ${report.cost:6.2f}   time {report.minutes:7.1f} min   "
-            f"judgments {report.judgments:6d}   coverage {coverage * 100:5.1f}%   "
-            f"accuracy {accuracy * 100:5.1f}%"
+            f"{label:10s}  cost ${source.total_cost:6.2f}   "
+            f"judgments {source.total_judgments:6d}   dispatches {source.dispatches:3d}   "
+            f"coverage {coverage * 100:5.1f}%   accuracy {accuracy * 100:5.1f}%"
         )
 
-    saving = 1.0 - (space_report.cost / direct_report.cost if direct_report.cost else 0.0)
+    saving = 1.0 - hybrid.total_cost / crowd.total_cost
     print(
-        f"\nThe perceptual-space expansion used {saving * 100:.0f}% less money and "
+        f"\nThe hybrid expansion used {saving * 100:.0f}% less money and "
         f"reached {space_coverage * 100:.0f}% coverage "
-        f"(direct crowd-sourcing left {100 - direct_coverage * 100:.0f}% of movies unclassified)."
+        f"(crowd-only left {100 - crowd_coverage * 100:.0f}% of movies unclassified)."
     )
+    assert hybrid.total_cost < crowd.total_cost / 5 and space_coverage == 1.0
 
-    (comedies,) = conn_space.execute(
-        "SELECT count(*) FROM movies WHERE is_comedy = ?", (True,)
-    ).fetchone()
     true_count = int(np.sum(list(truth.values())))
     print(f"Comedies found: {comedies} (reference says {true_count}).")
 

@@ -6,20 +6,25 @@ This is the paper's running example end to end, at toy scale:
 2. Open a connection and load the factual part through parameterized
    INSERTs (qmark style, like sqlite3).
 3. Build a perceptual space from the ratings.
-4. Attach a schema-expansion pipeline to the connection's session, using
-   the space plus a small crowd-sourced gold sample.
+4. Give the connection's session a (simulated) crowd, a perceptual-space
+   predictor and an expansion handler that adds the missing column.
 5. Run ``SELECT ... WHERE is_comedy = ?`` — a column that does not
-   exist — and watch it being expanded at query time.
+   exist — and watch it being expanded at query time: the crowd answers
+   a small sample, the predictor fills every other movie.
 
 Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 import repro
-from repro.core import GoldSampleCollector, PerceptualSpacePolicy
-from repro.crowd import CrowdPlatform, WorkerPool
+from repro.core import PerceptualPredictor
+from repro.crowd import CrowdPlatform, SimulatedCrowdValueSource, WorkerPool
 from repro.datasets import build_movie_corpus
+from repro.db import ColumnType
+from repro.learn.metrics import g_mean
 from repro.perceptual import EuclideanEmbeddingModel, FactorModelConfig
 
 
@@ -55,20 +60,24 @@ def main() -> None:
     space = model.to_space()
     print(f"Perceptual space: {space}")
 
-    # 4. Crowd platform + expansion pipeline on this connection's session.
-    #    Another connection to the same catalog could use a different policy.
-    platform = CrowdPlatform(seed=7)
+    # 4. Crowd + predictor on this connection's session.  The expansion
+    #    handler only adds the column; the query itself fills it.  Another
+    #    connection to the same catalog could use a different source.
+    truth = corpus.labels_for("Comedy")
     pool = WorkerPool.build(n_honest=25, n_experts=10, n_spammers=10, seed=7)
-    collector = GoldSampleCollector(platform, pool.only_trusted(), seed=7)
-    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60)
-    expander = (
-        conn.expansion()
-        .with_policy(policy)
-        .with_key("item_id")
-        .with_truth({"is_comedy": corpus.labels_for("Comedy")})
-        .allow("is_comedy")
-        .attach()
+    source = SimulatedCrowdValueSource(
+        CrowdPlatform(seed=7), pool.only_trusted(), truth={"is_comedy": truth}, seed=7
     )
+    conn.set_value_source(source)
+    conn.set_predictor(PerceptualPredictor(space))
+
+    def expand(table: str, column: str) -> bool:
+        if column != "is_comedy":
+            return False  # the simulated crowd only knows is_comedy
+        conn.add_perceptual_column(table, column, ColumnType.BOOLEAN)
+        return True
+
+    conn.set_expansion_handler(expand)
 
     # 5. The query references a column that does not exist yet.
     cursor.execute(
@@ -79,13 +88,21 @@ def main() -> None:
     for name, year in cursor:
         print(f"  {name}  ({year})")
 
-    report = expander.reports[0]
+    counts = conn.provenance_counts("movies", "is_comedy")
     print(
-        f"\nExpansion filled {report.rows_filled}/{report.rows_total} rows "
-        f"for ${report.cost:.2f} in {report.minutes:.0f} simulated minutes "
-        f"({report.judgments} crowd judgments)."
+        f"\nExpansion filled {counts.get('crowd', 0)} movies from the crowd and "
+        f"{counts.get('predicted', 0)} by prediction for ${source.total_cost:.2f} "
+        f"({source.total_judgments} crowd judgments in {source.dispatches} dispatches)."
     )
-    print(f"Session spent ${conn.session.cost_spent:.2f}; cache {conn.cache_stats()}.")
+    rows = cursor.execute("SELECT item_id, is_comedy FROM movies").fetchall()
+    labels = np.array([truth[item] for item, _ in rows])
+    predicted = np.array([bool(value) for _, value in rows])
+    quality = g_mean(labels, predicted)
+    print(
+        f"Accuracy {np.mean(labels == predicted):.3f}, g-mean {quality:.3f}; "
+        f"session spent ${conn.session.cost_spent:.2f}; cache {conn.cache_stats()}."
+    )
+    assert source.total_cost <= 0.65 and quality >= 0.75
 
 
 if __name__ == "__main__":

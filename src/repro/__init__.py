@@ -23,8 +23,9 @@ Subpackages
     Synthetic Social-Web corpora standing in for Netflix/IMDb, yelp.com and
     boardgamegeek.com data.
 ``repro.core``
-    The paper's contribution: query-driven schema expansion (gold samples,
-    extraction, expansion policies, questionable-response detection).
+    The paper's contribution: the perceptual-space extractor and predictor
+    behind query-driven schema expansion, and questionable-response
+    detection.
 ``repro.experiments``
     Harness reproducing every table and figure of the evaluation section.
 
@@ -41,23 +42,14 @@ Quickstart
 Crowd-sourcing hooks are configured per connection through one typed
 :class:`~repro.db.acquisition.AcquisitionPolicy`
 (``repro.connect(policy=...)`` / ``conn.set_policy(...)`` / ``PRAGMA
-acquisition_<knob>``) plus the fluent expansion builder, e.g.
-``conn.expansion().with_policy(policy).with_key("item_id")
-.allow("is_comedy").attach()`` — see ``examples/quickstart.py`` for the
-full end-to-end workflow.  (The long-deprecated ``CrowdDatabase`` shim
-has been removed; use :func:`repro.connect`.)
+acquisition_<knob>``), a value source (``conn.set_value_source(...)``), a
+predictor (``conn.set_predictor(...)``) and an expansion handler that adds
+the column a query names (``conn.set_expansion_handler(...)``); the SQL
+engine then fills the new column itself.  See ``examples/quickstart.py``
+for the full end-to-end workflow.
 """
 
-from repro.core import (
-    DirectCrowdPolicy,
-    ExpansionPipeline,
-    GoldSampleCollector,
-    HybridPolicy,
-    PerceptualAttributeExtractor,
-    PerceptualSpacePolicy,
-    QuestionableResponseDetector,
-    SchemaExpander,
-)
+from repro.core import PerceptualAttributeExtractor, QuestionableResponseDetector
 from repro.crowd import CrowdPlatform, WorkerPool
 from repro.db import AcquisitionPolicy, Connection, Cursor, SessionContext, connect
 from repro.errors import ReproError
@@ -70,19 +62,13 @@ __all__ = [
     "Connection",
     "CrowdPlatform",
     "Cursor",
-    "DirectCrowdPolicy",
     "EuclideanEmbeddingModel",
-    "ExpansionPipeline",
-    "GoldSampleCollector",
-    "HybridPolicy",
     "PerceptualAttributeExtractor",
     "PerceptualSpace",
-    "PerceptualSpacePolicy",
     "QuestionableResponseDetector",
     "RatingDataset",
     "ReproError",
     "SVDModel",
-    "SchemaExpander",
     "SessionContext",
     "WorkerPool",
     "__version__",

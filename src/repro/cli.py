@@ -155,9 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_demo(args: argparse.Namespace) -> int:
     import repro
-    from repro.core import GoldSampleCollector, PerceptualSpacePolicy
-    from repro.crowd import CrowdPlatform, WorkerPool
+    from repro.core import PerceptualPredictor
+    from repro.crowd import CrowdPlatform, SimulatedCrowdValueSource, WorkerPool
     from repro.datasets import build_movie_corpus
+    from repro.db import ColumnType
     from repro.perceptual import EuclideanEmbeddingModel, FactorModelConfig
 
     corpus = build_movie_corpus(n_movies=args.movies, n_users=args.movies * 2, seed=args.seed)
@@ -183,17 +184,23 @@ def _run_demo(args: argparse.Namespace) -> int:
     space = model.to_space()
     print(f"Built perceptual space: {space}")
 
-    platform = CrowdPlatform(seed=args.seed)
+    # Query-driven expansion: the handler only adds the column; the crowd
+    # answers a sample and the perceptual-space predictor fills the rest.
     pool = WorkerPool.build(n_honest=25, n_experts=10, n_spammers=10, seed=args.seed)
-    collector = GoldSampleCollector(platform, pool.only_trusted(), seed=args.seed)
-    policy = PerceptualSpacePolicy(space, collector, gold_sample_size=60)
-    expander = (
-        conn.expansion()
-        .with_policy(policy)
-        .with_key("item_id")
-        .with_truth({"is_comedy": corpus.labels_for("Comedy")})
-        .attach()
+    source = SimulatedCrowdValueSource(
+        CrowdPlatform(seed=args.seed),
+        pool.only_trusted(),
+        truth={"is_comedy": corpus.labels_for("Comedy")},
+        seed=args.seed,
     )
+    conn.set_value_source(source)
+    conn.set_predictor(PerceptualPredictor(space))
+
+    def expand(table: str, column: str) -> bool:
+        conn.add_perceptual_column(table, column, ColumnType.BOOLEAN)
+        return True
+
+    conn.set_expansion_handler(expand)
 
     cursor.execute(
         "SELECT name, year FROM movies WHERE is_comedy = ? ORDER BY year DESC LIMIT 5",
@@ -202,11 +209,12 @@ def _run_demo(args: argparse.Namespace) -> int:
     print("\nTop comedies after query-driven schema expansion:")
     for name, year in cursor:
         print(f"  {name} ({year})")
-    if expander.reports:
-        report = expander.reports[0]
+    if source.dispatches:
+        counts = conn.provenance_counts("movies", "is_comedy")
         print(
-            f"\nFilled {report.rows_filled}/{report.rows_total} rows for ${report.cost:.2f} "
-            f"in {report.minutes:.0f} simulated minutes ({report.judgments} judgments)."
+            f"\nFilled {counts.get('crowd', 0)} rows from the crowd and "
+            f"{counts.get('predicted', 0)} by prediction for ${source.total_cost:.2f} "
+            f"({source.total_judgments} judgments in {source.dispatches} dispatches)."
         )
     else:
         print("\nServed from persisted crowd answers: no new crowd spend.")

@@ -1,46 +1,27 @@
 """Query-driven schema expansion — the paper's core contribution.
 
-Given a query that references a perceptual attribute the database does not
-have yet, the expansion layer:
+A query that references a perceptual attribute the database does not have
+yet is answered by the SQL engine itself: the connection's expansion
+handler adds the column (initialised to MISSING), the ``CrowdFill``
+operator asks the crowd for a small sample through the acquisition
+runtime, and the ``PredictFill`` operator trains
+:class:`~repro.core.prediction.PerceptualPredictor` (an SVM on
+perceptual-space coordinates) on that sample and fills every other tuple.
 
-1. adds the column (initialised to MISSING),
-2. obtains a small *gold sample* of judgments for it (via the crowd
-   simulator or any other label source),
-3. trains an extraction model (SVM on perceptual-space coordinates),
-4. fills the column for **every** tuple from the model, and
-5. lets the original query run.
-
-The same machinery powers the identification of questionable HIT responses
-(Section 4.4) via :class:`~repro.core.quality.QuestionableResponseDetector`.
+This package holds the models behind that workflow: the extractor, the
+predictor the engine calls, and the identification of questionable HIT
+responses (Section 4.4) via
+:class:`~repro.core.quality.QuestionableResponseDetector`.
 """
 
 from repro.core.extractor import ExtractionResult, PerceptualAttributeExtractor
-from repro.core.gold_sample import GoldSample, GoldSampleCollector
-from repro.core.ledger import ExpansionLedger
 from repro.core.prediction import PerceptualPredictor
-from repro.core.policies import (
-    DirectCrowdPolicy,
-    ExpansionPolicy,
-    HybridPolicy,
-    PerceptualSpacePolicy,
-)
 from repro.core.quality import QualityFlag, QuestionableResponseDetector
-from repro.core.schema_expansion import ExpansionPipeline, ExpansionReport, SchemaExpander
 
 __all__ = [
-    "DirectCrowdPolicy",
-    "ExpansionLedger",
-    "ExpansionPipeline",
-    "ExpansionPolicy",
-    "ExpansionReport",
     "ExtractionResult",
-    "GoldSample",
-    "GoldSampleCollector",
-    "HybridPolicy",
     "PerceptualAttributeExtractor",
     "PerceptualPredictor",
-    "PerceptualSpacePolicy",
     "QualityFlag",
     "QuestionableResponseDetector",
-    "SchemaExpander",
 ]

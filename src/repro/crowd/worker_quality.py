@@ -8,9 +8,10 @@ both platform cost and answer error.  This module holds the estimator:
 * :class:`WorkerQualityTracker` — a thread-safe Beta-posterior estimator
   over per-worker ``(correct, incorrect)`` observations.  Evidence comes
   from two channels: **seeded gold questions** (items with a known answer
-  injected into HIT batches at the policy's ``gold_fraction``;
-  :mod:`repro.core.gold_sample` is the canonical way to collect such a
-  seed set) and **answer agreement** (whether a worker's judgment matched
+  injected into HIT batches at the policy's ``gold_fraction``; a value
+  source supplies them, e.g. the ``gold_answers`` of
+  :class:`~repro.crowd.sources.SimulatedCrowdValueSource`) and **answer
+  agreement** (whether a worker's judgment matched
   the settled weighted label of an item, down-weighted because the settled
   label is itself only an estimate).
 * :func:`estimate_accuracy` — the pure counts→estimate function, shared

@@ -33,7 +33,6 @@ class Catalog:
         self._version = 0
         #: Guards reads and writes when the catalog is shared by connections.
         self.lock = threading.RLock()
-        self._expansions: dict[tuple[str, str], threading.Event] = {}
         #: The catalog-shared acquisition runtime (created lazily) plus any
         #: session-private runtimes that registered for cell invalidations.
         #: Weakly referenced: a session dropping its private runtime must
@@ -133,33 +132,6 @@ class Catalog:
         }
         for runtime in list(self._runtimes):
             runtime.cache.invalidate_table(table)
-
-    # -- in-flight expansion registry -------------------------------------------
-
-    def begin_expansion(self, table: str, attribute: str) -> tuple[threading.Event, bool]:
-        """Claim (or join) the in-flight expansion of ``table.attribute``.
-
-        Returns ``(event, owner)``.  The first caller becomes the owner
-        (``owner=True``) and must call :meth:`end_expansion` when done;
-        later callers get ``owner=False`` and should wait on the event
-        instead of re-running the (expensive) crowd expansion themselves.
-        """
-        key = (table.lower(), attribute.lower())
-        with self.lock:
-            event = self._expansions.get(key)
-            if event is not None:
-                return event, False
-            event = threading.Event()
-            self._expansions[key] = event
-            return event, True
-
-    def end_expansion(self, table: str, attribute: str) -> None:
-        """Release the in-flight claim and wake any waiting connections."""
-        key = (table.lower(), attribute.lower())
-        with self.lock:
-            event = self._expansions.pop(key, None)
-        if event is not None:
-            event.set()
 
     @property
     def version(self) -> int:

@@ -20,9 +20,9 @@ three capabilities the paper's query-driven workload needs at scale:
   hot repeated queries skip tokenize/parse/plan (plans are invalidated via
   the catalog's schema version when DDL changes the schema); and
 * a **session-scoped crowd context** (:class:`SessionContext`) carrying the
-  batch value source and predictor, the schema-expansion handler, the cost
-  ledger and the session's :class:`~repro.db.acquisition.AcquisitionPolicy`
-  (budget, batching, prediction and runtime knobs).  Two connections
+  batch value source and predictor, the schema-expansion handler and the
+  session's :class:`~repro.db.acquisition.AcquisitionPolicy` (budget,
+  batching, prediction and runtime knobs).  Two connections
   sharing one :class:`~repro.db.catalog.Catalog` can run different crowd
   policies concurrently; the catalog's lock guards shared reads and writes.
 """
@@ -33,7 +33,7 @@ import threading
 import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from dataclasses import fields as dataclass_fields
 
@@ -48,14 +48,12 @@ from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.storage import TableStorage, ValueProvenance
 from repro.db.types import MISSING, ColumnType
-from repro.errors import ExecutionError, UnknownColumnError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports db)
-    from repro.core.ledger import ExpansionLedger
-    from repro.core.schema_expansion import ExpansionPipeline
+from repro.errors import DuplicateColumnError, ExecutionError, UnknownColumnError
 
 #: Signature of the query-driven schema-expansion hook: ``(table, column)``
 #: returns True if the column was added (the statement is retried once).
+#: The handler only adds the column; the session's value source, predictor
+#: and policy fill it when the statement is retried.
 ExpansionHandler = Callable[[str, str], bool]
 
 #: DB-API module attributes.
@@ -146,9 +144,6 @@ class SessionContext:
     ----------
     expansion_handler:
         Hook consulted when a SELECT references an unknown column.
-    ledger:
-        Cost/time ledger shared with the expansion machinery (created
-        lazily when first accessed).
     value_source:
         Optional batch :class:`~repro.db.acquisition.ValueSource`.
         When set, queries referencing crowd-sourced (perceptual) columns
@@ -191,7 +186,6 @@ class SessionContext:
         self,
         *,
         expansion_handler: ExpansionHandler | None = None,
-        ledger: "ExpansionLedger | None" = None,
         value_source: Any = None,
         predictor: AttributePredictor | None = None,
         runtime: Any = None,
@@ -200,7 +194,6 @@ class SessionContext:
     ) -> None:
         self.policy = policy
         self.expansion_handler = expansion_handler
-        self._ledger = ledger
         self.cost_spent = 0.0
         self.value_source = value_source
         self.predictor = predictor
@@ -251,19 +244,6 @@ class SessionContext:
             write_back=self._policy.crowd_write_back,
             session=self,
         )
-
-    @property
-    def ledger(self) -> "ExpansionLedger":
-        """The session's expansion ledger (created on first access)."""
-        if self._ledger is None:
-            from repro.core.ledger import ExpansionLedger
-
-            self._ledger = ExpansionLedger()
-        return self._ledger
-
-    @ledger.setter
-    def ledger(self, value: "ExpansionLedger | None") -> None:
-        self._ledger = value
 
     @property
     def remaining_budget(self) -> float | None:
@@ -826,15 +806,6 @@ class Connection:
                 )
         return shared
 
-    def expansion(self) -> "ExpansionPipeline":
-        """Start a fluent :class:`~repro.core.schema_expansion.ExpansionPipeline`.
-
-        >>> conn.expansion().with_policy(policy).with_key("movie_id").attach()
-        """
-        from repro.core.schema_expansion import ExpansionPipeline
-
-        return ExpansionPipeline(self)
-
     # -- statement cache ----------------------------------------------------------
 
     @property
@@ -900,11 +871,14 @@ class Connection:
     ) -> QueryResult | SelectStream:
         """Run *execute*, giving the session's expansion handler one retry.
 
-        Crowd work never runs under the catalog lock: the *execute*
-        callables acquire it only around catalog/storage access (planning,
-        scanning, DML), and the expansion handler — which can spend
-        (simulated) minutes crowd-sourcing — runs here with no lock held,
-        taking it itself for the brief schema mutations it performs.
+        Crowd work never runs under the catalog lock: the handler runs
+        here with no lock held, taking the lock itself for the schema
+        change it makes, and the retried statement fills the new column
+        through ``CrowdFill``/``PredictFill``.  Two
+        sessions sharing a catalog can both miss the same column: the
+        handler that loses the race gets :class:`DuplicateColumnError`,
+        which means the column now exists, so the statement is retried
+        all the same.
         """
         try:
             return execute()
@@ -912,7 +886,11 @@ class Connection:
             handler = self.session.expansion_handler
             if not allow_expansion or handler is None or not is_select or error.table is None:
                 raise
-            if not handler(error.table, error.column):
+            try:
+                added = handler(error.table, error.column)
+            except DuplicateColumnError:
+                added = True
+            if not added:
                 raise
             return execute()
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext, connect
+from repro.db.acquisition import PredictionBatch
 from repro.db.types import ColumnType, MISSING
 from repro.errors import (
     ExecutionError,
@@ -559,3 +560,198 @@ class TestSessionScopedCrowdContext:
     def test_connection_exposes_session(self):
         db = Connection()
         assert isinstance(db.session, SessionContext)
+
+
+class PricedSource:
+    """Batch ValueSource labelling even item ids True at $0.01 per cell."""
+
+    def __init__(self, latency: float = 0.0) -> None:
+        self.latency = latency
+        self.dispatches = 0
+        self.total_cost = 0.0
+        self._lock = threading.Lock()
+
+    def request_values_with_quality(self, attribute, items, *, policy, tracker):
+        time.sleep(self.latency)
+        cost = 0.01 * len(items)
+        with self._lock:
+            self.dispatches += 1
+            self.total_cost += cost
+        return Dispatch({rowid: row["item_id"] % 2 == 0 for rowid, row in items}, cost=cost)
+
+
+class MajorityPredictor:
+    """AttributePredictor double: the majority training label for every target."""
+
+    def fit_predict(self, attribute, train, targets):
+        votes = [bool(value) for _rowid, _row, value in train]
+        majority = 2 * sum(votes) >= len(votes)
+        return PredictionBatch(values={rowid: majority for rowid, _row in targets})
+
+
+def add_column_handler(connection: Connection):
+    """The query-driven expansion handler: add the column, nothing else."""
+
+    def handler(table, column):
+        connection.add_perceptual_column(table, column, ColumnType.BOOLEAN)
+        return True
+
+    return handler
+
+
+def expanding_connection(catalog: Catalog, source) -> Connection:
+    connection = Connection(catalog)
+    connection.set_value_source(source)
+    connection.set_expansion_handler(add_column_handler(connection))
+    return connection
+
+
+def items_catalog(n: int) -> Catalog:
+    catalog = Catalog()
+    setup = Connection(catalog)
+    setup.execute("CREATE TABLE t (item_id INTEGER PRIMARY KEY)")
+    setup.executemany("INSERT INTO t (item_id) VALUES (?)", [(i,) for i in range(1, n + 1)])
+    return catalog
+
+
+def run_threads(*targets) -> None:
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestQueryDrivenExpansion:
+    """Expansion is "add the column"; CrowdFill/PredictFill fill it."""
+
+    def test_expansion_fills_the_new_column_through_the_runtime(self):
+        source = PricedSource()
+        connection = expanding_connection(items_catalog(20), source)
+        rows = connection.execute("SELECT count(*) FROM t WHERE cult = ?", (True,)).fetchall()
+        assert rows == [(10,)]
+        assert connection.provenance_counts("t", "cult") == {"crowd": 20}
+        assert source.dispatches == 1
+        assert connection.session.cost_spent == pytest.approx(0.20)
+
+    def test_handler_returning_false_propagates_unknown_column(self):
+        connection = Connection(items_catalog(3))
+        calls = []
+
+        def handler(table, column):
+            calls.append(column)
+            return False  # e.g. a factual attribute no rating data can derive
+
+        connection.set_expansion_handler(handler)
+        with pytest.raises(UnknownColumnError):
+            connection.execute("SELECT item_id FROM t WHERE email = ?", ("x",))
+        assert calls == ["email"]
+        assert "email" not in connection.table("t").schema
+
+    def test_shared_catalog_expansion_race_retries(self):
+        """Both sessions miss the column; the one whose add loses still answers."""
+        catalog = items_catalog(4)
+        both_missed = threading.Barrier(2, timeout=10)
+        outcomes: dict[int, object] = {}
+
+        def session(index):
+            connection = Connection(catalog)
+            add = add_column_handler(connection)
+
+            def handler(table, column):
+                both_missed.wait()
+                return add(table, column)
+
+            connection.set_expansion_handler(handler)
+            try:
+                outcomes[index] = connection.execute(
+                    "SELECT count(*) FROM t WHERE cult IS NULL"
+                ).fetchone()
+            except Exception as exc:  # pragma: no cover - only on regression
+                outcomes[index] = exc
+
+        run_threads(lambda: session(0), lambda: session(1))
+        assert outcomes == {0: (4,), 1: (4,)}  # the column exists, still MISSING
+
+    def test_concurrent_expansions_of_same_attribute_coalesce(self):
+        """Three sessions expand one attribute at once: the crowd is paid once."""
+
+        def expand(n_sessions):
+            source = PricedSource(latency=0.2)
+            catalog = items_catalog(40)
+            connections = [expanding_connection(catalog, source) for _ in range(n_sessions)]
+            results: list[object] = []
+
+            def query(connection):
+                try:
+                    results.append(
+                        connection.execute(
+                            "SELECT count(*) FROM t WHERE cult = ?", (True,)
+                        ).fetchone()
+                    )
+                except Exception as exc:  # pragma: no cover - only on regression
+                    results.append(exc)
+
+            run_threads(*(lambda c=c: query(c) for c in connections))
+            spent = [c.session.cost_spent for c in connections]
+            return results, source, spent
+
+        single, single_source, _ = expand(1)
+        results, source, spent = expand(3)
+        assert single == [(20,)]
+        assert results == [(20,)] * 3
+        assert (source.dispatches, source.total_cost) == (
+            single_source.dispatches,
+            single_source.total_cost,
+        )
+        assert sum(spent) == pytest.approx(source.total_cost)
+
+    def test_expansion_safe_against_concurrent_writer(self):
+        """Rows inserted during the fill survive; rows deleted stay deleted."""
+        catalog = items_catalog(199)
+        expanding = expanding_connection(catalog, PricedSource(latency=0.2))
+        writing = Connection(catalog)
+        deleted = list(range(10, 200, 10))
+        errors: list[Exception] = []
+
+        def expander():
+            try:
+                expanding.execute("SELECT item_id FROM t WHERE cult = ?", (True,)).fetchall()
+            except Exception as exc:  # pragma: no cover - only on regression
+                errors.append(exc)
+
+        def writer():
+            try:
+                time.sleep(0.05)  # land inside the source's crowd time
+                for i in range(200, 600):
+                    writing.execute("INSERT INTO t (item_id) VALUES (?)", (i,))
+                for i in deleted:
+                    writing.execute("DELETE FROM t WHERE item_id = ?", (i,))
+            except Exception as exc:  # pragma: no cover - only on regression
+                errors.append(exc)
+
+        run_threads(expander, writer)
+        assert errors == []
+        ids = {row[0] for row in writing.execute("SELECT item_id FROM t").fetchall()}
+        assert ids == set(range(1, 600)) - set(deleted)
+
+    def test_zero_budget_adds_the_column_without_spending(self):
+        source = PricedSource()
+        connection = expanding_connection(items_catalog(30), source)
+        connection.set_policy(AcquisitionPolicy(max_cost=0.0))
+        rows = connection.execute("SELECT item_id FROM t WHERE cult = ?", (True,)).fetchall()
+        assert rows == []
+        assert "cult" in connection.table("t").schema
+        assert connection.missing_count("t", "cult") == 30
+        assert source.dispatches == 0
+        assert source.total_cost == connection.session.cost_spent == 0.0
+
+    def test_small_budget_caps_the_crowd_sample(self):
+        source = PricedSource()
+        connection = expanding_connection(items_catalog(200), source)
+        connection.set_predictor(MajorityPredictor())
+        connection.set_policy(AcquisitionPolicy(max_cost=0.25))
+        connection.execute("SELECT count(*) FROM t WHERE cult = ?", (True,)).fetchone()
+        assert 0 < source.total_cost <= 0.25 + 1e-9
+        assert connection.session.cost_spent == pytest.approx(source.total_cost)

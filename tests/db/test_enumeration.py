@@ -297,7 +297,6 @@ class TestAcquisitionPolicy:
         params = inspect.signature(SessionContext.__init__).parameters
         assert [name for name in params if name != "self"] == [
             "expansion_handler",
-            "ledger",
             "value_source",
             "predictor",
             "runtime",
