@@ -271,9 +271,13 @@ def choose_sample_size(
                 # Predicting is not cheaper than asking: crowd-only.
                 size = n_candidates
     if budget is not None:
-        affordable = int(max(0.0, budget) // policy.crowd_cost_per_value)
-        size = min(size, affordable)
+        size = min(size, affordable_values(budget, policy))
     return size
+
+
+def affordable_values(budget: float, policy: AcquisitionPolicy) -> int:
+    """Crowd values a remaining *budget* buys at the policy's estimated price."""
+    return int(max(0.0, budget) // policy.crowd_cost_per_value)
 
 
 def select_sample(candidate_rowids: Iterable[int], size: int) -> frozenset[int]:

@@ -56,12 +56,14 @@ from repro.db.snapshot import (
 from repro.db.storage import TableStorage
 from repro.db.types import is_missing
 from repro.db.wal import (
+    EncodedJSON,
     WriteAheadLog,
     decode_cells,
     decode_row,
     decode_value,
     encode_cells,
     encode_row,
+    encode_row_json,
     encode_value,
     max_lsn,
     scan_wal,
@@ -100,9 +102,13 @@ class TableJournal:
         self._manager = manager
         self._table = table
 
-    def row_inserted(self, rowid: int, row: dict[str, Any]) -> None:
+    def row_inserted(self, rowid: int, row: dict[str, Any], payload: bytes | None) -> None:
+        """Log an insert; *payload* is the row's stored encoding, if any."""
+        if payload is None:
+            payload = encode_row_json(row)
         self._manager.append(
-            "insert", {"table": self._table, "rowid": rowid, "row": encode_row(row)}
+            "insert",
+            {"table": self._table, "rowid": rowid, "row": EncodedJSON(encode_row(row), payload)},
         )
 
     def row_updated(self, rowid: int, changes: dict[str, Any]) -> None:

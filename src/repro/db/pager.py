@@ -50,7 +50,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator, MutableMapping
 
-from repro.db.wal import decode_row, encode_row
+from repro.db.wal import decode_row, encode_row_json
 from repro.errors import PersistenceError
 
 __all__ = [
@@ -335,6 +335,12 @@ class Pager:
             )
         return payload
 
+    @property
+    def heap_end(self) -> int:
+        """Byte offset the next record will be allocated at or after."""
+        with self._alloc_lock:
+            return self._tail
+
     # -- table wiring -----------------------------------------------------------
 
     def row_map(self) -> "PagedRowMap":
@@ -454,6 +460,15 @@ class PagedRowStore:
         """Read a captured ``(rowid, loc)`` pair (no store lock needed)."""
         return self._pager.read_record(rowid, loc)
 
+    def heap_end(self) -> int:
+        """The shared heap's allocation mark: later records start at or past it."""
+        return self._pager.heap_end
+
+
+def _record_start(loc: int) -> int:
+    """Heap offset of the record a directory ``loc`` points at."""
+    return loc if loc >= 0 else -loc - 2
+
 
 def _decode_payload(payload: bytes, fills: dict[str, Any]) -> dict[str, Any]:
     """Decode one stored row, applying ADD COLUMN fills for older records.
@@ -496,21 +511,20 @@ class PagedRowMap(MutableMapping):
     """``MutableMapping[int, Row]`` facade over a :class:`PagedRowStore`.
 
     Rows cross the page boundary as compact JSON (the WAL's row codec, so
-    MISSING markers round-trip).  ``add_column_fill`` records an overlay
-    fill instead of rewriting every stored record — rows written before
-    the column existed receive the fill at decode time via ``setdefault``,
-    making ALTER TABLE ADD COLUMN O(1) regardless of table size.
+    MISSING markers round-trip); :meth:`store` hands the bytes back so an
+    insert journals them without encoding the row twice.
+    ``add_column_fill`` records an overlay fill instead of rewriting every
+    stored record — rows written before the column existed receive the
+    fill at decode time via ``setdefault``, making ALTER TABLE ADD COLUMN
+    O(1) regardless of table size.
     """
 
     def __init__(self, store: PagedRowStore) -> None:
         self._store = store
         self._fills: dict[str, Any] = {}
-
-    # -- codec -------------------------------------------------------------------
-
-    @staticmethod
-    def _encode(row: dict[str, Any]) -> bytes:
-        return json.dumps(encode_row(row), separators=(",", ":")).encode("utf-8")
+        #: Heap mark of the latest fill: a record starting at or past it
+        #: was written with every column the table has, fills included.
+        self._fill_mark = 0
 
     # -- MutableMapping ----------------------------------------------------------
 
@@ -521,7 +535,7 @@ class PagedRowMap(MutableMapping):
         return _decode_payload(payload, self._fills)
 
     def __setitem__(self, rowid: int, row: dict[str, Any]) -> None:
-        self._store.put(rowid, self._encode(row))
+        self.store(rowid, row)
 
     def __delitem__(self, rowid: int) -> None:
         if not self._store.delete(rowid):
@@ -538,9 +552,34 @@ class PagedRowMap(MutableMapping):
 
     # -- storage extensions ------------------------------------------------------
 
+    def store(self, rowid: int, row: dict[str, Any]) -> bytes:
+        """Write *row* under *rowid* and return its stored payload.
+
+        The payload is :func:`~repro.db.wal.encode_row_json` of the row, so
+        the storage layer hands the same bytes to the WAL.
+        """
+        payload = encode_row_json(row)
+        self._store.put(rowid, payload)
+        return payload
+
     def add_column_fill(self, column: str, value: Any) -> None:
         """Register the decode-time fill for a newly added column."""
         self._fills[column] = value
+        self._fill_mark = self._store.heap_end()
+
+    def encoded_rows(self) -> Iterator[tuple[int, bytes]]:
+        """``(rowid, payload)`` of every live row, fills applied (checkpoints).
+
+        A record written after the latest fill already holds every column,
+        so its stored bytes are returned as they are; only older records
+        are decoded, filled and encoded again.
+        """
+        store, fills, mark = self._store, dict(self._fills), self._fill_mark
+        for rowid, loc in store.captured_pairs():
+            payload = store.read(rowid, loc)
+            if _record_start(loc) < mark:
+                payload = encode_row_json(_decode_payload(payload, fills))
+            yield rowid, payload
 
     def lazy_snapshot(self) -> _PagedSnapshot:
         """Point-in-time iterable of ``(rowid, row)`` decoded on demand."""

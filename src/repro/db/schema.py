@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator
 
-from repro.db.types import MISSING, ColumnType, coerce_value, is_missing
+from repro.db.types import MISSING, ColumnType, coerce_value, is_missing, python_type_of
 from repro.errors import (
     DuplicateColumnError,
     IntegrityError,
@@ -90,6 +90,7 @@ class TableSchema:
         self.primary_key = primary_key.lower() if primary_key else None
         if self.primary_key is not None and self.primary_key not in self._columns:
             raise UnknownColumnError(self.primary_key, self.name)
+        self._refresh_layout()
 
     # -- introspection ------------------------------------------------------
 
@@ -129,6 +130,15 @@ class TableSchema:
         if column.name in self._columns:
             raise DuplicateColumnError(column.name, self.name)
         self._columns[column.name] = column
+        self._refresh_layout()
+
+    def _refresh_layout(self) -> None:
+        #: ``(name, stored type, column type, nullable, default)`` per column,
+        #: in declaration order: what :meth:`normalise_row` reads per value.
+        self._layout = tuple(
+            (c.name, python_type_of(c.type), c.type, c.nullable, c.default)
+            for c in self._columns.values()
+        )
 
     # -- row handling -------------------------------------------------------
 
@@ -137,22 +147,24 @@ class TableSchema:
 
         Missing columns receive their default, unknown columns raise,
         NOT NULL violations raise :class:`~repro.errors.IntegrityError`.
+        A value that already has the column's stored Python type is kept
+        as it is (coercion would return it unchanged).
         """
         row: dict[str, Any] = {}
         lowered = {key.lower(): value for key, value in values.items()}
         for key in lowered:
             if key not in self._columns:
                 raise UnknownColumnError(key, self.name)
-        for column in self._columns.values():
-            if column.name in lowered:
-                value = column.coerce(lowered[column.name])
+        for name, stored_type, column_type, nullable, default in self._layout:
+            if name in lowered:
+                value = lowered[name]
+                if type(value) is not stored_type:
+                    value = coerce_value(value, column_type)
             else:
-                value = column.default
-            if value is None and not column.nullable:
-                raise IntegrityError(
-                    f"column {column.name!r} of table {self.name!r} is NOT NULL"
-                )
-            row[column.name] = value
+                value = default
+            if value is None and not nullable:
+                raise IntegrityError(f"column {name!r} of table {self.name!r} is NOT NULL")
+            row[name] = value
         return row
 
     def describe(self) -> list[dict[str, Any]]:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.storage import TableStorage, ValueProvenance
 from repro.db.types import ColumnType
-from repro.db.wal import decode_row, decode_value, encode_row, encode_value
+from repro.db.wal import decode_row, decode_value, encode_value
 from repro.errors import PersistenceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,7 +55,7 @@ SNAPSHOT_FORMAT_VERSION = 1
 #: File name of the current snapshot inside a database directory.
 SNAPSHOT_NAME = "snapshot.json"
 
-#: Rows encoded per ``json.dumps`` call while a table is streamed out.
+#: Rows joined per write while a table is streamed out.
 _ROW_BATCH = 1024
 
 #: Write buffer of the snapshot file handle.
@@ -116,16 +116,21 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _row_batches(storage: TableStorage) -> Iterator[dict[str, Any]]:
-    """The table's encoded ``rowid -> row`` entries, :data:`_ROW_BATCH` at a time."""
-    batch: dict[str, Any] = {}
-    for rowid, row in storage.scan():
-        batch[str(rowid)] = encode_row(row)
+def _row_batches(storage: TableStorage) -> Iterator[str]:
+    """The table's ``"rowid":row`` members, :data:`_ROW_BATCH` at a time.
+
+    Rows are the payloads :meth:`TableStorage.encoded_rows` hands back
+    (the bytes the page already holds), so a checkpoint copies them
+    instead of decoding and encoding every row again.
+    """
+    batch: list[bytes] = []
+    for rowid, payload in storage.encoded_rows():
+        batch.append(b'"%d":%s' % (rowid, payload))
         if len(batch) >= _ROW_BATCH:
-            yield batch
-            batch = {}
+            yield b",".join(batch).decode("ascii")
+            batch = []
     if batch:
-        yield batch
+        yield b",".join(batch).decode("ascii")
 
 
 def _provenance_state(storage: TableStorage) -> dict[str, dict[str, Any]]:
@@ -151,7 +156,7 @@ def _write_table(write: Callable[[str], Any], storage: TableStorage) -> None:
     write(_dumps(head)[:-1] + ',"rows":{')
     separator = ""
     for batch in _row_batches(storage):
-        write(separator + _dumps(batch)[1:-1])
+        write(separator + batch)
         separator = ","
     tail = {
         "indexes": sorted(storage.index_columns()),
@@ -164,13 +169,20 @@ def _write_table(write: Callable[[str], Any], storage: TableStorage) -> None:
 
 
 def restore_table(catalog: "Catalog", state: dict[str, Any]) -> TableStorage:
-    """Recreate one table inside *catalog* from its serialized state."""
+    """Recreate one table inside *catalog* from its serialized state.
+
+    Indexes are created before the rows, so :meth:`TableStorage.restore_row`
+    maintains them while loading instead of a rebuild reading every row
+    back.  Statistics are taken from the snapshot when it has them (the
+    rows are then not folded in a second time).
+    """
     storage = catalog.create_table(schema_from_state(state["schema"]))
-    for rowid, row in state["rows"].items():
-        storage.restore_row(int(rowid), decode_row(row))
-    storage.advance_rowid(int(state["next_rowid"]))
     for column in state["indexes"]:
         storage.create_index(column)
+    observe = "stats" not in state
+    for rowid, row in state["rows"].items():
+        storage.restore_row(int(rowid), decode_row(row), observe=observe)
+    storage.advance_rowid(int(state["next_rowid"]))
     for column, entries in state["provenance"].items():
         for rowid, entry in entries.items():
             storage.set_provenance(
@@ -180,10 +192,9 @@ def restore_table(catalog: "Catalog", state: dict[str, Any]) -> TableStorage:
                     source=entry["source"], confidence=float(entry["confidence"])
                 ),
             )
-    # Older snapshots carry no stats; the restore loop above already
-    # re-accumulated write-path statistics, so only overwrite when the
-    # snapshot has the richer (possibly ANALYZE-built) numbers.
-    if "stats" in state:
+    # Older snapshots carry no stats: the restore loop above re-accumulated
+    # the write-path statistics from the rows instead.
+    if not observe:
         storage.stats.load_state(state["stats"])
     return storage
 

@@ -569,16 +569,24 @@ class Executor:
         schema = table.schema
         columns = list(statement.columns) or schema.column_names
         context = RowContext()
+        bound = len(params)
         inserted = 0
         for value_exprs in statement.rows:
             if len(value_exprs) != len(columns):
                 raise ExecutionError(
                     f"INSERT expects {len(columns)} values, got {len(value_exprs)}"
                 )
-            values = {
-                column: evaluate(expr, context, params)
-                for column, expr in zip(columns, value_exprs)
-            }
+            values = {}
+            for column, expr in zip(columns, value_exprs):
+                # Bound ``?`` slots and literals are read directly; any other
+                # expression (and an unbound slot, for its error) compiles.
+                kind = type(expr)
+                if kind is ast.Parameter and expr.index < bound:
+                    values[column] = params[expr.index]
+                elif kind is ast.Literal:
+                    values[column] = expr.value
+                else:
+                    values[column] = evaluate(expr, context, params)
             table.insert(values)
             inserted += 1
         return QueryResult(columns=[], rows=[], rowcount=inserted)

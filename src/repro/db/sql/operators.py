@@ -85,6 +85,7 @@ from repro.db.acquisition import (
     PredictSpec,
     SamplePlan,
     ValueSource,
+    affordable_values,
     plan_sample,
 )
 from repro.db.catalog import Catalog
@@ -628,6 +629,7 @@ class CrowdFill(Operator):
         self, pending: list[tuple[int, dict[str, Any]]]
     ) -> list[tuple[int, dict[str, Any]]]:
         session = self.spec.session
+        cap = self._crowd_only_cap()
         requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]] = []
         for attribute in self.attributes:
             if session is not None and session.budget_exhausted:
@@ -639,11 +641,30 @@ class CrowdFill(Operator):
                 for rowid, row in pending
                 if self._needs_value(attribute, rowid, row)
             ]
+            if cap is not None:
+                # Cells past what the budget buys stay MISSING.
+                items = items[:cap]
+                cap -= len(items)
             if items:
                 requests.append((attribute, items))
         if requests:
             self._acquire(requests)
         return pending
+
+    def _crowd_only_cap(self) -> int | None:
+        """Cells a crowd-only flush may request within the session's budget.
+
+        None when nothing caps the flush: no budget, or a hybrid plan,
+        whose sample the planner already sized to the budget.
+        """
+        session = self.spec.session
+        if self.sample is not None or session is None:
+            return None
+        budget = getattr(session, "remaining_budget", None)
+        policy = getattr(session, "policy", None)
+        if budget is None or policy is None:
+            return None
+        return affordable_values(budget, policy)
 
     def _acquire(
         self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]

@@ -20,7 +20,7 @@ from bisect import insort
 from typing import Any, Iterable
 from zlib import crc32
 
-from repro.db.types import is_absent
+from repro.db.types import MISSING, is_absent
 
 __all__ = ["ColumnStats", "TableStats", "KMV_K", "HISTOGRAM_BUCKETS"]
 
@@ -33,11 +33,6 @@ HISTOGRAM_BUCKETS = 16
 #: Hash space of the KMV sketch (crc32 is deterministic across runs,
 #: unlike ``hash()`` under PYTHONHASHSEED).
 _HASH_SPACE = float(2**32)
-
-
-def _value_hash(value: Any) -> int:
-    """Deterministic 32-bit hash of one cell value."""
-    return crc32(repr(value).encode("utf-8"))
 
 
 class ColumnStats:
@@ -56,7 +51,7 @@ class ColumnStats:
 
     def observe(self, value: Any) -> None:
         """Fold one written value into the statistics."""
-        if is_absent(value):
+        if value is None or value is MISSING:
             return
         self.non_null += 1
         if isinstance(value, bool):
@@ -67,7 +62,8 @@ class ColumnStats:
                 self.min_numeric = numeric
             if self.max_numeric is None or numeric > self.max_numeric:
                 self.max_numeric = numeric
-        digest = _value_hash(value)
+        # KMV hash: crc32 of the repr (see _HASH_SPACE).
+        digest = crc32(repr(value).encode("utf-8"))
         kmv = self._kmv
         if len(kmv) < KMV_K or digest < kmv[-1]:
             if digest not in kmv:
@@ -188,8 +184,12 @@ class TableStats:
     def observe_row(self, row: dict[str, Any]) -> None:
         """Fold one inserted/restored row into the statistics."""
         self.row_count += 1
+        columns = self._columns
         for name, value in row.items():
-            self.column(name).observe(value)
+            stats = columns.get(name)
+            if stats is None:
+                stats = columns[name] = ColumnStats()
+            stats.observe(value)
 
     def observe_value(self, column: str, value: Any) -> None:
         """Fold one updated cell into the statistics."""

@@ -24,6 +24,7 @@ from repro.db.indexes import OrderedIndex
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.stats import TableStats
 from repro.db.types import MISSING, is_missing
+from repro.db.wal import encode_row_json
 from repro.errors import ExecutionError, IntegrityError, UnknownColumnError
 
 #: A stored row: column name -> value (always contains every schema column).
@@ -60,6 +61,9 @@ class TableStorage:
     def __init__(self, schema: TableSchema, *, row_map: MutableMapping[int, Row] | None = None) -> None:
         self.schema = schema
         self._rows: MutableMapping[int, Row] = row_map if row_map is not None else {}
+        #: ``store(rowid, row) -> payload`` of a paged row map: writes the
+        #: row and returns its encoded bytes, which inserts journal as-is.
+        self._store_encoded: Callable[[int, Row], bytes] | None = getattr(row_map, "store", None)
         self._next_rowid = 1
         self._indexes: dict[str, OrderedIndex] = {}
         self._pk_index: OrderedIndex | None = None
@@ -134,12 +138,16 @@ class TableStorage:
                 )
         rowid = self._next_rowid
         self._next_rowid += 1
-        self._rows[rowid] = row
+        payload = None
+        if self._store_encoded is not None:
+            payload = self._store_encoded(rowid, row)
+        else:
+            self._rows[rowid] = row
         for index in self._indexes.values():
             index.add(rowid, row.get(index.column))
         self.stats.observe_row(row)
         if self.journal is not None and not self._suppress_journal:
-            self.journal.row_inserted(rowid, row)
+            self.journal.row_inserted(rowid, row, payload)
         return rowid
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
@@ -165,7 +173,7 @@ class TableStorage:
         if minimum > self._next_rowid:
             self._next_rowid = minimum
 
-    def restore_row(self, rowid: int, row: Row) -> None:
+    def restore_row(self, rowid: int, row: Row, *, observe: bool = True) -> None:
         """Place an already-normalized row at an explicit rowid.
 
         The recovery path (snapshot restore and WAL ``insert`` replay):
@@ -173,17 +181,20 @@ class TableStorage:
         re-checked, but indexes are maintained and the rowid high-water
         mark advances past *rowid*.  Restoring over an existing rowid
         replaces the row cleanly (replay is idempotent at the record
-        level; this keeps the operation itself idempotent too).
+        level; this keeps the operation itself idempotent too).  With
+        ``observe=False`` the statistics are left alone: a snapshot restore
+        loads the checkpointed statistics afterwards instead.
         """
-        existing = self._rows.get(rowid)
+        existing = self._rows.get(rowid) if rowid in self._rows else None
         for index in self._indexes.values():
             if existing is not None:
                 index.remove(rowid, existing.get(index.column))
             index.add(rowid, row.get(index.column))
         self._rows[rowid] = row
-        if existing is not None:
-            self.stats.forget_row()
-        self.stats.observe_row(row)
+        if observe:
+            if existing is not None:
+                self.stats.forget_row()
+            self.stats.observe_row(row)
         self.advance_rowid(rowid + 1)
 
     def set_provenance(
@@ -282,6 +293,17 @@ class TableStorage:
         if lazy is not None:
             return lazy()
         return list(self._rows.items())
+
+    def encoded_rows(self) -> Iterable[tuple[int, bytes]]:
+        """``(rowid, payload)`` pairs in insertion order, for checkpoints.
+
+        Each payload is :func:`~repro.db.wal.encode_row_json` of the row.
+        The paged store returns the bytes it already holds.
+        """
+        encoded = getattr(self._rows, "encoded_rows", None)
+        if encoded is not None:
+            return encoded()
+        return ((rowid, encode_row_json(row)) for rowid, row in self._rows.items())
 
     def rows(self) -> list[Row]:
         """Return a list of copies of all rows (insertion order)."""

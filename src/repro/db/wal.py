@@ -41,6 +41,7 @@ import json
 import os
 import struct
 import threading
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -51,8 +52,10 @@ from zlib import crc32
 __all__ = [
     "RECORD_TYPES",
     "SYNCHRONOUS_MODES",
+    "EncodedJSON",
     "WriteAheadLog",
     "decode_value",
+    "encode_row_json",
     "encode_value",
     "scan_wal",
     "validate_synchronous",
@@ -106,7 +109,41 @@ def decode_value(value: Any) -> Any:
 
 def encode_row(row: dict[str, Any]) -> dict[str, Any]:
     """Encode a stored row (column -> value) for JSON serialization."""
+    if MISSING not in row.values():
+        return dict(row)
     return {name: encode_value(value) for name, value in row.items()}
+
+
+#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_row_json(row: dict[str, Any]) -> bytes:
+    """The compact JSON of :func:`encode_row` ``(row)``, as ASCII bytes.
+
+    This is the one per-row encoding of a durable write: the page stores
+    these bytes, the WAL ``insert`` record embeds them, and a checkpoint
+    copies them into the snapshot.
+    """
+    return _COMPACT.encode(encode_row(row)).encode("ascii")
+
+
+class EncodedJSON(dict[str, Any]):
+    """A JSON object payload field that carries its compact encoding.
+
+    To every reader, ``json.dumps`` included, it is the object itself;
+    :meth:`WriteAheadLog.append` splices *data* instead of encoding the
+    object again, so a row encoded by :func:`encode_row_json` for its page
+    is not encoded a second time for its WAL record.  Only the payload's
+    last field may be one, so the record's bytes stay equal to
+    ``json.dumps`` of the record.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, value: dict[str, Any], data: bytes) -> None:
+        super().__init__(value)
+        self.data = data
 
 
 def decode_row(row: dict[str, Any]) -> dict[str, Any]:
@@ -171,7 +208,8 @@ class WriteAheadLog:
         """Append one record and return its LSN.
 
         The payload must already be JSON-serializable (use the ``encode_*``
-        helpers for rows and cell values).  Depending on ``synchronous``
+        helpers for rows and cell values); a last :class:`EncodedJSON`
+        field is spliced in as it is.  Depending on ``synchronous``
         the record is fsynced immediately (``full``), in groups
         (``normal``) or not at all (``off``).
         """
@@ -183,8 +221,7 @@ class WriteAheadLog:
         with self._lock:
             lsn = self.next_lsn
             self.next_lsn += 1
-            record = {"lsn": lsn, "op": op, **payload}
-            blob = json.dumps(record, separators=(",", ":")).encode("utf-8")
+            blob = _record_blob({"lsn": lsn, "op": op, **payload})
             self._file.write(_HEADER.pack(len(blob), crc32(blob)))
             self._file.write(blob)
             self._pending += 1
@@ -253,6 +290,16 @@ class WriteAheadLog:
             f"WriteAheadLog({str(self.path)!r}, synchronous={self.synchronous!r}, "
             f"records={self.records_appended})"
         )
+
+
+def _record_blob(record: dict[str, Any]) -> bytes:
+    """The record's compact JSON bytes; an :class:`EncodedJSON` last field is spliced."""
+    key, last = next(reversed(record.items()))
+    if type(last) is not EncodedJSON:
+        return _COMPACT.encode(record).encode("utf-8")
+    del record[key]
+    head = _COMPACT.encode(record).encode("utf-8")
+    return b"%s,%s:%s}" % (head[:-1], encode_basestring_ascii(key).encode("ascii"), last.data)
 
 
 def scan_wal(path: str | os.PathLike[str]) -> tuple[list[dict[str, Any]], int]:

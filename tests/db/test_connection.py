@@ -747,6 +747,19 @@ class TestQueryDrivenExpansion:
         assert source.dispatches == 0
         assert source.total_cost == connection.session.cost_spent == 0.0
 
+    @pytest.mark.parametrize("batch_size", [20, 64])
+    def test_crowd_only_flush_never_spends_past_max_cost(self, batch_size):
+        source = PricedSource()
+        connection = expanding_connection(items_catalog(200), source)
+        connection.set_policy(AcquisitionPolicy(max_cost=0.25, crowd_batch_size=batch_size))
+        connection.execute("SELECT count(*) FROM t WHERE cult = ?", (True,)).fetchone()
+        assert 0 < source.total_cost <= 0.25 + 1e-9
+        assert connection.session.cost_spent == pytest.approx(source.total_cost)
+        # Cells past the budget stay MISSING; every paid cell was filled.
+        filled = connection.provenance_counts("t", "cult").get("crowd", 0)
+        assert filled == round(source.total_cost / 0.01)
+        assert connection.missing_count("t", "cult") == 200 - filled
+
     def test_small_budget_caps_the_crowd_sample(self):
         source = PricedSource()
         connection = expanding_connection(items_catalog(200), source)

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.db import pager as pager_module
 from repro.db.pager import (
     BufferPool,
     PagedRowMap,
@@ -157,6 +158,35 @@ class TestPagedRowStoreAndMap:
         rows[2] = {"a": 2, "b": 5}
         assert rows[1] == {"a": 1, "b": None}
         assert rows[2] == {"a": 2, "b": 5}
+
+    def test_store_returns_the_payload_it_wrote(self, pager):
+        rows = pager.row_map()
+        payload = rows.store(1, {"a": 1, "s": "Zo\u00eb"})
+        assert payload == b'{"a":1,"s":"Zo\\u00eb"}'
+        assert rows[1] == {"a": 1, "s": "Zo\u00eb"}
+
+    def test_encoded_rows_copy_bytes_and_fill_only_older_records(self, pager, monkeypatch):
+        decoded = []
+        decode = pager_module._decode_payload
+        monkeypatch.setattr(
+            pager_module,
+            "_decode_payload",
+            lambda payload, fills: decoded.append(payload) or decode(payload, fills),
+        )
+        rows = pager.row_map()
+        rows[1] = {"a": 1}
+        rows[2] = {"a": 2, "wide": "x" * 400}  # jumbo record (page is 256 bytes)
+        rows.add_column_fill("b", None)
+        rows[3] = {"a": 3, "b": 5}
+        rows[1] = {"a": 10, "b": 6}  # rewritten after the fill
+        rows[4] = {"a": 4, "b": "y" * 400}  # jumbo record after the fill
+        assert list(rows.encoded_rows()) == [
+            (1, b'{"a":10,"b":6}'),
+            (2, b'{"a":2,"wide":"' + b"x" * 400 + b'","b":null}'),
+            (3, b'{"a":3,"b":5}'),
+            (4, b'{"a":4,"b":"' + b"y" * 400 + b'"}'),
+        ]
+        assert decoded == [b'{"a":2,"wide":"' + b"x" * 400 + b'"}']  # only the older row
 
     def test_lazy_snapshot_is_point_in_time(self, pager):
         rows = pager.row_map()

@@ -28,9 +28,17 @@ from repro.db.snapshot import (
     schema_state,
     write_snapshot,
 )
+from repro.db.stats import TableStats
 from repro.db.wal import encode_row, encode_value
 from repro.db.types import MISSING
-from repro.errors import ExecutionError, PersistenceError
+from repro.errors import (
+    ExecutionError,
+    IntegrityError,
+    ParameterBindingError,
+    PersistenceError,
+    TypeMismatchError,
+    UnknownColumnError,
+)
 
 
 def make_db(path, **knobs) -> Connection:
@@ -249,6 +257,244 @@ class TestCheckpointing:
         )
         with pytest.raises(PersistenceError, match="format version"):
             repro.connect(path=tmp_path / "db")
+
+
+def make_mixed_db(path) -> Connection:
+    """A paged table of every column type, with rows older than two ADD COLUMNs."""
+    conn = repro.connect(path=path, checkpoint_interval=None)
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, i INTEGER, r REAL, s TEXT, b BOOLEAN)")
+    conn.executemany(
+        "INSERT INTO t (id, i, r, s, b) VALUES (?, ?, ?, ?, ?)",
+        [
+            (1, 7, 0.1, "plain", True),
+            (2, None, 2.5, "Zo\u00eb \u2603 \u65e5\u672c", False),
+            (3, True, 1e300, 'quote " backslash \\ newline \n', None),
+            (4, -3, 0.30000000000000004, "", True),
+        ],
+    )
+    conn.execute("ALTER TABLE t ADD COLUMN extra INTEGER DEFAULT 7")
+    conn.add_perceptual_column("t", "vibe")
+    conn.execute("UPDATE t SET s = ? WHERE id = ?", ("rewritten", 4))
+    conn.execute(
+        "INSERT INTO t (id, i, r, s, b, extra) VALUES (?, ?, ?, ?, ?, ?)", (5, 2, -0.0, "y", 1, 9)
+    )
+    conn.table("t").fill_values("vibe", {1: 0.5}, provenance="crowd", confidences={1: 0.8})
+    return conn
+
+
+class TestSnapshotBytes:
+    """Checkpoints copy stored row bytes; the document keeps its old encoding."""
+
+    def test_snapshot_is_the_compact_dump_of_itself(self, tmp_path):
+        conn = make_mixed_db(tmp_path / "db")
+        conn.checkpoint()
+        written = (tmp_path / "db" / "snapshot.json").read_bytes()
+        assert written == json.dumps(json.loads(written), separators=(",", ":")).encode("utf-8")
+        assert written == json.dumps(
+            _whole_document(conn.catalog, last_lsn=json.loads(written)["last_lsn"]),
+            separators=(",", ":"),
+        ).encode("utf-8")
+        conn.close()
+
+    def test_rows_older_than_add_column_carry_the_fill(self, tmp_path):
+        conn = make_mixed_db(tmp_path / "db")
+        conn.checkpoint()
+        conn.close()
+        rows = load_snapshot(tmp_path / "db")["tables"][0]["rows"]
+        assert rows["2"] == {
+            "id": 2,
+            "i": None,
+            "r": 2.5,
+            "s": "Zo\u00eb \u2603 \u65e5\u672c",
+            "b": False,
+            "extra": 7,
+            "vibe": {"__missing__": True},
+        }
+        assert rows["3"]["i"] == 1 and rows["3"]["extra"] == 7
+        assert rows["4"]["s"] == "rewritten" and rows["4"]["extra"] == 7
+        assert rows["1"]["vibe"] == 0.5
+        assert rows["5"]["extra"] == 9 and rows["5"]["vibe"] == {"__missing__": True}
+
+    def test_checkpoint_after_reopen_reproduces_the_snapshot(self, tmp_path):
+        conn = make_mixed_db(tmp_path / "db")
+        conn.checkpoint()
+        conn.close()
+        first = (tmp_path / "db" / "snapshot.json").read_bytes()
+        reopened = repro.connect(path=tmp_path / "db", checkpoint_interval=None)
+        reopened.checkpoint()
+        reopened.close()
+        assert (tmp_path / "db" / "snapshot.json").read_bytes() == first
+
+
+class TestInsertPath:
+    """A rejected INSERT fails as before and leaves no trace anywhere."""
+
+    @pytest.mark.parametrize(
+        "sql, params, error, message",
+        [
+            (
+                "INSERT INTO t (id, n, nope) VALUES (?, ?, ?)",
+                (2, 1, "x"),
+                UnknownColumnError,
+                "unknown column: 'nope' in table 't'",
+            ),
+            (
+                "INSERT INTO t (id, s) VALUES (?, ?)",
+                (2, "x"),
+                IntegrityError,
+                "column 'n' of table 't' is NOT NULL",
+            ),
+            (
+                "INSERT INTO t (id, n, s) VALUES (?, ?, ?)",
+                (2, None, "x"),
+                IntegrityError,
+                "column 'n' of table 't' is NOT NULL",
+            ),
+            (
+                "INSERT INTO t (id, n, s) VALUES (?, ?, ?)",
+                (1, 5, "dup"),
+                IntegrityError,
+                "duplicate primary key 1 in table 't'",
+            ),
+            (
+                "INSERT INTO t (id, n, s) VALUES (?, ?, ?)",
+                (2, "abc", "x"),
+                TypeMismatchError,
+                "cannot coerce 'abc' to INTEGER",
+            ),
+            (
+                "INSERT INTO t (id, n, s) VALUES (?, ?, ?)",
+                (2, 3),
+                ParameterBindingError,
+                "statement takes 3 parameters, 2 given",
+            ),
+            (
+                "INSERT INTO t (id, n, s) VALUES (?, ? + 1, lower(?))",
+                (2, "abc", "X"),
+                ExecutionError,
+                "arithmetic on non-numeric values: 'abc' + 1",
+            ),
+            (
+                "INSERT INTO t (id, n) VALUES (?)",
+                (2,),
+                ExecutionError,
+                "INSERT expects 2 values, got 1",
+            ),
+        ],
+    )
+    def test_rejected_insert_writes_nothing(self, tmp_path, sql, params, error, message):
+        conn = repro.connect(path=tmp_path / "db", checkpoint_interval=None)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER NOT NULL, s TEXT)")
+        conn.execute("INSERT INTO t (id, n, s) VALUES (?, ?, ?)", (1, 1, "a"))
+        storage = conn.table("t")
+        wal_records = conn.durability.stats()["wal_records"]
+        page_records = conn.durability.buffer_pool_stats()["records_written"]
+        stats = storage.stats.to_state()
+        with pytest.raises(error) as raised:
+            conn.execute(sql, params)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert conn.durability.stats()["wal_records"] == wal_records
+        assert conn.durability.buffer_pool_stats()["records_written"] == page_records
+        assert storage.stats.to_state() == stats
+        assert len(storage) == 1
+        conn.close()
+
+    def test_unbound_slots_fail_in_the_executor_as_before(self):
+        from repro.db.sql.executor import Executor
+        from repro.db.sql.parser import parse_statement
+
+        conn = repro.connect()
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER, s TEXT)")
+        executor = Executor(conn.catalog)
+        statement = parse_statement("INSERT INTO t (id, n, s) VALUES (?, ?, ?)")
+        with pytest.raises(ParameterBindingError, match="^no value bound for parameter 3$"):
+            executor.execute(statement, params=(9, 1))
+        with pytest.raises(ExecutionError, match="^unbound parameter 1; bind values"):
+            executor.execute(statement, params=())
+        assert len(conn.table("t")) == 0
+
+    def test_expressions_literals_and_coercion(self, tmp_path):
+        conn = repro.connect(path=tmp_path / "db", checkpoint_interval=None)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER, s TEXT, r REAL)")
+        conn.execute("INSERT INTO t (id, n, s, r) VALUES (?, ? + 1, lower(?), 2)", (1, 1, "ABC"))
+        conn.execute("INSERT INTO t (id, n, s, r) VALUES (?, ?, ?, ?)", (2, True, True, 3))
+        conn.execute("INSERT INTO t (id, n, s, r) VALUES (3, '4', 5, NULL)")
+        rows = conn.execute("SELECT id, n, s, r FROM t ORDER BY id").fetchall()
+        assert rows == [(1, 2, "abc", 2.0), (2, 1, "true", 3.0), (3, 4, "5", None)]
+        assert [type(row[1]) for row in rows] == [int, int, int]
+        assert type(rows[0][3]) is float
+        conn.close()
+
+
+def _index_state(storage) -> dict:
+    indexes = {column: storage.index_on(column) for column in storage.index_columns()}
+    return {
+        column: (index.range_pairs(), list(index.ordered_rowids()))
+        for column, index in indexes.items()
+    }
+
+
+def _accounts_db(path) -> Connection:
+    conn = repro.connect(path=path, checkpoint_interval=None)
+    conn.execute("CREATE TABLE accounts (id INTEGER PRIMARY KEY, owner TEXT, score INTEGER)")
+    conn.execute("CREATE INDEX ON accounts (score)")
+    conn.executemany(
+        "INSERT INTO accounts (id, owner, score) VALUES (?, ?, ?)",
+        [(i, f"owner-{i}", None if i % 17 == 0 else (i * 37) % 500) for i in range(1, 400)],
+    )
+    conn.execute("UPDATE accounts SET score = ? WHERE id = ?", (9999, 5))
+    conn.execute("DELETE FROM accounts WHERE id = ?", (6,))
+    conn.execute("CREATE INDEX ON accounts (owner)")
+    return conn
+
+
+_RANGE_SQL = (
+    "EXPLAIN SELECT id, score FROM accounts WHERE score >= ? AND score < ? ORDER BY score LIMIT 20"
+)
+
+
+class TestRestoreEquivalence:
+    """Restore builds indexes while loading and takes stats from the snapshot."""
+
+    @pytest.mark.parametrize("analyze", [False, True])
+    def test_reopen_restores_stats_indexes_and_plans(self, tmp_path, analyze):
+        conn = _accounts_db(tmp_path / "db")
+        if analyze:
+            conn.execute("PRAGMA analyze")
+        conn.checkpoint()
+        storage = conn.table("accounts")
+        stats, indexes = storage.stats.to_state(), _index_state(storage)
+        plan = conn.execute(_RANGE_SQL, (100, 140)).fetchall()
+        conn.close()
+
+        reopened = repro.connect(path=tmp_path / "db")
+        storage = reopened.table("accounts")
+        assert storage.stats.to_state() == stats
+        assert _index_state(storage) == indexes
+        assert reopened.execute(_RANGE_SQL, (100, 140)).fetchall() == plan
+        reopened.close()
+
+    def test_snapshot_without_stats_reaccumulates_them(self, tmp_path):
+        conn = _accounts_db(tmp_path / "db")
+        conn.checkpoint()
+        conn.close()
+        path = tmp_path / "db" / "snapshot.json"
+        document = json.loads(path.read_bytes())
+        for table in document["tables"]:
+            del table["stats"]
+        path.write_text(json.dumps(document, separators=(",", ":")), encoding="utf-8")
+
+        reopened = repro.connect(path=tmp_path / "db")
+        storage = reopened.table("accounts")
+        folded = TableStats()
+        for _rowid, row in storage.scan():
+            folded.observe_row(row)
+        assert storage.stats.row_count == len(storage) == 398
+        assert storage.stats.to_state() == folded.to_state()
+        assert "IndexRangeScan" in "\n".join(
+            line for (line,) in reopened.execute(_RANGE_SQL, (100, 140)).fetchall()
+        )
+        reopened.close()
 
 
 class TestPragmas:

@@ -16,12 +16,14 @@ from repro.db.types import MISSING
 from repro.db.wal import (
     RECORD_TYPES,
     SYNCHRONOUS_MODES,
+    EncodedJSON,
     WriteAheadLog,
     decode_cells,
     decode_row,
     decode_value,
     encode_cells,
     encode_row,
+    encode_row_json,
     encode_value,
     scan_wal,
 )
@@ -42,6 +44,17 @@ class TestValueEncoding:
         assert decoded["id"] == 1 and decoded["name"] == "Rocky"
         assert decoded["score"] is MISSING and decoded["flag"] is None
 
+    def test_row_json_is_the_compact_dump_of_the_encoded_row(self):
+        text = "Zo\u00eb \u2603 \"q\" \\"
+        row = {"id": 1, "r": 0.1, "s": text, "b": True, "m": MISSING, "n": None}
+        assert encode_row_json(row) == json.dumps(
+            encode_row(row), separators=(",", ":")
+        ).encode("utf-8")
+
+    def test_row_json_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode_row_json({"x": object()})
+
     def test_cells_round_trip_integer_keys(self):
         cells = {7: True, 12: MISSING}
         decoded = decode_cells(json.loads(json.dumps(encode_cells(cells))))
@@ -58,6 +71,18 @@ class TestFraming:
         assert [record["op"] for record in records] == ["insert", "delete"]
         assert [record["lsn"] for record in records] == [1, 2]
         assert valid == (tmp_path / "wal.log").stat().st_size
+
+    def test_encoded_last_field_is_spliced_byte_identically(self, tmp_path):
+        row = {"id": 1, "name": "Zo\u00eb", "score": MISSING}
+        plain = WriteAheadLog(tmp_path / "plain.log")
+        plain.append("insert", {"table": "t", "rowid": 1, "row": encode_row(row)})
+        plain.close()
+        spliced = WriteAheadLog(tmp_path / "spliced.log")
+        encoded = EncodedJSON(encode_row(row), encode_row_json(row))
+        assert json.dumps(encoded) == json.dumps(encode_row(row))
+        spliced.append("insert", {"table": "t", "rowid": 1, "row": encoded})
+        spliced.close()
+        assert (tmp_path / "spliced.log").read_bytes() == (tmp_path / "plain.log").read_bytes()
 
     def test_missing_file_scans_empty(self, tmp_path):
         assert scan_wal(tmp_path / "nothing.log") == ([], 0)
@@ -164,6 +189,65 @@ class TestDurabilityModes:
         lsn = wal.append("insert", {"rowid": 2})
         assert lsn == 2  # LSNs are monotone across truncations
         wal.close()
+
+
+def _frames(path) -> list[bytes]:
+    """The raw payload bytes of every record in a WAL file."""
+    data = path.read_bytes()
+    blobs, offset = [], 0
+    while offset < len(data):
+        length, _checksum = struct.unpack_from("<II", data, offset)
+        blobs.append(data[offset + 8 : offset + 8 + length])
+        offset += 8 + length
+    return blobs
+
+
+class TestInsertRecordBytes:
+    """The row is encoded once; its WAL record keeps the old bytes."""
+
+    def test_insert_payloads_equal_the_dump_of_the_record_dict(self, tmp_path):
+        import repro
+
+        conn = repro.connect(path=tmp_path / "db", checkpoint_interval=None)
+        conn.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, i INTEGER, r REAL, s TEXT, b BOOLEAN)"
+        )
+        conn.executemany(
+            "INSERT INTO t (id, i, r, s, b) VALUES (?, ?, ?, ?, ?)",
+            [
+                (1, 7, 0.1, "plain", True),
+                (2, None, 2.5, "Zo\u00eb \u2603 \u65e5\u672c", False),
+                (3, True, 1e300, 'quote " backslash \\ newline \n', None),
+            ],
+        )
+        conn.execute("ALTER TABLE t ADD COLUMN extra INTEGER DEFAULT 7")
+        conn.add_perceptual_column("t", "vibe")
+        conn.execute("INSERT INTO t (id, i, r, s, b) VALUES (?, ?, ?, ?, ?)", (4, 2, -0.0, "y", 1))
+        conn.close()
+
+        expected = {
+            1: {"id": 1, "i": 7, "r": 0.1, "s": "plain", "b": True},
+            2: {"id": 2, "i": None, "r": 2.5, "s": "Zo\u00eb \u2603 \u65e5\u672c", "b": False},
+            3: {"id": 3, "i": 1, "r": 1e300, "s": 'quote " backslash \\ newline \n', "b": None},
+            4: {"id": 4, "i": 2, "r": -0.0, "s": "y", "b": True, "extra": 7, "vibe": MISSING},
+        }
+        inserts = [
+            blob for blob in _frames(tmp_path / "db" / "wal.log") if b'"op":"insert"' in blob
+        ]
+        assert len(inserts) == len(expected)
+        for blob in inserts:
+            record = json.loads(blob)
+            rowid = record["rowid"]
+            assert blob == json.dumps(
+                {
+                    "lsn": record["lsn"],
+                    "op": "insert",
+                    "table": "t",
+                    "rowid": rowid,
+                    "row": encode_row(expected[rowid]),
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
