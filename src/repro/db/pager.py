@@ -33,6 +33,11 @@ sorted by rowid (rowids are monotone, so inserts are appends): the
 ``loc`` is the absolute byte offset of the record, ``-1`` for a
 tombstone, or ``-(offset + 2)`` for a jumbo record.
 
+Point lookups read one record (:meth:`Pager.read_record`); every scan
+reads a captured directory a page at a time (:meth:`Pager.read_pages`),
+pinning each run of same-page records once and parsing its rows with one
+``json.loads``.
+
 Lock order (checked by ``reprolint``'s lock-order gate):
 ``Catalog.lock`` → ``PagedRowStore._lock`` → ``Pager._alloc_lock`` →
 ``BufferPool._lock``.
@@ -329,11 +334,51 @@ class Pager:
             finally:
                 self.pool.unpin(page_no)
         if stored != rowid or len(payload) != length:
-            raise PersistenceError(
-                f"page store corruption: record at loc {loc} carries rowid "
-                f"{stored}, expected {rowid}"
-            )
+            raise _mismatch(loc, stored, rowid)
         return payload
+
+    def read_pages(
+        self, pairs: list[tuple[int, int]]
+    ) -> Iterator[tuple[list[tuple[int, int]], list[bytes]]]:
+        """Read captured ``(rowid, loc)`` pairs a page at a time.
+
+        Yields ``(run, payloads)`` for each run of consecutive pairs whose
+        records sit on one page.  The page is pinned once, copied and
+        unpinned before its run is yielded, so a reader that stops early
+        (a LIMIT) never leaves a pin behind.  Each record's header is
+        checked as :meth:`read_record` checks it; a jumbo record is a run
+        of its own, read by :meth:`read_record`.
+        """
+        page_size, pool = self.page_size, self.pool
+        i, count = 0, len(pairs)
+        while i < count:
+            rowid, loc = pairs[i]
+            if loc <= -2:
+                yield pairs[i : i + 1], [self.read_record(rowid, loc)]
+                i += 1
+                continue
+            page_no = loc // page_size
+            base = page_no * page_size
+            end = base + page_size
+            j = i + 1
+            while j < count and base <= pairs[j][1] < end:
+                j += 1
+            frame = pool.pin(page_no)
+            try:
+                page = bytes(frame.data)
+            finally:
+                pool.unpin(page_no)
+            run = pairs[i:j]
+            payloads = []
+            for rowid, loc in run:
+                offset = loc - base
+                _flags, length, stored = _RECORD.unpack_from(page, offset)
+                payload = page[offset + _RECORD.size : offset + _RECORD.size + length]
+                if stored != rowid or len(payload) != length:
+                    raise _mismatch(loc, stored, rowid)
+                payloads.append(payload)
+            yield run, payloads
+            i = j
 
     @property
     def heap_end(self) -> int:
@@ -372,6 +417,13 @@ class Pager:
         self._file.close()
 
 
+def _mismatch(loc: int, stored: int, rowid: int) -> PersistenceError:
+    """The error for a record whose header does not match its directory entry."""
+    return PersistenceError(
+        f"page store corruption: record at loc {loc} carries rowid {stored}, expected {rowid}"
+    )
+
+
 class PagedRowStore:
     """Per-table record directory over a shared :class:`Pager` heap.
 
@@ -382,7 +434,9 @@ class PagedRowStore:
     """
 
     def __init__(self, pager: Pager) -> None:
-        self._pager = pager
+        #: The shared heap; scans read captured pairs through
+        #: :meth:`Pager.read_pages` without the store lock.
+        self.pager = pager
         self._lock = threading.Lock()
         self._rowids = array("q")
         self._locs = array("q")
@@ -397,7 +451,7 @@ class PagedRowStore:
 
     def put(self, rowid: int, payload: bytes) -> None:
         """Insert or replace the record for *rowid*."""
-        loc = self._pager.write_record(rowid, payload)
+        loc = self.pager.write_record(rowid, payload)
         with self._lock:
             i = bisect_left(self._rowids, rowid)
             if i < len(self._rowids) and self._rowids[i] == rowid:
@@ -416,7 +470,7 @@ class PagedRowStore:
             loc = self._locs[i] if i >= 0 else _TOMBSTONE
         if loc == _TOMBSTONE:
             return None
-        return self._pager.read_record(rowid, loc)
+        return self.pager.read_record(rowid, loc)
 
     def delete(self, rowid: int) -> bool:
         """Tombstone *rowid*; False when it was absent already."""
@@ -456,13 +510,9 @@ class PagedRowStore:
                 if loc != _TOMBSTONE
             ]
 
-    def read(self, rowid: int, loc: int) -> bytes:
-        """Read a captured ``(rowid, loc)`` pair (no store lock needed)."""
-        return self._pager.read_record(rowid, loc)
-
     def heap_end(self) -> int:
         """The shared heap's allocation mark: later records start at or past it."""
-        return self._pager.heap_end
+        return self.pager.heap_end
 
 
 def _record_start(loc: int) -> int:
@@ -471,14 +521,18 @@ def _record_start(loc: int) -> int:
 
 
 def _decode_payload(payload: bytes, fills: dict[str, Any]) -> dict[str, Any]:
-    """Decode one stored row, applying ADD COLUMN fills for older records.
+    """Decode one stored row, applying ADD COLUMN fills for older records."""
+    return _finish_row(json.loads(payload), payload, fills)
+
+
+def _finish_row(row: dict[str, Any], payload: bytes, fills: dict[str, Any]) -> dict[str, Any]:
+    """Complete a row parsed from *payload*: MISSING markers, then fills.
 
     The MISSING codec pass runs only when the payload mentions the
     sentinel: :func:`~repro.db.wal.encode_row` always writes MISSING as the
     literal ASCII key ``__missing__``, so a payload without it decodes to
     the same row without the pass.
     """
-    row: dict[str, Any] = json.loads(payload.decode("utf-8"))
     if b"__missing__" in payload:
         row = decode_row(row)
     for column, value in fills.items():
@@ -487,15 +541,16 @@ def _decode_payload(payload: bytes, fills: dict[str, Any]) -> dict[str, Any]:
 
 
 class _PagedSnapshot:
-    """Lazy point-in-time scan: captured directory, rows decoded on pull.
+    """Lazy point-in-time scan: captured directory, rows decoded a page at a time.
 
     Mirrors the contract of the in-memory ``snapshot()`` list — the *set*
     of rows is fixed at capture time while decoding happens as the scan
-    operators pull, so a LIMIT stops the page reads early.
+    operators pull, so a LIMIT stops the page reads early.  Each page's
+    payloads are parsed by one ``json.loads`` of a JSON array.
     """
 
     def __init__(self, store: PagedRowStore, fills: dict[str, Any]) -> None:
-        self._store = store
+        self._pager = store.pager
         self._pairs = store.captured_pairs()
         self._fills = dict(fills)
 
@@ -503,8 +558,14 @@ class _PagedSnapshot:
         return len(self._pairs)
 
     def __iter__(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rowid, loc in self._pairs:
-            yield rowid, _decode_payload(self._store.read(rowid, loc), self._fills)
+        fills = self._fills
+        for run, payloads in self._pager.read_pages(self._pairs):
+            joined = b",".join(payloads)
+            rows = json.loads(b"[" + joined + b"]")
+            if fills or b"__missing__" in joined:
+                rows = [_finish_row(row, payload, fills) for row, payload in zip(rows, payloads)]
+            for (rowid, _loc), row in zip(run, rows):
+                yield rowid, row
 
 
 class PagedRowMap(MutableMapping):
@@ -575,12 +636,16 @@ class PagedRowMap(MutableMapping):
         are decoded, filled and encoded again.
         """
         store, fills, mark = self._store, dict(self._fills), self._fill_mark
-        for rowid, loc in store.captured_pairs():
-            payload = store.read(rowid, loc)
-            if _record_start(loc) < mark:
-                payload = encode_row_json(_decode_payload(payload, fills))
-            yield rowid, payload
+        for run, payloads in store.pager.read_pages(store.captured_pairs()):
+            for (rowid, loc), payload in zip(run, payloads):
+                if _record_start(loc) < mark:
+                    payload = encode_row_json(_decode_payload(payload, fills))
+                yield rowid, payload
 
-    def lazy_snapshot(self) -> _PagedSnapshot:
-        """Point-in-time iterable of ``(rowid, row)`` decoded on demand."""
+    def items(self) -> _PagedSnapshot:  # type: ignore[override]
+        """Point-in-time ``(rowid, row)`` pairs, decoded a page at a time.
+
+        Every sequential reader of the table (scans, UPDATE, DELETE, index
+        builds) comes through here; point lookups use ``self[rowid]``.
+        """
         return _PagedSnapshot(self._store, self._fills)

@@ -275,7 +275,11 @@ class TableStorage:
     # -- scans ----------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[int, Row]]:
-        """Yield ``(rowid, row)`` pairs in insertion order."""
+        """Yield ``(rowid, row)`` pairs in insertion order.
+
+        The paged store reads a page at a time from a directory captured
+        when the scan starts (:meth:`~repro.db.pager.PagedRowMap.items`).
+        """
         yield from self._rows.items()
 
     def snapshot(self) -> Iterable[tuple[int, Row]]:
@@ -285,14 +289,14 @@ class TableStorage:
         change it) while rows materialize lazily: the in-memory store
         returns a list of live row references that scan operators copy as
         they pull; the paged store captures its directory under the lock
-        and decodes rows page-by-page as they are pulled — either way a
-        LIMIT stops the per-row work early, and a million-row table is
-        never materialized whole.
+        and, as rows are pulled, pins each page once and decodes all of
+        its rows with one JSON parse — either way a LIMIT stops the work
+        early, and a million-row table is never materialized whole.
         """
-        lazy = getattr(self._rows, "lazy_snapshot", None)
-        if lazy is not None:
-            return lazy()
-        return list(self._rows.items())
+        if isinstance(self._rows, dict):
+            # A dict's items() is a live view; the paged map's is captured.
+            return list(self._rows.items())
+        return self._rows.items()
 
     def encoded_rows(self) -> Iterable[tuple[int, bytes]]:
         """``(rowid, payload)`` pairs in insertion order, for checkpoints.
@@ -307,7 +311,7 @@ class TableStorage:
 
     def rows(self) -> list[Row]:
         """Return a list of copies of all rows (insertion order)."""
-        return [dict(row) for row in self._rows.values()]
+        return [dict(row) for _rowid, row in self._rows.items()]
 
     def rowids(self) -> list[int]:
         """Return all rowids in insertion order."""

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from repro.errors import LearningError, NotFittedError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -67,6 +68,8 @@ class TfIdfVectorizer:
 
     def transform(self, documents: Sequence[str]) -> sparse.csr_matrix:
         """Transform documents into an L2-normalised TF-IDF matrix."""
+        from scipy import sparse  # only the LSI baseline needs scipy
+
         if self.vocabulary_ is None or self.idf_ is None:
             raise NotFittedError(self)
         rows: list[int] = []
@@ -125,6 +128,8 @@ class LatentSemanticIndex:
 
     def fit(self, documents: Sequence[str]) -> "LatentSemanticIndex":
         """Fit the TF-IDF vocabulary and the truncated SVD."""
+        from scipy.sparse.linalg import svds
+
         matrix = self.vectorizer.fit_transform(documents)
         k = min(self.n_components, min(matrix.shape) - 1)
         if k <= 0:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.connection import Connection
+from repro.utils.rng import ensure_rng
 
 _NAMES = ("alpha", "beta", "gamma", "delta", "rho", "omega")
 
@@ -157,6 +158,9 @@ class TestDifferentialAgainstSqlite:
 
 _EXTRA_COLUMNS = ("a", "b", "c")
 _COMPARISONS = ("<", "<=", ">", ">=", "=")
+#: Rows bulk-loaded before each generated sequence: about a dozen pages
+#: at the harness's 512-byte page size, so scans cross page boundaries.
+_BULK_ROWS = 150
 
 
 @st.composite
@@ -172,8 +176,13 @@ def op_sequences(draw):
         st.lists(st.sampled_from(_EXTRA_COLUMNS), min_size=1, max_size=3, unique=True)
     )
     indexed = draw(st.sampled_from(columns))
+    # The bulk comes from one drawn seed: hundreds of separate draws per
+    # example would cost more than the sequence itself.
+    rng = ensure_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.integers(0, 41, size=(_BULK_ROWS, len(columns))).tolist()
+    bulk = [(pk, *row) for pk, row in enumerate(values, start=1)]
     ops: list[tuple[str, str]] = []
-    next_pk = 1
+    next_pk = _BULK_ROWS + 1
     for _ in range(draw(st.integers(min_value=4, max_value=12))):
         kind = draw(st.sampled_from(("insert", "insert", "update", "delete", "select")))
         if kind == "insert":
@@ -221,7 +230,7 @@ def op_sequences(draw):
     # Always end with a full-table audit so writes are compared even when
     # no SELECT was drawn.
     ops.append(("multiset", "SELECT * FROM t"))
-    return columns, indexed, ops
+    return columns, indexed, bulk, ops
 
 
 class TestGenerativeDifferential:
@@ -229,7 +238,10 @@ class TestGenerativeDifferential:
 
     The engine runs durable with a deliberately tiny buffer pool so every
     sequence churns pages through eviction and write-back; sqlite3 is the
-    oracle.  Divergence on any of the 200 generated sequences fails.
+    oracle.  Each sequence starts from a bulk load spanning about a dozen
+    pages, so scans read many page runs, evict between them, and meet
+    UPDATEs that moved records to later pages.  Divergence on any of the
+    200 generated sequences fails.
     """
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -237,16 +249,19 @@ class TestGenerativeDifferential:
     def test_random_sequences_match_sqlite(self, spec):
         import tempfile
 
-        columns, indexed, ops = spec
+        columns, indexed, bulk, ops = spec
         decls = ", ".join(f"{name} INTEGER" for name in columns)
         with tempfile.TemporaryDirectory() as tmp:
             from repro.db.connection import connect
 
-            ours = connect(path=f"{tmp}/db", buffer_pool_pages=2)
+            ours = connect(path=f"{tmp}/db", buffer_pool_pages=2, page_size=512)
             reference = sqlite3.connect(":memory:")
             try:
                 for engine_exec in (ours.run_statement, reference.execute):
                     engine_exec(f"CREATE TABLE t (pk INTEGER PRIMARY KEY, {decls})")
+                insert = f"INSERT INTO t VALUES ({', '.join('?' * (len(columns) + 1))})"
+                ours.executemany(insert, bulk)
+                reference.executemany(insert, bulk)
                 ours.run_statement(f"CREATE INDEX ON t ({indexed})")
                 reference.execute(f"CREATE INDEX idx_diff ON t ({indexed})")
                 for mode, sql in ops:

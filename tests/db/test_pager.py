@@ -24,6 +24,8 @@ from repro.db.pager import (
     PageFile,
     Pager,
 )
+from repro.db.connection import connect
+from repro.db.types import MISSING
 from repro.errors import PersistenceError
 
 
@@ -191,11 +193,83 @@ class TestPagedRowStoreAndMap:
     def test_lazy_snapshot_is_point_in_time(self, pager):
         rows = pager.row_map()
         rows[1] = {"a": 1}
-        snapshot = rows.lazy_snapshot()
+        snapshot = rows.items()
         rows[2] = {"a": 2}
         rows[1] = {"a": 99}
         assert list(snapshot) == [(1, {"a": 1})]  # captured set AND versions
         assert len(snapshot) == 1
+
+
+class TestPageRunReader:
+    """Scans pin each page once and decode its rows with one JSON parse."""
+
+    def test_full_scan_pins_each_live_page_once(self, pager):
+        rows = pager.row_map()
+        for rowid in range(1, 41):
+            rows[rowid] = {"a": rowid, "s": "x" * 20}
+        del rows[7]
+        store = rows._store
+        pages = {loc // pager.page_size for _rowid, loc in store.captured_pairs()}
+        assert len(pages) > pager.pool.capacity  # the scan must evict as it goes
+        before = pager.pool.hits + pager.pool.misses
+        scanned = list(rows.items())
+        assert pager.pool.hits + pager.pool.misses - before == len(pages)
+        assert [rowid for rowid, _row in scanned] == [r for r in range(1, 41) if r != 7]
+        assert pager.pool.stats()["pinned_pages"] == 0
+
+    def test_limit_scan_pins_one_page_and_releases_it(self, tmp_path):
+        conn = connect(path=tmp_path / "db", buffer_pool_pages=2, page_size=256)
+        try:
+            conn.run_statement("CREATE TABLE t (id INTEGER PRIMARY KEY, s TEXT)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, "y" * 30) for i in range(60)])
+            before = conn.durability.buffer_pool_stats()
+            assert before["allocated_pages"] > 4
+            assert conn.run_statement("SELECT id FROM t LIMIT 1").rows == [(0,)]
+            after = conn.durability.buffer_pool_stats()
+        finally:
+            conn.close()
+        pins = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+        assert pins == 1
+        assert after["pinned_pages"] == 0
+        assert after["pin_violations"] == 0
+
+    def test_rows_match_the_per_record_decode(self, pager):
+        rows = pager.row_map()
+        for rowid in range(1, 31):
+            rows[rowid] = {"a": rowid, "m": MISSING if rowid % 4 == 0 else rowid}
+        rows[5] = {"a": 5, "wide": "j" * 400}  # jumbo record (page is 256 bytes)
+        rows.add_column_fill("b", None)  # rows 1-30 were written before it
+        rows[3] = {"a": 33, "m": MISSING, "b": 1}  # moved to the heap tail
+        rows[31] = {"a": 31, "m": 0, "b": "z" * 300}  # jumbo, after the fill
+        rows[12] = {"a": 12, "m": 12, "b": 2}  # moved to the heap tail
+        for rowid in (9, 20, 30):
+            del rows[rowid]
+        store = rows._store
+        locs = [loc for _rowid, loc in store.captured_pairs()]
+        assert locs != sorted(locs)  # directory order is not heap order
+        scanned = list(rows.items())
+        assert scanned == [(rowid, rows[rowid]) for rowid in rows]  # one record at a time
+        by_rowid = dict(scanned)
+        assert by_rowid[4] == {"a": 4, "m": MISSING, "b": None}
+        assert by_rowid[3] == {"a": 33, "m": MISSING, "b": 1}
+        assert by_rowid[5] == {"a": 5, "wide": "j" * 400, "b": None}
+        assert by_rowid[31]["b"] == "z" * 300
+        assert 9 not in by_rowid and 30 not in by_rowid
+        assert pager.pool.pin_violations == 0
+        assert pager.pool.stats()["pinned_pages"] == 0
+
+    def test_corrupt_record_header_names_the_expected_rowid(self, pager):
+        rows = pager.row_map()
+        for rowid in range(1, 21):
+            rows[rowid] = {"a": rowid}
+        loc = dict(rows._store.captured_pairs())[14]
+        page_no, offset = divmod(loc, pager.page_size)
+        frame = pager.pool.pin(page_no)
+        pager_module._RECORD.pack_into(frame.data, offset, 0, len(b'{"a":14}'), 99)
+        pager.pool.unpin(page_no, dirty=True)
+        with pytest.raises(PersistenceError, match="carries rowid 99, expected 14"):
+            list(rows.items())
+        assert pager.pool.stats()["pinned_pages"] == 0
 
 
 class TestEvictionChurnStress:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +130,17 @@ class TestBuildMetadataDocuments:
         metadata = {1: {"title": None, "year": 2000}}
         _ids, documents = build_metadata_documents(metadata)
         assert documents[0].strip() == "2000"
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """Only the LSI baseline needs scipy; importing the engine must not pay for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = "import sys, repro, repro.server; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
