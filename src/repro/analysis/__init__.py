@@ -1,9 +1,8 @@
-"""reprolint: project-invariant static analysis + lock-order race detection.
+"""reprolint: project-invariant static analysis.
 
 Public surface:
 
 * :func:`repro.analysis.driver.run` / :func:`repro.analysis.driver.analyze_project`
-* :class:`repro.analysis.tracer.LockOrderTracer` (dynamic, witness-based mode)
 * ``python -m repro.analysis`` / ``repro lint`` (CLI, CI gate)
 
 See ``docs/analysis.md`` for the rule catalog.
@@ -11,18 +10,14 @@ See ``docs/analysis.md`` for the rule catalog.
 
 from repro.analysis.core import RULES, Finding, Module, Project, Report, Rule, register
 from repro.analysis.driver import analyze_project, run
-from repro.analysis.tracer import LockOrderTracer, LockOrderViolation, TracedLock
 
 __all__ = [
     "Finding",
-    "LockOrderTracer",
-    "LockOrderViolation",
     "Module",
     "Project",
     "Report",
     "Rule",
     "RULES",
-    "TracedLock",
     "analyze_project",
     "register",
     "run",

@@ -20,8 +20,9 @@ us directly:
 The result is a directed acquire-order graph: an edge ``A -> B`` means
 "somewhere, B is (possibly transitively) acquired while A is held".  A
 cycle in that graph is a potential deadlock — the static half of the
-race detector; the dynamic half is :mod:`repro.analysis.tracer`, which
-builds the same graph from witnessed acquisitions at runtime.
+race detector; the dynamic half, a test-support tracer
+(``tests/analysis/lock_tracer.py``), builds the same graph from witnessed
+acquisitions at runtime.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "LockGraph",
     "build_lock_graph",
     "find_cycles",
+    "references",
     "resolve_lock",
 ]
 
@@ -99,6 +101,36 @@ def attribute_path(expr: ast.expr) -> tuple[str, ...]:
         parts.append(node.id)
     parts.reverse()
     return tuple(parts)
+
+
+def references(node: ast.AST) -> set[str]:
+    """Every name *node* mentions, the currency of name-based resolution.
+
+    That is each identifier, attribute name and ``from ... import`` name,
+    plus each string constant that is an identifier (``getattr(obj,
+    "name")``).  A bare string statement, such as a docstring, mentions
+    nothing.
+    """
+    names: set[str] = set()
+    docstrings: set[int] = set()
+    # ast.walk is breadth-first: a statement comes before its value.
+    for child in ast.walk(node):
+        if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+            docstrings.add(id(child.value))
+        elif isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+        elif (
+            isinstance(child, ast.Constant)
+            and isinstance(child.value, str)
+            and child.value.isidentifier()
+            and id(child) not in docstrings
+        ):
+            names.add(child.value)
+    return names
 
 
 def resolve_lock(expr: ast.expr, module: Module, cls: str | None) -> str | None:

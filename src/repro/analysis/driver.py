@@ -5,14 +5,13 @@ Two entry points:
 * :func:`run` — the production path: walk the given files/directories,
   parse every ``.py`` file, run all registered rules, return a
   :class:`~repro.analysis.core.Report`;
-* :func:`analyze_project` — the test path: analyse a dict of
-  ``{path: source}`` in memory, so rule tests can feed violation fixtures
-  without planting files that the CI gate would then scan.
+* :func:`analyze_project` — analyse a dict of ``{path: source}``; :func:`run`
+  reads the files into one, and rule tests pass in-memory violation
+  fixtures without planting files that the CI gate would then scan.
 """
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Mapping, Sequence
 
@@ -118,30 +117,17 @@ def _mark_suppressed(finding: Finding, module: Module) -> Finding:
 
 def run(paths: Sequence[str | Path], *, select: Iterable[str] | None = None) -> Report:
     """Analyse the given files/directories and return a report."""
-    modules: list[Module] = []
-    parse_failures: list[Finding] = []
-    for path in collect_files(paths):
-        text = path.read_text(encoding="utf-8")
-        posix = str(PurePosixPath(*path.parts))
-        try:
-            modules.append(Module(posix, text, role=role_of(posix)))
-        except SyntaxError as exc:
-            parse_failures.append(
-                Finding(
-                    rule="parse-error",
-                    message=f"cannot parse file: {exc.msg}",
-                    path=posix,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                )
-            )
-    return _analyze(modules, parse_failures, select)
+    sources = {
+        str(PurePosixPath(*path.parts)): path.read_text(encoding="utf-8")
+        for path in collect_files(paths)
+    }
+    return analyze_project(sources, select=select)
 
 
 def analyze_project(
     sources: Mapping[str, str], *, select: Iterable[str] | None = None
 ) -> Report:
-    """Analyse in-memory ``{path: source}`` fixtures (for rule tests)."""
+    """Analyse ``{path: source}`` (files read by :func:`run`, or test fixtures)."""
     modules: list[Module] = []
     parse_failures: list[Finding] = []
     for path, source in sources.items():
@@ -158,12 +144,3 @@ def analyze_project(
                 )
             )
     return _analyze(modules, parse_failures, select)
-
-
-def parse_ok(source: str) -> bool:
-    """True when *source* parses as Python (helper for fixtures/tests)."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

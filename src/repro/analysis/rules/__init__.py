@@ -9,10 +9,11 @@ from repro.analysis.rules import (  # noqa: F401
     budget,
     locks,
     provenance,
+    reachability,
     rng,
     sentinel,
     threads,
     wal,
 )
 
-__all__ = ["budget", "locks", "provenance", "rng", "sentinel", "threads", "wal"]
+__all__ = ["budget", "locks", "provenance", "reachability", "rng", "sentinel", "threads", "wal"]

@@ -48,8 +48,8 @@ class LockOrderRule(Rule):
         "Two code paths taking the same pair of locks in opposite orders can "
         "deadlock under concurrency. The rule approximates the call graph, "
         "propagates which locks each function may (transitively) acquire, and "
-        "flags any cycle in the resulting acquire-order graph. Pair with "
-        "repro.analysis.tracer.LockOrderTracer for the runtime-witnessed graph."
+        "flags any cycle in the resulting acquire-order graph. The tests pair "
+        "it with a tracer that builds the runtime-witnessed graph."
     )
     roles = frozenset({"src"})
 

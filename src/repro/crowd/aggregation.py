@@ -32,16 +32,6 @@ class VoteOutcome:
         """True if a clear majority produced a label."""
         return self.label is not None
 
-    @property
-    def total_votes(self) -> int:
-        """All votes cast on the item (including "don't know")."""
-        return self.positive_votes + self.negative_votes + self.dont_know_votes
-
-    @property
-    def margin(self) -> int:
-        """Absolute difference between positive and negative votes."""
-        return abs(self.positive_votes - self.negative_votes)
-
 
 def group_judgments(judgments: Iterable[Judgment]) -> dict[int, list[Judgment]]:
     """Group judgments by item id."""
@@ -98,72 +88,14 @@ class MajorityVote:
         }
 
 
-class WeightedVote:
-    """Majority vote weighting each worker by an externally supplied trust score.
-
-    Workers without a score receive ``default_weight``.  Scores would
-    typically come from gold-question performance or historical agreement.
-    """
-
-    def __init__(
-        self,
-        worker_weights: Mapping[int, float] | None = None,
-        *,
-        default_weight: float = 1.0,
-    ) -> None:
-        if default_weight < 0:
-            raise ValueError("default_weight must be non-negative")
-        self._weights = dict(worker_weights or {})
-        self.default_weight = default_weight
-
-    def weight_of(self, worker_id: int) -> float:
-        """Return the voting weight of *worker_id*."""
-        return self._weights.get(worker_id, self.default_weight)
-
-    def aggregate_item(self, item_id: int, judgments: Sequence[Judgment]) -> VoteOutcome:
-        """Aggregate one item's judgments using worker weights."""
-        positive_weight = 0.0
-        negative_weight = 0.0
-        positive = negative = dont_know = 0
-        for judgment in judgments:
-            if judgment.answer is Answer.POSITIVE:
-                positive += 1
-                positive_weight += self.weight_of(judgment.worker_id)
-            elif judgment.answer is Answer.NEGATIVE:
-                negative += 1
-                negative_weight += self.weight_of(judgment.worker_id)
-            else:
-                dont_know += 1
-        if positive_weight > negative_weight:
-            label: bool | None = True
-        elif negative_weight > positive_weight:
-            label = False
-        else:
-            label = None
-        return VoteOutcome(
-            item_id=item_id,
-            label=label,
-            positive_votes=positive,
-            negative_votes=negative,
-            dont_know_votes=dont_know,
-        )
-
-    def aggregate(self, judgments: Iterable[Judgment]) -> dict[int, VoteOutcome]:
-        """Aggregate all judgments, returning one outcome per item."""
-        return {
-            item_id: self.aggregate_item(item_id, item_judgments)
-            for item_id, item_judgments in group_judgments(judgments).items()
-        }
-
-
 @dataclass(frozen=True)
 class WeightedOutcome(VoteOutcome):
     """A :class:`VoteOutcome` carrying a per-item posterior confidence.
 
     ``confidence`` is the posterior probability of the chosen label under
     the weighted-vote model (0.5 at a perfect tie, 0.0 when the quorum was
-    not met) — it replaces the raw vote ``margin`` as the quantity adaptive
-    assignment sizing and cell-provenance confidence are driven by.
+    not met) — the quantity adaptive assignment sizing and cell-provenance
+    confidence are driven by.
     """
 
     confidence: float = 0.0
@@ -298,11 +230,6 @@ class AccuracyReport:
     def accuracy_on_classified(self) -> float:
         """Fraction of labelled items whose label matches the ground truth."""
         return self.n_correct / self.n_classified if self.n_classified else 0.0
-
-    @property
-    def accuracy_overall(self) -> float:
-        """Correct labels divided by all items (unclassified counts as wrong)."""
-        return self.n_correct / self.n_items if self.n_items else 0.0
 
 
 def score_against_truth(

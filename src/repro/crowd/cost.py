@@ -24,10 +24,6 @@ class CostModel:
         """Total cost of one completed HIT assignment (payment + fee)."""
         return self.payment_per_hit * (1.0 + self.service_fee_rate)
 
-    def cost_of(self, n_assignments: int) -> float:
-        """Cost of *n_assignments* completed assignments."""
-        return n_assignments * self.assignment_cost()
-
 
 @dataclass
 class SpendingLedger:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Chao92Estimator",
@@ -117,10 +117,6 @@ class Chao92Estimator:
         elif count == 3:
             self._f2 -= 1
         return count == 1
-
-    def observe_all(self, keys: Iterable[str]) -> int:
-        """Record a batch of observations; returns how many were new."""
-        return sum(1 for key in keys if self.observe(key))
 
     def __contains__(self, key: str) -> bool:
         return key in self._counts

@@ -28,14 +28,6 @@ class Answer(enum.Enum):
         """Map a boolean ground-truth label to the corresponding answer."""
         return cls.POSITIVE if value else cls.NEGATIVE
 
-    def to_bool(self) -> bool | None:
-        """Map this answer back to a boolean label (None for DONT_KNOW)."""
-        if self is Answer.POSITIVE:
-            return True
-        if self is Answer.NEGATIVE:
-            return False
-        return None
-
 
 @dataclass(frozen=True)
 class Question:
@@ -88,11 +80,6 @@ class HIT:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def gold_items(self) -> tuple[TaskItem, ...]:
-        """Items in this HIT whose correct answer is known upfront."""
-        return tuple(item for item in self.items if item.is_gold)
 
 
 @dataclass(frozen=True)

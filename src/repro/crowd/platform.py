@@ -49,12 +49,6 @@ class CrowdRunResult:
         """Money spent up to simulated time *minutes*."""
         return self.ledger.spent_by(minutes)
 
-    def judgments_per_minute(self) -> float:
-        """Average judgment throughput over the whole run."""
-        if self.completion_minutes <= 0:
-            return 0.0
-        return len(self.judgments) / self.completion_minutes
-
     # -- aggregation shortcuts ----------------------------------------------------
 
     def majority_outcomes(self, *, until_minutes: float | None = None) -> dict[int, VoteOutcome]:
@@ -71,22 +65,6 @@ class CrowdRunResult:
             for item_id, outcome in self.majority_outcomes(until_minutes=until_minutes).items()
             if outcome.label is not None
         }
-
-    def worker_statistics(self) -> dict[int, dict[str, float]]:
-        """Per-worker statistics: judgments given, claimed-knowledge and positive rates."""
-        stats: dict[int, dict[str, float]] = {}
-        per_worker: dict[int, list[Judgment]] = {}
-        for judgment in self.judgments:
-            per_worker.setdefault(judgment.worker_id, []).append(judgment)
-        for worker_id, judgments in per_worker.items():
-            informative = [j for j in judgments if j.answer is not Answer.DONT_KNOW]
-            positives = [j for j in informative if j.answer is Answer.POSITIVE]
-            stats[worker_id] = {
-                "judgments": float(len(judgments)),
-                "claimed_knowledge_rate": len(informative) / len(judgments) if judgments else 0.0,
-                "positive_rate": len(positives) / len(informative) if informative else 0.0,
-            }
-        return stats
 
 
 @dataclass(order=True)

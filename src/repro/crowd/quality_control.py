@@ -49,14 +49,6 @@ class CountryFilter(QualityPolicy):
         return pool.without_countries(self.excluded_countries)
 
 
-class TrustedWorkerPolicy(QualityPolicy):
-    """Only dispatch HITs to workers marked as trusted."""
-
-    def filter_pool(self, pool: WorkerPool) -> WorkerPool:
-        """Keep only trusted workers."""
-        return pool.only_trusted()
-
-
 @dataclass
 class GoldQuestionPolicy(QualityPolicy):
     """Ban workers who repeatedly fail items with known answers."""
@@ -85,11 +77,6 @@ class GoldQuestionPolicy(QualityPolicy):
     def banned_workers(self) -> frozenset[int]:
         """Identifiers of all banned workers."""
         return frozenset(self._banned)
-
-    @property
-    def gold_error_counts(self) -> dict[int, int]:
-        """Number of gold errors observed per worker."""
-        return dict(self._errors)
 
 
 class QualityControl:

@@ -141,6 +141,7 @@ class WorkerProfile:
 # Worker factory helpers (parameterised from the paper's observations)
 # ---------------------------------------------------------------------------
 
+
 #: Countries the paper's Experiment 2 heuristic would exclude.  The names are
 #: synthetic placeholders — what matters is that spammers concentrate there.
 SPAM_COUNTRIES = ("XX", "YY", "ZZ")
@@ -277,10 +278,3 @@ class WorkerPool:
         rng = spawn_rng(seed, "worker-arrival")
         order = rng.permutation(len(self._workers))
         return [self._workers[i] for i in order]
-
-    def archetype_counts(self) -> dict[WorkerArchetype, int]:
-        """Histogram of archetypes in the pool."""
-        counts: dict[WorkerArchetype, int] = {}
-        for worker in self._workers:
-            counts[worker.archetype] = counts.get(worker.archetype, 0) + 1
-        return counts

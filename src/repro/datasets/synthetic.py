@@ -115,11 +115,6 @@ class DomainCorpus:
             )
         return dict(self.ground_truth[category])
 
-    def prevalence_of(self, category: str) -> float:
-        """Fraction of items that truly belong to *category*."""
-        labels = self.labels_for(category)
-        return sum(labels.values()) / len(labels) if labels else 0.0
-
     def summary(self) -> dict[str, Any]:
         """Corpus statistics in the style the paper reports."""
         return {
@@ -190,17 +185,6 @@ class SyntheticWorld:
         return list(range(1, self.config.n_users + 1))
 
     # -- ratings ----------------------------------------------------------------------
-
-    def expected_rating(self, item_index: int, user_index: int) -> float:
-        """Noise-free rating of the generative model (before clipping)."""
-        diff = self.item_traits[item_index] - self.user_preferences[user_index]
-        distance_sq = float(np.dot(diff, diff))
-        return (
-            self.global_mean
-            + self.item_bias[item_index]
-            + self.user_bias[user_index]
-            - self.config.distance_weight * (distance_sq - self.distance_offset)
-        )
 
     def generate_ratings(self, *, seed: RandomState = None) -> RatingDataset:
         """Sample the rating corpus: who rates what, and with which score."""
@@ -277,10 +261,3 @@ class SyntheticWorld:
                 item_id: bool(label) for item_id, label in zip(self.item_ids, labels)
             }
         return truth
-
-    def category_scores(self, category: CategorySpec) -> dict[int, float]:
-        """Continuous category affinity per item (useful for numeric attributes)."""
-        weights = np.asarray(category.weights)
-        scores = self.item_traits @ weights
-        return {item_id: float(score) for item_id, score in zip(self.item_ids, scores)}
-

@@ -9,8 +9,7 @@ Public entry point: :func:`repro.db.connect`, returning a DB-API-2.0-style
 :class:`~repro.db.connection.Connection` with cursors, qmark parameter
 binding, a prepared-statement cache and a session-scoped crowd context
 configured through one typed
-:class:`~repro.db.acquisition.AcquisitionPolicy`.  (The legacy
-``CrowdDatabase`` shim has been removed.)
+:class:`~repro.db.acquisition.AcquisitionPolicy`.
 """
 
 from repro.db.acquisition import (
@@ -33,7 +32,7 @@ from repro.db.connection import (
     StatementCache,
     connect,
 )
-from repro.db.durability import DurabilityManager, open_database
+from repro.db.durability import DurabilityManager
 from repro.db.schema import AttributeKind, Column, ColumnType, TableSchema
 from repro.db.sql.executor import QueryResult, SelectStream
 from repro.db.sql.operators import CrowdFillSpec, Operator
@@ -72,6 +71,5 @@ __all__ = [
     "coerce_value",
     "connect",
     "is_missing",
-    "open_database",
     "plan_sample",
 ]

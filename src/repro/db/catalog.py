@@ -283,10 +283,6 @@ class Catalog:
             raise UnknownTableError(name)
         return self._tables[key]
 
-    def has_table(self, name: str) -> bool:
-        """Return True if a table named *name* exists."""
-        return name.lower() in self._tables
-
     def table_names(self) -> list[str]:
         """Names of all tables in creation order."""
         return list(self._tables)

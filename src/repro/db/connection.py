@@ -10,8 +10,8 @@ This module is the public entry point of :mod:`repro.db`:
 >>> cur.execute("SELECT name FROM movies WHERE movie_id = ?", (1,)).fetchone()
 ('Rocky',)
 
-Compared with the legacy ``CrowdDatabase`` facade it replaced, it adds
-three capabilities the paper's query-driven workload needs at scale:
+It offers three capabilities the paper's query-driven workload needs at
+scale:
 
 * **parameter binding** — qmark-style ``?`` placeholders compiled into
   reads of the execution's parameter tuple, so values never get

@@ -76,7 +76,7 @@ try:  # pragma: no cover - fcntl exists on every POSIX platform we run on
 except ImportError:  # pragma: no cover - non-POSIX fallback: no advisory lock
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["DurabilityManager", "TableJournal", "open_database"]
+__all__ = ["DurabilityManager", "TableJournal"]
 
 #: File names inside a database directory.
 WAL_NAME = "wal.log"
@@ -531,23 +531,3 @@ class DurabilityManager:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"DurabilityManager({str(self.directory)!r}, {state})"
-
-
-def open_database(
-    path: str | os.PathLike,
-    *,
-    synchronous: str = "normal",
-    checkpoint_interval: int | None = DEFAULT_CHECKPOINT_INTERVAL,
-    group_size: int = 64,
-    buffer_pool_pages: int = DEFAULT_POOL_PAGES,
-    page_size: int = DEFAULT_PAGE_SIZE,
-) -> DurabilityManager:
-    """Open or create the database directory at *path* and recover it."""
-    return DurabilityManager(
-        path,
-        synchronous=synchronous,
-        checkpoint_interval=checkpoint_interval,
-        group_size=group_size,
-        buffer_pool_pages=buffer_pool_pages,
-        page_size=page_size,
-    )

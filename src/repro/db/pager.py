@@ -122,10 +122,6 @@ class PageFile:
         """Write bytes at an absolute offset (jumbo records)."""
         os.pwrite(self._fd, data, offset)
 
-    def sync(self) -> None:
-        """fsync the spill file (debugging aid; recovery never reads it)."""
-        os.fsync(self._fd)
-
     def close(self) -> None:
         """Close the file descriptor (idempotent)."""
         if not self._closed:
@@ -405,11 +401,6 @@ class Pager:
         }
         stats.update(self.pool.stats())
         return stats
-
-    def sync(self) -> None:
-        """Flush dirty frames and fsync the spill file."""
-        self.pool.flush()
-        self._file.sync()
 
     def close(self) -> None:
         """Flush and close the spill file."""

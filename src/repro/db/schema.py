@@ -11,7 +11,7 @@ to a new column.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.db.types import MISSING, ColumnType, coerce_value, is_missing, python_type_of
@@ -64,10 +64,6 @@ class Column:
         """Coerce *value* to this column's type (NULL/MISSING pass through)."""
         return coerce_value(value, self.type)
 
-    def with_kind(self, kind: AttributeKind) -> "Column":
-        """Return a copy of this column with a different attribute kind."""
-        return replace(self, kind=kind)
-
 
 class TableSchema:
     """Ordered collection of :class:`Column` definitions for one table."""
@@ -114,14 +110,6 @@ class TableSchema:
         if key not in self._columns:
             raise UnknownColumnError(name, self.name)
         return self._columns[key]
-
-    def perceptual_columns(self) -> list[Column]:
-        """All columns marked as perceptual attributes."""
-        return [c for c in self._columns.values() if c.kind is AttributeKind.PERCEPTUAL]
-
-    def factual_columns(self) -> list[Column]:
-        """All columns marked as factual attributes."""
-        return [c for c in self._columns.values() if c.kind is AttributeKind.FACTUAL]
 
     # -- mutation -----------------------------------------------------------
 
@@ -189,14 +177,3 @@ class TableSchema:
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self._columns.values())
         return f"TableSchema({self.name!r}: {cols})"
-
-
-def perceptual_column(name: str, type: ColumnType = ColumnType.REAL) -> Column:
-    """Convenience constructor for a perceptual column defaulting to MISSING."""
-    return Column(
-        name=name,
-        type=type,
-        kind=AttributeKind.PERCEPTUAL,
-        nullable=True,
-        default=MISSING,
-    )

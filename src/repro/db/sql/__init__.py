@@ -14,7 +14,7 @@ Columns may be declared ``PERCEPTUAL`` which marks them as candidates for
 query-driven schema expansion.
 """
 
-from repro.db.sql.parser import parse_sql, parse_statement
+from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.sql.tokenizer import Token, TokenType, tokenize
 
-__all__ = ["Token", "TokenType", "tokenize", "parse_sql", "parse_statement"]
+__all__ = ["Token", "TokenType", "tokenize", "parse_script", "parse_statement"]

@@ -76,10 +76,6 @@ class QueryResult:
     def __iter__(self):
         return iter(self.rows)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Return the result rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def column(self, name: str) -> list[Any]:
         """Return all values of the output column *name*."""
         if name not in self.columns:

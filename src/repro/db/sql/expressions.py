@@ -14,8 +14,8 @@ Errors (unknown columns, bad functions, type errors) are raised when the
 closure runs, never at compile time, so an expression on a branch or a row
 that is never evaluated cannot fail a query.  The one exception is a ``?``
 with no slot in a non-empty parameter tuple, a binding error raised before
-the statement runs.  :func:`evaluate` and :func:`evaluate_predicate` are
-one-shot conveniences over the compiler.
+the statement runs.  :func:`evaluate` is a one-shot convenience over the
+compiler.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class RowContext:
     def lookup(self, ref: ast.ColumnRef) -> Any:
         """Resolve a column reference or raise UnknownColumnError."""
         return compile_expression(ref)(self)
-
-    def as_mapping(self) -> Mapping[str, Any]:
-        """Read-only view of the underlying bindings."""
-        return dict(self._values)
 
 
 def _is_unknown(value: Any) -> bool:
@@ -544,11 +540,6 @@ def compile_predicate(
 def evaluate(expr: ast.Expression, context: RowContext, params: Params = ()) -> Any:
     """Evaluate *expr* once against *context* (one-shot callers)."""
     return compile_expression(expr, params)(context)
-
-
-def evaluate_predicate(expr: ast.Expression | None, context: RowContext) -> bool:
-    """Evaluate a WHERE/HAVING/ON predicate once; unknown collapses to False."""
-    return compile_predicate(expr)(context)
 
 
 def expression_label(expr: ast.Expression, params: Params = ()) -> str:

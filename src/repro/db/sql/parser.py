@@ -713,11 +713,6 @@ def parse_statement(sql: str) -> ast.Statement:
     return statement
 
 
-def parse_sql(sql: str) -> list[ast.Statement]:
-    """Parse a script containing one or more ``;``-separated statements."""
-    return [statement for _source, statement in parse_script(sql)]
-
-
 def parse_script(sql: str) -> list[tuple[str, ast.Statement]]:
     """Parse a ``;``-separated script into ``(source_text, statement)`` pairs.
 

@@ -317,10 +317,6 @@ class TableStorage:
         """Return all rowids in insertion order."""
         return list(self._rows)
 
-    def select_rowids(self, predicate: Callable[[Row], bool]) -> list[int]:
-        """Return the rowids of rows satisfying *predicate*."""
-        return [rowid for rowid, row in self._rows.items() if predicate(row)]
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -363,12 +359,6 @@ class TableStorage:
         """Rowids whose value for *column_name* is MISSING."""
         key = self.schema.column(column_name).name
         return [rowid for rowid, row in self._rows.items() if is_missing(row.get(key))]
-
-    def missing_fraction(self, column_name: str) -> float:
-        """Fraction of rows whose value for *column_name* is MISSING."""
-        if not self._rows:
-            return 0.0
-        return len(self.missing_rowids(column_name)) / len(self._rows)
 
     def fill_values(
         self,

@@ -17,6 +17,7 @@ class ReproError(Exception):
 # Database errors
 # ---------------------------------------------------------------------------
 
+
 class DatabaseError(ReproError):
     """Base class for errors raised by :mod:`repro.db`."""
 
@@ -108,6 +109,7 @@ class PersistenceError(DatabaseError):
 # Server / wire-protocol errors
 # ---------------------------------------------------------------------------
 
+
 class ServerError(ReproError):
     """Base class for errors raised by :mod:`repro.server`."""
 
@@ -140,6 +142,7 @@ class ServerOverloadedError(ServerError):
 # Crowd-platform errors
 # ---------------------------------------------------------------------------
 
+
 class CrowdError(ReproError):
     """Base class for errors raised by :mod:`repro.crowd`."""
 
@@ -168,6 +171,7 @@ class HITConfigurationError(CrowdError):
 # Learning / perceptual-space errors
 # ---------------------------------------------------------------------------
 
+
 class LearningError(ReproError):
     """Base class for errors raised by :mod:`repro.learn`."""
 
@@ -178,10 +182,6 @@ class NotFittedError(LearningError):
     def __init__(self, estimator: object) -> None:
         name = type(estimator).__name__
         super().__init__(f"{name} instance is not fitted yet; call fit() first")
-
-
-class ConvergenceWarningError(LearningError):
-    """Raised when an optimiser fails to converge and strict mode is on."""
 
 
 class PerceptualSpaceError(ReproError):
@@ -207,6 +207,7 @@ class UnknownUserError(PerceptualSpaceError):
 # ---------------------------------------------------------------------------
 # Schema-expansion / experiment errors
 # ---------------------------------------------------------------------------
+
 
 class ExpansionError(ReproError):
     """Base class for errors raised by :mod:`repro.core`."""

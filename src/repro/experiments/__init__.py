@@ -20,7 +20,6 @@ from repro.experiments.small_samples import SmallSampleRow, run_small_sample_exp
 from repro.experiments.questionable import QuestionableRow, run_questionable_experiment
 from repro.experiments.other_domains import OtherDomainRow, run_other_domain_experiment
 from repro.experiments.tsvm_comparison import TSVMComparisonRow, run_tsvm_comparison
-from repro.experiments.reporting import render_rows
 
 __all__ = [
     "BoostingSeries",
@@ -33,7 +32,6 @@ __all__ = [
     "SmallSampleRow",
     "TSVMComparisonRow",
     "get_movie_context",
-    "render_rows",
     "run_boosting_experiments",
     "run_crowd_quality_experiments",
     "run_nearest_neighbor_showcase",

@@ -7,7 +7,7 @@ table in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.experiments.boosting import BoostingSeries
 from repro.experiments.crowd_quality import CrowdQualityRow
@@ -17,11 +17,6 @@ from repro.experiments.questionable import QuestionableRow
 from repro.experiments.small_samples import SmallSampleRow
 from repro.experiments.tsvm_comparison import TSVMComparisonRow
 from repro.utils.tables import format_table
-
-
-def render_rows(headers: Sequence[str], rows: Iterable[Sequence[object]], *, title: str | None = None) -> str:
-    """Render raw rows (thin wrapper over :func:`repro.utils.tables.format_table`)."""
-    return format_table(headers, rows, title=title)
 
 
 def render_table1(rows: Sequence[CrowdQualityRow]) -> str:

@@ -14,26 +14,19 @@ measure used throughout Section 4).
 from repro.learn.kernels import Kernel, LinearKernel, PolynomialKernel, RBFKernel, resolve_kernel
 from repro.learn.lsi import LatentSemanticIndex, TfIdfVectorizer, tokenize_text
 from repro.learn.metrics import (
-    ClassificationReport,
     accuracy,
     confusion_matrix,
     g_mean,
-    pearson_correlation,
     precision_recall,
     sensitivity_specificity,
 )
-from repro.learn.model_selection import (
-    sample_balanced_training_set,
-    stratified_split,
-    train_test_split,
-)
+from repro.learn.model_selection import sample_balanced_training_set
 from repro.learn.scaling import StandardScaler
 from repro.learn.svm import SVC
 from repro.learn.svr import SVR
 from repro.learn.tsvm import TransductiveSVC
 
 __all__ = [
-    "ClassificationReport",
     "Kernel",
     "LatentSemanticIndex",
     "LinearKernel",
@@ -47,12 +40,9 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "g_mean",
-    "pearson_correlation",
     "precision_recall",
     "resolve_kernel",
     "sample_balanced_training_set",
     "sensitivity_specificity",
-    "stratified_split",
     "tokenize_text",
-    "train_test_split",
 ]

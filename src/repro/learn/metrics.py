@@ -3,14 +3,12 @@
 The central measure is the **g-mean** (geometric mean of sensitivity and
 specificity), chosen because genre labels are heavily imbalanced: a naive
 classifier labelling everything negative reaches high plain accuracy but a
-g-mean of zero (Section 4.3).  Precision/recall back Table 4, plain
-accuracy backs Table 1 / Figures 3–4, and the Pearson correlation backs the
-similarity user study discussed in Section 4.2.
+g-mean of zero (Section 4.3).  Precision/recall back Table 4 and plain
+accuracy backs Table 1 / Figures 3–4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,65 +90,3 @@ def precision_recall(
     precision = counts["tp"] / predicted_positive if predicted_positive else 0.0
     recall = counts["tp"] / actual_positive if actual_positive else 0.0
     return float(precision), float(recall)
-
-
-def f1_score(
-    truth: Sequence[bool] | np.ndarray, predictions: Sequence[bool] | np.ndarray
-) -> float:
-    """Harmonic mean of precision and recall."""
-    precision, recall = precision_recall(truth, predictions)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def pearson_correlation(
-    first: Sequence[float] | np.ndarray, second: Sequence[float] | np.ndarray
-) -> float:
-    """Pearson correlation coefficient between two numeric sequences."""
-    first = np.asarray(first, dtype=np.float64)
-    second = np.asarray(second, dtype=np.float64)
-    if first.shape != second.shape:
-        raise LearningError("inputs to pearson_correlation must have the same shape")
-    if first.size < 2:
-        raise LearningError("pearson correlation needs at least two observations")
-    first_std = first.std()
-    second_std = second.std()
-    if first_std == 0.0 or second_std == 0.0:
-        return 0.0
-    return float(np.mean((first - first.mean()) * (second - second.mean())) / (first_std * second_std))
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Bundle of all classification metrics for one evaluation."""
-
-    n_examples: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    g_mean: float
-    precision: float
-    recall: float
-    f1: float
-
-    @classmethod
-    def from_predictions(
-        cls,
-        truth: Sequence[bool] | np.ndarray,
-        predictions: Sequence[bool] | np.ndarray,
-    ) -> "ClassificationReport":
-        """Compute every metric for one (truth, predictions) pair."""
-        truth_arr, pred_arr = _as_bool_arrays(truth, predictions)
-        sensitivity, specificity = sensitivity_specificity(truth_arr, pred_arr)
-        precision, recall = precision_recall(truth_arr, pred_arr)
-        return cls(
-            n_examples=int(truth_arr.size),
-            accuracy=accuracy(truth_arr, pred_arr),
-            sensitivity=sensitivity,
-            specificity=specificity,
-            g_mean=g_mean(truth_arr, pred_arr),
-            precision=precision,
-            recall=recall,
-            f1=f1_score(truth_arr, pred_arr),
-        )

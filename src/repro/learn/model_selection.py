@@ -1,67 +1,15 @@
-"""Sampling and splitting helpers for the schema-expansion experiments.
+"""Training-set sampling for the schema-expansion experiments.
 
-The central helper is :func:`sample_balanced_training_set`, which draws the
-"n positive and n negative training examples" of the paper's Table 3 /
-Tables 5–6 experiments.
+:func:`sample_balanced_training_set` draws the "n positive and n negative
+training examples" of the paper's Table 3 / Tables 5–6 experiments.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import LearningError
 from repro.utils.rng import RandomState, ensure_rng
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    test_fraction: float = 0.25,
-    seed: RandomState = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random split into ``(X_train, X_test, y_train, y_test)``."""
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise LearningError("X and y must have the same number of rows")
-    if not 0.0 < test_fraction < 1.0:
-        raise LearningError("test_fraction must lie strictly between 0 and 1")
-    rng = ensure_rng(seed)
-    n_test = max(1, int(round(X.shape[0] * test_fraction)))
-    if n_test >= X.shape[0]:
-        raise LearningError("test_fraction leaves no training rows")
-    permutation = rng.permutation(X.shape[0])
-    test_idx = permutation[:n_test]
-    train_idx = permutation[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-def stratified_split(
-    y: np.ndarray, *, test_fraction: float = 0.25, seed: RandomState = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (train_indices, test_indices) preserving the class ratio."""
-    y = np.asarray(y).astype(bool)
-    if not 0.0 < test_fraction < 1.0:
-        raise LearningError("test_fraction must lie strictly between 0 and 1")
-    rng = ensure_rng(seed)
-    train_parts = []
-    test_parts = []
-    for value in (True, False):
-        indices = np.where(y == value)[0]
-        if len(indices) == 0:
-            continue
-        rng.shuffle(indices)
-        n_test = max(1, int(round(len(indices) * test_fraction))) if len(indices) > 1 else 0
-        test_parts.append(indices[:n_test])
-        train_parts.append(indices[n_test:])
-    train_idx = np.concatenate(train_parts) if train_parts else np.array([], dtype=int)
-    test_idx = np.concatenate(test_parts) if test_parts else np.array([], dtype=int)
-    if len(train_idx) == 0:
-        raise LearningError("stratified split produced an empty training set")
-    return np.sort(train_idx), np.sort(test_idx)
 
 
 def sample_balanced_training_set(
@@ -94,14 +42,3 @@ def sample_balanced_training_set(
     positive_ids = [int(i) for i in rng.choice(sorted(positives), size=n_per_class, replace=False)]
     negative_ids = [int(i) for i in rng.choice(sorted(negatives), size=n_per_class, replace=False)]
     return positive_ids, negative_ids
-
-
-def kfold_indices(n: int, n_folds: int, *, seed: RandomState = None) -> list[np.ndarray]:
-    """Split ``range(n)`` into *n_folds* disjoint shuffled folds."""
-    if n_folds < 2:
-        raise LearningError("n_folds must be at least 2")
-    if n < n_folds:
-        raise LearningError("cannot create more folds than examples")
-    rng = ensure_rng(seed)
-    permutation = rng.permutation(n)
-    return [fold for fold in np.array_split(permutation, n_folds)]

@@ -43,10 +43,3 @@ class StandardScaler:
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         """Fit to *data* and return the transformed array."""
         return self.fit(data).transform(data)
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        """Undo the standardisation."""
-        if self.mean_ is None or self.scale_ is None:
-            raise NotFittedError(self)
-        data = np.asarray(data, dtype=np.float64)
-        return data * self.scale_ + self.mean_

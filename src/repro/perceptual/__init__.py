@@ -11,35 +11,24 @@ layer works with.
 
 from repro.perceptual.euclidean_embedding import EuclideanEmbeddingModel
 from repro.perceptual.factorization import FactorModelConfig, TrainingHistory
-from repro.perceptual.fold_in import FoldInResult, ItemFoldIn
 from repro.perceptual.io import load_ratings, load_space, save_ratings, save_space
 from repro.perceptual.neighbors import nearest_neighbors, pairwise_distances
 from repro.perceptual.ratings import Rating, RatingDataset
 from repro.perceptual.space import PerceptualSpace
 from repro.perceptual.svd_model import SVDModel
-from repro.perceptual.cross_validation import (
-    CrossValidationResult,
-    cross_validate_model,
-    select_hyperparameters,
-)
 
 __all__ = [
-    "CrossValidationResult",
     "EuclideanEmbeddingModel",
     "FactorModelConfig",
-    "FoldInResult",
-    "ItemFoldIn",
     "PerceptualSpace",
     "Rating",
     "RatingDataset",
     "SVDModel",
     "TrainingHistory",
-    "cross_validate_model",
     "load_ratings",
     "load_space",
     "nearest_neighbors",
     "pairwise_distances",
     "save_ratings",
     "save_space",
-    "select_hyperparameters",
 ]

@@ -114,25 +114,3 @@ class EuclideanEmbeddingModel(BaseFactorModel):
         self.user_factors -= learning_rate * user_update
         self.item_bias -= learning_rate * item_bias_update
         self.user_bias -= learning_rate * user_bias_update
-
-    # -- diagnostics --------------------------------------------------------------------------
-
-    def predicted_bias(self, item_position: int) -> float:
-        """Learned bias δ_m of the item at dense position *item_position*."""
-        assert self.item_bias is not None
-        return float(self.item_bias[item_position])
-
-    def expected_rating_components(
-        self, item_idx: np.ndarray, user_idx: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """Decompose predictions into μ, δ_m, δ_u and the distance term."""
-        assert self.item_factors is not None and self.user_factors is not None
-        assert self.item_bias is not None and self.user_bias is not None
-        diff = self.item_factors[item_idx] - self.user_factors[user_idx]
-        squared_distance = np.einsum("ij,ij->i", diff, diff)
-        return {
-            "global_mean": np.full(len(item_idx), self.global_mean),
-            "item_bias": self.item_bias[item_idx],
-            "user_bias": self.user_bias[user_idx],
-            "squared_distance": squared_distance,
-        }

@@ -65,13 +65,6 @@ class TrainingHistory:
     epoch_rmse: list[float] = field(default_factory=list)
     converged_after: int | None = None
 
-    @property
-    def final_rmse(self) -> float:
-        """Training RMSE after the last epoch."""
-        if not self.epoch_rmse:
-            raise PerceptualSpaceError("model has not been trained yet")
-        return self.epoch_rmse[-1]
-
 
 class BaseFactorModel(abc.ABC):
     """Template for factor models trained with mini-batch gradient descent."""
@@ -156,31 +149,6 @@ class BaseFactorModel(abc.ABC):
         assert data is not None
         predictions = self._predict_batch(data.item_index, data.user_index)
         return float(np.sqrt(np.mean((data.scores - predictions) ** 2)))
-
-    def rmse_on(self, dataset: RatingDataset) -> float:
-        """RMSE on an arbitrary dataset sharing this model's id spaces.
-
-        Ratings whose item or user was not seen during training are skipped
-        (their coordinates are unknown), mirroring common recommender
-        evaluation practice.
-        """
-        self._require_fitted()
-        assert self._dataset is not None
-        item_idx = []
-        user_idx = []
-        scores = []
-        for rating in dataset:
-            if not self._dataset.has_item(rating.item_id):
-                continue
-            if int(rating.user_id) not in self._dataset._user_id_to_index:
-                continue
-            item_idx.append(self._dataset.item_position(rating.item_id))
-            user_idx.append(self._dataset.user_position(rating.user_id))
-            scores.append(rating.score)
-        if not scores:
-            raise PerceptualSpaceError("no overlapping ratings to evaluate RMSE on")
-        predictions = self._predict_batch(np.array(item_idx), np.array(user_idx))
-        return float(np.sqrt(np.mean((np.array(scores) - predictions) ** 2)))
 
     # -- space extraction ------------------------------------------------------------------
 

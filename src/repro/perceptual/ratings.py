@@ -2,20 +2,18 @@
 
 A rating is a triple ``(item_id, user_id, score)`` exactly as in the paper
 (Section 3.3).  :class:`RatingDataset` stores a large number of such
-triples column-wise in numpy arrays, maps external identifiers to dense
-indices, and offers the split and filtering operations the experiments
-need.
+triples column-wise in numpy arrays and maps external identifiers to
+dense indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import PerceptualSpaceError, UnknownItemError, UnknownUserError
-from repro.utils.rng import RandomState, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -63,27 +61,6 @@ class RatingDataset:
         self._user_id_to_index = {int(u): k for k, u in enumerate(unique_users)}
 
     # -- constructors -------------------------------------------------------------
-
-    @classmethod
-    def from_triples(
-        cls,
-        triples: Iterable[tuple[int, int, float]],
-        *,
-        scale: tuple[float, float] = (1.0, 5.0),
-    ) -> "RatingDataset":
-        """Build a dataset from an iterable of ``(item_id, user_id, score)``."""
-        triples = list(triples)
-        if not triples:
-            raise PerceptualSpaceError("cannot build a dataset from zero triples")
-        items, users, scores = zip(*triples)
-        return cls(items, users, scores, scale=scale)
-
-    @classmethod
-    def from_ratings(
-        cls, ratings: Iterable[Rating], *, scale: tuple[float, float] = (1.0, 5.0)
-    ) -> "RatingDataset":
-        """Build a dataset from :class:`Rating` objects."""
-        return cls.from_triples(((r.item_id, r.user_id, r.score) for r in ratings), scale=scale)
 
     # -- basic properties ----------------------------------------------------------
 
@@ -155,10 +132,6 @@ class RatingDataset:
         except KeyError as exc:
             raise UnknownUserError(user_id) from exc
 
-    def has_item(self, item_id: int) -> bool:
-        """True if *item_id* occurs in the dataset."""
-        return int(item_id) in self._item_id_to_index
-
     # -- statistics ---------------------------------------------------------------------
 
     def item_rating_counts(self) -> np.ndarray:
@@ -182,62 +155,6 @@ class RatingDataset:
         return sums / np.maximum(counts, 1)
 
     # -- transformations -------------------------------------------------------------------
-
-    def filter_min_ratings(
-        self, *, min_item_ratings: int = 1, min_user_ratings: int = 1
-    ) -> "RatingDataset":
-        """Drop items/users with fewer ratings than the given thresholds."""
-        item_counts = self.item_rating_counts()
-        user_counts = self.user_rating_counts()
-        keep = (item_counts[self.item_index] >= min_item_ratings) & (
-            user_counts[self.user_index] >= min_user_ratings
-        )
-        if not keep.any():
-            raise PerceptualSpaceError("filtering removed every rating")
-        return RatingDataset(
-            self._item_ids[self.item_index[keep]],
-            self._user_ids[self.user_index[keep]],
-            self.scores[keep],
-            scale=self.scale,
-        )
-
-    def subset_items(self, item_ids: Iterable[int]) -> "RatingDataset":
-        """Keep only ratings of the given items."""
-        wanted = {int(i) for i in item_ids}
-        mask = np.array(
-            [int(self._item_ids[idx]) in wanted for idx in self.item_index], dtype=bool
-        )
-        if not mask.any():
-            raise PerceptualSpaceError("no ratings left after subsetting items")
-        return RatingDataset(
-            self._item_ids[self.item_index[mask]],
-            self._user_ids[self.user_index[mask]],
-            self.scores[mask],
-            scale=self.scale,
-        )
-
-    def train_test_split(
-        self, *, test_fraction: float = 0.1, seed: RandomState = None
-    ) -> tuple["RatingDataset", "RatingDataset"]:
-        """Random split into train and test datasets (by rating, not by item)."""
-        if not 0.0 < test_fraction < 1.0:
-            raise PerceptualSpaceError("test_fraction must lie strictly between 0 and 1")
-        rng = ensure_rng(seed)
-        n_test = max(1, int(round(self.n_ratings * test_fraction)))
-        permutation = rng.permutation(self.n_ratings)
-        test_idx = permutation[:n_test]
-        train_idx = permutation[n_test:]
-        if len(train_idx) == 0:
-            raise PerceptualSpaceError("test_fraction leaves no training ratings")
-        return self._take(train_idx), self._take(test_idx)
-
-    def kfold_indices(self, n_folds: int, *, seed: RandomState = None) -> list[np.ndarray]:
-        """Return *n_folds* disjoint index arrays covering all ratings."""
-        if n_folds < 2:
-            raise PerceptualSpaceError("n_folds must be at least 2")
-        rng = ensure_rng(seed)
-        permutation = rng.permutation(self.n_ratings)
-        return [fold for fold in np.array_split(permutation, n_folds)]
 
     def _take(self, indices: np.ndarray) -> "RatingDataset":
         return RatingDataset(

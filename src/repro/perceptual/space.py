@@ -89,17 +89,6 @@ class PerceptualSpace:
         rows = [self.position(item_id) for item_id in item_ids]
         return self._coordinates[rows]
 
-    def feature_matrix(self, item_ids: Iterable[int] | None = None) -> tuple[np.ndarray, list[int]]:
-        """Return ``(X, ids)`` for the given items (default: all items).
-
-        This is the feature representation handed to the extraction
-        classifier in Section 3.4.
-        """
-        if item_ids is None:
-            return self._coordinates.copy(), list(self._item_ids)
-        ids = [int(i) for i in item_ids]
-        return self.vectors(ids), ids
-
     # -- geometry -----------------------------------------------------------------------
 
     def distance(self, first_item: int, second_item: int) -> float:
@@ -130,11 +119,6 @@ class PerceptualSpace:
         return neighbors
 
     # -- derived spaces -------------------------------------------------------------------
-
-    def subspace(self, item_ids: Iterable[int]) -> "PerceptualSpace":
-        """A new space restricted to *item_ids* (keeping their coordinates)."""
-        ids = [int(i) for i in item_ids]
-        return PerceptualSpace(ids, self.vectors(ids), metadata=dict(self.metadata))
 
     def with_metadata(self, **entries: Any) -> "PerceptualSpace":
         """Return a copy of the space with extra metadata entries."""

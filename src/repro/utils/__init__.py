@@ -1,14 +1,11 @@
-"""Shared utilities: deterministic RNG plumbing, timing and table rendering."""
+"""Shared utilities: deterministic RNG plumbing and table rendering."""
 
 from repro.utils.rng import RandomState, derive_seed, ensure_rng
 from repro.utils.tables import format_table
-from repro.utils.timing import SimulatedClock, Stopwatch
 
 __all__ = [
     "RandomState",
     "derive_seed",
     "ensure_rng",
     "format_table",
-    "SimulatedClock",
-    "Stopwatch",
 ]

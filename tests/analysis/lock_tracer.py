@@ -1,8 +1,8 @@
 """Dynamic lock-order tracer: the witness-based half of the race detector.
 
 The static rule (``lock-order``) approximates the acquire-order graph from
-source; this module builds the *observed* graph from actual acquisitions at
-runtime.  Wrap the locks of interest in :class:`TracedLock` (or let
+source; this test-support module builds the *observed* graph from actual
+acquisitions at runtime.  Wrap the locks of interest in :class:`TracedLock` (or let
 :meth:`LockOrderTracer.wrap` do it), run a workload — typically a threaded
 stress test — and ask the tracer for cycles:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Iterable
+from typing import Any
 
 from repro.analysis.callgraph import find_cycles
 
@@ -180,8 +180,3 @@ class TracedLock:
 
     def __repr__(self) -> str:
         return f"TracedLock({self.name!r})"
-
-
-def wrap_many(tracer: LockOrderTracer, named_locks: Iterable[tuple[str, Any]]) -> list[TracedLock]:
-    """Convenience: wrap several ``(name, lock)`` pairs at once."""
-    return [tracer.wrap(name, lock) for name, lock in named_locks]

@@ -1,7 +1,7 @@
 """Threaded stress test for the dynamic lock-order tracer.
 
 Instruments the engine's real locks (catalog, connection, WAL, runtime,
-answer cache) with :class:`~repro.analysis.tracer.TracedLock`, then runs
+answer cache) with :class:`lock_tracer.TracedLock`, then runs
 concurrent crowd acquisition, checkpointing and direct UPDATEs against a
 durable database.  The assertion is the race detector's contract: the
 *observed* acquire-order graph stays acyclic, i.e. no two threads ever
@@ -14,7 +14,7 @@ import threading
 from typing import Any, Sequence
 
 import repro
-from repro.analysis.tracer import LockOrderTracer
+from lock_tracer import LockOrderTracer
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.db.acquisition import Dispatch
 

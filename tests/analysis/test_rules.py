@@ -3,8 +3,10 @@
 Fixtures are fed through :func:`repro.analysis.analyze_project` as
 in-memory ``{path: source}`` mappings, so violation examples never exist
 as real files that the CI gate (``python -m repro.analysis src tests
-benchmarks``) would then flag.  Each test selects only the rule under
-test, keeping fixtures minimal.
+benchmarks``) would then flag.  ``unreachable-definition`` reads the
+directories beside ``src/`` itself, so its fixtures are written under a
+temporary root instead.  Each test selects only the rule under test,
+keeping fixtures minimal.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import textwrap
 
 from repro.analysis import analyze_project
+from repro.analysis.driver import run
 
 
 def findings_of(sources: dict[str, str], rule: str) -> list:
@@ -782,3 +785,216 @@ class TestThreadChokepoint:
             "thread-chokepoint",
         )
         assert findings == []
+
+
+def unreachable_in(root, files: dict[str, str], *paths: str) -> list[str]:
+    """Qualified names ``unreachable-definition`` reports for a tree on disk.
+
+    The rule reads the caller directories and ``docs/api.md`` beside the
+    scanned ``src/``, so its fixtures are written under a temporary root.
+    """
+    for relative, code in files.items():
+        target = root / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(code), encoding="utf-8")
+    report = run([root / path for path in paths or ("src",)], select=["unreachable-definition"])
+    return sorted(finding.message.split()[0] for finding in report.unsuppressed)
+
+
+class TestUnreachableDefinition:
+    def test_unreferenced_def_is_flagged(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/mod.py": """
+                def used():
+                    return 1
+
+
+                def unused():
+                    return 2
+
+
+                VALUE = used()
+                """
+            },
+        )
+        assert found == ["unused"]
+
+    def test_def_reached_only_from_unreachable_code_is_flagged(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/mod.py": """
+                def helper():
+                    return 1
+
+
+                def dead():
+                    return helper()
+                """
+            },
+        )
+        assert found == ["dead", "helper"]
+
+    def test_def_used_only_by_tests_is_flagged_whatever_is_scanned(self, tmp_path):
+        files = {
+            "src/pkg/mod.py": """
+            def tested_only():
+                return 1
+            """,
+            "tests/test_mod.py": """
+            from pkg.mod import tested_only
+
+
+            def test_it():
+                assert tested_only() == 1
+            """,
+        }
+        assert unreachable_in(tmp_path, files) == ["tested_only"]
+        assert unreachable_in(tmp_path, files, "src", "tests") == ["tested_only"]
+
+    def test_src_files_outside_a_partial_scan_are_callers(self, tmp_path):
+        files = {
+            "src/pkg/lib.py": """
+            def shared():
+                return 1
+
+
+            def orphan():
+                return 2
+            """,
+            "src/pkg/app.py": """
+            from pkg.lib import shared
+
+            VALUE = shared()
+            """,
+        }
+        assert unreachable_in(tmp_path, files, "src/pkg/lib.py") == ["orphan"]
+
+    def test_caller_directories_reach_definitions(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/mod.py": """
+                def for_benchmarks():
+                    return 1
+
+
+                def for_perfbench():
+                    return 2
+
+
+                def for_examples():
+                    return 3
+                """,
+                "benchmarks/conftest.py": "from pkg.mod import for_benchmarks\n",
+                "perfbench/run.py": "import pkg.mod\n\npkg.mod.for_perfbench()\n",
+                "examples/demo.py": "from pkg.mod import for_examples\n\nfor_examples()\n",
+            },
+        )
+        assert found == []
+
+    def test_registered_rule_is_reached(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/rules.py": """
+                from repro.analysis.core import Rule, register
+
+
+                @register
+                class NoopRule(Rule):
+                    id = "noop"
+                """
+            },
+        )
+        assert found == []
+
+    def test_public_api_document_reaches_names(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/io.py": """
+                def load_thing(path):
+                    return path
+                """,
+                "docs/api.md": "Read it back with `pkg.io.load_thing(path)`.\n",
+            },
+        )
+        assert found == []
+
+    def test_string_constant_reaches_but_docstring_does_not(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/mod.py": '''
+                """by_docstring"""
+
+
+                def by_string():
+                    return 1
+
+
+                def by_docstring():
+                    return 2
+
+
+                def dispatch():
+                    """by_docstring"""
+                    return globals()["by_string"]()
+
+
+                dispatch()
+                '''
+            },
+        )
+        assert found == ["by_docstring"]
+
+    def test_reexports_do_not_reach(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": """
+                from pkg.mod import exported
+
+                __all__ = ["exported"]
+                """,
+                "src/pkg/mod.py": """
+                def exported():
+                    return 1
+                """,
+            },
+        )
+        assert found == ["exported"]
+
+    def test_methods_of_a_reached_class(self, tmp_path):
+        found = unreachable_in(
+            tmp_path,
+            {
+                "src/pkg/mod.py": """
+                import ast
+
+
+                class Thing:
+                    def __repr__(self):
+                        return "Thing()"
+
+                    def used(self):
+                        return 1
+
+                    def unused(self):
+                        return 2
+
+
+                class Visitor(ast.NodeVisitor):
+                    def visit_Name(self, node):
+                        return node
+
+
+                Thing().used()
+                Visitor()
+                """
+            },
+        )
+        assert found == ["Thing.unused"]

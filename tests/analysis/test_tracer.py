@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.analysis.tracer import LockOrderTracer, LockOrderViolation
+from lock_tracer import LockOrderTracer, LockOrderViolation
 
 
 def test_consistent_order_has_no_cycle():

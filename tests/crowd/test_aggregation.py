@@ -1,4 +1,4 @@
-"""Tests for judgment aggregation (majority vote, weighted vote, scoring)."""
+"""Tests for judgment aggregation (majority vote, accuracy-weighted vote, scoring)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.crowd.aggregation import (
     AccuracyWeightedVote,
     MajorityVote,
-    WeightedVote,
     group_judgments,
     score_against_truth,
 )
@@ -83,41 +82,9 @@ class TestMajorityVote:
         labels = MajorityVote().labels(votes(1, 3, 1) + votes(2, 2, 2))
         assert labels == {1: True}
 
-    def test_margin_and_total(self):
-        outcome = MajorityVote().aggregate_item(1, votes(1, 6, 2, dont_know=1))
-        assert outcome.margin == 4
-        assert outcome.total_votes == 9
-
     def test_group_judgments(self):
         grouped = group_judgments(votes(1, 1, 0) + votes(2, 0, 1))
         assert set(grouped) == {1, 2}
-
-
-class TestWeightedVote:
-    def test_weights_can_flip_decision(self):
-        judgments = votes(1, 2, 1)
-        unweighted = MajorityVote().aggregate_item(1, judgments)
-        assert unweighted.label is True
-        # The single negative voter (worker 3) gets a huge weight.
-        weighted = WeightedVote({3: 10.0}).aggregate_item(1, judgments)
-        assert weighted.label is False
-
-    def test_default_weight(self):
-        aggregator = WeightedVote(default_weight=2.0)
-        assert aggregator.weight_of(42) == 2.0
-
-    def test_negative_default_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedVote(default_weight=-1.0)
-
-    def test_equal_weights_match_majority(self):
-        judgments = votes(1, 4, 2, dont_know=2)
-        weighted = WeightedVote().aggregate(judgments)
-        majority = MajorityVote().aggregate(judgments)
-        assert weighted[1].label == majority[1].label
-
-    def test_tie_on_weights_is_unclassified(self):
-        assert WeightedVote().aggregate_item(1, votes(1, 2, 2)).label is None
 
 
 class TestAccuracyWeightedVote:
@@ -208,7 +175,6 @@ class TestScoring:
         assert report.n_correct == 1
         assert report.coverage == pytest.approx(0.5)
         assert report.accuracy_on_classified == pytest.approx(0.5)
-        assert report.accuracy_overall == pytest.approx(0.25)
 
     def test_empty_truth(self):
         report = score_against_truth({}, {})

@@ -13,10 +13,6 @@ class TestCostModel:
         model = CostModel(payment_per_hit=0.02, service_fee_rate=0.2)
         assert model.assignment_cost() == pytest.approx(0.024)
 
-    def test_cost_of(self):
-        model = CostModel(payment_per_hit=0.03)
-        assert model.cost_of(100) == pytest.approx(3.0)
-
 
 class TestSpendingLedger:
     def test_charges_accumulate(self):

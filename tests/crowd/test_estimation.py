@@ -80,7 +80,8 @@ class TestChao92Properties:
         # takes the bias-corrected f1/f2 fallback — which at the boundary
         # equals the D/C form's limit, D(D+1)/2.
         estimator = Chao92Estimator()
-        estimator.observe_all(str(i) for i in range(n))
+        for i in range(n):
+            estimator.observe(str(i))
         assert estimator.singletons == n
         assert estimator.doubletons == 0
         assert estimator.coverage() == 0.0
@@ -110,7 +111,8 @@ class TestChao92Unit:
     def test_known_chao92_value(self):
         # n=6, D=3, f1=1 (c), coverage = 1 - 1/6; est_total = 3 / (5/6) = 3.6
         estimator = Chao92Estimator()
-        estimator.observe_all(["a", "a", "a", "b", "b", "c"])
+        for key in ["a", "a", "a", "b", "b", "c"]:
+            estimator.observe(key)
         assert estimator.coverage() == pytest.approx(5 / 6)
         assert estimator.est_total() == pytest.approx(3.6)
         assert estimator.est_coverage() == pytest.approx(3 / 3.6)

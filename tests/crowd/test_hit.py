@@ -21,11 +21,6 @@ class TestAnswer:
         assert Answer.from_bool(True) is Answer.POSITIVE
         assert Answer.from_bool(False) is Answer.NEGATIVE
 
-    def test_to_bool(self):
-        assert Answer.POSITIVE.to_bool() is True
-        assert Answer.NEGATIVE.to_bool() is False
-        assert Answer.DONT_KNOW.to_bool() is None
-
 
 class TestHIT:
     def test_empty_hit_rejected(self):
@@ -43,8 +38,7 @@ class TestHIT:
         )
         hit = HIT(hit_id=1, question=Question("x"), items=items, payment=0.02)
         assert len(hit) == 2
-        assert len(hit.gold_items) == 1
-        assert hit.gold_items[0].item_id == 2
+        assert [item.item_id for item in hit.items if item.is_gold] == [2]
 
 
 class TestHITGroup:

@@ -1,4 +1,4 @@
-"""Tests for quality-control policies (country filter, trusted pool, gold questions)."""
+"""Tests for quality-control policies (country filter, gold questions, composition)."""
 
 from __future__ import annotations
 
@@ -10,9 +10,16 @@ from repro.crowd.quality_control import (
     CountryFilter,
     GoldQuestionPolicy,
     QualityControl,
-    TrustedWorkerPolicy,
+    QualityPolicy,
 )
 from repro.crowd.worker import SPAM_COUNTRIES, WorkerPool, make_expert_worker, make_honest_worker
+
+
+class TrustedOnly(QualityPolicy):
+    """A pool filter keeping only trusted workers."""
+
+    def filter_pool(self, pool: WorkerPool) -> WorkerPool:
+        return pool.only_trusted()
 
 
 def gold_item(item_id: int, answer: Answer) -> TaskItem:
@@ -40,14 +47,6 @@ class TestCountryFilter:
         pool = WorkerPool.build(n_honest=10, n_spammers=10, seed=0)
         filtered = CountryFilter([c.lower() for c in SPAM_COUNTRIES]).filter_pool(pool)
         assert all(worker.country not in SPAM_COUNTRIES for worker in filtered)
-
-
-class TestTrustedWorkerPolicy:
-    def test_keeps_only_trusted(self):
-        pool = WorkerPool.build(n_honest=4, n_experts=2, seed=0)
-        filtered = TrustedWorkerPolicy().filter_pool(pool)
-        assert len(filtered) == 2
-        assert all(worker.trusted for worker in filtered)
 
 
 class TestGoldQuestionPolicy:
@@ -89,11 +88,13 @@ class TestGoldQuestionPolicy:
         rng = np.random.default_rng(0)
         first = make_honest_worker(5, rng)
         second = make_honest_worker(6, rng)
-        policy = GoldQuestionPolicy(max_gold_errors=3)
+        policy = GoldQuestionPolicy(max_gold_errors=2)
         item = gold_item(1, Answer.POSITIVE)
         policy.on_judgment(first, item, judgment(1, 5, Answer.NEGATIVE))
         policy.on_judgment(second, item, judgment(1, 6, Answer.NEGATIVE))
-        assert policy.gold_error_counts == {5: 1, 6: 1}
+        assert policy.banned_workers == frozenset()
+        policy.on_judgment(first, item, judgment(1, 5, Answer.NEGATIVE))
+        assert policy.banned_workers == {5}
 
 
 class TestCompositeQualityControl:
@@ -105,7 +106,7 @@ class TestCompositeQualityControl:
 
     def test_policies_compose(self):
         pool = WorkerPool.build(n_honest=5, n_spammers=5, n_experts=2, seed=0)
-        control = QualityControl([CountryFilter(SPAM_COUNTRIES)]).add(TrustedWorkerPolicy())
+        control = QualityControl([CountryFilter(SPAM_COUNTRIES)]).add(TrustedOnly())
         filtered = control.filter_pool(pool)
         assert all(worker.trusted for worker in filtered)
         assert len(control.policies) == 2
@@ -120,6 +121,6 @@ class TestCompositeQualityControl:
 
     def test_pool_filter_that_empties_raises(self):
         pool = WorkerPool.build(n_honest=3, seed=0)
-        control = QualityControl([TrustedWorkerPolicy()])
+        control = QualityControl([TrustedOnly()])
         with pytest.raises(ValueError):
             control.filter_pool(pool)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ class TestWorkerBehaviour:
 class TestWorkerPool:
     def test_build_counts(self):
         pool = WorkerPool.build(n_honest=5, n_spammers=3, n_lookup=2, n_experts=1, seed=1)
-        counts = pool.archetype_counts()
+        counts = Counter(worker.archetype for worker in pool)
         assert counts[WorkerArchetype.HONEST] == 5
         assert counts[WorkerArchetype.SPAMMER] == 3
         assert counts[WorkerArchetype.LOOKUP] == 2

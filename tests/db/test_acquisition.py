@@ -172,6 +172,49 @@ class TestSamplingPolicy:
         with pytest.raises(ExecutionError):
             AcquisitionPolicy(crowd_cost_per_value=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"min_sample": 10, "max_sample": 9}, "max_sample must be >= min_sample"),
+            ({"cost_ratio": -0.01}, "cost_ratio must be non-negative"),
+            ({"crowd_batch_size": 0}, "crowd_batch_size must be positive"),
+            ({"max_concurrent_batches": 0}, "max_concurrent_batches must be positive"),
+            ({"answer_cache_size": 0}, "answer_cache_size must be positive"),
+            ({"answer_cache_ttl": 0.0}, "answer_cache_ttl must be positive"),
+            ({"max_enum_batches": 0}, "max_enum_batches must be positive"),
+            ({"gold_fraction": 1.5}, r"gold_fraction must be in \[0, 1\]"),
+            ({"target_cell_confidence": -0.1}, r"target_cell_confidence must be in \[0, 1\]"),
+            ({"min_assignments": 0}, "min_assignments must be at least 1"),
+            ({"min_assignments": 5, "max_assignments": 4}, "max_assignments must be >= min"),
+        ],
+    )
+    def test_policy_bounds(self, overrides, message):
+        with pytest.raises(ExecutionError, match=message):
+            AcquisitionPolicy(**overrides)
+
+    def test_with_overrides_revalidates_and_keeps_the_original(self):
+        policy = AcquisitionPolicy(min_assignments=2, max_assignments=4)
+        assert policy.with_overrides(max_assignments=2).max_assignments == 2
+        with pytest.raises(ExecutionError):
+            policy.with_overrides(max_assignments=1)
+        assert policy.max_assignments == 4
+
+    def test_boundary_values_are_accepted(self):
+        policy = AcquisitionPolicy(
+            sample_fraction=1.0,
+            min_sample=3,
+            max_sample=3,
+            min_confidence=1.0,
+            cost_ratio=0.0,
+            max_cost=0.0,
+            completeness_target=0.0,
+            gold_fraction=0.0,
+            target_cell_confidence=1.0,
+            min_assignments=1,
+            max_assignments=1,
+        )
+        assert policy.max_sample == policy.min_sample == 3
+
 
 # ---------------------------------------------------------------------------
 # Planner lowering
@@ -284,7 +327,7 @@ class TestHybridExecution:
         conn.execute("SELECT humor FROM movies").fetchall()
         conn.execute("UPDATE movies SET humor = ? WHERE item_id = ?", (9.5, 1))
         storage = conn.table("movies")
-        rowid = storage.select_rowids(lambda row: row["item_id"] == 1)[0]
+        rowid = next(rowid for rowid, row in storage.scan() if row["item_id"] == 1)
         assert storage.provenance_of("humor", rowid).source == "stored"
 
     def test_low_confidence_cells_are_reacquired_by_later_queries(self):

@@ -20,7 +20,7 @@ class TestCatalog:
         storage = catalog.create_table(schema("movies"))
         assert catalog.table("movies") is storage
         assert catalog.table("MOVIES") is storage
-        assert catalog.has_table("Movies")
+        assert catalog.table_names() == ["movies"]
 
     def test_duplicate_table(self):
         catalog = Catalog()
@@ -42,7 +42,7 @@ class TestCatalog:
         catalog = Catalog()
         catalog.create_table(schema("movies"))
         catalog.drop_table("movies")
-        assert not catalog.has_table("movies")
+        assert catalog.table_names() == []
         with pytest.raises(UnknownTableError):
             catalog.drop_table("movies")
         catalog.drop_table("movies", if_exists=True)

@@ -64,7 +64,7 @@ def make_items_connection(
     n: int, catalog: Catalog | None = None, session: SessionContext | None = None
 ) -> Connection:
     conn = Connection(catalog if catalog is not None else Catalog(), session=session)
-    if not conn.catalog.has_table("items"):
+    if "items" not in conn.catalog.table_names():
         conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, name TEXT)")
         conn.executemany(
             "INSERT INTO items (item_id, name) VALUES (?, ?)",

@@ -59,6 +59,26 @@ class TestCursorBasics:
         assert cursor.fetchmany() == [(3,), (4,)]
         assert cursor.fetchall() == [(5,)]
 
+    def test_fetchmany_over_a_materialized_result(self, conn):
+        # PRAGMA results are materialized rows, not a streaming SELECT.
+        cursor = conn.execute("PRAGMA acquisition_policy")
+        total = len(cursor.fetchall())
+        cursor = conn.execute("PRAGMA acquisition_policy")
+        cursor.arraysize = 3
+        assert len(cursor.fetchmany()) == 3
+        assert len(cursor.fetchmany(total)) == total - 3
+        assert cursor.fetchmany() == []
+
+    def test_explain_reports_the_last_select_with_counters(self, conn):
+        cursor = conn.cursor()
+        assert cursor.explain() is None
+        cursor.execute("SELECT name FROM movies WHERE year > ?", (1975,))
+        cursor.fetchall()
+        plan = cursor.explain()
+        assert "SeqScan" in plan and "rows=3" in plan
+        cursor.execute("UPDATE movies SET rating = 1.0 WHERE movie_id = 1")
+        assert cursor.explain() is None
+
     def test_iteration_protocol(self, conn):
         cursor = conn.execute("SELECT name FROM movies WHERE year > ? ORDER BY year", (1975,))
         assert [name for (name,) in cursor] == ["Rocky", "Airplane!", "Dirty Dancing"]

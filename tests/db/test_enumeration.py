@@ -291,6 +291,43 @@ class TestAcquisitionPolicy:
         # A failed write leaves the session untouched.
         assert conn.policy.completeness_target is None
 
+    @pytest.mark.parametrize(
+        "sql, knob, value",
+        [
+            ("PRAGMA acquisition_max_sample = 40", "max_sample", 40),
+            ("PRAGMA acquisition_max_sample = 40.0", "max_sample", 40),
+            ("PRAGMA acquisition_max_sample = 'none'", "max_sample", None),
+            ("PRAGMA acquisition_crowd_batch_size = '25'", "crowd_batch_size", 25),
+            ("PRAGMA acquisition_sample_fraction = 1", "sample_fraction", 1.0),
+            ("PRAGMA acquisition_max_cost = '2.5'", "max_cost", 2.5),
+            ("PRAGMA acquisition_crowd_write_back = 0", "crowd_write_back", False),
+            ("PRAGMA acquisition_crowd_write_back = yes", "crowd_write_back", True),
+        ],
+    )
+    def test_pragma_values_are_coerced_to_the_knob_type(self, sql, knob, value):
+        conn = connect()
+        conn.execute(sql)
+        stored = getattr(conn.policy, knob)
+        assert stored == value
+        assert type(stored) is type(value)
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("PRAGMA acquisition_crowd_batch_size = 2.5", "expects an integer"),
+            ("PRAGMA acquisition_crowd_write_back = maybe", "expects a boolean"),
+            ("PRAGMA acquisition_cost_ratio = cheap", "expects a number"),
+            ("PRAGMA acquisition_min_sample = none", "expects a number"),
+            ("PRAGMA acquisition_policy = 1", "read-only"),
+        ],
+    )
+    def test_pragma_rejects_values_of_the_wrong_type(self, sql, message):
+        conn = connect()
+        before = conn.policy
+        with pytest.raises(ExecutionError, match=message):
+            conn.execute(sql)
+        assert conn.policy == before
+
     def test_session_exposes_knobs_only_through_its_policy(self):
         import inspect
 

@@ -66,7 +66,7 @@ class TestProjectionAndFilter:
 
     def test_result_helpers(self, db):
         result = db.run_statement("SELECT movie_id, name FROM movies ORDER BY movie_id LIMIT 2")
-        assert result.to_dicts()[0] == {"movie_id": 1, "name": "Rocky"}
+        assert result.column("name") == ["Rocky", "Psycho"]
         with pytest.raises(ExecutionError):
             result.scalar()
         with pytest.raises(ExecutionError):
@@ -128,6 +128,36 @@ class TestAggregation:
             "SELECT movie_id FROM ratings GROUP BY movie_id HAVING count(*) >= 2"
         )
         assert result.column("movie_id") == [1]
+
+    def test_having_or_of_aggregates(self, db):
+        result = db.run_statement(
+            "SELECT movie_id FROM ratings GROUP BY movie_id "
+            "HAVING count(*) >= 2 OR avg(score) >= 5 ORDER BY movie_id"
+        )
+        assert result.column("movie_id") == [1, 2]
+
+    def test_having_and_of_aggregates(self, db):
+        result = db.run_statement(
+            "SELECT movie_id FROM ratings GROUP BY movie_id "
+            "HAVING count(*) = 1 AND avg(score) < 4 ORDER BY movie_id"
+        )
+        assert result.column("movie_id") == [3, 99]
+
+    @pytest.mark.parametrize(
+        "having, expected",
+        [
+            # max(humor) is NULL in every group: the comparison is unknown.
+            ("max(humor) > 0 OR count(*) = 1", [1, 2, 3, 4, 5]),
+            ("max(humor) > 0 OR count(*) > 1", []),
+            ("max(humor) > 0 AND count(*) = 1", []),
+            ("count(*) > 1 AND max(humor) > 0", []),
+        ],
+    )
+    def test_having_three_valued_logic(self, db, having, expected):
+        result = db.run_statement(
+            f"SELECT movie_id FROM movies GROUP BY movie_id HAVING {having} ORDER BY movie_id"
+        )
+        assert result.column("movie_id") == expected
 
     def test_count_distinct(self, db):
         assert db.run_statement("SELECT count(DISTINCT user_id) FROM ratings").scalar() == 4

@@ -12,7 +12,6 @@ from repro.db.sql.expressions import (
     compile_expression,
     compile_predicate,
     evaluate,
-    evaluate_predicate,
     expression_label,
 )
 from repro.db.sql.parser import parse_statement
@@ -124,8 +123,9 @@ class TestThreeValuedLogic:
         assert evaluate(where_expr("year = 1980"), context(year=MISSING)) is None
 
     def test_unknown_collapses_to_false_in_predicate(self):
-        assert evaluate_predicate(where_expr("year = 1980"), context(year=None)) is False
-        assert evaluate_predicate(where_expr("year = 1980"), context(year=MISSING)) is False
+        predicate = compile_predicate(where_expr("year = 1980"))
+        assert predicate(context(year=None)) is False
+        assert predicate(context(year=MISSING)) is False
 
     def test_and_kleene(self):
         assert evaluate(where_expr("a = 1 AND b = 1"), context(a=1, b=None)) is None
@@ -158,7 +158,7 @@ class TestThreeValuedLogic:
         assert evaluate(where_expr("a + 1 = 2"), context(a=None)) is None
 
     def test_empty_predicate_is_true(self):
-        assert evaluate_predicate(None, RowContext()) is True
+        assert compile_predicate(None)(RowContext()) is True
 
 
 class TestRowContext:
@@ -177,12 +177,6 @@ class TestRowContext:
         ctx.add_table_row("b", {"id": 2})
         ctx.set("id", 3)
         assert ctx.lookup(ast.ColumnRef("id")) == 3
-
-    def test_as_mapping_contains_qualified_keys(self):
-        ctx = context(year=1980)
-        mapping = ctx.as_mapping()
-        assert mapping["t.year"] == 1980
-        assert mapping["year"] == 1980
 
 
 class TestExpressionLabel:
@@ -360,5 +354,5 @@ class TestCompiledEvaluator:
             slow = RowContext()
             slow.add_table_row("t", row)
             slow.set("t.__rowid__", 3)
-            assert fast.as_mapping() == slow.as_mapping()
+            assert fast._values == slow._values
             assert fast._ambiguous == slow._ambiguous

@@ -72,11 +72,11 @@ class TestParsing:
         assert rows(conn, "SELECT a, ? FROM t WHERE b = 'really?'", ("?",)) == [(9, "?")]
 
     def test_script_statements_number_parameters_independently(self, conn):
-        from repro.db.sql.parser import parse_sql
+        from repro.db.sql.parser import parse_script
 
         first_sql = "SELECT a FROM t WHERE b = ?"
         second_sql = "SELECT a FROM t WHERE c = ?"
-        first, second = parse_sql(f"{first_sql}; {second_sql}")
+        (_, first), (_, second) = parse_script(f"{first_sql}; {second_sql}")
         assert first.where.right == ast.Parameter(0)
         assert second.where.right == ast.Parameter(0)
         assert rows(conn, second_sql, (5,)) == [(2,)]

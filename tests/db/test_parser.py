@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.sql import ast
-from repro.db.sql.parser import parse_sql, parse_statement
+from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.types import MISSING
 from repro.errors import SQLSyntaxError
 
@@ -242,7 +242,7 @@ class TestDMLParsing:
 
 class TestScripts:
     def test_parse_sql_multiple_statements(self):
-        statements = parse_sql(
+        statements = parse_script(
             "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1); SELECT * FROM t;"
         )
         assert len(statements) == 3
@@ -264,3 +264,70 @@ class TestAstHelpers:
         )
         refs = ast.referenced_columns(statement.where)
         assert {ref.name for ref in refs} == {"year", "rating"}
+
+
+class TestPragmaParsing:
+    def test_read_has_no_value(self):
+        statement = parse_statement("PRAGMA synchronous")
+        assert isinstance(statement, ast.PragmaStatement)
+        assert statement.name == "synchronous"
+        assert statement.value is None
+
+    @pytest.mark.parametrize(
+        "sql, value",
+        [
+            ("PRAGMA checkpoint_interval = 25", 25),
+            ("PRAGMA acquisition_sample_fraction = 0.5", 0.5),
+            ("PRAGMA table_stats = 'movies'", "movies"),
+            ("PRAGMA synchronous = normal", "normal"),
+            ("PRAGMA synchronous = FULL", "full"),
+            ("PRAGMA buffer_pool_pages(64)", 64),
+        ],
+    )
+    def test_value_forms(self, sql, value):
+        statement = parse_statement(sql)
+        assert statement.value == value
+        assert type(statement.value) is type(value)
+
+    def test_name_is_lowercased(self):
+        assert parse_statement("PRAGMA Wal_Checkpoint").name == "wal_checkpoint"
+
+    def test_missing_value_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="expected a PRAGMA value"):
+            parse_statement("PRAGMA synchronous = ,")
+
+
+class TestCrowdConstraintParsing:
+    def test_budget_before_completeness_with_comma(self):
+        statement = parse_statement(
+            "SELECT value FROM CROWD 'birds' WITH BUDGET <= 2, COMPLETENESS >= 0.75"
+        )
+        assert statement.from_crowd.budget == 2.0
+        assert statement.from_crowd.completeness == 0.75
+
+    def test_budget_alone(self):
+        statement = parse_statement("SELECT value FROM CROWD 'birds' WITH BUDGET <= 0.5")
+        assert statement.from_crowd.budget == 0.5
+        assert statement.from_crowd.completeness is None
+
+    def test_duplicate_budget_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="duplicate BUDGET"):
+            parse_statement("SELECT value FROM CROWD 'x' WITH BUDGET <= 1 AND BUDGET <= 2")
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(SQLSyntaxError):
+            parse_statement("SELECT value FROM CROWD 'x' WITH BUDGET <= -1")
+
+    def test_unknown_constraint_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="expected COMPLETENESS or BUDGET"):
+            parse_statement("SELECT value FROM CROWD 'x' WITH LIMIT 3")
+
+
+class TestIdentifiers:
+    def test_aggregate_keyword_as_alias(self):
+        statement = parse_statement("SELECT year AS count FROM movies")
+        assert statement.items[0].alias == "count"
+
+    def test_reserved_word_is_not_an_identifier(self):
+        with pytest.raises(SQLSyntaxError, match="expected identifier"):
+            parse_statement("SELECT year AS FROM movies")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db.schema import AttributeKind, Column, TableSchema, perceptual_column
+from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.types import MISSING, ColumnType, is_missing
 from repro.errors import (
     DuplicateColumnError,
@@ -20,7 +20,7 @@ def make_schema() -> TableSchema:
             Column("movie_id", ColumnType.INTEGER, nullable=False),
             Column("Name", ColumnType.TEXT, nullable=False),
             Column("year", ColumnType.INTEGER),
-            perceptual_column("humor"),
+            Column("humor", ColumnType.REAL, kind=AttributeKind.PERCEPTUAL, default=MISSING),
         ],
         primary_key="movie_id",
     )
@@ -39,18 +39,8 @@ class TestColumn:
     def test_default_kind_is_factual(self):
         assert Column("year", ColumnType.INTEGER).kind is AttributeKind.FACTUAL
 
-    def test_with_kind(self):
-        column = Column("humor", ColumnType.REAL).with_kind(AttributeKind.PERCEPTUAL)
-        assert column.kind is AttributeKind.PERCEPTUAL
-        assert column.name == "humor"
-
     def test_coerce_uses_column_type(self):
         assert Column("year", ColumnType.INTEGER).coerce("1999") == 1999
-
-    def test_perceptual_column_helper(self):
-        column = perceptual_column("suspense")
-        assert column.kind is AttributeKind.PERCEPTUAL
-        assert is_missing(column.default)
 
 
 class TestTableSchema:
@@ -86,15 +76,11 @@ class TestTableSchema:
         with pytest.raises(UnknownColumnError):
             make_schema().column("suspense")
 
-    def test_perceptual_and_factual_partitions(self):
-        schema = make_schema()
-        assert [c.name for c in schema.perceptual_columns()] == ["humor"]
-        assert "humor" not in [c.name for c in schema.factual_columns()]
-        assert len(schema.factual_columns()) + len(schema.perceptual_columns()) == len(schema)
-
     def test_add_column(self):
         schema = make_schema()
-        schema.add_column(perceptual_column("suspense"))
+        schema.add_column(
+            Column("suspense", ColumnType.REAL, kind=AttributeKind.PERCEPTUAL, default=MISSING)
+        )
         assert "suspense" in schema
         with pytest.raises(DuplicateColumnError):
             schema.add_column(Column("suspense", ColumnType.REAL))

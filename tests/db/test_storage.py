@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db.schema import Column, TableSchema, perceptual_column
+from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.storage import TableStorage
 from repro.db.types import MISSING, ColumnType, is_missing
 from repro.errors import ExecutionError, IntegrityError, UnknownColumnError
@@ -18,7 +18,7 @@ def storage() -> TableStorage:
             Column("movie_id", ColumnType.INTEGER, nullable=False),
             Column("name", ColumnType.TEXT, nullable=False),
             Column("year", ColumnType.INTEGER),
-            perceptual_column("is_comedy", ColumnType.BOOLEAN),
+            Column("is_comedy", ColumnType.BOOLEAN, kind=AttributeKind.PERCEPTUAL, default=MISSING),
         ],
         primary_key="movie_id",
     )
@@ -124,14 +124,12 @@ class TestScans:
         rows[0]["name"] = "mutated"
         assert storage.get(1)["name"] == "Rocky"
 
-    def test_select_rowids(self, storage):
-        rowids = storage.select_rowids(lambda row: row["year"] > 1970)
-        assert set(rowids) == {1, 3}
-
 
 class TestSchemaEvolutionAndMissing:
     def test_add_column_fills_missing(self, storage):
-        storage.add_column(perceptual_column("suspense"))
+        storage.add_column(
+            Column("suspense", ColumnType.REAL, kind=AttributeKind.PERCEPTUAL, default=MISSING)
+        )
         assert all(is_missing(row["suspense"]) for row in storage.rows())
 
     def test_add_column_with_value(self, storage):
@@ -140,10 +138,8 @@ class TestSchemaEvolutionAndMissing:
 
     def test_missing_rowids_and_fraction(self, storage):
         assert storage.missing_rowids("is_comedy") == [1, 2, 3]
-        assert storage.missing_fraction("is_comedy") == 1.0
         storage.update(1, {"is_comedy": True})
         assert storage.missing_rowids("is_comedy") == [2, 3]
-        assert storage.missing_fraction("is_comedy") == pytest.approx(2 / 3)
 
     def test_fill_values(self, storage):
         updated = storage.fill_values("is_comedy", {1: True, 3: False})
@@ -151,7 +147,3 @@ class TestSchemaEvolutionAndMissing:
         assert storage.get(1)["is_comedy"] is True
         assert storage.get(3)["is_comedy"] is False
         assert is_missing(storage.get(2)["is_comedy"])
-
-    def test_missing_fraction_empty_table(self):
-        schema = TableSchema("t", [Column("a", ColumnType.INTEGER)])
-        assert TableStorage(schema).missing_fraction("a") == 0.0

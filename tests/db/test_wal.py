@@ -292,7 +292,7 @@ def _apply_ops(conn, ops) -> int:
         elif op == "fill" and live:
             target = live[key % len(live)]
             storage = conn.table("t")
-            rowid = storage.select_rowids(lambda row: row["id"] == target)[0]
+            rowid = next(rowid for rowid, row in storage.scan() if row["id"] == target)
             storage.fill_values(
                 "score",
                 {rowid: float(value)},

@@ -1,4 +1,4 @@
-"""Tests for evaluation metrics (g-mean, precision/recall, Pearson, ...)."""
+"""Tests for evaluation metrics (g-mean, precision/recall, accuracy, ...)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from repro.errors import LearningError
 from repro.learn.metrics import (
-    ClassificationReport,
     accuracy,
     confusion_matrix,
-    f1_score,
     g_mean,
-    pearson_correlation,
     precision_recall,
     sensitivity_specificity,
 )
@@ -54,9 +51,6 @@ class TestBasicMetrics:
         assert precision == pytest.approx(2 / 3)
         assert recall == pytest.approx(2 / 3)
 
-    def test_f1(self):
-        assert f1_score(TRUTH, PRED) == pytest.approx(2 / 3)
-
 
 class TestPaperScenarios:
     def test_naive_majority_classifier_has_zero_gmean(self):
@@ -68,11 +62,9 @@ class TestPaperScenarios:
 
     def test_perfect_classifier(self):
         truth = np.array([True, False, True, False])
-        report = ClassificationReport.from_predictions(truth, truth)
-        assert report.accuracy == 1.0
-        assert report.g_mean == 1.0
-        assert report.precision == 1.0
-        assert report.recall == 1.0
+        assert accuracy(truth, truth) == 1.0
+        assert g_mean(truth, truth) == 1.0
+        assert precision_recall(truth, truth) == (1.0, 1.0)
 
     def test_no_positive_predictions(self):
         truth = np.array([True, False])
@@ -80,7 +72,6 @@ class TestPaperScenarios:
         precision, recall = precision_recall(truth, predictions)
         assert precision == 0.0
         assert recall == 0.0
-        assert f1_score(truth, predictions) == 0.0
 
     def test_missing_class_defines_recall_as_one(self):
         truth = np.array([False, False, False])
@@ -88,37 +79,6 @@ class TestPaperScenarios:
         sensitivity, specificity = sensitivity_specificity(truth, predictions)
         assert sensitivity == 1.0
         assert specificity == pytest.approx(2 / 3)
-
-
-class TestPearson:
-    def test_perfect_correlation(self):
-        x = np.arange(10, dtype=float)
-        assert pearson_correlation(x, 2 * x + 1) == pytest.approx(1.0)
-        assert pearson_correlation(x, -x) == pytest.approx(-1.0)
-
-    def test_constant_input_is_zero(self):
-        assert pearson_correlation(np.ones(5), np.arange(5.0)) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(LearningError):
-            pearson_correlation([1.0], [1.0])
-        with pytest.raises(LearningError):
-            pearson_correlation([1.0, 2.0], [1.0])
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=50)
-        y = 0.5 * x + rng.normal(size=50)
-        assert pearson_correlation(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1])
-
-
-class TestClassificationReport:
-    def test_bundles_all_metrics(self):
-        report = ClassificationReport.from_predictions(TRUTH, PRED)
-        assert report.n_examples == 10
-        assert report.accuracy == pytest.approx(accuracy(TRUTH, PRED))
-        assert report.g_mean == pytest.approx(g_mean(TRUTH, PRED))
-        assert report.sensitivity == pytest.approx(2 / 3)
 
 
 class TestMetricProperties:

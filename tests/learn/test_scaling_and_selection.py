@@ -1,4 +1,4 @@
-"""Tests for feature scaling and sampling/splitting helpers."""
+"""Tests for feature scaling and balanced training-set sampling."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import LearningError, NotFittedError
-from repro.learn.model_selection import (
-    kfold_indices,
-    sample_balanced_training_set,
-    stratified_split,
-    train_test_split,
-)
+from repro.learn.model_selection import sample_balanced_training_set
 from repro.learn.scaling import StandardScaler
 
 
@@ -31,12 +26,6 @@ class TestStandardScaler:
         assert np.all(np.isfinite(transformed))
         assert np.allclose(transformed[:, 0], 0.0)
 
-    def test_inverse_transform_roundtrip(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, 3))
-        scaler = StandardScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             StandardScaler().transform(np.zeros((2, 2)))
@@ -45,42 +34,6 @@ class TestStandardScaler:
         X = np.random.default_rng(2).normal(3.0, 1.0, size=(100, 2))
         transformed = StandardScaler(with_mean=False).fit_transform(X)
         assert transformed.mean() > 1.0
-
-
-class TestTrainTestSplit:
-    def test_partition_sizes(self):
-        X = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        X_train, X_test, y_train, y_test = train_test_split(X, y, test_fraction=0.25, seed=0)
-        assert len(X_test) == 5
-        assert len(X_train) == 15
-        assert len(y_train) == 15
-
-    def test_no_overlap_and_full_coverage(self):
-        X = np.arange(30).reshape(30, 1)
-        y = np.arange(30)
-        X_train, X_test, _yt, _ye = train_test_split(X, y, test_fraction=0.3, seed=1)
-        combined = sorted(np.concatenate([X_train[:, 0], X_test[:, 0]]).tolist())
-        assert combined == list(range(30))
-
-    def test_validation(self):
-        with pytest.raises(LearningError):
-            train_test_split(np.zeros((5, 2)), np.zeros(4))
-        with pytest.raises(LearningError):
-            train_test_split(np.zeros((5, 2)), np.zeros(5), test_fraction=0.0)
-
-
-class TestStratifiedSplit:
-    def test_preserves_class_ratio(self):
-        y = np.array([True] * 20 + [False] * 80)
-        train_idx, test_idx = stratified_split(y, test_fraction=0.25, seed=0)
-        assert len(set(train_idx) & set(test_idx)) == 0
-        train_ratio = y[train_idx].mean()
-        assert 0.1 < train_ratio < 0.3
-
-    def test_validation(self):
-        with pytest.raises(LearningError):
-            stratified_split(np.array([True, False]), test_fraction=1.5)
 
 
 class TestBalancedSampling:
@@ -120,17 +73,3 @@ class TestBalancedSampling:
         assert len(set(positives)) == n
         assert len(set(negatives)) == n
         assert not set(positives) & set(negatives)
-
-
-class TestKFold:
-    def test_folds_cover_everything(self):
-        folds = kfold_indices(23, 4, seed=0)
-        assert len(folds) == 4
-        combined = sorted(np.concatenate(folds).tolist())
-        assert combined == list(range(23))
-
-    def test_validation(self):
-        with pytest.raises(LearningError):
-            kfold_indices(10, 1)
-        with pytest.raises(LearningError):
-            kfold_indices(2, 5)

@@ -26,7 +26,8 @@ def planted_dataset(seed: int = 0, n_items: int = 80, n_users: int = 200) -> Rat
             distance_sq = float(np.sum((item_pos[item] - user_pos[user]) ** 2))
             score = float(np.clip(4.5 - 0.35 * distance_sq + rng.normal(0, 0.3), 1, 5))
             triples.append((item + 1, user + 1, score))
-    return RatingDataset.from_triples(triples)
+    items, users, scores = zip(*triples)
+    return RatingDataset(items, users, scores)
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +86,21 @@ class TestEuclideanEmbedding:
         assert model.item_bias is not None
         assert model.item_bias.shape == (dataset.n_items,)
 
-    def test_rating_components_decomposition(self, fitted_embedding):
-        components = fitted_embedding.expected_rating_components(
-            np.array([0, 1]), np.array([0, 1])
-        )
+    def test_rating_components_decomposition(self, fitted_embedding, dataset):
+        # r(m, u) = mu + delta_m + delta_u - ||x_m - y_u||^2
+        item_idx, user_idx = dataset.item_index[:5], dataset.user_index[:5]
+        diff = fitted_embedding.item_factors[item_idx] - fitted_embedding.user_factors[user_idx]
         reconstructed = (
-            components["global_mean"]
-            + components["item_bias"]
-            + components["user_bias"]
-            - components["squared_distance"]
+            fitted_embedding.global_mean
+            + fitted_embedding.item_bias[item_idx]
+            + fitted_embedding.user_bias[user_idx]
+            - np.sum(diff**2, axis=1)
         )
-        direct = fitted_embedding._predict_batch(np.array([0, 1]), np.array([0, 1]))
-        assert np.allclose(reconstructed, direct)
+        ratings = list(dataset)[:5]
+        predicted = fitted_embedding.predict(
+            [r.item_id for r in ratings], [r.user_id for r in ratings]
+        )
+        assert np.allclose(reconstructed, predicted)
 
     def test_not_fitted_errors(self):
         model = EuclideanEmbeddingModel()
@@ -120,10 +124,17 @@ class TestEuclideanEmbedding:
         assert centroid_distance > within_spread
 
     def test_rmse_on_held_out_data(self, dataset):
-        train, test = dataset.train_test_split(test_fraction=0.2, seed=0)
+        permutation = np.random.default_rng(0).permutation(dataset.n_ratings)
+        n_test = dataset.n_ratings // 5
+        train, test = dataset.take(permutation[n_test:]), dataset.take(permutation[:n_test])
         model = EuclideanEmbeddingModel(FactorModelConfig(n_factors=8, n_epochs=10, seed=0))
         model.fit(train)
-        rmse = model.rmse_on(test)
+        # Only pairs whose item and user were both trained have coordinates.
+        items, users = set(train.item_ids.tolist()), set(train.user_ids.tolist())
+        held_out = [r for r in test if r.item_id in items and r.user_id in users]
+        predicted = model.predict([r.item_id for r in held_out], [r.user_id for r in held_out])
+        rmse = float(np.sqrt(np.mean((np.array([r.score for r in held_out]) - predicted) ** 2)))
+        assert len(held_out) > 0.9 * len(test)
         assert 0.0 < rmse < 1.5
 
     def test_early_stopping_records_epoch(self, dataset):
@@ -155,12 +166,15 @@ class TestSVDModel:
 
     def test_history_final_rmse_property(self, dataset):
         model = SVDModel(FactorModelConfig(n_factors=4, n_epochs=3, seed=0)).fit(dataset)
-        assert model.history.final_rmse == model.history.epoch_rmse[-1]
+        final_rmse = model.history.epoch_rmse[-1]
+        assert final_rmse == model.training_rmse()
+        assert model.to_space().metadata["training_rmse"] == final_rmse
 
     def test_unfitted_history_raises(self):
         model = SVDModel()
-        with pytest.raises(PerceptualSpaceError):
-            _ = model.history.final_rmse
+        assert model.history.epoch_rmse == []
+        with pytest.raises(NotFittedError):
+            model.training_rmse()
 
     def test_embedding_beats_unpersonalised_baseline(self, dataset, fitted_embedding):
         baseline_rmse = float(np.sqrt(np.mean((dataset.scores - dataset.global_mean) ** 2)))

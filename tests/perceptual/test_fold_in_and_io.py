@@ -1,4 +1,4 @@
-"""Tests for item fold-in and dataset/space persistence."""
+"""Tests for dataset and perceptual-space persistence."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 from repro.errors import PerceptualSpaceError
 from repro.perceptual.euclidean_embedding import EuclideanEmbeddingModel
 from repro.perceptual.factorization import FactorModelConfig
-from repro.perceptual.fold_in import ItemFoldIn
 from repro.perceptual.io import load_ratings, load_space, save_ratings, save_space
 from repro.perceptual.ratings import RatingDataset
-from repro.perceptual.space import PerceptualSpace
 
 
 @pytest.fixture(scope="module")
@@ -29,87 +27,11 @@ def world():
             d2 = float(np.sum((item_pos[item] - user_pos[user]) ** 2))
             score = float(np.clip(4.5 - 0.3 * d2 + rng.normal(0, 0.3), 1, 5))
             triples.append((item + 1, user + 1, score))
-    dataset = RatingDataset.from_triples(triples)
+    items, users, scores = zip(*triples)
+    dataset = RatingDataset(items, users, scores)
     model = EuclideanEmbeddingModel(FactorModelConfig(n_factors=6, n_epochs=15, seed=0))
     model.fit(dataset)
     return {"item_pos": item_pos, "user_pos": user_pos, "dataset": dataset, "model": model, "rng": rng}
-
-
-class TestItemFoldIn:
-    def _new_item_ratings(self, world, cluster_shift: float, n: int = 40):
-        """Ratings a brand-new item in the given cluster would receive."""
-        rng = np.random.default_rng(99)
-        ratings = []
-        new_pos = np.full(3, cluster_shift)
-        for user in rng.choice(world["dataset"].n_users, n, replace=False):
-            d2 = float(np.sum((new_pos - world["user_pos"][user]) ** 2))
-            score = float(np.clip(4.5 - 0.3 * d2 + rng.normal(0, 0.3), 1, 5))
-            ratings.append((int(world["dataset"].user_ids[user]), score))
-        return ratings
-
-    def test_folded_item_lands_near_its_cluster(self, world):
-        model = world["model"]
-        space = model.to_space()
-        fold = ItemFoldIn(model, seed=0)
-        result = fold.fold_in(999, self._new_item_ratings(world, cluster_shift=2.0))
-        assert result.n_ratings_used > 10
-        assert result.final_rmse < 1.5
-
-        # Distance from the folded item to the cluster-1 items (true neighbours)
-        # should be smaller than to cluster-2 items.
-        cluster_1 = space.vectors(list(range(1, 31))).mean(axis=0)
-        cluster_2 = space.vectors(list(range(31, 61))).mean(axis=0)
-        d1 = np.linalg.norm(result.coordinates - cluster_1)
-        d2 = np.linalg.norm(result.coordinates - cluster_2)
-        assert d1 < d2
-
-    def test_extend_space(self, world):
-        model = world["model"]
-        space = model.to_space()
-        fold = ItemFoldIn(model, seed=0)
-        new_items = {999: self._new_item_ratings(world, 2.0), 1000: self._new_item_ratings(world, 0.0)}
-        extended, results = fold.extend_space(space, new_items)
-        assert extended.n_items == space.n_items + 2
-        assert {r.item_id for r in results} == {999, 1000}
-        assert 999 in extended and 1000 in extended
-        # original space untouched
-        assert 999 not in space
-
-    def test_existing_items_are_skipped(self, world):
-        model = world["model"]
-        space = model.to_space()
-        fold = ItemFoldIn(model, seed=0)
-        extended, results = fold.extend_space(space, {1: self._new_item_ratings(world, 2.0)})
-        assert extended is space
-        assert results == []
-
-    def test_too_few_ratings_rejected(self, world):
-        fold = ItemFoldIn(world["model"], min_ratings=5, seed=0)
-        with pytest.raises(PerceptualSpaceError):
-            fold.fold_in(999, [(int(world["dataset"].user_ids[0]), 4.0)])
-
-    def test_unknown_users_do_not_count(self, world):
-        fold = ItemFoldIn(world["model"], min_ratings=3, seed=0)
-        with pytest.raises(PerceptualSpaceError):
-            fold.fold_in(999, [(10**7, 4.0), (10**7 + 1, 3.0), (10**7 + 2, 2.0)])
-
-    def test_malformed_user_id_propagates(self, world):
-        # Narrowed exception handling: only UnknownUserError means "skip
-        # this rating"; a rating carrying a junk user id is caller error
-        # and must surface, not be silently dropped.
-        fold = ItemFoldIn(world["model"], min_ratings=3, seed=0)
-        with pytest.raises((TypeError, ValueError)):
-            fold.fold_in(999, [("not-a-user-id", 4.0)])
-
-    def test_unfitted_model_rejected(self):
-        with pytest.raises(PerceptualSpaceError):
-            ItemFoldIn(EuclideanEmbeddingModel())
-
-    def test_invalid_parameters(self, world):
-        with pytest.raises(PerceptualSpaceError):
-            ItemFoldIn(world["model"], n_iterations=0)
-        with pytest.raises(PerceptualSpaceError):
-            ItemFoldIn(world["model"], min_ratings=0)
 
 
 class TestPersistence:

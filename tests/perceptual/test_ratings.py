@@ -11,6 +11,11 @@ from repro.errors import PerceptualSpaceError, UnknownItemError, UnknownUserErro
 from repro.perceptual.ratings import Rating, RatingDataset
 
 
+def from_triples(triples) -> RatingDataset:
+    items, users, scores = zip(*triples)
+    return RatingDataset(items, users, scores)
+
+
 @pytest.fixture
 def dataset() -> RatingDataset:
     triples = [
@@ -18,7 +23,7 @@ def dataset() -> RatingDataset:
         (20, 1, 2.0), (20, 2, 1.0),
         (30, 3, 5.0),
     ]
-    return RatingDataset.from_triples(triples)
+    return from_triples(triples)
 
 
 class TestConstruction:
@@ -40,15 +45,11 @@ class TestConstruction:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(PerceptualSpaceError):
-            RatingDataset.from_triples([])
+            RatingDataset([], [], [])
 
     def test_invalid_scale(self):
         with pytest.raises(PerceptualSpaceError):
             RatingDataset([1], [1], [3.0], scale=(5, 1))
-
-    def test_from_ratings(self):
-        dataset = RatingDataset.from_ratings([Rating(1, 1, 3.0), Rating(2, 1, 4.0)])
-        assert dataset.n_items == 2
 
     def test_iteration_roundtrip(self, dataset):
         ratings = list(dataset)
@@ -74,10 +75,6 @@ class TestIndexMapping:
         with pytest.raises(UnknownUserError):
             dataset.user_position(99)
 
-    def test_has_item(self, dataset):
-        assert dataset.has_item(10)
-        assert not dataset.has_item(11)
-
 
 class TestStatistics:
     def test_item_rating_counts(self, dataset):
@@ -99,44 +96,6 @@ class TestStatistics:
 
 
 class TestTransformations:
-    def test_filter_min_ratings(self, dataset):
-        filtered = dataset.filter_min_ratings(min_item_ratings=2)
-        assert set(filtered.item_ids.tolist()) == {10, 20}
-        assert filtered.n_ratings == 5
-
-    def test_filter_removing_everything_raises(self, dataset):
-        with pytest.raises(PerceptualSpaceError):
-            dataset.filter_min_ratings(min_item_ratings=10)
-
-    def test_subset_items(self, dataset):
-        subset = dataset.subset_items([10])
-        assert subset.n_items == 1
-        assert subset.n_ratings == 3
-
-    def test_subset_items_empty_raises(self, dataset):
-        with pytest.raises(PerceptualSpaceError):
-            dataset.subset_items([99])
-
-    def test_train_test_split_partitions(self, dataset):
-        train, test = dataset.train_test_split(test_fraction=0.34, seed=0)
-        assert train.n_ratings + test.n_ratings == dataset.n_ratings
-        assert test.n_ratings == 2
-
-    def test_train_test_split_validation(self, dataset):
-        with pytest.raises(PerceptualSpaceError):
-            dataset.train_test_split(test_fraction=0.0)
-        with pytest.raises(PerceptualSpaceError):
-            dataset.train_test_split(test_fraction=1.0)
-
-    def test_kfold_indices_cover_everything(self, dataset):
-        folds = dataset.kfold_indices(3, seed=1)
-        combined = np.concatenate(folds)
-        assert sorted(combined.tolist()) == list(range(dataset.n_ratings))
-
-    def test_kfold_validation(self, dataset):
-        with pytest.raises(PerceptualSpaceError):
-            dataset.kfold_indices(1)
-
     def test_take(self, dataset):
         subset = dataset.take(np.array([0, 1]))
         assert subset.n_ratings == 2
@@ -156,7 +115,7 @@ class TestDatasetProperties:
         )
     )
     def test_counts_match_input(self, triples):
-        dataset = RatingDataset.from_triples(triples)
+        dataset = from_triples(triples)
         assert dataset.n_ratings == len(triples)
         assert dataset.n_items == len({t[0] for t in triples})
         assert dataset.n_users == len({t[1] for t in triples})
@@ -172,7 +131,7 @@ class TestDatasetProperties:
         )
     )
     def test_global_mean_in_scale(self, triples):
-        dataset = RatingDataset.from_triples(triples)
+        dataset = from_triples(triples)
         assert 1.0 <= dataset.global_mean <= 5.0
         counts = dataset.item_rating_counts()
         assert counts.sum() == dataset.n_ratings

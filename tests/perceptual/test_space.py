@@ -63,16 +63,6 @@ class TestLookups:
         assert np.allclose(matrix[0], [0.0, 1.0])
         assert np.allclose(matrix[1], [0.0, 0.0])
 
-    def test_feature_matrix_default_all(self, space):
-        X, ids = space.feature_matrix()
-        assert X.shape == (5, 2)
-        assert ids == space.item_ids
-
-    def test_feature_matrix_subset(self, space):
-        X, ids = space.feature_matrix([40, 50])
-        assert X.shape == (2, 2)
-        assert ids == [40, 50]
-
 
 class TestGeometry:
     def test_distance(self, space):
@@ -105,11 +95,6 @@ class TestGeometry:
 
 
 class TestDerivedSpaces:
-    def test_subspace(self, space):
-        sub = space.subspace([40, 50])
-        assert sub.n_items == 2
-        assert np.allclose(sub.vector(40), space.vector(40))
-
     def test_with_metadata(self, space):
         enriched = space.with_metadata(source="unit test")
         assert enriched.metadata["source"] == "unit test"

@@ -27,6 +27,7 @@ from repro.db.acquisition import AcquisitionPolicy, Dispatch
 from repro.db.connection import SessionContext
 from repro.db.types import MISSING
 from repro.errors import (
+    ExecutionError,
     RateLimitError,
     ServerOverloadedError,
     TenantAuthError,
@@ -421,8 +422,6 @@ class TestWireProtocolMisuse:
 
     def test_unknown_cursor_is_typed(self, server):
         conn = repro.client.connect(*server.address, tenant="t")
-        from repro.errors import ExecutionError
-
         with pytest.raises(ExecutionError, match="cursor"):
             conn.request({"op": "fetch", "cursor": 999})
         conn.close()
@@ -502,3 +501,105 @@ class TestServedEnumeration:
             snapshot = {s["tenant"]: s for s in srv.registry.snapshot()}
             assert snapshot["alice"]["cost_spent"] <= 0.05 + 1e-9
             client.close()
+
+
+class TestClientCursor:
+    """The wire cursor's DB-API surface over a server that pages every 4 rows."""
+
+    @pytest.fixture()
+    def conn(self, server):
+        conn = repro.client.connect(*server.address, tenant="t")
+        conn.execute("CREATE TABLE nums (n INTEGER)")
+        conn.cursor().executemany("INSERT INTO nums VALUES (?)", [(i,) for i in range(10)])
+        yield conn
+        conn.close()
+
+    def test_executemany_sums_rowcounts(self, conn):
+        cur = conn.cursor().executemany("UPDATE nums SET n = n WHERE n < ?", [(3,), (5,)])
+        assert cur.rowcount == 3 + 5
+
+    def test_fetchone_pages_through_the_server_cursor(self, conn):
+        cur = conn.execute("SELECT n FROM nums ORDER BY n")
+        rows = [cur.fetchone() for _ in range(10)]
+        assert rows == [(i,) for i in range(10)]
+        assert cur.fetchone() is None
+
+    def test_fetchmany_crosses_page_boundaries(self, conn):
+        cur = conn.execute("SELECT n FROM nums ORDER BY n")
+        assert cur.fetchmany(3) == [(0,), (1,), (2,)]
+        assert cur.fetchmany(6) == [(i,) for i in range(3, 9)]
+        assert cur.fetchmany(6) == [(9,)]
+        assert cur.fetchmany(0) == []
+
+    def test_iteration_yields_every_row(self, conn):
+        cur = conn.execute("SELECT n FROM nums ORDER BY n")
+        assert list(cur) == [(i,) for i in range(10)]
+
+    def test_description_names_the_columns(self, conn):
+        cur = conn.execute("SELECT n AS value FROM nums")
+        assert [entry[0] for entry in cur.description] == ["value"]
+        assert conn.execute("DELETE FROM nums WHERE n > 100").description is None
+
+    def test_reexecute_discards_the_pending_server_cursor(self, conn):
+        cur = conn.execute("SELECT n FROM nums ORDER BY n")
+        assert cur.fetchone() == (0,)
+        pending = cur._cursor_id
+        assert pending is not None
+        cur.execute("SELECT count(*) FROM nums")
+        assert cur.fetchall() == [(10,)]
+        with pytest.raises(ExecutionError, match="cursor"):
+            conn.request({"op": "fetch", "cursor": pending})
+
+    def test_close_discards_the_pending_server_cursor(self, conn):
+        cur = conn.execute("SELECT n FROM nums")
+        pending = cur._cursor_id
+        cur.close()
+        assert cur.fetchone() is None
+        with pytest.raises(ExecutionError, match="cursor"):
+            conn.request({"op": "fetch", "cursor": pending})
+
+
+class TestClientConnection:
+    def test_pragma_read_and_write(self, server):
+        with repro.client.connect(*server.address, tenant="t") as conn:
+            assert conn.pragma("synchronous") == [("memory",)]
+            assert conn.pragma("acquisition_max_sample", 12) == []
+            assert conn.pragma("acquisition_max_sample") == [(12,)]
+            assert conn.pragma("acquisition_crowd_write_back", False) == []
+            assert conn.pragma("acquisition_crowd_write_back") == [(False,)]
+
+    def test_pragma_name_and_value_must_be_plain_words(self, server):
+        with repro.client.connect(*server.address, tenant="t") as conn:
+            with pytest.raises(WireProtocolError, match="invalid pragma name"):
+                conn.pragma("synchronous; DROP TABLE t")
+            with pytest.raises(WireProtocolError, match="invalid pragma value"):
+                conn.pragma("synchronous", "full; DROP TABLE t")
+
+    def test_closed_connection_rejects_requests(self, server):
+        conn = repro.client.connect(*server.address, tenant="t")
+        assert conn.closed is False
+        conn.close()
+        conn.close()  # closing twice is a no-op
+        assert conn.closed is True
+        with pytest.raises(WireProtocolError, match="closed"):
+            conn.execute("SELECT 1")
+
+    def test_handshake_reports_server_properties(self, server):
+        with repro.client.connect(*server.address, tenant="t") as conn:
+            assert conn.server_info == {"durable": False, "max_inflight": 64, "fetch_size": 4}
+            conn.commit()  # auto-commit engine: a no-op kept for API parity
+
+
+class TestServerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_inflight", -1),
+            ("executor_threads", 0),
+            ("fetch_size", 0),
+            ("max_cursors", 0),
+        ],
+    )
+    def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})

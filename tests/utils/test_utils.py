@@ -1,8 +1,6 @@
-"""Tests for the shared utilities (rng plumbing, clocks, table rendering)."""
+"""Tests for the shared utilities (rng plumbing, table rendering)."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rng
 from repro.utils.tables import format_table
-from repro.utils.timing import SimulatedClock, Stopwatch
 
 
 class TestEnsureRng:
@@ -51,40 +48,6 @@ class TestDeriveSeed:
     def test_seed_is_in_uint32_range(self, base, label):
         seed = derive_seed(base, label)
         assert 0 <= seed < 2**32
-
-
-class TestSimulatedClock:
-    def test_advance(self):
-        clock = SimulatedClock()
-        assert clock.advance(5.0) == 5.0
-        assert clock.advance(2.5) == 7.5
-        assert clock.history == (5.0, 7.5)
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-1.0)
-
-    def test_advance_to(self):
-        clock = SimulatedClock()
-        clock.advance_to(10.0)
-        clock.advance_to(5.0)  # earlier times are ignored
-        assert clock.now_minutes == 10.0
-
-    def test_reset(self):
-        clock = SimulatedClock()
-        clock.advance(3.0)
-        clock.reset()
-        assert clock.now_minutes == 0.0
-        assert clock.history == ()
-
-
-class TestStopwatch:
-    def test_measures_elapsed_time(self):
-        with Stopwatch() as watch:
-            assert watch.running()
-            time.sleep(0.01)
-        assert not watch.running()
-        assert watch.elapsed_seconds >= 0.005
 
 
 class TestFormatTable:
