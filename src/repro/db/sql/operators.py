@@ -4,11 +4,10 @@ The planner produces a *logical* :class:`~repro.db.sql.planner.SelectPlan`;
 :func:`lower_select_plan` lowers it into a tree of composable physical
 operators, each a pull-based iterator:
 
-* access paths — :class:`SeqScan`, :class:`IndexScan` (rendered as
-  ``IndexLookup``) and the cost-model-chosen :class:`IndexRangeScan`
-  (ordered-index range probe and/or Sort-eliminating ordered walk), all
-  snapshotting the row set under the catalog lock at ``open()`` time and
-  copying rows lazily as they are pulled;
+* access paths — :class:`SeqScan` and :class:`IndexRangeScan` (point
+  probe rendered as ``IndexLookup``, range probe and/or Sort-eliminating
+  ordered walk), both snapshotting the row set under the catalog lock at
+  ``open()`` time and copying rows lazily as they are pulled;
 * :class:`CrowdFill` — the crowd-acquisition operator, the one way a
   MISSING cell gets filled from the crowd.  It watches the rows streaming
   out of a scan for MISSING values of crowd-sourced (perceptual)
@@ -101,13 +100,7 @@ from repro.db.sql.expressions import (
     expression_label,
     unary_operator,
 )
-from repro.db.sql.planner import (
-    AccessPath,
-    OutputColumn,
-    ScanPlan,
-    SelectPlan,
-    choose_join_strategy,
-)
+from repro.db.sql.planner import AccessPath, OutputColumn, ScanPlan, SelectPlan
 from repro.db.types import MISSING, is_missing, sort_rank
 from repro.errors import ExecutionError
 
@@ -339,78 +332,28 @@ class SeqScan(Operator):
         return f"{self.table} AS {self.alias}"
 
 
-class IndexScan(Operator):
-    """Hash-index equality lookup (rendered as ``IndexLookup``)."""
-
-    label = "IndexLookup"
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        table: str,
-        alias: str,
-        column: str,
-        value_expr: ast.Expression,
-        params: Params = (),
-    ) -> None:
-        super().__init__()
-        self._catalog = catalog
-        self.table = table
-        self.alias = alias
-        self.column = column
-        self._value_expr = value_expr
-        self._params = params
-        self._snapshot: list[tuple[int, dict[str, Any]]] = []
-        self.rows_scanned = 0
-
-    def open(self) -> None:
-        """Resolve the key and collect the matching rows via the hash index.
-
-        Falls back to a full snapshot when the index vanished between
-        planning and execution (the scan then behaves like a SeqScan).
-        """
-        storage = self._catalog.table(self.table)
-        index = storage.index_on(self.column)
-        if index is None:  # index vanished between planning and execution
-            self._snapshot = storage.snapshot()
-            return
-        value = evaluate(self._value_expr, RowContext(), self._params)
-        self._snapshot = [
-            (rowid, storage.get(rowid)) for rowid in sorted(index.lookup(value))
-        ]
-
-    def close(self) -> None:
-        self._snapshot = []
-        super().close()
-
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rowid, row in self._snapshot:
-            self.rows_scanned += 1
-            yield rowid, _copy_row(row)
-
-    def detail(self) -> str:
-        return f"{self.table} AS {self.alias} ON {self.column}"
-
-
 class IndexRangeScan(Operator):
-    """Ordered-index walk: range probe, ordered scan, or both.
+    """Ordered-index walk: point probe, range probe, ordered scan, or both.
 
-    Lowered from a cost-model :class:`~repro.db.sql.planner.AccessPath`.
-    With bounds set, only entries inside ``low <op> value <op> high`` are
+    Lowered from an :class:`~repro.db.sql.planner.AccessPath`.  With
+    bounds set, only entries inside ``low <op> value <op> high`` are
     fetched (unknown cells are never inside a range — exactly the rows the
-    residual WHERE filter would keep).  With ``ordered`` set and *no*
-    bounds, the scan walks the whole index in order — every row including
+    residual WHERE filter would keep).  A point probe (``col = v``) passes
+    one key expression as both bounds; it evaluates the key once and
+    renders as ``IndexLookup``.  With ``ordered`` set and *no* bounds, the
+    scan walks the whole index in order — every row including
     NULL/MISSING cells, which come last in both directions — and the
     lowering has eliminated the Sort operator.  An ascending ordered walk
-    composes with bounds (a range is emitted in index order already).
+    composes with bounds (a range is emitted in index order already); the
+    planner never pairs bounds with a descending walk.
 
     Bound expressions (literals or ``?`` slots of *params*) are resolved
     at ``open()`` time.  A NULL bound makes the range predicate unknown
-    for every row, so the scan is empty.  Like :class:`IndexScan`, a
-    vanished index degrades to a full snapshot scan
-    — the residual filter keeps the result correct (the dialect has no
-    DROP INDEX, so an eliminated Sort can only lose its index to DROP
-    TABLE, which makes the whole query fail on lookup instead).
+    for every row, so the scan is empty.  A vanished index degrades to a
+    full snapshot scan — the residual filter keeps the result correct (the
+    dialect has no DROP INDEX, so an eliminated Sort can only lose its
+    index to DROP TABLE, which makes the whole query fail on lookup
+    instead).
     """
 
     label = "IndexRangeScan"
@@ -442,6 +385,9 @@ class IndexRangeScan(Operator):
         self.high_inclusive = high_inclusive
         self.ordered = ordered
         self.descending = descending
+        self._point = low is not None and low is high
+        if self._point:
+            self.label = "IndexLookup"
         self._snapshot: list[tuple[int, dict[str, Any]]] = []
         self.rows_scanned = 0
 
@@ -457,22 +403,15 @@ class IndexRangeScan(Operator):
             low = evaluate(self._low, RowContext(), self._params)
             if _is_unknown(low):
                 return  # NULL bound: predicate unknown for every row
-        if self._high is not None:
+        if self._point:
+            high = low
+        elif self._high is not None:
             high = evaluate(self._high, RowContext(), self._params)
             if _is_unknown(high):
                 return
         if low is None and high is None:
             rowids: Iterator[int] | list[int] = index.ordered_rowids(
                 descending=self.descending
-            )
-        elif self.descending:
-            rowids = _descending_group_rowids(
-                index.range_pairs(
-                    low,
-                    high,
-                    low_inclusive=self.low_inclusive,
-                    high_inclusive=self.high_inclusive,
-                )
             )
         else:
             rowids = index.range_rowids(
@@ -493,6 +432,8 @@ class IndexRangeScan(Operator):
             yield rowid, _copy_row(row)
 
     def detail(self) -> str:
+        if self._point:
+            return f"{self.table} AS {self.alias} ON {self.column}"
         pieces = []
         if self._low is not None:
             op = ">=" if self.low_inclusive else ">"
@@ -505,26 +446,6 @@ class IndexRangeScan(Operator):
         if self.ordered:
             suffix = " (ordered desc)" if self.descending else " (ordered)"
         return f"{self.table} AS {self.alias} ON {condition}{suffix}"
-
-
-def _descending_group_rowids(
-    pairs: Sequence[tuple[tuple[int, Any], int]],
-) -> Iterator[int]:
-    """Walk ``(rank, rowid)`` pairs by descending rank, rowids ascending.
-
-    Mirrors :meth:`~repro.db.indexes.OrderedIndex.ordered_rowids` for a
-    bounded slice: equal-rank groups keep ascending rowid order, matching
-    what a stable ``reverse=True`` sort produces.
-    """
-    i = len(pairs)
-    while i > 0:
-        rank = pairs[i - 1][0]
-        j = i
-        while j > 0 and pairs[j - 1][0] == rank:
-            j -= 1
-        for _rank, rowid in pairs[j:i]:
-            yield rowid
-        i = j
 
 
 class CrowdFill(Operator):
@@ -1760,10 +1681,9 @@ def _lower_scan(
     The shape depends on the session: bare scan (no crowd config),
     ``scan -> CrowdFill`` (exhaustive crowd-only acquisition), or the
     hybrid ``scan -> CrowdFill(sample) -> PredictFill`` two-stage plan.
-    A cost-model *access_path* (only ever passed for the driving scan of a
-    vanilla plan) lowers to an :class:`IndexRangeScan` instead.
+    An *access_path* (only ever passed for the driving scan of a
+    single-table plan) lowers to an :class:`IndexRangeScan` instead.
     """
-    storage = catalog.table(scan.table)
     source: Operator
     if access_path is not None:
         source = IndexRangeScan(
@@ -1780,16 +1700,9 @@ def _lower_scan(
             params=params,
         )
         source.est_rows = access_path.est_rows
-    elif scan.uses_index and scan.index_value is not None:
-        source = IndexScan(
-            catalog, scan.table, scan.alias, scan.index_column or "", scan.index_value, params
-        )
-        source.est_rows = storage.stats.estimate_equality(
-            scan.index_column or "", len(storage)
-        )
     else:
         source = SeqScan(catalog, scan.table, scan.alias)
-        source.est_rows = len(storage)
+        source.est_rows = len(catalog.table(scan.table))
     if crowd is None and predict is None:
         return source
     attributes = crowd_attributes_for(plan, catalog.table(scan.table).schema, scan.alias)
@@ -1896,7 +1809,7 @@ def lower_select_plan(
     referenced perceptual attributes have MISSING cells lower to the
     two-stage hybrid plan ``scan -> CrowdFill(sample) -> PredictFill``.
 
-    *access_path* is the cost model's verdict for the driving scan (see
+    *access_path* is the planner's index verdict for the driving scan (see
     :meth:`~repro.db.sql.planner.Planner.choose_scan_path`); when it is
     ``ordered`` the index walk already emits rows in ORDER BY order and no
     Sort operator is planted.
@@ -1936,11 +1849,7 @@ def lower_select_plan(
             keys = None
             if hash_joins and join.kind in ("inner", "left") and join.condition is not None:
                 keys = _equi_join_keys(join.condition, aliases, join.scan.alias)
-            strategy = choose_join_strategy(
-                left_est, right_est, equi_keys=keys is not None
-            )
-            if strategy == "hash":
-                assert keys is not None
+            if keys is not None:
                 left_key, right_column = keys
                 root = HashJoin(
                     root,

@@ -255,11 +255,7 @@ class _Parser:
                 if budget is not None:
                     raise SQLSyntaxError("duplicate BUDGET constraint", token.position)
                 self._expect_punct("<=")
-                budget = self._expect_number()
-                if budget < 0.0:
-                    raise SQLSyntaxError(
-                        f"BUDGET must be non-negative, got {budget}", token.position
-                    )
+                budget = self._expect_number()  # unsigned: rejects a negative budget
             else:
                 raise SQLSyntaxError(
                     f"expected COMPLETENESS or BUDGET, found {token.value!r}",

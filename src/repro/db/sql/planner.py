@@ -4,21 +4,23 @@ The planner is deliberately small but real: it expands ``*`` projections,
 resolves and validates every column reference against the catalog (this is
 where an unknown perceptual attribute surfaces as
 :class:`~repro.errors.UnknownColumnError`, the trigger for query-driven
-schema expansion), detects aggregation, and chooses access paths.
+schema expansion) and detects aggregation.
 
-Access-path selection happens in two places.  :meth:`Planner.plan_select`
-(logical, cacheable per schema version) recognises top-level
-``col = literal`` equality predicates over an indexed column — the classic
-``IndexLookup``.  :meth:`Planner.lower` (physical, runs per execution under
-the catalog lock) additionally runs a small cost model over the table's
-:class:`~repro.db.stats.TableStats`: range predicates (``<``, ``<=``,
-``>``, ``>=``, ``BETWEEN``) over an ordered-indexed column lower to an
-:class:`~repro.db.sql.operators.IndexRangeScan` when the estimated match
-count makes the index walk cheaper than a full scan, and a single-column
-ORDER BY over an indexed column is served by an ordered index walk with
-the Sort operator eliminated.  Cost-model choices are only made for
-*vanilla* scans — no crowd acquisition, no joins — where an index probe
-is guaranteed to see exactly the rows a sequential scan would.
+Access paths are chosen in one place, :meth:`Planner.choose_scan_path`,
+at lowering time (physical, per execution, under the catalog lock); the
+logical plan :meth:`Planner.plan_select` caches per schema version carries
+none.  A top-level ``col = literal`` (or ``col = ?``) over an indexed
+column is a point probe — the classic ``IndexLookup`` — and wins outright.
+Otherwise a small cost model over the table's
+:class:`~repro.db.stats.TableStats` weighs range predicates (``<``,
+``<=``, ``>``, ``>=``, ``BETWEEN``) over an indexed column against a full
+scan, and serves a single-column ORDER BY over an indexed column by an
+ordered index walk with the Sort operator eliminated.  Every index path
+lowers to an :class:`~repro.db.sql.operators.IndexRangeScan`.  Only
+single-table scans are considered.  Range and ordered paths are taken only
+when the execution acquires nothing (no crowd, no predict spec), and a
+point probe on a perceptual column only then: an index never returns a
+MISSING cell, which CrowdFill and PredictFill must see to fill.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.db.catalog import Catalog
+from repro.db.schema import AttributeKind
 from repro.db.sql import ast
 from repro.db.sql.expressions import Params, RowContext, evaluate, expression_label
 from repro.db.types import is_absent
@@ -40,30 +43,26 @@ from repro.errors import PlanningError, UnknownColumnError
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Access path for one table: full scan or index equality lookup."""
+    """One table a plan reads and the alias it is bound to."""
 
     table: str
     alias: str
-    index_column: Optional[str] = None
-    index_value: Optional[ast.Expression] = None
-
-    @property
-    def uses_index(self) -> bool:
-        """True if this scan uses a hash-index equality lookup."""
-        return self.index_column is not None
 
 
-@dataclass(frozen=True)
+# Not frozen: one is built per execution, and a frozen dataclass's
+# __init__ costs about a microsecond more.
+@dataclass
 class AccessPath:
-    """Cost-model verdict for the driving scan of a vanilla single-table plan.
+    """Index access verdict for the driving scan of a single-table plan.
 
     Produced by :meth:`Planner.choose_scan_path` and consumed by
     :func:`~repro.db.sql.operators.lower_select_plan`, which lowers it to
     an :class:`~repro.db.sql.operators.IndexRangeScan`.  Bounds are kept
     as expressions (literals or ``?`` placeholders) and resolved at operator
-    ``open()`` time; ``None`` bounds are open ends.  With ``ordered`` set
-    the scan walks the whole index in order and the Sort operator is
-    eliminated from the lowered tree.
+    ``open()`` time; ``None`` bounds are open ends.  A point probe
+    (``col = v``) shares one key expression as both bounds.  With
+    ``ordered`` set the scan walks the whole index in order and the Sort
+    operator is eliminated from the lowered tree.
     """
 
     column: str
@@ -80,29 +79,11 @@ class AccessPath:
     est_rows: int = 0
 
 
-#: Cost-model constants (unitless, relative to one sequentially scanned row).
+#: Cost-model constant (unitless, relative to one sequentially scanned row).
 #: An index probe fetches rows point-wise through the buffer pool, which the
 #: model prices at a multiple of a sequential read; the comparison-based Sort
-#: pays ``log2`` per row; a nested-loop join evaluates its predicate per
-#: candidate pair, priced at a multiple of a hash probe — which is what makes
-#: :class:`~repro.db.sql.operators.HashJoin` win whenever equi-join keys are
-#: available (``1.5*R + L <= 4*L*R`` for all ``L, R >= 1``).
+#: pays ``log2`` per row.
 COST_INDEX_FETCH = 2.0
-COST_HASH_BUILD = 1.5
-COST_PREDICATE_EVAL = 4.0
-
-
-def choose_join_strategy(
-    left_est: int, right_est: int, *, equi_keys: bool
-) -> str:
-    """Pick ``"hash"`` or ``"nested"`` for one join step by estimated cost."""
-    if not equi_keys:
-        return "nested"
-    left = max(1, left_est)
-    right = max(1, right_est)
-    hash_cost = COST_HASH_BUILD * right + left
-    nested_cost = COST_PREDICATE_EVAL * left * right
-    return "hash" if hash_cost <= nested_cost else "nested"
 
 
 @dataclass(frozen=True)
@@ -155,48 +136,6 @@ class SelectPlan:
     #: None and lowering routes to the CrowdEnumerate operator.
     from_crowd: Optional[ast.CrowdRelation] = None
 
-    def describe(self) -> str:
-        """Return a short EXPLAIN-style description of the plan."""
-        lines = []
-        if self.from_crowd is not None:
-            constraints = []
-            if self.from_crowd.completeness is not None:
-                constraints.append(f"completeness>={self.from_crowd.completeness:g}")
-            if self.from_crowd.budget is not None:
-                constraints.append(f"budget<={self.from_crowd.budget:g}")
-            suffix = f" ({', '.join(constraints)})" if constraints else ""
-            lines.append(f"CrowdEnumerate {self.from_crowd.predicate!r}{suffix}")
-        elif self.scan is None:
-            lines.append("Result (no table)")
-        elif self.scan.uses_index:
-            lines.append(
-                f"IndexLookup {self.scan.table} AS {self.scan.alias} "
-                f"ON {self.scan.index_column}"
-            )
-        else:
-            lines.append(f"SeqScan {self.scan.table} AS {self.scan.alias}")
-        for join in self.joins:
-            lines.append(f"{join.kind.title()}Join {join.scan.table} AS {join.scan.alias}")
-        if self.where is not None:
-            lines.append("Filter " + expression_label(self.where))
-        if self.aggregate is not None:
-            keys = ", ".join(expression_label(e) for e in self.aggregate.group_by) or "<all>"
-            lines.append(f"Aggregate BY {keys}")
-        lines.append("Project " + ", ".join(column.name for column in self.output))
-        if self.distinct:
-            lines.append("Distinct")
-        if self.order_by:
-            lines.append(
-                "Sort "
-                + ", ".join(
-                    expression_label(item.expression) + ("" if item.ascending else " DESC")
-                    for item in self.order_by
-                )
-            )
-        if self.limit is not None:
-            lines.append(f"Limit {self.limit}" + (f" Offset {self.offset}" if self.offset else ""))
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Planning
@@ -243,28 +182,15 @@ class Planner:
         crowd's per-value cost against the predictor's and caps the crowd
         sample by the session's remaining budget.
 
-        The cost model also runs here (statistics are runtime state, so
-        its choices must not be cached with the logical plan): vanilla
-        scans — no crowd, no predict, no joins, no equality
-        index probe already chosen — may be upgraded to an
-        :class:`~repro.db.sql.operators.IndexRangeScan` or an ordered
-        index walk via :meth:`choose_scan_path`.
+        The access path is chosen here too, by :meth:`choose_scan_path`
+        (statistics and the acquisition specs are runtime state, so the
+        choice must not be cached with the logical plan).
 
         *params* is the execution's ``?`` tuple: the cost model sizes
         range bounds from its values and the operators read its slots.
         """
         from repro.db.sql.operators import lower_select_plan
 
-        access_path = None
-        if (
-            crowd is None
-            and predict is None
-            and plan.from_crowd is None
-            and plan.scan is not None
-            and not plan.joins
-            and not plan.scan.uses_index
-        ):
-            access_path = self.choose_scan_path(plan, params)
         return lower_select_plan(
             plan,
             self._catalog,
@@ -272,18 +198,29 @@ class Planner:
             predict=predict,
             lock=lock,
             hash_joins=hash_joins,
-            access_path=access_path,
+            access_path=self.choose_scan_path(
+                plan, params, acquiring=crowd is not None or predict is not None
+            ),
             params=params,
         )
 
-    def choose_scan_path(self, plan: SelectPlan, params: Params = ()) -> Optional[AccessPath]:
-        """Cost out index alternatives for the driving scan of *plan*.
+    def choose_scan_path(
+        self, plan: SelectPlan, params: Params = (), *, acquiring: bool = False
+    ) -> Optional[AccessPath]:
+        """Choose the index access path of *plan*'s driving scan.
 
-        Returns None to keep the sequential scan, otherwise an
-        :class:`AccessPath`.  The caller guarantees a vanilla plan (single
-        table, no acquisition machinery); this method only weighs costs:
+        The one place an access path is chosen.  Returns None to keep the
+        sequential scan, otherwise an :class:`AccessPath`.  Only a
+        single-table scan is considered.  *acquiring* says the execution
+        has a crowd or predict spec, whose CrowdFill/PredictFill must see
+        every MISSING cell the query touches — and no index returns one:
 
-        * a range predicate over an ordered-indexed column wins when
+        * a top-level ``col = literal`` (or ``col = ?``) over an indexed
+          column is a point probe and wins outright, without evaluating
+          its key (so EXPLAIN without parameters still shows
+          ``IndexLookup``) — unless *acquiring* and ``col`` is perceptual;
+        * otherwise, when *acquiring*, the sequential scan is kept;
+        * a range predicate over an indexed column wins when
           ``log2(N) + est * COST_INDEX_FETCH < N`` with *est* from the
           table's statistics (histogram or min/max interpolation);
         * a single-column ORDER BY over an indexed column wins when the
@@ -297,10 +234,24 @@ class Planner:
         matching rows (it produces exactly the matching ones, but
         correctness does not depend on it).
         """
-        assert plan.scan is not None
+        if plan.scan is None or plan.joins:
+            return None
         storage = self._catalog.table(plan.scan.table)
         alias = plan.scan.alias
         table_rows = len(storage)
+
+        point = self._point_predicate(plan.where, alias)
+        if point is not None and storage.index_on(point[0]) is not None:
+            column, key = point
+            if not acquiring or storage.schema.column(column).kind is not AttributeKind.PERCEPTUAL:
+                return AccessPath(
+                    column=column,
+                    low=key,
+                    high=key,
+                    est_rows=storage.stats.estimate_equality(column, table_rows),
+                )
+        if acquiring:
+            return None
 
         best: Optional[AccessPath] = None
         best_cost = float(max(table_rows, 1))  # cost of the sequential scan
@@ -366,6 +317,24 @@ class Planner:
         if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
             return Planner._conjuncts(expr.left) + Planner._conjuncts(expr.right)
         return [expr]
+
+    @staticmethod
+    def _point_predicate(
+        where: Optional[ast.Expression], alias: str
+    ) -> Optional[tuple[str, ast.Expression]]:
+        """``(column, key)`` of a top-level ``col = literal`` / ``col = ?``."""
+        if not isinstance(where, ast.BinaryOp) or where.op != "=":
+            return None
+        left, right = where.left, where.right
+        if isinstance(left, (ast.Literal, ast.Parameter)) and isinstance(right, ast.ColumnRef):
+            left, right = right, left
+        if not isinstance(left, ast.ColumnRef) or not isinstance(
+            right, (ast.Literal, ast.Parameter)
+        ):
+            return None
+        if left.table is not None and left.table.lower() != alias.lower():
+            return None
+        return left.name, right
 
     @staticmethod
     def _range_candidates(
@@ -535,9 +504,11 @@ class Planner:
 
         scan = None
         joins: list[JoinPlan] = []
-        where = statement.where
         if statement.from_table is not None:
-            scan, where = self._choose_access_path(statement.from_table, where, alias_tables)
+            scan = ScanPlan(
+                table=alias_tables[statement.from_table.effective_alias.lower()],
+                alias=statement.from_table.effective_alias,
+            )
             for join in statement.joins:
                 join_scan = ScanPlan(
                     table=join.right.name, alias=join.right.effective_alias
@@ -551,7 +522,7 @@ class Planner:
         return SelectPlan(
             scan=scan,
             joins=tuple(joins),
-            where=where,
+            where=statement.where,
             output=tuple(output),
             aggregate=aggregate,
             order_by=statement.order_by,
@@ -720,52 +691,6 @@ class Planner:
             raise UnknownColumnError(ref.name, next(iter(alias_tables.values())))
         if len(set(alias_tables.values())) > 1 and len(matches) > 1:
             raise PlanningError(f"ambiguous column reference {ref.name!r}")
-
-    def _choose_access_path(
-        self,
-        table_ref: ast.TableRef,
-        where: Optional[ast.Expression],
-        alias_tables: dict[str, str],
-    ) -> tuple[ScanPlan, Optional[ast.Expression]]:
-        """Use a hash index for a top-level ``col = literal`` predicate."""
-        table = self._catalog.table(table_ref.name)
-        alias = table_ref.effective_alias
-        default = ScanPlan(table=table.schema.name, alias=alias)
-        if where is None or len(alias_tables) > 1:
-            return default, where
-
-        candidate = self._extract_index_predicate(where, table, alias)
-        if candidate is None:
-            return default, where
-        column, value_expr = candidate
-        scan = ScanPlan(
-            table=table.schema.name,
-            alias=alias,
-            index_column=column,
-            index_value=value_expr,
-        )
-        # Keep the full WHERE as a residual filter: re-applying the equality
-        # is cheap and keeps the executor simple and correct.
-        return scan, where
-
-    @staticmethod
-    def _extract_index_predicate(
-        where: ast.Expression, table, alias: str
-    ) -> Optional[tuple[str, ast.Expression]]:
-        if not isinstance(where, ast.BinaryOp) or where.op != "=":
-            return None
-        left, right = where.left, where.right
-        if isinstance(left, (ast.Literal, ast.Parameter)) and isinstance(right, ast.ColumnRef):
-            left, right = right, left
-        if not isinstance(left, ast.ColumnRef) or not isinstance(
-            right, (ast.Literal, ast.Parameter)
-        ):
-            return None
-        if left.table is not None and left.table.lower() != alias.lower():
-            return None
-        if table.index_on(left.name) is None:
-            return None
-        return left.name, right
 
     def _resolve_output(
         self, statement: ast.SelectStatement, alias_tables: dict[str, str]

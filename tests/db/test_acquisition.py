@@ -280,6 +280,50 @@ class TestLowering:
         assert "PredictFill(sample_fraction=0.25, min_confidence=0.9)" in text
 
 
+class TruthPredictor:
+    """AttributePredictor double that predicts the truth table exactly."""
+
+    def __init__(self, truth: dict[int, Any]) -> None:
+        self.truth = truth
+
+    def fit_predict(self, attribute, train, targets):
+        return PredictionBatch(
+            values={rowid: self.truth[row["item_id"]] for rowid, row in targets},
+            confidences={rowid: 0.9 for rowid, _row in targets},
+            model_kind="truth",
+            rmse=0.0,
+            training_size=len(train),
+        )
+
+
+class TestIndexOnPerceptualColumn:
+    """An index never returns a MISSING cell, so an equality probe on a
+    perceptual column must not hide the cells CrowdFill/PredictFill fill."""
+
+    TRUTH = {i: float(i % 2) for i in range(1, 41)}
+
+    def run(self, session: str, *, index: bool) -> tuple[list[tuple], int]:
+        _catalog, conn = make_movies(n=40)
+        source = CountingSource(self.TRUTH)
+        if session in ("crowd", "hybrid"):
+            conn.set_value_source(source)
+            conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
+        if session in ("hybrid", "predict"):
+            conn.set_predictor(TruthPredictor(self.TRUTH))
+        if session == "predict":
+            conn.table("movies").fill_values("humor", {i: self.TRUTH[i] for i in range(1, 11)})
+        if index:
+            conn.execute("CREATE INDEX ON movies (humor)")
+        rows = conn.execute("SELECT item_id FROM movies WHERE humor = 1").fetchall()
+        return sorted(rows), len(source.calls)
+
+    @pytest.mark.parametrize("session", ["crowd", "hybrid", "predict"])
+    def test_same_rows_and_dispatches_with_and_without_index(self, session):
+        rows, dispatches = self.run(session, index=False)
+        assert rows == [(i,) for i in range(1, 41, 2)]
+        assert self.run(session, index=True) == (rows, dispatches)
+
+
 # ---------------------------------------------------------------------------
 # Execution: sampling, prediction, provenance, budget, re-acquisition
 # ---------------------------------------------------------------------------

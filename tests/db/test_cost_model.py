@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.db.connection import Connection, connect
-from repro.db.sql.planner import choose_join_strategy
 from repro.errors import ExecutionError
 
 
@@ -108,15 +107,6 @@ class TestExplainAnalyzeEstimates:
         db = _make(100, index=False)
         report = db.explain_analyze("SELECT id FROM t")
         assert "est=100" in report
-
-
-class TestChooseJoinStrategy:
-    def test_hash_always_wins_with_equi_keys(self):
-        for left, right in ((1, 1), (1, 1000), (1000, 1), (50, 50)):
-            assert choose_join_strategy(left, right, equi_keys=True) == "hash"
-
-    def test_without_keys_only_nested_is_possible(self):
-        assert choose_join_strategy(10, 10, equi_keys=False) == "nested"
 
 
 class TestStatsPragmas:

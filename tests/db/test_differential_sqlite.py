@@ -181,7 +181,7 @@ def op_sequences(draw):
     rng = ensure_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     values = rng.integers(0, 41, size=(_BULK_ROWS, len(columns))).tolist()
     bulk = [(pk, *row) for pk, row in enumerate(values, start=1)]
-    ops: list[tuple[str, str]] = []
+    ops: list[tuple[str, str, tuple[int, ...]]] = []
     next_pk = _BULK_ROWS + 1
     for _ in range(draw(st.integers(min_value=4, max_value=12))):
         kind = draw(st.sampled_from(("insert", "insert", "update", "delete", "select")))
@@ -189,7 +189,7 @@ def op_sequences(draw):
             values = [str(next_pk)] + [
                 str(draw(st.integers(min_value=0, max_value=40))) for _ in columns
             ]
-            ops.append(("write", f"INSERT INTO t VALUES ({', '.join(values)})"))
+            ops.append(("write", f"INSERT INTO t VALUES ({', '.join(values)})", ()))
             next_pk += 1
         elif kind == "update":
             target = draw(st.sampled_from(columns))
@@ -198,26 +198,34 @@ def op_sequences(draw):
             value = draw(st.integers(min_value=0, max_value=40))
             bound = draw(st.integers(min_value=0, max_value=40))
             ops.append(
-                ("write", f"UPDATE t SET {target} = {value} WHERE {where} {cmp} {bound}")
+                ("write", f"UPDATE t SET {target} = {value} WHERE {where} {cmp} {bound}", ())
             )
         elif kind == "delete":
             where = draw(st.sampled_from(columns))
             cmp = draw(st.sampled_from(_COMPARISONS))
             bound = draw(st.integers(min_value=0, max_value=40))
-            ops.append(("write", f"DELETE FROM t WHERE {where} {cmp} {bound}"))
+            ops.append(("write", f"DELETE FROM t WHERE {where} {cmp} {bound}", ()))
         else:
             where = draw(st.sampled_from(columns))
-            shape = draw(st.sampled_from(("range", "between", "ordered")))
+            shape = draw(st.sampled_from(("range", "between", "ordered", "point")))
             low = draw(st.integers(min_value=0, max_value=40))
             high = draw(st.integers(min_value=0, max_value=40))
             low, high = min(low, high), max(low, high)
             if shape == "range":
                 cmp = draw(st.sampled_from(_COMPARISONS))
-                ops.append(("multiset", f"SELECT * FROM t WHERE {where} {cmp} {low}"))
+                ops.append(("multiset", f"SELECT * FROM t WHERE {where} {cmp} {low}", ()))
             elif shape == "between":
                 ops.append(
-                    ("multiset", f"SELECT * FROM t WHERE {where} BETWEEN {low} AND {high}")
+                    ("multiset", f"SELECT * FROM t WHERE {where} BETWEEN {low} AND {high}", ())
                 )
+            elif shape == "point":
+                # Equality on the primary key or the indexed column, bound
+                # as a parameter: the point-probe access path.
+                if draw(st.booleans()):
+                    key = draw(st.integers(min_value=1, max_value=next_pk))
+                    ops.append(("multiset", "SELECT * FROM t WHERE pk = ?", (key,)))
+                else:
+                    ops.append(("multiset", f"SELECT * FROM t WHERE {indexed} = ?", (low,)))
             else:
                 direction = draw(st.sampled_from(("ASC", "DESC")))
                 ops.append(
@@ -225,11 +233,12 @@ def op_sequences(draw):
                         "ordered",
                         f"SELECT pk, {where} FROM t WHERE {where} >= {low} "
                         f"ORDER BY {where} {direction}, pk ASC",
+                        (),
                     )
                 )
     # Always end with a full-table audit so writes are compared even when
     # no SELECT was drawn.
-    ops.append(("multiset", "SELECT * FROM t"))
+    ops.append(("multiset", "SELECT * FROM t", ()))
     return columns, indexed, bulk, ops
 
 
@@ -264,9 +273,9 @@ class TestGenerativeDifferential:
                 reference.executemany(insert, bulk)
                 ours.run_statement(f"CREATE INDEX ON t ({indexed})")
                 reference.execute(f"CREATE INDEX idx_diff ON t ({indexed})")
-                for mode, sql in ops:
-                    mine = [tuple(row) for row in ours.run_statement(sql).rows]
-                    theirs = [tuple(row) for row in reference.execute(sql).fetchall()]
+                for mode, sql, params in ops:
+                    mine = [tuple(row) for row in ours.run_statement(sql, params).rows]
+                    theirs = [tuple(row) for row in reference.execute(sql, params).fetchall()]
                     if mode == "multiset":
                         assert normalise(mine) == normalise(theirs), sql
                     elif mode == "ordered":

@@ -10,7 +10,7 @@ from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, connect
 from repro.db.sql.operators import (
     CrowdFill,
     HashJoin,
-    IndexScan,
+    IndexRangeScan,
     NestedLoopJoin,
     SeqScan,
 )
@@ -112,11 +112,12 @@ class TestJoinLowering:
         assert NestedLoopJoin not in operators_of(cursor)
         assert source.calls == [("is_comedy", 4)]
 
-    def test_point_lookup_uses_index_scan(self):
+    def test_point_lookup_uses_point_index_range_scan(self):
         conn = Connection(make_joined_catalog())
         cursor = conn.execute("SELECT name FROM movies WHERE movie_id = ?", (2,))
         assert cursor.fetchall() == [("Psycho",)]
-        assert IndexScan in operators_of(cursor)
+        assert IndexRangeScan in operators_of(cursor)
+        assert "IndexLookup movies AS movies ON movie_id" in cursor.explain()
 
 
 class TestJoinEquivalence:

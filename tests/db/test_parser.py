@@ -315,7 +315,7 @@ class TestCrowdConstraintParsing:
             parse_statement("SELECT value FROM CROWD 'x' WITH BUDGET <= 1 AND BUDGET <= 2")
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(SQLSyntaxError):
+        with pytest.raises(SQLSyntaxError, match="expected number"):
             parse_statement("SELECT value FROM CROWD 'x' WITH BUDGET <= -1")
 
     def test_unknown_constraint_rejected(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.catalog import Catalog
+from repro.db.connection import Connection
 from repro.db.schema import Column, TableSchema
 from repro.db.sql.parser import parse_statement
 from repro.db.sql.planner import Planner
@@ -140,36 +141,41 @@ class TestAggregateValidation:
 class TestAccessPath:
     def test_index_lookup_for_pk_equality(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE movie_id = 1")
-        assert result.scan.uses_index
-        assert result.scan.index_column == "movie_id"
+        path = planner.choose_scan_path(result)
+        assert path is not None and path.column == "movie_id"
+        assert path.low is path.high  # a point probe: one key, both bounds
 
     def test_reversed_equality_also_uses_index(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE 1 = movie_id")
-        assert result.scan.uses_index
+        path = planner.choose_scan_path(result)
+        assert path is not None and path.column == "movie_id"
 
     def test_non_indexed_column_uses_scan(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE year = 1976")
-        assert not result.scan.uses_index
+        assert planner.choose_scan_path(result) is None
 
     def test_complex_predicate_uses_scan(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE movie_id = 1 OR year = 1976")
-        assert not result.scan.uses_index
+        assert planner.choose_scan_path(result) is None
 
-    def test_describe_mentions_plan_steps(self, planner):
-        result = plan(
-            planner,
+    def test_point_probe_on_plain_column_survives_acquisition(self, planner):
+        result = plan(planner, "SELECT name FROM movies WHERE movie_id = ?")
+        path = planner.choose_scan_path(result, acquiring=True)
+        assert path is not None and path.column == "movie_id"
+
+    def test_explain_mentions_plan_steps(self, catalog):
+        description = Connection(catalog).explain(
             "SELECT year, count(*) AS n FROM movies WHERE year > 1950 "
-            "GROUP BY year ORDER BY n DESC LIMIT 3",
+            "GROUP BY year ORDER BY n DESC LIMIT 3"
         )
-        description = result.describe()
         assert "SeqScan" in description
         assert "Aggregate" in description
         assert "Sort" in description
         assert "Limit 3" in description
 
-    def test_describe_index_lookup(self, planner):
-        description = plan(planner, "SELECT name FROM movies WHERE movie_id = 1").describe()
-        assert "IndexLookup" in description
+    def test_explain_index_lookup(self, catalog):
+        description = Connection(catalog).explain("SELECT name FROM movies WHERE movie_id = ?")
+        assert "IndexLookup movies AS movies ON movie_id" in description
 
     def test_referenced_columns_collected(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE year > 1950 ORDER BY year")
