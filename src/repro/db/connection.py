@@ -62,6 +62,11 @@ threadsafety = 2  # threads may share the module and connections' catalog
 paramstyle = "qmark"
 
 
+def _materialize(outcome: QueryResult | SelectStream) -> QueryResult:
+    """The whole result of an execution, draining a SELECT's stream."""
+    return outcome.materialize() if isinstance(outcome, SelectStream) else outcome
+
+
 def _normalize_params(params: Sequence[Any]) -> tuple[Any, ...]:
     """Validate and normalize a caller-supplied parameter sequence."""
     if isinstance(params, (str, bytes)) or not isinstance(params, Sequence):
@@ -304,10 +309,14 @@ class PreparedStatement:
         return isinstance(self.statement, ast.SelectStatement)
 
     def plan_for(self, planner: Planner, catalog_version: int) -> SelectPlan:
-        """Return the plan for this SELECT, re-planning after DDL changes."""
-        assert isinstance(self.statement, ast.SelectStatement)
+        """Return the plan of this SELECT (or of an EXPLAIN's SELECT),
+        re-planning after DDL changes."""
+        statement = self.statement
+        if isinstance(statement, ast.ExplainStatement):
+            statement = statement.statement
+        assert isinstance(statement, ast.SelectStatement)
         if self._plan is None or self._plan_version != catalog_version:
-            self._plan = planner.plan_select(self.statement)
+            self._plan = planner.plan_select(statement)
             self._plan_version = catalog_version
         return self._plan
 
@@ -418,7 +427,7 @@ class Cursor:
         # Drop the previous result first so a failed execute can never be
         # followed by fetches of stale rows.
         self._discard()
-        outcome = connection.run_statement(sql, params, stream=True)
+        outcome = connection._run(sql, params)
         if isinstance(outcome, SelectStream):
             self._stream = outcome
         else:
@@ -430,7 +439,7 @@ class Cursor:
 
         The statement is prepared once; only binding and execution repeat.
         Returning statements (SELECT/EXPLAIN) are rejected, mirroring the
-        standard DB-API behaviour.
+        standard DB-API behaviour, and so is ``INSERT ... FROM CROWD``.
         """
         connection = self._require_connection()
         self._discard()
@@ -466,7 +475,7 @@ class Cursor:
         """Physical plan of the last SELECT with current runtime counters."""
         if self._stream is None:
             return None
-        return self._stream.describe(include_stats=True)
+        return self._stream.describe()
 
     @property
     def description(self) -> list[tuple[Any, ...]] | None:
@@ -601,7 +610,6 @@ class Connection:
         self.catalog = catalog if catalog is not None else Catalog()
         self.session = session if session is not None else SessionContext()
         self._executor = Executor(self.catalog, hash_joins=hash_joins)
-        self._planner = Planner(self.catalog)
         self._cache = StatementCache(statement_cache_size)
         self._lock = threading.RLock()
         self._statement_log: deque[str] = deque(maxlen=statement_log_size)
@@ -632,8 +640,10 @@ class Connection:
         results = []
         with self._lock:
             for source, statement in parse_script(sql):
-                self._log_statement(source)
-                results.append(self._execute_parsed(statement, ()))
+                self._statement_log.append(source)
+                prepared = PreparedStatement(source, statement)
+                check_arity(prepared.parameter_count, ())
+                results.append(_materialize(self._execute(prepared, ())))
         return results
 
     def commit(self) -> None:
@@ -831,83 +841,49 @@ class Connection:
             return None
         return self.session.predict_spec(runtime=self.acquisition_runtime())
 
-    def run_statement(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        *,
-        explain: bool = False,
-        allow_expansion: bool = True,
-        stream: bool = False,
-    ) -> QueryResult | SelectStream:
-        """Prepare (or reuse), bind, execute and possibly expand-and-retry.
+    def run_statement(self, sql: str, params: Sequence[Any] = ()) -> QueryResult:
+        """Prepare (or reuse), bind and execute *sql*; SELECT rows are
+        materialized into the returned :class:`QueryResult`."""
+        return _materialize(self._run(sql, params))
 
-        With ``stream=True`` a SELECT returns a live
-        :class:`~repro.db.sql.executor.SelectStream` instead of a
-        materialized result: planning, parameter binding and the scan
-        snapshots happen here (so schema expansion still triggers
-        eagerly), but rows are produced only as the stream is pulled.
+    def _run(self, sql: str, params: Sequence[Any]) -> QueryResult | SelectStream:
+        """Prepare (or reuse) *sql*, bind *params* and :meth:`_execute` it."""
+        with self._lock:
+            prepared, params = self._bind(sql, params)
+            return self._execute(prepared, params)
+
+    def _bind(self, sql: str, params: Sequence[Any]) -> tuple[PreparedStatement, tuple[Any, ...]]:
+        """Log *sql*, prepare it (one cache lookup) and check *params*.
+
+        Callers hold ``self._lock``.
         """
         self._check_open()
         params = _normalize_params(params)
-        with self._lock:
-            self._log_statement(sql)
-            prepared = self._prepare(sql)
-            check_arity(prepared.parameter_count, params)
-            return self._execute_with_expansion(
-                lambda: self._execute_prepared(
-                    prepared, params, explain=explain, stream=stream
-                ),
-                is_select=prepared.is_select,
-                allow_expansion=allow_expansion,
-            )
-
-    def _execute_with_expansion(
-        self,
-        execute: Callable[[], QueryResult | SelectStream],
-        *,
-        is_select: bool,
-        allow_expansion: bool = True,
-    ) -> QueryResult | SelectStream:
-        """Run *execute*, giving the session's expansion handler one retry.
-
-        Crowd work never runs under the catalog lock: the handler runs
-        here with no lock held, taking the lock itself for the schema
-        change it makes, and the retried statement fills the new column
-        through ``CrowdFill``/``PredictFill``.  Two
-        sessions sharing a catalog can both miss the same column: the
-        handler that loses the race gets :class:`DuplicateColumnError`,
-        which means the column now exists, so the statement is retried
-        all the same.
-        """
-        try:
-            return execute()
-        except UnknownColumnError as error:
-            handler = self.session.expansion_handler
-            if not allow_expansion or handler is None or not is_select or error.table is None:
-                raise
-            try:
-                added = handler(error.table, error.column)
-            except DuplicateColumnError:
-                added = True
-            if not added:
-                raise
-            return execute()
+        self._statement_log.append(sql)
+        prepared = self._prepare(sql)
+        check_arity(prepared.parameter_count, params)
+        return prepared, params
 
     def _run_many(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> int:
         """Prepare *sql* once, then execute it per parameter tuple.
 
         Returns the total affected row count.  Statements that return rows
-        are rejected (DB-API behaviour); DML never triggers expansion, so
-        the whole batch runs under one catalog-lock acquisition.
+        are rejected (DB-API behaviour), and so is ``INSERT ... FROM
+        CROWD``, whose crowd enumeration must not run under the catalog
+        lock the whole batch holds.
         """
         self._check_open()
         total = 0
         with self._lock:
-            self._log_statement(sql)
+            self._statement_log.append(sql)
             prepared = self._prepare(sql)
-            if isinstance(prepared.statement, (ast.SelectStatement, ast.ExplainStatement)):
+            statement = prepared.statement
+            if isinstance(statement, (ast.SelectStatement, ast.ExplainStatement)):
                 raise ExecutionError("executemany() cannot execute statements that return rows")
+            if isinstance(statement, ast.InsertFromCrowdStatement):
+                raise ExecutionError(
+                    "executemany() cannot execute INSERT ... FROM CROWD; use execute()"
+                )
             # Drain and validate the caller's iterable outside the catalog
             # lock (a slow generator must not stall other connections).
             batches = []
@@ -917,49 +893,73 @@ class Connection:
                 batches.append(params)
             with self.catalog.lock:
                 for params in batches:
-                    result = self._executor.execute(prepared.statement, params=params)
-                    total += result.rowcount
+                    total += self._execute(prepared, params).rowcount
         return total
 
-    def _execute_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: tuple[Any, ...],
-        *,
-        explain: bool,
-        stream: bool = False,
+    def _execute(
+        self, prepared: PreparedStatement, params: tuple[Any, ...]
     ) -> QueryResult | SelectStream:
-        if prepared.is_select:
+        """Execute one bound statement: the path every entry point takes.
+
+        A SELECT comes back as a live stream (planned, bound and with its
+        scans open, so schema expansion triggers here).  A SELECT naming
+        an unknown column gives the session's expansion handler one chance
+        to add it, then runs again.  The handler runs with no catalog lock
+        held, taking it itself for the schema change; the retried statement
+        fills the new column through ``CrowdFill``/``PredictFill``.  Two
+        sessions sharing a catalog can both miss the same column: the loser's
+        :class:`DuplicateColumnError` means the column now exists, so the
+        statement is retried all the same.
+        """
+        try:
+            return self._execute_once(prepared, params)
+        except UnknownColumnError as error:
+            handler = self.session.expansion_handler
+            if handler is None or not prepared.is_select or error.table is None:
+                raise
+            try:
+                added = handler(error.table, error.column)
+            except DuplicateColumnError:
+                added = True
+            if not added:
+                raise
+        return self._execute_once(prepared, params)
+
+    def _execute_once(
+        self, prepared: PreparedStatement, params: tuple[Any, ...]
+    ) -> QueryResult | SelectStream:
+        statement = prepared.statement
+        if isinstance(statement, ast.SelectStatement):
             with self.catalog.lock:
-                plan = prepared.plan_for(self._planner, self.catalog.version)
-            if stream and not explain:
-                return self._executor.open_select(
-                    plan,
-                    params=params,
-                    crowd=self._crowd_spec(),
-                    predict=self._predict_spec(),
-                    lock=self.catalog.lock,
-                )
-            return self._executor.execute_select_plan(
+                plan = prepared.plan_for(self._executor.planner, self.catalog.version)
+            return self._executor.open_select(
                 plan,
                 params=params,
                 crowd=self._crowd_spec(),
                 predict=self._predict_spec(),
-                explain=explain,
                 lock=self.catalog.lock,
             )
-        statement = prepared.statement
+        if isinstance(statement, ast.ExplainStatement):
+            description = self._describe(prepared, params)
+            return QueryResult(
+                columns=["plan"], rows=[(line,) for line in description.splitlines()]
+            )
         pragma_result = self._maybe_acquisition_pragma(statement)
         if pragma_result is not None:
             return pragma_result
-        return self._executor.execute(
-            statement,
-            params=params,
-            crowd=self._crowd_spec(),
-            predict=self._predict_spec(),
-            explain=explain,
-            lock=self.catalog.lock,
-        )
+        crowd = self._crowd_spec() if isinstance(statement, ast.InsertFromCrowdStatement) else None
+        return self._executor.execute(statement, params=params, crowd=crowd, lock=self.catalog.lock)
+
+    def _describe(self, prepared: PreparedStatement, params: tuple[Any, ...]) -> str:
+        """Physical plan of a prepared SELECT or EXPLAIN, without running it."""
+        with self.catalog.lock:
+            plan = prepared.plan_for(self._executor.planner, self.catalog.version)
+            return self._executor.describe_physical_plan(
+                plan,
+                params=params,
+                crowd=self._crowd_spec(),
+                predict=self._predict_spec(),
+            )
 
     def _maybe_acquisition_pragma(self, statement: ast.Statement) -> QueryResult | None:
         """Handle ``PRAGMA acquisition_*`` at the connection layer.
@@ -997,39 +997,12 @@ class Connection:
         self.session.policy = self.session.policy.with_overrides(**{knob: value})
         return QueryResult(columns=[], rows=[], rowcount=0)
 
-    def _execute_parsed(self, statement: ast.Statement, params: tuple[Any, ...]) -> QueryResult:
-        """Execute an already-parsed statement (script path; no caching).
-
-        Like the prepared path, SELECTs referencing an unknown column get
-        one chance at session-scoped schema expansion before the error
-        propagates.
-        """
-        check_arity(count_parameters(statement), params)
-        pragma_result = self._maybe_acquisition_pragma(statement)
-        if pragma_result is not None:
-            return pragma_result
-        result = self._execute_with_expansion(
-            lambda: self._executor.execute(
-                statement,
-                params=params,
-                crowd=self._crowd_spec(),
-                predict=self._predict_spec(),
-                lock=self.catalog.lock,
-            ),
-            is_select=isinstance(statement, ast.SelectStatement),
-        )
-        assert isinstance(result, QueryResult)  # script path never streams
-        return result
-
     def _prepare(self, sql: str) -> PreparedStatement:
         prepared = self._cache.get(sql)
         if prepared is None:
             prepared = PreparedStatement(sql, parse_statement(sql))
             self._cache.put(sql, prepared)
         return prepared
-
-    def _log_statement(self, sql: str) -> None:
-        self._statement_log.append(sql)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -1057,20 +1030,14 @@ class Connection:
         it is when the statement runs.
         """
         self._check_open()
-        with self._lock, self.catalog.lock:
+        with self._lock:
             prepared = self._prepare(sql)
             if not prepared.is_select:
                 raise ExecutionError("EXPLAIN is only supported for SELECT statements")
-            plan = prepared.plan_for(self._planner, self.catalog.version)
             if params:
                 params = _normalize_params(params)
                 check_arity(prepared.parameter_count, params)
-            return self._executor.describe_physical_plan(
-                plan,
-                params=params,
-                crowd=self._crowd_spec(),
-                predict=self._predict_spec(),
-            )
+            return self._describe(prepared, tuple(params))
 
     def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Execute a SELECT and return its operator tree with row counts.
@@ -1079,13 +1046,17 @@ class Connection:
         inclusive wall time, hash-build sizes and crowd-batch statistics
         (batches dispatched, values filled, answer-cache hits, coalesced
         requests) — the EXPLAIN ANALYZE of the engine.  See
-        ``docs/operators.md`` for a worked transcript.
+        ``docs/operators.md`` for a worked transcript.  Any other statement
+        is rejected before it runs.
         """
-        result = self.run_statement(sql, params, explain=True)
-        assert isinstance(result, QueryResult)
-        if result.plan_description is None:
-            raise ExecutionError("explain_analyze is only supported for SELECT statements")
-        return result.plan_description
+        with self._lock:
+            prepared, params = self._bind(sql, params)
+            if not prepared.is_select:
+                raise ExecutionError("explain_analyze is only supported for SELECT statements")
+            stream = self._execute(prepared, params)
+            assert isinstance(stream, SelectStream)
+            stream.drain()
+            return self._executor.describe_analyzed(stream)
 
     @property
     def statement_log(self) -> Sequence[str]:

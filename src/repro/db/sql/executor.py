@@ -4,11 +4,11 @@ SELECT statements are executed by lowering the logical
 :class:`~repro.db.sql.planner.SelectPlan` into a physical operator tree
 (:mod:`repro.db.sql.operators`) and pulling rows from its root — the
 executor itself is a thin driver.  :meth:`Executor.open_select` returns a
-:class:`SelectStream` that produces rows incrementally (this is what
-streaming cursors consume); :meth:`Executor.execute_select_plan` drains the
-stream into a materialized :class:`QueryResult` for callers that want the
-whole result at once.  DDL and DML statements are executed directly against
-the catalog.
+:class:`SelectStream` that produces rows incrementally; callers that want
+the whole result drain it with :meth:`SelectStream.materialize`.  Planning
+is the connection's job (it caches one plan per prepared statement).  DDL,
+DML and PRAGMA statements go through :meth:`Executor.execute`, directly
+against the catalog.
 
 Crowd integration has one entry point: a
 :class:`~repro.db.sql.operators.CrowdFillSpec` (plus, for hybrid
@@ -63,7 +63,6 @@ class QueryResult:
     columns: list[str]
     rows: list[tuple[Any, ...]]
     rowcount: int = 0
-    plan_description: str | None = None
     #: Open-world enumeration statistics (``INSERT ... FROM CROWD`` only):
     #: the JSON-safe dict of
     #: :class:`~repro.crowd.estimation.EnumerationStats` — rows enumerated,
@@ -202,9 +201,9 @@ class SelectStream:
 
     # -- introspection ------------------------------------------------------------
 
-    def describe(self, *, include_stats: bool = True) -> str:
-        """Render the physical operator tree (with runtime counters)."""
-        return describe_operator_tree(self.root, include_stats=include_stats)
+    def describe(self) -> str:
+        """Render the physical operator tree with its runtime counters."""
+        return describe_operator_tree(self.root, include_stats=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,9 @@ class Executor:
 
     def __init__(self, catalog: Catalog, *, hash_joins: bool = True) -> None:
         self._catalog = catalog
-        self._planner = Planner(catalog)
+        #: The one planner over this catalog; the connection plans its
+        #: prepared statements with it and lowering runs through it.
+        self.planner = Planner(catalog)
         self.hash_joins = hash_joins
 
     # -- entry point ------------------------------------------------------------
@@ -232,44 +233,23 @@ class Executor:
         *,
         params: Params = (),
         crowd: CrowdFillSpec | None = None,
-        predict: PredictSpec | None = None,
-        explain: bool = False,
         lock: ContextManager[Any] | None = None,
     ) -> QueryResult:
-        """Execute a parsed statement and return its result.
+        """Execute a parsed DDL, DML or PRAGMA statement and return its result.
 
-        When *lock* is given (the shared-catalog lock of the connection
-        layer), catalog/storage access runs under it, but the evaluation
-        phase of SELECTs — where crowd-backed resolution may spend real
-        time — runs outside it on row copies, so one session's
-        crowd-sourcing does not serialize others.
+        SELECT and EXPLAIN are not statements of this method: the
+        connection plans them and runs :meth:`open_select` or
+        :meth:`describe_physical_plan`.  When *lock* is given (the
+        shared-catalog lock of the connection layer), catalog/storage
+        access runs under it; ``INSERT ... FROM CROWD`` releases it while
+        the crowd enumerates.
 
         *params* is the execution's ``?`` tuple, read by the compiled
         expressions (see :func:`~repro.db.sql.expressions.compile_expression`).
         """
-        guard = lock if lock is not None else nullcontext()
-        if isinstance(statement, ast.SelectStatement):
-            with guard:
-                plan = self._planner.plan_select(statement)
-            return self.execute_select_plan(
-                plan, params=params, crowd=crowd, predict=predict, explain=explain, lock=lock
-            )
-        if isinstance(statement, ast.ExplainStatement):
-            with guard:
-                plan = self._planner.plan_select(statement.statement)
-                description = self.describe_physical_plan(
-                    plan, params=params, crowd=crowd, predict=predict
-                )
-            return QueryResult(
-                columns=["plan"],
-                rows=[(line,) for line in description.splitlines()],
-                rowcount=0,
-                plan_description=description,
-            )
         if isinstance(statement, ast.InsertFromCrowdStatement):
-            return self._execute_insert_from_crowd(
-                statement, crowd=crowd, explain=explain, lock=lock
-            )
+            return self._execute_insert_from_crowd(statement, crowd=crowd, lock=lock)
+        guard = lock if lock is not None else nullcontext()
         with guard:
             if isinstance(statement, ast.PragmaStatement):
                 return self._execute_pragma(statement)
@@ -311,7 +291,7 @@ class Executor:
         """
         guard = lock if lock is not None else nullcontext()
         with guard:
-            root = self._planner.lower(
+            root = self.planner.lower(
                 plan,
                 params=params,
                 crowd=crowd,
@@ -322,31 +302,22 @@ class Executor:
             root.open()
         return SelectStream(plan, root)
 
-    def execute_select_plan(
-        self,
-        plan: SelectPlan,
-        *,
-        params: Params = (),
-        crowd: CrowdFillSpec | None = None,
-        predict: PredictSpec | None = None,
-        explain: bool = False,
-        lock: ContextManager[Any] | None = None,
-    ) -> QueryResult:
-        """Execute an already-planned SELECT to completion."""
-        stream = self.open_select(plan, params=params, crowd=crowd, predict=predict, lock=lock)
-        result = stream.materialize()
-        if explain:
-            description = stream.describe(include_stats=True)
-            durability = self._catalog.durability
-            if durability is not None:
-                stats = durability.stats()
-                description += (
-                    "\nDurability: synchronous={synchronous} "
-                    "wal_records={wal_records} fsyncs={fsyncs} "
-                    "checkpoints={checkpoints} replayed={records_replayed}".format(**stats)
-                )
-            result.plan_description = description
-        return result
+    def describe_analyzed(self, stream: SelectStream) -> str:
+        """EXPLAIN ANALYZE text of a drained *stream*.
+
+        The operator tree with its runtime counters, plus one line of WAL
+        counters when the catalog is durable.
+        """
+        description = stream.describe()
+        durability = self._catalog.durability
+        if durability is not None:
+            stats = durability.stats()
+            description += (
+                "\nDurability: synchronous={synchronous} "
+                "wal_records={wal_records} fsyncs={fsyncs} "
+                "checkpoints={checkpoints} replayed={records_replayed}".format(**stats)
+            )
+        return description
 
     def describe_physical_plan(
         self,
@@ -362,7 +333,7 @@ class Executor:
         lowering reads table schemas).  Placeholders render as their
         *params* values, or as ``?N`` when none are given.
         """
-        root = self._planner.lower(
+        root = self.planner.lower(
             plan, params=params, crowd=crowd, predict=predict, hash_joins=self.hash_joins
         )
         return describe_operator_tree(root, include_stats=False)
@@ -592,7 +563,6 @@ class Executor:
         statement: ast.InsertFromCrowdStatement,
         *,
         crowd: CrowdFillSpec | None,
-        explain: bool = False,
         lock: ContextManager[Any] | None = None,
     ) -> QueryResult:
         """Open-world insertion: enumerate crowd answers into new rows.
@@ -677,15 +647,12 @@ class Executor:
             if fills:
                 table.fill_values(column.name, fills, provenance=PROVENANCE_CROWD)
 
-        result = QueryResult(columns=[], rows=[], rowcount=inserted)
-        result.enumeration = operator.stats_snapshot().as_dict()
-        if explain:
-            description = describe_operator_tree(operator, include_stats=True)
-            description += (
-                f"\nInsert {schema.name}.{column.name}  [rows={inserted}]"
-            )
-            result.plan_description = description
-        return result
+        return QueryResult(
+            columns=[],
+            rows=[],
+            rowcount=inserted,
+            enumeration=operator.stats_snapshot().as_dict(),
+        )
 
     def _execute_update(self, statement: ast.UpdateStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)

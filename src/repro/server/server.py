@@ -43,7 +43,6 @@ from typing import Any, Callable, Iterable
 
 import repro
 from repro.db.connection import Connection, SessionContext
-from repro.db.sql.executor import QueryResult
 from repro.errors import (
     ExecutionError,
     RateLimitError,
@@ -587,7 +586,6 @@ class _ClientHandler:
         assert self.connection is not None and self.tenant is not None
         params = tuple(protocol.decode_row(message.get("params", [])))
         result = self.connection.run_statement(message["sql"], params)
-        assert isinstance(result, QueryResult)  # stream=False materializes
         fetch_size = message.get("fetch_size") or self.server.config.fetch_size
         if fetch_size < 1:
             raise WireProtocolError("execute fetch_size must be >= 1")
@@ -650,7 +648,6 @@ class _ClientHandler:
             else:
                 sql = f"PRAGMA {name} = {value:g}"
         result = self.connection.run_statement(sql)
-        assert isinstance(result, QueryResult)
         self.tenant.record_statement(result.rowcount)
         return {
             "ok": True,
