@@ -24,6 +24,7 @@ import repro.client
 from repro.core.extractor import PerceptualAttributeExtractor
 from repro.core.prediction import PerceptualPredictor
 from repro.crowd.platform import CrowdPlatform
+from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
 from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext
@@ -324,15 +325,14 @@ def test_ablation_concurrent_acquisition(report_writer, metric_writer):
     latency = 0.05  # simulated platform round-trip (seconds)
 
     def build(concurrency: int) -> tuple[Connection, SimulatedCrowdValueSource]:
+        catalog = Catalog()
+        catalog.set_acquisition_runtime(AcquisitionRuntime(max_concurrent_batches=concurrency))
         conn = Connection(
-            Catalog(),
+            catalog,
             session=SessionContext(
-                policy=AcquisitionPolicy(
-                    max_concurrent_batches=concurrency,
-                    # keep cells MISSING in storage so the repeat query
-                    # exercises the AnswerCache instead of the write-back path
-                    crowd_write_back=False,
-                )
+                # keep cells MISSING in storage so the repeat query
+                # exercises the AnswerCache instead of the write-back path
+                policy=AcquisitionPolicy(crowd_write_back=False)
             ),
         )
         conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, name TEXT)")

@@ -9,8 +9,9 @@ us directly:
   :func:`resolve_lock` encodes the project's known lock sites (the curated
   table below) plus a generic fallback that names unknown locks by their
   enclosing class, so new locks are tracked from the moment they appear;
-* **a call graph** — ``Catalog.register_runtime`` holds ``Catalog.lock``
-  and calls ``runtime.cache.put``, which acquires ``AnswerCache._lock``;
+* **a call graph** — ``Catalog.set_acquisition_runtime`` holds
+  ``Catalog.lock`` and calls ``_install_runtime``, whose
+  ``runtime.cache.put`` acquires ``AnswerCache._lock``;
   the acquire-order edge ``Catalog.lock -> AnswerCache._lock`` only exists
   *interprocedurally*.  :func:`build_lock_graph` approximates the call
   graph by name resolution (self-methods, same-module functions, curated

@@ -330,9 +330,8 @@ class AcquisitionRuntime:
         self.prediction_seconds = 0.0
         #: Catalog-wide per-worker accuracy estimates, shared by every
         #: session dispatching through this runtime (cross-tenant, like
-        #: the answer cache).  The catalog hooks its shared runtime's
-        #: tracker to WAL journaling and warm-starts registered trackers
-        #: from recovered worker stats.
+        #: the answer cache).  The catalog hooks its runtime's tracker to
+        #: WAL journaling and warm-starts it from recovered worker stats.
         self.worker_quality = WorkerQualityTracker()
         #: Assignments adaptive sizing avoided over the runtime's lifetime.
         self.total_assignments_saved = 0
@@ -347,9 +346,9 @@ class AcquisitionRuntime:
                     thread_name_prefix="acquisition",
                 )
                 # Stop the (non-daemon) worker threads promptly when the
-                # runtime itself is garbage collected — e.g. a dropped
-                # catalog or a discarded session-private runtime — so
-                # short-lived runtimes cannot accumulate idle threads.
+                # runtime itself is garbage collected — e.g. with a dropped
+                # catalog — so short-lived runtimes cannot accumulate idle
+                # threads.
                 weakref.finalize(self, self._pool.shutdown, wait=False)
             return self._pool
 

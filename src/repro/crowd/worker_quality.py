@@ -25,7 +25,7 @@ an unknown pool degenerates to exactly the flat majority vote the engine
 used before — quality knowledge sharpens aggregation, it never disables it.
 
 Durability: the tracker journals *absolute* per-worker totals through an
-injectable ``journal`` callback (the catalog-shared runtime's tracker is
+injectable ``journal`` callback (the catalog runtime's tracker is
 hooked to :meth:`~repro.db.catalog.Catalog.record_worker_stats`, which
 appends a ``worker_stats`` WAL record).  Absolute totals make replay
 idempotent — last record wins — and :meth:`load_totals` warm-starts a

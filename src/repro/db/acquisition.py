@@ -54,7 +54,9 @@ class AcquisitionPolicy:
     """The single typed bundle of all session acquisition knobs.
 
     Covers the hybrid crowd+predict sampling policy, the session budget,
-    the crowd-batching/runtime knobs and the open-world enumeration knobs.
+    crowd batching, worker quality and the open-world enumeration knobs.
+    The acquisition runtime's knobs (worker pool, answer cache) belong to
+    the catalog: see :meth:`~repro.db.catalog.Catalog.set_acquisition_runtime`.
     Accepted by ``repro.connect(policy=...)`` and
     ``Connection.set_policy()``, readable/settable per knob via ``PRAGMA
     acquisition_<knob>``.
@@ -89,14 +91,6 @@ class AcquisitionPolicy:
         Missing rows coalesced into one platform call by ``CrowdFill``.
     crowd_write_back:
         Whether acquired values are persisted to storage.
-    max_concurrent_batches:
-        Worker-pool width of the session's
-        :class:`~repro.crowd.runtime.AcquisitionRuntime`.
-    answer_cache_size:
-        Capacity (cells) of the runtime's cross-query answer cache.
-    answer_cache_ttl:
-        Optional time-to-live (seconds) for cached answers (None = no
-        expiry).
     completeness_target:
         Default Chao92 coverage target for open-world enumerations that do
         not carry their own ``WITH COMPLETENESS >= x`` clause (None = run
@@ -131,9 +125,6 @@ class AcquisitionPolicy:
     max_cost: float | None = None
     crowd_batch_size: int = 50
     crowd_write_back: bool = True
-    max_concurrent_batches: int = 4
-    answer_cache_size: int = 1024
-    answer_cache_ttl: float | None = None
     completeness_target: float | None = None
     enum_dry_batches: int = 3
     max_enum_batches: int = 256
@@ -159,12 +150,6 @@ class AcquisitionPolicy:
             raise ExecutionError("max_cost must be non-negative")
         if self.crowd_batch_size <= 0:
             raise ExecutionError("crowd_batch_size must be positive")
-        if self.max_concurrent_batches <= 0:
-            raise ExecutionError("max_concurrent_batches must be positive")
-        if self.answer_cache_size <= 0:
-            raise ExecutionError("answer_cache_size must be positive")
-        if self.answer_cache_ttl is not None and self.answer_cache_ttl <= 0.0:
-            raise ExecutionError("answer_cache_ttl must be positive")
         if self.completeness_target is not None and not 0.0 <= self.completeness_target <= 1.0:
             raise ExecutionError("completeness_target must be in [0, 1]")
         if self.enum_dry_batches <= 0:

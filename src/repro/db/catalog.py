@@ -13,12 +13,11 @@ objects (the multi-tenant setup of the connection API), so it carries
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.db.schema import TableSchema
 from repro.db.storage import TableStorage
-from repro.errors import DuplicateTableError, UnknownTableError
+from repro.errors import DuplicateTableError, ExecutionError, UnknownTableError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (crowd imports db)
     from repro.crowd.runtime import AcquisitionRuntime
@@ -33,12 +32,9 @@ class Catalog:
         self._version = 0
         #: Guards reads and writes when the catalog is shared by connections.
         self.lock = threading.RLock()
-        #: The catalog-shared acquisition runtime (created lazily) plus any
-        #: session-private runtimes that registered for cell invalidations.
-        #: Weakly referenced: a session dropping its private runtime must
-        #: not pin its cache and worker pool for the catalog's lifetime.
+        #: The catalog's one acquisition runtime (installed or created on
+        #: first use; see :meth:`acquisition_runtime`).
         self._runtime: "AcquisitionRuntime | None" = None
-        self._runtimes: "weakref.WeakSet[AcquisitionRuntime]" = weakref.WeakSet()
         #: The durability manager of a persistent catalog (None in memory).
         #: Installed by :meth:`attach_durability` after recovery completes.
         self.durability: "DurabilityManager | None" = None
@@ -46,8 +42,8 @@ class Catalog:
         #: table is dropped and applied when a table of the same name is
         #: created, so recreated (and recovered) tables never reuse rowids.
         self._rowid_watermarks: dict[str, int] = {}
-        #: Crowd answers recovered from persisted provenance, used to warm
-        #: the AnswerCache of every runtime that registers afterwards.
+        #: Crowd answers recovered from persisted provenance, waiting to warm
+        #: the runtime's AnswerCache when it is installed.
         self._warm_answers: dict[tuple[str, str, int], Any] = {}
         #: Open-world enumeration batches: ``(attribute, batch) -> answers``.
         #: Journaled on durable catalogs so a restarted process replays
@@ -55,9 +51,9 @@ class Catalog:
         self._enum_answers: dict[tuple[str, int], list[Any]] = {}
         #: Per-worker accuracy evidence: ``worker_id -> (correct, incorrect)``
         #: absolute observation totals.  Journaled on durable catalogs and
-        #: used to warm-start the worker-quality tracker of every runtime
-        #: that registers, so a restarted process weights votes with
-        #: everything it already paid to learn about its workers.
+        #: used to warm-start the runtime's worker-quality tracker, so a
+        #: restarted process weights votes with everything it already paid
+        #: to learn about its workers.
         self._worker_stats: dict[int, tuple[float, float]] = {}
         #: Builds the storage of newly created tables.  Durable catalogs
         #: install a factory that injects a paged row map (the shared
@@ -68,70 +64,73 @@ class Catalog:
 
     # -- acquisition runtime ------------------------------------------------------
 
-    def acquisition_runtime(self, **knobs) -> "AcquisitionRuntime":
-        """Return the catalog's shared :class:`~repro.crowd.runtime.AcquisitionRuntime`.
+    def acquisition_runtime(self) -> "AcquisitionRuntime":
+        """Return the catalog's one :class:`~repro.crowd.runtime.AcquisitionRuntime`.
 
-        Created on first call with the given knobs (``max_concurrent_batches``,
-        ``cache_size``, ``cache_ttl_seconds``); later callers share the same
-        instance — which is what makes answer caching and in-flight request
-        coalescing work *across* connections, not just within one — and
-        their knobs are ignored.  A session wanting different knobs installs
-        its own runtime via
-        :attr:`~repro.db.connection.SessionContext.runtime`.
+        Every connection of the catalog dispatches through this instance —
+        which is what makes answer caching, in-flight request coalescing
+        and worker-quality evidence work *across* connections, not just
+        within one.  A default runtime is created on first use unless
+        :meth:`set_acquisition_runtime` installed a configured one before.
         """
+        runtime = self._runtime
+        if runtime is not None:
+            return runtime
         from repro.crowd.runtime import AcquisitionRuntime  # lazy: crowd imports db
 
         with self.lock:
             if self._runtime is None:
-                self._runtime = AcquisitionRuntime(**knobs)
-                # Only the catalog-shared runtime journals worker evidence:
-                # session-private runtimes are read-only consumers of the
-                # persisted stats (they warm-start on register_runtime).
-                self._runtime.worker_quality.journal = self.record_worker_stats
-                self.register_runtime(self._runtime)
+                self._install_runtime(AcquisitionRuntime())
             return self._runtime
 
-    def register_runtime(self, runtime: "AcquisitionRuntime") -> None:
-        """Subscribe *runtime* to this catalog's cell invalidations.
+    def set_acquisition_runtime(self, runtime: "AcquisitionRuntime") -> None:
+        """Install a configured runtime (worker pool, cache size, TTL, clock).
 
-        Direct UPDATEs (and DROP TABLE) on cached cells must evict the
-        corresponding :class:`~repro.crowd.runtime.AnswerCache` entries of
-        every runtime observing this catalog, including session-private
-        runtimes that bypass :meth:`acquisition_runtime`.
-
-        A runtime registering for the first time on a *recovered* catalog
-        is warm-started: crowd answers reloaded from persisted provenance
-        are inserted into its :class:`~repro.crowd.runtime.AnswerCache`,
-        so a restarted process serves repeat crowd queries with zero
-        platform calls.
+        Must happen before the catalog's first crowd query: once a runtime
+        exists it owns cached answers and in-flight work, so replacing it
+        raises :class:`~repro.errors.ExecutionError` and leaves it in place.
         """
         with self.lock:
-            if runtime in self._runtimes:
-                return
-            self._runtimes.add(runtime)
-            for (table, column, rowid), value in self._warm_answers.items():
-                runtime.cache.put(table, column, rowid, value)
-            warm_stats = dict(self._worker_stats)
-        tracker = getattr(runtime, "worker_quality", None)
-        if tracker is not None and warm_stats:
-            tracker.load_totals(warm_stats)
+            if self._runtime is not None:
+                raise ExecutionError(
+                    "the catalog's acquisition runtime is already in use; "
+                    "install a configured runtime before the first crowd query"
+                )
+            self._install_runtime(runtime)
+
+    def _install_runtime(self, runtime: "AcquisitionRuntime") -> None:
+        """Warm-start *runtime* and make it the catalog's runtime.
+
+        Crowd answers and worker stats recovered from a durable catalog are
+        loaded into its :class:`~repro.crowd.runtime.AnswerCache` and
+        worker-quality tracker, so a restarted process serves repeat crowd
+        queries with zero platform calls; new worker evidence is journaled
+        through :meth:`record_worker_stats`.  Callers hold ``self.lock``.
+        """
+        for (table, column, rowid), value in self._warm_answers.items():
+            runtime.cache.put(table, column, rowid, value)
+        self._warm_answers = {}
+        if self._worker_stats:
+            runtime.worker_quality.load_totals(dict(self._worker_stats))
+        runtime.worker_quality.journal = self.record_worker_stats
+        self._runtime = runtime
 
     def set_warm_answers(self, answers: Mapping[tuple[str, str, int], Any]) -> None:
-        """Install the recovered crowd answers used to warm new runtimes."""
+        """Install the recovered crowd answers that warm the runtime."""
         with self.lock:
             self._warm_answers = dict(answers)
 
     def _invalidate_cell(self, table: str, column: str, rowid: int) -> None:
         self._warm_answers.pop((table, column, rowid), None)
-        for runtime in list(self._runtimes):
-            runtime.cache.invalidate(table, column, rowid)
+        if self._runtime is not None:
+            self._runtime.cache.invalidate(table, column, rowid)
 
     def _invalidate_table(self, table: str) -> None:
         self._warm_answers = {
             key: value for key, value in self._warm_answers.items() if key[0] != table
         }
-        for runtime in list(self._runtimes):
-            runtime.cache.invalidate_table(table)
+        if self._runtime is not None:
+            self._runtime.cache.invalidate_table(table)
 
     @property
     def version(self) -> int:
@@ -242,8 +241,8 @@ class Catalog:
 
         *totals* carries **absolute** ``(correct, incorrect)`` observation
         counts per worker (last write wins), which makes WAL replay
-        idempotent.  Installed as the journal hook of the catalog-shared
-        runtime's :class:`~repro.crowd.worker_quality.WorkerQualityTracker`.
+        idempotent.  Installed as the journal hook of the catalog runtime's
+        :class:`~repro.crowd.worker_quality.WorkerQualityTracker`.
         Like :meth:`record_enum_answers`, the WAL append happens outside
         the catalog lock — it may fsync and must never block other
         sessions.

@@ -22,7 +22,7 @@ scale:
 * a **session-scoped crowd context** (:class:`SessionContext`) carrying the
   batch value source and predictor, the schema-expansion handler and the
   session's :class:`~repro.db.acquisition.AcquisitionPolicy` (budget,
-  batching, prediction and runtime knobs).  Two connections
+  batching, prediction and enumeration knobs).  Two connections
   sharing one :class:`~repro.db.catalog.Catalog` can run different crowd
   policies concurrently; the catalog's lock guards shared reads and writes.
 """
@@ -30,7 +30,6 @@ scale:
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -80,14 +79,11 @@ _UNSET: Any = object()
 #: Knob names `PRAGMA acquisition_<knob>` exposes — exactly the fields of
 #: :class:`~repro.db.acquisition.AcquisitionPolicy`.
 _POLICY_FIELDS: tuple[str, ...] = tuple(f.name for f in dataclass_fields(AcquisitionPolicy))
-_DEFAULT_POLICY = AcquisitionPolicy()
 _POLICY_INT_FIELDS = frozenset(
     {
         "min_sample",
         "max_sample",
         "crowd_batch_size",
-        "max_concurrent_batches",
-        "answer_cache_size",
         "enum_dry_batches",
         "max_enum_batches",
         "min_assignments",
@@ -96,9 +92,7 @@ _POLICY_INT_FIELDS = frozenset(
 )
 _POLICY_BOOL_FIELDS = frozenset({"crowd_write_back"})
 #: Fields whose value may be None; PRAGMA writes accept the word ``none``.
-_POLICY_OPTIONAL_FIELDS = frozenset(
-    {"max_sample", "max_cost", "answer_cache_ttl", "completeness_target"}
-)
+_POLICY_OPTIONAL_FIELDS = frozenset({"max_sample", "max_cost", "completeness_target"})
 
 
 def _coerce_policy_pragma_value(knob: str, raw: Any) -> Any:
@@ -164,27 +158,16 @@ class SessionContext:
         acquires only a planner-chosen sample and ``PredictFill`` trains
         the predictor on the crowd answers and fills the remaining rows
         with predictions (provenance- and confidence-tagged in storage).
-    runtime:
-        Optional session-private
-        :class:`~repro.crowd.runtime.AcquisitionRuntime`.  By default the
-        session dispatches through the *catalog's* shared runtime (created
-        lazily from the policy's runtime knobs), which is what enables
-        cross-connection answer caching and in-flight request coalescing;
-        pass an explicit runtime to isolate a session or to pin different
-        knobs.
-    on_runtime_knobs_ignored:
-        Optional callback invoked (instead of emitting the
-        ``RuntimeWarning``) when this session's runtime knobs are ignored
-        because the catalog's shared runtime was already created
-        first-caller-wins with different knobs.  The server installs this
-        to aggregate per-tenant mismatches into one log line rather than
-        warning once per tenant session.
     policy:
         The :class:`~repro.db.acquisition.AcquisitionPolicy` carrying every
         acquisition knob: prediction sampling, the session budget
-        (``max_cost``), crowd batching, the runtime knobs and the
-        open-world enumeration targets.  Read and replace it through
-        :attr:`policy`.
+        (``max_cost``), crowd batching, worker quality and the open-world
+        enumeration targets.  Read and replace it through :attr:`policy`.
+
+    Every session dispatches through its catalog's one
+    :class:`~repro.crowd.runtime.AcquisitionRuntime`
+    (:meth:`~repro.db.catalog.Catalog.acquisition_runtime`): crowd answers
+    are shared across sessions, budgets are not.
     """
 
     def __init__(
@@ -193,8 +176,6 @@ class SessionContext:
         expansion_handler: ExpansionHandler | None = None,
         value_source: Any = None,
         predictor: AttributePredictor | None = None,
-        runtime: Any = None,
-        on_runtime_knobs_ignored: Callable[[], None] | None = None,
         policy: AcquisitionPolicy | None = None,
     ) -> None:
         self.policy = policy
@@ -202,22 +183,6 @@ class SessionContext:
         self.cost_spent = 0.0
         self.value_source = value_source
         self.predictor = predictor
-        self.runtime = runtime
-        self.on_runtime_knobs_ignored = on_runtime_knobs_ignored
-
-    @property
-    def runtime_knobs_explicit(self) -> bool:
-        """Whether the policy sets any runtime knob away from its default.
-
-        A session that kept the defaults must not be warned when the
-        catalog's shared runtime happens to be configured differently.
-        """
-        policy, defaults = self._policy, _DEFAULT_POLICY
-        return (
-            policy.max_concurrent_batches != defaults.max_concurrent_batches
-            or policy.answer_cache_size != defaults.answer_cache_size
-            or policy.answer_cache_ttl != defaults.answer_cache_ttl
-        )
 
     def crowd_spec(self, runtime: Any) -> CrowdFillSpec | None:
         """The batch crowd-fill configuration, or None when not set up.
@@ -613,7 +578,6 @@ class Connection:
         self._cache = StatementCache(statement_cache_size)
         self._lock = threading.RLock()
         self._statement_log: deque[str] = deque(maxlen=statement_log_size)
-        self._runtime_knobs_warned = False
         #: True for the connection :func:`connect` opened a database
         #: directory with — closing it closes the durability manager too.
         self._owns_durability = False
@@ -722,8 +686,8 @@ class Connection:
         """Install the session's unified acquisition policy (None = defaults).
 
         This is the single configuration path for every acquisition knob:
-        prediction sampling, the session budget, crowd batching, the
-        runtime cache knobs and the open-world enumeration targets.
+        prediction sampling, the session budget, crowd batching, worker
+        quality and the open-world enumeration targets.
         Individual knobs are also readable/settable as ``PRAGMA
         acquisition_<knob>`` and listable via ``PRAGMA acquisition_policy``.
         """
@@ -755,66 +719,10 @@ class Connection:
         """
         self.session.predictor = predictor
 
-    def set_acquisition_runtime(self, runtime: Any) -> None:
-        """Install a session-private acquisition runtime (None = shared).
-
-        By default crowd acquisition dispatches through the catalog's
-        shared :class:`~repro.crowd.runtime.AcquisitionRuntime`; a private
-        runtime isolates this session's cache and worker pool (used e.g.
-        by the concurrency ablation to pin ``max_concurrent_batches``).
-        The runtime is registered with the catalog either way so direct
-        UPDATEs keep invalidating its cached answers.
-        """
-        self.session.runtime = runtime
-        if runtime is not None:
-            self.catalog.register_runtime(runtime)
-
     def acquisition_runtime(self) -> Any:
-        """The runtime this connection's crowd acquisition dispatches through.
-
-        Returns the session-private runtime when one is installed,
-        otherwise the catalog's shared runtime — creating it (lazily) from
-        the policy's ``max_concurrent_batches`` / ``answer_cache_size`` /
-        ``answer_cache_ttl`` knobs on first use.
-        """
-        runtime = self.session.runtime
-        if runtime is not None:
-            # register_runtime is an idempotent lock-guarded WeakSet.add;
-            # calling it unconditionally keeps the session free to swap
-            # runtimes without extra bookkeeping here.
-            self.catalog.register_runtime(runtime)
-            return runtime
-        policy = self.session.policy
-        shared = self.catalog.acquisition_runtime(
-            max_concurrent_batches=policy.max_concurrent_batches,
-            cache_size=policy.answer_cache_size,
-            cache_ttl_seconds=policy.answer_cache_ttl,
-        )
-        if (
-            not self._runtime_knobs_warned
-            and self.session.runtime_knobs_explicit
-            and (
-                shared.max_concurrent_batches != policy.max_concurrent_batches
-                or shared.cache.capacity != policy.answer_cache_size
-                or shared.cache.ttl_seconds != policy.answer_cache_ttl
-            )
-        ):
-            # The shared runtime was created (by whichever session touched
-            # the catalog first) with different knobs; a silent no-op here
-            # would make e.g. a TTL setting appear to just not work.
-            self._runtime_knobs_warned = True
-            if self.session.on_runtime_knobs_ignored is not None:
-                self.session.on_runtime_knobs_ignored()
-            else:
-                warnings.warn(
-                    "this session's acquisition-runtime knobs differ from the "
-                    "catalog's shared runtime (created first-caller-wins); pass "
-                    "a session-private runtime via set_acquisition_runtime() or "
-                    "SessionContext(runtime=...) to apply them",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        return shared
+        """The catalog's one acquisition runtime, which crowd acquisition
+        dispatches through (see :meth:`Catalog.acquisition_runtime`)."""
+        return self.catalog.acquisition_runtime()
 
     # -- statement cache ----------------------------------------------------------
 

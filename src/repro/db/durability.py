@@ -28,10 +28,10 @@ Checkpoints (manual via ``PRAGMA wal_checkpoint`` /
 truncate the log, bounding both recovery time and disk usage.
 
 Crowd answers recovered from provenance are handed to the catalog as
-*warm answers*: any :class:`~repro.crowd.runtime.AcquisitionRuntime` that
-later registers has its :class:`~repro.crowd.runtime.AnswerCache`
-pre-populated, so a restarted process serves repeat crowd queries with
-zero platform calls even for sessions that do not write values back.
+*warm answers*: the catalog's :class:`~repro.crowd.runtime.AcquisitionRuntime`
+has its :class:`~repro.crowd.runtime.AnswerCache` pre-populated when it is
+installed, so a restarted process serves repeat crowd queries with zero
+platform calls even for sessions that do not write values back.
 """
 
 from __future__ import annotations

@@ -1606,9 +1606,8 @@ def crowd_attributes_for(plan: SelectPlan, schema: TableSchema, alias: str) -> l
     column of a joined table the query never evaluates.
     """
     alias = alias.lower()
-    refs = plan.referenced_refs or tuple((None, name) for name in plan.referenced_columns)
     attributes: list[str] = []
-    for qualifier, name in refs:
+    for qualifier, name in plan.referenced_refs:
         if qualifier is not None and qualifier != alias:
             continue
         if (

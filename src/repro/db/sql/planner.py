@@ -125,12 +125,11 @@ class SelectPlan:
     limit: Optional[int]
     offset: Optional[int]
     distinct: bool
-    referenced_columns: tuple[str, ...] = field(default=())
     #: Every column reference as ``(alias_lowercase_or_None, name)`` pairs.
-    #: Unlike the bare ``referenced_columns`` names, these keep the table
-    #: qualifier, so lowering can decide per scanned table which columns a
-    #: query actually reads (the CrowdFill operator must never spend crowd
-    #: money on a same-named column of a table the query does not touch).
+    #: The table qualifier is kept, so lowering can decide per scanned
+    #: table which columns a query actually reads (the CrowdFill operator
+    #: must never spend crowd money on a same-named column of a table the
+    #: query does not touch).
     referenced_refs: tuple[tuple[Optional[str], str], ...] = field(default=())
     #: Set for ``SELECT ... FROM CROWD`` open-world queries; ``scan`` is
     #: None and lowering routes to the CrowdEnumerate operator.
@@ -529,7 +528,6 @@ class Planner:
             limit=statement.limit,
             offset=statement.offset,
             distinct=statement.distinct,
-            referenced_columns=tuple(sorted({name for _alias, name in referenced})),
             referenced_refs=tuple(
                 sorted(referenced, key=lambda ref: (ref[0] or "", ref[1]))
             ),
@@ -619,7 +617,6 @@ class Planner:
             limit=statement.limit,
             offset=statement.offset,
             distinct=statement.distinct,
-            referenced_columns=tuple(sorted({name for _alias, name in referenced})),
             referenced_refs=tuple(
                 sorted(referenced, key=lambda ref: (ref[0] or "", ref[1]))
             ),

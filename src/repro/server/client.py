@@ -207,10 +207,22 @@ class ClientCursor:
         return [(name, None, None, None, None, None, None) for name in self.columns]
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> "ClientCursor":
-        self._discard_pending()
         message: dict[str, Any] = {"op": "execute", "sql": sql}
         if params:
-            message["params"] = list(protocol.encode_row(params))
+            message["params"] = protocol.encode_row(params)
+        return self._run(message)
+
+    def executemany(
+        self, sql: str, seq_of_params: Sequence[Sequence[Any]]
+    ) -> "ClientCursor":
+        """Run *sql* once per parameter tuple in one request; the server
+        applies the local ``executemany`` rules (no row-returning
+        statements, no ``INSERT ... FROM CROWD``)."""
+        many = [protocol.encode_row(params) for params in seq_of_params]
+        return self._run({"op": "execute", "sql": sql, "many": many})
+
+    def _run(self, message: dict[str, Any]) -> "ClientCursor":
+        self._discard_pending()
         response = self.connection.request(message)
         self.columns = [str(c) for c in response.get("columns", [])]
         self.rowcount = int(response.get("rowcount", -1))
@@ -218,16 +230,6 @@ class ClientCursor:
         self._rows = [protocol.decode_row(row) for row in response.get("rows", [])]
         self._done = bool(response.get("done", True))
         self._cursor_id = response.get("cursor") if not self._done else None
-        return self
-
-    def executemany(
-        self, sql: str, seq_of_params: Sequence[Sequence[Any]]
-    ) -> "ClientCursor":
-        total = 0
-        for params in seq_of_params:
-            self.execute(sql, params)
-            total += max(0, self.rowcount)
-        self.rowcount = total
         return self
 
     def _discard_pending(self) -> None:

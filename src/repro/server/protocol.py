@@ -154,6 +154,8 @@ _FIELD_SPECS: dict[str, dict[str, tuple[tuple[type, ...], bool]]] = {
     "execute": {
         "sql": ((str,), True),
         "params": ((list,), False),
+        # executemany: one parameter list per execution, in one request.
+        "many": ((list,), False),
         "fetch_size": ((int,), False),
     },
     "fetch": {

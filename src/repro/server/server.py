@@ -55,7 +55,6 @@ from repro.server.tenancy import (
     TenantConfig,
     TenantRegistry,
     TenantState,
-    default_session_factory,
 )
 
 __all__ = ["ReproServer", "ServerConfig"]
@@ -138,10 +137,8 @@ class ReproServer:
     ``session_factory`` builds each tenant's
     :class:`~repro.db.connection.SessionContext` on first authentication —
     this is where deployments install a crowd value source, predictor and
-    budget knobs.  Server-managed sessions never emit the per-session
-    first-caller-wins ``RuntimeWarning`` for ignored acquisition-runtime
-    knobs; mismatches are collected and reported as one aggregated log
-    line on shutdown instead.
+    budget knobs.  Every tenant session dispatches through the catalog's
+    one acquisition runtime.
     """
 
     def __init__(
@@ -161,9 +158,8 @@ class ReproServer:
         self.registry = TenantRegistry(
             tenants,
             allow_unknown=allow_unknown_tenants,
-            session_factory=self._make_session,
+            session_factory=session_factory,
         )
-        self._session_factory = session_factory
         self._root: Connection | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -175,34 +171,8 @@ class ReproServer:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        self._knobs_lock = threading.Lock()
-        self._ignored_knob_tenants: set[str] = set()
         self.total_requests = 0
         self.total_rejected = 0
-
-    # -- tenancy hooks -------------------------------------------------------
-
-    def _make_session(self, config: TenantConfig) -> SessionContext:
-        factory = self._session_factory or default_session_factory
-        session = factory(config)
-        if session.on_runtime_knobs_ignored is None:
-            # Server-managed sessions share the catalog runtime by design;
-            # a per-tenant RuntimeWarning would fire once per tenant for
-            # one deployment-level configuration fact.  Aggregate instead.
-            session.on_runtime_knobs_ignored = (
-                lambda name=config.name: self._note_ignored_knobs(name)
-            )
-        return session
-
-    def _note_ignored_knobs(self, tenant: str) -> None:
-        with self._knobs_lock:
-            self._ignored_knob_tenants.add(tenant)
-
-    @property
-    def ignored_knob_tenants(self) -> frozenset[str]:
-        """Tenants whose session runtime knobs the shared runtime ignored."""
-        with self._knobs_lock:
-            return frozenset(self._ignored_knob_tenants)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -272,7 +242,6 @@ class ReproServer:
                 await self._drain(server)
         finally:
             await loop.run_in_executor(None, self._shutdown_engine)
-            self._report_ignored_knobs()
             self._bound = None
 
     def request_stop(self) -> None:
@@ -309,16 +278,6 @@ class ReproServer:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-
-    def _report_ignored_knobs(self) -> None:
-        ignored = sorted(self.ignored_knob_tenants)
-        if ignored:
-            logger.warning(
-                "acquisition-runtime knobs of %d tenant session(s) were ignored "
-                "(the catalog's shared runtime is configured first-caller-wins): %s",
-                len(ignored),
-                ", ".join(ignored),
-            )
 
     # -- background-thread mode ---------------------------------------------
 
@@ -584,6 +543,8 @@ class _ClientHandler:
 
     def _run_execute(self, message: dict[str, Any]) -> dict[str, Any]:
         assert self.connection is not None and self.tenant is not None
+        if "many" in message:
+            return self._run_execute_many(message)
         params = tuple(protocol.decode_row(message.get("params", [])))
         result = self.connection.run_statement(message["sql"], params)
         fetch_size = message.get("fetch_size") or self.server.config.fetch_size
@@ -616,6 +577,19 @@ class _ClientHandler:
             response["cursor"] = cursor_id
         self.tenant.record_statement(result.rowcount)
         return response
+
+    def _run_execute_many(self, message: dict[str, Any]) -> dict[str, Any]:
+        """``execute`` with ``many``: the local ``executemany``, one request."""
+        assert self.connection is not None and self.tenant is not None
+        many = message["many"]
+        if "params" in message:
+            raise WireProtocolError("execute takes either 'params' or 'many', not both")
+        if not all(isinstance(params, list) for params in many):
+            raise WireProtocolError("execute field 'many' must be a list of parameter lists")
+        batches = [protocol.decode_row(params) for params in many]
+        rowcount = self.connection.executemany(message["sql"], batches).rowcount
+        self.tenant.record_statement(rowcount)
+        return {"ok": True, "columns": [], "rowcount": rowcount, "rows": [], "done": True}
 
     def _run_explain(self, message: dict[str, Any]) -> dict[str, Any]:
         assert self.connection is not None and self.tenant is not None

@@ -50,7 +50,7 @@ def test_concurrent_engine_workload_keeps_lock_graph_acyclic(tmp_path):
     conn.add_perceptual_column("items", "appeal")
 
     runtime = AcquisitionRuntime(cache_ttl_seconds=0.001)  # queries mostly re-acquire
-    conn.set_acquisition_runtime(runtime)
+    conn.catalog.set_acquisition_runtime(runtime)
     conn.set_value_source(ConstantSource())
     conn.set_policy(conn.policy.with_overrides(crowd_batch_size=8))
 

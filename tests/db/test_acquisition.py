@@ -178,9 +178,6 @@ class TestSamplingPolicy:
             ({"min_sample": 10, "max_sample": 9}, "max_sample must be >= min_sample"),
             ({"cost_ratio": -0.01}, "cost_ratio must be non-negative"),
             ({"crowd_batch_size": 0}, "crowd_batch_size must be positive"),
-            ({"max_concurrent_batches": 0}, "max_concurrent_batches must be positive"),
-            ({"answer_cache_size": 0}, "answer_cache_size must be positive"),
-            ({"answer_cache_ttl": 0.0}, "answer_cache_ttl must be positive"),
             ({"max_enum_batches": 0}, "max_enum_batches must be positive"),
             ({"gold_fraction": 1.5}, r"gold_fraction must be in \[0, 1\]"),
             ({"target_cell_confidence": -0.1}, r"target_cell_confidence must be in \[0, 1\]"),

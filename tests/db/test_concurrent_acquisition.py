@@ -79,7 +79,7 @@ class TestAnswerCacheThroughTheEngine:
         clock = FakeClock()
         runtime = AcquisitionRuntime(cache_ttl_seconds=60.0, clock=clock)
         conn = make_items_connection(4)
-        conn.set_acquisition_runtime(runtime)
+        conn.catalog.set_acquisition_runtime(runtime)
         source = BlockingSource()
         conn.set_value_source(source)
         conn.set_policy(
@@ -203,70 +203,6 @@ class TestAnswerCacheThroughTheEngine:
         assert len(runtime.cache) == 0
 
 
-class TestSharedRuntimeKnobs:
-    def test_ignored_session_knobs_warn(self):
-        import pytest
-
-        catalog = Catalog()
-        first = make_items_connection(2, catalog)
-        first.acquisition_runtime()  # shared runtime created with defaults
-        second = Connection(
-            catalog, session=SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=60.0))
-        )
-        with pytest.warns(RuntimeWarning, match="first-caller-wins"):
-            runtime = second.acquisition_runtime()
-        # First-caller-wins: the TTL knob did not apply...
-        assert runtime.cache.ttl_seconds is None
-        # ... and the warning fires once per connection, not per statement.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second.acquisition_runtime()
-
-    def test_ignored_knobs_callback_replaces_warning(self):
-        # The server installs on_runtime_knobs_ignored on tenant sessions
-        # so mismatches aggregate into one log line instead of warning
-        # once per tenant; with the hook set, no RuntimeWarning escapes.
-        import warnings as warnings_module
-
-        catalog = Catalog()
-        first = make_items_connection(2, catalog)
-        first.acquisition_runtime()  # shared runtime created with defaults
-        calls: list[int] = []
-        session = SessionContext(
-            policy=AcquisitionPolicy(answer_cache_ttl=60.0),
-            on_runtime_knobs_ignored=lambda: calls.append(1),
-        )
-        second = Connection(catalog, session=session)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second.acquisition_runtime()
-        assert calls == [1]
-        # Still once per connection, exactly like the warning path.
-        second.acquisition_runtime()
-        assert calls == [1]
-
-    def test_default_knob_sessions_never_warn(self):
-        # A session that never expressed runtime knobs must not be warned
-        # about a shared runtime configured by someone else.
-        import warnings as warnings_module
-
-        catalog = Catalog()
-        pinned = Connection(
-            catalog,
-            session=SessionContext(
-                policy=AcquisitionPolicy(answer_cache_ttl=60.0, answer_cache_size=8)
-            ),
-        )
-        pinned.acquisition_runtime()  # creates the shared runtime, custom knobs
-        plain = Connection(catalog)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            runtime = plain.acquisition_runtime()
-        assert runtime.cache.ttl_seconds == 60.0
-
-
 class TestCrossConnectionCoalescing:
     def test_concurrent_identical_queries_share_one_dispatch(self):
         catalog = Catalog()
@@ -314,8 +250,9 @@ class TestConcurrencyDeterminism:
             attribute: {i: (i + offset) % 3 == 0 for i in range(1, 25)}
             for offset, attribute in enumerate(self.ATTRIBUTES)
         }
-        session = SessionContext(policy=AcquisitionPolicy(max_concurrent_batches=concurrency))
-        conn = make_items_connection(24, session=session)
+        catalog = Catalog()
+        catalog.set_acquisition_runtime(AcquisitionRuntime(max_concurrent_batches=concurrency))
+        conn = make_items_connection(24, catalog)
         for attribute in self.ATTRIBUTES:
             conn.add_perceptual_column("items", attribute)
         source = SimulatedCrowdValueSource(
@@ -386,7 +323,7 @@ class TestBudgetSerialization:
         )
         for attribute in ("a", "b", "c", "d"):
             conn.add_perceptual_column("items", attribute)
-        assert conn.policy.max_concurrent_batches == 4
+        assert conn.acquisition_runtime().max_concurrent_batches == 4
         source = SlowCostedSource()
         conn.set_value_source(source)
         conn.execute("SELECT a, b, c, d FROM items").fetchall()

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.crowd.runtime import AcquisitionRuntime
 from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext, connect
 from repro.db.acquisition import PredictionBatch
 from repro.db.types import ColumnType, MISSING
@@ -334,16 +333,15 @@ class ConstantSource:
         return Dispatch({rowid: self.value for rowid, _row in items})
 
 
-def private_session(value: float) -> SessionContext:
-    """A session whose crowd answers stay private to it.
+def session_with_source(value: float) -> SessionContext:
+    """A session whose value source answers every cell with *value*.
 
-    A session-private runtime keeps its answers out of the catalog-shared
-    AnswerCache, and no write-back keeps them out of table storage, so
-    two such sessions on one catalog never see each other's answers.
+    No write-back keeps the answers out of table storage.  They still
+    reach the catalog's one answer cache (crowd answers are shared,
+    budgets are not), so the tests below give each session its own rows.
     """
     return SessionContext(
         value_source=ConstantSource(value),
-        runtime=AcquisitionRuntime(),
         policy=AcquisitionPolicy(crowd_write_back=False),
     )
 
@@ -360,42 +358,45 @@ class TestSessionScopedCrowdContext:
         setup.table("items").fill_values("score", {rowid: MISSING for rowid in range(1, 6)})
         return catalog
 
-    def test_two_connections_with_different_value_sources(self):
+    def _point_query_catalog(self) -> Catalog:
+        """The shared catalog plus an index, so a point query's CrowdFill
+        acquires only the row it reads."""
         catalog = self._shared_catalog()
-        low = Connection(catalog, session=private_session(0.1))
-        high = Connection(catalog, session=private_session(0.9))
-        query = "SELECT count(*) FROM items WHERE score > ?"
-        try:
-            assert low.execute(query, (0.5,)).fetchone() == (0,)
-            assert high.execute(query, (0.5,)).fetchone() == (5,)
-            assert low.execute(query, (0.5,)).fetchone() == (0,)
-        finally:
-            for connection in (low, high):
-                connection.session.runtime.shutdown()
+        Connection(catalog).execute("CREATE INDEX ON items (item_id)")
+        return catalog
+
+    def test_two_connections_with_different_value_sources(self):
+        catalog = self._point_query_catalog()
+        low = Connection(catalog, session=session_with_source(0.1))
+        high = Connection(catalog, session=session_with_source(0.9))
+        query = "SELECT score FROM items WHERE item_id = ?"
+        assert low.execute(query, (1,)).fetchone() == (0.1,)
+        assert high.execute(query, (2,)).fetchone() == (0.9,)
+        # Each session dispatched to its own value source, once.
+        assert low.session.value_source.calls == 1
+        assert high.session.value_source.calls == 1
         assert low.missing_count("items", "score") == 5  # nothing written back
 
     def test_concurrent_connections_do_not_clobber_each_other(self):
-        catalog = self._shared_catalog()
+        catalog = self._point_query_catalog()
         failures: list[str] = []
 
-        def run(value, expected):
-            connection = Connection(catalog, session=private_session(value))
+        def run(value, rowid):
+            connection = Connection(catalog, session=session_with_source(value))
             try:
                 for _ in range(50):
-                    (count,) = connection.execute(
-                        "SELECT count(*) FROM items WHERE score > ?", (0.5,)
+                    (score,) = connection.execute(
+                        "SELECT score FROM items WHERE item_id = ?", (rowid,)
                     ).fetchone()
-                    if count != expected:
-                        failures.append(f"source {value} saw count {count}")
+                    if score != value:
+                        failures.append(f"source {value} saw score {score}")
                         return
             except Exception as exc:  # pragma: no cover - only on regression
                 failures.append(f"source {value} raised {exc!r}")
-            finally:
-                connection.session.runtime.shutdown()
 
         threads = [
-            threading.Thread(target=run, args=(0.1, 0)),
-            threading.Thread(target=run, args=(0.9, 5)),
+            threading.Thread(target=run, args=(0.1, 1)),
+            threading.Thread(target=run, args=(0.9, 2)),
         ]
         for thread in threads:
             thread.start()

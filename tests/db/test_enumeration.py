@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.crowd.platform import CrowdPlatform
+from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
 from repro.db.acquisition import AcquisitionPolicy
@@ -207,10 +208,10 @@ class TestInsertFromCrowd:
 
 class TestDeterminism:
     def enumerate_with_concurrency(self, max_concurrent_batches: int) -> list[str]:
-        session = SessionContext(
-            policy=AcquisitionPolicy(max_concurrent_batches=max_concurrent_batches)
+        conn = make_conn(make_source(seed=42))
+        conn.catalog.set_acquisition_runtime(
+            AcquisitionRuntime(max_concurrent_batches=max_concurrent_batches)
         )
-        conn = make_conn(make_source(seed=42), session=session)
         conn.execute(
             "INSERT INTO birds (name) FROM CROWD WHERE 'birds' WITH COMPLETENESS >= 0.9"
         )
@@ -336,8 +337,6 @@ class TestAcquisitionPolicy:
             "expansion_handler",
             "value_source",
             "predictor",
-            "runtime",
-            "on_runtime_knobs_ignored",
             "policy",
         ]
         knobs = {f.name for f in fields(AcquisitionPolicy)}

@@ -179,5 +179,6 @@ class TestAccessPath:
 
     def test_referenced_columns_collected(self, planner):
         result = plan(planner, "SELECT name FROM movies WHERE year > 1950 ORDER BY year")
-        assert "year" in result.referenced_columns
-        assert "name" in result.referenced_columns
+        names = {name for _qualifier, name in result.referenced_refs}
+        assert "year" in names
+        assert "name" in names

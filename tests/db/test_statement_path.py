@@ -19,7 +19,7 @@ import repro.client
 from repro.db.connection import Connection, SessionContext
 from repro.db.schema import AttributeKind, Column
 from repro.db.types import MISSING, ColumnType
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, WireProtocolError
 from repro.server import ReproServer, ServerConfig
 
 SETUP = "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, name TEXT)"
@@ -255,3 +255,60 @@ class TestExecutemanyHonoursTheSession:
                 [()],
             )
         assert conn.execute("SELECT count(*) FROM birds").fetchone() == (0,)
+
+
+#: ``(sql, seq_of_params)`` batches run in order through ``executemany``.
+MANY_BATCHES: list[tuple[str, list[tuple[Any, ...]]]] = [
+    ("INSERT INTO t VALUES (?, ?, ?)", [(1, 10, "a"), (2, 20, "b"), (3, 30, "c")]),
+    ("UPDATE t SET v = ? WHERE id = ?", [(11, 1), (33, 3)]),
+    ("SELECT * FROM t WHERE id = ?", [(1,), (2,)]),
+    ("INSERT INTO t (name) FROM CROWD WHERE 'names' WITH COMPLETENESS >= 0.9", [()]),
+    ("INSERT INTO t VALUES (?, ?, ?)", [(4, 40, "d"), (4, 41, "dup")]),
+]
+
+
+def many_outcome(run) -> tuple[Any, ...]:
+    """``(rowcount, error type, error message)`` of one ``executemany``."""
+    try:
+        return (run(), None, None)
+    except Exception as error:
+        return (None, type(error), str(error))
+
+
+class TestServedExecutemany:
+    def test_served_and_local_agree_in_one_request_per_batch(self):
+        local = repro.connect()
+        local.execute(SETUP)
+        expected = [
+            many_outcome(lambda: local.executemany(sql, seq).rowcount)
+            for sql, seq in MANY_BATCHES
+        ]
+        expected_rows = local.execute("SELECT * FROM t ORDER BY id").fetchall()
+        assert [outcome[0] for outcome in expected] == [3, 2, None, None, None]
+
+        with ReproServer(ServerConfig(port=0)) as server:
+            conn = repro.client.connect(*server.address, tenant="t")
+            conn.execute(SETUP)
+            cursor = conn.cursor()
+            served = []
+            for sql, seq in MANY_BATCHES:
+                before = server.total_requests
+                served.append(many_outcome(lambda: cursor.executemany(sql, seq).rowcount))
+                assert server.total_requests - before == 1, sql
+            served_rows = conn.execute("SELECT * FROM t ORDER BY id").fetchall()
+            conn.close()
+
+        assert served == expected
+        assert served_rows == expected_rows
+
+    def test_malformed_batches_are_wire_errors(self):
+        with ReproServer(ServerConfig(port=0)) as server:
+            conn = repro.client.connect(*server.address, tenant="t")
+            conn.execute(SETUP)
+            for message in (
+                {"op": "execute", "sql": "DELETE FROM t", "many": [[]], "params": []},
+                {"op": "execute", "sql": "DELETE FROM t", "many": [1]},
+            ):
+                with pytest.raises(WireProtocolError):
+                    conn.request(message)
+            conn.close()

@@ -279,35 +279,6 @@ class TestCrowdTenancy:
             again.close()
 
 
-class TestRuntimeKnobAggregation:
-    def test_server_sessions_do_not_warn_and_aggregate_instead(self):
-        import warnings as warnings_module
-
-        def factory(config: TenantConfig) -> SessionContext:
-            # Explicit per-session knobs that cannot apply once the shared
-            # runtime exists: the classic first-caller-wins mismatch.
-            ttl = 60.0 if config.name != "first" else None
-            return SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=ttl))
-
-        with ReproServer(ServerConfig(port=0), session_factory=factory) as srv:
-            first = repro.client.connect(*srv.address, tenant="first")
-            first.execute("CREATE TABLE t (x INTEGER)")
-            # Trigger runtime creation through the first tenant's session.
-            srv.registry.authenticate("first")
-            from repro.db.connection import Connection
-
-            Connection(
-                srv.catalog, session=srv.registry.authenticate("first").session
-            ).acquisition_runtime()
-            with warnings_module.catch_warnings():
-                warnings_module.simplefilter("error")  # any RuntimeWarning fails
-                Connection(
-                    srv.catalog, session=srv.registry.authenticate("late").session
-                ).acquisition_runtime()
-            assert srv.ignored_knob_tenants == frozenset({"late"})
-            first.close()
-
-
 class TestGracefulShutdown:
     def _spawn_serve(self, db_path: str) -> tuple[subprocess.Popen, str, int]:
         env = dict(os.environ)
