@@ -258,11 +258,8 @@ def test_ablation_hybrid_acquisition(movie_context, report_writer, metric_writer
         (comedies,) = conn.execute(
             "SELECT count(*) FROM movies WHERE is_comedy = true"
         ).fetchone()
-        values = conn.column_values("movies", "is_comedy")
-        keyed = {
-            row["item_id"]: values[rowid]
-            for rowid, row in ((r, catalog.table("movies").get(r)) for r in values)
-        }
+        # A connection without a value source reads the cells as stored.
+        keyed = dict(Connection(catalog).execute("SELECT item_id, is_comedy FROM movies"))
         scored = [
             (bool(keyed[item]), bool(labels[item]))
             for item in keyed

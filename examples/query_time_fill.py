@@ -82,7 +82,9 @@ def main() -> None:
         "INSERT INTO movies (item_id, name, year) VALUES (?, ?, ?)",
         [(r["item_id"], r["name"], r["year"]) for r in corpus.items],
     )
-    print(f"{db.missing_count('movies', 'humor')} movies have no humor judgment yet")
+    provenance = "PRAGMA column_provenance = 'movies.humor'"
+    missing = dict(db.execute(provenance).fetchall())["missing"]
+    print(f"{missing} movies have no humor judgment yet")
 
     db.set_value_source(source)
     query = (
@@ -92,7 +94,7 @@ def main() -> None:
     print("\nMost humorous movies (SELECT ... ORDER BY humor DESC):")
     for name, humor in db.execute(query).fetchall():
         print(f"  {humor:>4}  {name}")
-    filled = db.provenance_counts("movies", "humor").get("crowd", 0)
+    filled = dict(db.execute(provenance).fetchall()).get("crowd", 0)
     print(
         f"\nCrowdFill obtained {filled}/{len(corpus.items)} humor values "
         f"in {source.dispatches} batched dispatches "

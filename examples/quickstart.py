@@ -88,7 +88,7 @@ def main() -> None:
     for name, year in cursor:
         print(f"  {name}  ({year})")
 
-    counts = conn.provenance_counts("movies", "is_comedy")
+    counts = dict(cursor.execute("PRAGMA column_provenance = 'movies.is_comedy'").fetchall())
     print(
         f"\nExpansion filled {counts.get('crowd', 0)} movies from the crowd and "
         f"{counts.get('predicted', 0)} by prediction for ${source.total_cost:.2f} "

@@ -15,7 +15,7 @@ from the source:
 * every ``TableStorage`` mutator must reference its journal hook
   (``self.journal``).  ``restore_row`` / ``set_provenance`` /
   ``advance_rowid`` are recovery-path setters invoked *by* replay and are
-  deliberately unjournalled; ``insert_many`` delegates to ``insert``.
+  deliberately unjournalled.
 """
 
 from __future__ import annotations

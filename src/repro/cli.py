@@ -210,7 +210,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     for name, year in cursor:
         print(f"  {name} ({year})")
     if source.dispatches:
-        counts = conn.provenance_counts("movies", "is_comedy")
+        counts = dict(cursor.execute("PRAGMA column_provenance = 'movies.is_comedy'").fetchall())
         print(
             f"\nFilled {counts.get('crowd', 0)} rows from the crowd and "
             f"{counts.get('predicted', 0)} by prediction for ${source.total_cost:.2f} "

@@ -42,10 +42,10 @@ from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.executor import Executor, QueryResult, SelectStream
 from repro.db.sql.operators import CrowdFillSpec, Operator
-from repro.db.sql.parameters import check_arity, count_parameters
+from repro.db.sql.parameters import check_arity, count_parameters, normalize_params
 from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.sql.planner import Planner, SelectPlan
-from repro.db.storage import TableStorage, ValueProvenance
+from repro.db.storage import TableStorage
 from repro.db.types import MISSING, ColumnType
 from repro.errors import DuplicateColumnError, ExecutionError, UnknownColumnError
 
@@ -64,13 +64,6 @@ paramstyle = "qmark"
 def _materialize(outcome: QueryResult | SelectStream) -> QueryResult:
     """The whole result of an execution, draining a SELECT's stream."""
     return outcome.materialize() if isinstance(outcome, SelectStream) else outcome
-
-
-def _normalize_params(params: Sequence[Any]) -> tuple[Any, ...]:
-    """Validate and normalize a caller-supplied parameter sequence."""
-    if isinstance(params, (str, bytes)) or not isinstance(params, Sequence):
-        raise TypeError("parameters must be a sequence, e.g. a tuple")
-    return tuple(params)
 
 
 #: Distinguishes "knob not passed" from an explicit None (a valid value).
@@ -365,7 +358,49 @@ class StatementCache:
 # ---------------------------------------------------------------------------
 
 
-class Cursor:
+class BaseCursor:
+    """The DB-API surface :class:`Cursor` and the served ``ClientCursor`` share.
+
+    Subclasses provide ``columns`` (names of the last result), ``fetchone``
+    and ``close``.
+    """
+
+    arraysize = 1
+
+    @property
+    def description(self) -> list[tuple[Any, ...]] | None:
+        """DB-API column descriptions (name plus six Nones), or None."""
+        if not self.columns:
+            return None
+        return [(name, None, None, None, None, None, None) for name in self.columns]
+
+    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
+        """Return up to *size* rows (default: :attr:`arraysize`)."""
+        rows: list[tuple[Any, ...]] = []
+        for _ in range(self.arraysize if size is None else size):
+            row = self.fetchone()
+            if row is None:
+                break
+            rows.append(row)
+        return rows
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        return self
+
+    def __next__(self) -> tuple[Any, ...]:
+        row = self.fetchone()
+        if row is None:
+            raise StopIteration
+        return row
+
+    def __enter__(self) -> "BaseCursor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+class Cursor(BaseCursor):
     """DB-API-2.0-style cursor bound to one :class:`Connection`.
 
     SELECT statements *stream*: ``execute`` plans the query and opens the
@@ -379,7 +414,6 @@ class Cursor:
 
     def __init__(self, connection: "Connection") -> None:
         self._connection: Connection | None = connection
-        self.arraysize = 1
         self._result: QueryResult | None = None
         self._stream: SelectStream | None = None
         self._position = 0
@@ -443,16 +477,11 @@ class Cursor:
         return self._stream.describe()
 
     @property
-    def description(self) -> list[tuple[Any, ...]] | None:
-        """DB-API column descriptions (7-tuples) of the last result."""
-        columns = (
-            self._stream.columns
-            if self._stream is not None
-            else (self._result.columns if self._result is not None else None)
-        )
-        if not columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in columns]
+    def columns(self) -> list[str]:
+        """Column names of the last result (empty before a statement ran)."""
+        if self._stream is not None:
+            return self._stream.columns
+        return self._result.columns if self._result is not None else []
 
     @property
     def rowcount(self) -> int:
@@ -474,17 +503,6 @@ class Cursor:
         self._position += 1
         return row
 
-    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
-        """Return up to *size* rows (default: ``cursor.arraysize``)."""
-        if size is None:
-            size = self.arraysize
-        if self._stream is not None:
-            return self._stream.fetchmany(size)
-        rows = self._rows()
-        chunk = rows[self._position : self._position + size]
-        self._position += len(chunk)
-        return list(chunk)
-
     def fetchall(self) -> list[tuple[Any, ...]]:
         """Return all remaining result rows."""
         if self._stream is not None:
@@ -494,27 +512,12 @@ class Cursor:
         self._position = len(rows)
         return list(chunk)
 
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return self
-
-    def __next__(self) -> tuple[Any, ...]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         """Detach the cursor, abandoning any partially fetched stream."""
         self._discard()
         self._connection = None
-
-    def __enter__(self) -> "Cursor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- helpers ----------------------------------------------------------------
 
@@ -766,7 +769,7 @@ class Connection:
         Callers hold ``self._lock``.
         """
         self._check_open()
-        params = _normalize_params(params)
+        params = normalize_params(params)
         self._statement_log.append(sql)
         prepared = self._prepare(sql)
         check_arity(prepared.parameter_count, params)
@@ -783,6 +786,10 @@ class Connection:
         self._check_open()
         total = 0
         with self._lock:
+            # Drain and check the caller's iterable first, as a served
+            # client does before sending, and outside the catalog lock (a
+            # slow generator must not stall other connections).
+            batches = [normalize_params(params) for params in seq_of_params]
             self._statement_log.append(sql)
             prepared = self._prepare(sql)
             statement = prepared.statement
@@ -792,13 +799,8 @@ class Connection:
                 raise ExecutionError(
                     "executemany() cannot execute INSERT ... FROM CROWD; use execute()"
                 )
-            # Drain and validate the caller's iterable outside the catalog
-            # lock (a slow generator must not stall other connections).
-            batches = []
-            for params in seq_of_params:
-                params = _normalize_params(params)
+            for params in batches:
                 check_arity(prepared.parameter_count, params)
-                batches.append(params)
             with self.catalog.lock:
                 for params in batches:
                     total += self._execute(prepared, params).rowcount
@@ -938,14 +940,14 @@ class Connection:
         it is when the statement runs.
         """
         self._check_open()
+        params = normalize_params(params)
         with self._lock:
             prepared = self._prepare(sql)
             if not prepared.is_select:
                 raise ExecutionError("EXPLAIN is only supported for SELECT statements")
             if params:
-                params = _normalize_params(params)
                 check_arity(prepared.parameter_count, params)
-            return self._describe(prepared, tuple(params))
+            return self._describe(prepared, params)
 
     def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Execute a SELECT and return its operator tree with row counts.
@@ -992,12 +994,6 @@ class Connection:
         """Return the storage object of table *name*."""
         return self.catalog.table(name)
 
-    def insert_rows(self, table_name: str, rows: Iterable[dict[str, Any]]) -> int:
-        """Bulk-insert dictionaries into *table_name*; returns the row count."""
-        with self.catalog.lock:
-            table = self.catalog.table(table_name)
-            return len(table.insert_many(rows))
-
     def add_perceptual_column(
         self,
         table_name: str,
@@ -1021,30 +1017,6 @@ class Connection:
             )
             table.add_column(column, fill_value=MISSING)
             return column
-
-    def column_values(self, table_name: str, column_name: str) -> dict[int, Any]:
-        """Return ``rowid -> value`` for one column (including MISSING cells)."""
-        with self.catalog.lock:
-            table = self.catalog.table(table_name)
-            key = table.schema.column(column_name).name
-            return {rowid: row.get(key) for rowid, row in table.scan()}
-
-    def missing_count(self, table_name: str, column_name: str) -> int:
-        """Number of MISSING cells in ``table_name.column_name``."""
-        with self.catalog.lock:
-            return len(self.catalog.table(table_name).missing_rowids(column_name))
-
-    def value_provenance(
-        self, table_name: str, column_name: str
-    ) -> dict[int, ValueProvenance]:
-        """``rowid -> ValueProvenance`` for the non-stored cells of a column."""
-        with self.catalog.lock:
-            return self.catalog.table(table_name).provenance_map(column_name)
-
-    def provenance_counts(self, table_name: str, column_name: str) -> dict[str, int]:
-        """Histogram of value provenance (stored/crowd/predicted) of a column."""
-        with self.catalog.lock:
-            return self.catalog.table(table_name).provenance_counts(column_name)
 
     def __repr__(self) -> str:
         tables = ", ".join(self.table_names()) or "<empty>"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager
 
 from repro.crowd.estimation import normalize_entity
 from repro.db.acquisition import PROVENANCE_CROWD, PredictSpec
@@ -46,6 +46,9 @@ from repro.db.sql.operators import (
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.types import MISSING, ColumnType, is_missing
 from repro.errors import ExecutionError, PlanningError
+
+#: Row order of ``PRAGMA column_provenance``.
+_PROVENANCE_ORDER = ("stored", "crowd", "predicted", "missing")
 
 # ---------------------------------------------------------------------------
 # Query results
@@ -94,10 +97,10 @@ class QueryResult:
 class SelectStream:
     """Incremental SELECT result: rows pulled lazily from an operator tree.
 
-    Rows are pulled from the root operator on demand (``fetchone`` /
-    ``fetchmany`` / iteration), so LIMIT queries terminate without running
-    the plan to completion and crowd work happens only for rows actually
-    consumed.  Every pulled row is retained internally, which keeps
+    Rows are pulled from the root operator on demand (``fetchone``, which
+    a cursor's ``fetchmany`` and iteration call), so LIMIT queries
+    terminate without running the plan to completion and crowd work
+    happens only for rows actually consumed.  Every pulled row is retained internally, which keeps
     whole-result accessors (:attr:`rowcount`, :meth:`materialize`) exact
     without re-executing the plan.
     """
@@ -141,29 +144,12 @@ class SelectStream:
             return row
         return None
 
-    def fetchmany(self, size: int) -> list[tuple[Any, ...]]:
-        """Return up to *size* rows."""
-        chunk: list[tuple[Any, ...]] = []
-        for _ in range(size):
-            row = self.fetchone()
-            if row is None:
-                break
-            chunk.append(row)
-        return chunk
-
     def fetchall(self) -> list[tuple[Any, ...]]:
         """Drain the plan and return every not-yet-fetched row."""
         self.drain()
         chunk = self._rows[self._pos :]
         self._pos = len(self._rows)
         return list(chunk)
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
 
     # -- whole-result accessors -------------------------------------------------
 
@@ -374,14 +360,15 @@ class Executor:
         Statistics (work on any database): ``analyze [= 'table']``
         rebuilds planner statistics (including histograms) from a full
         scan, ``table_stats = 'table'`` reports the per-column statistics
-        the cost model estimates with.
+        the cost model estimates with, and ``column_provenance =
+        'table.column'`` counts where a column's cells came from.
 
         Reads (no value) return one row; writes apply the setting and
         return an empty result.
         """
         name = statement.name
         durability = self._catalog.durability
-        if name in ("analyze", "table_stats"):
+        if name in ("analyze", "table_stats", "column_provenance"):
             return self._execute_stats_pragma(statement)
         if name == "worker_stats":
             return self._execute_worker_stats_pragma()
@@ -460,7 +447,20 @@ class Executor:
         return QueryResult(columns=[], rows=[], rowcount=0)
 
     def _execute_stats_pragma(self, statement: ast.PragmaStatement) -> QueryResult:
-        """``PRAGMA analyze [= 'table']`` and ``PRAGMA table_stats = 'table'``."""
+        """``PRAGMA analyze [= 'table']``, ``PRAGMA table_stats = 'table'`` and
+        ``PRAGMA column_provenance = 'table.column'``: one ``(provenance,
+        cells)`` row per source holding a cell, in :data:`_PROVENANCE_ORDER`.
+        """
+        if statement.name == "column_provenance":
+            table_name, dot, column_name = str(statement.value or "").partition(".")
+            if not dot:
+                raise ExecutionError(
+                    "PRAGMA column_provenance requires 'table.column', "
+                    "e.g. PRAGMA column_provenance = 'movies.humor'"
+                )
+            counts = self._catalog.table(table_name).provenance_counts(column_name)
+            rows = [(source, counts[source]) for source in _PROVENANCE_ORDER if source in counts]
+            return QueryResult(columns=["provenance", "cells"], rows=rows, rowcount=0)
         if statement.name == "analyze":
             if statement.value is None:
                 names = self._catalog.table_names()

@@ -9,7 +9,7 @@ every placeholder into a read of its slot.  A parsed statement and its
 cached plan are therefore shared, unchanged, by every execution.
 
 This module keeps the checks that run before an execution
-(:func:`count_parameters`, :func:`check_arity`) and
+(:func:`normalize_params`, :func:`count_parameters`, :func:`check_arity`) and
 :func:`bind_select_plan`, a structural rewrite of a planned SELECT that
 replaces each placeholder with a literal.  The engine does not call it;
 the benchmark's traced front-end replay (``perfbench/layers.py``) does.
@@ -18,13 +18,40 @@ the benchmark's traced front-end replay (``perfbench/layers.py``) does.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence, TypeVar
+from typing import Any, Mapping, Sequence, TypeVar
 
 from repro.db.sql import ast
 from repro.db.sql.planner import SelectPlan
+from repro.db.types import Missing
 from repro.errors import ParameterBindingError
 
 _Node = TypeVar("_Node")
+
+#: The types a bound value may have: ``None``, ``bool`` (an ``int``), ``int``,
+#: ``float`` (NaN and infinities too), ``str`` and ``MISSING``; subclasses count.
+_VALUE_TYPES = (int, float, str, type(None), Missing)
+#: Their common exact classes, checked first: the rule runs on every execution.
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
+def normalize_params(params: Any) -> tuple[Any, ...]:
+    """The one parameter rule of every cursor, embedded and served.
+
+    *params* is a sequence, not a ``str``, ``bytes`` or mapping (else
+    :class:`TypeError`), of :data:`_VALUE_TYPES` values (else
+    :class:`ParameterBindingError`).
+    """
+    if params.__class__ is not tuple:
+        if isinstance(params, (str, bytes, bytearray, Mapping)) or not isinstance(params, Sequence):
+            raise TypeError("parameters must be a sequence, e.g. a tuple")
+        params = tuple(params)
+    for position, value in enumerate(params, start=1):
+        if value.__class__ not in _PLAIN_TYPES and not isinstance(value, _VALUE_TYPES):
+            raise ParameterBindingError(
+                f"parameter {position} has unsupported type {type(value).__name__}; "
+                "expected None, bool, int, float, str or MISSING"
+            )
+    return params
 
 
 def count_parameters(node: Any) -> int:

@@ -148,7 +148,8 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            return float(token.value) if "." in token.value else int(token.value)
+            text = token.value
+            return float(text) if "." in text or "e" in text.lower() else int(text)
         if token.type is TokenType.STRING:
             self._advance()
             return token.value

@@ -150,10 +150,6 @@ class TableStorage:
             self.journal.row_inserted(rowid, row, payload)
         return rowid
 
-    def insert_many(self, rows: Iterable[dict[str, Any]]) -> list[int]:
-        """Insert many rows, returning their rowids in insertion order."""
-        return [self.insert(row) for row in rows]
-
     # -- recovery support -----------------------------------------------------
 
     @property
@@ -439,16 +435,17 @@ class TableStorage:
     def provenance_counts(self, column_name: str) -> dict[str, int]:
         """Histogram of provenance sources over all rows of a column.
 
-        Rows whose cell is MISSING are excluded (they have no value whose
-        origin could be counted).
+        A MISSING cell has no value whose origin could be counted; it
+        counts as ``"missing"``.
         """
         column = self.schema.column(column_name)
         entries = self._provenance.get(column.name, {})
         counts: dict[str, int] = {}
         for rowid, row in self._rows.items():
             if is_missing(row.get(column.name)):
-                continue
-            source = entries.get(rowid, STORED_PROVENANCE).source
+                source = "missing"
+            else:
+                source = entries.get(rowid, STORED_PROVENANCE).source
             counts[source] = counts.get(source, 0) + 1
         return counts
 

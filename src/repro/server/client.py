@@ -3,8 +3,11 @@
 ``repro.client.connect(host, port)`` speaks the length-prefixed JSON
 protocol of :mod:`repro.server.protocol` over a plain TCP socket and
 exposes the same cursor surface as the in-process
-:class:`~repro.db.connection.Connection`, so application code moves
-between embedded and served deployments by changing one ``connect`` call::
+:class:`~repro.db.connection.Connection` (both cursors are a
+:class:`~repro.db.connection.BaseCursor` and check parameters with
+:func:`~repro.db.sql.parameters.normalize_params` before anything runs),
+so application code moves between embedded and served deployments by
+changing one ``connect`` call::
 
     conn = repro.client.connect("127.0.0.1", 7457, tenant="alice")
     cur = conn.execute("SELECT title FROM items WHERE appeal > ?", (0.5,))
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.db.connection import BaseCursor
+from repro.db.sql.parameters import normalize_params
 from repro.errors import WireProtocolError
 from repro.server import protocol
 
@@ -121,22 +126,22 @@ class ClientConnection:
         """Shortcut: create a cursor and execute *sql* on it."""
         return self.cursor().execute(sql, params)
 
+    def executemany(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> "ClientCursor":
+        """Shortcut: create a cursor and run ``executemany`` on it."""
+        return self.cursor().executemany(sql, seq_of_params)
+
     def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
-        response = self.request(self._explain_request(sql, params, analyze=False))
-        return str(response["plan"])
+        return self._explain(sql, params, analyze=False)
 
     def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
-        response = self.request(self._explain_request(sql, params, analyze=True))
-        return str(response["plan"])
+        return self._explain(sql, params, analyze=True)
 
-    @staticmethod
-    def _explain_request(
-        sql: str, params: Sequence[Any], *, analyze: bool
-    ) -> dict[str, Any]:
+    def _explain(self, sql: str, params: Sequence[Any], *, analyze: bool) -> str:
         message: dict[str, Any] = {"op": "explain", "sql": sql, "analyze": analyze}
+        params = normalize_params(params)
         if params:
-            message["params"] = list(protocol.encode_row(params))
-        return message
+            message["params"] = protocol.encode_row(params)
+        return str(self.request(message)["plan"])
 
     def pragma(self, name: str, value: Any = None) -> list[tuple[Any, ...]]:
         """Run ``PRAGMA name [= value]`` server-side; returns its rows."""
@@ -184,7 +189,7 @@ class ClientConnection:
         self.close()
 
 
-class ClientCursor:
+class ClientCursor(BaseCursor):
     """Cursor over served query results with transparent ``fetch`` paging."""
 
     def __init__(self, connection: ClientConnection) -> None:
@@ -199,26 +204,18 @@ class ClientCursor:
         self._cursor_id: int | None = None
         self._done = True
 
-    @property
-    def description(self) -> list[tuple[Any, ...]] | None:
-        """DB-API style 7-tuples (name plus six Nones), or None."""
-        if not self.columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self.columns]
-
     def execute(self, sql: str, params: Sequence[Any] = ()) -> "ClientCursor":
         message: dict[str, Any] = {"op": "execute", "sql": sql}
+        params = normalize_params(params)
         if params:
             message["params"] = protocol.encode_row(params)
         return self._run(message)
 
-    def executemany(
-        self, sql: str, seq_of_params: Sequence[Sequence[Any]]
-    ) -> "ClientCursor":
+    def executemany(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> "ClientCursor":
         """Run *sql* once per parameter tuple in one request; the server
         applies the local ``executemany`` rules (no row-returning
         statements, no ``INSERT ... FROM CROWD``)."""
-        many = [protocol.encode_row(params) for params in seq_of_params]
+        many = [protocol.encode_row(normalize_params(params)) for params in seq_of_params]
         return self._run({"op": "execute", "sql": sql, "many": many})
 
     def _run(self, message: dict[str, Any]) -> "ClientCursor":
@@ -262,27 +259,11 @@ class ClientCursor:
             return None
         return self._rows.pop(0)
 
-    def fetchmany(self, size: int = 1) -> list[tuple[Any, ...]]:
-        out: list[tuple[Any, ...]] = []
-        for _ in range(max(0, size)):
-            row = self.fetchone()
-            if row is None:
-                break
-            out.append(row)
-        return out
-
     def fetchall(self) -> list[tuple[Any, ...]]:
         while not self._done:
             self._fetch_more()
         rows, self._rows = self._rows, []
         return rows
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
 
     def close(self) -> None:
         self._discard_pending()

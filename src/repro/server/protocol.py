@@ -21,12 +21,15 @@ name) instead of a stringly generic one.
 
 Cell values (query parameters and result rows) are encoded with the WAL's
 JSON value codec (:func:`repro.db.wal.encode_value`), so the MISSING
-sentinel round-trips the wire exactly like it round-trips the log.
+sentinel round-trips the wire exactly like it round-trips the log.  Strict
+JSON has no NaN or infinity, so a non-finite float travels tagged the same
+way: ``{"__float__": "nan"}``, ``"inf"`` or ``"-inf"``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any, Callable, Mapping, Sequence
 
@@ -209,14 +212,29 @@ def validate_request(message: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Cell classes that are JSON values as they are.
+_JSON_CELLS = frozenset({int, str, bool, type(None)})
+
+
 def encode_row(row: Sequence[Any]) -> list[Any]:
-    """Encode one result tuple for the wire (MISSING-aware)."""
-    return [encode_value(value) for value in row]
+    """Encode one result tuple or parameter list for the wire."""
+    return [value if value.__class__ in _JSON_CELLS else _encode_cell(value) for value in row]
+
+
+def _encode_cell(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        return {"__float__": repr(float(value))}  # "nan", "inf" or "-inf"
+    return encode_value(value)
 
 
 def decode_row(row: Sequence[Any]) -> tuple[Any, ...]:
     """Inverse of :func:`encode_row`."""
-    return tuple(decode_value(value) for value in row)
+    return tuple(_decode_cell(value) if value.__class__ is dict else value for value in row)
+
+
+def _decode_cell(value: dict[str, Any]) -> Any:
+    tag = value.get("__float__")
+    return float(tag) if tag in ("nan", "inf", "-inf") else decode_value(value)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ logger = logging.getLogger("repro.server")
 _ENGINE_OPS = frozenset({"execute", "explain", "pragma"})
 
 _PRAGMA_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+#: A word value may also name a column, as ``'table.column'``.
+_PRAGMA_WORD = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 @dataclass(frozen=True)
@@ -427,7 +429,12 @@ class _ClientHandler:
             connection.close()
 
     async def _send(self, response: dict[str, Any]) -> None:
-        self.writer.write(protocol.encode_message(response))
+        try:
+            frame = protocol.encode_message(response)
+        except WireProtocolError as exc:  # e.g. over the frame limit
+            self.cursors.pop(response.get("cursor"), None)  # its id never reaches the client
+            frame = protocol.encode_message(protocol.error_response(exc))
+        self.writer.write(frame)
         await self.writer.drain()
 
     # -- dispatch ------------------------------------------------------------
@@ -610,17 +617,12 @@ class _ClientHandler:
         if not _PRAGMA_NAME.match(name):
             raise WireProtocolError(f"invalid pragma name {name!r}")
         value = message.get("value")
-        if value is None:
-            sql = f"PRAGMA {name}"
-        else:
-            if isinstance(value, bool):
-                value = int(value)
-            if isinstance(value, str):
-                if not _PRAGMA_NAME.match(value):
-                    raise WireProtocolError(f"invalid pragma value {value!r}")
-                sql = f"PRAGMA {name} = {value}"
-            else:
-                sql = f"PRAGMA {name} = {value:g}"
+        if isinstance(value, str) and not _PRAGMA_WORD.match(value):
+            raise WireProtocolError(f"invalid pragma value {value!r}")
+        if isinstance(value, bool):
+            value = int(value)
+        # repr quotes a word and writes a number that round-trips exactly.
+        sql = f"PRAGMA {name}" if value is None else f"PRAGMA {name} = {value!r}"
         result = self.connection.run_statement(sql)
         self.tenant.record_statement(result.rowcount)
         return {

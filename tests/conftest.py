@@ -7,6 +7,8 @@ from fixed seeds so failures are reproducible.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -94,3 +96,37 @@ def blob_classification_data():
     X = np.vstack([rng.normal(0.0, 1.0, (n, 6)), rng.normal(2.2, 1.0, (n, 6))])
     y = np.array([False] * n + [True] * n)
     return X, y
+
+
+def _server_loop_error(record: logging.LogRecord) -> bool:
+    """True for a record saying a served request died in the server loop."""
+    message = record.getMessage()
+    return record.levelno >= logging.ERROR and (
+        (record.name == "asyncio" and "Unhandled exception" in message)
+        or (record.name == "repro.server" and "unexpected error handling" in message)
+    )
+
+
+@pytest.fixture
+def fail_on_server_loop_errors(caplog):
+    """Fail a served test whose server loop logged an unhandled exception.
+
+    The client of such a request sees a dropped connection or an untyped
+    error, which the test's own assertions may not notice.
+    """
+    yield
+    errors = [
+        record.getMessage()
+        for phase in ("setup", "call")
+        for record in caplog.get_records(phase)
+        if _server_loop_error(record)
+    ]
+    if errors:
+        pytest.fail(f"the server loop logged: {errors}")
+
+
+@pytest.fixture(autouse=True)
+def _served_tests_fail_on_server_loop_errors(request):
+    """Every test under ``tests/server/`` runs :func:`fail_on_server_loop_errors`."""
+    if request.node.path.parent.name == "server":
+        request.getfixturevalue("fail_on_server_loop_errors")

@@ -208,7 +208,7 @@ class TestQueryIntegration:
         assert source.dispatches == 2
         # honest workers with majority vote recover most of the truth
         assert 0 < count <= 20
-        filled = 20 - conn.missing_count("movies", "is_comedy")
+        filled = 20 - len(conn.table("movies").missing_rowids("is_comedy"))
         assert filled >= 15
         text = conn.explain_analyze("SELECT count(*) FROM movies WHERE is_comedy = true")
         assert "CrowdFill(batch_size=10)" in text

@@ -87,6 +87,11 @@ def make_movies(n: int = 40) -> tuple[Catalog, Connection]:
     return catalog, conn
 
 
+def humor_provenance(conn: Connection) -> dict[str, int]:
+    """``PRAGMA column_provenance`` of ``movies.humor`` as a dict."""
+    return dict(conn.execute("PRAGMA column_provenance = 'movies.humor'").fetchall())
+
+
 POLICIES = st.builds(
     AcquisitionPolicy,
     sample_fraction=st.floats(0.01, 1.0, allow_nan=False),
@@ -263,7 +268,7 @@ class TestLowering:
         assert CrowdFill not in operator_types(cursor)
         assert PredictFill in operator_types(cursor)
         cursor.fetchall()
-        assert conn.missing_count("movies", "humor") == 0
+        assert "missing" not in humor_provenance(conn)
 
     def test_explain_renders_two_stage_plan(self):
         _catalog, conn = make_movies()
@@ -342,7 +347,7 @@ class TestHybridExecution:
         assert sum(n for _a, n in source.calls) == 10
         assert len(source.calls) == 1
         assert predictor.fit_calls == [("humor", 10, 30)]
-        assert conn.missing_count("movies", "humor") == 0
+        assert "missing" not in humor_provenance(conn)
 
     def test_provenance_and_confidence_written_back(self):
         _catalog, conn = make_movies(n=40)
@@ -352,9 +357,8 @@ class TestHybridExecution:
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10, sample_fraction=0.25))
         conn.execute("SELECT humor FROM movies").fetchall()
 
-        counts = conn.provenance_counts("movies", "humor")
-        assert counts == {"crowd": 10, "predicted": 30}
-        provenance = conn.value_provenance("movies", "humor")
+        assert humor_provenance(conn) == {"crowd": 10, "predicted": 30}
+        provenance = conn.table("movies").provenance_map("humor")
         crowd = [p for p in provenance.values() if p.source == "crowd"]
         predicted = [p for p in provenance.values() if p.source == "predicted"]
         assert all(p.confidence == 1.0 for p in crowd)
@@ -381,16 +385,15 @@ class TestHybridExecution:
             conn.policy.with_overrides(crowd_batch_size=30, sample_fraction=0.34, min_confidence=0.6)
         )
         conn.execute("SELECT humor FROM movies").fetchall()
-        first_counts = conn.provenance_counts("movies", "humor")
         # ceil(0.34 * 30) = 11 crowd answers, 19 low-confidence predictions.
-        assert first_counts == {"crowd": 11, "predicted": 19}
+        assert humor_provenance(conn) == {"crowd": 11, "predicted": 19}
 
         # Re-acquisition: full-sample policy turns every low-confidence
         # predicted cell back into a crowd answer on the next query.
         conn.set_predictor(MeanPredictor(confidence=0.4))
         conn.set_policy(conn.policy.with_overrides(sample_fraction=1.0, min_confidence=0.6))
         conn.execute("SELECT humor FROM movies").fetchall()
-        assert conn.provenance_counts("movies", "humor") == {"crowd": 30}
+        assert humor_provenance(conn) == {"crowd": 30}
 
     def test_budget_caps_the_crowd_sample(self):
         catalog = Catalog()
@@ -413,7 +416,7 @@ class TestHybridExecution:
         conn.execute("SELECT humor FROM movies").fetchall()
         # $0.05 at $0.01/value affords 5 crowd answers; the rest is predicted.
         assert sum(n for _a, n in source.calls) == 5
-        assert conn.missing_count("movies", "humor") == 0
+        assert "missing" not in humor_provenance(conn)
 
     def test_predictor_never_trains_on_its_own_predictions(self):
         _catalog, conn = make_movies(n=40)
@@ -485,4 +488,4 @@ class TestHybridExecution:
         conn.set_predictor(NoPredictor())
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=5, sample_fraction=0.5))
         conn.execute("SELECT humor FROM movies").fetchall()
-        assert conn.missing_count("movies", "humor") == 10
+        assert humor_provenance(conn)["missing"] == 10

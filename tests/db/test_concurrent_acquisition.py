@@ -172,7 +172,8 @@ class TestAnswerCacheThroughTheEngine:
         assert table.provenance_of("appeal", 2).source == "stored"
         assert runtime.cache.get("items", "appeal", 2) == (False, None)
         # The other three cells were written back as crowd answers.
-        assert conn.provenance_counts("items", "appeal")["crowd"] == 3
+        provenance = conn.execute("PRAGMA column_provenance = 'items.appeal'").fetchall()
+        assert ("crowd", 3) in provenance
 
     def test_delete_evicts_cached_answers(self):
         conn = make_items_connection(4)
@@ -244,7 +245,7 @@ class TestCrossConnectionCoalescing:
 class TestConcurrencyDeterminism:
     ATTRIBUTES = ("funny", "scary", "romantic")
 
-    def run_workload(self, concurrency: int) -> dict[str, dict[int, Any]]:
+    def run_workload(self, concurrency: int) -> list[tuple[Any, ...]]:
         """One fresh catalog + seeded simulated crowd, queried once."""
         truth = {
             attribute: {i: (i + offset) % 3 == 0 for i in range(1, 25)}
@@ -267,13 +268,10 @@ class TestConcurrencyDeterminism:
         # concurrency 4 their completion order genuinely interleaves.
         conn.set_value_source(source)
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=8))
-        conn.execute(
-            "SELECT item_id, funny, scary, romantic FROM items"
-        ).fetchall()
-        return {
-            attribute: conn.column_values("items", attribute)
-            for attribute in self.ATTRIBUTES
-        }
+        sql = "SELECT item_id, funny, scary, romantic FROM items"
+        conn.execute(sql).fetchall()
+        # The stored cells, read by a connection without a value source.
+        return Connection(catalog).execute(sql).fetchall()
 
     def test_same_answers_at_concurrency_1_and_4(self):
         # Child seeds derive from request identity, so however the four

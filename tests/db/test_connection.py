@@ -375,7 +375,8 @@ class TestSessionScopedCrowdContext:
         # Each session dispatched to its own value source, once.
         assert low.session.value_source.calls == 1
         assert high.session.value_source.calls == 1
-        assert low.missing_count("items", "score") == 5  # nothing written back
+        # Nothing was written back.
+        assert len(low.table("items").missing_rowids("score")) == 5
 
     def test_concurrent_connections_do_not_clobber_each_other(self):
         catalog = self._point_query_catalog()
@@ -412,8 +413,8 @@ class TestSessionScopedCrowdContext:
             connection = Connection(catalog)
             try:
                 for _ in range(300):
-                    connection.column_values("items", "score")
-                    connection.missing_count("items", "score")
+                    connection.execute("SELECT item_id, score FROM items").fetchall()
+                    connection.execute("PRAGMA column_provenance = 'items.score'").fetchall()
             except Exception as exc:  # pragma: no cover - only on regression
                 errors.append(exc)
 
@@ -652,7 +653,8 @@ class TestQueryDrivenExpansion:
         connection = expanding_connection(items_catalog(20), source)
         rows = connection.execute("SELECT count(*) FROM t WHERE cult = ?", (True,)).fetchall()
         assert rows == [(10,)]
-        assert connection.provenance_counts("t", "cult") == {"crowd": 20}
+        provenance = connection.execute("PRAGMA column_provenance = 't.cult'").fetchall()
+        assert provenance == [("crowd", 20)]
         assert source.dispatches == 1
         assert connection.session.cost_spent == pytest.approx(0.20)
 
@@ -764,7 +766,8 @@ class TestQueryDrivenExpansion:
         rows = connection.execute("SELECT item_id FROM t WHERE cult = ?", (True,)).fetchall()
         assert rows == []
         assert "cult" in connection.table("t").schema
-        assert connection.missing_count("t", "cult") == 30
+        provenance = connection.execute("PRAGMA column_provenance = 't.cult'").fetchall()
+        assert provenance == [("missing", 30)]
         assert source.dispatches == 0
         assert source.total_cost == connection.session.cost_spent == 0.0
 
@@ -777,9 +780,10 @@ class TestQueryDrivenExpansion:
         assert 0 < source.total_cost <= 0.25 + 1e-9
         assert connection.session.cost_spent == pytest.approx(source.total_cost)
         # Cells past the budget stay MISSING; every paid cell was filled.
-        filled = connection.provenance_counts("t", "cult").get("crowd", 0)
+        provenance = connection.execute("PRAGMA column_provenance = 't.cult'").fetchall()
+        filled = dict(provenance).get("crowd", 0)
         assert filled == round(source.total_cost / 0.01)
-        assert connection.missing_count("t", "cult") == 200 - filled
+        assert dict(provenance)["missing"] == 200 - filled
 
     def test_small_budget_caps_the_crowd_sample(self):
         source = PricedSource()

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.client
 from repro.db.connection import Connection
+from repro.server import ReproServer, ServerConfig
 from repro.utils.rng import ensure_rng
 
 _NAMES = ("alpha", "beta", "gamma", "delta", "rho", "omega")
@@ -242,6 +244,22 @@ def op_sequences(draw):
     return columns, indexed, bulk, ops
 
 
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A wire connection to one durable, eviction-stressed server for the module."""
+    config = ServerConfig(
+        port=0,
+        path=tmp_path_factory.mktemp("served") / "db",
+        synchronous="off",
+        buffer_pool_pages=2,
+    )
+    with ReproServer(config) as server:
+        conn = repro.client.connect(*server.address, tenant="differential")
+        yield conn
+        conn.close()
+
+
+@pytest.mark.usefixtures("fail_on_server_loop_errors")
 class TestGenerativeDifferential:
     """Random write/read sequences on a paged, eviction-stressed store.
 
@@ -249,37 +267,44 @@ class TestGenerativeDifferential:
     sequence churns pages through eviction and write-back; sqlite3 is the
     oracle.  Each sequence starts from a bulk load spanning about a dozen
     pages, so scans read many page runs, evict between them, and meet
-    UPDATEs that moved records to later pages.  Divergence on any of the
-    200 generated sequences fails.
+    UPDATEs that moved records to later pages.  The same sequence also runs
+    through ``repro.client`` against a served engine (its table recreated
+    per sequence), so embedded, served and sqlite3 must all agree.
+    Divergence on any of the 200 generated sequences fails.
     """
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(op_sequences())
-    def test_random_sequences_match_sqlite(self, spec):
+    def test_random_sequences_match_sqlite(self, served, spec):
         import tempfile
 
         columns, indexed, bulk, ops = spec
         decls = ", ".join(f"{name} INTEGER" for name in columns)
+        served.execute("DROP TABLE IF EXISTS t")
         with tempfile.TemporaryDirectory() as tmp:
             from repro.db.connection import connect
 
             ours = connect(path=f"{tmp}/db", buffer_pool_pages=2, page_size=512)
             reference = sqlite3.connect(":memory:")
+            engines = (ours, reference, served)
             try:
-                for engine_exec in (ours.run_statement, reference.execute):
-                    engine_exec(f"CREATE TABLE t (pk INTEGER PRIMARY KEY, {decls})")
+                for engine in engines:
+                    engine.execute(f"CREATE TABLE t (pk INTEGER PRIMARY KEY, {decls})")
                 insert = f"INSERT INTO t VALUES ({', '.join('?' * (len(columns) + 1))})"
-                ours.executemany(insert, bulk)
-                reference.executemany(insert, bulk)
-                ours.run_statement(f"CREATE INDEX ON t ({indexed})")
+                for engine in engines:
+                    engine.executemany(insert, bulk)
+                ours.execute(f"CREATE INDEX ON t ({indexed})")
                 reference.execute(f"CREATE INDEX idx_diff ON t ({indexed})")
+                served.execute(f"CREATE INDEX ON t ({indexed})")
                 for mode, sql, params in ops:
-                    mine = [tuple(row) for row in ours.run_statement(sql, params).rows]
-                    theirs = [tuple(row) for row in reference.execute(sql, params).fetchall()]
+                    mine, theirs, remote = (
+                        [tuple(row) for row in engine.execute(sql, params).fetchall()]
+                        for engine in engines
+                    )
                     if mode == "multiset":
-                        assert normalise(mine) == normalise(theirs), sql
+                        assert normalise(mine) == normalise(theirs) == normalise(remote), sql
                     elif mode == "ordered":
-                        assert mine == theirs, sql
+                        assert mine == theirs == remote, sql
             finally:
                 ours.close()
                 reference.close()

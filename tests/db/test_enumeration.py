@@ -151,7 +151,8 @@ class TestInsertFromCrowd:
             "INSERT INTO birds (name) FROM CROWD WHERE 'birds' WITH COMPLETENESS >= 0.9"
         )
         assert cur.rowcount > 0
-        assert conn.provenance_counts("birds", "name") == {"crowd": cur.rowcount}
+        provenance = conn.execute("PRAGMA column_provenance = 'birds.name'").fetchall()
+        assert provenance == [("crowd", cur.rowcount)]
         ids = [row[0] for row in conn.execute("SELECT bird_id FROM birds ORDER BY bird_id")]
         assert ids == list(range(1, cur.rowcount + 1))
 
@@ -410,7 +411,8 @@ class TestCrashRecovery:
         try:
             count = recovered.execute("SELECT count(*) FROM birds").fetchone()[0]
             assert count == inserted
-            assert recovered.provenance_counts("birds", "name") == {"crowd": inserted}
+            provenance = recovered.execute("PRAGMA column_provenance = 'birds.name'").fetchall()
+            assert provenance == [("crowd", inserted)]
             # Zero re-spend: no value source is configured, so serving the
             # recovered rows cannot dispatch crowd work or charge anything.
             names = recovered.execute("SELECT name FROM birds").fetchall()

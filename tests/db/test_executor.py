@@ -237,13 +237,13 @@ class TestDML:
 class TestDDL:
     def test_alter_table_add_perceptual_column(self, db):
         db.run_statement("ALTER TABLE movies ADD COLUMN is_comedy BOOLEAN PERCEPTUAL")
-        values = db.column_values("movies", "is_comedy")
-        assert all(is_missing(v) for v in values.values())
+        rows = db.run_statement("SELECT is_comedy FROM movies").rows
+        assert rows and all(is_missing(value) for (value,) in rows)
 
     def test_alter_table_add_factual_column_defaults_null(self, db):
         db.run_statement("ALTER TABLE movies ADD COLUMN director TEXT")
-        values = db.column_values("movies", "director")
-        assert all(v is None for v in values.values())
+        rows = db.run_statement("SELECT director FROM movies").rows
+        assert rows and all(value is None for (value,) in rows)
 
     def test_alter_table_with_default(self, db):
         db.run_statement("ALTER TABLE movies ADD COLUMN views INTEGER DEFAULT 0")

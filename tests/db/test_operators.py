@@ -248,7 +248,7 @@ class TestCrowdFillBatching:
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4))
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert len(source.calls) == 2
-        assert conn.missing_count("items", "appeal") == 0
+        assert len(conn.table("items").missing_rowids("appeal")) == 0
         # everything persisted: the second query needs no crowd work
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert len(source.calls) == 2
@@ -260,7 +260,7 @@ class TestCrowdFillBatching:
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=4, crowd_write_back=False))
         (count,) = conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert count == 4
-        assert conn.missing_count("items", "appeal") == 4
+        assert len(conn.table("items").missing_rowids("appeal")) == 4
         # The cells stay MISSING in storage, but the repeat query is served
         # from the runtime's cross-query AnswerCache: same answer, zero
         # additional platform calls.
@@ -279,7 +279,7 @@ class TestCrowdFillBatching:
         conn.set_policy(conn.policy.with_overrides(crowd_batch_size=10))
         (count,) = conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert count == 3
-        assert conn.missing_count("items", "appeal") == 3
+        assert len(conn.table("items").missing_rowids("appeal")) == 3
 
     def test_crowd_fill_stats_in_explain_analyze(self):
         conn = self._connection(10)
@@ -350,7 +350,7 @@ class TestCrowdFillBatching:
             (True,),
         ).fetchall()
         assert source.calls == [("is_comedy", 2)]  # one batch, movies only
-        assert conn.missing_count("reviews", "is_comedy") == 2
+        assert len(conn.table("reviews").missing_rowids("is_comedy")) == 2
 
     def test_budget_exhausted_session_stops_dispatching(self):
         from repro.db import SessionContext

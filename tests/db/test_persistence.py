@@ -76,7 +76,7 @@ class TestRoundTrip:
         assert schema["is_comedy"]["kind"] == "perceptual"
         assert schema["is_comedy"]["default"] == "MISSING"
         assert reopened.table("movies").index_on("name") is not None
-        assert reopened.missing_count("movies", "is_comedy") == 5
+        assert len(reopened.table("movies").missing_rowids("is_comedy")) == 5
         reopened.close()
 
     def test_crowd_fill_provenance_survives(self, tmp_path):
@@ -91,10 +91,10 @@ class TestRoundTrip:
         conn.close()
 
         reopened = repro.connect(path=tmp_path / "db")
-        provenance = reopened.value_provenance("movies", "is_comedy")
+        provenance = reopened.table("movies").provenance_map("is_comedy")
         assert provenance[1].source == "crowd" and provenance[1].confidence == 0.9
         assert provenance[2].source == "crowd" and provenance[2].confidence == 0.8
-        assert reopened.missing_count("movies", "is_comedy") == 3
+        assert len(reopened.table("movies").missing_rowids("is_comedy")) == 3
         reopened.close()
 
     def test_drop_table_survives(self, tmp_path):

@@ -5,22 +5,35 @@ served ``repro.client`` connection must agree on columns, rows, rowcount
 and error type for the same statements, including ``EXPLAIN``, the
 session-scoped ``PRAGMA acquisition_*`` knobs and the query-driven
 expansion retry.  ``executemany`` honours the session too, and
-``explain_analyze`` rejects a non-SELECT before anything runs.
+``explain_analyze`` rejects a non-SELECT before anything runs.  Both
+cursors apply one parameter rule, so generated parameter containers and
+values give the same outcome, error message included, on either side.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.client
+from repro.db.acquisition import AcquisitionPolicy, Dispatch, PredictionBatch
 from repro.db.connection import Connection, SessionContext
 from repro.db.schema import AttributeKind, Column
 from repro.db.types import MISSING, ColumnType
-from repro.errors import ExecutionError, WireProtocolError
+from repro.errors import (
+    ExecutionError,
+    ParameterBindingError,
+    UnknownColumnError,
+    UnknownTableError,
+    WireProtocolError,
+)
 from repro.server import ReproServer, ServerConfig
+
+pytestmark = pytest.mark.usefixtures("fail_on_server_loop_errors")
 
 SETUP = "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, name TEXT)"
 
@@ -312,3 +325,177 @@ class TestServedExecutemany:
                 with pytest.raises(WireProtocolError):
                     conn.request(message)
             conn.close()
+
+
+@pytest.fixture(scope="module")
+def served() -> Iterator[repro.client.ClientConnection]:
+    """One wire connection to an in-memory server, shared by the module."""
+    with ReproServer(ServerConfig(port=0)) as server:
+        conn = repro.client.connect(*server.address, tenant="t")
+        yield conn
+        conn.close()
+
+
+#: Table the parameter-shape cases run against, recreated per case.
+SHAPE_SETUP = "CREATE TABLE p (k INTEGER PRIMARY KEY, a REAL, b TEXT)"
+
+SHAPE_STATEMENTS = (
+    "SELECT ?, ?",
+    "INSERT INTO p VALUES (?, ?, ?)",
+    "SELECT count(*) FROM p WHERE a = ?",
+)
+
+CONTAINERS = ("tuple", "list", "str", "bytes", "dict", "None", "generator")
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and both infinities included
+    st.text(max_size=4),
+    st.binary(max_size=2),
+    st.tuples(st.integers()),
+    st.just(MISSING),
+)
+
+
+def parameter_container(kind: str, values: list[Any]) -> Any:
+    """A fresh *kind* container holding *values* (a generator is single-use)."""
+    if kind == "tuple":
+        return tuple(values)
+    if kind == "list":
+        return list(values)
+    if kind == "str":
+        return "".join(str(value) for value in values)
+    if kind == "bytes":
+        return bytes(len(values))
+    if kind == "dict":
+        return {f"p{index}": value for index, value in enumerate(values)}
+    if kind == "None":
+        return None
+    return (value for value in values)
+
+
+def shape_outcome(conn: Any, sql: str, params: Any, many: bool = False) -> tuple:
+    """``(columns, rows, rowcount)`` of one call on a fresh ``p``, or
+    ``(error type, message)``.  Rows compare by ``repr``, so NaN equals NaN.
+    """
+    conn.execute("DROP TABLE IF EXISTS p")
+    conn.execute(SHAPE_SETUP)
+    try:
+        cursor = conn.executemany(sql, [params]) if many else conn.execute(sql, params)
+        rows = cursor.fetchall()
+        columns = tuple(d[0] for d in cursor.description or ())
+        return (columns, repr(rows), cursor.rowcount)
+    except Exception as error:
+        return (type(error), str(error))
+
+
+NOT_A_SEQUENCE = (TypeError, "parameters must be a sequence, e.g. a tuple")
+
+
+class TestOneParameterRule:
+    """Local and served cursors check parameters with the same function."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(SHAPE_STATEMENTS),
+        st.sampled_from(CONTAINERS),
+        st.lists(VALUES, max_size=3),
+        st.booleans(),
+    )
+    def test_generated_parameters_agree(self, served, sql, kind, values, many):
+        expected = shape_outcome(repro.connect(), sql, parameter_container(kind, values), many)
+        assert shape_outcome(served, sql, parameter_container(kind, values), many) == expected
+
+    @pytest.mark.parametrize(
+        ("params", "outcome"),
+        [
+            ("ab", NOT_A_SEQUENCE),
+            ({"a": 1}, NOT_A_SEQUENCE),
+            (None, NOT_A_SEQUENCE),
+            (
+                (b"x",),
+                (
+                    ParameterBindingError,
+                    "parameter 1 has unsupported type bytes; "
+                    "expected None, bool, int, float, str or MISSING",
+                ),
+            ),
+            ((float("nan"),), (("count(*)",), "[(0,)]", 1)),
+        ],
+        ids=["str", "dict", "None", "bytes", "nan"],
+    )
+    def test_known_shapes_agree(self, served, params, outcome):
+        sql = "SELECT count(*) FROM p WHERE a = ?"
+        assert shape_outcome(repro.connect(), sql, params) == outcome
+        assert shape_outcome(served, sql, params) == outcome
+
+
+class ConstantSource:
+    """Value source answering 0.5 for every cell it is asked about."""
+
+    def request_values_with_quality(self, attribute, items, *, policy, tracker):
+        return Dispatch({rowid: 0.5 for rowid, _row in items})
+
+
+class EvenRowPredictor:
+    """Predicts even rowids only; the odd ones it is given stay MISSING."""
+
+    def fit_predict(self, attribute, train, targets):
+        even = [rowid for rowid, _row in targets if rowid % 2 == 0]
+        return PredictionBatch(values=dict.fromkeys(even, 0.25), confidences=dict.fromkeys(even, 0.9))
+
+
+def provenance_session(_tenant: Any = None) -> SessionContext:
+    return SessionContext(
+        value_source=ConstantSource(),
+        predictor=EvenRowPredictor(),
+        policy=AcquisitionPolicy(sample_fraction=0.2, min_sample=1),
+    )
+
+
+PROVENANCE_SQL = "PRAGMA column_provenance = 'items.appeal'"
+
+
+def provenance_outcomes(conn: Any) -> list[Any]:
+    """``PRAGMA column_provenance`` before and after a hybrid fill."""
+    conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, appeal REAL PERCEPTUAL)")
+    conn.execute("INSERT INTO items VALUES (1, 0.75)")
+    conn.executemany("INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(2, 22)])
+    before = conn.execute(PROVENANCE_SQL).fetchall()
+    conn.execute("SELECT count(appeal) FROM items").fetchall()
+    after = conn.execute(PROVENANCE_SQL)
+    return [before, [d[0] for d in after.description], after.fetchall()]
+
+
+class TestColumnProvenancePragma:
+    def test_local_and_served_report_the_same_counts(self):
+        local = Connection(session=provenance_session())
+        expected = provenance_outcomes(local)
+        with ReproServer(ServerConfig(port=0), session_factory=provenance_session) as server:
+            with repro.client.connect(*server.address, tenant="t") as conn:
+                assert provenance_outcomes(conn) == expected
+                assert conn.pragma("column_provenance", "items.appeal") == expected[2]
+
+        before, columns, after = expected
+        assert before == [("stored", 1), ("missing", 20)]
+        assert columns == ["provenance", "cells"]
+        assert [source for source, _cells in after] == ["stored", "crowd", "predicted", "missing"]
+        assert dict(after) == local.table("items").provenance_counts("appeal")
+        assert sum(cells for _source, cells in after) == 21
+
+    @pytest.mark.parametrize(
+        ("sql", "error"),
+        [
+            ("PRAGMA column_provenance", ExecutionError),
+            ("PRAGMA column_provenance = 'items'", ExecutionError),
+            ("PRAGMA column_provenance = 'nope.appeal'", UnknownTableError),
+            ("PRAGMA column_provenance = 'items.nope'", UnknownColumnError),
+        ],
+    )
+    def test_bad_targets_are_rejected(self, sql, error):
+        conn = repro.connect()
+        conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY)")
+        with pytest.raises(error):
+            conn.execute(sql)

@@ -35,10 +35,11 @@ class TestInsert:
         assert rowid == 4
         assert len(storage) == 4
 
-    def test_insert_many(self, storage):
-        rowids = storage.insert_many(
-            [{"movie_id": 10, "name": "a"}, {"movie_id": 11, "name": "b"}]
-        )
+    def test_successive_inserts_get_consecutive_rowids(self, storage):
+        rowids = [
+            storage.insert({"movie_id": 10, "name": "a"}),
+            storage.insert({"movie_id": 11, "name": "b"}),
+        ]
         assert rowids == [4, 5]
 
     def test_primary_key_uniqueness(self, storage):

@@ -117,6 +117,17 @@ class TestRowCodec:
         assert decoded[0] is MISSING
         assert decoded[1] is None
 
+    def test_non_finite_floats_travel_tagged(self):
+        row = (float("nan"), float("inf"), float("-inf"), 1.5, MISSING)
+        encoded = protocol.encode_row(row)
+        assert encoded[:3] == [{"__float__": "nan"}, {"__float__": "inf"}, {"__float__": "-inf"}]
+        frame = protocol.encode_message({"ok": True, "rows": [encoded]})  # strict JSON
+        message = protocol.decode_payload(frame[protocol.HEADER_SIZE :])
+        assert repr(protocol.decode_row(message["rows"][0])) == repr(row)
+
+    def test_a_dict_that_is_no_tag_stays_a_dict(self):
+        assert protocol.decode_row([{"__float__": "pi"}]) == ({"__float__": "pi"},)
+
 
 class TestErrorTaxonomy:
     @pytest.mark.parametrize(

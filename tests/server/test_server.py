@@ -96,6 +96,30 @@ class TestBasicServing:
         assert row[0] is MISSING
         conn.close()
 
+    def test_non_finite_floats_round_trip(self, server):
+        conn = repro.client.connect(*server.address, tenant="t")
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v REAL)")
+        conn.execute("INSERT INTO t VALUES (1, 1e400)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", [(2, float("-inf")), (3, float("nan"))])
+        rows = conn.execute("SELECT id, v FROM t ORDER BY id").fetchall()
+        assert repr(rows) == "[(1, inf), (2, -inf), (3, nan)]"
+        assert conn.execute("SELECT id FROM t WHERE v = ?", (float("inf"),)).fetchall() == [(1,)]
+        conn.close()
+
+    def test_unencodable_response_is_a_typed_error(self):
+        config = ServerConfig(port=0, fetch_size=9, max_cursors=1)
+        with ReproServer(config) as server:
+            conn = repro.client.connect(*server.address, tenant="t")
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+            for i in range(10):  # one 1 MiB cell per request, 9 MiB in the first page
+                conn.execute("INSERT INTO t VALUES (?, ?)", (i, "x" * (1 << 20)))
+            with pytest.raises(WireProtocolError, match="frame limit"):
+                conn.execute("SELECT * FROM t")
+            # The connection survives, and the failed answer's server cursor
+            # is gone: the next paged result may open the only one allowed.
+            assert conn.execute("SELECT id FROM t").fetchall() == [(i,) for i in range(10)]
+            conn.close()
+
     def test_typed_errors_cross_the_wire(self, server):
         conn = repro.client.connect(*server.address, tenant="t")
         with pytest.raises(UnknownTableError) as excinfo:
@@ -538,6 +562,15 @@ class TestClientConnection:
             assert conn.pragma("acquisition_max_sample") == [(12,)]
             assert conn.pragma("acquisition_crowd_write_back", False) == []
             assert conn.pragma("acquisition_crowd_write_back") == [(False,)]
+
+    def test_pragma_numbers_round_trip_exactly(self, tmp_path):
+        with ReproServer(ServerConfig(port=0, path=tmp_path / "db")) as server:
+            with repro.client.connect(*server.address, tenant="t") as conn:
+                conn.pragma("checkpoint_interval", 1234567)
+                assert conn.pragma("checkpoint_interval") == [(1234567,)]
+                for cost in (0.123456789, 1e-05, 1e16, 2.5):
+                    conn.pragma("acquisition_max_cost", cost)
+                    assert conn.pragma("acquisition_max_cost") == [(cost,)]
 
     def test_pragma_name_and_value_must_be_plain_words(self, server):
         with repro.client.connect(*server.address, tenant="t") as conn:

@@ -30,11 +30,21 @@ def movies_connection(corpus) -> Connection:
     db.run_statement(
         "CREATE TABLE movies (item_id INTEGER PRIMARY KEY, name TEXT NOT NULL, year INTEGER)"
     )
-    db.insert_rows(
-        "movies",
-        [{"item_id": r["item_id"], "name": r["name"], "year": r["year"]} for r in corpus.items],
+    db.executemany(
+        "INSERT INTO movies (item_id, name, year) VALUES (?, ?, ?)",
+        [(r["item_id"], r["name"], r["year"]) for r in corpus.items],
     )
     return db
+
+
+def provenance(db: Connection, column: str) -> dict[str, int]:
+    """``PRAGMA column_provenance`` of *column* (``'table.column'``) as a dict."""
+    return dict(db.execute(f"PRAGMA column_provenance = '{column}'").fetchall())
+
+
+def stored_rows(db: Connection, sql: str) -> list[tuple]:
+    """Rows of *sql* as stored: a connection without a value source acquires nothing."""
+    return Connection(db.catalog).execute(sql).fetchall()
 
 
 def comedy_source(
@@ -63,17 +73,14 @@ class TestEndToEndSchemaExpansion:
             "SELECT name FROM movies WHERE is_comedy = true ORDER BY year DESC LIMIT 10"
         )
         assert 0 < len(result) <= 10
-        assert db.missing_count("movies", "is_comedy") == 0
-        counts = db.provenance_counts("movies", "is_comedy")
+        counts = provenance(db, "movies.is_comedy")
+        assert "missing" not in counts
         assert 0 < counts["crowd"] < counts["predicted"]
         assert source.total_cost < 5.0
 
         # Quality of the expanded column against the ground truth.
-        values = db.column_values("movies", "is_comedy")
-        keys = db.column_values("movies", "item_id")
         predictions, labels = [], []
-        for rowid, value in values.items():
-            item = int(keys[rowid])
+        for item, value in stored_rows(db, "SELECT item_id, is_comedy FROM movies"):
             predictions.append(bool(value))
             labels.append(truth[item])
         assert g_mean(np.array(labels), np.array(predictions)) > 0.55
@@ -95,9 +102,10 @@ class TestEndToEndSchemaExpansion:
         hybrid_db.execute(query, (True,)).fetchone()
 
         assert hybrid.total_cost < crowd.total_cost / 2
-        assert hybrid_db.missing_count("movies", "is_comedy") == 0
-        assert crowd_db.provenance_counts("movies", "is_comedy").get("predicted", 0) == 0
-        assert crowd_db.missing_count("movies", "is_comedy") < len(truth)
+        assert "missing" not in provenance(hybrid_db, "movies.is_comedy")
+        crowd_counts = provenance(crowd_db, "movies.is_comedy")
+        assert "predicted" not in crowd_counts
+        assert crowd_counts.get("missing", 0) < len(truth)
 
     def test_items_outside_the_space_go_back_to_the_crowd(self):
         """Rows the predictor cannot place stay MISSING, then the crowd gets them.
@@ -123,25 +131,24 @@ class TestEndToEndSchemaExpansion:
 
         db = expanding_connection()
         db.run_statement("CREATE TABLE items (item_id INTEGER PRIMARY KEY)")
-        db.insert_rows("items", [{"item_id": i} for i in range(1, 71)])
+        db.executemany("INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(1, 71)])
         source = RecordingSource()
         db.set_value_source(source)
         db.set_predictor(PerceptualPredictor(space))
 
         db.execute("SELECT count(*) FROM items WHERE is_positive = ?", (True,)).fetchone()
         asked_first = set().union(*source.batches)
-        values = db.column_values("items", "is_positive")
-        keys = db.column_values("items", "item_id")
-        missing = {keys[rowid] for rowid, value in values.items() if not isinstance(value, bool)}
+        rows = stored_rows(db, "SELECT item_id, is_positive FROM items")
+        missing = {item for item, value in rows if not isinstance(value, bool)}
         assert missing and missing == set(range(61, 71)) - asked_first
-        assert db.provenance_counts("items", "is_positive")["predicted"] == 60 - len(
+        assert provenance(db, "items.is_positive")["predicted"] == 60 - len(
             asked_first & set(range(1, 61))
         )
 
         source.batches.clear()
         db.execute("SELECT count(*) FROM items WHERE is_positive = ?", (True,)).fetchone()
         assert source.batches == [missing]
-        assert db.missing_count("items", "is_positive") == 0
+        assert "missing" not in provenance(db, "items.is_positive")
 
     def test_data_cleaning_workflow(self, small_corpus, small_space):
         """Section 4.4: flag questionable labels, re-verify, quality improves."""
