@@ -663,6 +663,8 @@ class Executor:
         ]
         updated = 0
         for rowid, row in list(table.scan()):
+            # The context reads the stored row itself, uncopied: every SET
+            # value is evaluated before update() writes the row.
             context = RowContext.for_table_row(alias, row)
             if matches(context):
                 changes = {column: value_of(context) for column, value_of in assignments}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.db.sql import ast
@@ -39,83 +40,86 @@ Params = Sequence[Any]
 class RowContext:
     """Column lookup environment for one (possibly joined) row.
 
-    Values are stored under both their bare column name and their
-    ``alias.column`` qualified form.  Ambiguous bare names (same column name
-    from two joined tables) are detected at build time and raise on lookup.
+    Bare column names resolve through one dict; each table's row is kept
+    whole under its alias, and a qualified reference ``alias.column`` reads
+    ``tables[alias][column]`` (``alias.__rowid__`` reads the row's rowid).
+    A context never copies or mutates the rows it is given: a
+    single-table context's bare names *are* its row, which the scan that
+    produced it owns.  Bare names two joined tables share are flagged as
+    ambiguous and raise on lookup.  Contexts are immutable; ``joined`` and
+    ``with_bindings`` build new ones.
     """
 
-    __slots__ = ("_values", "_ambiguous")
+    __slots__ = ("_bare", "_tables", "_rowids", "_ambiguous")
 
-    def __init__(self, values: Optional[dict[str, Any]] = None) -> None:
-        self._values: dict[str, Any] = {} if values is None else values
-        self._ambiguous: set[str] = set()
+    _bare: Mapping[str, Any]
+    _tables: Mapping[str, Mapping[str, Any]]
+    _rowids: Mapping[str, int]
+    _ambiguous: frozenset[str]
+
+    def __init__(self) -> None:
+        """The empty context (table-less SELECTs, constant expressions)."""
+        self._bare = self._tables = self._rowids = _EMPTY
+        self._ambiguous = _NO_AMBIGUITY
 
     @classmethod
     def for_table_row(
         cls, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
     ) -> "RowContext":
-        """The context of one scanned row, built in one pass.
+        """The context of one scanned row; *row* is used as it is, not copied.
 
-        Equivalent to ``add_table_row(alias, row)`` on an empty context
-        followed by binding ``alias.__rowid__`` when *rowid* is given.
+        Equivalent to ``RowContext().joined(alias, row, rowid)``.
         """
-        prefix = alias + "."
-        values = dict(row)
-        for column, value in row.items():
-            values[prefix + column] = value
-        if len(values) != 2 * len(row):
-            # A column name collided with a qualified key (a column named
-            # like "alias.x"): take the general path, which flags it.
-            context = cls()
-            context.add_table_row(alias, row)
-            if rowid is not None:
-                context.set(prefix + "__rowid__", rowid)
-            return context
-        if rowid is not None:
-            values[prefix + "__rowid__"] = rowid
-        return cls(values)
+        return _context(row, {alias: row}, _EMPTY if rowid is None else {alias: rowid})
 
     def joined(
         self, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
     ) -> "RowContext":
-        """A copy of this context extended with one more table row.
+        """This context extended with one more table row.
 
-        The copy starts with no ambiguity flags of its own; only bare names
-        that *row* shares with this context are flagged.
+        The left side's rows are shared, not re-qualified.  A bare name
+        *row* shares with this context keeps this context's value and is
+        flagged ambiguous, as are the names this context already flagged.
         """
-        merged = RowContext(dict(self._values))
-        merged.add_table_row(alias, row)
-        if rowid is not None:
-            merged.set(f"{alias}.__rowid__", rowid)
-        return merged
+        bare = {**row, **self._bare}
+        ambiguous = self._ambiguous
+        if len(bare) < len(row) + len(self._bare):
+            ambiguous = ambiguous | (self._bare.keys() & row.keys())
+        rowids = self._rowids if rowid is None else {**self._rowids, alias: rowid}
+        return _context(bare, {**self._tables, alias: row}, rowids, ambiguous)
 
     def with_bindings(self, names: Sequence[str], values: Sequence[Any]) -> "RowContext":
-        """A copy of this context with *names* bound to *values* (last wins).
+        """This context with bare *names* bound to *values* (last wins).
 
-        Used for projection aliases; the copy carries no ambiguity flags.
+        Used for projection aliases; the bindings shadow bare column names
+        and the result carries no ambiguity flags.
         """
-        extended = dict(self._values)
-        extended.update(zip(names, values))
-        return RowContext(extended)
-
-    def add_table_row(self, alias: str, row: Mapping[str, Any]) -> None:
-        """Merge the columns of *row* under table alias *alias*."""
-        for column, value in row.items():
-            qualified = f"{alias}.{column}"
-            self._values[qualified] = value
-            if column in self._values:
-                self._ambiguous.add(column)
-            else:
-                self._values[column] = value
-
-    def set(self, key: str, value: Any) -> None:
-        """Bind *key* directly (used for projection aliases)."""
-        self._values[key] = value
-        self._ambiguous.discard(key)
+        bare = dict(self._bare)
+        bare.update(zip(names, values))
+        return _context(bare, self._tables, self._rowids, _NO_AMBIGUITY)
 
     def lookup(self, ref: ast.ColumnRef) -> Any:
         """Resolve a column reference or raise UnknownColumnError."""
         return compile_expression(ref)(self)
+
+
+_EMPTY: Mapping[str, Any] = MappingProxyType({})
+_NO_AMBIGUITY: frozenset[str] = frozenset()
+_new_context = object.__new__
+
+
+def _context(
+    bare: Mapping[str, Any],
+    tables: Mapping[str, Mapping[str, Any]],
+    rowids: Mapping[str, int],
+    ambiguous: frozenset[str] = _NO_AMBIGUITY,
+) -> RowContext:
+    context: RowContext = _new_context(RowContext)
+    context._bare = bare
+    context._tables = tables
+    context._rowids = rowids
+    context._ambiguous = ambiguous
+    return context
 
 
 def _is_unknown(value: Any) -> bool:
@@ -296,24 +300,48 @@ def _failing(message: str) -> Evaluator:
 
 
 def _compile_column(ref: ast.ColumnRef, _params: Params) -> Evaluator:
-    key = ref.key()
     name, table = ref.name, ref.table
 
     if table is None:
 
         def bare_column(context: RowContext) -> Any:
-            if key in context._ambiguous:
+            if name in context._ambiguous:
                 raise ExecutionError(f"ambiguous column reference: {name!r}")
             try:
-                return context._values[key]
+                return context._bare[name]
             except KeyError:
                 raise UnknownColumnError(name, table) from None
 
-        return bare_column
+        if "." not in name:
+            return bare_column
+        # A column literally named "alias.column" (schemas forbid it, so
+        # only hand-built contexts have one) is ambiguous with the column
+        # that qualified reference names, when that table has one.
+        alias, _, column = name.partition(".")
+
+        def dotted_column(context: RowContext) -> Any:
+            if name in context._bare and column in context._tables.get(alias, _EMPTY):
+                raise ExecutionError(f"ambiguous column reference: {name!r}")
+            return bare_column(context)
+
+        return dotted_column
+
+    if name == "__rowid__":
+
+        def rowid_column(context: RowContext) -> Any:
+            rowid = context._rowids.get(table)
+            if rowid is not None:
+                return rowid
+            try:
+                return context._tables[table][name]
+            except KeyError:
+                raise UnknownColumnError(name, table) from None
+
+        return rowid_column
 
     def qualified_column(context: RowContext) -> Any:
         try:
-            return context._values[key]
+            return context._tables[table][name]
         except KeyError:
             raise UnknownColumnError(name, table) from None
 

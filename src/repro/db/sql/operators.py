@@ -7,7 +7,8 @@ operators, each a pull-based iterator:
 * access paths — :class:`SeqScan` and :class:`IndexRangeScan` (point
   probe rendered as ``IndexLookup``, range probe and/or Sort-eliminating
   ordered walk), both snapshotting the row set under the catalog lock at
-  ``open()`` time and copying rows lazily as they are pulled;
+  ``open()`` time; rows materialize as they are pulled, each copied or
+  decoded once by the storage (:meth:`~repro.db.storage.TableStorage.snapshot`);
 * :class:`CrowdFill` — the crowd-acquisition operator, the one way a
   MISSING cell gets filled from the crowd.  It watches the rows streaming
   out of a scan for MISSING values of crowd-sourced (perceptual)
@@ -46,23 +47,25 @@ with those counters and the crowd-batch statistics of any ``CrowdFill``
 
 Item types flowing between operators:
 
-* below :class:`Bind`: ``(rowid, row_dict)`` pairs (private row copies);
-* between :class:`Bind` and the projection: :class:`RowContext` objects;
+* below :class:`Bind`: ``(rowid, row_dict)`` pairs (rows the query owns);
+* between :class:`Bind` and the projection: :class:`RowContext` objects,
+  which keep those row dicts whole and never copy or mutate them;
 * above :class:`Project`/:class:`Aggregate`: ``(row_tuple, context)`` pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     ContextManager,
+    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -265,15 +268,6 @@ class Operator:
 # ---------------------------------------------------------------------------
 
 
-def _copy_row(row: dict[str, Any]) -> dict[str, Any]:
-    """Copy a live storage row, retrying if concurrent DDL resizes it."""
-    while True:
-        try:
-            return dict(row)
-        except RuntimeError:  # pragma: no cover - needs a racing ALTER TABLE
-            continue
-
-
 def hashable_key(value: Any) -> Any:
     """Map a value to a hashable stand-in (MISSING gets a private sentinel)."""
     if is_missing(value):
@@ -299,9 +293,10 @@ def _is_unknown(value: Any) -> bool:
 class SeqScan(Operator):
     """Full-table scan over a snapshot taken at ``open()`` time.
 
-    The snapshot holds *references* (cheap); each row is copied lazily as it
-    is pulled, so a downstream LIMIT stops the copying early.
-    ``rows_scanned`` counts the rows actually pulled through the scan.
+    The snapshot fixes the row set; each row materializes (the storage's
+    one copy or decode) as it is pulled, so a downstream LIMIT stops the
+    work early.  ``rows_scanned`` counts the rows actually pulled through
+    the scan.
     """
 
     label = "SeqScan"
@@ -311,22 +306,22 @@ class SeqScan(Operator):
         self._catalog = catalog
         self.table = table
         self.alias = alias
-        self._snapshot: list[tuple[int, dict[str, Any]]] = []
+        self._snapshot: Iterable[tuple[int, dict[str, Any]]] = ()
         self.rows_scanned = 0
 
     def open(self) -> None:
-        """Snapshot the table's row references (runs under the catalog lock)."""
+        """Snapshot the table's row set (runs under the catalog lock)."""
         self._snapshot = self._catalog.table(self.table).snapshot()
 
     def close(self) -> None:
         """Release the snapshot."""
-        self._snapshot = []
+        self._snapshot = ()
         super().close()
 
     def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rowid, row in self._snapshot:
+        for pair in self._snapshot:
             self.rows_scanned += 1
-            yield rowid, _copy_row(row)
+            yield pair
 
     def detail(self) -> str:
         return f"{self.table} AS {self.alias}"
@@ -388,7 +383,7 @@ class IndexRangeScan(Operator):
         self._point = low is not None and low is high
         if self._point:
             self.label = "IndexLookup"
-        self._snapshot: list[tuple[int, dict[str, Any]]] = []
+        self._snapshot: Iterable[tuple[int, dict[str, Any]]] = ()
         self.rows_scanned = 0
 
     def open(self) -> None:
@@ -420,16 +415,16 @@ class IndexRangeScan(Operator):
                 low_inclusive=self.low_inclusive,
                 high_inclusive=self.high_inclusive,
             )
-        self._snapshot = [(rowid, storage.get(rowid)) for rowid in rowids]
+        self._snapshot = storage.snapshot(rowids)
 
     def close(self) -> None:
-        self._snapshot = []
+        self._snapshot = ()
         super().close()
 
     def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rowid, row in self._snapshot:
+        for pair in self._snapshot:
             self.rows_scanned += 1
-            yield rowid, _copy_row(row)
+            yield pair
 
     def detail(self) -> str:
         if self._point:
@@ -1456,14 +1451,23 @@ class Distinct(Operator):
                 yield row, context
 
 
-class Sort(Operator):
-    """Blocking multi-key sort on precomputed keys.
+#: What a Sort orders: a projected row and its context.
+SortEntry = tuple[tuple[Any, ...], RowContext]
 
-    Each row's key is ``(unknown, sort_rank(value))``, computed once per row
-    and ORDER BY item, so comparisons never re-rank values.  Unknown sort
-    keys (NULL/MISSING) are placed last regardless of sort direction (NULLS
-    LAST); known values order through :func:`~repro.db.types.sort_rank`,
-    the same total order the ordered secondary index uses.
+
+class Sort(Operator):
+    """Blocking multi-key sort on one precomputed composite key per row.
+
+    Each ORDER BY item contributes ``(unknown, sort_rank(value))``,
+    computed once per row, so comparisons never re-rank values.  Unknown
+    sort keys (NULL/MISSING) are placed last regardless of sort direction
+    (NULLS LAST); known values order through
+    :func:`~repro.db.types.sort_rank`, the same total order the ordered
+    secondary index uses, with a descending item's rank wrapped in
+    :class:`_Descending`.  Rows with equal keys keep their input order.
+
+    With *keep* (a LIMIT directly above: its limit plus offset) the sort is
+    a top-N: only the first *keep* rows are ordered and emitted.
     """
 
     label = "Sort"
@@ -1475,25 +1479,29 @@ class Sort(Operator):
         output_names: Sequence[str],
         aggregate: bool,
         params: Params = (),
+        keep: Optional[int] = None,
     ) -> None:
         super().__init__(child)
         self.order_by = tuple(order_by)
+        self.keep = keep
         self._output_names = list(output_names)
         self._aggregate = aggregate
         self._params = params
-        self._keys = [
-            (item.ascending, self._compile_key(item.expression)) for item in self.order_by
-        ]
+        keys = [self._compile_key(item) for item in self.order_by]
 
-    def _compile_key(
-        self, expression: ast.Expression
-    ) -> Callable[[tuple[tuple[Any, ...], RowContext]], tuple[bool, tuple[int, Any]]]:
-        """Compile one ORDER BY item into a per-row sort-key function.
+        def composite(entry: SortEntry) -> tuple[tuple[bool, Any], ...]:
+            return tuple([key_of(entry) for key_of in keys])
+
+        self._key: Callable[[SortEntry], Any] = keys[0] if len(keys) == 1 else composite
+
+    def _compile_key(self, item: ast.OrderItem) -> Callable[[SortEntry], tuple[bool, Any]]:
+        """Compile one ORDER BY item into a per-row ``(unknown, rank)`` key.
 
         The key expression sees the row's context with the output columns
         bound by name (so ``ORDER BY alias`` works); a bare reference to an
         output column reads the projected value directly.
         """
+        expression = item.expression
         names = self._output_names
         if (
             isinstance(expression, ast.ColumnRef)
@@ -1503,47 +1511,44 @@ class Sort(Operator):
             # The last binding of a name wins, as in the extended context.
             index = len(names) - 1 - names[::-1].index(expression.name)
 
-            def output_key(
-                entry: tuple[tuple[Any, ...], RowContext]
-            ) -> tuple[bool, tuple[int, Any]]:
-                value = entry[0][index]
-                return value is None or value is MISSING, sort_rank(value)
+            def value_of(entry: SortEntry) -> Any:
+                return entry[0][index]
 
-            return output_key
-
-        if self._aggregate:
+        elif self._aggregate:
             grouped = compile_group_expression(expression, self._params)
 
-            def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
+            def value_of(entry: SortEntry) -> Any:
+                row, context = entry
                 return grouped([context], context.with_bindings(names, row))
 
         else:
             scalar = compile_expression(expression, self._params)
 
-            def value_of(row: tuple[Any, ...], context: RowContext) -> Any:
+            def value_of(entry: SortEntry) -> Any:
+                row, context = entry
                 return scalar(context.with_bindings(names, row))
 
-        def key(entry: tuple[tuple[Any, ...], RowContext]) -> tuple[bool, tuple[int, Any]]:
-            value = value_of(*entry)
-            return value is None or value is MISSING, sort_rank(value)
+        if item.ascending:
+
+            def key(entry: SortEntry) -> tuple[bool, Any]:
+                value = value_of(entry)
+                return value is None or value is MISSING, sort_rank(value)
+
+        else:
+
+            def key(entry: SortEntry) -> tuple[bool, Any]:
+                value = value_of(entry)
+                return value is None or value is MISSING, _Descending(sort_rank(value))
 
         return key
 
-    def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
-        ordered = list(self.children[0])
-        # Python's sort is stable, so applying keys from least to most
-        # significant yields a correct multi-key ordering.
-        for ascending, key_of in reversed(self._keys):
-            decorated = [(key_of(entry), entry) for entry in ordered]
-            decorated.sort(key=_first, reverse=not ascending)
-            if not ascending:
-                # NULLS LAST also for descending sorts.
-                known = [d for d in decorated if not d[0][0]]
-                unknown = [d for d in decorated if d[0][0]]
-                decorated = known + unknown
-            ordered = [entry for _key, entry in decorated]
-
-        yield from ordered
+    def _produce(self) -> Iterator[SortEntry]:
+        if self.keep is None:
+            yield from sorted(self.children[0], key=self._key)
+        else:
+            # Specified to equal sorted(...)[:keep], ties included.  It
+            # streams: a row that cannot make the top keep is freed at once.
+            yield from heapq.nsmallest(self.keep, self.children[0], key=self._key)
 
     def detail(self) -> str:
         return ", ".join(
@@ -1552,7 +1557,21 @@ class Sort(Operator):
         )
 
 
-_first = itemgetter(0)
+class _Descending:
+    """A sort-key component that orders its rank in reverse."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: tuple[int, Any]) -> None:
+        self.rank = rank
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.rank < self.rank
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Descending) and self.rank == other.rank
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class Limit(Operator):
@@ -1905,6 +1924,8 @@ def lower_select_plan(
             [column.name for column in plan.output],
             plan.aggregate is not None,
             params,
+            # A LIMIT directly above needs only its first limit + offset rows.
+            keep=None if plan.limit is None else plan.limit + (plan.offset or 0),
         )
 
     if plan.limit is not None or plan.offset:

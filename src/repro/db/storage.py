@@ -50,6 +50,21 @@ class ValueProvenance:
 STORED_PROVENANCE = ValueProvenance()
 
 
+def _copied(pairs: Iterable[tuple[int, Row]]) -> Iterator[tuple[int, Row]]:
+    """Copy each live in-memory row as it is pulled.
+
+    A copy retries if a concurrent ALTER TABLE resizes the row mid-copy.
+    """
+    for rowid, row in pairs:
+        while True:
+            try:
+                copy = dict(row)
+                break
+            except RuntimeError:  # pragma: no cover - needs a racing ALTER TABLE
+                continue
+        yield rowid, copy
+
+
 class TableStorage:
     """Row store for a single table.
 
@@ -278,21 +293,31 @@ class TableStorage:
         """
         yield from self._rows.items()
 
-    def snapshot(self) -> Iterable[tuple[int, Row]]:
+    def snapshot(self, rowids: Iterable[int] | None = None) -> Iterable[tuple[int, Row]]:
         """Return a point-in-time iterable of ``(rowid, row)`` pairs.
 
-        The *membership* is a snapshot (later inserts/deletes do not
-        change it) while rows materialize lazily: the in-memory store
-        returns a list of live row references that scan operators copy as
-        they pull; the paged store captures its directory under the lock
-        and, as rows are pulled, pins each page once and decodes all of
-        its rows with one JSON parse — either way a LIMIT stops the work
-        early, and a million-row table is never materialized whole.
+        Every row, in insertion order, or the rows of *rowids* in their
+        order.  The *membership* is a snapshot (later inserts/deletes do
+        not change it) while rows materialize lazily as they are pulled,
+        so a LIMIT stops the work early and a million-row table is never
+        materialized whole.
+
+        Each row is the caller's own, copied at most once: the in-memory
+        store's rows are live dicts that :meth:`update` mutates in place,
+        so this iterable copies each one as it is pulled; the paged store
+        decodes a fresh dict per row (pinning each page once and decoding
+        all of its rows with one JSON parse) and hands it on uncopied.  The
+        scan operators pass these rows on without copying again.
         """
-        if isinstance(self._rows, dict):
+        live = isinstance(self._rows, dict)
+        if rowids is not None:
+            pairs = [(rowid, self.get(rowid)) for rowid in rowids]
+        elif live:
             # A dict's items() is a live view; the paged map's is captured.
-            return list(self._rows.items())
-        return self._rows.items()
+            pairs = list(self._rows.items())
+        else:
+            return self._rows.items()
+        return _copied(pairs) if live else pairs
 
     def encoded_rows(self) -> Iterable[tuple[int, bytes]]:
         """``(rowid, payload)`` pairs in insertion order, for checkpoints.

@@ -96,18 +96,21 @@ _HEADER = struct.Struct(">I")
 # ---------------------------------------------------------------------------
 
 
-def encode_message(message: Mapping[str, Any]) -> bytes:
-    """Serialize *message* as one frame (header + canonical JSON payload)."""
+def encode_message(message: Mapping[str, Any], *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+    """Serialize *message* as one frame (header + canonical JSON payload).
+
+    A payload longer than *max_frame* bytes raises :class:`WireProtocolError`.
+    """
     try:
         payload = json.dumps(
             dict(message), sort_keys=True, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireProtocolError(f"message is not JSON-serializable: {exc}") from exc
-    if len(payload) > MAX_FRAME_BYTES:
+    if len(payload) > max_frame:
         raise WireProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit"
+            f"{max_frame}-byte frame limit"
         )
     return _HEADER.pack(len(payload)) + payload
 

@@ -89,6 +89,7 @@ class ServerConfig:
     executor_threads: int = 8
     #: Rows inlined into an ``execute`` response before paging via ``fetch``.
     fetch_size: int = 1024
+    #: Largest frame payload read from a client or sent to one.
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     #: Seconds the drain waits for in-flight statements on shutdown.
     drain_grace: float = 30.0
@@ -430,9 +431,11 @@ class _ClientHandler:
 
     async def _send(self, response: dict[str, Any]) -> None:
         try:
-            frame = protocol.encode_message(response)
+            frame = protocol.encode_message(response, max_frame=self.server.config.max_frame_bytes)
         except WireProtocolError as exc:  # e.g. over the frame limit
             self.cursors.pop(response.get("cursor"), None)  # its id never reaches the client
+            # The short error frame is held to the protocol's own limit, so
+            # even a tiny configured limit cannot silence it.
             frame = protocol.encode_message(protocol.error_response(exc))
         self.writer.write(frame)
         await self.writer.drain()

@@ -314,17 +314,23 @@ _AGGREGATES = ("count(*)", "count({c})", "sum({c})", "min({c})", "max({c})", "av
 
 
 @st.composite
-def int_rows(draw, columns: int, min_size: int = 0):
-    """NULL-free rows ``(pk, v1, ..., vN)`` over a small domain (many ties)."""
+def int_rows(draw, columns: int, min_size: int = 0, nulls: bool = False):
+    """Rows ``(pk, v1, ..., vN)`` over a small domain (many ties).
+
+    NULL-free unless *nulls*, which makes about one value in five NULL.
+    """
     n = draw(st.integers(min_value=min_size, max_value=30))
-    return [
-        (pk, *(draw(st.integers(min_value=0, max_value=6)) for _ in range(columns)))
-        for pk in range(1, n + 1)
-    ]
+    value = st.integers(min_value=0, max_value=6)
+    if nulls:
+        value = st.one_of(st.none(), value, value, value, value)
+    return [(pk, *(draw(value) for _ in range(columns))) for pk in range(1, n + 1)]
 
 
-def run_both(tables, sql):
-    """Load *tables* (``name -> (column names, rows)``) into both engines and run *sql*."""
+def run_both(tables, sql, reference_sql=None):
+    """Load *tables* (``name -> (column names, rows)``) into both engines and run *sql*.
+
+    sqlite runs *reference_sql* instead when given (its spelling of *sql*).
+    """
     ours = Connection()
     reference = sqlite3.connect(":memory:")
     try:
@@ -338,7 +344,7 @@ def run_both(tables, sql):
             ours.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
             reference.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
         mine = [tuple(row) for row in ours.run_statement(sql).rows]
-        theirs = [tuple(row) for row in reference.execute(sql).fetchall()]
+        theirs = [tuple(row) for row in reference.execute(reference_sql or sql).fetchall()]
     finally:
         reference.close()
     return mine, theirs
@@ -355,8 +361,10 @@ def approx_rows(rows):
 class TestGeneratedQueryShapes:
     """Generated GROUP BY/HAVING, multi-key ORDER BY and inner equi-joins.
 
-    NULL-free integer domains keep both engines on shared semantics; every
-    ORDER BY ends in a unique key so the expected order is total.
+    Integer domains keep both engines on shared semantics; every ORDER BY
+    ends in a unique key so the expected order is total.  The ORDER BY
+    shape draws NULL-bearing keys and asks sqlite for the engine's NULLS
+    LAST in both directions.
     """
 
     @common_settings
@@ -381,7 +389,7 @@ class TestGeneratedQueryShapes:
 
     @common_settings
     @given(
-        int_rows(3),
+        int_rows(3, nulls=True),
         st.lists(
             st.tuples(st.sampled_from(("a", "b", "c", "a + b", "c * 2 - a")), st.booleans()),
             min_size=1,
@@ -389,14 +397,20 @@ class TestGeneratedQueryShapes:
         ),
         st.booleans(),
         st.integers(0, 40),
+        st.integers(0, 35),
     )
-    def test_multi_key_order_by(self, rows, keys, pk_descending, limit):
-        order = ", ".join(f"{key} {'ASC' if ascending else 'DESC'}" for key, ascending in keys)
-        sql = (
-            f"SELECT pk, a, b, c FROM t ORDER BY {order}, pk "
-            f"{'DESC' if pk_descending else 'ASC'} LIMIT {limit}"
-        )
-        mine, theirs = run_both({"t": (("a", "b", "c"), rows)}, sql)
+    def test_multi_key_order_by(self, rows, keys, pk_descending, limit, offset):
+        def statement(nulls_last: str) -> str:
+            order = ", ".join(
+                f"{key} {'ASC' if ascending else 'DESC'}{nulls_last}" for key, ascending in keys
+            )
+            return (
+                f"SELECT pk, a, b, c FROM t ORDER BY {order}, pk "
+                f"{'DESC' if pk_descending else 'ASC'} LIMIT {limit} OFFSET {offset}"
+            )
+
+        sql = statement("")
+        mine, theirs = run_both({"t": (("a", "b", "c"), rows)}, sql, statement(" NULLS LAST"))
         assert mine == theirs, sql
 
     @common_settings

@@ -20,9 +20,7 @@ from repro.errors import ExecutionError, UnknownColumnError
 
 
 def context(**values) -> RowContext:
-    ctx = RowContext()
-    ctx.add_table_row("t", values)
-    return ctx
+    return RowContext.for_table_row("t", values)
 
 
 def where_expr(sql_condition: str) -> ast.Expression:
@@ -163,20 +161,27 @@ class TestThreeValuedLogic:
 
 class TestRowContext:
     def test_ambiguous_bare_name(self):
-        ctx = RowContext()
-        ctx.add_table_row("a", {"id": 1})
-        ctx.add_table_row("b", {"id": 2})
+        ctx = RowContext.for_table_row("a", {"id": 1}).joined("b", {"id": 2})
         with pytest.raises(ExecutionError):
             ctx.lookup(ast.ColumnRef("id"))
         assert ctx.lookup(ast.ColumnRef("id", table="a")) == 1
         assert ctx.lookup(ast.ColumnRef("id", table="b")) == 2
 
-    def test_set_overrides_ambiguity(self):
-        ctx = RowContext()
-        ctx.add_table_row("a", {"id": 1})
-        ctx.add_table_row("b", {"id": 2})
-        ctx.set("id", 3)
-        assert ctx.lookup(ast.ColumnRef("id")) == 3
+    def test_bindings_override_ambiguity(self):
+        ctx = RowContext.for_table_row("a", {"id": 1}).joined("b", {"id": 2})
+        bound = ctx.with_bindings(["id"], [3])
+        assert bound.lookup(ast.ColumnRef("id")) == 3
+        assert bound.lookup(ast.ColumnRef("id", table="b")) == 2
+        with pytest.raises(ExecutionError):
+            ctx.lookup(ast.ColumnRef("id"))
+
+    def test_rows_are_shared_not_copied_or_mutated(self):
+        left, right = {"id": 1, "x": 5}, {"id": 2}
+        ctx = RowContext.for_table_row("a", left, 1).joined("b", right, 2)
+        ctx.with_bindings(["x", "y"], [6, 7])
+        assert left == {"id": 1, "x": 5} and right == {"id": 2}
+        left["x"] = 8  # the scan owns the row: a context reads it live
+        assert ctx.lookup(ast.ColumnRef("x", table="a")) == 8
 
 
 class TestExpressionLabel:
@@ -346,13 +351,94 @@ class TestCompiledEvaluator:
         assert compile_expression(select_expr("t.n + u.n"))(joined) == 3
         assert evaluate(ast.ColumnRef("__rowid__", table="u"), joined) == 9
 
-    def test_for_table_row_matches_add_table_row(self):
-        # A column literally named like a qualified key collides; both
-        # construction paths must flag it identically.
-        for row in ({"a": 1, "b": 2}, {"a": 1, "t.a": 2}):
-            fast = RowContext.for_table_row("t", row, 3)
-            slow = RowContext()
-            slow.add_table_row("t", row)
-            slow.set("t.__rowid__", 3)
-            assert fast._values == slow._values
-            assert fast._ambiguous == slow._ambiguous
+
+
+#: Three table rows joined in turn.  Bare ``a`` and ``c`` are shared by two
+#: tables; ``t`` has a column literally named ``t.a`` (only hand-built
+#: contexts can: schemas forbid the dot) and ``u`` a real ``__rowid__``.
+_JOIN_ROWS = [
+    ("t", {"a": 1, "b": 2, "t.a": 3}, 7),
+    ("u", {"a": 10, "c": 20, "__rowid__": 99}, 8),
+    ("v", {"c": 30, "d": 40}, 9),
+]
+_BARE = ["a", "b", "c", "d", "t.a", "u.c", "__rowid__", "nope"]
+_QUALIFIED = [
+    ("t", "a"),
+    ("u", "a"),
+    ("v", "c"),
+    ("t", "t.a"),
+    ("t", "c"),
+    ("t", "__rowid__"),
+    ("u", "__rowid__"),
+    ("v", "__rowid__"),
+    ("w", "a"),
+]
+_REFS = [ast.ColumnRef(name) for name in _BARE] + [
+    ast.ColumnRef(name, table=table) for table, name in _QUALIFIED
+]
+
+
+def _outcome(ctx: RowContext, ref: ast.ColumnRef) -> tuple:
+    try:
+        return ("value", ctx.lookup(ref))
+    except (ExecutionError, UnknownColumnError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _joined_rows(tables: int, null_last: bool) -> list[tuple]:
+    rows = list(_JOIN_ROWS[:tables])
+    if null_last:  # a LEFT JOIN's unmatched side: all-NULL row, no rowid
+        alias, row, _rowid = rows[-1]
+        rows[-1] = (alias, dict.fromkeys(row), None)
+    return rows
+
+
+class TestContextConstruction:
+    """The scan's one-pass ``for_table_row`` and the general ``joined``
+    path from an empty context resolve every reference alike."""
+
+    @pytest.mark.parametrize("null_last", [False, True], ids=["matched", "left_null"])
+    @pytest.mark.parametrize("tables", [1, 2, 3])
+    def test_for_table_row_matches_general_path(self, tables, null_last):
+        rows = _joined_rows(tables, null_last)
+        fast = RowContext.for_table_row(*rows[0])
+        general = RowContext().joined(*rows[0])
+        for alias, row, rowid in rows[1:]:
+            fast = fast.joined(alias, row, rowid)
+            general = general.joined(alias, row, rowid)
+        for ref in _REFS:
+            assert _outcome(fast, ref) == _outcome(general, ref), ref
+
+    def test_three_table_join_resolves_as_specified(self):
+        ctx = RowContext.for_table_row(*_JOIN_ROWS[0])
+        for alias, row, rowid in _JOIN_ROWS[1:]:
+            ctx = ctx.joined(alias, row, rowid)
+        outcomes = {ref: _outcome(ctx, ref)[:2] for ref in _REFS}
+        expected_values = {
+            ast.ColumnRef("b"): 2,
+            ast.ColumnRef("d"): 40,
+            ast.ColumnRef("__rowid__"): 99,
+            ast.ColumnRef("a", table="t"): 1,
+            ast.ColumnRef("a", table="u"): 10,
+            ast.ColumnRef("c", table="v"): 30,
+            ast.ColumnRef("t.a", table="t"): 3,
+            ast.ColumnRef("__rowid__", table="t"): 7,
+            ast.ColumnRef("__rowid__", table="u"): 8,  # the rowid, not the column
+            ast.ColumnRef("__rowid__", table="v"): 9,
+        }
+        ambiguous = [ast.ColumnRef("a"), ast.ColumnRef("c"), ast.ColumnRef("t.a")]
+        for ref, outcome in outcomes.items():
+            if ref in expected_values:
+                assert outcome == ("value", expected_values[ref]), ref
+            elif ref in ambiguous:
+                assert outcome == ("error", ExecutionError), ref
+            else:
+                assert outcome == ("error", UnknownColumnError), ref
+
+    def test_left_join_null_row_has_no_rowid(self):
+        rows = _joined_rows(3, null_last=True)
+        ctx = RowContext.for_table_row(*rows[0]).joined(*rows[1]).joined(*rows[2])
+        assert ctx.lookup(ast.ColumnRef("d")) is None
+        assert ctx.lookup(ast.ColumnRef("c", table="v")) is None
+        with pytest.raises(UnknownColumnError):
+            ctx.lookup(ast.ColumnRef("__rowid__", table="v"))

@@ -5,14 +5,18 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, connect
 from repro.db.sql.operators import (
     CrowdFill,
     HashJoin,
     IndexRangeScan,
+    Limit,
     NestedLoopJoin,
     SeqScan,
+    Sort,
 )
 from repro.db.types import MISSING, sort_rank
 from repro.errors import ExecutionError
@@ -529,3 +533,84 @@ class TestMixedTypeOrdering:
         conn = self._connection()
         sql = f"SELECT id, grp, {self.MIXED} AS mixed, p FROM t ORDER BY {order}"
         assert [row[0] for row in conn.execute(sql).fetchall()] == expected
+
+
+@st.composite
+def _sort_rows(draw):
+    """Rows ``(id, a, b, p)`` over tiny domains: many ties, NULLs, MISSING."""
+    n = draw(st.integers(0, 25))
+    small = st.one_of(st.none(), st.integers(0, 3))
+    perceptual = st.one_of(st.just(MISSING), st.none(), st.floats(0, 2).map(round))
+    return [(i, draw(small), draw(small), draw(perceptual)) for i in range(1, n + 1)]
+
+
+_SORT_SHAPES = {
+    "plain": ("SELECT id, a, b, p FROM t", ("a", "b", "p", "a + b", "id % 3")),
+    "aggregate": (
+        "SELECT a, count(*) AS n, sum(b) AS s FROM t GROUP BY a",
+        ("a", "n", "s", "count(*)", "max(id) % 2"),
+    ),
+}
+
+
+class TestTopNSort:
+    """A Sort directly under a Limit keeps only limit + offset rows, and its
+    output is exactly the full sort's ``[offset:offset + limit]``."""
+
+    @staticmethod
+    def _connection(rows) -> Connection:
+        conn = connect()
+        conn.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, p REAL PERCEPTUAL)"
+        )
+        for row in rows:
+            if row[3] is MISSING:  # p left MISSING
+                conn.execute("INSERT INTO t (id, a, b) VALUES (?, ?, ?)", row[:3])
+            else:
+                conn.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
+        return conn
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        _sort_rows(),
+        st.sampled_from(sorted(_SORT_SHAPES)),
+        st.data(),
+        st.integers(0, 12),
+        st.integers(0, 30),
+    )
+    def test_top_n_equals_slice_of_full_sort(self, rows, shape, data, limit, offset):
+        select, key_choices = _SORT_SHAPES[shape]
+        keys = data.draw(
+            st.lists(st.tuples(st.sampled_from(key_choices), st.booleans()), min_size=1, max_size=3)
+        )
+        order = ", ".join(f"{key}{'' if ascending else ' DESC'}" for key, ascending in keys)
+        conn = self._connection(rows)
+        full_cursor = conn.execute(f"{select} ORDER BY {order}")
+        full = full_cursor.fetchall()
+        top_cursor = conn.execute(f"{select} ORDER BY {order} LIMIT {limit} OFFSET {offset}")
+        top = top_cursor.fetchall()
+        assert top == full[offset : offset + limit]
+        full_sort = next(op for op in full_cursor.plan.walk() if isinstance(op, Sort))
+        assert full_sort.keep is None
+        root = top_cursor.plan
+        assert isinstance(root, Limit) and isinstance(root.children[0], Sort)
+        assert root.children[0].keep == limit + offset
+
+    def test_offset_past_the_end_is_empty(self):
+        conn = self._connection([(i, i % 3, None, None) for i in range(1, 8)])
+        cursor = conn.execute("SELECT id FROM t ORDER BY a DESC, id LIMIT 4 OFFSET 7")
+        assert cursor.fetchall() == []
+        rows = conn.execute("SELECT id FROM t ORDER BY a DESC, id LIMIT 4 OFFSET 5").fetchall()
+        assert rows == [(3,), (6,)]
+
+    def test_limit_zero_pulls_nothing(self):
+        conn = self._connection([(i, i, i, i) for i in range(1, 5)])
+        cursor = conn.execute("SELECT id FROM t ORDER BY a LIMIT 0")
+        assert cursor.fetchall() == []
+        sort = next(op for op in cursor.plan.walk() if isinstance(op, Sort))
+        assert sort.keep == 0 and sort.rows_out == 0
+
+    def test_explain_is_unchanged_by_top_n(self):
+        conn = self._connection([(1, 1, 1, 1)])
+        plan = conn.explain("SELECT id FROM t ORDER BY a DESC LIMIT 3 OFFSET 1")
+        assert plan.splitlines()[-2:] == ["Sort a DESC", "Limit 3 Offset 1"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import Connection, connect
+from repro.db import Connection, Dispatch, connect
 from repro.db.sql.operators import SeqScan
 from repro.errors import ExecutionError, UnknownColumnError
 
@@ -154,3 +154,52 @@ class TestCursorLifecycle:
         cursor = conn.cursor().execute("SELECT n FROM numbers WHERE shiny > 0.5")
         assert calls == [("numbers", "shiny")]  # before any fetch
         assert cursor.rowcount == N_ROWS
+
+
+class _ConstantSource:
+    """ValueSource answering every cell with one value."""
+
+    def request_values_with_quality(self, attribute, items, *, policy, tracker):
+        return Dispatch({rowid: 1.0 for rowid, _row in items})
+
+
+@pytest.fixture(params=["memory", "durable"])
+def grouped(request, tmp_path) -> Connection:
+    """40 rows in 4 groups; ``p`` is a perceptual column left MISSING."""
+    connection = connect(path=tmp_path / "db") if request.param == "durable" else connect()
+    connection.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)")
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", [(i, i % 4, i) for i in range(1, 41)])
+    connection.add_perceptual_column("t", "p")
+    yield connection
+    connection.close()
+
+
+class TestPulledRowsAreNotShared:
+    """Scans hand each query rows of its own, so a write between two fetches
+    never reaches rows an open cursor has already pulled or returned."""
+
+    GROUPED = "SELECT g, sum(v), count(p) FROM t GROUP BY g"
+
+    def test_update_between_fetches(self, grouped):
+        expected = grouped.execute(self.GROUPED).fetchall()
+        streaming = grouped.cursor().execute("SELECT id, v FROM t")
+        aggregated = grouped.cursor().execute(self.GROUPED)
+        returned = streaming.fetchmany(5)
+        # The Aggregate pulls every row at the first fetch and evaluates
+        # each group's sums only when that group is fetched.
+        first_group = aggregated.fetchmany(1)
+        grouped.execute("UPDATE t SET v = v + 1000")
+        assert returned == [(i, i) for i in range(1, 6)]
+        assert first_group + aggregated.fetchall() == expected
+        assert grouped.execute("SELECT sum(v) FROM t").fetchone() == (820 + 40_000,)
+
+    def test_crowd_write_back_between_fetches(self, grouped):
+        aggregated = grouped.cursor().execute(self.GROUPED)
+        first_group = aggregated.fetchmany(1)
+        filler = Connection(grouped.catalog)
+        filler.set_value_source(_ConstantSource())
+        assert len(filler.execute("SELECT id FROM t WHERE p > 0").fetchall()) == 40
+        # The write-back filled every stored cell, but the rows the open
+        # cursor holds keep the MISSING values it pulled.
+        assert [row[2] for row in first_group + aggregated.fetchall()] == [0, 0, 0, 0]
+        assert grouped.execute("SELECT count(p) FROM t").fetchone() == (40,)

@@ -34,7 +34,7 @@ from repro.errors import (
     UnknownTableError,
     WireProtocolError,
 )
-from repro.server import ReproServer, ServerConfig, TenantConfig
+from repro.server import ReproServer, ServerConfig, TenantConfig, protocol
 
 
 class CountingSource:
@@ -117,6 +117,22 @@ class TestBasicServing:
                 conn.execute("SELECT * FROM t")
             # The connection survives, and the failed answer's server cursor
             # is gone: the next paged result may open the only one allowed.
+            assert conn.execute("SELECT id FROM t").fetchall() == [(i,) for i in range(10)]
+            conn.close()
+
+    def test_configured_frame_limit_bounds_responses(self):
+        config = ServerConfig(port=0, fetch_size=9, max_cursors=1, max_frame_bytes=4096)
+        with ReproServer(config) as server:
+            conn = repro.client.connect(*server.address, tenant="t")
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+            for i in range(10):  # one 0.7 KB cell per request
+                conn.execute("INSERT INTO t VALUES (?, ?)", (i, "x" * 700))
+            # The first page, 9 rows of about 720 bytes, is a 6.5 KB answer.
+            with pytest.raises(WireProtocolError, match="4096-byte frame limit") as excinfo:
+                conn.execute("SELECT * FROM t")
+            assert protocol.code_for_exception(excinfo.value) == "protocol"
+            # The connection answers the next request, and the failed answer
+            # left no server cursor: this paged result opens the only one.
             assert conn.execute("SELECT id FROM t").fetchall() == [(i,) for i in range(10)]
             conn.close()
 
