@@ -79,17 +79,13 @@ KNOWN_LOCKS: dict[tuple[str, str, str], str] = {
 #: doing the acquiring (``self.catalog.lock``, ``runtime.cache._lock``...).
 LOCK_PATH_SUFFIXES: dict[tuple[str, ...], str] = {
     ("catalog", "lock"): "Catalog.lock",
+    # Operators and the executor hold the catalog as ``self._catalog``.
+    ("_catalog", "lock"): "Catalog.lock",
     ("cache", "_lock"): "AnswerCache._lock",
     ("wal", "_lock"): "WriteAheadLog._lock",
     ("_stats_lock",): "SimulatedCrowdValueSource._stats_lock",
     ("_seed_lock",): "CrowdPlatform._seed_lock",
 }
-
-#: The physical-operator classes receive the *catalog* lock by injection
-#: (``Connection`` passes ``self.catalog.lock`` into the operator tree),
-#: so their ``self._lock`` is Catalog.lock under a different name.
-INJECTED_CATALOG_LOCK_MODULES = ("db/sql/operators.py",)
-
 
 def attribute_path(expr: ast.expr) -> tuple[str, ...]:
     """Dotted name path of an expression (``self.catalog.lock`` ...)."""
@@ -152,8 +148,6 @@ def resolve_lock(expr: ast.expr, module: Module, cls: str | None) -> str | None:
         return None
     attr = path[-1]
     if len(path) >= 2 and path[0] == "self":
-        if module.matches(*INJECTED_CATALOG_LOCK_MODULES) and attr == "_lock":
-            return "Catalog.lock"
         for (suffix, known_cls, known_attr), lock_id in KNOWN_LOCKS.items():
             if cls == known_cls and attr == known_attr and module.matches(suffix):
                 return lock_id

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "buffer-pool capacity of the paged row store in pages "
-            "(0 disables paging; default: engine default)"
+            "(at least 1; default: engine default)"
         ),
     )
 

@@ -17,7 +17,6 @@ from repro.db.acquisition import (
     AttributePredictor,
     Dispatch,
     PredictionBatch,
-    PredictSpec,
     SamplePlan,
     ValueSource,
     plan_sample,
@@ -35,7 +34,7 @@ from repro.db.connection import (
 from repro.db.durability import DurabilityManager
 from repro.db.schema import AttributeKind, Column, ColumnType, TableSchema
 from repro.db.sql.executor import QueryResult, SelectStream
-from repro.db.sql.operators import CrowdFillSpec, Operator
+from repro.db.sql.operators import Operator
 from repro.db.storage import Row, TableStorage, ValueProvenance
 from repro.db.types import MISSING, Missing, coerce_value, is_missing
 
@@ -48,7 +47,6 @@ __all__ = [
     "Column",
     "ColumnType",
     "Connection",
-    "CrowdFillSpec",
     "Cursor",
     "Dispatch",
     "DurabilityManager",
@@ -56,7 +54,6 @@ __all__ = [
     "MISSING",
     "Missing",
     "Operator",
-    "PredictSpec",
     "PredictionBatch",
     "QueryResult",
     "Row",

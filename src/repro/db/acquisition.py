@@ -12,9 +12,6 @@ the planner-side machinery for that trade-off:
   predictor fills, respecting the session budget (a *cost-based* choice:
   when predicting is not cheaper than asking, the plan degenerates to
   crowd-only);
-* :class:`PredictSpec` — the runtime bundle (predictor + policy) that the
-  lowering turns into a :class:`~repro.db.sql.operators.PredictFill`
-  operator on top of :class:`~repro.db.sql.operators.CrowdFill`;
 * the :class:`ValueSource` protocol (one batch in, one typed
   :class:`Dispatch` out) and its twin :class:`AttributePredictor`, which
   decouple the query engine from the concrete crowd platform and
@@ -411,33 +408,3 @@ class AttributePredictor(Protocol):
         only) should return an empty batch rather than raise.
         """
         ...  # pragma: no cover - protocol definition
-
-
-@dataclass
-class PredictSpec:
-    """How a query should predict MISSING crowd-sourced values.
-
-    The lowering turns this into a
-    :class:`~repro.db.sql.operators.PredictFill` operator above the
-    table's :class:`~repro.db.sql.operators.CrowdFill`: the crowd answers
-    the planner-chosen sample, the predictor trains on every known value
-    streaming by and fills the rest, tagging provenance and confidence.
-
-    ``runtime`` is the session's
-    :class:`~repro.crowd.runtime.AcquisitionRuntime`; the operator routes
-    its training/prediction steps through the runtime's accounting
-    chokepoint so all acquisition work — platform dispatches *and* model
-    fits — shows up in one place.
-    """
-
-    predictor: AttributePredictor
-    runtime: Any
-    policy: AcquisitionPolicy = field(default_factory=AcquisitionPolicy)
-    write_back: bool = True
-    session: Any = None
-
-    def remaining_budget(self) -> float | None:
-        """Money the session may still spend (None = unlimited)."""
-        if self.session is None:
-            return None
-        return getattr(self.session, "remaining_budget", None)

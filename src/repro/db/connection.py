@@ -36,12 +36,12 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from dataclasses import fields as dataclass_fields
 
-from repro.db.acquisition import AcquisitionPolicy, AttributePredictor, PredictSpec
+from repro.db.acquisition import AcquisitionPolicy, AttributePredictor
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.executor import Executor, QueryResult, SelectStream
-from repro.db.sql.operators import CrowdFillSpec, Operator
+from repro.db.sql.operators import Operator
 from repro.db.sql.parameters import check_arity, count_parameters, normalize_params
 from repro.db.sql.parser import parse_script, parse_statement
 from repro.db.sql.planner import Planner, SelectPlan
@@ -176,37 +176,6 @@ class SessionContext:
         self.cost_spent = 0.0
         self.value_source = value_source
         self.predictor = predictor
-
-    def crowd_spec(self, runtime: Any) -> CrowdFillSpec | None:
-        """The batch crowd-fill configuration, or None when not set up.
-
-        The session itself rides along as the budget hook: batch crowd
-        spending is charged to ``cost_spent`` (for cost-aware sources) and
-        stops once ``budget_exhausted``.  *runtime* is the acquisition
-        runtime the operator dispatches through
-        (:meth:`Connection.acquisition_runtime`).
-        """
-        if self.value_source is None:
-            return None
-        return CrowdFillSpec(
-            source=self.value_source,
-            runtime=runtime,
-            batch_size=self._policy.crowd_batch_size,
-            write_back=self._policy.crowd_write_back,
-            session=self,
-        )
-
-    def predict_spec(self, runtime: Any) -> PredictSpec | None:
-        """The prediction-stage configuration, or None when no predictor."""
-        if self.predictor is None:
-            return None
-        return PredictSpec(
-            predictor=self.predictor,
-            runtime=runtime,
-            policy=self._policy,
-            write_back=self._policy.crowd_write_back,
-            session=self,
-        )
 
     @property
     def remaining_budget(self) -> float | None:
@@ -740,18 +709,6 @@ class Connection:
 
     # -- execution core ----------------------------------------------------------
 
-    def _crowd_spec(self) -> CrowdFillSpec | None:
-        """Session crowd-fill spec wired to the acquisition runtime."""
-        if self.session.value_source is None:
-            return None
-        return self.session.crowd_spec(runtime=self.acquisition_runtime())
-
-    def _predict_spec(self) -> PredictSpec | None:
-        """Session prediction spec wired to the acquisition runtime."""
-        if self.session.predictor is None:
-            return None
-        return self.session.predict_spec(runtime=self.acquisition_runtime())
-
     def run_statement(self, sql: str, params: Sequence[Any] = ()) -> QueryResult:
         """Prepare (or reuse), bind and execute *sql*; SELECT rows are
         materialized into the returned :class:`QueryResult`."""
@@ -842,13 +799,7 @@ class Connection:
         if isinstance(statement, ast.SelectStatement):
             with self.catalog.lock:
                 plan = prepared.plan_for(self._executor.planner, self.catalog.version)
-            return self._executor.open_select(
-                plan,
-                params=params,
-                crowd=self._crowd_spec(),
-                predict=self._predict_spec(),
-                lock=self.catalog.lock,
-            )
+            return self._executor.open_select(plan, params=params, session=self.session)
         if isinstance(statement, ast.ExplainStatement):
             description = self._describe(prepared, params)
             return QueryResult(
@@ -857,19 +808,13 @@ class Connection:
         pragma_result = self._maybe_acquisition_pragma(statement)
         if pragma_result is not None:
             return pragma_result
-        crowd = self._crowd_spec() if isinstance(statement, ast.InsertFromCrowdStatement) else None
-        return self._executor.execute(statement, params=params, crowd=crowd, lock=self.catalog.lock)
+        return self._executor.execute(statement, params=params, session=self.session)
 
     def _describe(self, prepared: PreparedStatement, params: tuple[Any, ...]) -> str:
         """Physical plan of a prepared SELECT or EXPLAIN, without running it."""
         with self.catalog.lock:
             plan = prepared.plan_for(self._executor.planner, self.catalog.version)
-            return self._executor.describe_physical_plan(
-                plan,
-                params=params,
-                crowd=self._crowd_spec(),
-                predict=self._predict_spec(),
-            )
+            return self._executor.describe_physical_plan(plan, params=params, session=self.session)
 
     def _maybe_acquisition_pragma(self, statement: ast.Statement) -> QueryResult | None:
         """Handle ``PRAGMA acquisition_*`` at the connection layer.
@@ -1063,7 +1008,7 @@ def connect(
     in WAL records (``None`` disables) — both adjustable at runtime via
     ``PRAGMA``.  Durable tables keep their rows in a paged store behind a
     fixed-size buffer pool (``docs/storage.md``): ``buffer_pool_pages``
-    sets its capacity (0 keeps rows in plain memory), ``page_size`` the
+    sets its capacity (at least 1 page), ``page_size`` the
     page size in bytes; the pool is resizable at runtime via ``PRAGMA
     buffer_pool_pages = N``.  Closing this connection closes the database
     directory; see ``docs/persistence.md`` for the file format and

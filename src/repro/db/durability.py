@@ -169,10 +169,8 @@ class DurabilityManager:
     group_size:
         Records per group-commit fsync batch in ``normal`` mode.
     buffer_pool_pages:
-        Capacity of the shared buffer pool over ``pages.dat``.  The
-        default pages every table's rows; ``0`` keeps rows in process
-        memory (the pre-pager behaviour, an escape hatch for embedded
-        uses that want zero spill I/O).
+        Capacity (at least 1) of the shared buffer pool over ``pages.dat``,
+        which holds every table's rows.
     page_size:
         Page size of the spill file in bytes.
     """
@@ -201,25 +199,22 @@ class DurabilityManager:
         self.torn_records_dropped = 0
         #: Lifetime counters.
         self.checkpoints = 0
-        #: The shared spill-file pager (None when paging is disabled).
-        self.pager: Pager | None = None
-
+        pager: Pager | None = None
         try:
             # The pager truncates pages.dat, so it must come after the
             # advisory lock — and before recovery, which repopulates it
             # through the tables' paged row maps.
-            if buffer_pool_pages:
-                self.pager = Pager(
-                    self.directory / PAGES_NAME,
-                    page_size=page_size,
-                    pool_pages=buffer_pool_pages,
-                )
+            pager = Pager(
+                self.directory / PAGES_NAME,
+                page_size=page_size,
+                pool_pages=buffer_pool_pages,
+            )
+            #: The shared spill-file pager every table's rows live in.
+            self.pager = pager
             self.catalog = Catalog()
-            if self.pager is not None:
-                pager = self.pager
-                self.catalog.storage_factory = lambda schema: TableStorage(
-                    schema, row_map=pager.row_map()
-                )
+            self.catalog.storage_factory = lambda schema: TableStorage(
+                schema, row_map=pager.row_map()
+            )
             last_lsn = self._recover()
             wal_path = self.directory / WAL_NAME
             self.wal = WriteAheadLog(
@@ -230,8 +225,8 @@ class DurabilityManager:
             self.catalog.attach_durability(self)
             self.catalog.set_warm_answers(self._collect_crowd_answers())
         except BaseException:
-            if self.pager is not None:
-                self.pager.close()
+            if pager is not None:
+                pager.close()
             self._release_lock()
             raise
 
@@ -480,8 +475,7 @@ class DurabilityManager:
             return
         self._closed = True
         self.wal.close()
-        if self.pager is not None:
-            self.pager.close()
+        self.pager.close()
         self._release_lock()
 
     @property
@@ -510,22 +504,15 @@ class DurabilityManager:
             "snapshot_loaded": self.snapshot_loaded,
             "records_replayed": self.records_replayed,
             "torn_records_dropped": self.torn_records_dropped,
-            "buffer_pool_pages": 0 if self.pager is None else self.pager.pool.capacity,
+            "buffer_pool_pages": self.pager.pool.capacity,
         }
 
     def buffer_pool_stats(self) -> dict[str, int]:
         """Pager + pool counters (``PRAGMA buffer_pool_stats``)."""
-        if self.pager is None:
-            return {"capacity_pages": 0}
         return self.pager.stats()
 
     def set_buffer_pool_pages(self, capacity: int) -> None:
         """Resize the buffer pool (``PRAGMA buffer_pool_pages = N``)."""
-        if self.pager is None:
-            raise PersistenceError(
-                "this database was opened without a buffer pool "
-                "(buffer_pool_pages=0); reopen it to enable paging"
-            )
         self.pager.pool.resize(int(capacity))
 
     def __repr__(self) -> str:

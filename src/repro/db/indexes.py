@@ -40,7 +40,7 @@ class OrderedIndex:
 
     def __init__(self, column: str) -> None:
         self.column = column
-        self._entries: list[tuple[tuple[int, Any], int]] = []
+        self._entries: list[tuple[tuple[Any, ...], int]] = []
         self._unknown: set[int] = set()
 
     # -- maintenance ------------------------------------------------------------
@@ -90,7 +90,7 @@ class OrderedIndex:
         *,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> list[tuple[tuple[int, Any], int]]:
+    ) -> list[tuple[tuple[Any, ...], int]]:
         """Entries with ``low <op> value <op> high``, in index order.
 
         ``None`` bounds are open ends (*not* SQL NULL — a NULL bound makes

@@ -146,6 +146,11 @@ class _Frame:
         self.dirty = False
 
 
+def _check_capacity(capacity_pages: int) -> None:
+    if capacity_pages < 1:
+        raise PersistenceError(f"buffer pool needs >= 1 page, got {capacity_pages}")
+
+
 class BufferPool:
     """Bounded page cache with pinning, LRU eviction and dirty write-back.
 
@@ -161,8 +166,7 @@ class BufferPool:
     """
 
     def __init__(self, page_file: PageFile, capacity_pages: int = DEFAULT_POOL_PAGES) -> None:
-        if capacity_pages < 1:
-            raise PersistenceError(f"buffer pool needs >= 1 page, got {capacity_pages}")
+        _check_capacity(capacity_pages)
         self._file = page_file
         self.capacity = capacity_pages
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
@@ -230,8 +234,7 @@ class BufferPool:
 
     def resize(self, capacity_pages: int) -> None:
         """Change the pool capacity, evicting down to it if shrinking."""
-        if capacity_pages < 1:
-            raise PersistenceError(f"buffer pool needs >= 1 page, got {capacity_pages}")
+        _check_capacity(capacity_pages)
         with self._lock:
             self.capacity = capacity_pages
             self._evict_to(capacity_pages)
@@ -267,6 +270,8 @@ class Pager:
         page_size: int = DEFAULT_PAGE_SIZE,
         pool_pages: int = DEFAULT_POOL_PAGES,
     ) -> None:
+        # Checked before PageFile opens (and truncates) the file.
+        _check_capacity(pool_pages)
         self.page_size = page_size
         self._file = PageFile(path, page_size)
         self.pool = BufferPool(self._file, pool_pages)

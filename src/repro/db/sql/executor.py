@@ -10,22 +10,21 @@ is the connection's job (it caches one plan per prepared statement).  DDL,
 DML and PRAGMA statements go through :meth:`Executor.execute`, directly
 against the catalog.
 
-Crowd integration has one entry point: a
-:class:`~repro.db.sql.operators.CrowdFillSpec` (plus, for hybrid
-acquisition, a :class:`~repro.db.acquisition.PredictSpec`) makes the
+Crowd integration has one entry point: the executing connection's
+:class:`~repro.db.connection.SessionContext`.  Its value source makes the
 lowering insert a ``CrowdFill`` operator that acquires missing
-crowd-sourced values in coalesced batches through the session's
-acquisition runtime.
+crowd-sourced values in coalesced batches through the catalog's
+acquisition runtime, and its predictor adds the ``PredictFill`` stage of
+hybrid acquisition.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager
+from typing import TYPE_CHECKING, Any
 
 from repro.crowd.estimation import normalize_entity
-from repro.db.acquisition import PROVENANCE_CROWD, PredictSpec
+from repro.db.acquisition import PROVENANCE_CROWD
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
@@ -36,16 +35,13 @@ from repro.db.sql.expressions import (
     compile_predicate,
     evaluate,
 )
-from repro.db.sql.operators import (
-    CrowdEnumerate,
-    CrowdFillSpec,
-    Operator,
-    build_enumerate_spec,
-    describe_operator_tree,
-)
+from repro.db.sql.operators import CrowdEnumerate, Operator, describe_operator_tree
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.types import MISSING, ColumnType, is_missing
 from repro.errors import ExecutionError, PlanningError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.connection import SessionContext
 
 #: Row order of ``PRAGMA column_provenance``.
 _PROVENANCE_ORDER = ("stored", "crowd", "predicted", "missing")
@@ -218,25 +214,22 @@ class Executor:
         statement: ast.Statement,
         *,
         params: Params = (),
-        crowd: CrowdFillSpec | None = None,
-        lock: ContextManager[Any] | None = None,
+        session: SessionContext | None = None,
     ) -> QueryResult:
         """Execute a parsed DDL, DML or PRAGMA statement and return its result.
 
         SELECT and EXPLAIN are not statements of this method: the
         connection plans them and runs :meth:`open_select` or
-        :meth:`describe_physical_plan`.  When *lock* is given (the
-        shared-catalog lock of the connection layer), catalog/storage
-        access runs under it; ``INSERT ... FROM CROWD`` releases it while
-        the crowd enumerates.
+        :meth:`describe_physical_plan`.  Catalog and storage access runs
+        under the catalog lock; ``INSERT ... FROM CROWD`` releases it while
+        the crowd enumerates for *session*.
 
         *params* is the execution's ``?`` tuple, read by the compiled
         expressions (see :func:`~repro.db.sql.expressions.compile_expression`).
         """
         if isinstance(statement, ast.InsertFromCrowdStatement):
-            return self._execute_insert_from_crowd(statement, crowd=crowd, lock=lock)
-        guard = lock if lock is not None else nullcontext()
-        with guard:
+            return self._execute_insert_from_crowd(statement, session)
+        with self._catalog.lock:
             if isinstance(statement, ast.PragmaStatement):
                 return self._execute_pragma(statement)
             if isinstance(statement, ast.CreateTableStatement):
@@ -264,26 +257,19 @@ class Executor:
         plan: SelectPlan,
         *,
         params: Params = (),
-        crowd: CrowdFillSpec | None = None,
-        predict: PredictSpec | None = None,
-        lock: ContextManager[Any] | None = None,
+        session: SessionContext | None = None,
     ) -> SelectStream:
-        """Lower *plan*, open the operator tree and return a live stream.
+        """Lower *plan* for *session*, open the operator tree and return a
+        live stream.
 
         Lowering and ``open()`` (where scans snapshot their row sets) run
-        under *lock*; pulling rows from the returned stream does not take
-        the lock, so crowd-backed evaluation never serializes other
-        sessions sharing the catalog.
+        under the catalog lock; pulling rows from the returned stream does
+        not take the lock, so crowd-backed evaluation never serializes
+        other sessions sharing the catalog.
         """
-        guard = lock if lock is not None else nullcontext()
-        with guard:
+        with self._catalog.lock:
             root = self.planner.lower(
-                plan,
-                params=params,
-                crowd=crowd,
-                predict=predict,
-                lock=lock,
-                hash_joins=self.hash_joins,
+                plan, params=params, session=session, hash_joins=self.hash_joins
             )
             root.open()
         return SelectStream(plan, root)
@@ -310,8 +296,7 @@ class Executor:
         plan: SelectPlan,
         *,
         params: Params = (),
-        crowd: CrowdFillSpec | None = None,
-        predict: PredictSpec | None = None,
+        session: SessionContext | None = None,
     ) -> str:
         """Render the physical operator tree for *plan* without executing.
 
@@ -319,9 +304,7 @@ class Executor:
         lowering reads table schemas).  Placeholders render as their
         *params* values, or as ``?N`` when none are given.
         """
-        root = self.planner.lower(
-            plan, params=params, crowd=crowd, predict=predict, hash_joins=self.hash_joins
-        )
+        root = self.planner.lower(plan, params=params, session=session, hash_joins=self.hash_joins)
         return describe_operator_tree(root, include_stats=False)
 
     # -- DDL -----------------------------------------------------------------------
@@ -559,11 +542,7 @@ class Executor:
         return QueryResult(columns=[], rows=[], rowcount=inserted)
 
     def _execute_insert_from_crowd(
-        self,
-        statement: ast.InsertFromCrowdStatement,
-        *,
-        crowd: CrowdFillSpec | None,
-        lock: ContextManager[Any] | None = None,
+        self, statement: ast.InsertFromCrowdStatement, session: SessionContext | None
     ) -> QueryResult:
         """Open-world insertion: enumerate crowd answers into new rows.
 
@@ -578,18 +557,12 @@ class Executor:
         closed-world fills, so enumerations replay after a crash and
         warm-start the answer cache.
         """
-        if crowd is None:
-            raise ExecutionError(
-                "INSERT ... FROM CROWD requires a crowd value source "
-                "(set one via Connection.set_value_source or an AcquisitionPolicy)"
-            )
         if len(statement.columns) != 1:
             raise ExecutionError(
                 "INSERT ... FROM CROWD requires exactly one target column, "
                 f"got {len(statement.columns)}"
             )
-        guard = lock if lock is not None else nullcontext()
-        with guard:
+        with self._catalog.lock:
             table = self._catalog.table(statement.table)
             schema = table.schema
             column = schema.column(statement.columns[0])
@@ -606,12 +579,7 @@ class Executor:
             }
 
         operator = CrowdEnumerate(
-            build_enumerate_spec(
-                statement.crowd,
-                crowd,
-                existing_keys=frozenset(existing),
-                record_answers=self._catalog.record_enum_answers,
-            )
+            self._catalog, statement.crowd, session, existing_keys=frozenset(existing)
         )
         operator.open()
         try:
@@ -620,7 +588,7 @@ class Executor:
             operator.close()
 
         inserted = 0
-        with guard:
+        with self._catalog.lock:
             table = self._catalog.table(statement.table)
             current: set[str] = set()
             max_pk = 0

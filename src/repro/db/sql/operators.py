@@ -14,7 +14,7 @@ operators, each a pull-based iterator:
   out of a scan for MISSING values of crowd-sourced (perceptual)
   attributes and acquires them in configurable batches — one coalesced
   platform call per attribute per ``batch_size`` missing rows — through
-  the session's :class:`~repro.crowd.runtime.AcquisitionRuntime`:
+  the catalog's :class:`~repro.crowd.runtime.AcquisitionRuntime`:
   per-attribute batches execute concurrently on a bounded worker pool,
   repeat requests are served from the cross-query answer cache, and cells
   another query is already acquiring are coalesced onto that in-flight
@@ -57,14 +57,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    ContextManager,
     Iterable,
     Iterator,
     Mapping,
@@ -83,10 +80,7 @@ from repro.db.acquisition import (
     PROVENANCE_CROWD,
     PROVENANCE_PREDICTED,
     PROVENANCE_STORED,
-    AcquisitionPolicy,
-    PredictSpec,
     SamplePlan,
-    ValueSource,
     affordable_values,
     plan_sample,
 )
@@ -108,55 +102,7 @@ from repro.db.types import MISSING, is_missing, sort_rank
 from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.crowd.runtime import AcquisitionRuntime
-
-
-# ---------------------------------------------------------------------------
-# Crowd-fill configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CrowdFillSpec:
-    """How a query should acquire MISSING crowd-sourced values in bulk.
-
-    Parameters
-    ----------
-    source:
-        A batch :class:`~repro.db.acquisition.ValueSource`; each
-        runtime dispatch to it is one coalesced crowd call (e.g. one HIT
-        group on the simulated platform).
-    runtime:
-        The :class:`~repro.crowd.runtime.AcquisitionRuntime` the operator
-        dispatches through.  The runtime executes the per-attribute batches
-        concurrently on its bounded worker pool, serves repeat requests
-        from its cross-query :class:`~repro.crowd.runtime.AnswerCache`,
-        coalesces duplicate cells with other in-flight queries and charges
-        each dispatch's cost to *session*.
-    batch_size:
-        Number of missing rows coalesced into one platform call.  N missing
-        rows for one attribute produce ``ceil(N / batch_size)`` calls.
-    write_back:
-        Whether obtained values are persisted to storage (under the catalog
-        lock) so later queries need no further crowd work.
-    session:
-        Optional session-budget hook (a
-        :class:`~repro.db.connection.SessionContext`).  When set, no batch
-        is dispatched once the budget is exhausted, and the runtime charges
-        every dispatch's cost against the session.
-    """
-
-    source: ValueSource
-    runtime: "AcquisitionRuntime"
-    batch_size: int = 50
-    write_back: bool = True
-    session: Any = None
-
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ExecutionError(
-                f"crowd batch_size must be positive, got {self.batch_size}"
-            )
+    from repro.db.connection import SessionContext
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +393,18 @@ class CrowdFill(Operator):
     """Batch-acquire MISSING crowd-sourced attribute values mid-stream.
 
     Sits directly above a table's scan.  Rows stream through in input
-    order; whenever ``batch_size`` rows with at least one MISSING watched
-    attribute have accumulated (or the input is exhausted), one coalesced
-    batch per attribute is handed to the acquisition runtime, which
-    dispatches it to the batch source.  Obtained values are patched into
-    the in-flight rows and, when ``write_back`` is set, persisted to
-    storage under the catalog lock.
+    order; whenever ``crowd_batch_size`` rows with at least one MISSING
+    watched attribute have accumulated (or the input is exhausted), one
+    coalesced batch per attribute is handed to the catalog's acquisition
+    runtime, which dispatches it to the session's value source and charges
+    its cost to the session.  Obtained values are patched into the
+    in-flight rows and, when ``crowd_write_back`` is set, persisted to
+    storage under the catalog lock.  The operator keeps the session's
+    policy and value source as they were when it was built, so a live
+    cursor is not changed by a later ``PRAGMA acquisition_*``.
 
     Contract: N missing rows for one attribute produce
-    ``ceil(N / batch_size)`` platform calls — never one call per row.
+    ``ceil(N / crowd_batch_size)`` platform calls — never one call per row.
 
     Under hybrid acquisition the lowering passes *sample* (attribute ->
     rowids the planner chose for the crowd; everything else is left MISSING
@@ -473,8 +422,7 @@ class CrowdFill(Operator):
         catalog: Catalog,
         table: str,
         attributes: Sequence[str],
-        spec: CrowdFillSpec,
-        lock: ContextManager[Any] | None = None,
+        session: SessionContext,
         *,
         sample: Mapping[str, frozenset[int]] | None = None,
         reacquire: Mapping[str, frozenset[int]] | None = None,
@@ -483,8 +431,10 @@ class CrowdFill(Operator):
         self._catalog = catalog
         self.table = table
         self.attributes = list(attributes)
-        self.spec = spec
-        self._lock = lock if lock is not None else nullcontext()
+        self.session = session
+        self.policy = session.policy
+        self.source = session.value_source
+        self.runtime = catalog.acquisition_runtime()
         self.sample = dict(sample) if sample is not None else None
         self.reacquire = {key: frozenset(value) for key, value in (reacquire or {}).items()}
         #: Number of coalesced platform calls dispatched (per attribute).
@@ -534,7 +484,7 @@ class CrowdFill(Operator):
             pending.append((rowid, row))
             if row_missing:
                 missing += 1
-            if missing >= self.spec.batch_size:
+            if missing >= self.policy.crowd_batch_size:
                 yield from self._flush(pending)
                 pending = []
                 missing = 0
@@ -544,11 +494,10 @@ class CrowdFill(Operator):
     def _flush(
         self, pending: list[tuple[int, dict[str, Any]]]
     ) -> list[tuple[int, dict[str, Any]]]:
-        session = self.spec.session
         cap = self._crowd_only_cap()
         requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]] = []
         for attribute in self.attributes:
-            if session is not None and session.budget_exhausted:
+            if self.session.budget_exhausted:
                 # Budget ran out mid-query: emit the rows with their cells
                 # still MISSING instead of spending past the cap.
                 break
@@ -573,14 +522,10 @@ class CrowdFill(Operator):
         None when nothing caps the flush: no budget, or a hybrid plan,
         whose sample the planner already sized to the budget.
         """
-        session = self.spec.session
-        if self.sample is not None or session is None:
+        budget = self.session.remaining_budget
+        if self.sample is not None or budget is None:
             return None
-        budget = getattr(session, "remaining_budget", None)
-        policy = getattr(session, "policy", None)
-        if budget is None or policy is None:
-            return None
-        return affordable_values(budget, policy)
+        return affordable_values(budget, self.policy)
 
     def _acquire(
         self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]
@@ -593,14 +538,14 @@ class CrowdFill(Operator):
         pool — the wall-clock win on multi-attribute queries.  Budget cost
         for the dispatches this flush owns is charged inside the runtime.
         """
-        outcome = self.spec.runtime.acquire(
-            self.spec.source,
+        outcome = self.runtime.acquire(
+            self.source,
             self.table,
             [
                 (attribute, [(rowid, dict(row)) for rowid, row in items])
                 for attribute, items in requests
             ],
-            session=self.spec.session,
+            session=self.session,
         )
         self.batches_dispatched += outcome.dispatches
         self.cache_hits += outcome.cache_hits
@@ -637,8 +582,8 @@ class CrowdFill(Operator):
             if rowid in resolved:
                 row[attribute] = resolved[rowid]
                 self.values_filled += 1
-        if self.spec.write_back and resolved:
-            with self._lock:
+        if self.policy.crowd_write_back and resolved:
+            with self._catalog.lock:
                 storage = self._catalog.table(self.table)
                 writable: dict[int, Any] = {}
                 for rowid, value in resolved.items():
@@ -655,7 +600,7 @@ class CrowdFill(Operator):
                         # value is authoritative.  The cache may hold our
                         # answer (the UPDATE's invalidation can have fired
                         # before the dispatch cached it) — evict it.
-                        self.spec.runtime.cache.invalidate(self.table, attribute, rowid)
+                        self.runtime.cache.invalidate(self.table, attribute, rowid)
                         continue
                     writable[rowid] = value
                 if writable:
@@ -684,7 +629,7 @@ class CrowdFill(Operator):
         return ", ".join(f"{self.table}.{a}" for a in self.attributes)
 
     def render_line(self) -> str:
-        options = f"batch_size={self.spec.batch_size}"
+        options = f"batch_size={self.policy.crowd_batch_size}"
         if self.sample is not None:
             sampled = sum(len(rowids) for rowids in self.sample.values())
             options += f", sample={sampled}"
@@ -721,9 +666,10 @@ class PredictFill(Operator):
     across all later queries.  Sessions that want cheap point queries
     against a sparsely filled table should run crowd-only (no predictor).
     Predicted values are patched into the in-flight rows and, when
-    ``write_back`` is set, persisted with provenance ``predicted`` and the
-    model's per-value confidence, so later sessions can re-acquire
-    low-confidence cells.
+    ``crowd_write_back`` is set, persisted with provenance ``predicted``
+    and the model's per-value confidence, so later sessions can re-acquire
+    low-confidence cells.  Like :class:`CrowdFill`, the operator keeps the
+    session's policy and predictor as they were when it was built.
 
     EXPLAIN ANALYZE counters: rows predicted, crowd platform calls saved
     versus a crowd-only plan, and the model's training RMSE per attribute.
@@ -737,19 +683,17 @@ class PredictFill(Operator):
         catalog: Catalog,
         table: str,
         attributes: Sequence[str],
-        spec: PredictSpec,
+        session: SessionContext,
         plans: Mapping[str, SamplePlan],
-        batch_size: int,
-        lock: ContextManager[Any] | None = None,
     ) -> None:
         super().__init__(child)
         self._catalog = catalog
         self.table = table
         self.attributes = list(attributes)
-        self.spec = spec
+        self.policy = session.policy
+        self.predictor = session.predictor
+        self.runtime = catalog.acquisition_runtime()
         self.plans = dict(plans)
-        self.batch_size = batch_size
-        self._lock = lock if lock is not None else nullcontext()
         #: Number of cells filled with predictions (all attributes).
         self.rows_predicted = 0
         #: Crowd platform calls avoided versus crowd-only acquisition.
@@ -777,7 +721,7 @@ class PredictFill(Operator):
             return
         # Cells a model filled earlier must not feed the next model's
         # training set (self-training would relearn prior errors as truth).
-        with self._lock:
+        with self._catalog.lock:
             previously_predicted = {
                 rowid
                 for rowid, entry in self._catalog.table(self.table)
@@ -792,7 +736,7 @@ class PredictFill(Operator):
         ]
 
         def fit_predict():
-            return self.spec.predictor.fit_predict(
+            return self.predictor.fit_predict(
                 attribute,
                 [(rowid, dict(row), value) for rowid, row, value in train],
                 [(rowid, dict(row)) for rowid, row in targets],
@@ -801,7 +745,7 @@ class PredictFill(Operator):
         # Train/predict through the runtime's accounting chokepoint (inline —
         # prediction is CPU work and must not occupy the platform dispatch
         # pool).
-        batch = self.spec.runtime.run_prediction(fit_predict)
+        batch = self.runtime.run_prediction(fit_predict)
         self.model_kinds[attribute] = batch.model_kind
         self.training_sizes[attribute] = batch.training_size
         if batch.rmse is not None:
@@ -819,14 +763,14 @@ class PredictFill(Operator):
         )
         # Platform calls a crowd-only plan would have dispatched for the
         # cells this stage filled by prediction instead.
-        self.crowd_calls_saved += math.ceil(
-            (sample_size + len(predicted)) / self.batch_size
-        ) - math.ceil(sample_size / self.batch_size)
-        if self.spec.write_back and predicted:
+        batch_size = self.policy.crowd_batch_size
+        crowd_only_calls = math.ceil((sample_size + len(predicted)) / batch_size)
+        self.crowd_calls_saved += crowd_only_calls - math.ceil(sample_size / batch_size)
+        if self.policy.crowd_write_back and predicted:
             confidences = {
                 rowid: batch.confidence_for(rowid) for rowid in predicted
             }
-            with self._lock:
+            with self._catalog.lock:
                 self._catalog.table(self.table).fill_values(
                     attribute,
                     predicted,
@@ -839,10 +783,9 @@ class PredictFill(Operator):
         return ", ".join(f"{self.table}.{a}" for a in self.attributes)
 
     def render_line(self) -> str:
-        policy = self.spec.policy
-        options = f"sample_fraction={policy.sample_fraction:g}"
-        if policy.min_confidence > 0:
-            options += f", min_confidence={policy.min_confidence:g}"
+        options = f"sample_fraction={self.policy.sample_fraction:g}"
+        if self.policy.min_confidence > 0:
+            options += f", min_confidence={self.policy.min_confidence:g}"
         return f"PredictFill({options}) {self.detail()}"
 
     def extra_stats(self) -> list[str]:
@@ -886,79 +829,6 @@ class SingleRow(Operator):
         return "(no table)"
 
 
-@dataclass
-class CrowdEnumerateSpec:
-    """How an open-world ``FROM CROWD`` relation enumerates its rows.
-
-    Parameters
-    ----------
-    source:
-        Batch :class:`~repro.db.acquisition.ValueSource`; each HIT
-        batch is one runtime dispatch whose single "row" is the batch
-        index and whose answer is a *list* of worker answers.
-    predicate:
-        Natural-language description posted to workers.
-    completeness:
-        Optional target in [0, 1]: stop once the Chao92 estimated coverage
-        reaches it (``stopped_on == "completeness"``).
-    budget:
-        Optional statement-level spend cap.  Enumeration never dispatches a
-        batch it cannot pay for: when the source exposes its per-batch cost
-        (``payment_per_hit``) the check is exact, otherwise the loop stops
-        as soon as accumulated cost reaches the cap
-        (``stopped_on == "budget"``).  The *session* budget is honoured as
-        well, independently of this cap.
-    runtime:
-        The :class:`~repro.crowd.runtime.AcquisitionRuntime` batches are
-        pulled through — answers are cached and coalesced exactly like
-        closed-world fills.
-    session:
-        Optional session-budget hook, as in :class:`CrowdFillSpec`.
-    dry_batches:
-        Stop after this many consecutive batches with no new species
-        (``stopped_on == "exhausted"``) — the open-world analogue of
-        scanning a table to its end.
-    max_batches:
-        Hard cap on batches pulled per enumeration, a backstop against
-        pathological sources.
-    existing_keys:
-        Normalized entity keys already present in the target table
-        (``INSERT ... FROM CROWD`` dedup).  They still feed the estimator
-        when workers re-answer them, but are never emitted as rows.
-    record_answers:
-        Optional ``(attribute, batch_index, answers)`` hook invoked for
-        every batch that cost a platform dispatch.  Durable catalogs pass
-        :meth:`~repro.db.catalog.Catalog.record_enum_answers` here so
-        dispatched batches are journaled and warm-start the answer cache
-        after a restart — repeat enumerations then replay at zero spend.
-    """
-
-    source: ValueSource
-    predicate: str
-    runtime: "AcquisitionRuntime"
-    completeness: Optional[float] = None
-    budget: Optional[float] = None
-    session: Any = None
-    dry_batches: int = 3
-    max_batches: int = 256
-    existing_keys: frozenset[str] = frozenset()
-    record_answers: Optional[Callable[[str, int, list[Any]], None]] = None
-
-    def __post_init__(self) -> None:
-        if self.dry_batches <= 0:
-            raise ExecutionError(
-                f"enumeration dry_batches must be positive, got {self.dry_batches}"
-            )
-        if self.max_batches <= 0:
-            raise ExecutionError(
-                f"enumeration max_batches must be positive, got {self.max_batches}"
-            )
-        if self.completeness is not None and not 0.0 <= self.completeness <= 1.0:
-            raise ExecutionError(
-                f"completeness target must be in [0, 1], got {self.completeness}"
-            )
-
-
 class CrowdEnumerate(Operator):
     """Open-world enumeration source: crowd answers become rows.
 
@@ -969,10 +839,24 @@ class CrowdEnumerate(Operator):
     and feeds every observation to a streaming
     :class:`~repro.crowd.estimation.Chao92Estimator`, which drives the
     stopping rule: stop on reaching the completeness target, on running out
-    of budget, or on ``dry_batches`` consecutive batches with no new
+    of budget, or on ``enum_dry_batches`` consecutive batches with no new
     species.  Each *new* species is emitted as one ``(ordinal, {"value":
     answer})`` row in first-seen order, so the operator slots in below
     :class:`Bind` exactly like a table scan.
+
+    The statement's *relation* supplies the predicate posted to workers and
+    its ``COMPLETENESS`` and ``BUDGET`` constraints; the session's policy
+    supplies the completeness fallback and the ``enum_dry_batches`` /
+    ``max_enum_batches`` stops, and its budget is honoured independently
+    of the statement's.  Enumeration never dispatches a batch it cannot
+    pay for: when the source exposes its per-batch cost
+    (``payment_per_hit``) the check is exact, otherwise the loop stops as
+    soon as the accumulated cost reaches the cap.  *existing_keys* are the
+    normalized entities already in the target table (``INSERT ... FROM
+    CROWD`` dedup): they still feed the estimator but are never emitted.
+    Every batch that cost a platform dispatch is recorded with
+    :meth:`~repro.db.catalog.Catalog.record_enum_answers`, so a durable
+    catalog replays repeat enumerations at zero spend after a restart.
 
     EXPLAIN ANALYZE counters: ``rows_enumerated`` / ``unique_seen`` /
     ``est_total`` / ``est_coverage`` / ``stopped_on`` plus the usual
@@ -981,9 +865,33 @@ class CrowdEnumerate(Operator):
 
     label = "CrowdEnumerate"
 
-    def __init__(self, spec: CrowdEnumerateSpec) -> None:
+    def __init__(
+        self,
+        catalog: Catalog,
+        relation: ast.CrowdRelation,
+        session: SessionContext | None,
+        *,
+        existing_keys: frozenset[str] = frozenset(),
+    ) -> None:
         super().__init__()
-        self.spec = spec
+        if session is None or session.value_source is None:
+            raise ExecutionError(
+                "FROM CROWD requires a crowd value source "
+                "(set one via Connection.set_value_source)"
+            )
+        self._catalog = catalog
+        self.predicate = relation.predicate
+        self.session = session
+        self.policy = session.policy
+        self.source = session.value_source
+        self.runtime = catalog.acquisition_runtime()
+        self.completeness = (
+            relation.completeness
+            if relation.completeness is not None
+            else self.policy.completeness_target
+        )
+        self.budget = relation.budget
+        self.existing_keys = existing_keys
         self.estimator = Chao92Estimator()
         #: Batches pulled (platform dispatches + cache/coalesced replays).
         self.batches_pulled = 0
@@ -1001,8 +909,7 @@ class CrowdEnumerate(Operator):
     # -- enumeration loop ----------------------------------------------------
 
     def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        spec = self.spec
-        attribute = enumeration_attribute(spec.predicate)
+        attribute = enumeration_attribute(self.predicate)
         emitted: set[str] = set()
         dry = 0
         ordinal = 0
@@ -1011,7 +918,7 @@ class CrowdEnumerate(Operator):
             if not self._within_budget():
                 self.stopped_on = "budget"
                 return
-            if self.batches_pulled >= spec.max_batches:
+            if self.batches_pulled >= self.policy.max_enum_batches:
                 self.stopped_on = "exhausted"
                 return
             answers = self._pull_batch(attribute, batch_index)
@@ -1024,7 +931,7 @@ class CrowdEnumerate(Operator):
                     continue
                 if self.estimator.observe(key):
                     new_in_batch += 1
-                if key in spec.existing_keys or key in emitted:
+                if key in self.existing_keys or key in emitted:
                     continue
                 emitted.add(key)
                 ordinal += 1
@@ -1032,39 +939,37 @@ class CrowdEnumerate(Operator):
                 yield ordinal, {"value": answer}
             dry = dry + 1 if new_in_batch == 0 else 0
             if (
-                spec.completeness is not None
+                self.completeness is not None
                 and self.batches_pulled >= 2
                 and self.estimator.unique_seen > 0
-                and self.estimator.est_coverage() >= spec.completeness
+                and self.estimator.est_coverage() >= self.completeness
             ):
                 self.stopped_on = "completeness"
                 return
-            if dry >= spec.dry_batches:
+            if dry >= self.policy.enum_dry_batches:
                 self.stopped_on = "exhausted"
                 return
 
     def _within_budget(self) -> bool:
-        session = self.spec.session
-        if session is not None and getattr(session, "budget_exhausted", False):
+        if self.session.budget_exhausted:
             return False
-        budget = self.spec.budget
+        budget = self.budget
         if budget is None:
             return True
         if self.cost_spent >= budget:
             return False
-        per_batch = getattr(self.spec.source, "payment_per_hit", None)
+        per_batch = getattr(self.source, "payment_per_hit", None)
         if per_batch is not None and self.cost_spent + per_batch > budget + 1e-9:
             return False
         return True
 
     def _pull_batch(self, attribute: str, batch_index: int) -> list[Any]:
         """Fetch one HIT batch of answers through the runtime."""
-        spec = self.spec
-        outcome = spec.runtime.acquire(
-            spec.source,
+        outcome = self.runtime.acquire(
+            self.source,
             ENUMERATION_TABLE,
             [(attribute, [(batch_index, {})])],
-            session=spec.session,
+            session=self.session,
         )
         self.batches_dispatched += outcome.dispatches
         self.cache_hits += outcome.cache_hits
@@ -1080,8 +985,8 @@ class CrowdEnumerate(Operator):
             batch = [answers]
         # Journal even empty dispatched batches: replay must reproduce the
         # dry-streak exhaustion without paying for the batches again.
-        if dispatched and spec.record_answers is not None:
-            spec.record_answers(attribute, batch_index, batch)
+        if dispatched:
+            self._catalog.record_enum_answers(attribute, batch_index, batch)
         return batch
 
     # -- introspection -------------------------------------------------------
@@ -1089,7 +994,7 @@ class CrowdEnumerate(Operator):
     def stats_snapshot(self) -> EnumerationStats:
         """The enumeration counters as one reusable stats object."""
         return EnumerationStats(
-            predicate=self.spec.predicate,
+            predicate=self.predicate,
             rows_enumerated=self.rows_enumerated,
             unique_seen=self.estimator.unique_seen,
             est_total=self.estimator.est_total(),
@@ -1100,19 +1005,19 @@ class CrowdEnumerate(Operator):
             cache_hits=self.cache_hits,
             coalesced=self.coalesced,
             cost=self.cost_spent,
-            completeness_target=self.spec.completeness,
-            budget=self.spec.budget,
+            completeness_target=self.completeness,
+            budget=self.budget,
         )
 
     def detail(self) -> str:
-        return repr(self.spec.predicate)
+        return repr(self.predicate)
 
     def render_line(self) -> str:
         options = []
-        if self.spec.completeness is not None:
-            options.append(f"completeness>={self.spec.completeness:g}")
-        if self.spec.budget is not None:
-            options.append(f"budget<={self.spec.budget:g}")
+        if self.completeness is not None:
+            options.append(f"completeness>={self.completeness:g}")
+        if self.budget is not None:
+            options.append(f"budget<={self.budget:g}")
         prefix = f"CrowdEnumerate({', '.join(options)})" if options else "CrowdEnumerate"
         return f"{prefix} {self.detail()}"
 
@@ -1128,7 +1033,7 @@ class CrowdEnumerate(Operator):
             f"coalesced={self.coalesced}",
             f"cost={self.cost_spent:.4f}",
         ]
-        tracker = self.spec.runtime.worker_quality
+        tracker = self.runtime.worker_quality
         if tracker.n_workers:
             parts.append(f"mean_worker_accuracy={tracker.mean_accuracy():.3f}")
         return parts
@@ -1562,7 +1467,7 @@ class _Descending:
 
     __slots__ = ("rank",)
 
-    def __init__(self, rank: tuple[int, Any]) -> None:
+    def __init__(self, rank: tuple[Any, ...]) -> None:
         self.rank = rank
 
     def __lt__(self, other: "_Descending") -> bool:
@@ -1642,8 +1547,7 @@ def _plan_acquisition(
     catalog: Catalog,
     table: str,
     attributes: Sequence[str],
-    crowd: CrowdFillSpec | None,
-    predict: PredictSpec,
+    session: SessionContext,
 ) -> tuple[dict[str, SamplePlan], dict[str, frozenset[int]], dict[str, frozenset[int]]]:
     """Choose, per attribute, which MISSING cells the crowd answers.
 
@@ -1657,8 +1561,8 @@ def _plan_acquisition(
     never exceeds it.
     """
     storage = catalog.table(table)
-    policy = predict.policy
-    budget = predict.remaining_budget()
+    policy = session.policy
+    budget = session.remaining_budget
     plans: dict[str, SamplePlan] = {}
     sample: dict[str, frozenset[int]] = {}
     reacquire: dict[str, frozenset[int]] = {}
@@ -1673,7 +1577,7 @@ def _plan_acquisition(
             candidates,
             policy,
             budget=budget,
-            can_acquire=crowd is not None,
+            can_acquire=session.value_source is not None,
         )
         plans[attribute] = attribute_plan
         sample[attribute] = attribute_plan.sample_rowids
@@ -1688,17 +1592,16 @@ def _lower_scan(
     plan: SelectPlan,
     scan: ScanPlan,
     catalog: Catalog,
-    crowd: CrowdFillSpec | None,
-    predict: PredictSpec | None,
-    lock: ContextManager[Any] | None,
+    session: SessionContext | None,
     access_path: AccessPath | None = None,
     params: Params = (),
 ) -> Operator:
     """Lower one table scan, stacking acquisition operators as configured.
 
-    The shape depends on the session: bare scan (no crowd config),
-    ``scan -> CrowdFill`` (exhaustive crowd-only acquisition), or the
-    hybrid ``scan -> CrowdFill(sample) -> PredictFill`` two-stage plan.
+    The shape depends on the session: bare scan (no value source and no
+    predictor), ``scan -> CrowdFill`` (exhaustive crowd-only acquisition),
+    ``scan -> PredictFill`` (predict-only) or the hybrid
+    ``scan -> CrowdFill(sample) -> PredictFill`` two-stage plan.
     An *access_path* (only ever passed for the driving scan of a
     single-table plan) lowers to an :class:`IndexRangeScan` instead.
     """
@@ -1721,33 +1624,27 @@ def _lower_scan(
     else:
         source = SeqScan(catalog, scan.table, scan.alias)
         source.est_rows = len(catalog.table(scan.table))
-    if crowd is None and predict is None:
+    if session is None or (session.value_source is None and session.predictor is None):
         return source
     attributes = crowd_attributes_for(plan, catalog.table(scan.table).schema, scan.alias)
     if not attributes:
         return source
-    if predict is None:
+    if session.predictor is None:
         # Exhaustive (crowd-only) acquisition: every MISSING cell is asked.
-        return CrowdFill(source, catalog, scan.table, attributes, crowd, lock)
-    plans, sample, reacquire = _plan_acquisition(
-        catalog, scan.table, attributes, crowd, predict
-    )
-    if crowd is not None:
+        return CrowdFill(source, catalog, scan.table, attributes, session)
+    plans, sample, reacquire = _plan_acquisition(catalog, scan.table, attributes, session)
+    if session.value_source is not None:
         source = CrowdFill(
             source,
             catalog,
             scan.table,
             attributes,
-            crowd,
-            lock,
+            session,
             sample=sample,
             reacquire=reacquire,
         )
     if any(p.predicted_count > 0 for p in plans.values()):
-        batch_size = crowd.batch_size if crowd is not None else 50
-        source = PredictFill(
-            source, catalog, scan.table, attributes, predict, plans, batch_size, lock
-        )
+        source = PredictFill(source, catalog, scan.table, attributes, session, plans)
     return source
 
 
@@ -1775,45 +1672,11 @@ def _equi_join_keys(
     return None
 
 
-def build_enumerate_spec(
-    relation: ast.CrowdRelation,
-    crowd: CrowdFillSpec,
-    *,
-    existing_keys: frozenset[str] = frozenset(),
-    record_answers: Optional[Callable[[str, int, list[Any]], None]] = None,
-) -> CrowdEnumerateSpec:
-    """Resolve a parsed CROWD relation + crowd spec into an enumerate spec.
-
-    Statement-level constraints win; the session's acquisition policy
-    supplies the completeness target fallback and the dry-batch/backstop
-    knobs (a spec without a session falls back to the policy defaults).
-    """
-    session = crowd.session
-    policy = session.policy if session is not None else AcquisitionPolicy()
-    completeness = relation.completeness
-    if completeness is None:
-        completeness = policy.completeness_target
-    return CrowdEnumerateSpec(
-        source=crowd.source,
-        predicate=relation.predicate,
-        runtime=crowd.runtime,
-        completeness=completeness,
-        budget=relation.budget,
-        session=session,
-        dry_batches=policy.enum_dry_batches,
-        max_batches=policy.max_enum_batches,
-        existing_keys=existing_keys,
-        record_answers=record_answers,
-    )
-
-
 def lower_select_plan(
     plan: SelectPlan,
     catalog: Catalog,
     *,
-    crowd: CrowdFillSpec | None = None,
-    predict: PredictSpec | None = None,
-    lock: ContextManager[Any] | None = None,
+    session: SessionContext | None = None,
     hash_joins: bool = True,
     access_path: AccessPath | None = None,
     params: Params = (),
@@ -1823,9 +1686,14 @@ def lower_select_plan(
     Must be called (and the returned tree ``open()``-ed) under the catalog
     lock when the catalog is shared; iteration afterwards is lock-free.
 
-    With both *crowd* and *predict* configured, scans of tables whose
-    referenced perceptual attributes have MISSING cells lower to the
-    two-stage hybrid plan ``scan -> CrowdFill(sample) -> PredictFill``.
+    *session* is the executing connection's
+    :class:`~repro.db.connection.SessionContext`: its value source and
+    predictor choose the acquisition shape of each scan (see
+    :func:`_lower_scan`), and the acquisition operators read its policy
+    and charge its budget.  With both a value source and a predictor,
+    scans of tables whose referenced perceptual attributes have MISSING
+    cells lower to the two-stage hybrid plan
+    ``scan -> CrowdFill(sample) -> PredictFill``.
 
     *access_path* is the planner's index verdict for the driving scan (see
     :meth:`~repro.db.sql.planner.Planner.choose_scan_path`); when it is
@@ -1838,30 +1706,16 @@ def lower_select_plan(
     """
     root: Operator
     if plan.from_crowd is not None:
-        if crowd is None:
-            raise ExecutionError(
-                "FROM CROWD requires a crowd value source "
-                "(set one via Connection.set_value_source or an AcquisitionPolicy)"
-            )
-        root = Bind(
-            CrowdEnumerate(
-                build_enumerate_spec(
-                    plan.from_crowd, crowd, record_answers=catalog.record_enum_answers
-                )
-            ),
-            "crowd",
-        )
+        root = Bind(CrowdEnumerate(catalog, plan.from_crowd, session), "crowd")
     elif plan.scan is None:
         root = SingleRow()
     else:
-        source = _lower_scan(
-            plan, plan.scan, catalog, crowd, predict, lock, access_path, params
-        )
+        source = _lower_scan(plan, plan.scan, catalog, session, access_path, params)
         root = Bind(source, plan.scan.alias)
         left_est = source.est_rows if source.est_rows is not None else 1
         aliases = {plan.scan.alias.lower()}
         for join in plan.joins:
-            right = _lower_scan(plan, join.scan, catalog, crowd, predict, lock, params=params)
+            right = _lower_scan(plan, join.scan, catalog, session, params=params)
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
             keys = None

@@ -18,7 +18,7 @@ scan, and serves a single-column ORDER BY over an indexed column by an
 ordered index walk with the Sort operator eliminated.  Every index path
 lowers to an :class:`~repro.db.sql.operators.IndexRangeScan`.  Only
 single-table scans are considered.  Range and ordered paths are taken only
-when the execution acquires nothing (no crowd, no predict spec), and a
+when the session acquires nothing (no value source, no predictor), and a
 point probe on a perceptual column only then: an index never returns a
 MISSING cell, which CrowdFill and PredictFill must see to fill.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind
@@ -35,6 +35,9 @@ from repro.db.sql import ast
 from repro.db.sql.expressions import Params, RowContext, evaluate, expression_label
 from repro.db.types import is_absent
 from repro.errors import PlanningError, UnknownColumnError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.connection import SessionContext
 
 # ---------------------------------------------------------------------------
 # Plan data structures
@@ -161,9 +164,7 @@ class Planner:
         plan: SelectPlan,
         *,
         params: Params = (),
-        crowd=None,
-        predict=None,
-        lock=None,
+        session: SessionContext | None = None,
         hash_joins: bool = True,
     ):
         """Lower a logical plan into a physical operator tree.
@@ -173,33 +174,36 @@ class Planner:
         the runtime-parameter semantics.  Must run under the catalog lock
         when the catalog is shared.
 
-        Acquisition strategy is chosen here, per lowering: with only a
-        *crowd* spec every MISSING crowd-sourced cell a query touches is
-        dispatched to the platform; adding a *predict* spec switches to
-        hybrid acquisition, where the sample-size choice
+        Acquisition strategy is chosen here, per lowering, from the
+        *session*: with only a value source every MISSING crowd-sourced
+        cell a query touches is dispatched to the platform; adding a
+        predictor switches to hybrid acquisition, where the sample-size
+        choice
         (:func:`repro.db.acquisition.choose_sample_size`) weighs the
         crowd's per-value cost against the predictor's and caps the crowd
         sample by the session's remaining budget.
 
         The access path is chosen here too, by :meth:`choose_scan_path`
-        (statistics and the acquisition specs are runtime state, so the
-        choice must not be cached with the logical plan).
+        (statistics and the session are runtime state, so the choice must
+        not be cached with the logical plan).  The first lowering by a
+        session that can acquire creates the catalog's acquisition runtime.
 
         *params* is the execution's ``?`` tuple: the cost model sizes
         range bounds from its values and the operators read its slots.
         """
         from repro.db.sql.operators import lower_select_plan
 
+        acquiring = session is not None and (
+            session.value_source is not None or session.predictor is not None
+        )
+        if acquiring:
+            self._catalog.acquisition_runtime()
         return lower_select_plan(
             plan,
             self._catalog,
-            crowd=crowd,
-            predict=predict,
-            lock=lock,
+            session=session,
             hash_joins=hash_joins,
-            access_path=self.choose_scan_path(
-                plan, params, acquiring=crowd is not None or predict is not None
-            ),
+            access_path=self.choose_scan_path(plan, params, acquiring=acquiring),
             params=params,
         )
 
@@ -210,8 +214,8 @@ class Planner:
 
         The one place an access path is chosen.  Returns None to keep the
         sequential scan, otherwise an :class:`AccessPath`.  Only a
-        single-table scan is considered.  *acquiring* says the execution
-        has a crowd or predict spec, whose CrowdFill/PredictFill must see
+        single-table scan is considered.  *acquiring* says the session
+        has a value source or predictor, whose CrowdFill/PredictFill must see
         every MISSING cell the query touches — and no index returns one:
 
         * a top-level ``col = literal`` (or ``col = ?``) over an indexed

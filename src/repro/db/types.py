@@ -65,9 +65,12 @@ _RANK_NUMERIC = 0
 _RANK_TEXT = 1
 _RANK_OTHER = 2
 _RANK_UNKNOWN = 3
+#: Every NaN ranks here: after ``(_RANK_NUMERIC, inf)``, its own prefix,
+#: and before any text.
+_RANK_NAN = (_RANK_NUMERIC, float("inf"), 1)
 
 
-def sort_rank(value: Any) -> tuple[int, Any]:
+def sort_rank(value: Any) -> tuple[Any, ...]:
     """Total-order sort key over heterogeneous SQL values.
 
     This is the *single* definition of the engine's value ordering: the
@@ -75,14 +78,18 @@ def sort_rank(value: Any) -> tuple[int, Any]:
     secondary index both rank values through it, which is what guarantees
     that an index-backed ORDER BY and an explicit sort agree row-for-row.
     Values rank numeric (bools included) < text < other; ``None`` and
-    :data:`MISSING` rank **last** (NULLS LAST).
+    :data:`MISSING` rank **last** (NULLS LAST).  NaN, which compares
+    unequal to everything, gets one fixed rank after every other number
+    (including infinity), as in PostgreSQL.
     """
     if value is None or is_missing(value):
         return (_RANK_UNKNOWN, 0)
     if isinstance(value, bool):
         return (_RANK_NUMERIC, int(value))
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return (_RANK_NUMERIC, float(value))
+    if isinstance(value, float):
+        return _RANK_NAN if value != value else (_RANK_NUMERIC, value)
     if isinstance(value, str):
         return (_RANK_TEXT, value)
     return (_RANK_OTHER, str(value))

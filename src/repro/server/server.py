@@ -80,8 +80,8 @@ class ServerConfig:
     path: Any = None
     synchronous: str | None = None
     checkpoint_interval: int | None = None
-    #: Buffer-pool capacity of the paged row store (``None`` keeps the
-    #: engine default, ``0`` disables paging); durable databases only.
+    #: Buffer-pool capacity of the paged row store in pages, at least 1
+    #: (``None`` keeps the engine default); durable databases only.
     buffer_pool_pages: int | None = None
     #: Hard cap on concurrently executing statements (admission control).
     max_inflight: int = 64

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import analyze_project
+from repro.analysis.callgraph import resolve_lock
+from repro.analysis.core import Module
 from repro.analysis.driver import run
 
 
@@ -140,7 +144,7 @@ class TestLockBlocking:
                 "src/repro/db/sql/operators.py": """
                 class CrowdFill:
                     def run(self, source, attribute, items):
-                        with self._lock:  # injected catalog lock
+                        with self._catalog.lock:
                             return source.request_values_with_quality(
                                 attribute, items, policy=None, tracker=None
                             )
@@ -150,6 +154,18 @@ class TestLockBlocking:
         )
         assert len(findings) == 1
         assert "request_values_with_quality" in findings[0].message
+
+    @pytest.mark.parametrize(
+        ("path", "cls"),
+        [
+            ("src/repro/db/sql/operators.py", "CrowdFill"),
+            ("src/repro/db/sql/executor.py", "Executor"),
+        ],
+    )
+    def test_held_catalog_resolves_to_the_catalog_lock(self, path, cls):
+        module = Module(path, "with self._catalog.lock:\n    pass\n")
+        (statement,) = module.tree.body
+        assert resolve_lock(statement.items[0].context_expr, module, cls) == "Catalog.lock"
 
     def test_blocking_outside_lock_is_clean(self):
         findings = findings_of(

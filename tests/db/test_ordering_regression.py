@@ -15,6 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.db.connection import Connection
+from repro.db.indexes import OrderedIndex
+from repro.db.types import sort_rank
 
 _ROWS = (
     (1, 30, "'c'"),
@@ -93,3 +95,77 @@ class TestMissingPerceptualCellsOrder:
         # Known values first, the four MISSING cells after, rowid-ordered.
         assert [row[0] for row in rows_indexed][:2] == [4, 2]
         assert [row[0] for row in rows_indexed][2:] == [1, 3, 5, 6]
+
+
+
+_NAN = float("nan")
+_NAN_VALUES = (3.0, _NAN, 1.0, float("inf"), 2.0, _NAN, 0.5, None, float("-inf"), 4.0)
+
+
+def _nan_table(with_index: bool) -> Connection:
+    db = Connection()
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v REAL)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", list(enumerate(_NAN_VALUES, 1)))
+    if with_index:
+        db.execute("CREATE INDEX iv ON t (v)")
+    return db
+
+
+def _comparable(rows: list[tuple]) -> list[tuple]:
+    """Rows with NaN spelled ``"nan"`` (NaN is unequal even to itself)."""
+    return [tuple("nan" if value != value else value for value in row) for row in rows]
+
+
+def _by_rule(rows: list[tuple], descending: bool) -> list[tuple]:
+    """The ORDER BY rule over a full list: every number, then every NaN,
+    with NULLs last in both directions and ties in rowid order."""
+
+    def key(row: tuple) -> tuple:
+        return (1, 0.0) if row[1] != row[1] else (0, row[1])
+
+    known = sorted((row for row in rows if row[1] is not None), key=key, reverse=descending)
+    return known + [row for row in rows if row[1] is None]
+
+
+def _index_is_consistent(db: Connection) -> bool:
+    """The index holds exactly one entry per row, under the row's value."""
+    storage = db.table("t")
+    rebuilt = OrderedIndex("v")
+    rebuilt.build((rowid, row["v"]) for rowid, row in storage.scan())
+    return list(storage.index_on("v").ordered_rowids()) == list(rebuilt.ordered_rowids())
+
+
+class TestNaNOrdering:
+    @pytest.mark.parametrize("with_index", [True, False])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    @pytest.mark.parametrize("limit", [None, 1, 3, 8])
+    def test_order_and_limit_follow_the_rule(self, with_index, direction, limit):
+        db = _nan_table(with_index)
+        sql = f"SELECT id, v FROM t ORDER BY v {direction}"
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+        rows = db.execute(sql).fetchall()
+        expected = _by_rule(list(enumerate(_NAN_VALUES, 1)), direction == "DESC")
+        assert _comparable(rows) == _comparable(expected[:limit])
+
+    def test_nan_ranks_after_infinity_and_before_text(self):
+        assert sort_rank(float("inf")) < sort_rank(_NAN) < sort_rank("")
+        assert sort_rank(_NAN) == sort_rank(float("-nan"))
+
+    def test_writes_to_nan_cells_keep_the_index_consistent(self):
+        indexed, plain = _nan_table(True), _nan_table(False)
+        for db in (indexed, plain):
+            db.execute("UPDATE t SET v = 9.0 WHERE id = 2")
+            db.execute("DELETE FROM t WHERE id = 6")
+            db.execute("INSERT INTO t VALUES (11, ?)", (_NAN,))
+            db.execute("UPDATE t SET v = ? WHERE id = 1", (_NAN,))
+        assert _index_is_consistent(indexed)
+        assert len(indexed.table("t").index_on("v")) == 9
+        for direction in ("ASC", "DESC"):
+            sql = f"SELECT id, v FROM t ORDER BY v {direction}"
+            assert "Sort" not in _plan(indexed, sql)
+            assert "Sort" in _plan(plain, sql)
+            rows = indexed.execute(sql).fetchall()
+            assert _comparable(rows) == _comparable(plain.execute(sql).fetchall())
+            everything = plain.execute("SELECT id, v FROM t ORDER BY id").fetchall()
+            assert _comparable(rows) == _comparable(_by_rule(everything, direction == "DESC"))

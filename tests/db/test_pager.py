@@ -108,6 +108,18 @@ class TestBufferPool:
 
 
 class TestPager:
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_an_empty_pool_is_refused_before_the_file_opens(self, tmp_path, capacity):
+        directory = tmp_path / "db"
+        with pytest.raises(PersistenceError, match="buffer pool needs >= 1 page"):
+            connect(path=directory, buffer_pool_pages=capacity)
+        assert not (directory / "pages.dat").exists()
+        # The failed open released the directory lock.
+        conn = connect(path=directory)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        assert conn.execute("PRAGMA buffer_pool_stats").fetchall()
+        conn.close()
+
     def test_write_read_round_trip(self, pager):
         loc = pager.write_record(7, b"payload")
         assert pager.read_record(7, loc) == b"payload"
