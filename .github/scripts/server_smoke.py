@@ -2,9 +2,11 @@
 
 Unlike ``tests/server/``, which drives :class:`ReproServer` in-process, this
 script does exactly what an operator does: start ``python -m repro serve`` as
-its own process, point concurrent wire clients at it, send SIGTERM, and check
-that the drain honoured the contract — exit code 0, directory lock released,
-every acknowledged statement recovered by the next opener.
+its own process, point concurrent wire clients at it, send SIGTERM while one
+more client sits connected and idle, and check that the drain honoured the
+contract — exit code 0, the idle client's next request fails instead of
+hanging, directory lock released, every acknowledged statement recovered by
+the next opener.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -51,6 +54,9 @@ def main() -> None:
             seed = repro.client.connect(host, port, tenant="smoke")
             seed.execute("CREATE TABLE smoke (client INTEGER, seq INTEGER)")
             seed.close()
+            # Connected across the SIGTERM but silent: its connection's
+            # thread is blocked reading, and the drain must wake it.
+            idle = repro.client.connect(host, port, tenant="smoke-idle", timeout=30.0)
 
             errors: list[BaseException] = []
 
@@ -81,6 +87,16 @@ def main() -> None:
             code = proc.wait(timeout=60)
             if code != 0:
                 raise SystemExit(f"server exited {code} on SIGTERM, wanted 0")
+            try:
+                idle.execute("SELECT COUNT(*) FROM smoke")
+            except socket.timeout:
+                raise SystemExit("the idle client's request hung after the drain")
+            except OSError:
+                pass  # the drain closed its connection
+            else:
+                raise SystemExit("the idle client's request was answered after the drain")
+            finally:
+                idle.close()
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -97,7 +113,7 @@ def main() -> None:
             raise SystemExit(f"recovered {total} rows, acknowledged {expected}")
         print(
             f"server smoke OK: {N_CLIENTS} clients x {ROWS_PER_CLIENT} inserts, "
-            f"clean SIGTERM drain, {total} rows recovered"
+            f"clean SIGTERM drain past an idle client, {total} rows recovered"
         )
 
 

@@ -15,14 +15,14 @@ under the catalog lock through the journal indirection (that ordering is
 what makes recovery correct), so only direct, same-function blocking
 calls are flagged.
 
-With the served database the same rule also guards the *event loop*: the
-``repro/server/`` front-end runs every connection on one asyncio loop, so
-a blocking call inside an ``async def`` that is **not awaited** —
-``time.sleep`` instead of ``await asyncio.sleep``, ``future.result()``
-instead of ``await future`` — stalls every client at once, exactly like
-blocking under ``Catalog.lock`` stalls every statement.  Awaited calls
-are fine (they yield to the loop); blocking work belongs on the server's
-worker pool via ``run_in_executor``.
+The same rule also guards any *event loop*: a blocking call inside an
+``async def`` that is **not awaited** — ``time.sleep`` instead of
+``await asyncio.sleep``, ``future.result()`` instead of ``await future``
+— stalls every coroutine on that loop at once, exactly like blocking
+under ``Catalog.lock`` stalls every statement.  Awaited calls are fine
+(they yield to the loop).  No library module runs a loop today: the
+``repro/server/`` front-end gives each wire connection its own thread,
+where blocking stalls that connection alone.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class LockBlockingRule(Rule):
     rationale = (
         "Catalog.lock serialises every statement; a crowd dispatch, fsync, "
         "sleep, or future/event wait held under it stalls the whole engine. "
-        "Likewise the server's asyncio loop serialises every connection: a "
-        "non-awaited blocking call inside a coroutine stalls all clients — "
-        "await the async equivalent or move the work to run_in_executor. "
+        "Likewise an event loop serialises its coroutines: a non-awaited "
+        "blocking call inside one stalls them all — await the async "
+        "equivalent or move the work to run_in_executor. "
         "The check is lexical on purpose: the journal indirection is allowed "
         "to fsync under the lock (that ordering is the durability contract)."
     )

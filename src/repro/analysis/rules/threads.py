@@ -6,8 +6,8 @@ Only two places in library code may construct threads or executors:
   owns in-process concurrency: shutdown ordering, dispatch coalescing,
   the answer cache, and the cost ledger;
 * the ``repro/server/`` package — the served-database front-end owns the
-  event loop, its bounded statement worker pool and the background server
-  thread, and drains all three in its graceful-shutdown path.
+  accept-loop thread and one thread per wire connection, and joins them
+  all in its graceful-shutdown path.
 
 A stray ``threading.Thread`` or ``ThreadPoolExecutor`` anywhere else
 creates concurrency nobody drains on ``close()`` — the exact class of
@@ -28,8 +28,8 @@ __all__ = ["ThreadChokepointRule"]
 #: The module allowed to construct threads/executors in-process.
 RUNTIME_MODULE = "crowd/runtime.py"
 
-#: The package sanctioned as the thread/event-loop owner of the served
-#: database (matched anywhere in the normalised path).
+#: The package sanctioned as the thread owner of the served database
+#: (matched anywhere in the normalised path).
 SERVER_PACKAGE = "repro/server/"
 
 CONSTRUCTORS = frozenset(
@@ -49,8 +49,8 @@ class ThreadChokepointRule(Rule):
     rationale = (
         "AcquisitionRuntime owns in-process concurrency (dispatch coalescing, "
         "cache, ledger, shutdown draining) and repro/server/ owns the served "
-        "database's event loop, worker pool and server thread (drained on "
-        "graceful shutdown). A thread or pool constructed anywhere else leaks "
+        "database's accept-loop and connection threads (joined on graceful "
+        "shutdown). A thread or pool constructed anywhere else leaks "
         "past close() and races those invariants. Tests spawn threads on "
         "purpose and are exempt."
     )

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor-threads",
         type=int,
         default=8,
-        help="worker threads running blocking engine calls",
+        help="statements executing at once (each connection runs its own on its thread)",
     )
     serve.add_argument(
         "--drain-grace",
@@ -315,7 +315,6 @@ def _run_build_space(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import json
     import logging
 
@@ -345,7 +344,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     # Blocks until SIGTERM/SIGINT, then drains: in-flight statements
     # finish, the WAL group-commit buffer is flushed, a final snapshot
     # checkpoint is published, and the directory lock is released.
-    asyncio.run(server.serve_async(install_signal_handlers=True))
+    server.serve_forever(install_signal_handlers=True)
     return 0
 
 

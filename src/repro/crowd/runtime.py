@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.crowd.worker_quality import WorkerQualityTracker
-from repro.db.acquisition import ValueSource
+from repro.db.acquisition import AcquisitionPolicy, ValueSource
 from repro.db.types import is_missing
 
 __all__ = ["AcquisitionRuntime", "AnswerCache", "AnswerCacheStats", "AcquisitionOutcome"]
@@ -368,6 +368,7 @@ class AcquisitionRuntime:
         requests: Sequence[tuple[str, Sequence[tuple[int, dict[str, Any]]]]],
         *,
         session: Any = None,
+        policy: AcquisitionPolicy | None = None,
         _retry_skipped: bool = True,
     ) -> AcquisitionOutcome:
         """Resolve the MISSING cells of one CrowdFill flush.
@@ -387,13 +388,17 @@ class AcquisitionRuntime:
         ``session.budget_exhausted`` right before executing — a dispatch
         that finds the budget spent is skipped, leaving its cells
         MISSING — and charges its cost as it completes (coalesced cells
-        are paid by the dispatch owner; cache hits are free).  A session
-        whose ``policy`` carries a cost cap (``max_cost``) has its
-        dispatches executed *serially* so the cap is enforced exactly:
-        dispatch costs are unknowable up front, and N concurrent dispatches
-        could otherwise all pass the budget check before any cost lands,
-        overspending the cap by up to N batches.  Concurrency is for
-        unbudgeted sessions.
+        are paid by the dispatch owner; cache hits are free).
+
+        *policy* is the one the calling operator was lowered with, and
+        every dispatch hands it to the value source; the session's live
+        policy is never read, so a PRAGMA issued while a cursor streams
+        cannot change that cursor's later dispatches.  A *policy* with a
+        cost cap (``max_cost``) has the dispatches executed *serially* so
+        the cap is enforced exactly: dispatch costs are unknowable up
+        front, and N concurrent dispatches could otherwise all pass the
+        budget check before any cost lands, overspending the cap by up to
+        N batches.  Concurrency is for unbudgeted sessions.
         """
         outcome = AcquisitionOutcome()
         own: list[tuple[str, list[tuple[int, dict[str, Any]]], _PendingBatch, list[CellKey]]] = []
@@ -430,7 +435,6 @@ class AcquisitionRuntime:
             if to_dispatch:
                 own.append((attribute, to_dispatch, pending, keys))
 
-        policy = getattr(session, "policy", None)
         serialize = policy is not None and policy.max_cost is not None
         if own and serialize:
             # Exact budget enforcement: run the dispatches one after the
@@ -439,7 +443,7 @@ class AcquisitionRuntime:
             for index, (attribute, items, pending, keys) in enumerate(own):
                 try:
                     cost, dispatched = self._run_dispatch(
-                        source, table, attribute, items, pending, keys, session
+                        source, table, attribute, items, pending, keys, session, policy
                     )
                 except BaseException as exc:
                     self._abandon_from(own, index + 1, exc)
@@ -463,6 +467,7 @@ class AcquisitionRuntime:
                         pending,
                         keys,
                         session,
+                        policy,
                     )
                 except BaseException as exc:
                     # submit failed (e.g. a racing shutdown): unregister
@@ -525,6 +530,7 @@ class AcquisitionRuntime:
                 table,
                 list(retry_cells.items()),
                 session=session,
+                policy=policy,
                 _retry_skipped=False,
             )
             outcome.cache_hits += sub.cache_hits
@@ -585,6 +591,7 @@ class AcquisitionRuntime:
         pending: _PendingBatch,
         keys: list[CellKey],
         session: Any,
+        policy: AcquisitionPolicy | None,
     ) -> tuple[float, bool]:
         """Execute one platform dispatch on the worker pool.
 
@@ -605,7 +612,7 @@ class AcquisitionRuntime:
             dispatch = source.request_values_with_quality(
                 attribute,
                 items,
-                policy=getattr(session, "policy", None),
+                policy=policy,
                 tracker=self.worker_quality,
             )
             pending.quality = dispatch.quality or None

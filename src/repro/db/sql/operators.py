@@ -153,19 +153,25 @@ class Operator:
 
     def __iter__(self) -> Iterator[Any]:
         produce = self._produce()
-        while True:
+        try:
             # Time each pull, not the whole loop: the time a *consumer*
             # spends between pulls (e.g. a client iterating a streaming
             # cursor) must not be billed to this operator.
             start = perf_counter()
-            try:
-                item = next(produce)
-            except StopIteration:
+            for item in produce:
                 self.wall_seconds += perf_counter() - start
-                return
+                self.rows_out += 1
+                yield item
+                start = perf_counter()
             self.wall_seconds += perf_counter() - start
-            self.rows_out += 1
-            yield item
+        except GeneratorExit:
+            # The consumer stopped early.  Freeing what ``_produce`` still
+            # holds (a Sort's buffered rows, say) is this operator's work,
+            # not the self time of the consumer whose pull ended it.
+            start = perf_counter()
+            produce.close()
+            self.wall_seconds += perf_counter() - start
+            raise
 
     def _produce(self) -> Iterator[Any]:
         raise NotImplementedError  # pragma: no cover - abstract
@@ -546,6 +552,7 @@ class CrowdFill(Operator):
                 for attribute, items in requests
             ],
             session=self.session,
+            policy=self.policy,
         )
         self.batches_dispatched += outcome.dispatches
         self.cache_hits += outcome.cache_hits
@@ -970,6 +977,7 @@ class CrowdEnumerate(Operator):
             ENUMERATION_TABLE,
             [(attribute, [(batch_index, {})])],
             session=self.session,
+            policy=self.policy,
         )
         self.batches_dispatched += outcome.dispatches
         self.cache_hits += outcome.cache_hits

@@ -15,10 +15,10 @@ Layout:
   wire-error taxonomy mapped from :mod:`repro.errors`;
 * :mod:`repro.server.tenancy` — per-tenant sessions with isolated crowd
   budgets, token-bucket rate limits and usage statistics;
-* :mod:`repro.server.server` — the asyncio accept loop multiplexing client
-  connections onto one shared catalog, executing blocking engine calls on
-  a bounded thread pool with admission control, draining gracefully on
-  SIGTERM;
+* :mod:`repro.server.server` — the accept loop giving each client
+  connection its own thread, which runs that connection's statements on
+  the shared catalog under admission control (so each open connection
+  holds one thread), draining gracefully on SIGTERM;
 * :mod:`repro.server.client` — the synchronous wire client
   (``repro.client.connect(host, port)``) exposing the familiar cursor API.
 """

@@ -9,8 +9,9 @@ Every message — request or response — travels as one *frame*::
 The payload is canonical JSON (sorted keys, no whitespace), so encoding is
 deterministic: ``encode_message(decode_payload(p)) == frame(p)`` for every
 valid payload, the byte-exact round-trip property the fuzz tests pin down.
-The module is sans-IO on purpose: the asyncio server and the synchronous
-client share these functions, each supplying its own byte transport.
+The module is sans-IO on purpose: the server's connection threads and the
+synchronous client share these functions, each supplying its own byte
+transport.
 
 Requests carry an ``op`` field (:data:`REQUEST_OPS`); responses carry
 ``ok``.  A failed request answers ``{"ok": false, "error": {...}}`` whose

@@ -1,43 +1,48 @@
-"""Asyncio front-end multiplexing wire clients onto one shared catalog.
+"""Threaded front-end serving wire clients from one shared catalog.
 
 One :class:`ReproServer` process owns the database (the directory lock,
 WAL and snapshots of a durable catalog) and serves many concurrent client
 connections over the length-prefixed JSON protocol of
 :mod:`repro.server.protocol`.  The design separates three planes:
 
-* the **event loop** (one thread) parses frames, authenticates tenants,
-  applies rate limits and admission control, and never executes a
-  statement itself;
-* a **bounded statement executor** (``executor_threads`` worker threads)
-  runs the blocking engine calls — ``Catalog.lock`` serialises storage
-  access anyway, so extra threads buy overlap of crowd-platform latency
-  and WAL fsyncs, not CPU parallelism;
+* the **accept loop** (one thread) accepts TCP connections and starts one
+  thread per connection, so each open connection holds one thread;
+* each **connection thread** reads its frames, authenticates its tenant,
+  applies the rate limit and admission control, runs the statement on
+  the connection's own :class:`~repro.db.connection.Connection` and
+  writes the response: a request never hops between threads.  At most
+  ``executor_threads`` statements execute at once; ``Catalog.lock``
+  serialises storage access anyway, so more threads buy overlap of
+  crowd-platform latency and WAL fsyncs, not CPU parallelism;
 * the **crowd plane** stays catalog-shared: every tenant session
   dispatches through the same
   :class:`~repro.crowd.runtime.AcquisitionRuntime`, so the answer cache
   and in-flight coalescing work *across* tenants.
 
 Admission control is deliberately a hard reject, not a queue: once
-``max_inflight`` statements are executing, further requests get a typed
+``max_inflight`` statements are admitted, further requests get a typed
 ``overloaded`` wire error immediately.  Backpressure the client can see
 beats an invisible queue that converts overload into timeout soup.
 
 Graceful shutdown (SIGTERM/SIGINT or :meth:`ReproServer.stop`): stop
-accepting, let in-flight statements finish (bounded by ``drain_grace``),
-flush the WAL group-commit buffer, publish a final snapshot checkpoint,
-release the directory lock, stop the worker pool.  Acknowledged
-statements are therefore on disk before the process exits — the
-subprocess kill/recovery test pins this contract.
+accepting, let busy connections finish their statement (bounded by
+``drain_grace``), shut down every connection's socket so an idle
+connection's blocked read wakes, wait for the connection threads, flush
+the WAL group-commit buffer, publish a final snapshot checkpoint and
+release the directory lock.  Acknowledged statements are therefore on
+disk before the process exits — the subprocess kill/recovery test pins
+this contract.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import re
+import selectors
 import signal
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -83,9 +88,9 @@ class ServerConfig:
     #: Buffer-pool capacity of the paged row store in pages, at least 1
     #: (``None`` keeps the engine default); durable databases only.
     buffer_pool_pages: int | None = None
-    #: Hard cap on concurrently executing statements (admission control).
+    #: Hard cap on admitted statements, running or waiting (admission control).
     max_inflight: int = 64
-    #: Worker threads running blocking engine calls.
+    #: Statements executing at once; the others admitted wait their turn.
     executor_threads: int = 8
     #: Rows inlined into an ``execute`` response before paging via ``fetch``.
     fetch_size: int = 1024
@@ -130,7 +135,7 @@ class ReproServer:
     Use either the blocking entry point (the CLI path)::
 
         server = ReproServer(ServerConfig(path="db-dir", port=7457))
-        asyncio.run(server.serve_async(install_signal_handlers=True))
+        server.serve_forever(install_signal_handlers=True)
 
     or background mode (examples, tests, embedding)::
 
@@ -164,18 +169,23 @@ class ReproServer:
             session_factory=session_factory,
         )
         self._root: Connection | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
+        #: One slot per statement allowed to execute at once.
+        self._slots = threading.BoundedSemaphore(config.executor_threads)
+        #: Guards the handler set and the counters below: every connection
+        #: thread updates them.
+        self._lock = threading.Lock()
         self._handlers: set[_ClientHandler] = set()
         self._inflight = 0
         self._draining = False
+        self.total_requests = 0
+        self.total_rejected = 0
+        self._stopping = False
+        #: Write end of the pair that wakes the accept loop on stop.
+        self._wake: socket.socket | None = None
         self._bound: tuple[str, int] | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        self.total_requests = 0
-        self.total_rejected = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -205,69 +215,113 @@ class ReproServer:
             self._root = repro.connect(**kwargs)
         else:
             self._root = repro.connect()
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.executor_threads, thread_name_prefix="repro-serve"
-        )
 
-    async def serve_async(
+    def serve_forever(
         self,
         *,
         install_signal_handlers: bool = False,
         ready: Callable[["ReproServer"], None] | None = None,
     ) -> None:
         """Open the database, accept clients, block until stop, then drain."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stop_event = asyncio.Event()
-        await loop.run_in_executor(None, self._open_database)
+        self._stopping = self._draining = False
+        self._open_database()
         try:
-            server = await asyncio.start_server(
-                self._accept, self.config.host, self.config.port
-            )
+            listener = socket.create_server((self.config.host, self.config.port))
         except BaseException:
-            await loop.run_in_executor(None, self._shutdown_engine)
+            self._shutdown_engine()
             raise
-        host, port = server.sockets[0].getsockname()[:2]
-        self._bound = (host, port)
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    break  # non-Unix / non-main-thread loop: rely on stop()
-        durable = "durable" if self.config.path is not None else "in-memory"
-        logger.info("repro server listening on %s:%d (%s)", host, port, durable)
-        if ready is not None:
-            ready(self)
+        listener.setblocking(False)
+        wake_read, wake_write = socket.socketpair()
+        wake_write.setblocking(False)
+        self._wake = wake_write
+        previous: dict[int, Any] = {}
         try:
-            async with server:
-                await self._stop_event.wait()
-                await self._drain(server)
+            host, port = listener.getsockname()[:2]
+            self._bound = (host, port)
+            if install_signal_handlers:
+                for signum in (signal.SIGTERM, signal.SIGINT):
+                    try:
+                        previous[signum] = signal.signal(
+                            signum, lambda _signum, _frame: self.request_stop()
+                        )
+                    except ValueError:  # pragma: no cover - not the main thread
+                        break  # rely on stop()
+            durable = "durable" if self.config.path is not None else "in-memory"
+            logger.info("repro server listening on %s:%d (%s)", host, port, durable)
+            if ready is not None:
+                ready(self)
+            self._accept_until_stopped(listener, wake_read)
+            listener.close()
+            self._drain()
         finally:
-            await loop.run_in_executor(None, self._shutdown_engine)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+            listener.close()
+            self._wake = None
+            wake_read.close()
+            wake_write.close()
+            self._shutdown_engine()
             self._bound = None
 
     def request_stop(self) -> None:
-        """Begin graceful shutdown (signal handler / loop-thread callers)."""
-        if self._stop_event is not None:
-            self._stop_event.set()
+        """Begin graceful shutdown; safe from a signal handler or any thread."""
+        self._stopping = True
+        wake = self._wake
+        if wake is not None:
+            try:
+                wake.send(b"\0")
+            except OSError:  # closed, or full of earlier wake-ups
+                pass
 
-    async def _drain(self, server: asyncio.base_events.Server) -> None:
-        """Stop accepting, finish in-flight statements, close handlers."""
+    def _accept_until_stopped(self, listener: socket.socket, wake: socket.socket) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(listener, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while not self._stopping:
+                for key, _events in selector.select():
+                    if key.fileobj is listener:
+                        self._accept(listener)
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            sock, _peer = listener.accept()
+        except (BlockingIOError, ConnectionAbortedError):
+            return  # the peer gave up between readiness and accept
+        except OSError:  # e.g. out of file descriptors: back off, retry
+            logger.exception("accepting a connection failed")
+            time.sleep(1.0)
+            return
+        sock.setblocking(True)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        handler = _ClientHandler(self, sock)
+        with self._lock:
+            self._handlers.add(handler)
+        try:
+            handler.thread.start()
+        except RuntimeError:  # no thread to spare: refuse this client only
+            logger.exception("starting a connection thread failed")
+            with self._lock:
+                self._handlers.discard(handler)
+                sock.close()
+
+    def _drain(self) -> None:
+        """Finish busy connections, wake idle ones, wait for every thread."""
         self._draining = True
-        server.close()
-        await server.wait_closed()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.drain_grace
-        while any(h.busy for h in self._handlers) and loop.time() < deadline:
-            await asyncio.sleep(0.02)
-        for handler in list(self._handlers):
-            handler.kick()
-        while self._handlers and loop.time() < deadline + 5.0:
-            await asyncio.sleep(0.02)
+        deadline = time.monotonic() + self.config.drain_grace
+        while time.monotonic() < deadline:
+            with self._lock:
+                if not any(handler.busy for handler in self._handlers):
+                    break
+            time.sleep(0.02)
+        with self._lock:
+            handlers = list(self._handlers)
+            for handler in handlers:
+                handler.kick()
+        for handler in handlers:
+            handler.thread.join(timeout=max(0.0, deadline + 5.0 - time.monotonic()))
 
     def _shutdown_engine(self) -> None:
-        """Flush + checkpoint + close the database; stop the worker pool."""
+        """Flush + checkpoint + close the database."""
         root, self._root = self._root, None
         if root is not None and not root.closed:
             durability = root.durability
@@ -278,9 +332,6 @@ class ReproServer:
                 except ReproError:  # pragma: no cover - disk-full etc.
                     logger.exception("final checkpoint failed; WAL remains authoritative")
             root.close()
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     # -- background-thread mode ---------------------------------------------
 
@@ -288,6 +339,7 @@ class ReproServer:
         """Run the server on a background thread; returns once listening."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        self._started.clear()
         self._thread = threading.Thread(
             target=self._run_background, name="repro-server", daemon=True
         )
@@ -305,8 +357,8 @@ class ReproServer:
 
     def _run_background(self) -> None:
         try:
-            asyncio.run(self.serve_async(ready=lambda _server: self._started.set()))
-        except BaseException as exc:  # startup or fatal loop error
+            self.serve_forever(ready=lambda _server: self._started.set())
+        except BaseException as exc:  # startup or fatal accept-loop error
             self._startup_error = exc
             self._started.set()
 
@@ -315,9 +367,7 @@ class ReproServer:
         thread = self._thread
         if thread is None:
             return
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(self.request_stop)
+        self.request_stop()
         thread.join(timeout=timeout)
         if thread.is_alive():  # pragma: no cover - drain wedged
             raise RuntimeError("server thread did not stop within the timeout")
@@ -328,18 +378,6 @@ class ReproServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-    # -- client handling -----------------------------------------------------
-
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        handler = _ClientHandler(self, reader, writer)
-        self._handlers.add(handler)
-        try:
-            await handler.run()
-        finally:
-            self._handlers.discard(handler)
 
     def stats(self) -> dict[str, Any]:
         """Server-level counters plus per-tenant snapshots."""
@@ -353,30 +391,29 @@ class ReproServer:
                 stats["cache_hit_rate"] = round(cache.hit_rate, 4)
                 stats["cache_size"] = cache.size
                 runtime_stats = stats
+        with self._lock:
+            counters = {
+                "requests": self.total_requests,
+                "rejected": self.total_rejected,
+                "inflight": self._inflight,
+                "max_inflight": self.config.max_inflight,
+                "connections": len(self._handlers),
+                "draining": self._draining,
+            }
         return {
-            "requests": self.total_requests,
-            "rejected": self.total_rejected,
-            "inflight": self._inflight,
-            "max_inflight": self.config.max_inflight,
-            "connections": len(self._handlers),
-            "draining": self._draining,
+            **counters,
             "acquisition_runtime": runtime_stats,
             "tenants": self.registry.snapshot(),
         }
 
 
 class _ClientHandler:
-    """One wire connection: frame loop, dispatch, server-side cursors."""
+    """One wire connection on its own thread: frames, dispatch, cursors."""
 
-    def __init__(
-        self,
-        server: ReproServer,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, server: ReproServer, sock: socket.socket) -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock
+        self.thread = threading.Thread(target=self.run, name="repro-connection", daemon=True)
         self.tenant: TenantState | None = None
         self.connection: Connection | None = None
         self.cursors: dict[int, _ServerCursor] = {}
@@ -384,41 +421,47 @@ class _ClientHandler:
         self.busy = False
         self._done = False
 
-    async def run(self) -> None:
+    def run(self) -> None:
+        server = self.server
+        reader = self.sock.makefile("rb")
         try:
-            while not self._done and not self.server._draining:
-                try:
-                    header = await self.reader.readexactly(protocol.HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError):
+            while not self._done and not server._draining:
+                header = reader.read(protocol.HEADER_SIZE)
+                if len(header) < protocol.HEADER_SIZE:
                     break  # client closed (possibly mid-frame); nothing to answer
                 try:
-                    length = protocol.parse_header(
-                        header, max_frame=self.server.config.max_frame_bytes
-                    )
+                    length = protocol.parse_header(header, max_frame=server.config.max_frame_bytes)
                 except WireProtocolError as exc:
                     # A bad header means the byte stream cannot be
                     # resynced; report the typed error, then hang up.
-                    await self._send(protocol.error_response(exc))
+                    self._send(protocol.error_response(exc))
                     break
-                try:
-                    payload = await self.reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError):
+                payload = reader.read(length)
+                if len(payload) < length:
                     break
                 self.busy = True
                 try:
-                    response = await self._dispatch(payload)
+                    response = self._dispatch(payload)
                 finally:
                     self.busy = False
-                await self._send(response)
-        except ConnectionError:  # pragma: no cover - peer reset mid-write
+                self._send(response)
+        except OSError:  # peer reset, or the drain shut the socket mid-write
             pass
         finally:
-            self._detach()
-            self.writer.close()
+            try:
+                reader.close()
+                self._detach()
+            finally:
+                with server._lock:
+                    server._handlers.discard(self)
+                    self.sock.close()
 
     def kick(self) -> None:
-        """Close the transport so an idle ``readexactly`` wakes up (drain)."""
-        self.writer.close()
+        """Shut the socket down so a blocked read wakes (drain, under the server lock)."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # the peer already went away
+            pass
 
     def _detach(self) -> None:
         self.cursors.clear()
@@ -429,7 +472,7 @@ class _ClientHandler:
                 self.tenant.fold_cache_stats(stats.hits, stats.misses)
             connection.close()
 
-    async def _send(self, response: dict[str, Any]) -> None:
+    def _send(self, response: dict[str, Any]) -> None:
         try:
             frame = protocol.encode_message(response, max_frame=self.server.config.max_frame_bytes)
         except WireProtocolError as exc:  # e.g. over the frame limit
@@ -437,13 +480,14 @@ class _ClientHandler:
             # The short error frame is held to the protocol's own limit, so
             # even a tiny configured limit cannot silence it.
             frame = protocol.encode_message(protocol.error_response(exc))
-        self.writer.write(frame)
-        await self.writer.drain()
+        self.sock.sendall(frame)
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, payload: bytes) -> dict[str, Any]:
-        self.server.total_requests += 1
+    def _dispatch(self, payload: bytes) -> dict[str, Any]:
+        server = self.server
+        with server._lock:
+            server.total_requests += 1
         try:
             message = protocol.decode_payload(payload)
             op = protocol.validate_request(message)
@@ -465,7 +509,7 @@ class _ClientHandler:
                         f"tenant {tenant.name!r} exceeded its rate limit of "
                         f"{tenant.config.max_requests_per_second:g} requests/s"
                     )
-                return await self._admitted(op, message)
+                return self._admitted(op, message)
             return self._do_fetch(message)
         except ReproError as exc:
             if self.tenant is not None:
@@ -477,31 +521,34 @@ class _ClientHandler:
                 self.tenant.record_error()
             return protocol.error_response(exc)
 
-    async def _admitted(self, op: str, message: dict[str, Any]) -> dict[str, Any]:
+    def _admitted(self, op: str, message: dict[str, Any]) -> dict[str, Any]:
         server = self.server
-        if server._inflight >= server.config.max_inflight:
-            server.total_rejected += 1
+        with server._lock:
+            admitted = server._inflight < server.config.max_inflight
+            if admitted:
+                server._inflight += 1
+            else:
+                server.total_rejected += 1
+        if not admitted:
             assert self.tenant is not None
             self.tenant.record_rejected()
             raise ServerOverloadedError(
                 f"server is at max_inflight={server.config.max_inflight} "
                 "concurrent statements; back off and retry"
             )
-        executor = server._executor
-        assert executor is not None
         runner = {
             "execute": self._run_execute,
             "explain": self._run_explain,
             "pragma": self._run_pragma,
         }[op]
-        server._inflight += 1
         try:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(executor, runner, message)
+            with server._slots:
+                return runner(message)
         finally:
-            server._inflight -= 1
+            with server._lock:
+                server._inflight -= 1
 
-    # -- ops (loop thread) ---------------------------------------------------
+    # -- ops ---------------------------------------------------------------
 
     def _do_connect(self, message: dict[str, Any]) -> dict[str, Any]:
         if self.connection is not None:
@@ -548,8 +595,6 @@ class _ClientHandler:
         if done:
             del self.cursors[cursor_id]
         return {"ok": True, "rows": chunk, "done": done}
-
-    # -- ops (worker threads) ------------------------------------------------
 
     def _run_execute(self, message: dict[str, Any]) -> dict[str, Any]:
         assert self.connection is not None and self.tenant is not None

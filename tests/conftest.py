@@ -8,6 +8,7 @@ from fixed seeds so failures are reproducible.
 from __future__ import annotations
 
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -99,30 +100,42 @@ def blob_classification_data():
 
 
 def _server_loop_error(record: logging.LogRecord) -> bool:
-    """True for a record saying a served request died in the server loop."""
-    message = record.getMessage()
-    return record.levelno >= logging.ERROR and (
-        (record.name == "asyncio" and "Unhandled exception" in message)
-        or (record.name == "repro.server" and "unexpected error handling" in message)
+    """True for a record saying a served request died in the server."""
+    return (
+        record.levelno >= logging.ERROR
+        and record.name == "repro.server"
+        and "unexpected error handling" in record.getMessage()
     )
 
 
 @pytest.fixture
-def fail_on_server_loop_errors(caplog):
-    """Fail a served test whose server loop logged an unhandled exception.
+def fail_on_server_loop_errors(caplog, monkeypatch):
+    """Fail a served test whose server hit an unhandled exception.
 
-    The client of such a request sees a dropped connection or an untyped
-    error, which the test's own assertions may not notice.
+    That is a request the server logged as an unexpected error, or a
+    server thread (the accept loop or a connection's thread, both named
+    ``repro-*``) that died with an uncaught exception.  The client of such
+    a request sees a dropped connection or an untyped error, which the
+    test's own assertions may not notice.
     """
+    died: list[str] = []
+    previous = threading.excepthook
+
+    def record_server_thread_death(args: threading.ExceptHookArgs) -> None:
+        if args.thread is not None and args.thread.name.startswith("repro-"):
+            died.append(f"{args.thread.name}: {args.exc_type.__name__}: {args.exc_value}")
+        previous(args)
+
+    monkeypatch.setattr(threading, "excepthook", record_server_thread_death)
     yield
-    errors = [
+    errors = died + [
         record.getMessage()
         for phase in ("setup", "call")
         for record in caplog.get_records(phase)
         if _server_loop_error(record)
     ]
     if errors:
-        pytest.fail(f"the server loop logged: {errors}")
+        pytest.fail(f"the server logged or died with: {errors}")
 
 
 @pytest.fixture(autouse=True)

@@ -243,6 +243,7 @@ class TestAcquire:
             "t",
             [("a", items_for([1])), ("b", items_for([1])), ("c", items_for([1]))],
             session=session,
+            policy=session.policy,
         )
         assert outcome.dispatches == 1  # a spent the whole budget; b, c skipped
         assert session.cost_spent == pytest.approx(1.0)
@@ -312,7 +313,7 @@ class TestAcquire:
 
         def broke_acquire() -> None:
             results["broke"] = runtime.acquire(
-                source, "t", [("a", items_for([1, 2]))], session=broke
+                source, "t", [("a", items_for([1, 2]))], session=broke, policy=broke.policy
             )
 
         def rich_acquire() -> None:

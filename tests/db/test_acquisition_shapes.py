@@ -27,6 +27,8 @@ class PricedSource:
 
     def __init__(self) -> None:
         self.batch_sizes: list[int] = []
+        #: ``(crowd_batch_size, gold_fraction)`` of the policy each dispatch was passed.
+        self.policies: list[tuple[int, float]] = []
 
     def request_values_with_quality(
         self,
@@ -37,6 +39,7 @@ class PricedSource:
         tracker: Any,
     ) -> Dispatch:
         self.batch_sizes.append(len(items))
+        self.policies.append((policy.crowd_batch_size, policy.gold_fraction))
         return Dispatch(
             {rowid: row["item_id"] / 10 for rowid, row in items},
             cost=0.01 * len(items),
@@ -186,8 +189,12 @@ def test_streaming_cursor_keeps_its_batch_size():
     assert len(cursor.fetchmany(3)) == 3
     assert source.batch_sizes == [5]
     conn.execute("PRAGMA acquisition_crowd_batch_size = 100")
+    conn.execute("PRAGMA acquisition_gold_fraction = 0.5")
     assert len(cursor.fetchall()) == 17
     assert source.batch_sizes == [5, 5, 5, 5]
+    # The value source sees the policy the cursor was lowered with, before
+    # and after the PRAGMAs, not the session's live one.
+    assert source.policies == [(5, 0.1)] * 4
     assert "CrowdFill(batch_size=5)" in cursor.explain()
     # A statement lowered after the PRAGMA reads the new size.
     assert "CrowdFill(batch_size=100)" in conn.explain("SELECT humor FROM movies")

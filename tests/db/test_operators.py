@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import time
+from typing import Any, Iterator, Sequence
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +16,7 @@ from repro.db.sql.operators import (
     IndexRangeScan,
     Limit,
     NestedLoopJoin,
+    Operator,
     SeqScan,
     Sort,
 )
@@ -614,3 +616,25 @@ class TestTopNSort:
         conn = self._connection([(1, 1, 1, 1)])
         plan = conn.explain("SELECT id FROM t ORDER BY a DESC LIMIT 3 OFFSET 1")
         assert plan.splitlines()[-2:] == ["Sort a DESC", "Limit 3 Offset 1"]
+
+
+class _SlowCleanUp(Operator):
+    """A source of ten rows whose clean-up takes 20 ms."""
+
+    label = "SlowCleanUp"
+
+    def _produce(self) -> Iterator[Any]:
+        try:
+            yield from range(10)
+        finally:
+            time.sleep(0.02)
+
+
+class TestCleanUpTiming:
+    def test_early_stop_bills_the_clean_up_to_the_child(self):
+        child = _SlowCleanUp()
+        limit = Limit(child, 1)
+        assert list(limit) == [0]
+        assert child.wall_seconds >= 0.02
+        # The Limit's exclusive time is only its own pulls.
+        assert limit.wall_seconds - child.wall_seconds < 0.02

@@ -319,6 +319,133 @@ class TestCrowdTenancy:
             again.close()
 
 
+class GatedSource(CountingSource):
+    """CountingSource whose dispatches wait for :attr:`release` to be set."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def request_values_with_quality(self, attribute, items, *, policy, tracker) -> Dispatch:
+        self.entered.set()
+        assert self.release.wait(timeout=30.0)
+        return super().request_values_with_quality(
+            attribute, items, policy=policy, tracker=tracker
+        )
+
+
+class TestServingModel:
+    """Each wire connection runs its statements on its own thread."""
+
+    def _gated_server(self, source: GatedSource, **config: Any) -> ReproServer:
+        def factory(tenant: TenantConfig) -> SessionContext:
+            return SessionContext(value_source=source)
+
+        return ReproServer(ServerConfig(port=0, **config), session_factory=factory)
+
+    def _park(self, server: ReproServer, source: GatedSource) -> tuple[threading.Thread, list]:
+        """Connection A runs a crowd-filling SELECT that waits in its dispatch."""
+        setup = repro.client.connect(*server.address, tenant="setup")
+        setup.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, appeal REAL PERCEPTUAL)")
+        setup.executemany("INSERT INTO items (item_id) VALUES (?)", [(1,), (2,)])
+        setup.close()
+        answers: list = []
+
+        def run_a() -> None:
+            with repro.client.connect(*server.address, tenant="a") as conn:
+                answers.append(conn.execute("SELECT COUNT(appeal) FROM items").fetchall())
+
+        thread_a = threading.Thread(target=run_a)
+        thread_a.start()
+        assert source.entered.wait(timeout=10.0)
+        return thread_a, answers
+
+    def test_a_parked_statement_does_not_stall_another_connection(self):
+        source = GatedSource()
+        with self._gated_server(source) as server:
+            thread_a, answers = self._park(server, source)
+            try:
+                with repro.client.connect(*server.address, tenant="b") as conn:
+                    assert conn.execute("SELECT item_id FROM items").fetchall() == [(1,), (2,)]
+                assert answers == []  # A is still parked
+            finally:
+                source.release.set()
+                thread_a.join(timeout=10.0)
+            assert answers == [[(2,)]]
+
+    def test_one_executor_thread_runs_one_statement_at_a_time(self):
+        source = GatedSource()
+        with self._gated_server(source, executor_threads=1) as server:
+            thread_a, answers = self._park(server, source)
+            conn_b = repro.client.connect(*server.address, tenant="b")
+            answered = threading.Event()
+            rows_b: list = []
+
+            def run_b() -> None:
+                rows_b.extend(conn_b.execute("SELECT item_id FROM items").fetchall())
+                answered.set()
+
+            thread_b = threading.Thread(target=run_b)
+            thread_b.start()
+            try:
+                # B is admitted but waits for the only slot, which A holds.
+                assert not answered.wait(timeout=0.3)
+                assert rows_b == []
+            finally:
+                source.release.set()
+                thread_a.join(timeout=10.0)
+                thread_b.join(timeout=10.0)
+            assert answered.is_set() and rows_b == [(1,), (2,)]
+            assert answers == [[(2,)]]
+            conn_b.close()
+
+    def test_counters_survive_concurrent_connections(self):
+        # Every connection thread updates the server-wide counters; switch
+        # threads as often as possible so a lost update would show.
+        n_clients, n_statements = 8, 25
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ReproServer(ServerConfig(port=0)) as server:
+
+                def worker(name: str) -> None:
+                    try:
+                        with repro.client.connect(*server.address, tenant=name) as conn:
+                            for _ in range(n_statements):
+                                conn.execute("SELECT 1")
+                    except BaseException as exc:  # noqa: BLE001 - surfaced below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=worker, args=(f"w{i}",)) for i in range(n_clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        # connect, the statements and close, from every client
+        assert stats["requests"] == n_clients * (n_statements + 2)
+        assert stats["inflight"] == 0 and stats["rejected"] == 0
+
+    def test_stop_wakes_an_idle_connection(self):
+        before = set(threading.enumerate())
+        server = ReproServer(ServerConfig(port=0)).start()
+        conn = repro.client.connect(*server.address, tenant="idle")
+        assert conn.execute("SELECT 1").fetchall() == [(1,)]
+        server.stop()  # returns although the client never hung up
+        with pytest.raises(OSError):
+            conn.execute("SELECT 1")
+        conn.close()
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+
 class TestGracefulShutdown:
     def _spawn_serve(self, db_path: str) -> tuple[subprocess.Popen, str, int]:
         env = dict(os.environ)
@@ -402,6 +529,13 @@ class TestGracefulShutdown:
         server.stop()  # second stop is a no-op
         with pytest.raises(RuntimeError, match="not running"):
             _ = server.address
+
+    def test_a_stopped_server_starts_again(self):
+        server = ReproServer(ServerConfig(port=0))
+        for _ in range(2):
+            with server:
+                with repro.client.connect(*server.address, tenant="t") as conn:
+                    assert conn.execute("SELECT 1").fetchall() == [(1,)]
 
 
 class TestWireProtocolMisuse:
