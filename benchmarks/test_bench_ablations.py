@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 import repro.client
-from repro.core.extractor import PerceptualAttributeExtractor
+from repro.core.prediction import PerceptualPredictor
 from repro.core.prediction import PerceptualPredictor
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
@@ -85,10 +85,14 @@ def test_ablation_embedding_vs_svd(benchmark, movie_context, repetitions, report
                 )
                 gold = {i: True for i in positives}
                 gold.update({i: False for i in negatives})
-                extraction = PerceptualAttributeExtractor(space).extract_boolean("is_comedy", gold)
-                ids = [i for i in labels if i in extraction.values]
+                batch = PerceptualPredictor(space).fit_predict(
+                    "is_comedy",
+                    [(i, {"item_id": i}, gold[i]) for i in sorted(gold)],
+                    [(i, {"item_id": i}) for i in space.item_ids],
+                )
+                ids = [i for i in labels if i in batch.values]
                 truth = np.array([labels[i] for i in ids])
-                predictions = np.array([extraction.values[i] for i in ids])
+                predictions = np.array([batch.values[i] for i in ids])
                 values.append(g_mean(truth, predictions))
             scores[name] = float(np.mean(values))
         return scores
@@ -106,7 +110,7 @@ def test_ablation_embedding_vs_svd(benchmark, movie_context, repetitions, report
 
 
 def test_ablation_extractor_training_cost(benchmark, movie_context, report_writer):
-    """Per-retraining cost of the SVM extractor (Experiment 4 inner loop)."""
+    """Per-retraining cost of the SVM model (Experiment 4 inner loop)."""
     labels = movie_context.reference_labels("Comedy")
     usable = {i: l for i, l in labels.items() if i in movie_context.space}
     # Cap at what the corpus offers: the small CI scale has fewer than 100
@@ -119,9 +123,11 @@ def test_ablation_extractor_training_cost(benchmark, movie_context, report_write
     positives, negatives = sample_balanced_training_set(usable, per_class, seed=0)
     gold = {i: True for i in positives}
     gold.update({i: False for i in negatives})
-    extractor = PerceptualAttributeExtractor(movie_context.space)
+    train = [(i, {"item_id": i}, gold[i]) for i in sorted(gold)]
+    targets = [(i, {"item_id": i}) for i in movie_context.space.item_ids]
+    predictor = PerceptualPredictor(movie_context.space)
 
-    result = benchmark(extractor.extract_boolean, "is_comedy", gold)
+    result = benchmark(predictor.fit_predict, "is_comedy", train, targets)
     assert len(result.values) == movie_context.space.n_items
     report_writer(
         "ablation_extractor_cost",

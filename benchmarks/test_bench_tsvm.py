@@ -3,12 +3,17 @@
 Regenerates the comparison the paper reports in its "Semi-supervised
 learning" discussion: the TSVM reaches comparable g-means but is far slower
 than the plain SVM on the same schema-expansion task.
+
+The committed result file keeps only the deterministic columns (the two
+g-means), so it must regenerate byte-identically on every host; the full
+table with the wall-clock columns is printed.
 """
 
 from __future__ import annotations
 
 from repro.experiments.reporting import render_tsvm_rows
 from repro.experiments.tsvm_comparison import run_tsvm_comparison
+from repro.utils.tables import format_table
 
 
 def test_section5_tsvm_comparison(benchmark, movie_context, report_writer):
@@ -20,7 +25,18 @@ def test_section5_tsvm_comparison(benchmark, movie_context, report_writer):
         rounds=1,
         iterations=1,
     )
-    report_writer("section5_tsvm_comparison", render_tsvm_rows(rows))
+    print(f"\n{render_tsvm_rows(rows)}\n")
+    report_writer(
+        "section5_tsvm_comparison",
+        format_table(
+            ["Genre", "n/class", "SVM g-mean", "TSVM g-mean"],
+            [
+                (row.genre, row.n_per_class, round(row.svm_gmean, 3), round(row.tsvm_gmean, 3))
+                for row in rows
+            ],
+            title="Section 5. Supervised vs. transductive SVM on schema expansion",
+        ),
+    )
 
     for row in rows:
         # Comparable accuracy (the paper saw nearly identical g-means) ...

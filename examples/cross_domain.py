@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PerceptualAttributeExtractor
+from repro.core import PerceptualPredictor
 from repro.datasets import build_boardgame_corpus, build_restaurant_corpus
 from repro.learn import g_mean, sample_balanced_training_set
 from repro.perceptual import EuclideanEmbeddingModel, FactorModelConfig
@@ -34,11 +34,14 @@ def expand_categories(corpus, categories, *, n_per_class: int = 20, seed: int = 
             continue
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(space)
-        extraction = extractor.extract_boolean(category, gold)
-        ids = [i for i in labels if i in extraction.values]
+        batch = PerceptualPredictor(space).fit_predict(
+            category,
+            [(i, {"item_id": i}, gold[i]) for i in sorted(gold)],
+            [(i, {"item_id": i}) for i in space.item_ids],
+        )
+        ids = [i for i in labels if i in batch.values]
         truth = np.array([labels[i] for i in ids])
-        predictions = np.array([extraction.values[i] for i in ids])
+        predictions = np.array([batch.values[i] for i in ids])
         print(f"  {category:30s}  g-mean {g_mean(truth, predictions):.2f}  "
               f"(trained on {len(gold)} judgments, labelled {len(ids)} items)")
 

@@ -2,10 +2,10 @@
 
 A crowd-enabled database answers queries over attributes nobody has
 stored yet.  Here the ``humor`` column of a movie table starts out
-entirely MISSING; a value source (the perceptual-space extractor wrapped
-in the :class:`repro.db.ValueSource` protocol) is installed on the
-connection, and a plain ``SELECT ... ORDER BY humor DESC`` fills the
-column on demand:
+entirely MISSING; a value source (the perceptual-space predictor's
+judgments wrapped in the :class:`repro.db.ValueSource` protocol) is
+installed on the connection, and a plain ``SELECT ... ORDER BY humor
+DESC`` fills the column on demand:
 
 * the planner puts a ``CrowdFill`` operator under the sort, which hands
   the MISSING cells to the acquisition runtime in batches of
@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core import PerceptualAttributeExtractor
+from repro.core import PerceptualPredictor
 from repro.datasets import build_movie_corpus
 from repro.db import AcquisitionPolicy, Dispatch, connect
 from repro.perceptual import EuclideanEmbeddingModel, FactorModelConfig
@@ -61,17 +61,20 @@ def main() -> None:
 
     # Gold sample: numeric humor judgments for 60 movies (simulated experts
     # give a 1-10 score derived from the comedy label with noise); the
-    # extractor turns it into a judgment for every movie in the space.
+    # predictor turns it into a judgment for every movie in the space.
     labels = corpus.labels_for("Comedy")
     rng = np.random.default_rng(21)
     gold_ids = [int(i) for i in rng.choice(sorted(labels), size=60, replace=False)]
     gold = {
         i: float(np.clip((7.5 if labels[i] else 3.5) + rng.normal(0, 1), 1, 10)) for i in gold_ids
     }
-    extractor = PerceptualAttributeExtractor(space)
-    source = ExtractionValueSource(
-        extractor.extract_numeric("humor", gold, value_range=(1.0, 10.0)).values
+    predictor = PerceptualPredictor(space, value_range=(1.0, 10.0))
+    batch = predictor.fit_predict(
+        "humor",
+        [(i, {"item_id": i}, gold[i]) for i in sorted(gold)],
+        [(i, {"item_id": i}) for i in space.item_ids],
     )
+    source = ExtractionValueSource(batch.values)
 
     db = connect()
     db.execute(

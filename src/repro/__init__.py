@@ -23,9 +23,8 @@ Subpackages
     Synthetic Social-Web corpora standing in for Netflix/IMDb, yelp.com and
     boardgamegeek.com data.
 ``repro.core``
-    The paper's contribution: the perceptual-space extractor and predictor
-    behind query-driven schema expansion, and questionable-response
-    detection.
+    The paper's contribution: the perceptual-space predictor behind
+    query-driven schema expansion, and questionable-response detection.
 ``repro.experiments``
     Harness reproducing every table and figure of the evaluation section.
 
@@ -49,7 +48,7 @@ engine then fills the new column itself.  See ``examples/quickstart.py``
 for the full end-to-end workflow.
 """
 
-from repro.core import PerceptualAttributeExtractor, QuestionableResponseDetector
+from repro.core import PerceptualPredictor, QuestionableResponseDetector
 from repro.crowd import CrowdPlatform, WorkerPool
 from repro.db import AcquisitionPolicy, Connection, Cursor, SessionContext, connect
 from repro.errors import ReproError
@@ -63,7 +62,7 @@ __all__ = [
     "CrowdPlatform",
     "Cursor",
     "EuclideanEmbeddingModel",
-    "PerceptualAttributeExtractor",
+    "PerceptualPredictor",
     "PerceptualSpace",
     "QuestionableResponseDetector",
     "RatingDataset",

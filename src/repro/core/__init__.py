@@ -8,19 +8,17 @@ runtime, and the ``PredictFill`` operator trains
 :class:`~repro.core.prediction.PerceptualPredictor` (an SVM on
 perceptual-space coordinates) on that sample and fills every other tuple.
 
-This package holds the models behind that workflow: the extractor, the
-predictor the engine calls, and the identification of questionable HIT
+This package holds the models behind that workflow: the predictor, which
+is the one Section 3.4 model (the engine, the experiments and the detector
+all train through it), and the identification of questionable HIT
 responses (Section 4.4) via
 :class:`~repro.core.quality.QuestionableResponseDetector`.
 """
 
-from repro.core.extractor import ExtractionResult, PerceptualAttributeExtractor
 from repro.core.prediction import PerceptualPredictor
 from repro.core.quality import QualityFlag, QuestionableResponseDetector
 
 __all__ = [
-    "ExtractionResult",
-    "PerceptualAttributeExtractor",
     "PerceptualPredictor",
     "QualityFlag",
     "QuestionableResponseDetector",

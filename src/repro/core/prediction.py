@@ -1,13 +1,12 @@
-"""Perceptual-space predictor for the query engine's hybrid acquisition.
+"""Perceptual-space predictor: the paper's Section 3.4 model.
 
-This is the bridge between the database's
-:class:`~repro.db.acquisition.AttributePredictor` protocol and the paper's
-Section 3.4 models: the item coordinates of a
-:class:`~repro.perceptual.space.PerceptualSpace` serve as features, an
-:class:`~repro.learn.svr.SVR` extracts numeric judgments, an
-:class:`~repro.learn.svm.SVC` extracts boolean ones, and — when the crowd
-sample is scarce — the :class:`~repro.learn.tsvm.TransductiveSVC` exploits
-the unlabelled target rows as well (Section 5's semi-supervised variant).
+The item coordinates of a :class:`~repro.perceptual.space.PerceptualSpace`
+serve as features; an RBF :class:`~repro.learn.svm.SVC` extracts boolean
+judgments and an RBF :class:`~repro.learn.svr.SVR` numeric ones.  This is
+the one place that trains that model: the query engine's ``PredictFill``
+calls it through the :class:`~repro.db.acquisition.AttributePredictor`
+protocol, and so do the paper's experiments and the questionable-response
+detector, with rows keyed by item id.
 
 The predictor is stateless between calls: ``fit_predict`` trains a fresh
 model per attribute per query, mirroring how the paper retrains the
@@ -25,7 +24,6 @@ from repro.db.acquisition import PredictionBatch
 from repro.db.types import is_missing
 from repro.learn.svm import SVC
 from repro.learn.svr import SVR
-from repro.learn.tsvm import TransductiveSVC
 from repro.perceptual.space import PerceptualSpace
 from repro.utils.rng import RandomState
 
@@ -42,17 +40,12 @@ class PerceptualPredictor:
     key_column:
         Row column mapping database rows to the space's item ids (the same
         convention as :class:`~repro.crowd.sources.SimulatedCrowdValueSource`).
-    C, gamma:
-        SVM/SVR hyper-parameters (RBF kernel, as the paper recommends).
+    C:
+        SVM/SVR regularisation (RBF kernel, as the paper recommends).
     min_training_size:
         Minimum usable training examples before a model is fitted; below
         it (or with a single class) an empty batch is returned and the
         cells stay MISSING.
-    tsvm_threshold:
-        When a *boolean* attribute has fewer labelled examples than this,
-        the transductive SVM is trained on the labelled sample plus the
-        unlabelled target rows instead of the plain SVC (the paper's
-        scarce-label fallback).  0 disables the fallback.
     value_range:
         Optional ``(low, high)`` clip range for numeric predictions.
     seed:
@@ -66,18 +59,14 @@ class PerceptualPredictor:
         *,
         key_column: str = "item_id",
         C: float = 2.0,
-        gamma: float | str = "scale",
         min_training_size: int = 6,
-        tsvm_threshold: int = 0,
         value_range: tuple[float, float] | None = None,
         seed: RandomState = None,
     ) -> None:
         self.space = space
         self.key_column = key_column
         self.C = C
-        self.gamma = gamma
         self.min_training_size = min_training_size
-        self.tsvm_threshold = tsvm_threshold
         self.value_range = value_range
 
     # -- protocol --------------------------------------------------------------
@@ -134,19 +123,8 @@ class PerceptualPredictor:
         if bool(y_train.all()) or not bool(y_train.any()):
             # One-class gold samples cannot train a discriminative model.
             return PredictionBatch(training_size=len(y_train))
-        if 0 < len(y_train) < self.tsvm_threshold:
-            model: SVC | TransductiveSVC = TransductiveSVC(C=self.C, kernel="rbf", gamma=self.gamma)
-            model.fit(X_train, y_train, X_targets)
-            model_kind = "tsvm-rbf"
-        else:
-            model = SVC(
-                C=self.C,
-                kernel="rbf",
-                gamma=self.gamma,
-                class_weight="balanced",
-            )
-            model.fit(X_train, y_train)
-            model_kind = "svc-rbf"
+        model = SVC(C=self.C, kernel="rbf", class_weight="balanced")
+        model.fit(X_train, y_train)
         scores = model.decision_function(X_targets)
         predictions = scores >= 0.0
         # Squash |decision| through a sigmoid: confident far from the
@@ -160,7 +138,7 @@ class PerceptualPredictor:
         return PredictionBatch(
             values={rowid: bool(p) for rowid, p in zip(target_rowids, predictions)},
             confidences=confidences,
-            model_kind=model_kind,
+            model_kind="svc-rbf",
             rmse=rmse,
             training_size=len(y_train),
         )
@@ -172,7 +150,7 @@ class PerceptualPredictor:
         X_targets: np.ndarray,
         target_rowids: list[int],
     ) -> PredictionBatch:
-        model = SVR(C=self.C, kernel="rbf", gamma=self.gamma)
+        model = SVR(C=self.C, kernel="rbf")
         model.fit(X_train, y_train)
         predictions = model.predict(X_targets)
         if self.value_range is not None:

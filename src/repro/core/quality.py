@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.prediction import PerceptualPredictor
 from repro.errors import InsufficientTrainingDataError
 from repro.learn.metrics import precision_recall
-from repro.learn.svm import SVC
 from repro.perceptual.space import PerceptualSpace
 
 
@@ -28,7 +28,6 @@ class QualityFlag:
     item_id: int
     given_label: bool
     predicted_label: bool
-    decision_score: float
 
 
 @dataclass
@@ -63,63 +62,35 @@ class QualityScanResult:
 class QuestionableResponseDetector:
     """Flags crowd labels that contradict the perceptual-space structure."""
 
-    def __init__(
-        self,
-        space: PerceptualSpace,
-        *,
-        C: float = 0.3,
-        gamma: float | str = "scale",
-        class_weight: str | None = "balanced",
-    ) -> None:
-        # The default C is deliberately small: the detector must *not* be
-        # able to fit the wrong labels it is supposed to expose, so the SVM
-        # is regularised towards the smooth structure of the space.
-        self.space = space
-        self.C = C
-        self.gamma = gamma
-        self.class_weight = class_weight
+    #: Fewest usable labels a scan trains on.
+    MIN_LABELS = 10
+
+    def __init__(self, space: PerceptualSpace) -> None:
+        # C is deliberately small: the detector must *not* be able to fit
+        # the wrong labels it is supposed to expose, so the SVM is
+        # regularised towards the smooth structure of the space.
+        self.predictor = PerceptualPredictor(space, C=0.3, min_training_size=self.MIN_LABELS)
 
     def scan(self, attribute: str, crowd_labels: Mapping[int, bool]) -> QualityScanResult:
         """Train on all crowd labels and flag the ones the model disagrees with."""
-        usable = {
-            int(item_id): bool(label)
-            for item_id, label in crowd_labels.items()
-            if int(item_id) in self.space
-        }
-        if len(usable) < 10:
-            raise InsufficientTrainingDataError(10, len(usable))
-        labels = list(usable.values())
-        if all(labels) or not any(labels):
-            raise InsufficientTrainingDataError(10, len(usable))
-
-        item_ids = sorted(usable)
-        X = self.space.vectors(item_ids)
-        y = np.array([usable[item_id] for item_id in item_ids])
-        model = SVC(
-            C=self.C,
-            kernel="rbf",
-            gamma=self.gamma,
-            class_weight=self.class_weight,
+        labels = {int(item_id): bool(label) for item_id, label in crowd_labels.items()}
+        rows = [(item_id, {"item_id": item_id}) for item_id in sorted(labels)]
+        batch = self.predictor.fit_predict(
+            attribute, [(item_id, row, labels[item_id]) for item_id, row in rows], rows
         )
-        model.fit(X, y)
-        scores = model.decision_function(X)
-        predictions = scores >= 0.0
-
+        # Too few labels in the space, or only one class: nothing trained.
+        if not batch.values:
+            raise InsufficientTrainingDataError(self.MIN_LABELS, batch.training_size)
         flags = [
-            QualityFlag(
-                item_id=item_id,
-                given_label=bool(usable[item_id]),
-                predicted_label=bool(predicted),
-                decision_score=float(score),
-            )
-            for item_id, predicted, score in zip(item_ids, predictions, scores)
-            if bool(predicted) != usable[item_id]
+            QualityFlag(item_id=item_id, given_label=labels[item_id], predicted_label=predicted)
+            for item_id, predicted in batch.values.items()
+            if predicted != labels[item_id]
         ]
         return QualityScanResult(
             attribute=attribute,
             flags=flags,
-            n_items_scanned=len(item_ids),
-            predictions={item_id: bool(p) for item_id, p in zip(item_ids, predictions)},
+            n_items_scanned=len(batch.values),
+            predictions=batch.values,
         )
 
     def repair(

@@ -372,7 +372,7 @@ class PredictionBatch:
     per-value confidence in ``[0, 1]`` (used for re-acquisition), ``rmse``
     is the model's training error (root-mean-square; boolean labels are
     scored as 0/1), and ``model_kind`` names the model that produced the
-    predictions (``svr-rbf``, ``svc-rbf``, ``tsvm-rbf`` …).
+    predictions (``svr-rbf``, ``svc-rbf`` …).
     """
 
     values: dict[int, Any] = field(default_factory=dict)

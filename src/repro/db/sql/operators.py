@@ -707,7 +707,7 @@ class PredictFill(Operator):
         self.crowd_calls_saved = 0
         #: attribute -> training RMSE of the fitted model.
         self.model_rmse: dict[str, float] = {}
-        #: attribute -> model kind ("svr-rbf", "svc-rbf", "tsvm-rbf", ...).
+        #: attribute -> model kind ("svr-rbf", "svc-rbf", ...).
         self.model_kinds: dict[str, str] = {}
         #: attribute -> number of training examples used.
         self.training_sizes: dict[str, int] = {}

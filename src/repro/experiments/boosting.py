@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.extractor import PerceptualAttributeExtractor
+from repro.core.prediction import PerceptualPredictor
 from repro.crowd.aggregation import MajorityVote, score_against_truth
 from repro.crowd.platform import CrowdRunResult
-from repro.errors import InsufficientTrainingDataError
 from repro.experiments.context import MovieExperimentContext
 from repro.experiments.crowd_quality import CrowdQualityOutcome
 
@@ -73,9 +72,10 @@ def _boost_run(
 ) -> BoostingSeries:
     item_ids = sorted(truth)
     truth_array = np.array([truth[i] for i in item_ids])
-    # The training labels come from noisy majority votes, so the extractor is
+    targets = [(i, {"item_id": i}) for i in item_ids]
+    # The training labels come from noisy majority votes, so the model is
     # regularised more strongly than in the clean small-sample experiments.
-    extractor = PerceptualAttributeExtractor(context.space, C=extractor_C)
+    predictor = PerceptualPredictor(context.space, C=extractor_C)
     series = BoostingSeries(
         experiment=label, base_experiment=base_label, n_items=len(item_ids)
     )
@@ -95,21 +95,12 @@ def _boost_run(
             if outcome.label is not None
         }
 
+        train = [(i, {"item_id": i}, training_labels[i]) for i in sorted(training_labels)]
+        boosted = predictor.fit_predict("boosted", train, targets).values
         boosted_correct = 0
-        boosted_coverage = 0
-        if training_labels:
-            try:
-                extraction = extractor.extract_boolean(
-                    "boosted", training_labels, target_items=item_ids
-                )
-            except InsufficientTrainingDataError:
-                extraction = None
-            if extraction is not None:
-                predictions = np.array([
-                    bool(extraction.values.get(item_id, False)) for item_id in item_ids
-                ])
-                boosted_correct = int(np.sum(predictions == truth_array))
-                boosted_coverage = len(extraction.values)
+        if boosted:  # an untrained model boosts nothing
+            predictions = np.array([boosted.get(item_id, False) for item_id in item_ids])
+            boosted_correct = int(np.sum(predictions == truth_array))
 
         series.points.append(
             BoostingPoint(
@@ -119,7 +110,7 @@ def _boost_run(
                 training_size=len(training_labels),
                 crowd_correct=crowd_report.n_correct,
                 boosted_correct=boosted_correct,
-                boosted_coverage=boosted_coverage,
+                boosted_coverage=len(boosted),
             )
         )
         if minutes >= total_minutes:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.extractor import PerceptualAttributeExtractor
+from repro.core.prediction import PerceptualPredictor
 from repro.errors import LearningError
 from repro.experiments.context import MovieExperimentContext, expert_reference_gmeans
 from repro.learn.metrics import g_mean
@@ -54,6 +54,8 @@ def evaluate_space_gmean(
     usable_labels = {i: l for i, l in labels.items() if i in space}
     evaluation_ids = sorted(usable_labels)
     truth = np.array([usable_labels[i] for i in evaluation_ids])
+    targets = [(i, {"item_id": i}) for i in evaluation_ids]
+    predictor = PerceptualPredictor(space, C=extractor_C)
     scores = []
     for repetition in range(n_repetitions):
         rep_seed = derive_seed(seed, "small-sample", n_per_class, repetition)
@@ -65,12 +67,11 @@ def evaluate_space_gmean(
             continue
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
-        extractor = PerceptualAttributeExtractor(space, C=extractor_C)
-        try:
-            extraction = extractor.extract_boolean("attribute", gold, target_items=evaluation_ids)
-        except LearningError:
+        train = [(i, {"item_id": i}, gold[i]) for i in sorted(gold)]
+        batch = predictor.fit_predict("attribute", train, targets)
+        if not batch.values:  # too few or one-class samples
             continue
-        predictions = np.array([bool(extraction.values[i]) for i in evaluation_ids])
+        predictions = np.array([batch.values[i] for i in evaluation_ids])
         scores.append(g_mean(truth, predictions))
     if not scores:
         return float("nan"), float("nan")

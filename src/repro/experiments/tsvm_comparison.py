@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.extractor import PerceptualAttributeExtractor
+from repro.core.prediction import PerceptualPredictor
 from repro.experiments.context import MovieExperimentContext
 from repro.learn.metrics import g_mean
 from repro.learn.model_selection import sample_balanced_training_set
@@ -61,12 +61,15 @@ def run_tsvm_comparison(
         gold = {i: True for i in positives}
         gold.update({i: False for i in negatives})
 
-        # Plain SVM through the standard extractor.
+        # Plain SVM through the Section 3.4 model.
         start = time.perf_counter()
-        extractor = PerceptualAttributeExtractor(context.space)
-        extraction = extractor.extract_boolean(genre, gold, target_items=evaluation_ids)
+        batch = PerceptualPredictor(context.space).fit_predict(
+            genre,
+            [(i, {"item_id": i}, gold[i]) for i in sorted(gold)],
+            [(i, {"item_id": i}) for i in evaluation_ids],
+        )
         svm_seconds = time.perf_counter() - start
-        svm_predictions = np.array([bool(extraction.values[i]) for i in evaluation_ids])
+        svm_predictions = np.array([batch.values[i] for i in evaluation_ids])
         svm_score = g_mean(truth, svm_predictions)
 
         # Transductive SVM over the same features plus the unlabelled items.

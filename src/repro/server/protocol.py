@@ -182,6 +182,9 @@ _FIELD_SPECS: dict[str, dict[str, tuple[tuple[type, ...], bool]]] = {
     "close": {},
 }
 
+#: Page sizes: integers >= 1.  ``true`` is a JSON boolean, not a count.
+_PAGE_SIZE_FIELDS = frozenset({"fetch_size", "max_rows"})
+
 
 def validate_request(message: Mapping[str, Any]) -> str:
     """Check *message* against the request schema; returns its ``op``."""
@@ -202,6 +205,10 @@ def validate_request(message: Mapping[str, Any]) -> str:
             raise WireProtocolError(
                 f"request {op!r} field {field!r} must be {expected}, "
                 f"got {type(value).__name__}"
+            )
+        if field in _PAGE_SIZE_FIELDS and (value.__class__ is not int or value < 1):
+            raise WireProtocolError(
+                f"request {op!r} field {field!r} must be an integer >= 1, got {value!r}"
             )
     unknown = set(message) - set(spec) - {"op"}
     if unknown:

@@ -588,10 +588,7 @@ class _ClientHandler:
         if message.get("discard"):
             del self.cursors[cursor_id]
             return {"ok": True, "rows": [], "done": True}
-        max_rows = message.get("max_rows") or self.server.config.fetch_size
-        if max_rows < 1:
-            raise WireProtocolError("fetch max_rows must be >= 1")
-        chunk, done = cursor.take(max_rows)
+        chunk, done = cursor.take(message.get("max_rows", self.server.config.fetch_size))
         if done:
             del self.cursors[cursor_id]
         return {"ok": True, "rows": chunk, "done": done}
@@ -602,9 +599,7 @@ class _ClientHandler:
             return self._run_execute_many(message)
         params = tuple(protocol.decode_row(message.get("params", [])))
         result = self.connection.run_statement(message["sql"], params)
-        fetch_size = message.get("fetch_size") or self.server.config.fetch_size
-        if fetch_size < 1:
-            raise WireProtocolError("execute fetch_size must be >= 1")
+        fetch_size = message.get("fetch_size", self.server.config.fetch_size)
         encoded = [protocol.encode_row(row) for row in result.rows]
         response: dict[str, Any] = {
             "ok": True,

@@ -1,4 +1,4 @@
-"""Tests for the perceptual-space attribute predictor (SVC / TSVM / SVR)."""
+"""Tests for the perceptual-space attribute predictor (SVC / SVR), Section 3.4."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.prediction import PerceptualPredictor
 from repro.db.types import MISSING
+from repro.learn.metrics import g_mean
+from repro.learn.model_selection import sample_balanced_training_set
 from repro.perceptual.space import PerceptualSpace
 
 
@@ -27,6 +29,16 @@ def rows(item_ids):
 
 def labelled(item_ids, value_of):
     return [(rowid, row, value_of(row["item_id"])) for rowid, row in rows(item_ids)]
+
+
+def item_rows(item_ids):
+    """``(item_id, row)`` targets: the row id is the item id."""
+    return [(item_id, {"item_id": item_id}) for item_id in item_ids]
+
+
+def item_labels(gold):
+    """``(item_id, row, value)`` training rows, sorted by item id."""
+    return [(item_id, row, gold[item_id]) for item_id, row in item_rows(sorted(gold))]
 
 
 TRAIN_ITEMS = [1, 2, 3, 4, 5, 21, 22, 23, 24, 25]
@@ -50,14 +62,6 @@ class TestBooleanAttributes:
         )
         assert set(batch.confidences) == set(batch.values)
         assert all(0.5 <= confidence < 1.0 for confidence in batch.confidences.values())
-
-    def test_scarce_labels_fall_back_to_the_transductive_svm(self, space):
-        predictor = PerceptualPredictor(space, tsvm_threshold=len(TRAIN_ITEMS) + 1)
-        batch = predictor.fit_predict(
-            "is_right", labelled(TRAIN_ITEMS, lambda item: item > 20), rows(TARGET_ITEMS)
-        )
-        assert batch.model_kind == "tsvm-rbf"
-        assert batch.values == {110: False, 111: False, 130: True, 131: True}
 
     def test_one_class_sample_predicts_nothing(self, space):
         batch = PerceptualPredictor(space).fit_predict(
@@ -99,11 +103,10 @@ class TestNumericAttributes:
 
 
 class TestCoverage:
-    def test_too_few_training_rows_predicts_nothing(self, space):
+    @pytest.mark.parametrize("value_of", [lambda item: item > 20, float], ids=["bool", "float"])
+    def test_too_few_training_rows_predicts_nothing(self, space, value_of):
         predictor = PerceptualPredictor(space, min_training_size=len(TRAIN_ITEMS) + 1)
-        batch = predictor.fit_predict(
-            "is_right", labelled(TRAIN_ITEMS, lambda item: item > 20), rows(TARGET_ITEMS)
-        )
+        batch = predictor.fit_predict("x", labelled(TRAIN_ITEMS, value_of), rows(TARGET_ITEMS))
         assert batch.values == {}
         assert batch.training_size == len(TRAIN_ITEMS)
 
@@ -131,3 +134,35 @@ class TestCoverage:
             "is_right", train, targets
         )
         assert batch.values == {110: False, 111: False, 130: True, 131: True}
+
+
+
+class TestOnClusteredSpaces:
+    """Rows keyed by item id, trained in item-id order, as the experiments call it."""
+
+    def test_regression_recovers_a_gradient(self):
+        rng = np.random.default_rng(0)
+        coordinates = np.vstack([rng.normal(2.0, 0.6, (60, 6)), rng.normal(0.0, 0.6, (140, 6))])
+        space = PerceptualSpace(list(range(1, 201)), coordinates)
+        # Numeric target proportional to the first coordinate.
+        truth = {i: float(space.vector(i)[0]) for i in space.item_ids}
+        gold = {i: truth[i] for i in space.item_ids[::7]}
+        batch = PerceptualPredictor(space).fit_predict(
+            "score", item_labels(gold), item_rows(space.item_ids)
+        )
+        predictions = np.array([batch.values[i] for i in space.item_ids])
+        target = np.array([truth[i] for i in space.item_ids])
+        assert np.corrcoef(predictions, target)[0, 1] > 0.8
+
+    def test_movie_space_comedy_extraction(self, small_corpus, small_space):
+        labels = small_corpus.labels_for("Comedy")
+        positives, negatives = sample_balanced_training_set(labels, 25, seed=3)
+        gold = {i: True for i in positives}
+        gold.update({i: False for i in negatives})
+        batch = PerceptualPredictor(small_space).fit_predict(
+            "is_comedy", item_labels(gold), item_rows(small_space.item_ids)
+        )
+        ids = [i for i in labels if i in batch.values]
+        truth = np.array([labels[i] for i in ids])
+        predictions = np.array([batch.values[i] for i in ids])
+        assert g_mean(truth, predictions) > 0.6

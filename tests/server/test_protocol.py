@@ -84,6 +84,19 @@ class TestRequestValidation:
         with pytest.raises(WireProtocolError, match="missing required field 'sql'"):
             protocol.validate_request({"op": "execute"})
 
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "execute", "sql": "SELECT 1", "fetch_size": 0},
+            {"op": "execute", "sql": "SELECT 1", "fetch_size": True},
+            {"op": "fetch", "cursor": 1, "max_rows": -3},
+            {"op": "fetch", "cursor": 1, "max_rows": False},
+        ],
+    )
+    def test_page_sizes_are_integers_of_at_least_one(self, request_):
+        with pytest.raises(WireProtocolError, match="must be an integer >= 1"):
+            protocol.validate_request(request_)
+
     def test_wrong_field_type(self):
         with pytest.raises(WireProtocolError, match="must be str"):
             protocol.validate_request({"op": "execute", "sql": 42})

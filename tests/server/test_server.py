@@ -571,6 +571,27 @@ class TestWireProtocolMisuse:
             conn.request({"op": "fetch", "cursor": 999})
         conn.close()
 
+    @pytest.mark.parametrize("fetch_size", [-1, 0, True, False])
+    def test_bad_fetch_size_rejects_the_statement_unrun(self, server, fetch_size):
+        conn = repro.client.connect(*server.address, tenant="t")
+        conn.execute("CREATE TABLE t (n INTEGER)")
+        request = {"op": "execute", "sql": "INSERT INTO t VALUES (99)", "fetch_size": fetch_size}
+        with pytest.raises(WireProtocolError, match="fetch_size"):
+            conn.request(request)
+        assert conn.execute("SELECT count(*) FROM t").fetchall() == [(0,)]
+        conn.close()
+
+    @pytest.mark.parametrize("max_rows", [-1, 0, True])
+    def test_bad_max_rows_leaves_the_cursor_unread(self, server, max_rows):
+        conn = repro.client.connect(*server.address, tenant="t")
+        conn.execute("CREATE TABLE nums (n INTEGER)")
+        conn.executemany("INSERT INTO nums VALUES (?)", [(i,) for i in range(10)])
+        cur = conn.execute("SELECT n FROM nums ORDER BY n")  # fetch_size=4: paged
+        with pytest.raises(WireProtocolError, match="max_rows"):
+            conn.request({"op": "fetch", "cursor": cur._cursor_id, "max_rows": max_rows})
+        assert cur.fetchall() == [(i,) for i in range(10)]
+        conn.close()
+
 
 class TestServedEnumeration:
     """Open-world enumeration over the wire: same Chao92 stats as local."""

@@ -10,7 +10,10 @@ CI's ``docs`` job runs this module.  It fails on
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,13 +108,23 @@ def test_readme_quickstart_executes():
     "script", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda path: path.name
 )
 def test_example_executes(script: Path):
-    """Every ``examples/*.py`` script runs to completion.
+    """Every ``examples/*.py`` script exits 0, run as ``python examples/<name>.py``.
 
     Several examples assert their own punchline (e.g. served_database.py:
     the second tenant's repeat of a crowd query costs zero additional
     platform calls), so executing them is the regression test for what
-    the docs pages walk through.
+    the docs pages walk through.  Each runs in its own interpreter, as a
+    reader runs it: a leaked thread, a ``sys.exit`` code or a dependency
+    on the test process's imports fails it.
     """
-    import runpy
-
-    runpy.run_path(str(script), run_name="__main__")
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout[-2000:] + completed.stderr[-4000:]
