@@ -22,7 +22,6 @@ import numpy as np
 
 import repro.client
 from repro.core.prediction import PerceptualPredictor
-from repro.core.prediction import PerceptualPredictor
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
@@ -146,6 +145,7 @@ def test_ablation_operator_algebra(report_writer, metric_writer):
     """Physical-operator ablations: the equi-join hash path vs. the
     nested-loop baseline, and LIMIT early termination via scan counters."""
     from repro.db.sql.operators import SeqScan
+    from repro.db.storage import BATCH_ROWS
 
     n_left, n_right = 300, 300
     catalog = Catalog()
@@ -199,7 +199,8 @@ def test_ablation_operator_algebra(report_writer, metric_writer):
     full.fetchall()
     full_scanned = next(op for op in full.plan.walk() if isinstance(op, SeqScan)).rows_scanned
 
-    assert limited_scanned == 10, (
+    # The scan passes BATCH_ROWS rows per pull: LIMIT 10 reads one batch.
+    assert limited_scanned == BATCH_ROWS, (
         f"LIMIT 10 must not materialize the table: scanned {limited_scanned} "
         f"of {n_big} rows"
     )

@@ -53,7 +53,7 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterator, MutableMapping
+from typing import Any, Iterable, Iterator, MutableMapping
 
 from repro.db.wal import decode_row, encode_row_json
 from repro.errors import PersistenceError
@@ -347,23 +347,25 @@ class Pager:
         records sit on one page.  The page is pinned once, copied and
         unpinned before its run is yielded, so a reader that stops early
         (a LIMIT) never leaves a pin behind.  Each record's header is
-        checked as :meth:`read_record` checks it; a jumbo record is a run
-        of its own, read by :meth:`read_record`.
+        checked as :meth:`read_record` checks it; a jumbo record, or a
+        record alone on its page in the run order (an index walk's usual
+        case), is a run of its own, read by :meth:`read_record`.
         """
         page_size, pool = self.page_size, self.pool
         i, count = 0, len(pairs)
         while i < count:
             rowid, loc = pairs[i]
-            if loc <= -2:
-                yield pairs[i : i + 1], [self.read_record(rowid, loc)]
-                i += 1
-                continue
-            page_no = loc // page_size
-            base = page_no * page_size
-            end = base + page_size
             j = i + 1
-            while j < count and base <= pairs[j][1] < end:
-                j += 1
+            if loc > -2:
+                page_no = loc // page_size
+                base = page_no * page_size
+                end = base + page_size
+                while j < count and base <= pairs[j][1] < end:
+                    j += 1
+            if j == i + 1:
+                yield pairs[i:j], [self.read_record(rowid, loc)]
+                i = j
+                continue
             frame = pool.pin(page_no)
             try:
                 page = bytes(frame.data)
@@ -492,19 +494,29 @@ class PagedRowStore:
         with self._lock:
             return [rowid for rowid, loc in zip(self._rowids, self._locs) if loc != _TOMBSTONE]
 
-    def captured_pairs(self) -> list[tuple[int, int]]:
+    def captured_pairs(self, rowids: Iterable[int] | None = None) -> list[tuple[int, int]]:
         """Point-in-time ``(rowid, loc)`` pairs of the live directory.
 
+        Every live entry in rowid order, or the entries of *rowids* in
+        their order (a rowid that is absent or deleted raises ``KeyError``).
         The heap never overwrites record bytes, so captured locs stay
         readable without the store lock — later updates are simply not
         seen (the captured loc still points at the old version).
         """
         with self._lock:
-            return [
-                (rowid, loc)
-                for rowid, loc in zip(self._rowids, self._locs)
-                if loc != _TOMBSTONE
-            ]
+            if rowids is None:
+                return [
+                    (rowid, loc)
+                    for rowid, loc in zip(self._rowids, self._locs)
+                    if loc != _TOMBSTONE
+                ]
+            pairs = []
+            for rowid in rowids:
+                i = self._find(rowid)
+                if i < 0 or self._locs[i] == _TOMBSTONE:
+                    raise KeyError(rowid)
+                pairs.append((rowid, self._locs[i]))
+            return pairs
 
     def heap_end(self) -> int:
         """The shared heap's allocation mark: later records start at or past it."""
@@ -537,31 +549,65 @@ def _finish_row(row: dict[str, Any], payload: bytes, fills: dict[str, Any]) -> d
 
 
 class _PagedSnapshot:
-    """Lazy point-in-time scan: captured directory, rows decoded a page at a time.
+    """Lazy point-in-time scan: captured directory, rows decoded per pull.
 
-    Mirrors the contract of the in-memory ``snapshot()`` list — the *set*
-    of rows is fixed at capture time while decoding happens as the scan
-    operators pull, so a LIMIT stops the page reads early.  Each page's
-    payloads are parsed by one ``json.loads`` of a JSON array.
+    The *set* of rows is fixed at capture time while decoding happens as
+    the scan operators pull, so a LIMIT stops the page reads early.
+    :meth:`batches` is the one decode path: each run of same-page records
+    that :meth:`Pager.read_pages` yields is parsed by one ``json.loads`` of
+    a JSON array.  A heap-order scan (*batch_rows* None) hands on one page
+    run per batch; an index-order one (*batch_rows* set) decodes
+    *batch_rows* captured pairs per batch, whatever pages they sit on.
     """
 
-    def __init__(self, store: PagedRowStore, fills: dict[str, Any]) -> None:
-        self._pager = store.pager
-        self._pairs = store.captured_pairs()
+    def __init__(
+        self,
+        pager: Pager,
+        pairs: list[tuple[int, int]],
+        fills: dict[str, Any],
+        batch_rows: int | None = None,
+    ) -> None:
+        self._pager = pager
+        self._pairs = pairs
         self._fills = dict(fills)
+        self._batch_rows = batch_rows
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __iter__(self) -> Iterator[tuple[int, dict[str, Any]]]:
+        for batch in self.batches():
+            yield from batch
+
+    def batches(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
+        """Yield the captured rows as lists of ``(rowid, row)`` pairs."""
+        pairs, step = self._pairs, self._batch_rows
+        read, decode = self._pager.read_pages, self._decode
+        if step is None:
+            for run, payloads in read(pairs):
+                yield decode(run, payloads)
+            return
+        if len(pairs) == 1:
+            # A probe that matched one row (a key lookup): the record read
+            # and check read_pages makes for a lone record, without its
+            # generator plumbing, which costs a point query measurably.
+            ((rowid, loc),) = pairs
+            yield [(rowid, _decode_payload(self._pager.read_record(rowid, loc), self._fills))]
+            return
+        for start in range(0, len(pairs), step):
+            chunk = pairs[start : start + step]
+            yield [pair for run, payloads in read(chunk) for pair in decode(run, payloads)]
+
+    def _decode(
+        self, run: list[tuple[int, int]], payloads: list[bytes]
+    ) -> list[tuple[int, dict[str, Any]]]:
+        """Decode one page run's payloads with one JSON parse."""
         fills = self._fills
-        for run, payloads in self._pager.read_pages(self._pairs):
-            joined = b",".join(payloads)
-            rows = json.loads(b"[" + joined + b"]")
-            if fills or b"__missing__" in joined:
-                rows = [_finish_row(row, payload, fills) for row, payload in zip(rows, payloads)]
-            for (rowid, _loc), row in zip(run, rows):
-                yield rowid, row
+        joined = b",".join(payloads)
+        rows = json.loads(b"[" + joined + b"]")
+        if fills or b"__missing__" in joined:
+            rows = [_finish_row(row, payload, fills) for row, payload in zip(rows, payloads)]
+        return [(rowid, row) for (rowid, _loc), row in zip(run, rows)]
 
 
 class PagedRowMap(MutableMapping):
@@ -644,4 +690,17 @@ class PagedRowMap(MutableMapping):
         Every sequential reader of the table (scans, UPDATE, DELETE, index
         builds) comes through here; point lookups use ``self[rowid]``.
         """
-        return _PagedSnapshot(self._store, self._fills)
+        return self.snapshot()
+
+    def snapshot(
+        self, rowids: Iterable[int] | None = None, batch_rows: int | None = None
+    ) -> _PagedSnapshot:
+        """Capture the rows of *rowids* (every live row when None) for a scan.
+
+        Only the directory entries and the ADD COLUMN fills are captured
+        here; rows decode as the snapshot's batches are pulled.  A rowid
+        that is absent or deleted raises ``KeyError``.
+        """
+        return _PagedSnapshot(
+            self._store.pager, self._store.captured_pairs(rowids), self._fills, batch_rows
+        )

@@ -21,6 +21,7 @@ hybrid acquisition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.crowd.estimation import normalize_entity
@@ -93,10 +94,14 @@ class QueryResult:
 class SelectStream:
     """Incremental SELECT result: rows pulled lazily from an operator tree.
 
-    Rows are pulled from the root operator on demand (``fetchone``, which
-    a cursor's ``fetchmany`` and iteration call), so LIMIT queries
-    terminate without running the plan to completion and crowd work
-    happens only for rows actually consumed.  Every pulled row is retained internally, which keeps
+    The root operator is pulled a batch at a time, on demand: ``fetchone``
+    (which a cursor's ``fetchmany`` and iteration call) hands rows out one
+    at a time from the current batch and pulls the next batch only when
+    it is used up.  So LIMIT queries terminate without running the plan to
+    completion, and crowd work happens only for the batches actually
+    consumed — a ``CrowdFill`` ends every batch at a crowd flush, so a
+    cursor that fetches *k* rows pays ``ceil(k / crowd_batch_size)``
+    dispatches.  Every pulled row is retained internally, which keeps
     whole-result accessors (:attr:`rowcount`, :meth:`materialize`) exact
     without re-executing the plan.
     """
@@ -105,7 +110,7 @@ class SelectStream:
         self.plan = plan
         self.root = root
         self.columns = [column.name for column in plan.output]
-        self._pairs = iter(root)
+        self._batches = root.batches()
         self._rows: list[tuple[Any, ...]] = []
         self._pos = 0
         self._exhausted = False
@@ -114,15 +119,14 @@ class SelectStream:
     # -- pulling ---------------------------------------------------------------
 
     def _pull(self) -> bool:
-        """Pull one row from the operator tree; False when exhausted/closed."""
+        """Pull one batch from the operator tree; False when exhausted/closed."""
         if self._exhausted or self._closed:
             return False
-        try:
-            row, _context = next(self._pairs)
-        except StopIteration:
+        batch = next(self._batches, None)
+        if batch is None:
             self._exhausted = True
             return False
-        self._rows.append(row)
+        self._rows += map(itemgetter(0), batch)
         return True
 
     def drain(self) -> None:
@@ -176,9 +180,7 @@ class SelectStream:
         if self._closed:
             return
         self._closed = True
-        close = getattr(self._pairs, "close", None)
-        if close is not None:
-            close()
+        self._batches.close()
         self.root.close()
 
     # -- introspection ------------------------------------------------------------

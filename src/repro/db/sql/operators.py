@@ -1,14 +1,19 @@
-"""Physical operator algebra: Volcano-style iterators for SELECT execution.
+"""Physical operator algebra: batch-at-a-time pull iterators for SELECT.
 
 The planner produces a *logical* :class:`~repro.db.sql.planner.SelectPlan`;
 :func:`lower_select_plan` lowers it into a tree of composable physical
-operators, each a pull-based iterator:
+operators.  Each is pulled a *batch* at a time (:meth:`Operator.batches`):
+a batch is a non-empty list of items, so the per-pull cost — a generator
+resumption and the pull's timing — is paid once per batch at every level
+instead of once per row:
 
 * access paths — :class:`SeqScan` and :class:`IndexRangeScan` (point
   probe rendered as ``IndexLookup``, range probe and/or Sort-eliminating
-  ordered walk), both snapshotting the row set under the catalog lock at
-  ``open()`` time; rows materialize as they are pulled, each copied or
-  decoded once by the storage (:meth:`~repro.db.storage.TableStorage.snapshot`);
+  ordered walk), both capturing the row set under the catalog lock at
+  ``open()`` time; rows materialize a batch at a time as they are pulled,
+  each copied or decoded once by the storage
+  (:meth:`~repro.db.storage.TableStorage.snapshot`): one page run of the
+  paged store per batch, or :data:`~repro.db.storage.BATCH_ROWS` rows;
 * :class:`CrowdFill` — the crowd-acquisition operator, the one way a
   MISSING cell gets filled from the crowd.  It watches the rows streaming
   out of a scan for MISSING values of crowd-sourced (perceptual)
@@ -32,15 +37,17 @@ operators, each a pull-based iterator:
   such as the materialized right side and the LEFT JOIN null-row template
   are hoisted out of the probe loop) and :class:`HashJoin`, the equi-join
   fast path that builds a hash table on the right input once and probes it
-  with each left row;
+  with each left batch;
 * :class:`Filter`, :class:`Project`, :class:`Aggregate`, :class:`Distinct`,
   :class:`Sort` and :class:`Limit`.
 
 Operators pull from their children lazily, so a ``LIMIT k`` query without an
-ORDER BY stops pulling from the scan after *k* rows instead of materializing
-the table, and cursors can stream rows to the client incrementally.  Every
-operator counts the rows it produced (``rows_out``) and its inclusive
-wall-clock time (``wall_seconds``); the EXPLAIN rendering
+ORDER BY stops pulling from the scan after the batch holding its *k*-th row
+instead of materializing the table, and cursors can stream rows to the
+client incrementally.  A :class:`CrowdFill` ends a batch at every crowd
+flush, so a batch never spans a platform dispatch.  Every operator counts
+the rows it produced (``rows_out``) and its inclusive wall-clock time
+(``wall_seconds``, billed per batch pull); the EXPLAIN rendering
 (:func:`describe_operator_tree`) shows the tree in pipeline order together
 with those counters and the crowd-batch statistics of any ``CrowdFill``
 (batches dispatched, cells filled, answer-cache hits, coalesced requests).
@@ -57,12 +64,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -86,6 +93,7 @@ from repro.db.acquisition import (
 )
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, TableSchema
+from repro.db.storage import RowSnapshot
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     Params,
@@ -114,8 +122,9 @@ class Operator:
     """One node of a physical execution plan.
 
     Lifecycle: construct (cheap), ``open()`` once under the catalog lock
-    (scans snapshot their row set here), iterate (pull-based, unlocked),
-    ``close()``.  An operator tree is single-use.
+    (scans snapshot their row set here), pull :meth:`batches` (unlocked),
+    ``close()``.  An operator tree is single-use.  Subclasses implement
+    :meth:`_produce`, a generator of non-empty batches.
     """
 
     label = "Operator"
@@ -125,16 +134,17 @@ class Operator:
 
     def __init__(self, *children: "Operator") -> None:
         self.children: tuple[Operator, ...] = children
-        #: Number of items this operator has produced so far.
+        #: Number of items this operator has produced so far (the sum of
+        #: its batches' lengths).
         self.rows_out = 0
         #: Cost-model row estimate set at lowering time (None when the
         #: planner made no estimate for this operator).  EXPLAIN ANALYZE
         #: renders it as ``est=N`` next to the actual count.
         self.est_rows: Optional[int] = None
-        #: Inclusive wall-clock seconds spent producing items (contains the
-        #: children's time, like the "actual time" of EXPLAIN ANALYZE in
-        #: mainstream engines; for a CrowdFill it contains the platform
-        #: latency the batch dispatches waited on).
+        #: Inclusive wall-clock seconds spent producing batches (contains
+        #: the children's time, like the "actual time" of EXPLAIN ANALYZE
+        #: in mainstream engines; for a CrowdFill it contains the platform
+        #: latency the crowd dispatches waited on).
         self.wall_seconds = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -151,17 +161,22 @@ class Operator:
 
     # -- iteration -----------------------------------------------------------
 
-    def __iter__(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
+        """Pull this operator's output a batch (a non-empty list) at a time.
+
+        The one timed pull: each batch adds its length to ``rows_out`` and
+        the time spent producing it to ``wall_seconds``.
+        """
         produce = self._produce()
         try:
             # Time each pull, not the whole loop: the time a *consumer*
             # spends between pulls (e.g. a client iterating a streaming
             # cursor) must not be billed to this operator.
             start = perf_counter()
-            for item in produce:
+            for batch in produce:
                 self.wall_seconds += perf_counter() - start
-                self.rows_out += 1
-                yield item
+                self.rows_out += len(batch)
+                yield batch
                 start = perf_counter()
             self.wall_seconds += perf_counter() - start
         except GeneratorExit:
@@ -173,7 +188,17 @@ class Operator:
             self.wall_seconds += perf_counter() - start
             raise
 
-    def _produce(self) -> Iterator[Any]:
+    def __iter__(self) -> Iterator[Any]:
+        """The output row by row: :meth:`batches`, flattened."""
+        batches = self.batches()
+        try:
+            for batch in batches:
+                yield from batch
+        finally:
+            batches.close()
+
+    def _produce(self) -> Iterator[list[Any]]:
+        """Yield the output as non-empty lists of items."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     # -- introspection -------------------------------------------------------
@@ -238,48 +263,60 @@ def _is_unknown(value: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Access paths (yield (rowid, row) pairs)
+# Access paths (batches of (rowid, row) pairs)
 # ---------------------------------------------------------------------------
 
 
-class SeqScan(Operator):
-    """Full-table scan over a snapshot taken at ``open()`` time.
+class _TableScan(Operator):
+    """A table access path: passes on the batches of a storage snapshot.
 
-    The snapshot fixes the row set; each row materializes (the storage's
-    one copy or decode) as it is pulled, so a downstream LIMIT stops the
-    work early.  ``rows_scanned`` counts the rows actually pulled through
-    the scan.
+    ``open()`` takes the snapshot (:meth:`~repro.db.storage.TableStorage.snapshot`)
+    under the catalog lock; ``rows_scanned`` counts the rows actually
+    pulled through the scan.
     """
-
-    label = "SeqScan"
 
     def __init__(self, catalog: Catalog, table: str, alias: str) -> None:
         super().__init__()
         self._catalog = catalog
         self.table = table
         self.alias = alias
-        self._snapshot: Iterable[tuple[int, dict[str, Any]]] = ()
+        self._snapshot: Optional[RowSnapshot] = None
         self.rows_scanned = 0
+
+    def close(self) -> None:
+        """Release the snapshot."""
+        self._snapshot = None
+        super().close()
+
+    def _produce(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
+        if self._snapshot is None:
+            return
+        for batch in self._snapshot.batches():
+            self.rows_scanned += len(batch)
+            yield batch
+
+
+class SeqScan(_TableScan):
+    """Full-table scan over a snapshot taken at ``open()`` time.
+
+    The snapshot fixes the row set; rows materialize (the storage's one
+    copy or decode) a batch at a time as they are pulled — one page run of
+    the paged store, or :data:`~repro.db.storage.BATCH_ROWS` in-memory
+    rows — so a downstream LIMIT stops the work after the batch that
+    satisfied it.
+    """
+
+    label = "SeqScan"
 
     def open(self) -> None:
         """Snapshot the table's row set (runs under the catalog lock)."""
         self._snapshot = self._catalog.table(self.table).snapshot()
 
-    def close(self) -> None:
-        """Release the snapshot."""
-        self._snapshot = ()
-        super().close()
-
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for pair in self._snapshot:
-            self.rows_scanned += 1
-            yield pair
-
     def detail(self) -> str:
         return f"{self.table} AS {self.alias}"
 
 
-class IndexRangeScan(Operator):
+class IndexRangeScan(_TableScan):
     """Ordered-index walk: point probe, range probe, ordered scan, or both.
 
     Lowered from an :class:`~repro.db.sql.planner.AccessPath`.  With
@@ -293,6 +330,11 @@ class IndexRangeScan(Operator):
     lowering has eliminated the Sort operator.  An ascending ordered walk
     composes with bounds (a range is emitted in index order already); the
     planner never pairs bounds with a descending walk.
+
+    ``open()`` probes the index and captures the matching rows (see
+    :meth:`~repro.db.storage.TableStorage.snapshot`); they decode
+    :data:`~repro.db.storage.BATCH_ROWS` at a time as they are pulled, so
+    an ordered walk under a LIMIT decodes only the batches it reads.
 
     Bound expressions (literals or ``?`` slots of *params*) are resolved
     at ``open()`` time.  A NULL bound makes the range predicate unknown
@@ -320,10 +362,7 @@ class IndexRangeScan(Operator):
         descending: bool = False,
         params: Params = (),
     ) -> None:
-        super().__init__()
-        self._catalog = catalog
-        self.table = table
-        self.alias = alias
+        super().__init__(catalog, table, alias)
         self.column = column
         self._low = low
         self._high = high
@@ -335,11 +374,9 @@ class IndexRangeScan(Operator):
         self._point = low is not None and low is high
         if self._point:
             self.label = "IndexLookup"
-        self._snapshot: Iterable[tuple[int, dict[str, Any]]] = ()
-        self.rows_scanned = 0
 
     def open(self) -> None:
-        """Probe the index and collect the matching rows (under the lock)."""
+        """Probe the index and capture the matching rows (under the lock)."""
         storage = self._catalog.table(self.table)
         index = storage.index_on(self.column)
         if index is None:  # index vanished between planning and execution
@@ -368,15 +405,6 @@ class IndexRangeScan(Operator):
                 high_inclusive=self.high_inclusive,
             )
         self._snapshot = storage.snapshot(rowids)
-
-    def close(self) -> None:
-        self._snapshot = ()
-        super().close()
-
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        for pair in self._snapshot:
-            self.rows_scanned += 1
-            yield pair
 
     def detail(self) -> str:
         if self._point:
@@ -473,29 +501,40 @@ class CrowdFill(Operator):
             return True
         return rowid in self.sample.get(attribute, frozenset())
 
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
+    def _produce(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
         pending: list[tuple[int, dict[str, Any]]] = []
         missing = 0
-        for rowid, row in self.children[0]:
-            row_missing = any(
-                self._needs_value(attribute, rowid, row) for attribute in self.attributes
-            )
-            # Rows with nothing to fill stream straight through while no
-            # batch is accumulating, so fully-populated tables keep LIMIT
-            # early termination; once a missing row opens a batch, later
-            # rows queue behind it to preserve input order.
-            if not pending and not row_missing:
-                yield rowid, row
-                continue
-            pending.append((rowid, row))
-            if row_missing:
-                missing += 1
-            if missing >= self.policy.crowd_batch_size:
-                yield from self._flush(pending)
-                pending = []
-                missing = 0
+        for batch in self.children[0].batches():
+            ready: list[tuple[int, dict[str, Any]]] = []
+            for rowid, row in batch:
+                row_missing = any(
+                    self._needs_value(attribute, rowid, row) for attribute in self.attributes
+                )
+                # Rows with nothing to fill stream straight through while
+                # no crowd batch is accumulating, so fully-populated tables
+                # keep LIMIT early termination; once a missing row opens a
+                # crowd batch, later rows queue behind it to preserve input
+                # order.  Every output batch ends at a flush boundary: the
+                # rows ahead of a crowd batch go out before it dispatches,
+                # so a consumer that stops there pays for no dispatch.
+                if not pending:
+                    if not row_missing:
+                        ready.append((rowid, row))
+                        continue
+                    if ready:
+                        yield ready
+                        ready = []
+                pending.append((rowid, row))
+                if row_missing:
+                    missing += 1
+                    if missing >= self.policy.crowd_batch_size:
+                        yield self._flush(pending)
+                        pending = []
+                        missing = 0
+            if ready:
+                yield ready
         if pending:
-            yield from self._flush(pending)
+            yield self._flush(pending)
 
     def _flush(
         self, pending: list[tuple[int, dict[str, Any]]]
@@ -712,11 +751,12 @@ class PredictFill(Operator):
         #: attribute -> number of training examples used.
         self.training_sizes: dict[str, int] = {}
 
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        rows = list(self.children[0])
+    def _produce(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
+        rows = list(chain.from_iterable(self.children[0].batches()))
         for attribute in self.attributes:
             self._predict_attribute(attribute, rows)
-        yield from rows
+        if rows:
+            yield rows
 
     def _predict_attribute(
         self, attribute: str, rows: list[tuple[int, dict[str, Any]]]
@@ -817,11 +857,11 @@ class Bind(Operator):
         super().__init__(child)
         self.alias = alias
 
-    def _produce(self) -> Iterator[RowContext]:
+    def _produce(self) -> Iterator[list[RowContext]]:
         for_table_row = RowContext.for_table_row
         alias = self.alias
-        for rowid, row in self.children[0]:
-            yield for_table_row(alias, row, rowid)
+        for batch in self.children[0].batches():
+            yield [for_table_row(alias, row, rowid) for rowid, row in batch]
 
 
 class SingleRow(Operator):
@@ -829,8 +869,8 @@ class SingleRow(Operator):
 
     label = "Result"
 
-    def _produce(self) -> Iterator[RowContext]:
-        yield RowContext()
+    def _produce(self) -> Iterator[list[RowContext]]:
+        yield [RowContext()]
 
     def detail(self) -> str:
         return "(no table)"
@@ -915,7 +955,7 @@ class CrowdEnumerate(Operator):
 
     # -- enumeration loop ----------------------------------------------------
 
-    def _produce(self) -> Iterator[tuple[int, dict[str, Any]]]:
+    def _produce(self) -> Iterator[list[tuple[int, dict[str, Any]]]]:
         attribute = enumeration_attribute(self.predicate)
         emitted: set[str] = set()
         dry = 0
@@ -932,6 +972,7 @@ class CrowdEnumerate(Operator):
             batch_index += 1
             self.batches_pulled += 1
             new_in_batch = 0
+            rows: list[tuple[int, dict[str, Any]]] = []
             for answer in answers:
                 key = normalize_entity(answer)
                 if not key:
@@ -942,8 +983,10 @@ class CrowdEnumerate(Operator):
                     continue
                 emitted.add(key)
                 ordinal += 1
-                self.rows_enumerated += 1
-                yield ordinal, {"value": answer}
+                rows.append((ordinal, {"value": answer}))
+            if rows:
+                self.rows_enumerated += len(rows)
+                yield rows
             dry = dry + 1 if new_in_batch == 0 else 0
             if (
                 self.completeness is not None
@@ -1048,7 +1091,7 @@ class CrowdEnumerate(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Joins (left child yields contexts, right child yields (rowid, row) pairs)
+# Joins (left child: batches of contexts; right child: of (rowid, row) pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -1080,19 +1123,24 @@ class NestedLoopJoin(Operator):
         self._params = params
         self._matches = compile_predicate(condition, params)
 
-    def _produce(self) -> Iterator[RowContext]:
-        right_rows = list(self.children[1])  # materialized once per join
+    def _produce(self) -> Iterator[list[RowContext]]:
+        # The right input, materialized once per join.
+        right_rows = list(chain.from_iterable(self.children[1].batches()))
         null_row = {column: None for column in self._right_columns}  # hoisted
         cross = self.kind == "cross"
-        for context in self.children[0]:
-            matched = False
-            for rowid, row in right_rows:
-                candidate = context.joined(self.alias, row, rowid)
-                if cross or self._matches(candidate):
-                    matched = True
-                    yield candidate
-            if self.kind == "left" and not matched:
-                yield context.joined(self.alias, null_row)
+        for batch in self.children[0].batches():
+            out: list[RowContext] = []
+            for context in batch:
+                matched = False
+                for rowid, row in right_rows:
+                    candidate = context.joined(self.alias, row, rowid)
+                    if cross or self._matches(candidate):
+                        matched = True
+                        out.append(candidate)
+                if self.kind == "left" and not matched:
+                    out.append(context.joined(self.alias, null_row))
+            if out:
+                yield out
 
     def detail(self) -> str:
         condition = (
@@ -1102,7 +1150,7 @@ class NestedLoopJoin(Operator):
 
 
 class HashJoin(Operator):
-    """Equi-join fast path: hash the right input once, probe per left row.
+    """Equi-join fast path: hash the right input once, probe a left batch at a time.
 
     Only lowered for ``left.col = right.col`` conditions with qualified
     references.  Unknown keys (NULL/MISSING) never match, matching SQL
@@ -1132,10 +1180,11 @@ class HashJoin(Operator):
         #: Number of buckets in the build-side hash table (for EXPLAIN).
         self.build_rows = 0
 
-    def _produce(self) -> Iterator[RowContext]:
+    def _produce(self) -> Iterator[list[RowContext]]:
         table: dict[Any, list[tuple[int, dict[str, Any]]]] = {}
-        for rowid, row in self.children[1]:
-            key = row.get(self.right_key_column)
+        key_column = self.right_key_column
+        for rowid, row in chain.from_iterable(self.children[1].batches()):
+            key = row.get(key_column)
             if _is_unknown(key):
                 continue
             table.setdefault(key, []).append((rowid, row))
@@ -1143,14 +1192,18 @@ class HashJoin(Operator):
         null_row = {column: None for column in self._right_columns}
         left_key = self._left_key
         alias = self.alias
-        for context in self.children[0]:
-            key = left_key(context)
-            matches = None if _is_unknown(key) else table.get(key)
-            if matches:
-                for rowid, row in matches:
-                    yield context.joined(alias, row, rowid)
-            elif self.kind == "left":
-                yield context.joined(alias, null_row)
+        left = self.kind == "left"
+        for batch in self.children[0].batches():
+            out: list[RowContext] = []
+            for context in batch:
+                key = left_key(context)
+                matches = None if _is_unknown(key) else table.get(key)
+                if matches:
+                    out.extend([context.joined(alias, row, rowid) for rowid, row in matches])
+                elif left:
+                    out.append(context.joined(alias, null_row))
+            if out:
+                yield out
 
     def detail(self) -> str:
         left = (
@@ -1181,12 +1234,13 @@ class Filter(Operator):
         self._matches = compile_predicate(predicate, params)
         self.rows_in = 0
 
-    def _produce(self) -> Iterator[RowContext]:
+    def _produce(self) -> Iterator[list[RowContext]]:
         matches = self._matches
-        for context in self.children[0]:
-            self.rows_in += 1
-            if matches(context):
-                yield context
+        for batch in self.children[0].batches():
+            self.rows_in += len(batch)
+            kept = list(filter(matches, batch))
+            if kept:
+                yield kept
 
     def detail(self) -> str:
         return expression_label(self.predicate, self._params)
@@ -1204,10 +1258,10 @@ class Project(Operator):
         self.output = tuple(output)
         self._columns = [compile_expression(column.expression, params) for column in self.output]
 
-    def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
         columns = self._columns
-        for context in self.children[0]:
-            yield tuple([column(context) for column in columns]), context
+        for batch in self.children[0].batches():
+            yield [(tuple([column(context) for column in columns]), context) for context in batch]
 
     def detail(self) -> str:
         return ", ".join(column.name for column in self.output)
@@ -1318,18 +1372,20 @@ class Aggregate(Operator):
         ]
         self.groups_built = 0
 
-    def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
         groups: dict[tuple[Any, ...], list[RowContext]] = {}
+        contexts = chain.from_iterable(self.children[0].batches())
         if self._keys:
             keys = self._keys
-            for context in self.children[0]:
+            for context in contexts:
                 key = tuple([hashable_key(key_of(context)) for key_of in keys])
                 groups.setdefault(key, []).append(context)
         else:
             # A global aggregate always emits one row, even over no input.
-            groups[()] = list(self.children[0])
+            groups[()] = list(contexts)
         self.groups_built = len(groups)
 
+        out: list[tuple[tuple[Any, ...], RowContext]] = []
         for group_contexts in groups.values():
             representative = group_contexts[0] if group_contexts else RowContext()
             if self._having is not None and not _truthy(
@@ -1337,7 +1393,9 @@ class Aggregate(Operator):
             ):
                 continue
             row = tuple([column(group_contexts, representative) for column in self._columns])
-            yield row, representative
+            out.append((row, representative))
+        if out:
+            yield out
 
     def detail(self) -> str:
         keys = ", ".join(expression_label(e, self._params) for e in self.group_by) or "<all>"
@@ -1355,13 +1413,17 @@ class Distinct(Operator):
     def __init__(self, child: Operator) -> None:
         super().__init__(child)
 
-    def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
         seen: set[tuple[Any, ...]] = set()
-        for row, context in self.children[0]:
-            key = tuple(hashable_key(value) for value in row)
-            if key not in seen:
-                seen.add(key)
-                yield row, context
+        for batch in self.children[0].batches():
+            out = []
+            for row, context in batch:
+                key = tuple([hashable_key(value) for value in row])
+                if key not in seen:
+                    seen.add(key)
+                    out.append((row, context))
+            if out:
+                yield out
 
 
 #: What a Sort orders: a projected row and its context.
@@ -1455,13 +1517,16 @@ class Sort(Operator):
 
         return key
 
-    def _produce(self) -> Iterator[SortEntry]:
+    def _produce(self) -> Iterator[list[SortEntry]]:
+        entries = chain.from_iterable(self.children[0].batches())
         if self.keep is None:
-            yield from sorted(self.children[0], key=self._key)
+            ordered = sorted(entries, key=self._key)
         else:
             # Specified to equal sorted(...)[:keep], ties included.  It
             # streams: a row that cannot make the top keep is freed at once.
-            yield from heapq.nsmallest(self.keep, self.children[0], key=self._key)
+            ordered = heapq.nsmallest(self.keep, entries, key=self._key)
+        if ordered:
+            yield ordered
 
     def detail(self) -> str:
         return ", ".join(
@@ -1490,9 +1555,10 @@ class _Descending:
 class Limit(Operator):
     """OFFSET/LIMIT with early termination.
 
-    Once ``limit`` rows have been emitted the operator stops pulling from
-    its child entirely, so an un-sorted ``LIMIT k`` query never scans past
-    the rows it needs.
+    Batches are sliced to the window.  Once ``limit`` rows have been
+    emitted the operator stops pulling from its child entirely, so an
+    un-sorted ``LIMIT k`` query never scans past the batch that holds the
+    last row it needs.
     """
 
     label = "Limit"
@@ -1502,19 +1568,24 @@ class Limit(Operator):
         self.limit = limit
         self.offset = offset
 
-    def _produce(self) -> Iterator[Any]:
+    def _produce(self) -> Iterator[list[Any]]:
         if self.limit == 0:
             return
-        skipped = 0
-        emitted = 0
-        for item in self.children[0]:
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            yield item
-            emitted += 1
-            if self.limit is not None and emitted >= self.limit:
-                return
+        skip = self.offset
+        remaining = self.limit
+        for batch in self.children[0].batches():
+            if skip:
+                if skip >= len(batch):
+                    skip -= len(batch)
+                    continue
+                batch = batch[skip:]
+                skip = 0
+            if remaining is not None:
+                if len(batch) >= remaining:
+                    yield batch[:remaining]
+                    return
+                remaining -= len(batch)
+            yield batch
 
     def detail(self) -> str:
         if self.limit is None:

@@ -18,7 +18,7 @@ write path for the cost-based planner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, MutableMapping
+from typing import Any, Callable, Iterable, Iterator, MutableMapping, Protocol
 
 from repro.db.indexes import OrderedIndex
 from repro.db.schema import AttributeKind, Column, TableSchema
@@ -29,6 +29,12 @@ from repro.errors import ExecutionError, IntegrityError, UnknownColumnError
 
 #: A stored row: column name -> value (always contains every schema column).
 Row = dict[str, Any]
+
+
+class RowSnapshot(Protocol):
+    """What :meth:`TableStorage.snapshot` returns: captured rows, in batches."""
+
+    def batches(self) -> Iterator[list[tuple[int, Row]]]: ...
 
 
 @dataclass(frozen=True)
@@ -50,19 +56,40 @@ class ValueProvenance:
 STORED_PROVENANCE = ValueProvenance()
 
 
-def _copied(pairs: Iterable[tuple[int, Row]]) -> Iterator[tuple[int, Row]]:
-    """Copy each live in-memory row as it is pulled.
+#: Rows per batch of an in-memory scan and of every index-order scan.  A
+#: heap-order scan of the paged store passes one page run per batch.
+BATCH_ROWS = 64
 
-    A copy retries if a concurrent ALTER TABLE resizes the row mid-copy.
+
+class _MemorySnapshot:
+    """Point-in-time ``(rowid, row)`` pairs over live in-memory rows.
+
+    The pairs are captured at construction; each row is copied as its
+    batch is pulled, so a LIMIT stops the copying early.
     """
-    for rowid, row in pairs:
-        while True:
+
+    def __init__(self, pairs: list[tuple[int, Row]]) -> None:
+        self._pairs = pairs
+
+    def batches(self) -> Iterator[list[tuple[int, Row]]]:
+        """Yield the rows, copied, :data:`BATCH_ROWS` pairs at a time."""
+        pairs = self._pairs
+        for start in range(0, len(pairs), BATCH_ROWS):
+            chunk = pairs[start : start + BATCH_ROWS]
             try:
-                copy = dict(row)
-                break
+                batch = [(rowid, dict(row)) for rowid, row in chunk]
             except RuntimeError:  # pragma: no cover - needs a racing ALTER TABLE
-                continue
-        yield rowid, copy
+                batch = [(rowid, _copy(row)) for rowid, row in chunk]
+            yield batch
+
+
+def _copy(row: Row) -> Row:
+    """Copy a live row, retrying while a concurrent ALTER TABLE resizes it."""
+    while True:
+        try:
+            return dict(row)
+        except RuntimeError:  # pragma: no cover - needs a racing ALTER TABLE
+            continue
 
 
 class TableStorage:
@@ -293,31 +320,38 @@ class TableStorage:
         """
         yield from self._rows.items()
 
-    def snapshot(self, rowids: Iterable[int] | None = None) -> Iterable[tuple[int, Row]]:
-        """Return a point-in-time iterable of ``(rowid, row)`` pairs.
+    def snapshot(self, rowids: Iterable[int] | None = None) -> RowSnapshot:
+        """Return a point-in-time snapshot of ``(rowid, row)`` pairs.
 
         Every row, in insertion order, or the rows of *rowids* in their
-        order.  The *membership* is a snapshot (later inserts/deletes do
-        not change it) while rows materialize lazily as they are pulled,
-        so a LIMIT stops the work early and a million-row table is never
-        materialized whole.
+        order.  Only the *membership* is captured here (later
+        inserts/deletes do not change it): rows materialize a batch at a
+        time as the snapshot's ``batches()`` are pulled, so a LIMIT stops
+        the work early and a million-row table is never materialized
+        whole.
 
         Each row is the caller's own, copied at most once: the in-memory
         store's rows are live dicts that :meth:`update` mutates in place,
-        so this iterable copies each one as it is pulled; the paged store
-        decodes a fresh dict per row (pinning each page once and decoding
-        all of its rows with one JSON parse) and hands it on uncopied.  The
-        scan operators pass these rows on without copying again.
+        so they are copied as their batch is pulled (:data:`BATCH_ROWS`
+        at a time); the paged store captures the directory entries and
+        the ADD COLUMN fills, then decodes a fresh dict per row, one page
+        run per batch in heap order or :data:`BATCH_ROWS` rows per batch
+        in the order of *rowids*.  The scan operators pass these rows on
+        without copying again.
         """
-        live = isinstance(self._rows, dict)
-        if rowids is not None:
-            pairs = [(rowid, self.get(rowid)) for rowid in rowids]
-        elif live:
-            # A dict's items() is a live view; the paged map's is captured.
-            pairs = list(self._rows.items())
-        else:
-            return self._rows.items()
-        return _copied(pairs) if live else pairs
+        try:
+            if not isinstance(self._rows, dict):
+                return self._rows.snapshot(  # type: ignore[attr-defined]
+                    rowids, None if rowids is None else BATCH_ROWS
+                )
+            if rowids is None:
+                return _MemorySnapshot(list(self._rows.items()))
+            rows = self._rows
+            return _MemorySnapshot([(rowid, rows[rowid]) for rowid in rowids])
+        except KeyError as exc:
+            raise ExecutionError(
+                f"rowid {exc.args[0]} not found in table {self.schema.name!r}"
+            ) from exc
 
     def encoded_rows(self) -> Iterable[tuple[int, bytes]]:
         """``(rowid, payload)`` pairs in insertion order, for checkpoints.

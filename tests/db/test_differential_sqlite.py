@@ -10,13 +10,15 @@ schema-expansion workloads use.
 from __future__ import annotations
 
 import sqlite3
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.client
-from repro.db.connection import Connection
+from repro.db.connection import Connection, connect
+from repro.db.storage import BATCH_ROWS
 from repro.server import ReproServer, ServerConfig
 from repro.utils.rng import ensure_rng
 
@@ -25,42 +27,49 @@ _NAMES = ("alpha", "beta", "gamma", "delta", "rho", "omega")
 
 @st.composite
 def table_rows(draw):
-    """Random (id, name, year, score) rows with unique ids."""
-    n = draw(st.integers(min_value=1, max_value=25))
-    names = [draw(st.sampled_from(_NAMES)) for _ in range(n)]
-    years = [draw(st.integers(min_value=1950, max_value=2012)) for _ in range(n)]
-    scores = [draw(st.integers(min_value=0, max_value=100)) for _ in range(n)]
-    return [
-        (index + 1, names[index], years[index], scores[index]) for index in range(n)
-    ]
+    """Random (id, name, year, score) rows with unique ids.
+
+    Every table is larger than two scan batches, so each query shape pulls
+    several batches and joins probe more than one.
+    """
+    n = draw(st.integers(min_value=2 * BATCH_ROWS + 1, max_value=3 * BATCH_ROWS))
+    # One drawn seed: hundreds of separate draws per example would cost
+    # more than the queries.
+    rng = ensure_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    names = rng.integers(0, len(_NAMES), size=n).tolist()
+    years = rng.integers(1950, 2013, size=n).tolist()
+    scores = rng.integers(0, 101, size=n).tolist()
+    return [(index + 1, _NAMES[names[index]], years[index], scores[index]) for index in range(n)]
 
 
-def build_engines(rows):
-    """Load the same rows into a Connection and an in-memory sqlite3 db."""
-    ours = Connection()
-    ours.run_statement(
-        "CREATE TABLE movies (movie_id INTEGER PRIMARY KEY, name TEXT, year INTEGER, score INTEGER)"
-    )
-    reference = sqlite3.connect(":memory:")
-    reference.execute(
-        "CREATE TABLE movies (movie_id INTEGER PRIMARY KEY, name TEXT, year INTEGER, score INTEGER)"
-    )
-    for movie_id, name, year, score in rows:
-        ours.run_statement(
-            f"INSERT INTO movies VALUES ({movie_id}, '{name}', {year}, {score})"
-        )
-        reference.execute(
-            "INSERT INTO movies VALUES (?, ?, ?, ?)", (movie_id, name, year, score)
-        )
-    return ours, reference
+_MOVIES = (
+    "CREATE TABLE movies (movie_id INTEGER PRIMARY KEY, name TEXT, year INTEGER, score INTEGER)"
+)
 
 
 def both(rows, sql: str):
-    """Run *sql* on both engines and return (ours, reference) row lists."""
-    ours, reference = build_engines(rows)
-    mine = [tuple(row) for row in ours.run_statement(sql).rows]
-    theirs = [tuple(row) for row in reference.execute(sql).fetchall()]
-    reference.close()
+    """Run *sql* on our engine and on sqlite3; return (ours, reference) rows.
+
+    Our engine runs twice: in memory, and durable with a buffer pool of
+    two 512-byte pages, far smaller than the heap, so its scans evict
+    between page runs.  The two must return the same rows in the same
+    order.
+    """
+    reference = sqlite3.connect(":memory:")
+    with tempfile.TemporaryDirectory() as tmp:
+        durable = connect(path=f"{tmp}/db", synchronous="off", buffer_pool_pages=2, page_size=512)
+        engines = (Connection(), durable, reference)
+        try:
+            for engine in engines:
+                engine.execute(_MOVIES)
+                engine.executemany("INSERT INTO movies VALUES (?, ?, ?, ?)", rows)
+            mine, paged, theirs = (
+                [tuple(row) for row in engine.execute(sql).fetchall()] for engine in engines
+            )
+        finally:
+            durable.close()
+            reference.close()
+    assert paged == mine, sql
     return mine, theirs
 
 
@@ -132,6 +141,25 @@ class TestDifferentialAgainstSqlite:
         )
         mine, theirs = both(rows, sql)
         assert mine == theirs  # order-sensitive comparison
+
+    @common_settings
+    @given(
+        table_rows(),
+        st.integers(0, 100),
+        st.integers(1, BATCH_ROWS),
+        st.integers(0, 2 * BATCH_ROWS),
+        st.booleans(),
+    )
+    def test_limit_offset_window(self, rows, threshold, limit, offset, ordered):
+        """An unordered LIMIT stops the scan inside a batch; an OFFSET up to
+        two batches deep starts the window inside a later one."""
+        sql = (
+            f"SELECT movie_id, score FROM movies WHERE score >= {threshold} "
+            + ("ORDER BY score DESC, movie_id " if ordered else "")
+            + f"LIMIT {limit} OFFSET {offset}"
+        )
+        mine, theirs = both(rows, sql)
+        assert mine == theirs  # order-sensitive: both scan in rowid order
 
     @common_settings
     @given(table_rows())

@@ -20,6 +20,7 @@ from repro.db.sql.operators import (
     SeqScan,
     Sort,
 )
+from repro.db.storage import BATCH_ROWS
 from repro.db.types import MISSING, sort_rank
 from repro.errors import ExecutionError
 
@@ -324,7 +325,7 @@ class TestCrowdFillBatching:
 
     def test_fully_populated_column_streams_without_buffering(self):
         """Regression: CrowdFill must not hold up rows that need no filling."""
-        conn = self._connection(50)
+        conn = self._connection(3 * BATCH_ROWS)
         conn.table("items").fill_values(
             "appeal", {rowid: 0.9 for rowid in conn.table("items").rowids()}
         )
@@ -334,7 +335,8 @@ class TestCrowdFillBatching:
         cursor = conn.execute("SELECT item_id FROM items WHERE appeal > 0.5 LIMIT 5")
         assert len(cursor.fetchall()) == 5
         scan = next(op for op in cursor.plan.walk() if isinstance(op, SeqScan))
-        assert scan.rows_scanned == 5  # LIMIT still terminates the scan early
+        # LIMIT still terminates the scan early: after its first batch.
+        assert scan.rows_scanned == BATCH_ROWS
         assert source.calls == []  # nothing was missing, nothing dispatched
 
     def test_crowd_fill_targets_only_referenced_tables(self):
@@ -623,9 +625,9 @@ class _SlowCleanUp(Operator):
 
     label = "SlowCleanUp"
 
-    def _produce(self) -> Iterator[Any]:
+    def _produce(self) -> Iterator[list[Any]]:
         try:
-            yield from range(10)
+            yield list(range(10))
         finally:
             time.sleep(0.02)
 
@@ -638,3 +640,169 @@ class TestCleanUpTiming:
         assert child.wall_seconds >= 0.02
         # The Limit's exclusive time is only its own pulls.
         assert limit.wall_seconds - child.wall_seconds < 0.02
+
+
+class TestBatchPull:
+    """Operators pass row batches: one timed pull per batch, not per row."""
+
+    ROWS = 2000
+
+    def test_timing_calls_track_batches_not_rows(self, tmp_path, monkeypatch):
+        import sys
+        from collections import Counter
+
+        import repro.db.sql.operators as operators_module
+
+        conn = connect(path=tmp_path / "db", synchronous="off", page_size=512)
+        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(i, i % 10) for i in range(1, self.ROWS + 1)]
+        )
+        pages = sum(1 for _batch in conn.table("t").snapshot().batches())
+        assert 10 <= pages <= self.ROWS // 10  # many pages, many rows on each
+
+        calls: Counter[str] = Counter()
+        clock = operators_module.perf_counter
+
+        def counting() -> float:
+            calls[type(sys._getframe(1).f_locals["self"]).__name__] += 1
+            return clock()
+
+        monkeypatch.setattr(operators_module, "perf_counter", counting)
+        cursor = conn.execute("SELECT v, count(*) FROM t WHERE v < 5 GROUP BY v")
+        assert sorted(cursor.fetchall()) == [(v, self.ROWS // 10) for v in range(5)]
+        monkeypatch.undo()
+        conn.close()
+
+        scan = next(op for op in cursor.plan.walk() if isinstance(op, SeqScan))
+        assert scan.rows_scanned == self.ROWS
+        # One clock read starts the pull loop, two bracket each batch and
+        # one closes the loop.
+        assert calls["SeqScan"] == 2 * pages + 2
+        assert calls["Filter"] == 2 * pages + 2  # every page keeps some rows
+        assert calls["Aggregate"] == 2 * 1 + 2
+        assert set(calls) == {"SeqScan", "Bind", "Filter", "Aggregate"}
+        assert calls["Bind"] == 2 * pages + 2
+
+    def test_paged_fetchmany_pays_only_for_the_rows_it_fetches(self, tmp_path):
+        class PerCellSource(CountingSource):
+            def request_values_with_quality(self, attribute, items, *, policy, tracker):
+                dispatch = super().request_values_with_quality(
+                    attribute, items, policy=policy, tracker=tracker
+                )
+                return Dispatch(dispatch.values, cost=0.01 * len(items))
+
+        batch = 5
+        conn = connect(path=tmp_path / "db", synchronous="off")
+        conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY)")
+        conn.executemany("INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(1, 301)])
+        source = PerCellSource(0.5)
+        conn.set_value_source(source)
+        # Without write-back the answered rows keep their places on the page.
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=batch, crowd_write_back=False))
+        for k in (1, 3, 7, 12):
+            column = f"appeal_{k}"  # a fresh, all-MISSING column per cursor
+            conn.add_perceptual_column("items", column)
+            first_page = next(conn.table("items").snapshot().batches())
+            assert len(first_page) > 3 * batch  # one page holds several flushes
+            calls, spent = len(source.calls), conn.session.cost_spent
+            cursor = conn.cursor().execute(f"SELECT item_id, {column} FROM items")
+            assert cursor.fetchmany(k) == [(i, 0.5) for i in range(1, k + 1)]
+            assert source.calls[calls:] == [(column, batch)] * -(-k // batch)
+            assert conn.session.cost_spent - spent == pytest.approx(0.01 * batch * -(-k // batch))
+            cursor.close()
+        conn.close()
+
+
+    def test_rows_ahead_of_a_crowd_batch_go_out_before_it_dispatches(self):
+        conn = connect()
+        conn.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY)")
+        conn.executemany(
+            "INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(1, BATCH_ROWS + 1)]
+        )
+        conn.add_perceptual_column("items", "appeal")
+        conn.table("items").fill_values("appeal", {1: 0.1, 2: 0.2, 3: 0.3})
+        source = CountingSource(0.5)
+        conn.set_value_source(source)
+        conn.set_policy(conn.policy.with_overrides(crowd_batch_size=5))
+        cursor = conn.execute("SELECT item_id, appeal FROM items")
+        assert cursor.fetchmany(3) == [(1, 0.1), (2, 0.2), (3, 0.3)]
+        assert source.calls == []  # the scan batch's missing rows wait
+        assert cursor.fetchone() == (4, 0.5)
+        assert source.calls == [("appeal", 5)]
+
+
+class TestIndexRangeScanDecoding:
+    """An index walk captures its rows at open() and decodes them as pulled."""
+
+    ROWS = 2000
+
+    @pytest.fixture
+    def accounts(self, tmp_path):
+        conn = connect(path=tmp_path / "db", synchronous="off")
+        conn.execute("CREATE TABLE accounts (id INTEGER PRIMARY KEY, score INTEGER)")
+        conn.executemany("INSERT INTO accounts VALUES (?, ?)", accounts_rows(self.ROWS))
+        conn.execute("CREATE INDEX ON accounts (score)")
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def _count_decodes(monkeypatch) -> list[int]:
+        """Count every stored row the paged store decodes, one by one or a
+        page run at a time (each is one ``json.loads`` in the pager)."""
+        import json
+        import types
+
+        import repro.db.pager as pager_module
+
+        decoded = [0]
+
+        def loads(text):
+            value = json.loads(text)
+            decoded[0] += len(value) if isinstance(value, list) else 1
+            return value
+
+        monkeypatch.setattr(pager_module, "json", types.SimpleNamespace(loads=loads))
+        return decoded
+
+    def test_ordered_walk_under_limit_decodes_one_batch(self, accounts, monkeypatch):
+        sql = "SELECT id, score FROM accounts ORDER BY score LIMIT 5"
+        assert accounts.explain(sql).splitlines()[0].startswith(
+            "IndexRangeScan accounts AS accounts ON score (ordered)"
+        )
+        decoded = self._count_decodes(monkeypatch)
+        cursor = accounts.execute(sql)
+        assert decoded[0] == 0  # open() captured the rows without decoding them
+        rows = cursor.fetchall()
+        by_score = sorted((score, id_) for id_, score in accounts_rows(self.ROWS))
+        assert rows == [(id_, score) for score, id_ in by_score[:5]]
+        assert decoded[0] <= BATCH_ROWS
+        scan = next(op for op in cursor.plan.walk() if isinstance(op, IndexRangeScan))
+        assert scan.rows_scanned == BATCH_ROWS
+
+    def test_range_probe_decodes_only_the_batches_it_reads(self, accounts, monkeypatch):
+        sql = (
+            "SELECT id, score FROM accounts WHERE score >= ? AND score < ? "
+            "ORDER BY score LIMIT 20"
+        )
+        decoded = self._count_decodes(monkeypatch)
+        rows = accounts.execute(sql, (100, 100 + 3 * BATCH_ROWS)).fetchall()
+        by_score = sorted((score, id_) for id_, score in accounts_rows(self.ROWS))
+        assert rows == [(id_, score) for score, id_ in by_score[100:120]]
+        assert decoded[0] <= BATCH_ROWS
+
+    def test_rows_deleted_after_open_still_read_their_snapshot(self, accounts):
+        cursor = accounts.execute("SELECT id FROM accounts WHERE score >= 0 AND score < 3")
+        accounts.execute("DELETE FROM accounts WHERE score < 3")
+        assert sorted(cursor.fetchall()) == sorted(
+            (id_,) for id_, score in accounts_rows(self.ROWS) if score < 3
+        )
+
+
+def accounts_rows(n: int) -> list[tuple[int, int]]:
+    """The ``(id, score)`` rows of :class:`TestIndexRangeScanDecoding`.
+
+    The scores are a permutation of ``0..n-1``, so index order is not heap
+    order.
+    """
+    return [(i, (i * 7919) % n) for i in range(1, n + 1)]

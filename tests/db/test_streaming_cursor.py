@@ -6,9 +6,11 @@ import pytest
 
 from repro.db import Connection, Dispatch, connect
 from repro.db.sql.operators import SeqScan
+from repro.db.storage import BATCH_ROWS
 from repro.errors import ExecutionError, UnknownColumnError
 
-N_ROWS = 100
+#: Three full scan batches and a partial fourth.
+N_ROWS = 3 * BATCH_ROWS + 8
 
 
 @pytest.fixture
@@ -66,23 +68,32 @@ class TestInterleavedFetching:
 
 
 class TestLazyExecution:
+    """Rows are pulled lazily, a scan batch at a time."""
+
     def test_limit_stops_pulling_from_scan_early(self, conn):
         cursor = conn.execute("SELECT v FROM numbers LIMIT 5")
         assert len(cursor.fetchall()) == 5
-        assert scan_of(cursor).rows_scanned == 5
+        assert scan_of(cursor).rows_scanned == BATCH_ROWS
 
     def test_fetchone_pulls_incrementally(self, conn):
         cursor = conn.execute("SELECT v FROM numbers")
         assert scan_of(cursor).rows_scanned == 0  # nothing pulled yet
         cursor.fetchone()
-        assert scan_of(cursor).rows_scanned == 1
-        cursor.fetchmany(10)
-        assert scan_of(cursor).rows_scanned == 11
+        assert scan_of(cursor).rows_scanned == BATCH_ROWS
+        cursor.fetchmany(10)  # served from the batch already pulled
+        assert scan_of(cursor).rows_scanned == BATCH_ROWS
+        cursor.fetchmany(BATCH_ROWS)
+        assert scan_of(cursor).rows_scanned == 2 * BATCH_ROWS
 
     def test_filtered_limit_scans_only_what_it_needs(self, conn):
         cursor = conn.execute("SELECT v FROM numbers WHERE v % 2 = 0 LIMIT 3")
         assert cursor.fetchall() == [(2,), (4,), (6,)]
-        assert scan_of(cursor).rows_scanned == 6
+        assert scan_of(cursor).rows_scanned == BATCH_ROWS
+        # The even rows of the first batch fall short of this limit.
+        limit = BATCH_ROWS // 2 + 1
+        cursor = conn.execute(f"SELECT v FROM numbers WHERE v % 2 = 0 LIMIT {limit}")
+        assert cursor.fetchall()[-1] == (2 * limit,)
+        assert scan_of(cursor).rows_scanned == 2 * BATCH_ROWS
 
     def test_full_scan_without_limit_reads_all_rows(self, conn):
         cursor = conn.execute("SELECT v FROM numbers")
@@ -98,7 +109,12 @@ class TestLazyExecution:
     def test_limit_offset_streams_correct_window(self, conn):
         cursor = conn.execute("SELECT n FROM numbers LIMIT 3 OFFSET 10")
         assert cursor.fetchall() == [(11,), (12,), (13,)]
-        assert scan_of(cursor).rows_scanned == 13
+        assert scan_of(cursor).rows_scanned == BATCH_ROWS
+        # An offset inside a later batch skips the earlier ones whole.
+        offset = BATCH_ROWS + 10
+        cursor = conn.execute(f"SELECT n FROM numbers LIMIT 3 OFFSET {offset}")
+        assert cursor.fetchall() == [(offset + 1,), (offset + 2,), (offset + 3,)]
+        assert scan_of(cursor).rows_scanned == 2 * BATCH_ROWS
 
     def test_snapshot_taken_at_execute_time(self, conn):
         cursor = conn.execute("SELECT count(*) FROM numbers")
@@ -113,7 +129,7 @@ class TestCursorLifecycle:
         assert cursor.fetchmany(2) == [(1,), (2,)]
         scan = scan_of(cursor)
         cursor.close()
-        assert scan.rows_scanned == 2  # nothing more was pulled
+        assert scan.rows_scanned == BATCH_ROWS  # nothing more was pulled
         with pytest.raises(ExecutionError):
             cursor.fetchone()
         with pytest.raises(ExecutionError):
