@@ -2,7 +2,11 @@
 
 Every benchmark regenerates one table or figure of the paper.  The rendered
 tables are printed and also written to ``benchmarks/results/<name>.txt`` so
-they survive pytest's output capturing.
+they survive pytest's output capturing.  Those files are committed at the
+``default`` scale and hold only deterministic rows (counts and sizes);
+wall-clock timings, speedups and RSS go to ``BENCH_results.json`` instead,
+so a run leaves the committed files as they were.  Runs at another scale
+write their tables under ``benchmarks/results/<scale>/``.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 ``small`` (quick smoke run), ``default`` (the standard reproduction scale)
@@ -57,12 +61,15 @@ def crowd_outcome(movie_context):
 
 @pytest.fixture(scope="session")
 def report_writer():
-    """Callable writing a rendered table to stdout and benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Callable writing a rendered table to stdout and benchmarks/results/
+    (``benchmarks/results/<scale>/`` below any scale but the default)."""
+    scale = bench_scale()
+    directory = RESULTS_DIR if scale == "default" else RESULTS_DIR / scale
+    directory.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, text: str) -> None:
         print(f"\n{text}\n")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        (directory / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
     return write
 

@@ -175,6 +175,8 @@ def test_ablation_operator_algebra(report_writer, metric_writer):
     nl_time, nl_rows = timed(Connection(catalog, hash_joins=False))
     assert hash_rows == nl_rows == n_left * (n_right // 100)
     join_speedup = nl_time / hash_time
+    metric_writer("hash_join_ms", hash_time * 1000)
+    metric_writer("nested_loop_join_ms", nl_time * 1000)
     metric_writer("hash_join_speedup", join_speedup)
     assert join_speedup >= 1.3, (
         f"hash join should beat nested loop by >=1.3x on the synthetic "
@@ -212,9 +214,7 @@ def test_ablation_operator_algebra(report_writer, metric_writer):
             ["quantity", "value"],
             [
                 ("join workload (rows x rows)", f"{n_left} x {n_right}"),
-                ("hash join best time", f"{hash_time * 1000:.2f} ms"),
-                ("nested loop best time", f"{nl_time * 1000:.2f} ms"),
-                ("hash-join speedup", f"{join_speedup:.1f}x"),
+                ("join result rows", hash_rows),
                 ("rows scanned for LIMIT 10", f"{limited_scanned} / {n_big}"),
                 ("rows scanned for full scan", f"{full_scanned} / {n_big}"),
             ],
@@ -383,6 +383,8 @@ def test_ablation_concurrent_acquisition(report_writer, metric_writer):
     assert concurrent_rows == serial_rows
     assert concurrent_source.dispatches == serial_source.dispatches
     speedup = serial_time / concurrent_time
+    metric_writer("concurrent_acquisition_serial_ms", serial_time * 1000)
+    metric_writer("concurrent_acquisition_concurrent_ms", concurrent_time * 1000)
     metric_writer("concurrent_acquisition_speedup", speedup)
     assert speedup >= 2.0, (
         f"concurrent acquisition (max_concurrent_batches=4) should beat the "
@@ -395,6 +397,7 @@ def test_ablation_concurrent_acquisition(report_writer, metric_writer):
     repeat_time, repeat_rows = timed(concurrent_conn)
     assert repeat_rows == concurrent_rows
     assert concurrent_source.dispatches == dispatches_before
+    metric_writer("concurrent_acquisition_repeat_ms", repeat_time * 1000)
     cache_stats = concurrent_conn.acquisition_runtime().cache.stats()
     assert cache_stats.hits >= n_rows * len(attributes)
 
@@ -406,10 +409,6 @@ def test_ablation_concurrent_acquisition(report_writer, metric_writer):
                 ("workload", f"{n_rows} rows x {len(attributes)} attributes"),
                 ("platform dispatches per query", serial_source.dispatches),
                 ("simulated latency per dispatch", f"{latency * 1000:.0f} ms"),
-                ("serialized wall time (1 worker)", f"{serial_time * 1000:.0f} ms"),
-                ("concurrent wall time (4 workers)", f"{concurrent_time * 1000:.0f} ms"),
-                ("speedup", f"{speedup:.1f}x"),
-                ("repeat-query wall time (cache)", f"{repeat_time * 1000:.0f} ms"),
                 ("repeat-query platform calls", 0),
                 ("answer-cache hits", cache_stats.hits),
             ],
@@ -463,6 +462,8 @@ def test_ablation_durability(tmp_path, report_writer, metric_writer):
     full_tp, full_fsyncs = insert_throughput("full")
     group_tp, group_fsyncs = insert_throughput("normal")
     speedup = group_tp / full_tp
+    metric_writer("durability_full_rows_per_s", full_tp)
+    metric_writer("durability_group_commit_rows_per_s", group_tp)
     metric_writer("durability_group_commit_speedup", speedup)
     assert full_fsyncs >= n_rows  # one fsync per acknowledged statement
     assert group_fsyncs < full_fsyncs / 3  # batching is what we measured
@@ -523,9 +524,6 @@ def test_ablation_durability(tmp_path, report_writer, metric_writer):
             ["quantity", "value"],
             [
                 ("inserts per mode", n_rows),
-                ("fsync-per-statement throughput", f"{full_tp:.0f} rows/s"),
-                ("group-commit throughput", f"{group_tp:.0f} rows/s"),
-                ("group-commit speedup", f"{speedup:.1f}x"),
                 ("fsyncs (full / normal)", f"{full_fsyncs} / {group_fsyncs}"),
                 ("crowd dispatches paid once", paid_dispatches),
                 ("platform calls after restart", fresh_source.dispatches),
@@ -598,6 +596,8 @@ def test_ablation_sql_engine_throughput(benchmark, movie_context, report_writer,
     cached_qps = repeated_queries(Connection(catalog))
     uncached_qps = repeated_queries(Connection(catalog, statement_cache_size=0))
     speedup = cached_qps / uncached_qps
+    metric_writer("statement_cache_on_qps", cached_qps)
+    metric_writer("statement_cache_off_qps", uncached_qps)
     metric_writer("statement_cache_speedup", speedup)
     assert speedup >= 1.3, (
         f"statement cache should give >=1.3x throughput on repeated queries, "
@@ -611,9 +611,7 @@ def test_ablation_sql_engine_throughput(benchmark, movie_context, report_writer,
             [
                 ("rows in movies", len(movie_context.corpus.items)),
                 ("workload result size", total),
-                ("point queries/s (cache on)", round(cached_qps)),
-                ("point queries/s (cache off)", round(uncached_qps)),
-                ("statement-cache speedup", f"{speedup:.2f}x"),
+                ("point queries per connection", 200 * len(point_queries)),
             ],
             title="Ablation: SQL engine workload",
         ),
@@ -765,9 +763,6 @@ def test_ablation_served_load(report_writer, metric_writer, repetitions):
                 ("concurrent wire clients (tenants)", n_clients),
                 ("requests per client", requests_per_client),
                 ("total requests", total_requests),
-                ("p50 latency", f"{p50_ms:.1f} ms"),
-                ("p99 latency", f"{p99_ms:.1f} ms"),
-                ("throughput", f"{throughput:.0f} req/s"),
                 ("admission rejects", stats["rejected"]),
                 ("cross-tenant repeat platform calls", extra),
             ],
@@ -911,6 +906,8 @@ def test_ablation_storage(tmp_path, report_writer, metric_writer):
 
     seq_time, index_time = best_of(plain), best_of(indexed)
     speedup = seq_time / index_time
+    metric_writer("seq_scan_range_ms", seq_time * 1e3)
+    metric_writer("index_range_scan_ms", index_time * 1e3)
     metric_writer("index_range_scan_speedup", speedup)
     assert speedup >= 5.0, (
         f"IndexRangeScan should beat SeqScan by >=5x on a narrow range over "
@@ -978,12 +975,9 @@ def test_ablation_storage(tmp_path, report_writer, metric_writer):
             ["quantity", "value"],
             [
                 ("rows (range-scan comparison)", n_rows),
-                ("SeqScan best latency", f"{seq_time * 1e3:.2f} ms"),
-                ("IndexRangeScan best latency", f"{index_time * 1e3:.2f} ms"),
-                ("index range-scan speedup", f"{speedup:.1f}x"),
+                ("rows in the range", 1000),
                 ("rows (paged-load subprocess)", 1_000_000),
                 ("rows served by streamed range query", served),
-                ("subprocess peak RSS", f"{peak_mb:.0f} MB"),
             ],
             title="Ablation: paged storage (cost-based range scans + flat RSS)",
         ),

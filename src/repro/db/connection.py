@@ -709,15 +709,33 @@ class Connection:
 
     # -- execution core ----------------------------------------------------------
 
-    def run_statement(self, sql: str, params: Sequence[Any] = ()) -> QueryResult:
+    def run_statement(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        *,
+        admit_select: Callable[[], None] | None = None,
+    ) -> QueryResult:
         """Prepare (or reuse), bind and execute *sql*; SELECT rows are
-        materialized into the returned :class:`QueryResult`."""
-        return _materialize(self._run(sql, params))
+        materialized into the returned :class:`QueryResult`.
 
-    def _run(self, sql: str, params: Sequence[Any]) -> QueryResult | SelectStream:
+        When *sql* is a SELECT, *admit_select* is called after it is bound
+        and before it runs; it may raise to refuse the statement before
+        any work, crowd spend included.
+        """
+        return _materialize(self._run(sql, params, admit_select))
+
+    def _run(
+        self,
+        sql: str,
+        params: Sequence[Any],
+        admit_select: Callable[[], None] | None = None,
+    ) -> QueryResult | SelectStream:
         """Prepare (or reuse) *sql*, bind *params* and :meth:`_execute` it."""
         with self._lock:
             prepared, params = self._bind(sql, params)
+            if admit_select is not None and prepared.is_select:
+                admit_select()
             return self._execute(prepared, params)
 
     def _bind(self, sql: str, params: Sequence[Any]) -> tuple[PreparedStatement, tuple[Any, ...]]:

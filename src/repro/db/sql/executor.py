@@ -31,7 +31,7 @@ from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     Params,
-    RowContext,
+    RowLayout,
     compile_expression,
     compile_predicate,
     evaluate,
@@ -520,7 +520,6 @@ class Executor:
         table = self._catalog.table(statement.table)
         schema = table.schema
         columns = list(statement.columns) or schema.column_names
-        context = RowContext()
         bound = len(params)
         inserted = 0
         for value_exprs in statement.rows:
@@ -538,7 +537,7 @@ class Executor:
                 elif kind is ast.Literal:
                     values[column] = expr.value
                 else:
-                    values[column] = evaluate(expr, context, params)
+                    values[column] = evaluate(expr, params)
             table.insert(values)
             inserted += 1
         return QueryResult(columns=[], rows=[], rowcount=inserted)
@@ -626,31 +625,27 @@ class Executor:
 
     def _execute_update(self, statement: ast.UpdateStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)
-        alias = table.schema.name
-        matches = compile_predicate(statement.where, params)
+        layout = _table_layout(table.schema)
+        matches = compile_predicate(statement.where, params, layout)
         assignments = [
-            (column, compile_expression(expr, params)) for column, expr in statement.assignments
+            (column, compile_expression(expr, params, layout))
+            for column, expr in statement.assignments
         ]
         updated = 0
         for rowid, row in list(table.scan()):
-            # The context reads the stored row itself, uncopied: every SET
-            # value is evaluated before update() writes the row.
-            context = RowContext.for_table_row(alias, row)
-            if matches(context):
-                changes = {column: value_of(context) for column, value_of in assignments}
+            # The pipeline row holds the stored row itself, uncopied: every
+            # SET value is evaluated before update() writes the row.
+            pipeline_row = (row,)
+            if matches(pipeline_row):
+                changes = {column: value_of(pipeline_row) for column, value_of in assignments}
                 table.update(rowid, changes)
                 updated += 1
         return QueryResult(columns=[], rows=[], rowcount=updated)
 
     def _execute_delete(self, statement: ast.DeleteStatement, params: Params) -> QueryResult:
         table = self._catalog.table(statement.table)
-        alias = table.schema.name
-        matches = compile_predicate(statement.where, params)
-        to_delete = [
-            rowid
-            for rowid, row in table.scan()
-            if matches(RowContext.for_table_row(alias, row))
-        ]
+        matches = compile_predicate(statement.where, params, _table_layout(table.schema))
+        to_delete = [rowid for rowid, row in table.scan() if matches((row,))]
         for rowid in to_delete:
             table.delete(rowid)
         return QueryResult(columns=[], rows=[], rowcount=len(to_delete))
@@ -661,11 +656,16 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 
+def _table_layout(schema: TableSchema) -> RowLayout:
+    """The one-slot layout of an UPDATE's or DELETE's table, named after it."""
+    return RowLayout(((schema.name.lower(), frozenset(schema.column_names)),))
+
+
 def _column_from_definition(definition: ast.ColumnDefinition, params: Params) -> Column:
     column_type = ColumnType.from_name(definition.type_name)
     default: Any = None
     if definition.default is not None:
-        default = evaluate(definition.default, RowContext(), params)
+        default = evaluate(definition.default, params)
     kind = AttributeKind.PERCEPTUAL if definition.perceptual else AttributeKind.FACTUAL
     if definition.perceptual and definition.default is None:
         default = MISSING

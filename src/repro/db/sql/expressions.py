@@ -8,14 +8,19 @@ unknown predicate does not qualify), which matches the behaviour the paper
 assumes for not-yet-crowdsourced values.
 
 :func:`compile_expression` is the one evaluator: it turns an expression
-AST into a Python closure over a :class:`RowContext` once, so operators
-compile their expressions at lowering time and pay no tree walk per row.
-Errors (unknown columns, bad functions, type errors) are raised when the
-closure runs, never at compile time, so an expression on a branch or a row
-that is never evaluated cannot fail a query.  The one exception is a ``?``
-with no slot in a non-empty parameter tuple, a binding error raised before
-the statement runs.  :func:`evaluate` is a one-shot convenience over the
-compiler.
+AST into a Python closure over a *pipeline row* once, so operators compile
+their expressions at lowering time and pay no tree walk per row.  A
+pipeline row is a plain tuple holding one row dict per FROM/JOIN table, in
+plan order; a :class:`RowLayout` says which table sits in which slot, and
+every column reference is resolved against it at compile time: ``a.col``
+compiles to ``row[i]["col"]`` and a bare name to the slot of the one table
+that has it.  Errors (unknown or ambiguous columns, bad functions, type
+errors) are raised when the closure runs, never at compile time, so an
+expression on a branch or a row that is never evaluated cannot fail a
+query.  The one exception is a ``?`` with no slot in a non-empty parameter
+tuple, a binding error raised before the statement runs.
+:func:`evaluate` is a one-shot convenience over the compiler for
+expressions that read no row (literals, parameters, DEFAULT values).
 """
 
 from __future__ import annotations
@@ -23,103 +28,54 @@ from __future__ import annotations
 import math
 import operator
 import re
-from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
 
 from repro.db.sql import ast
 from repro.db.types import MISSING
 from repro.errors import ExecutionError, ParameterBindingError, UnknownColumnError
 
-#: A compiled expression: evaluates against one row context.
-Evaluator = Callable[["RowContext"], Any]
+#: A pipeline row: one row dict per FROM/JOIN table, in plan order (a Sort
+#: key also sees the projected row tuple in one more slot).
+PipelineRow = tuple[Any, ...]
+
+#: A compiled expression: evaluates against one pipeline row.
+Evaluator = Callable[[PipelineRow], Any]
 
 #: One execution's ``?`` values, read by position (empty: unbound).
 Params = Sequence[Any]
 
 
-class RowContext:
-    """Column lookup environment for one (possibly joined) row.
+@dataclass(frozen=True)
+class RowLayout:
+    """Which table's row sits in which slot of a pipeline row.
 
-    Bare column names resolve through one dict; each table's row is kept
-    whole under its alias, and a qualified reference ``alias.column`` reads
-    ``tables[alias][column]`` (``alias.__rowid__`` reads the row's rowid).
-    A context never copies or mutates the rows it is given: a
-    single-table context's bare names *are* its row, which the scan that
-    produced it owns.  Bare names two joined tables share are flagged as
-    ambiguous and raise on lookup.  Contexts are immutable; ``joined`` and
-    ``with_bindings`` build new ones.
+    ``tables`` holds one ``(alias, column names)`` pair per FROM/JOIN
+    table in plan order, aliases lower-cased; slot ``i`` of a pipeline row
+    is the row dict of ``tables[i]``.  ``outputs`` names the values of the
+    projected row, which a Sort key reads from one more slot after the
+    tables: a bare output name shadows a column name (the last binding of
+    a name wins), as ``ORDER BY alias`` needs.
     """
 
-    __slots__ = ("_bare", "_tables", "_rowids", "_ambiguous")
+    tables: tuple[tuple[str, frozenset[str]], ...] = ()
+    outputs: tuple[str, ...] = ()
 
-    _bare: Mapping[str, Any]
-    _tables: Mapping[str, Mapping[str, Any]]
-    _rowids: Mapping[str, int]
-    _ambiguous: frozenset[str]
+    def prefix(self, slots: int) -> "RowLayout":
+        """The layout of the first *slots* tables (a join's input so far)."""
+        return RowLayout(self.tables[:slots])
 
-    def __init__(self) -> None:
-        """The empty context (table-less SELECTs, constant expressions)."""
-        self._bare = self._tables = self._rowids = _EMPTY
-        self._ambiguous = _NO_AMBIGUITY
+    def with_outputs(self, names: Sequence[str]) -> "RowLayout":
+        """This layout plus the projected row's slot, its values named *names*."""
+        return RowLayout(self.tables, tuple(names))
 
-    @classmethod
-    def for_table_row(
-        cls, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
-    ) -> "RowContext":
-        """The context of one scanned row; *row* is used as it is, not copied.
-
-        Equivalent to ``RowContext().joined(alias, row, rowid)``.
-        """
-        return _context(row, {alias: row}, _EMPTY if rowid is None else {alias: rowid})
-
-    def joined(
-        self, alias: str, row: Mapping[str, Any], rowid: Optional[int] = None
-    ) -> "RowContext":
-        """This context extended with one more table row.
-
-        The left side's rows are shared, not re-qualified.  A bare name
-        *row* shares with this context keeps this context's value and is
-        flagged ambiguous, as are the names this context already flagged.
-        """
-        bare = {**row, **self._bare}
-        ambiguous = self._ambiguous
-        if len(bare) < len(row) + len(self._bare):
-            ambiguous = ambiguous | (self._bare.keys() & row.keys())
-        rowids = self._rowids if rowid is None else {**self._rowids, alias: rowid}
-        return _context(bare, {**self._tables, alias: row}, rowids, ambiguous)
-
-    def with_bindings(self, names: Sequence[str], values: Sequence[Any]) -> "RowContext":
-        """This context with bare *names* bound to *values* (last wins).
-
-        Used for projection aliases; the bindings shadow bare column names
-        and the result carries no ambiguity flags.
-        """
-        bare = dict(self._bare)
-        bare.update(zip(names, values))
-        return _context(bare, self._tables, self._rowids, _NO_AMBIGUITY)
-
-    def lookup(self, ref: ast.ColumnRef) -> Any:
-        """Resolve a column reference or raise UnknownColumnError."""
-        return compile_expression(ref)(self)
+    def null_row(self) -> tuple[dict[str, Any], ...]:
+        """A pipeline row whose every column is NULL (an empty group's)."""
+        return tuple(dict.fromkeys(columns) for _alias, columns in self.tables)
 
 
-_EMPTY: Mapping[str, Any] = MappingProxyType({})
-_NO_AMBIGUITY: frozenset[str] = frozenset()
-_new_context = object.__new__
-
-
-def _context(
-    bare: Mapping[str, Any],
-    tables: Mapping[str, Mapping[str, Any]],
-    rowids: Mapping[str, int],
-    ambiguous: frozenset[str] = _NO_AMBIGUITY,
-) -> RowContext:
-    context: RowContext = _new_context(RowContext)
-    context._bare = bare
-    context._tables = tables
-    context._rowids = rowids
-    context._ambiguous = ambiguous
-    return context
+#: The layout of a row-independent expression: no table slots.
+NO_TABLES = RowLayout()
 
 
 def _is_unknown(value: Any) -> bool:
@@ -293,125 +249,114 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 
 
 def _failing(message: str) -> Evaluator:
-    def fail(_context: RowContext) -> Any:
+    def fail(_row: PipelineRow) -> Any:
         raise ExecutionError(message)
 
     return fail
 
 
-def _compile_column(ref: ast.ColumnRef, _params: Params) -> Evaluator:
+def _unknown_column(name: str, table: Optional[str]) -> Evaluator:
+    def unknown(_row: PipelineRow) -> Any:
+        raise UnknownColumnError(name, table)
+
+    return unknown
+
+
+def _compile_column(ref: ast.ColumnRef, _params: Params, layout: RowLayout) -> Evaluator:
+    """Resolve *ref* to a slot of *layout* now; the closure reads one cell."""
     name, table = ref.name, ref.table
-
+    tables = layout.tables
     if table is None:
+        outputs = layout.outputs
+        if name in outputs:
+            slot, key = len(tables), len(outputs) - 1 - outputs[::-1].index(name)
+            return lambda row: row[slot][key]
+        slots = [i for i, (_alias, columns) in enumerate(tables) if name in columns]
+        if len(slots) > 1:
+            return _failing(f"ambiguous column reference: {name!r}")
+        if not slots:
+            return _unknown_column(name, None)
+        slot = slots[0]
+    else:
+        alias = table.lower()
+        slots = [i for i, (candidate, _columns) in enumerate(tables) if candidate == alias]
+        if not slots or name not in tables[slots[0]][1]:
+            return _unknown_column(name, table)
+        slot = slots[0]
 
-        def bare_column(context: RowContext) -> Any:
-            if name in context._ambiguous:
-                raise ExecutionError(f"ambiguous column reference: {name!r}")
-            try:
-                return context._bare[name]
-            except KeyError:
-                raise UnknownColumnError(name, table) from None
-
-        if "." not in name:
-            return bare_column
-        # A column literally named "alias.column" (schemas forbid it, so
-        # only hand-built contexts have one) is ambiguous with the column
-        # that qualified reference names, when that table has one.
-        alias, _, column = name.partition(".")
-
-        def dotted_column(context: RowContext) -> Any:
-            if name in context._bare and column in context._tables.get(alias, _EMPTY):
-                raise ExecutionError(f"ambiguous column reference: {name!r}")
-            return bare_column(context)
-
-        return dotted_column
-
-    if name == "__rowid__":
-
-        def rowid_column(context: RowContext) -> Any:
-            rowid = context._rowids.get(table)
-            if rowid is not None:
-                return rowid
-            try:
-                return context._tables[table][name]
-            except KeyError:
-                raise UnknownColumnError(name, table) from None
-
-        return rowid_column
-
-    def qualified_column(context: RowContext) -> Any:
+    def column(row: PipelineRow) -> Any:
         try:
-            return context._tables[table][name]
+            return row[slot][name]
         except KeyError:
             raise UnknownColumnError(name, table) from None
 
-    return qualified_column
+    return column
 
 
-def _compile_binary(expr: ast.BinaryOp, params: Params) -> Evaluator:
+def _compile_binary(expr: ast.BinaryOp, params: Params, layout: RowLayout) -> Evaluator:
     op = expr.op
-    left = compile_expression(expr.left, params)
-    right = compile_expression(expr.right, params)
+    left = compile_expression(expr.left, params, layout)
+    right = compile_expression(expr.right, params, layout)
     if op == "and":
 
-        def conjunction(context: RowContext) -> Optional[bool]:
-            truth = _to_truth(left(context))
+        def conjunction(row: PipelineRow) -> Optional[bool]:
+            truth = _to_truth(left(row))
             if truth is False:
                 return False
-            return _logical_and(truth, _to_truth(right(context)))
+            return _logical_and(truth, _to_truth(right(row)))
 
         return conjunction
     if op == "or":
 
-        def disjunction(context: RowContext) -> Optional[bool]:
-            truth = _to_truth(left(context))
+        def disjunction(row: PipelineRow) -> Optional[bool]:
+            truth = _to_truth(left(row))
             if truth is True:
                 return True
-            return _logical_or(truth, _to_truth(right(context)))
+            return _logical_or(truth, _to_truth(right(row)))
 
         return disjunction
     combine = binary_operator(op)
     # A literal or bound-parameter operand is a constant: read it once, here.
     constant = _constant(expr.right, params)
     if constant is not _NOT_CONSTANT:
-        return lambda context: combine(left(context), constant)
+        return lambda row: combine(left(row), constant)
     constant = _constant(expr.left, params)
     if constant is not _NOT_CONSTANT:
-        return lambda context: combine(constant, right(context))
-    return lambda context: combine(left(context), right(context))
+        return lambda row: combine(constant, right(row))
+    return lambda row: combine(left(row), right(row))
 
 
-def _compile_unary(expr: ast.UnaryOp, params: Params) -> Evaluator:
-    operand = compile_expression(expr.operand, params)
+def _compile_unary(expr: ast.UnaryOp, params: Params, layout: RowLayout) -> Evaluator:
+    operand = compile_expression(expr.operand, params, layout)
     apply = unary_operator(expr.op)
-    return lambda context: apply(operand(context))
+    return lambda row: apply(operand(row))
 
 
-def _compile_is_null(expr: ast.IsNull, params: Params) -> Evaluator:
-    operand = compile_expression(expr.operand, params)
+def _compile_is_null(expr: ast.IsNull, params: Params, layout: RowLayout) -> Evaluator:
+    operand = compile_expression(expr.operand, params, layout)
     negated = bool(expr.negated)
     if expr.missing:
-        return lambda context: (operand(context) is MISSING) is not negated
+        return lambda row: (operand(row) is MISSING) is not negated
 
-    def is_null(context: RowContext) -> bool:
-        value = operand(context)
+    def is_null(row: PipelineRow) -> bool:
+        value = operand(row)
         return (value is None or value is MISSING) is not negated
 
     return is_null
 
 
-def _compile_in_list(expr: ast.InList, params: Params) -> Evaluator:
-    operand = compile_expression(expr.operand, params)
-    items = [compile_expression(item, params) for item in expr.items]
+def _compile_in_list(expr: ast.InList, params: Params, layout: RowLayout) -> Evaluator:
+    operand = compile_expression(expr.operand, params, layout)
+    items = [compile_expression(item, params, layout) for item in expr.items]
     negated = bool(expr.negated)
 
-    def in_list(context: RowContext) -> Optional[bool]:
-        value = operand(context)
+    def in_list(row: PipelineRow) -> Optional[bool]:
+        value = operand(row)
         if value is None or value is MISSING:
             return None
         found_unknown = False
         for item in items:
-            candidate = item(context)
+            candidate = item(row)
             if candidate is None or candidate is MISSING:
                 found_unknown = True
                 continue
@@ -424,16 +369,16 @@ def _compile_in_list(expr: ast.InList, params: Params) -> Evaluator:
     return in_list
 
 
-def _compile_between(expr: ast.Between, params: Params) -> Evaluator:
-    operand = compile_expression(expr.operand, params)
-    low = compile_expression(expr.low, params)
-    high = compile_expression(expr.high, params)
+def _compile_between(expr: ast.Between, params: Params, layout: RowLayout) -> Evaluator:
+    operand = compile_expression(expr.operand, params, layout)
+    low = compile_expression(expr.low, params, layout)
+    high = compile_expression(expr.high, params, layout)
     negated = bool(expr.negated)
 
-    def between(context: RowContext) -> Optional[bool]:
-        value = operand(context)
-        low_value = low(context)
-        high_value = high(context)
+    def between(row: PipelineRow) -> Optional[bool]:
+        value = operand(row)
+        low_value = low(row)
+        high_value = high(row)
         result = _logical_and(
             _GREATER_EQUAL(value, low_value), _LESS_EQUAL(value, high_value)
         )
@@ -444,18 +389,18 @@ def _compile_between(expr: ast.Between, params: Params) -> Evaluator:
     return between
 
 
-def _compile_function(expr: ast.FunctionCall, params: Params) -> Evaluator:
+def _compile_function(expr: ast.FunctionCall, params: Params, layout: RowLayout) -> Evaluator:
     name = expr.name.lower()
     if name in ast.AGGREGATE_FUNCTIONS:
         return _failing(
             f"aggregate function {name.upper()} used outside of an aggregation context"
         )
-    args = [compile_expression(arg, params) for arg in expr.args]
+    args = [compile_expression(arg, params, layout) for arg in expr.args]
     if name == "coalesce":
 
-        def coalesce(context: RowContext) -> Any:
+        def coalesce(row: PipelineRow) -> Any:
             for arg in args:
-                value = arg(context)
+                value = arg(row)
                 if value is not None and value is not MISSING:
                     return value
             return None
@@ -464,41 +409,43 @@ def _compile_function(expr: ast.FunctionCall, params: Params) -> Evaluator:
     handler = _SCALAR_FUNCTIONS.get(name)
     if handler is None:
         return _failing(f"unknown function {expr.name!r}")
-    return lambda context: handler(*[arg(context) for arg in args])
+    return lambda row: handler(*[arg(row) for arg in args])
 
 
-def _compile_case(expr: ast.CaseExpression, params: Params) -> Evaluator:
+def _compile_case(expr: ast.CaseExpression, params: Params, layout: RowLayout) -> Evaluator:
     branches = [
-        (compile_expression(condition, params), compile_expression(value, params))
+        (compile_expression(condition, params, layout), compile_expression(value, params, layout))
         for condition, value in expr.branches
     ]
-    default = compile_expression(expr.default, params) if expr.default is not None else None
+    default = (
+        compile_expression(expr.default, params, layout) if expr.default is not None else None
+    )
 
-    def case(context: RowContext) -> Any:
+    def case(row: PipelineRow) -> Any:
         for condition, value in branches:
-            if _to_truth(condition(context)):
-                return value(context)
+            if _to_truth(condition(row)):
+                return value(row)
         if default is not None:
-            return default(context)
+            return default(row)
         return None
 
     return case
 
 
-def _compile_literal(expr: ast.Literal, _params: Params) -> Evaluator:
+def _compile_literal(expr: ast.Literal, _params: Params, _layout: RowLayout) -> Evaluator:
     value = expr.value
-    return lambda _context: value
+    return lambda _row: value
 
 
-def _compile_star(_expr: ast.Star, _params: Params) -> Evaluator:
+def _compile_star(_expr: ast.Star, _params: Params, _layout: RowLayout) -> Evaluator:
     return _failing("'*' is only valid inside COUNT(*) or a SELECT list")
 
 
-def _compile_parameter(expr: ast.Parameter, params: Params) -> Evaluator:
+def _compile_parameter(expr: ast.Parameter, params: Params, _layout: RowLayout) -> Evaluator:
     if not params:
         return _failing(f"unbound parameter {expr.index + 1}; bind values before execution")
     value = _constant(expr, params)
-    return lambda _context: value
+    return lambda _row: value
 
 
 _NOT_CONSTANT = object()
@@ -516,7 +463,7 @@ def _constant(expr: ast.Expression, params: Params) -> Any:
     return _NOT_CONSTANT
 
 
-_COMPILERS: dict[type, Callable[[Any, Params], Evaluator]] = {
+_COMPILERS: dict[type, Callable[[Any, Params, RowLayout], Evaluator]] = {
     ast.Literal: _compile_literal,
     ast.ColumnRef: _compile_column,
     ast.Star: _compile_star,
@@ -531,9 +478,14 @@ _COMPILERS: dict[type, Callable[[Any, Params], Evaluator]] = {
 }
 
 
-def compile_expression(expr: ast.Expression, params: Params = ()) -> Evaluator:
-    """Compile *expr* once into a closure evaluating it against a row context.
+def compile_expression(
+    expr: ast.Expression, params: Params = (), layout: RowLayout = NO_TABLES
+) -> Evaluator:
+    """Compile *expr* once into a closure evaluating it against a pipeline row.
 
+    Every column reference is resolved against *layout* here, to the slot
+    it reads; a reference the layout cannot resolve (unknown, or a bare
+    name two tables share) compiles to a closure that raises when it runs.
     Each ``?`` placeholder reads its slot of *params*, the execution's
     parameter tuple, here at compile time; with no tuple a placeholder
     fails when evaluated.  MISSING propagates as unknown; AND/OR/CASE/
@@ -543,19 +495,19 @@ def compile_expression(expr: ast.Expression, params: Params = ()) -> Evaluator:
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
         return _failing(f"cannot evaluate expression of type {type(expr).__name__}")
-    return compiler(expr, params)
+    return compiler(expr, params, layout)
 
 
 def compile_predicate(
-    expr: ast.Expression | None, params: Params = ()
-) -> Callable[[RowContext], bool]:
+    expr: ast.Expression | None, params: Params = (), layout: RowLayout = NO_TABLES
+) -> Callable[[PipelineRow], bool]:
     """Compile a WHERE/HAVING/ON predicate; unknown collapses to False."""
     if expr is None:
-        return lambda _context: True
-    evaluator = compile_expression(expr, params)
+        return lambda _row: True
+    evaluator = compile_expression(expr, params, layout)
 
-    def predicate(context: RowContext) -> bool:
-        value = evaluator(context)
+    def predicate(row: PipelineRow) -> bool:
+        value = evaluator(row)
         if value is True:
             return True
         if value is False or value is None:
@@ -565,9 +517,9 @@ def compile_predicate(
     return predicate
 
 
-def evaluate(expr: ast.Expression, context: RowContext, params: Params = ()) -> Any:
-    """Evaluate *expr* once against *context* (one-shot callers)."""
-    return compile_expression(expr, params)(context)
+def evaluate(expr: ast.Expression, params: Params = ()) -> Any:
+    """Evaluate a row-independent *expr* once (one-shot callers)."""
+    return compile_expression(expr, params)(())
 
 
 def expression_label(expr: ast.Expression, params: Params = ()) -> str:

@@ -55,9 +55,15 @@ with those counters and the crowd-batch statistics of any ``CrowdFill``
 Item types flowing between operators:
 
 * below :class:`Bind`: ``(rowid, row_dict)`` pairs (rows the query owns);
-* between :class:`Bind` and the projection: :class:`RowContext` objects,
-  which keep those row dicts whole and never copy or mutate them;
-* above :class:`Project`/:class:`Aggregate`: ``(row_tuple, context)`` pairs.
+* between :class:`Bind` and the projection: *pipeline rows*, plain tuples
+  holding one row dict per FROM/JOIN table in plan order — :class:`Bind`
+  makes ``(row,)`` and each join appends its table's row (or a LEFT
+  JOIN's all-NULL row); the dicts are never copied or mutated.  Every
+  column reference was resolved to its slot when the plan was built
+  (:class:`~repro.db.sql.expressions.RowLayout`), so no name is looked up
+  per row;
+* above :class:`Project`/:class:`Aggregate`: ``(row_tuple, pipeline_row)``
+  pairs.
 """
 
 from __future__ import annotations
@@ -96,8 +102,10 @@ from repro.db.schema import AttributeKind, TableSchema
 from repro.db.storage import RowSnapshot
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
+    NO_TABLES,
     Params,
-    RowContext,
+    PipelineRow,
+    RowLayout,
     binary_operator,
     compile_expression,
     compile_predicate,
@@ -384,13 +392,13 @@ class IndexRangeScan(_TableScan):
             return
         low = high = None
         if self._low is not None:
-            low = evaluate(self._low, RowContext(), self._params)
+            low = evaluate(self._low, self._params)
             if _is_unknown(low):
                 return  # NULL bound: predicate unknown for every row
         if self._point:
             high = low
         elif self._high is not None:
-            high = evaluate(self._high, RowContext(), self._params)
+            high = evaluate(self._high, self._params)
             if _is_unknown(high):
                 return
         if low is None and high is None:
@@ -848,29 +856,24 @@ class PredictFill(Operator):
 
 
 class Bind(Operator):
-    """Glue: turn a table source's ``(rowid, row)`` pairs into contexts."""
+    """Glue: turn a table source's ``(rowid, row)`` pairs into one-slot
+    pipeline rows ``(row,)``."""
 
     label = "Bind"
     hidden = True
 
-    def __init__(self, child: Operator, alias: str) -> None:
-        super().__init__(child)
-        self.alias = alias
-
-    def _produce(self) -> Iterator[list[RowContext]]:
-        for_table_row = RowContext.for_table_row
-        alias = self.alias
+    def _produce(self) -> Iterator[list[PipelineRow]]:
         for batch in self.children[0].batches():
-            yield [for_table_row(alias, row, rowid) for rowid, row in batch]
+            yield [(row,) for _rowid, row in batch]
 
 
 class SingleRow(Operator):
-    """Source for table-less SELECTs: one empty context."""
+    """Source for table-less SELECTs: one empty pipeline row."""
 
     label = "Result"
 
-    def _produce(self) -> Iterator[list[RowContext]]:
-        yield [RowContext()]
+    def _produce(self) -> Iterator[list[PipelineRow]]:
+        yield [()]
 
     def detail(self) -> str:
         return "(no table)"
@@ -1091,7 +1094,7 @@ class CrowdEnumerate(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Joins (left child: batches of contexts; right child: of (rowid, row) pairs)
+# Joins (left child: batches of pipeline rows; right child: of (rowid, row) pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -1114,31 +1117,34 @@ class NestedLoopJoin(Operator):
         kind: str,
         right_columns: Sequence[str],
         params: Params = (),
+        layout: RowLayout = NO_TABLES,
     ) -> None:
+        """*layout* covers the tables up to and including this join's."""
         super().__init__(left, right)
         self.alias = alias
         self.condition = condition
         self.kind = kind
         self._right_columns = list(right_columns)
         self._params = params
-        self._matches = compile_predicate(condition, params)
+        self._matches = compile_predicate(condition, params, layout)
 
-    def _produce(self) -> Iterator[list[RowContext]]:
+    def _produce(self) -> Iterator[list[PipelineRow]]:
         # The right input, materialized once per join.
-        right_rows = list(chain.from_iterable(self.children[1].batches()))
-        null_row = {column: None for column in self._right_columns}  # hoisted
+        right_rows = [row for _rowid, row in chain.from_iterable(self.children[1].batches())]
+        null_row = dict.fromkeys(self._right_columns)  # hoisted
         cross = self.kind == "cross"
+        left = self.kind == "left"
+        matches = self._matches
         for batch in self.children[0].batches():
-            out: list[RowContext] = []
+            out: list[PipelineRow] = []
             for context in batch:
-                matched = False
-                for rowid, row in right_rows:
-                    candidate = context.joined(self.alias, row, rowid)
-                    if cross or self._matches(candidate):
-                        matched = True
-                        out.append(candidate)
-                if self.kind == "left" and not matched:
-                    out.append(context.joined(self.alias, null_row))
+                joined = [context + (row,) for row in right_rows]
+                if not cross:
+                    joined = list(filter(matches, joined))
+                if joined:
+                    out.extend(joined)
+                elif left:
+                    out.append(context + (null_row,))
             if out:
                 yield out
 
@@ -1169,39 +1175,45 @@ class HashJoin(Operator):
         right_key_column: str,
         kind: str,
         right_columns: Sequence[str],
+        layout: RowLayout = NO_TABLES,
     ) -> None:
+        """*layout* covers the tables left of this join (the key's side)."""
         super().__init__(left, right)
         self.alias = alias
         self.left_key = left_key
         self.right_key_column = right_key_column
         self.kind = kind
         self._right_columns = list(right_columns)
-        self._left_key = compile_expression(left_key)
+        self._left_key = compile_expression(left_key, (), layout)
         #: Number of buckets in the build-side hash table (for EXPLAIN).
         self.build_rows = 0
 
-    def _produce(self) -> Iterator[list[RowContext]]:
-        table: dict[Any, list[tuple[int, dict[str, Any]]]] = {}
+    def _produce(self) -> Iterator[list[PipelineRow]]:
+        table: dict[Any, list[dict[str, Any]]] = {}
         key_column = self.right_key_column
-        for rowid, row in chain.from_iterable(self.children[1].batches()):
+        for _rowid, row in chain.from_iterable(self.children[1].batches()):
             key = row.get(key_column)
-            if _is_unknown(key):
+            if key is None or key is MISSING:
                 continue
-            table.setdefault(key, []).append((rowid, row))
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [row]
+            else:
+                bucket.append(row)
             self.build_rows += 1
-        null_row = {column: None for column in self._right_columns}
+        null_row = dict.fromkeys(self._right_columns)
         left_key = self._left_key
-        alias = self.alias
+        lookup = table.get
         left = self.kind == "left"
         for batch in self.children[0].batches():
-            out: list[RowContext] = []
+            out: list[PipelineRow] = []
             for context in batch:
-                key = left_key(context)
-                matches = None if _is_unknown(key) else table.get(key)
+                # An unknown key never matches: no bucket holds None or MISSING.
+                matches = lookup(left_key(context))
                 if matches:
-                    out.extend([context.joined(alias, row, rowid) for rowid, row in matches])
+                    out.extend([context + (row,) for row in matches])
                 elif left:
-                    out.append(context.joined(alias, null_row))
+                    out.append(context + (null_row,))
             if out:
                 yield out
 
@@ -1223,18 +1235,24 @@ class HashJoin(Operator):
 
 
 class Filter(Operator):
-    """Keep contexts whose predicate evaluates to TRUE (unknown drops)."""
+    """Keep pipeline rows whose predicate evaluates to TRUE (unknown drops)."""
 
     label = "Filter"
 
-    def __init__(self, child: Operator, predicate: ast.Expression, params: Params = ()) -> None:
+    def __init__(
+        self,
+        child: Operator,
+        predicate: ast.Expression,
+        params: Params = (),
+        layout: RowLayout = NO_TABLES,
+    ) -> None:
         super().__init__(child)
         self.predicate = predicate
         self._params = params
-        self._matches = compile_predicate(predicate, params)
+        self._matches = compile_predicate(predicate, params, layout)
         self.rows_in = 0
 
-    def _produce(self) -> Iterator[list[RowContext]]:
+    def _produce(self) -> Iterator[list[PipelineRow]]:
         matches = self._matches
         for batch in self.children[0].batches():
             self.rows_in += len(batch)
@@ -1247,18 +1265,24 @@ class Filter(Operator):
 
 
 class Project(Operator):
-    """Evaluate the output expressions; yields ``(row_tuple, context)``."""
+    """Evaluate the output expressions; yields ``(row_tuple, pipeline_row)``."""
 
     label = "Project"
 
     def __init__(
-        self, child: Operator, output: Sequence[OutputColumn], params: Params = ()
+        self,
+        child: Operator,
+        output: Sequence[OutputColumn],
+        params: Params = (),
+        layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
-        self._columns = [compile_expression(column.expression, params) for column in self.output]
+        self._columns = [
+            compile_expression(column.expression, params, layout) for column in self.output
+        ]
 
-    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], PipelineRow]]]:
         columns = self._columns
         for batch in self.children[0].batches():
             yield [(tuple([column(context) for column in columns]), context) for context in batch]
@@ -1271,19 +1295,21 @@ class Project(Operator):
 
 
 #: A compiled expression in an aggregation context: evaluates against a
-#: group of row contexts and the group's representative context.
-GroupEvaluator = Callable[[Sequence[RowContext], RowContext], Any]
+#: group of pipeline rows and the group's representative row.
+GroupEvaluator = Callable[[Sequence[PipelineRow], PipelineRow], Any]
 
 
 def _failing_group(message: str) -> GroupEvaluator:
-    def fail(_group: Sequence[RowContext], _representative: RowContext) -> Any:
+    def fail(_group: Sequence[PipelineRow], _representative: PipelineRow) -> Any:
         raise ExecutionError(message)
 
     return fail
 
 
-def _compile_aggregate_call(call: ast.FunctionCall, params: Params) -> GroupEvaluator:
-    """Compile one aggregate function call over a group of row contexts."""
+def _compile_aggregate_call(
+    call: ast.FunctionCall, params: Params, layout: RowLayout
+) -> GroupEvaluator:
+    """Compile one aggregate function call over a group of pipeline rows."""
     name = call.name.lower()
     if call.star:
         if name != "count":
@@ -1291,10 +1317,10 @@ def _compile_aggregate_call(call: ast.FunctionCall, params: Params) -> GroupEval
         return lambda group, _representative: len(group)
     if len(call.args) != 1:
         return _failing_group(f"aggregate {name.upper()} takes exactly one argument")
-    argument = compile_expression(call.args[0], params)
+    argument = compile_expression(call.args[0], params, layout)
     distinct = call.distinct
 
-    def aggregate(group: Sequence[RowContext], _representative: RowContext) -> Any:
+    def aggregate(group: Sequence[PipelineRow], _representative: PipelineRow) -> Any:
         values = [
             value
             for value in map(argument, group)
@@ -1324,31 +1350,37 @@ def _compile_aggregate_call(call: ast.FunctionCall, params: Params) -> GroupEval
     return aggregate
 
 
-def compile_group_expression(expr: ast.Expression, params: Params = ()) -> GroupEvaluator:
+def compile_group_expression(
+    expr: ast.Expression, params: Params = (), layout: RowLayout = NO_TABLES
+) -> GroupEvaluator:
     """Compile an expression that may mix aggregates and scalars.
 
     Aggregate calls reduce the group; operators combine their operands'
     values; anything else is a scalar evaluated on the representative.
     """
     if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return _compile_aggregate_call(expr, params)
+        return _compile_aggregate_call(expr, params, layout)
     if isinstance(expr, ast.BinaryOp):
-        left = compile_group_expression(expr.left, params)
-        right = compile_group_expression(expr.right, params)
+        left = compile_group_expression(expr.left, params, layout)
+        right = compile_group_expression(expr.right, params, layout)
         combine = binary_operator(expr.op)
         return lambda group, representative: combine(
             left(group, representative), right(group, representative)
         )
     if isinstance(expr, ast.UnaryOp):
-        operand = compile_group_expression(expr.operand, params)
+        operand = compile_group_expression(expr.operand, params, layout)
         apply = unary_operator(expr.op)
         return lambda group, representative: apply(operand(group, representative))
-    scalar = compile_expression(expr, params)
+    scalar = compile_expression(expr, params, layout)
     return lambda _group, representative: scalar(representative)
 
 
 class Aggregate(Operator):
-    """Blocking GROUP BY/HAVING operator; yields ``(row_tuple, context)``."""
+    """Blocking GROUP BY/HAVING operator; yields ``(row_tuple, pipeline_row)``.
+
+    The pipeline row is the group's representative: its first row, or for
+    a global aggregate over no input an all-NULL row of *layout*.
+    """
 
     label = "Aggregate"
 
@@ -1359,40 +1391,44 @@ class Aggregate(Operator):
         group_by: Sequence[ast.Expression],
         having: Optional[ast.Expression],
         params: Params = (),
+        layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
         self.group_by = tuple(group_by)
         self.having = having
         self._params = params
-        self._keys = [compile_expression(expr, params) for expr in self.group_by]
-        self._having = compile_group_expression(having, params) if having is not None else None
+        self._layout = layout
+        self._keys = [compile_expression(expr, params, layout) for expr in self.group_by]
+        self._having = (
+            compile_group_expression(having, params, layout) if having is not None else None
+        )
         self._columns = [
-            compile_group_expression(column.expression, params) for column in self.output
+            compile_group_expression(column.expression, params, layout) for column in self.output
         ]
         self.groups_built = 0
 
-    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
-        groups: dict[tuple[Any, ...], list[RowContext]] = {}
-        contexts = chain.from_iterable(self.children[0].batches())
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], PipelineRow]]]:
+        groups: dict[tuple[Any, ...], list[PipelineRow]] = {}
+        rows = chain.from_iterable(self.children[0].batches())
         if self._keys:
             keys = self._keys
-            for context in contexts:
-                key = tuple([hashable_key(key_of(context)) for key_of in keys])
-                groups.setdefault(key, []).append(context)
+            for pipeline_row in rows:
+                key = tuple([hashable_key(key_of(pipeline_row)) for key_of in keys])
+                groups.setdefault(key, []).append(pipeline_row)
         else:
             # A global aggregate always emits one row, even over no input.
-            groups[()] = list(contexts)
+            groups[()] = list(rows)
         self.groups_built = len(groups)
 
-        out: list[tuple[tuple[Any, ...], RowContext]] = []
-        for group_contexts in groups.values():
-            representative = group_contexts[0] if group_contexts else RowContext()
+        out: list[tuple[tuple[Any, ...], PipelineRow]] = []
+        for members in groups.values():
+            representative = members[0] if members else self._layout.null_row()
             if self._having is not None and not _truthy(
-                self._having(group_contexts, representative)
+                self._having(members, representative)
             ):
                 continue
-            row = tuple([column(group_contexts, representative) for column in self._columns])
+            row = tuple([column(members, representative) for column in self._columns])
             out.append((row, representative))
         if out:
             yield out
@@ -1413,7 +1449,7 @@ class Distinct(Operator):
     def __init__(self, child: Operator) -> None:
         super().__init__(child)
 
-    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], RowContext]]]:
+    def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], PipelineRow]]]:
         seen: set[tuple[Any, ...]] = set()
         for batch in self.children[0].batches():
             out = []
@@ -1426,8 +1462,8 @@ class Distinct(Operator):
                 yield out
 
 
-#: What a Sort orders: a projected row and its context.
-SortEntry = tuple[tuple[Any, ...], RowContext]
+#: What a Sort orders: a projected row and its pipeline row.
+SortEntry = tuple[tuple[Any, ...], PipelineRow]
 
 
 class Sort(Operator):
@@ -1455,6 +1491,7 @@ class Sort(Operator):
         aggregate: bool,
         params: Params = (),
         keep: Optional[int] = None,
+        layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
         self.order_by = tuple(order_by)
@@ -1462,6 +1499,7 @@ class Sort(Operator):
         self._output_names = list(output_names)
         self._aggregate = aggregate
         self._params = params
+        self._layout = layout.with_outputs(self._output_names)
         keys = [self._compile_key(item) for item in self.order_by]
 
         def composite(entry: SortEntry) -> tuple[tuple[bool, Any], ...]:
@@ -1472,9 +1510,10 @@ class Sort(Operator):
     def _compile_key(self, item: ast.OrderItem) -> Callable[[SortEntry], tuple[bool, Any]]:
         """Compile one ORDER BY item into a per-row ``(unknown, rank)`` key.
 
-        The key expression sees the row's context with the output columns
-        bound by name (so ``ORDER BY alias`` works); a bare reference to an
-        output column reads the projected value directly.
+        The key expression sees the pipeline row plus the projected row in
+        one more slot, whose values are bound by output name (so ``ORDER
+        BY alias`` works); a bare reference to an output column reads the
+        projected value directly.
         """
         expression = item.expression
         names = self._output_names
@@ -1490,18 +1529,19 @@ class Sort(Operator):
                 return entry[0][index]
 
         elif self._aggregate:
-            grouped = compile_group_expression(expression, self._params)
+            grouped = compile_group_expression(expression, self._params, self._layout)
 
             def value_of(entry: SortEntry) -> Any:
                 row, context = entry
-                return grouped([context], context.with_bindings(names, row))
+                extended = context + (row,)
+                return grouped([extended], extended)
 
         else:
-            scalar = compile_expression(expression, self._params)
+            scalar = compile_expression(expression, self._params, self._layout)
 
             def value_of(entry: SortEntry) -> Any:
                 row, context = entry
-                return scalar(context.with_bindings(names, row))
+                return scalar(context + (row,))
 
         if item.ascending:
 
@@ -1784,16 +1824,17 @@ def lower_select_plan(
     plan itself is never rewritten.
     """
     root: Operator
+    layout = plan.layout
     if plan.from_crowd is not None:
-        root = Bind(CrowdEnumerate(catalog, plan.from_crowd, session), "crowd")
+        root = Bind(CrowdEnumerate(catalog, plan.from_crowd, session))
     elif plan.scan is None:
         root = SingleRow()
     else:
         source = _lower_scan(plan, plan.scan, catalog, session, access_path, params)
-        root = Bind(source, plan.scan.alias)
+        root = Bind(source)
         left_est = source.est_rows if source.est_rows is not None else 1
         aliases = {plan.scan.alias.lower()}
-        for join in plan.joins:
+        for slot, join in enumerate(plan.joins, start=1):
             right = _lower_scan(plan, join.scan, catalog, session, params=params)
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
@@ -1810,6 +1851,7 @@ def lower_select_plan(
                     right_column,
                     join.kind,
                     right_columns,
+                    layout.prefix(slot),
                 )
                 # Equi-join output heuristic: each left row matches about
                 # one right group, so the larger input bounds the estimate.
@@ -1823,6 +1865,7 @@ def lower_select_plan(
                     join.kind,
                     right_columns,
                     params,
+                    layout.prefix(slot + 1),
                 )
                 if join.condition is None:  # cross join: full product
                     left_est = max(1, left_est * right_est)
@@ -1832,7 +1875,7 @@ def lower_select_plan(
             aliases.add(join.scan.alias.lower())
 
     if plan.where is not None:
-        root = Filter(root, plan.where, params)
+        root = Filter(root, plan.where, params, layout)
 
     if plan.aggregate is not None:
         root = Aggregate(
@@ -1841,9 +1884,10 @@ def lower_select_plan(
             plan.aggregate.group_by,
             plan.aggregate.having,
             params,
+            layout,
         )
     else:
-        root = Project(root, plan.output, params)
+        root = Project(root, plan.output, params, layout)
 
     if plan.distinct:
         root = Distinct(root)
@@ -1859,6 +1903,7 @@ def lower_select_plan(
             params,
             # A LIMIT directly above needs only its first limit + offset rows.
             keep=None if plan.limit is None else plan.limit + (plan.offset or 0),
+            layout=layout,
         )
 
     if plan.limit is not None or plan.offset:

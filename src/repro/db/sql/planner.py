@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind
 from repro.db.sql import ast
-from repro.db.sql.expressions import Params, RowContext, evaluate, expression_label
+from repro.db.sql.expressions import NO_TABLES, Params, RowLayout, evaluate, expression_label
 from repro.db.types import is_absent
 from repro.errors import PlanningError, UnknownColumnError
 
@@ -137,6 +137,13 @@ class SelectPlan:
     #: Set for ``SELECT ... FROM CROWD`` open-world queries; ``scan`` is
     #: None and lowering routes to the CrowdEnumerate operator.
     from_crowd: Optional[ast.CrowdRelation] = None
+    #: The slot of each FROM/JOIN table in a pipeline row, in plan order;
+    #: every operator compiles its expressions against it.
+    layout: RowLayout = NO_TABLES
+
+
+#: The one slot of a ``FROM CROWD`` pipeline row: the relation's ``value``.
+_CROWD_LAYOUT = RowLayout((("crowd", frozenset({"value"})),))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +438,7 @@ class Planner:
                 values.append(None)
                 continue
             try:
-                value = evaluate(expr, RowContext(), params)
+                value = evaluate(expr, params)
             except Exception:
                 return None
             if is_absent(value):
@@ -535,6 +542,12 @@ class Planner:
             referenced_refs=tuple(
                 sorted(referenced, key=lambda ref: (ref[0] or "", ref[1]))
             ),
+            layout=RowLayout(
+                tuple(
+                    (alias, frozenset(self._catalog.table(table).schema.column_names))
+                    for alias, table in alias_tables.items()
+                )
+            ),
         )
 
     def _plan_crowd_select(self, statement: ast.SelectStatement) -> SelectPlan:
@@ -625,6 +638,7 @@ class Planner:
                 sorted(referenced, key=lambda ref: (ref[0] or "", ref[1]))
             ),
             from_crowd=statement.from_crowd,
+            layout=_CROWD_LAYOUT,
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -690,7 +704,7 @@ class Planner:
         if not matches:
             # attribute unknown to every source table: expansion trigger
             raise UnknownColumnError(ref.name, next(iter(alias_tables.values())))
-        if len(set(alias_tables.values())) > 1 and len(matches) > 1:
+        if len(matches) > 1:
             raise PlanningError(f"ambiguous column reference {ref.name!r}")
 
     def _resolve_output(

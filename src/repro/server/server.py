@@ -598,7 +598,14 @@ class _ClientHandler:
         if "many" in message:
             return self._run_execute_many(message)
         params = tuple(protocol.decode_row(message.get("params", [])))
-        result = self.connection.run_statement(message["sql"], params)
+        # A SELECT may page, so it takes a cursor slot before it runs: with
+        # every slot held it is refused before any work, crowd spend
+        # included.  This wire connection runs one request at a time, so
+        # the slot stays free until the result below claims it (or gives
+        # it back by fitting in the first page).
+        result = self.connection.run_statement(
+            message["sql"], params, admit_select=self._check_cursor_slot
+        )
         fetch_size = message.get("fetch_size", self.server.config.fetch_size)
         encoded = [protocol.encode_row(row) for row in result.rows]
         response: dict[str, Any] = {
@@ -614,11 +621,7 @@ class _ClientHandler:
             # remote clients see exactly what a local QueryResult reports.
             response["enumeration"] = result.enumeration
         if not response["done"]:
-            if len(self.cursors) >= self.server.config.max_cursors:
-                raise ExecutionError(
-                    f"too many open server cursors (max "
-                    f"{self.server.config.max_cursors}); fetch or discard first"
-                )
+            self._check_cursor_slot()  # a paged non-SELECT result (a PRAGMA's)
             cursor_id = self._next_cursor
             self._next_cursor += 1
             remainder = _ServerCursor(encoded)
@@ -627,6 +630,14 @@ class _ClientHandler:
             response["cursor"] = cursor_id
         self.tenant.record_statement(result.rowcount)
         return response
+
+    def _check_cursor_slot(self) -> None:
+        """Refuse the statement when every server cursor slot is held."""
+        if len(self.cursors) >= self.server.config.max_cursors:
+            raise ExecutionError(
+                f"too many open server cursors (max "
+                f"{self.server.config.max_cursors}); fetch or discard first"
+            )
 
     def _run_execute_many(self, message: dict[str, Any]) -> dict[str, Any]:
         """``execute`` with ``many``: the local ``executemany``, one request."""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import repro.client
 from repro.db.connection import Connection, connect
 from repro.db.storage import BATCH_ROWS
+from repro.errors import PlanningError
 from repro.server import ReproServer, ServerConfig
 from repro.utils.rng import ensure_rng
 
@@ -354,23 +355,30 @@ def int_rows(draw, columns: int, min_size: int = 0, nulls: bool = False):
     return [(pk, *(draw(value) for _ in range(columns))) for pk in range(1, n + 1)]
 
 
-def run_both(tables, sql, reference_sql=None):
+def load_both(tables):
+    """Both engines holding *tables* (``name -> (column names, rows)``)."""
+    ours = Connection()
+    reference = sqlite3.connect(":memory:")
+    for name, (columns, rows) in tables.items():
+        decl = ", ".join(["pk INTEGER PRIMARY KEY"] + [f"{column} INTEGER" for column in columns])
+        for engine_exec in (ours.run_statement, reference.execute):
+            engine_exec(f"CREATE TABLE {name} ({decl})")
+        placeholders = ", ".join("?" * (len(columns) + 1))
+        ours.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
+        reference.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
+    return ours, reference
+
+
+def run_both(tables, sql, reference_sql=None, *, operator=None):
     """Load *tables* (``name -> (column names, rows)``) into both engines and run *sql*.
 
     sqlite runs *reference_sql* instead when given (its spelling of *sql*).
+    With *operator*, our engine's plan for *sql* must contain it.
     """
-    ours = Connection()
-    reference = sqlite3.connect(":memory:")
+    ours, reference = load_both(tables)
     try:
-        for name, (columns, rows) in tables.items():
-            decl = ", ".join(
-                ["pk INTEGER PRIMARY KEY"] + [f"{column} INTEGER" for column in columns]
-            )
-            for engine_exec in (ours.run_statement, reference.execute):
-                engine_exec(f"CREATE TABLE {name} ({decl})")
-            placeholders = ", ".join("?" * (len(columns) + 1))
-            ours.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
-            reference.executemany(f"INSERT INTO {name} VALUES ({placeholders})", rows)
+        if operator is not None:
+            assert operator in ours.explain(sql), sql
         mine = [tuple(row) for row in ours.run_statement(sql).rows]
         theirs = [tuple(row) for row in reference.execute(reference_sql or sql).fetchall()]
     finally:
@@ -462,6 +470,127 @@ class TestGeneratedQueryShapes:
             sql = f"SELECT t.pk, u.pk, t.b, u.x {join} ORDER BY t.b DESC, t.pk, u.pk"
             mine, theirs = run_both(tables, sql)
             assert mine == theirs, sql
+
+
+    @common_settings
+    @given(
+        int_rows(2, nulls=True),
+        int_rows(2, nulls=True),
+        st.sampled_from(("a", "b")),
+        st.sampled_from(("x", "y")),
+        st.sampled_from(("t.b", "u.y", "u.pk")),
+        st.sampled_from((*_COMPARISONS, "IS NULL", "IS NOT NULL")),
+        st.integers(0, 6),
+    )
+    def test_left_join_with_where_on_either_side(
+        self, left, right, left_key, right_key, column, cmp, bound
+    ):
+        tables = {"t": (("a", "b"), left), "u": (("x", "y"), right)}
+        where = f"{column} {cmp}" + ("" if cmp.startswith("IS") else f" {bound}")
+        # An unmatched t row is the only row of its t.pk: the order is total.
+        sql = (
+            f"SELECT t.pk, u.pk, t.{left_key}, u.y FROM t LEFT JOIN u "
+            f"ON t.{left_key} = u.{right_key} WHERE {where} ORDER BY t.pk, u.pk"
+        )
+        mine, theirs = run_both(tables, sql, operator="HashJoin LEFT")
+        assert mine == theirs, sql
+
+    @common_settings
+    @given(
+        int_rows(2, nulls=True),
+        int_rows(2, nulls=True),
+        st.sampled_from(("JOIN", "LEFT JOIN")),
+        st.sampled_from(("a", "b", "a + b")),
+        st.sampled_from(("<", "<=", ">", ">=", "!=")),
+        st.sampled_from(("x", "y")),
+    )
+    def test_non_equi_join(self, left, right, kind, left_side, cmp, right_key):
+        tables = {"t": (("a", "b"), left), "u": (("x", "y"), right)}
+        sql = (
+            f"SELECT t.pk, u.pk, b, x FROM t {kind} u ON {left_side} {cmp} u.{right_key} "
+            "ORDER BY t.pk, u.pk"
+        )
+        mine, theirs = run_both(tables, sql, operator="NestedLoopJoin")
+        assert mine == theirs, sql
+
+    @common_settings
+    @given(
+        int_rows(2),
+        int_rows(2),
+        int_rows(2),
+        st.sampled_from(("JOIN", "LEFT JOIN")),
+        st.sampled_from(("u.y = v.p", "t.b = v.q", "v.p < t.a + u.x")),
+        st.sampled_from(("v.q", "t.a", "u.y")),
+        st.integers(0, 6),
+    )
+    def test_three_table_join(self, first, second, third, kind, on, column, bound):
+        tables = {"t": (("a", "b"), first), "u": (("x", "y"), second), "v": (("p", "q"), third)}
+        # ``b`` and ``q`` are bare names each of one table: they resolve to its slot.
+        sql = (
+            f"SELECT t.pk, u.pk, v.pk, b, q FROM t JOIN u ON t.a = u.x {kind} v ON {on} "
+            f"WHERE {column} IS NULL OR {column} <= {bound} ORDER BY t.pk, u.pk, v.pk"
+        )
+        mine, theirs = run_both(tables, sql)
+        assert mine == theirs, sql
+
+    @common_settings
+    @given(
+        int_rows(2),
+        int_rows(2),
+        st.sampled_from(("s", "k", "y", "u.y", "b", "t.b")),
+        st.booleans(),
+        st.integers(0, 20),
+    )
+    def test_order_by_alias_and_non_projected_column_over_a_join(
+        self, left, right, key, descending, limit
+    ):
+        tables = {"t": (("a", "b"), left), "u": (("x", "y"), right)}
+        # s and k are output aliases; y, u.y, b and t.b are not projected.
+        sql = (
+            "SELECT t.pk AS k, u.pk, u.x + t.b AS s FROM t JOIN u ON t.a = u.x "
+            f"ORDER BY {key}{' DESC' if descending else ''}, k, u.pk LIMIT {limit}"
+        )
+        mine, theirs = run_both(tables, sql)
+        assert mine == theirs, sql
+
+    @common_settings
+    @given(
+        int_rows(2),
+        int_rows(2),
+        st.sampled_from(("t.a, u.y", "b, y", "u.x + t.b")),
+        st.sampled_from(("t.a = u.x", "t.b <= u.y")),
+    )
+    def test_distinct_over_a_join(self, left, right, columns, on):
+        tables = {"t": (("a", "b"), left), "u": (("x", "y"), right)}
+        sql = f"SELECT DISTINCT {columns} FROM t JOIN u ON {on}"
+        mine, theirs = run_both(tables, sql)
+        assert len(mine) == len(set(mine)), sql
+        assert sorted(mine) == sorted(theirs), sql
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT count(*) + a, max(b) FROM t WHERE a > 5",
+            "SELECT count(*) + u.x, min(b) FROM t JOIN u ON t.a = u.x WHERE u.y > 5",
+        ],
+        ids=["one_table", "join"],
+    )
+    def test_global_aggregate_over_no_rows_reads_null_columns(self, sql):
+        tables = {"t": (("a", "b"), [(1, 2, 3)]), "u": (("x", "y"), [(1, 2, 3)])}
+        mine, theirs = run_both(tables, sql)
+        assert mine == theirs == [(None, None)], sql
+
+    @pytest.mark.parametrize("rows", [[], [(1, 2, 3)]], ids=["empty", "non_empty"])
+    def test_ambiguous_self_join_column_is_refused_whatever_the_data(self, rows):
+        ours, reference = load_both({"t": (("a", "b"), rows)})
+        sql = "SELECT a FROM t x JOIN t y ON x.pk = y.pk"
+        try:
+            with pytest.raises(PlanningError, match="ambiguous"):
+                ours.run_statement(sql)
+            with pytest.raises(sqlite3.OperationalError, match="ambiguous"):
+                reference.execute(sql)
+        finally:
+            reference.close()
 
 
 class TestKnownSemanticDifferencesAreContained:

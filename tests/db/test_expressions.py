@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
-    RowContext,
+    RowLayout,
     compile_expression,
     compile_predicate,
     evaluate,
@@ -19,8 +19,19 @@ from repro.db.types import MISSING
 from repro.errors import ExecutionError, UnknownColumnError
 
 
-def context(**values) -> RowContext:
-    return RowContext.for_table_row("t", values)
+def layout_of(*tables: tuple[str, dict]) -> RowLayout:
+    """The layout of pipeline rows made of *tables*' ``(alias, row)`` pairs."""
+    return RowLayout(tuple((alias, frozenset(row)) for alias, row in tables))
+
+
+def run(expr: ast.Expression, **values):
+    """Evaluate *expr* against the one-table pipeline row ``(values,)`` of ``t``."""
+    return compile_expression(expr, (), layout_of(("t", values)))((values,))
+
+
+def predicate_over(expr: ast.Expression, *columns: str):
+    """Compile *expr* as a predicate over table ``t`` with *columns*."""
+    return compile_predicate(expr, (), RowLayout((("t", frozenset(columns)),)))
 
 
 def where_expr(sql_condition: str) -> ast.Expression:
@@ -30,158 +41,175 @@ def where_expr(sql_condition: str) -> ast.Expression:
 
 class TestBasicEvaluation:
     def test_literal(self):
-        assert evaluate(ast.Literal(42), RowContext()) == 42
+        assert evaluate(ast.Literal(42)) == 42
 
     def test_column_lookup(self):
-        assert evaluate(ast.ColumnRef("year"), context(year=1980)) == 1980
+        assert run(ast.ColumnRef("year"), year=1980) == 1980
 
     def test_qualified_column_lookup(self):
-        assert evaluate(ast.ColumnRef("year", table="t"), context(year=1980)) == 1980
+        assert run(ast.ColumnRef("year", table="t"), year=1980) == 1980
 
     def test_unknown_column(self):
         with pytest.raises(UnknownColumnError):
-            evaluate(ast.ColumnRef("nope"), context(year=1980))
+            run(ast.ColumnRef("nope"), year=1980)
 
     def test_arithmetic(self):
-        assert evaluate(where_expr("2 + 3 * 4 = 14"), RowContext()) is True
-        assert evaluate(ast.BinaryOp("-", ast.Literal(10), ast.Literal(4)), RowContext()) == 6
-        assert evaluate(ast.BinaryOp("/", ast.Literal(9), ast.Literal(2)), RowContext()) == 4.5
+        assert evaluate(where_expr("2 + 3 * 4 = 14")) is True
+        assert evaluate(ast.BinaryOp("-", ast.Literal(10), ast.Literal(4))) == 6
+        assert evaluate(ast.BinaryOp("/", ast.Literal(9), ast.Literal(2))) == 4.5
 
     def test_division_by_zero_is_null(self):
-        assert evaluate(ast.BinaryOp("/", ast.Literal(1), ast.Literal(0)), RowContext()) is None
+        assert evaluate(ast.BinaryOp("/", ast.Literal(1), ast.Literal(0))) is None
 
     def test_string_concatenation(self):
-        assert evaluate(ast.BinaryOp("||", ast.Literal("a"), ast.Literal("b")), RowContext()) == "ab"
+        assert evaluate(ast.BinaryOp("||", ast.Literal("a"), ast.Literal("b"))) == "ab"
 
     def test_comparison_operators(self):
-        ctx = context(year=1980)
-        assert evaluate(where_expr("year = 1980"), ctx) is True
-        assert evaluate(where_expr("year != 1980"), ctx) is False
-        assert evaluate(where_expr("year < 1990"), ctx) is True
-        assert evaluate(where_expr("year >= 1981"), ctx) is False
+        ctx = dict(year=1980)
+        assert run(where_expr("year = 1980"), **ctx) is True
+        assert run(where_expr("year != 1980"), **ctx) is False
+        assert run(where_expr("year < 1990"), **ctx) is True
+        assert run(where_expr("year >= 1981"), **ctx) is False
 
     def test_incomparable_types_raise(self):
         with pytest.raises(ExecutionError):
-            evaluate(where_expr("name > 5"), context(name="Rocky"))
+            run(where_expr("name > 5"), name="Rocky")
 
     def test_like(self):
-        ctx = context(name="Rocky II")
-        assert evaluate(where_expr("name LIKE 'Rocky%'"), ctx) is True
-        assert evaluate(where_expr("name LIKE 'rocky%'"), ctx) is True
-        assert evaluate(where_expr("name LIKE 'R_cky II'"), ctx) is True
-        assert evaluate(where_expr("name LIKE 'Psycho'"), ctx) is False
+        ctx = dict(name="Rocky II")
+        assert run(where_expr("name LIKE 'Rocky%'"), **ctx) is True
+        assert run(where_expr("name LIKE 'rocky%'"), **ctx) is True
+        assert run(where_expr("name LIKE 'R_cky II'"), **ctx) is True
+        assert run(where_expr("name LIKE 'Psycho'"), **ctx) is False
 
     def test_in_list(self):
-        ctx = context(year=1980)
-        assert evaluate(where_expr("year IN (1979, 1980)"), ctx) is True
-        assert evaluate(where_expr("year NOT IN (1979, 1980)"), ctx) is False
-        assert evaluate(where_expr("year IN (1, 2)"), ctx) is False
+        ctx = dict(year=1980)
+        assert run(where_expr("year IN (1979, 1980)"), **ctx) is True
+        assert run(where_expr("year NOT IN (1979, 1980)"), **ctx) is False
+        assert run(where_expr("year IN (1, 2)"), **ctx) is False
 
     def test_between(self):
-        ctx = context(year=1985)
-        assert evaluate(where_expr("year BETWEEN 1980 AND 1989"), ctx) is True
-        assert evaluate(where_expr("year NOT BETWEEN 1980 AND 1989"), ctx) is False
-        assert evaluate(where_expr("year BETWEEN 1990 AND 1999"), ctx) is False
+        ctx = dict(year=1985)
+        assert run(where_expr("year BETWEEN 1980 AND 1989"), **ctx) is True
+        assert run(where_expr("year NOT BETWEEN 1980 AND 1989"), **ctx) is False
+        assert run(where_expr("year BETWEEN 1990 AND 1999"), **ctx) is False
 
     def test_case_expression(self):
         expr = parse_statement(
             "SELECT CASE WHEN year < 1980 THEN 'old' WHEN year < 2000 THEN 'mid' ELSE 'new' END"
         ).items[0].expression
-        assert evaluate(expr, context(year=1970)) == "old"
-        assert evaluate(expr, context(year=1990)) == "mid"
-        assert evaluate(expr, context(year=2010)) == "new"
+        assert run(expr, year=1970) == "old"
+        assert run(expr, year=1990) == "mid"
+        assert run(expr, year=2010) == "new"
 
     def test_scalar_functions(self):
-        ctx = context(name="Rocky", rating=7.86)
-        assert evaluate(where_expr("length(name) = 5"), ctx) is True
-        assert evaluate(where_expr("upper(name) = 'ROCKY'"), ctx) is True
-        assert evaluate(where_expr("lower(name) = 'rocky'"), ctx) is True
-        assert evaluate(where_expr("abs(-2) = 2"), ctx) is True
-        assert evaluate(where_expr("round(rating, 1) = 7.9"), ctx) is True
+        ctx = dict(name="Rocky", rating=7.86)
+        assert run(where_expr("length(name) = 5"), **ctx) is True
+        assert run(where_expr("upper(name) = 'ROCKY'"), **ctx) is True
+        assert run(where_expr("lower(name) = 'rocky'"), **ctx) is True
+        assert run(where_expr("abs(-2) = 2"), **ctx) is True
+        assert run(where_expr("round(rating, 1) = 7.9"), **ctx) is True
 
     def test_coalesce(self):
-        ctx = context(a=None, b=MISSING, c=3)
+        ctx = dict(a=None, b=MISSING, c=3)
         expr = parse_statement("SELECT coalesce(a, b, c, 9)").items[0].expression
-        assert evaluate(expr, ctx) == 3
+        assert run(expr, **ctx) == 3
 
     def test_unknown_function(self):
         with pytest.raises(ExecutionError):
-            evaluate(parse_statement("SELECT sqrt(4)").items[0].expression, RowContext())
+            evaluate(parse_statement("SELECT sqrt(4)").items[0].expression)
 
     def test_aggregate_outside_aggregation_raises(self):
         with pytest.raises(ExecutionError):
-            evaluate(parse_statement("SELECT count(*)").items[0].expression, RowContext())
+            evaluate(parse_statement("SELECT count(*)").items[0].expression)
 
 
 class TestThreeValuedLogic:
     def test_null_comparison_is_unknown(self):
-        assert evaluate(where_expr("year = 1980"), context(year=None)) is None
+        assert run(where_expr("year = 1980"), year=None) is None
 
     def test_missing_comparison_is_unknown(self):
-        assert evaluate(where_expr("year = 1980"), context(year=MISSING)) is None
+        assert run(where_expr("year = 1980"), year=MISSING) is None
 
     def test_unknown_collapses_to_false_in_predicate(self):
-        predicate = compile_predicate(where_expr("year = 1980"))
-        assert predicate(context(year=None)) is False
-        assert predicate(context(year=MISSING)) is False
+        predicate = predicate_over(where_expr("year = 1980"), "year")
+        assert predicate(({"year": None},)) is False
+        assert predicate(({"year": MISSING},)) is False
 
     def test_and_kleene(self):
-        assert evaluate(where_expr("a = 1 AND b = 1"), context(a=1, b=None)) is None
-        assert evaluate(where_expr("a = 2 AND b = 1"), context(a=1, b=None)) is False
-        assert evaluate(where_expr("a = 1 AND b = 1"), context(a=1, b=1)) is True
+        assert run(where_expr("a = 1 AND b = 1"), a=1, b=None) is None
+        assert run(where_expr("a = 2 AND b = 1"), a=1, b=None) is False
+        assert run(where_expr("a = 1 AND b = 1"), a=1, b=1) is True
 
     def test_or_kleene(self):
-        assert evaluate(where_expr("a = 1 OR b = 1"), context(a=1, b=None)) is True
-        assert evaluate(where_expr("a = 2 OR b = 1"), context(a=1, b=None)) is None
-        assert evaluate(where_expr("a = 2 OR b = 2"), context(a=1, b=1)) is False
+        assert run(where_expr("a = 1 OR b = 1"), a=1, b=None) is True
+        assert run(where_expr("a = 2 OR b = 1"), a=1, b=None) is None
+        assert run(where_expr("a = 2 OR b = 2"), a=1, b=1) is False
 
     def test_not_unknown_is_unknown(self):
-        assert evaluate(where_expr("NOT b = 1"), context(b=None)) is None
+        assert run(where_expr("NOT b = 1"), b=None) is None
 
     def test_is_null(self):
-        assert evaluate(where_expr("a IS NULL"), context(a=None)) is True
-        assert evaluate(where_expr("a IS NULL"), context(a=MISSING)) is True
-        assert evaluate(where_expr("a IS NOT NULL"), context(a=5)) is True
+        assert run(where_expr("a IS NULL"), a=None) is True
+        assert run(where_expr("a IS NULL"), a=MISSING) is True
+        assert run(where_expr("a IS NOT NULL"), a=5) is True
 
     def test_is_missing_distinguishes_null(self):
-        assert evaluate(where_expr("a IS MISSING"), context(a=MISSING)) is True
-        assert evaluate(where_expr("a IS MISSING"), context(a=None)) is False
-        assert evaluate(where_expr("a IS NOT MISSING"), context(a=5)) is True
+        assert run(where_expr("a IS MISSING"), a=MISSING) is True
+        assert run(where_expr("a IS MISSING"), a=None) is False
+        assert run(where_expr("a IS NOT MISSING"), a=5) is True
 
     def test_in_list_with_unknown_member(self):
-        assert evaluate(where_expr("a IN (1, b)"), context(a=5, b=None)) is None
-        assert evaluate(where_expr("a IN (5, b)"), context(a=5, b=None)) is True
+        assert run(where_expr("a IN (1, b)"), a=5, b=None) is None
+        assert run(where_expr("a IN (5, b)"), a=5, b=None) is True
 
     def test_arithmetic_with_null_is_null(self):
-        assert evaluate(where_expr("a + 1 = 2"), context(a=None)) is None
+        assert run(where_expr("a + 1 = 2"), a=None) is None
 
     def test_empty_predicate_is_true(self):
-        assert compile_predicate(None)(RowContext()) is True
+        assert compile_predicate(None)(()) is True
 
 
-class TestRowContext:
+class TestRowLayout:
+    """Column references resolve to pipeline-row slots at compile time."""
+
+    TWO = layout_of(("a", {"id": 1}), ("b", {"id": 2}))
+
     def test_ambiguous_bare_name(self):
-        ctx = RowContext.for_table_row("a", {"id": 1}).joined("b", {"id": 2})
-        with pytest.raises(ExecutionError):
-            ctx.lookup(ast.ColumnRef("id"))
-        assert ctx.lookup(ast.ColumnRef("id", table="a")) == 1
-        assert ctx.lookup(ast.ColumnRef("id", table="b")) == 2
+        row = ({"id": 1}, {"id": 2})
+        with pytest.raises(ExecutionError, match="ambiguous"):
+            compile_expression(ast.ColumnRef("id"), (), self.TWO)(row)
+        assert compile_expression(ast.ColumnRef("id", table="a"), (), self.TWO)(row) == 1
+        assert compile_expression(ast.ColumnRef("id", table="B"), (), self.TWO)(row) == 2
 
-    def test_bindings_override_ambiguity(self):
-        ctx = RowContext.for_table_row("a", {"id": 1}).joined("b", {"id": 2})
-        bound = ctx.with_bindings(["id"], [3])
-        assert bound.lookup(ast.ColumnRef("id")) == 3
-        assert bound.lookup(ast.ColumnRef("id", table="b")) == 2
+    def test_output_names_shadow_columns_and_resolve_ambiguity(self):
+        bound = self.TWO.with_outputs(["id", "x", "id"])
+        row = ({"id": 1}, {"id": 2}, (3, 4, 5))  # the projected row sits last
+        assert compile_expression(ast.ColumnRef("id"), (), bound)(row) == 5  # last wins
+        assert compile_expression(ast.ColumnRef("x"), (), bound)(row) == 4
+        assert compile_expression(ast.ColumnRef("id", table="b"), (), bound)(row) == 2
         with pytest.raises(ExecutionError):
-            ctx.lookup(ast.ColumnRef("id"))
+            compile_expression(ast.ColumnRef("id"), (), self.TWO)(row)
 
     def test_rows_are_shared_not_copied_or_mutated(self):
         left, right = {"id": 1, "x": 5}, {"id": 2}
-        ctx = RowContext.for_table_row("a", left, 1).joined("b", right, 2)
-        ctx.with_bindings(["x", "y"], [6, 7])
+        row = (left, right)
+        layout = layout_of(("a", left), ("b", right))
+        read_x = compile_expression(ast.ColumnRef("x", table="a"), (), layout)
+        assert read_x(row) == 5
         assert left == {"id": 1, "x": 5} and right == {"id": 2}
-        left["x"] = 8  # the scan owns the row: a context reads it live
-        assert ctx.lookup(ast.ColumnRef("x", table="a")) == 8
+        left["x"] = 8  # the scan owns the row: a pipeline row reads it live
+        assert read_x(row) == 8
+
+    def test_prefix_drops_the_later_tables(self):
+        three = layout_of(("a", {"id": 1}), ("b", {"k": 2}), ("c", {"k": 3}))
+        first_two = ({"id": 1}, {"k": 2})
+        assert compile_expression(ast.ColumnRef("k"), (), three.prefix(2))(first_two) == 2
+        with pytest.raises(UnknownColumnError):
+            compile_expression(ast.ColumnRef("k", table="c"), (), three.prefix(2))(({}, {}))
+
+    def test_null_row_has_every_column_null(self):
+        assert self.TWO.null_row() == ({"id": None}, {"id": None})
 
 
 class TestExpressionLabel:
@@ -196,21 +224,21 @@ class TestExpressionLabel:
 class TestEvaluationProperties:
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_comparison_matches_python(self, a, b):
-        ctx = context(a=a, b=b)
-        assert evaluate(where_expr("a < b"), ctx) is (a < b)
-        assert evaluate(where_expr("a = b"), ctx) is (a == b)
+        ctx = dict(a=a, b=b)
+        assert run(where_expr("a < b"), **ctx) is (a < b)
+        assert run(where_expr("a = b"), **ctx) is (a == b)
 
     @given(st.integers(-100, 100), st.integers(-100, 100))
     def test_addition_matches_python(self, a, b):
-        ctx = context(a=a, b=b)
+        ctx = dict(a=a, b=b)
         expr = parse_statement("SELECT a + b").items[0].expression
-        assert evaluate(expr, ctx) == a + b
+        assert run(expr, **ctx) == a + b
 
     @given(st.booleans(), st.booleans())
     def test_and_or_match_python_on_known_values(self, a, b):
-        ctx = context(a=a, b=b)
-        assert evaluate(where_expr("a AND b"), ctx) is (a and b)
-        assert evaluate(where_expr("a OR b"), ctx) is (a or b)
+        ctx = dict(a=a, b=b)
+        assert run(where_expr("a AND b"), **ctx) is (a and b)
+        assert run(where_expr("a OR b"), **ctx) is (a or b)
 
 
 def select_expr(sql_expression: str) -> ast.Expression:
@@ -306,23 +334,23 @@ EVALUATION_TABLE = [
 class TestCompiledEvaluator:
     @pytest.mark.parametrize("sql_expression, expected", EVALUATION_TABLE)
     def test_evaluation_table(self, sql_expression, expected):
-        evaluator = compile_expression(select_expr(sql_expression))
-        value = evaluator(RowContext.for_table_row("t", _ROW))
+        evaluator = compile_expression(select_expr(sql_expression), (), layout_of(("t", _ROW)))
+        value = evaluator((_ROW,))
         assert value == expected and type(value) is type(expected)
 
     def test_compiled_closure_is_reusable_across_rows(self):
-        evaluator = compile_expression(select_expr("n * 2 + 1"))
-        assert [evaluator(context(n=n)) for n in (1, 2, None)] == [3, 5, None]
+        evaluator = compile_expression(select_expr("n * 2 + 1"), (), layout_of(("t", {"n": 0})))
+        assert [evaluator(({"n": n},)) for n in (1, 2, None)] == [3, 5, None]
 
     def test_predicate_collapses_unknown_to_false(self):
-        predicate = compile_predicate(select_expr("n > 3"))
-        assert [predicate(context(n=n)) for n in (5, 1, None, MISSING)] == [
+        predicate = predicate_over(select_expr("n > 3"), "n")
+        assert [predicate(({"n": n},)) for n in (5, 1, None, MISSING)] == [
             True,
             False,
             False,
             False,
         ]
-        assert compile_predicate(None)(RowContext()) is True
+        assert compile_predicate(None)(()) is True
 
     @pytest.mark.parametrize(
         "sql_expression, error",
@@ -341,92 +369,95 @@ class TestCompiledEvaluator:
     def test_errors_are_raised_when_evaluated_not_when_compiled(
         self, sql_expression, error
     ):
-        evaluator = compile_expression(select_expr(sql_expression))
-        joined = RowContext.for_table_row("t", {"n": 1, "s": "a"}).joined("u", {"n": 2})
+        tables = (("t", {"n": 1, "s": "a"}), ("u", {"n": 2}))
+        evaluator = compile_expression(select_expr(sql_expression), (), layout_of(*tables))
         with pytest.raises(error):
-            evaluator(joined)
+            evaluator(tuple(row for _alias, row in tables))
 
     def test_ambiguous_name_resolves_when_qualified(self):
-        joined = RowContext.for_table_row("t", {"n": 1}, 7).joined("u", {"n": 2}, 9)
-        assert compile_expression(select_expr("t.n + u.n"))(joined) == 3
-        assert evaluate(ast.ColumnRef("__rowid__", table="u"), joined) == 9
+        tables = (("t", {"n": 1}), ("u", {"n": 2}))
+        layout, joined = layout_of(*tables), ({"n": 1}, {"n": 2})
+        assert compile_expression(select_expr("t.n + u.n"), (), layout)(joined) == 3
+        # A pipeline row carries no rowid: ``alias.__rowid__`` is no column.
+        with pytest.raises(UnknownColumnError):
+            compile_expression(ast.ColumnRef("__rowid__", table="u"), (), layout)(joined)
 
 
 
 #: Three table rows joined in turn.  Bare ``a`` and ``c`` are shared by two
-#: tables; ``t`` has a column literally named ``t.a`` (only hand-built
-#: contexts can: schemas forbid the dot) and ``u`` a real ``__rowid__``.
+#: tables.
 _JOIN_ROWS = [
-    ("t", {"a": 1, "b": 2, "t.a": 3}, 7),
-    ("u", {"a": 10, "c": 20, "__rowid__": 99}, 8),
-    ("v", {"c": 30, "d": 40}, 9),
+    ("t", {"a": 1, "b": 2}),
+    ("u", {"a": 10, "c": 20}),
+    ("v", {"c": 30, "d": 40}),
 ]
-_BARE = ["a", "b", "c", "d", "t.a", "u.c", "__rowid__", "nope"]
-_QUALIFIED = [
-    ("t", "a"),
-    ("u", "a"),
-    ("v", "c"),
-    ("t", "t.a"),
-    ("t", "c"),
-    ("t", "__rowid__"),
-    ("u", "__rowid__"),
-    ("v", "__rowid__"),
-    ("w", "a"),
-]
+_BARE = ["a", "b", "c", "d", "nope"]
+_QUALIFIED = [("t", "a"), ("u", "a"), ("v", "c"), ("t", "c"), ("w", "a")]
 _REFS = [ast.ColumnRef(name) for name in _BARE] + [
     ast.ColumnRef(name, table=table) for table, name in _QUALIFIED
 ]
 
 
-def _outcome(ctx: RowContext, ref: ast.ColumnRef) -> tuple:
+def _outcome(evaluate_ref, ref: ast.ColumnRef) -> tuple:
     try:
-        return ("value", ctx.lookup(ref))
+        return ("value", evaluate_ref(ref))
     except (ExecutionError, UnknownColumnError) as exc:
         return ("error", type(exc), str(exc))
 
 
-def _joined_rows(tables: int, null_last: bool) -> list[tuple]:
+def _naive_lookup(tables: list[tuple[str, dict]], ref: ast.ColumnRef):
+    """Resolve *ref* by searching the rows themselves, the way a per-row
+    name lookup would."""
+    if ref.table is not None:
+        for alias, row in tables:
+            if alias == ref.table and ref.name in row:
+                return row[ref.name]
+        raise UnknownColumnError(ref.name, ref.table)
+    found = [row[ref.name] for _alias, row in tables if ref.name in row]
+    if len(found) > 1:
+        raise ExecutionError(f"ambiguous column reference: {ref.name!r}")
+    if not found:
+        raise UnknownColumnError(ref.name, None)
+    return found[0]
+
+
+def _joined_rows(tables: int, null_last: bool) -> list[tuple[str, dict]]:
     rows = list(_JOIN_ROWS[:tables])
-    if null_last:  # a LEFT JOIN's unmatched side: all-NULL row, no rowid
-        alias, row, _rowid = rows[-1]
-        rows[-1] = (alias, dict.fromkeys(row), None)
+    if null_last:  # a LEFT JOIN's unmatched side: an all-NULL row
+        alias, row = rows[-1]
+        rows[-1] = (alias, dict.fromkeys(row))
     return rows
 
 
-class TestContextConstruction:
-    """The scan's one-pass ``for_table_row`` and the general ``joined``
-    path from an empty context resolve every reference alike."""
+class TestSlotResolution:
+    """References resolved once against the layout read what a per-row
+    name lookup over the joined rows would, errors included."""
 
     @pytest.mark.parametrize("null_last", [False, True], ids=["matched", "left_null"])
     @pytest.mark.parametrize("tables", [1, 2, 3])
-    def test_for_table_row_matches_general_path(self, tables, null_last):
+    def test_layout_resolution_matches_a_naive_lookup(self, tables, null_last):
         rows = _joined_rows(tables, null_last)
-        fast = RowContext.for_table_row(*rows[0])
-        general = RowContext().joined(*rows[0])
-        for alias, row, rowid in rows[1:]:
-            fast = fast.joined(alias, row, rowid)
-            general = general.joined(alias, row, rowid)
+        layout = layout_of(*rows)
+        pipeline_row = tuple(row for _alias, row in rows)
         for ref in _REFS:
-            assert _outcome(fast, ref) == _outcome(general, ref), ref
+            compiled = _outcome(lambda r: compile_expression(r, (), layout)(pipeline_row), ref)
+            assert compiled == _outcome(lambda r: _naive_lookup(rows, r), ref), ref
 
     def test_three_table_join_resolves_as_specified(self):
-        ctx = RowContext.for_table_row(*_JOIN_ROWS[0])
-        for alias, row, rowid in _JOIN_ROWS[1:]:
-            ctx = ctx.joined(alias, row, rowid)
-        outcomes = {ref: _outcome(ctx, ref)[:2] for ref in _REFS}
+        layout = layout_of(*_JOIN_ROWS)
+        pipeline_row = tuple(row for _alias, row in _JOIN_ROWS)
+        outcomes = {
+            ref: _outcome(lambda r: compile_expression(r, (), layout)(pipeline_row), ref)[:2]
+            for ref in _REFS
+        }
         expected_values = {
             ast.ColumnRef("b"): 2,
             ast.ColumnRef("d"): 40,
-            ast.ColumnRef("__rowid__"): 99,
             ast.ColumnRef("a", table="t"): 1,
             ast.ColumnRef("a", table="u"): 10,
             ast.ColumnRef("c", table="v"): 30,
-            ast.ColumnRef("t.a", table="t"): 3,
-            ast.ColumnRef("__rowid__", table="t"): 7,
-            ast.ColumnRef("__rowid__", table="u"): 8,  # the rowid, not the column
-            ast.ColumnRef("__rowid__", table="v"): 9,
         }
-        ambiguous = [ast.ColumnRef("a"), ast.ColumnRef("c"), ast.ColumnRef("t.a")]
+        ambiguous = [ast.ColumnRef("a"), ast.ColumnRef("c")]
         for ref, outcome in outcomes.items():
             if ref in expected_values:
                 assert outcome == ("value", expected_values[ref]), ref
@@ -435,10 +466,9 @@ class TestContextConstruction:
             else:
                 assert outcome == ("error", UnknownColumnError), ref
 
-    def test_left_join_null_row_has_no_rowid(self):
+    def test_left_join_null_row_reads_null(self):
         rows = _joined_rows(3, null_last=True)
-        ctx = RowContext.for_table_row(*rows[0]).joined(*rows[1]).joined(*rows[2])
-        assert ctx.lookup(ast.ColumnRef("d")) is None
-        assert ctx.lookup(ast.ColumnRef("c", table="v")) is None
-        with pytest.raises(UnknownColumnError):
-            ctx.lookup(ast.ColumnRef("__rowid__", table="v"))
+        layout = layout_of(*rows)
+        pipeline_row = tuple(row for _alias, row in rows)
+        assert compile_expression(ast.ColumnRef("d"), (), layout)(pipeline_row) is None
+        assert compile_expression(ast.ColumnRef("c", table="v"), (), layout)(pipeline_row) is None

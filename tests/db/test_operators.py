@@ -467,10 +467,10 @@ class TestCompileOnce:
         calls = 0
         original = expressions_module.compile_expression
 
-        def counting(expr, params=()):
+        def counting(expr, *args):
             nonlocal calls
             calls += 1
-            return original(expr, params)
+            return original(expr, *args)
 
         for module in (expressions_module, operators_module, executor_module):
             monkeypatch.setattr(module, "compile_expression", counting)

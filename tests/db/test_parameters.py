@@ -10,7 +10,7 @@ import repro
 from repro.db.catalog import Catalog
 from repro.db.connection import Connection
 from repro.db.sql import ast, parameters
-from repro.db.sql.expressions import RowContext, evaluate
+from repro.db.sql.expressions import evaluate
 from repro.db.sql.parameters import count_parameters
 from repro.db.sql.parser import parse_statement
 from repro.errors import ExecutionError, ParameterBindingError, SQLSyntaxError
@@ -136,11 +136,11 @@ class TestBinding:
 
     def test_out_of_range_parameter_index_raises(self):
         with pytest.raises(ParameterBindingError, match="no value bound for parameter 6"):
-            evaluate(ast.Parameter(5), RowContext(), (1, 2))
+            evaluate(ast.Parameter(5), (1, 2))
 
     def test_unbound_parameter_fails_at_evaluation(self):
         with pytest.raises(ExecutionError, match="unbound parameter"):
-            evaluate(ast.Parameter(0), RowContext())
+            evaluate(ast.Parameter(0))
 
     def test_output_labels_come_from_the_template(self, conn):
         cursor = conn.execute("SELECT ? + 1", (41,))

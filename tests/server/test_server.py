@@ -318,6 +318,36 @@ class TestCrowdTenancy:
             assert again.tenant_info["cost_spent"] == pytest.approx(spent_before)
             again.close()
 
+    def test_full_cursor_table_refuses_a_select_before_any_crowd_work(self):
+        source = CountingSource(cost_per_item=0.05)
+
+        def factory(config: TenantConfig) -> SessionContext:
+            return SessionContext(policy=AcquisitionPolicy(), value_source=source)
+
+        config = ServerConfig(port=0, fetch_size=2, max_cursors=1)
+        with ReproServer(config, session_factory=factory) as srv:
+            conn = repro.client.connect(*srv.address, tenant="t")
+            conn.execute(
+                "CREATE TABLE items (item_id INTEGER PRIMARY KEY, appeal REAL PERCEPTUAL)"
+            )
+            conn.executemany("INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(5)])
+            held = conn.cursor()
+            held.execute("SELECT item_id FROM items")  # 5 rows: pages, holds the one slot
+            statements = srv.registry.authenticate("t").snapshot()["statements"]
+            with pytest.raises(ExecutionError, match="too many open server cursors"):
+                conn.cursor().execute("SELECT appeal FROM items")
+            assert source.calls == []
+            tenant = srv.registry.authenticate("t")
+            assert tenant.session.cost_spent == 0.0
+            assert tenant.snapshot()["statements"] == statements
+            # Statements that return no rows take no slot.
+            conn.cursor().execute("INSERT INTO items (item_id) VALUES (9)")
+            # Once the held cursor is drained its slot is free again.
+            assert held.fetchall() == [(i,) for i in range(5)]
+            assert conn.cursor().execute("SELECT count(appeal) FROM items").fetchall() == [(6,)]
+            assert len(source.calls) == 1
+            conn.close()
+
 
 class GatedSource(CountingSource):
     """CountingSource whose dispatches wait for :attr:`release` to be set."""
