@@ -7,6 +7,7 @@ Importing this package registers every rule into
 
 from repro.analysis.rules import (  # noqa: F401
     budget,
+    codegen,
     locks,
     provenance,
     reachability,
@@ -16,4 +17,14 @@ from repro.analysis.rules import (  # noqa: F401
     wal,
 )
 
-__all__ = ["budget", "locks", "provenance", "reachability", "rng", "sentinel", "threads", "wal"]
+__all__ = [
+    "budget",
+    "codegen",
+    "locks",
+    "provenance",
+    "reachability",
+    "rng",
+    "sentinel",
+    "threads",
+    "wal",
+]

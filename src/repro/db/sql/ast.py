@@ -123,56 +123,56 @@ class CaseExpression(Expression):
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max"})
 
 
-def is_aggregate(expr: Expression) -> bool:
-    """True if *expr* contains an aggregate function call."""
-    if isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS:
-        return True
+def children(expr: Expression) -> tuple[Expression, ...]:
+    """The direct sub-expressions of *expr*, in evaluation order."""
     if isinstance(expr, BinaryOp):
-        return is_aggregate(expr.left) or is_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return is_aggregate(expr.operand)
+        return (expr.left, expr.right)
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return (expr.operand,)
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Between):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, FunctionCall):
+        return expr.args
     if isinstance(expr, CaseExpression):
-        parts = [b for branch in expr.branches for b in branch]
+        parts = [part for branch in expr.branches for part in branch]
         if expr.default is not None:
             parts.append(expr.default)
-        return any(is_aggregate(p) for p in parts)
-    return False
+        return tuple(parts)
+    return ()
+
+
+def aggregate_calls(expr: Expression) -> list[FunctionCall]:
+    """Every aggregate call in *expr* at any depth, outermost first.
+
+    The arguments of an aggregate call are not searched: an aggregate
+    nested in another's argument is an error when it is evaluated.
+    """
+    if isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS:
+        return [expr]
+    return [call for child in children(expr) for call in aggregate_calls(child)]
+
+
+def is_aggregate(expr: Expression) -> bool:
+    """True if *expr* contains an aggregate function call."""
+    return bool(aggregate_calls(expr))
+
+
+def aggregate_key(call: FunctionCall) -> str:
+    """The identity of an aggregate call: structurally equal calls share it.
+
+    The node's ``repr`` tells ``sum(v * 1)`` from ``sum(v * 1.0)``, which
+    compare equal as dataclasses.
+    """
+    return repr(call)
 
 
 def referenced_columns(expr: Expression) -> list[ColumnRef]:
     """Return every column reference appearing in *expr* (pre-order)."""
-    refs: list[ColumnRef] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, ColumnRef):
-            refs.append(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseExpression):
-            for condition, value in node.branches:
-                walk(condition)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
-
-    walk(expr)
-    return refs
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    return [ref for child in children(expr) for ref in referenced_columns(child)]
 
 
 # ---------------------------------------------------------------------------

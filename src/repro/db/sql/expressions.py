@@ -7,20 +7,30 @@ unknown results; predicates collapse unknown to ``False`` (a row with an
 unknown predicate does not qualify), which matches the behaviour the paper
 assumes for not-yet-crowdsourced values.
 
-:func:`compile_expression` is the one evaluator: it turns an expression
-AST into a Python closure over a *pipeline row* once, so operators compile
-their expressions at lowering time and pay no tree walk per row.  A
-pipeline row is a plain tuple holding one row dict per FROM/JOIN table, in
-plan order; a :class:`RowLayout` says which table sits in which slot, and
-every column reference is resolved against it at compile time: ``a.col``
-compiles to ``row[i]["col"]`` and a bare name to the slot of the one table
-that has it.  Errors (unknown or ambiguous columns, bad functions, type
-errors) are raised when the closure runs, never at compile time, so an
-expression on a branch or a row that is never evaluated cannot fail a
-query.  The one exception is a ``?`` with no slot in a non-empty parameter
-tuple, a binding error raised before the statement runs.
+:func:`compile_expression` is the one definition of evaluation: it turns
+an expression AST into a Python closure over a *pipeline row* once.  A
+pipeline row is a plain tuple holding one row dict per FROM/JOIN table,
+in plan order; a :class:`RowLayout` says which table sits in which slot,
+and every column reference is resolved against it at compile time:
+``a.col`` compiles to ``row[i]["col"]`` and a bare name to the slot of
+the one table that has it.  The pipeline row of an ``Aggregate``'s group
+holds one more slot, the group's aggregate values, and an aggregate call
+compiles to a read of its value.  Errors (unknown or ambiguous columns, bad
+functions, type errors) are raised when the closure runs, never at
+compile time, so an expression on a branch or a row that is never
+evaluated cannot fail a query.  The one exception is a ``?`` with no slot
+in a non-empty parameter tuple, a binding error raised before the
+statement runs.
+
+The hot operators (Filter, Project, the HashJoin probe, Aggregate) run
+per-batch kernels generated from the same expressions
+(:mod:`repro.db.sql.kernels`); the closures are their reference and
+their fallback, and every other caller uses the closures directly.
 :func:`evaluate` is a one-shot convenience over the compiler for
 expressions that read no row (literals, parameters, DEFAULT values).
+The value-level helpers (:func:`binary_operator`, :func:`unary_operator`,
+:func:`in_values`, :func:`between_values`, :func:`scalar_function`,
+:func:`to_truth`) are shared by the closures and the kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.db.sql import ast
 from repro.db.types import MISSING
@@ -52,14 +62,19 @@ class RowLayout:
 
     ``tables`` holds one ``(alias, column names)`` pair per FROM/JOIN
     table in plan order, aliases lower-cased; slot ``i`` of a pipeline row
-    is the row dict of ``tables[i]``.  ``outputs`` names the values of the
-    projected row, which a Sort key reads from one more slot after the
-    tables: a bare output name shadows a column name (the last binding of
-    a name wins), as ``ORDER BY alias`` needs.
+    is the row dict of ``tables[i]``.  ``aggregates`` holds the
+    :func:`~repro.db.sql.ast.aggregate_key` of each aggregate call an
+    :class:`~repro.db.sql.operators.Aggregate` computes: when set, the
+    slot after the tables holds their values, in that order, and an
+    aggregate call compiles to a read of its value.  ``outputs`` names the
+    values of the projected row, which a Sort key reads from one more slot
+    after those: a bare output name shadows a column name (the last
+    binding of a name wins), as ``ORDER BY alias`` needs.
     """
 
     tables: tuple[tuple[str, frozenset[str]], ...] = ()
     outputs: tuple[str, ...] = ()
+    aggregates: tuple[str, ...] = ()
 
     def prefix(self, slots: int) -> "RowLayout":
         """The layout of the first *slots* tables (a join's input so far)."""
@@ -67,11 +82,49 @@ class RowLayout:
 
     def with_outputs(self, names: Sequence[str]) -> "RowLayout":
         """This layout plus the projected row's slot, its values named *names*."""
-        return RowLayout(self.tables, tuple(names))
+        return RowLayout(self.tables, tuple(names), self.aggregates)
+
+    def with_aggregates(self, calls: Sequence[ast.FunctionCall]) -> "RowLayout":
+        """This layout plus the slot of the values of aggregate *calls*."""
+        return RowLayout(
+            self.tables, self.outputs, tuple(ast.aggregate_key(call) for call in calls)
+        )
 
     def null_row(self) -> tuple[dict[str, Any], ...]:
         """A pipeline row whose every column is NULL (an empty group's)."""
         return tuple(dict.fromkeys(columns) for _alias, columns in self.tables)
+
+    def aggregate_slot(self, call: ast.FunctionCall) -> Optional[tuple[int, int]]:
+        """``(slot, index)`` of the value of aggregate *call*, or None."""
+        key = ast.aggregate_key(call)
+        if key not in self.aggregates:
+            return None
+        return len(self.tables), self.aggregates.index(key)
+
+    def slot_of(self, name: str, table: Optional[str]) -> tuple[int, Any]:
+        """``(slot, key)`` of the cell a column reference reads.
+
+        Raises :class:`~repro.errors.UnknownColumnError` for a name the
+        layout lacks and :class:`~repro.errors.ExecutionError` for a bare
+        name two tables share.
+        """
+        tables = self.tables
+        if table is None:
+            outputs = self.outputs
+            if name in outputs:
+                slot = len(tables) + (1 if self.aggregates else 0)
+                return slot, len(outputs) - 1 - outputs[::-1].index(name)
+            slots = [i for i, (_alias, columns) in enumerate(tables) if name in columns]
+            if len(slots) > 1:
+                raise ExecutionError(f"ambiguous column reference: {name!r}")
+            if not slots:
+                raise UnknownColumnError(name, None)
+            return slots[0], name
+        alias = table.lower()
+        slots = [i for i, (candidate, _columns) in enumerate(tables) if candidate == alias]
+        if not slots or name not in tables[slots[0]][1]:
+            raise UnknownColumnError(name, table)
+        return slots[0], name
 
 
 #: The layout of a row-independent expression: no table slots.
@@ -165,7 +218,7 @@ def _logical_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
     return False
 
 
-def _to_truth(value: Any) -> Optional[bool]:
+def to_truth(value: Any) -> Optional[bool]:
     """Coerce an evaluated value to the three-valued logic domain."""
     if value is None or value is MISSING:
         return None
@@ -177,17 +230,17 @@ def _to_truth(value: Any) -> Optional[bool]:
 
 
 def _value_and(left: Any, right: Any) -> Optional[bool]:
-    truth = _to_truth(left)
+    truth = to_truth(left)
     if truth is False:
         return False
-    return _logical_and(truth, _to_truth(right))
+    return _logical_and(truth, to_truth(right))
 
 
 def _value_or(left: Any, right: Any) -> Optional[bool]:
-    truth = _to_truth(left)
+    truth = to_truth(left)
     if truth is True:
         return True
-    return _logical_or(truth, _to_truth(right))
+    return _logical_or(truth, to_truth(right))
 
 
 def binary_operator(op: str) -> Callable[[Any, Any], Any]:
@@ -217,7 +270,7 @@ def _negate(value: Any) -> Any:
 
 
 def _not(value: Any) -> Optional[bool]:
-    truth = _to_truth(value)
+    truth = to_truth(value)
     return None if truth is None else (not truth)
 
 
@@ -243,6 +296,35 @@ _SCALAR_FUNCTIONS: dict[str, Callable[..., Any]] = {
 }
 
 
+def scalar_function(name: str) -> Optional[Callable[..., Any]]:
+    """The value-level form of scalar function *name* (lower-case), or None."""
+    return _SCALAR_FUNCTIONS.get(name)
+
+
+def in_values(value: Any, items: Iterable[Any], negated: bool) -> Optional[bool]:
+    """``value [NOT] IN items``; *items* is consumed only while no item matches."""
+    if value is None or value is MISSING:
+        return None
+    found_unknown = False
+    for candidate in items:
+        if candidate is None or candidate is MISSING:
+            found_unknown = True
+            continue
+        if candidate == value:
+            return not negated
+    if found_unknown:
+        return None
+    return negated
+
+
+def between_values(value: Any, low: Any, high: Any, negated: bool) -> Optional[bool]:
+    """``value [NOT] BETWEEN low AND high`` over evaluated operands."""
+    result = _logical_and(_GREATER_EQUAL(value, low), _LESS_EQUAL(value, high))
+    if result is None:
+        return None
+    return result is not negated
+
+
 # ---------------------------------------------------------------------------
 # The compiler
 # ---------------------------------------------------------------------------
@@ -265,24 +347,14 @@ def _unknown_column(name: str, table: Optional[str]) -> Evaluator:
 def _compile_column(ref: ast.ColumnRef, _params: Params, layout: RowLayout) -> Evaluator:
     """Resolve *ref* to a slot of *layout* now; the closure reads one cell."""
     name, table = ref.name, ref.table
-    tables = layout.tables
-    if table is None:
-        outputs = layout.outputs
-        if name in outputs:
-            slot, key = len(tables), len(outputs) - 1 - outputs[::-1].index(name)
-            return lambda row: row[slot][key]
-        slots = [i for i, (_alias, columns) in enumerate(tables) if name in columns]
-        if len(slots) > 1:
-            return _failing(f"ambiguous column reference: {name!r}")
-        if not slots:
-            return _unknown_column(name, None)
-        slot = slots[0]
-    else:
-        alias = table.lower()
-        slots = [i for i, (candidate, _columns) in enumerate(tables) if candidate == alias]
-        if not slots or name not in tables[slots[0]][1]:
-            return _unknown_column(name, table)
-        slot = slots[0]
+    try:
+        slot, key = layout.slot_of(name, table)
+    except UnknownColumnError:
+        return _unknown_column(name, table)
+    except ExecutionError as error:
+        return _failing(str(error))
+    if isinstance(key, int):  # a projected value, read by position
+        return lambda row: row[slot][key]
 
     def column(row: PipelineRow) -> Any:
         try:
@@ -300,19 +372,19 @@ def _compile_binary(expr: ast.BinaryOp, params: Params, layout: RowLayout) -> Ev
     if op == "and":
 
         def conjunction(row: PipelineRow) -> Optional[bool]:
-            truth = _to_truth(left(row))
+            truth = to_truth(left(row))
             if truth is False:
                 return False
-            return _logical_and(truth, _to_truth(right(row)))
+            return _logical_and(truth, to_truth(right(row)))
 
         return conjunction
     if op == "or":
 
         def disjunction(row: PipelineRow) -> Optional[bool]:
-            truth = _to_truth(left(row))
+            truth = to_truth(left(row))
             if truth is True:
                 return True
-            return _logical_or(truth, _to_truth(right(row)))
+            return _logical_or(truth, to_truth(right(row)))
 
         return disjunction
     combine = binary_operator(op)
@@ -349,24 +421,7 @@ def _compile_in_list(expr: ast.InList, params: Params, layout: RowLayout) -> Eva
     operand = compile_expression(expr.operand, params, layout)
     items = [compile_expression(item, params, layout) for item in expr.items]
     negated = bool(expr.negated)
-
-    def in_list(row: PipelineRow) -> Optional[bool]:
-        value = operand(row)
-        if value is None or value is MISSING:
-            return None
-        found_unknown = False
-        for item in items:
-            candidate = item(row)
-            if candidate is None or candidate is MISSING:
-                found_unknown = True
-                continue
-            if candidate == value:
-                return not negated
-        if found_unknown:
-            return None
-        return negated
-
-    return in_list
+    return lambda row: in_values(operand(row), (item(row) for item in items), negated)
 
 
 def _compile_between(expr: ast.Between, params: Params, layout: RowLayout) -> Evaluator:
@@ -374,24 +429,16 @@ def _compile_between(expr: ast.Between, params: Params, layout: RowLayout) -> Ev
     low = compile_expression(expr.low, params, layout)
     high = compile_expression(expr.high, params, layout)
     negated = bool(expr.negated)
-
-    def between(row: PipelineRow) -> Optional[bool]:
-        value = operand(row)
-        low_value = low(row)
-        high_value = high(row)
-        result = _logical_and(
-            _GREATER_EQUAL(value, low_value), _LESS_EQUAL(value, high_value)
-        )
-        if result is None:
-            return None
-        return result is not negated
-
-    return between
+    return lambda row: between_values(operand(row), low(row), high(row), negated)
 
 
 def _compile_function(expr: ast.FunctionCall, params: Params, layout: RowLayout) -> Evaluator:
     name = expr.name.lower()
     if name in ast.AGGREGATE_FUNCTIONS:
+        computed = layout.aggregate_slot(expr)
+        if computed is not None:
+            slot, index = computed
+            return lambda row: row[slot][index]
         return _failing(
             f"aggregate function {name.upper()} used outside of an aggregation context"
         )
@@ -406,7 +453,7 @@ def _compile_function(expr: ast.FunctionCall, params: Params, layout: RowLayout)
             return None
 
         return coalesce
-    handler = _SCALAR_FUNCTIONS.get(name)
+    handler = scalar_function(name)
     if handler is None:
         return _failing(f"unknown function {expr.name!r}")
     return lambda row: handler(*[arg(row) for arg in args])
@@ -423,7 +470,7 @@ def _compile_case(expr: ast.CaseExpression, params: Params, layout: RowLayout) -
 
     def case(row: PipelineRow) -> Any:
         for condition, value in branches:
-            if _to_truth(condition(row)):
+            if to_truth(condition(row)):
                 return value(row)
         if default is not None:
             return default(row)
@@ -512,9 +559,20 @@ def compile_predicate(
             return True
         if value is False or value is None:
             return False
-        return bool(_to_truth(value))
+        return bool(to_truth(value))
 
     return predicate
+
+
+def hashable_key(value: Any) -> Any:
+    """Map a value to a hashable stand-in (MISSING gets a private sentinel)."""
+    if value is MISSING:
+        return MISSING_KEY
+    return value
+
+
+#: The grouping and DISTINCT stand-in for MISSING.
+MISSING_KEY = "\x00MISSING\x00"
 
 
 def evaluate(expr: ast.Expression, params: Params = ()) -> Any:

@@ -62,8 +62,17 @@ Item types flowing between operators:
   column reference was resolved to its slot when the plan was built
   (:class:`~repro.db.sql.expressions.RowLayout`), so no name is looked up
   per row;
+* inside :class:`Aggregate`: the pipeline row of a group is its
+  representative (its first row) plus, when the plan has aggregate
+  calls, one more slot holding their values
+  (:attr:`~repro.db.sql.planner.SelectPlan.group_layout`);
 * above :class:`Project`/:class:`Aggregate`: ``(row_tuple, pipeline_row)``
   pairs.
+
+Filter, Project, the HashJoin probe and Aggregate run the plan's
+per-batch kernels (:mod:`repro.db.sql.kernels`), generated once when the
+plan was built; the other operators compile their expressions into
+closures when they are lowered.
 """
 
 from __future__ import annotations
@@ -106,13 +115,13 @@ from repro.db.sql.expressions import (
     Params,
     PipelineRow,
     RowLayout,
-    binary_operator,
     compile_expression,
     compile_predicate,
     evaluate,
     expression_label,
-    unary_operator,
+    hashable_key,
 )
+from repro.db.sql.kernels import AggregateKernel, Kernel
 from repro.db.sql.planner import AccessPath, OutputColumn, ScanPlan, SelectPlan
 from repro.db.types import MISSING, is_missing, sort_rank
 from repro.errors import ExecutionError
@@ -251,19 +260,6 @@ class Operator:
 # ---------------------------------------------------------------------------
 # Row-level helpers
 # ---------------------------------------------------------------------------
-
-
-def hashable_key(value: Any) -> Any:
-    """Map a value to a hashable stand-in (MISSING gets a private sentinel)."""
-    if is_missing(value):
-        return "\x00MISSING\x00"
-    return value
-
-
-def _truthy(value: Any) -> bool:
-    if value is None or is_missing(value):
-        return False
-    return bool(value)
 
 
 def _is_unknown(value: Any) -> bool:
@@ -1161,7 +1157,8 @@ class HashJoin(Operator):
     Only lowered for ``left.col = right.col`` conditions with qualified
     references.  Unknown keys (NULL/MISSING) never match, matching SQL
     three-valued equality; unmatched left rows of a LEFT JOIN get the
-    hoisted null row.
+    hoisted null row.  The probe is the plan's kernel: one comprehension
+    per left batch.
     """
 
     label = "HashJoin"
@@ -1175,16 +1172,16 @@ class HashJoin(Operator):
         right_key_column: str,
         kind: str,
         right_columns: Sequence[str],
-        layout: RowLayout = NO_TABLES,
+        probe: Kernel,
+        params: Params = (),
     ) -> None:
-        """*layout* covers the tables left of this join (the key's side)."""
         super().__init__(left, right)
         self.alias = alias
         self.left_key = left_key
         self.right_key_column = right_key_column
         self.kind = kind
         self._right_columns = list(right_columns)
-        self._left_key = compile_expression(left_key, (), layout)
+        self._probe = probe.bind(params)
         #: Number of buckets in the build-side hash table (for EXPLAIN).
         self.build_rows = 0
 
@@ -1201,19 +1198,12 @@ class HashJoin(Operator):
             else:
                 bucket.append(row)
             self.build_rows += 1
-        null_row = dict.fromkeys(self._right_columns)
-        left_key = self._left_key
+        # An unknown key never matches: no bucket holds None or MISSING.
+        pad = (dict.fromkeys(self._right_columns),) if self.kind == "left" else ()
+        probe = self._probe
         lookup = table.get
-        left = self.kind == "left"
         for batch in self.children[0].batches():
-            out: list[PipelineRow] = []
-            for context in batch:
-                # An unknown key never matches: no bucket holds None or MISSING.
-                matches = lookup(left_key(context))
-                if matches:
-                    out.extend([context + (row,) for row in matches])
-                elif left:
-                    out.append(context + (null_row,))
+            out = probe(batch, lookup, pad)
             if out:
                 yield out
 
@@ -1243,22 +1233,22 @@ class Filter(Operator):
         self,
         child: Operator,
         predicate: ast.Expression,
+        kernel: Kernel,
         params: Params = (),
-        layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
         self.predicate = predicate
         self._params = params
-        self._matches = compile_predicate(predicate, params, layout)
+        self._kept = kernel.bind(params)
         self.rows_in = 0
 
     def _produce(self) -> Iterator[list[PipelineRow]]:
-        matches = self._matches
+        kept = self._kept
         for batch in self.children[0].batches():
             self.rows_in += len(batch)
-            kept = list(filter(matches, batch))
-            if kept:
-                yield kept
+            out = kept(batch)
+            if out:
+                yield out
 
     def detail(self) -> str:
         return expression_label(self.predicate, self._params)
@@ -1273,113 +1263,32 @@ class Project(Operator):
         self,
         child: Operator,
         output: Sequence[OutputColumn],
+        kernel: Kernel,
         params: Params = (),
-        layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
-        self._columns = [
-            compile_expression(column.expression, params, layout) for column in self.output
-        ]
+        self._project = kernel.bind(params)
 
     def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], PipelineRow]]]:
-        columns = self._columns
+        project = self._project
         for batch in self.children[0].batches():
-            yield [(tuple([column(context) for column in columns]), context) for context in batch]
+            yield project(batch)
 
     def detail(self) -> str:
         return ", ".join(column.name for column in self.output)
 
 
-# -- aggregation -------------------------------------------------------------
-
-
-#: A compiled expression in an aggregation context: evaluates against a
-#: group of pipeline rows and the group's representative row.
-GroupEvaluator = Callable[[Sequence[PipelineRow], PipelineRow], Any]
-
-
-def _failing_group(message: str) -> GroupEvaluator:
-    def fail(_group: Sequence[PipelineRow], _representative: PipelineRow) -> Any:
-        raise ExecutionError(message)
-
-    return fail
-
-
-def _compile_aggregate_call(
-    call: ast.FunctionCall, params: Params, layout: RowLayout
-) -> GroupEvaluator:
-    """Compile one aggregate function call over a group of pipeline rows."""
-    name = call.name.lower()
-    if call.star:
-        if name != "count":
-            return _failing_group(f"{name.upper()}(*) is not a valid aggregate")
-        return lambda group, _representative: len(group)
-    if len(call.args) != 1:
-        return _failing_group(f"aggregate {name.upper()} takes exactly one argument")
-    argument = compile_expression(call.args[0], params, layout)
-    distinct = call.distinct
-
-    def aggregate(group: Sequence[PipelineRow], _representative: PipelineRow) -> Any:
-        values = [
-            value
-            for value in map(argument, group)
-            if value is not None and value is not MISSING
-        ]
-        if distinct:
-            unique: list[Any] = []
-            seen: set[Any] = set()
-            for value in values:
-                key = hashable_key(value)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(value)
-            values = unique
-        if name == "count":
-            return len(values)
-        if not values:
-            return None
-        if name == "sum":
-            return sum(values)
-        if name == "avg":
-            return sum(values) / len(values)
-        if name == "min":
-            return min(values)
-        return max(values)
-
-    return aggregate
-
-
-def compile_group_expression(
-    expr: ast.Expression, params: Params = (), layout: RowLayout = NO_TABLES
-) -> GroupEvaluator:
-    """Compile an expression that may mix aggregates and scalars.
-
-    Aggregate calls reduce the group; operators combine their operands'
-    values; anything else is a scalar evaluated on the representative.
-    """
-    if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return _compile_aggregate_call(expr, params, layout)
-    if isinstance(expr, ast.BinaryOp):
-        left = compile_group_expression(expr.left, params, layout)
-        right = compile_group_expression(expr.right, params, layout)
-        combine = binary_operator(expr.op)
-        return lambda group, representative: combine(
-            left(group, representative), right(group, representative)
-        )
-    if isinstance(expr, ast.UnaryOp):
-        operand = compile_group_expression(expr.operand, params, layout)
-        apply = unary_operator(expr.op)
-        return lambda group, representative: apply(operand(group, representative))
-    scalar = compile_expression(expr, params, layout)
-    return lambda _group, representative: scalar(representative)
-
-
 class Aggregate(Operator):
     """Blocking GROUP BY/HAVING operator; yields ``(row_tuple, pipeline_row)``.
 
-    The pipeline row is the group's representative: its first row, or for
-    a global aggregate over no input an all-NULL row of *layout*.
+    One pass folds the input into running accumulators, one per aggregate
+    call, and keeps one representative row per group: its first row, or
+    for a global aggregate over no input an all-NULL row of *layout*.  The
+    pipeline row of a group is its representative plus, when the plan has
+    aggregate calls, one more slot holding their values (see
+    :attr:`~repro.db.sql.planner.SelectPlan.group_layout`); HAVING and the
+    outputs are then evaluated over the groups in first-seen order.
     """
 
     label = "Aggregate"
@@ -1387,49 +1296,30 @@ class Aggregate(Operator):
     def __init__(
         self,
         child: Operator,
-        output: Sequence[OutputColumn],
         group_by: Sequence[ast.Expression],
-        having: Optional[ast.Expression],
+        kernel: AggregateKernel,
+        emit: Kernel,
         params: Params = (),
         layout: RowLayout = NO_TABLES,
     ) -> None:
         super().__init__(child)
-        self.output = tuple(output)
         self.group_by = tuple(group_by)
-        self.having = having
         self._params = params
         self._layout = layout
-        self._keys = [compile_expression(expr, params, layout) for expr in self.group_by]
-        self._having = (
-            compile_group_expression(having, params, layout) if having is not None else None
-        )
-        self._columns = [
-            compile_group_expression(column.expression, params, layout) for column in self.output
-        ]
+        self._fold, self._start, self._finish = kernel.bind(params)
+        self._emit = emit.bind(params)
         self.groups_built = 0
 
     def _produce(self) -> Iterator[list[tuple[tuple[Any, ...], PipelineRow]]]:
-        groups: dict[tuple[Any, ...], list[PipelineRow]] = {}
-        rows = chain.from_iterable(self.children[0].batches())
-        if self._keys:
-            keys = self._keys
-            for pipeline_row in rows:
-                key = tuple([hashable_key(key_of(pipeline_row)) for key_of in keys])
-                groups.setdefault(key, []).append(pipeline_row)
-        else:
+        groups: dict[Any, list[Any]] = {}
+        fold = self._fold
+        for batch in self.children[0].batches():
+            fold(batch, groups)
+        if not groups and not self.group_by:
             # A global aggregate always emits one row, even over no input.
-            groups[()] = list(rows)
+            groups[()] = self._start(self._layout.null_row())
         self.groups_built = len(groups)
-
-        out: list[tuple[tuple[Any, ...], PipelineRow]] = []
-        for members in groups.values():
-            representative = members[0] if members else self._layout.null_row()
-            if self._having is not None and not _truthy(
-                self._having(members, representative)
-            ):
-                continue
-            row = tuple([column(members, representative) for column in self._columns])
-            out.append((row, representative))
+        out = self._emit([self._finish(state) for state in groups.values()])
         if out:
             yield out
 
@@ -1488,16 +1378,16 @@ class Sort(Operator):
         child: Operator,
         order_by: Sequence[ast.OrderItem],
         output_names: Sequence[str],
-        aggregate: bool,
         params: Params = (),
         keep: Optional[int] = None,
         layout: RowLayout = NO_TABLES,
     ) -> None:
+        """*layout* is that of the child's pipeline rows (an Aggregate's
+        includes its aggregate values)."""
         super().__init__(child)
         self.order_by = tuple(order_by)
         self.keep = keep
         self._output_names = list(output_names)
-        self._aggregate = aggregate
         self._params = params
         self._layout = layout.with_outputs(self._output_names)
         keys = [self._compile_key(item) for item in self.order_by]
@@ -1527,14 +1417,6 @@ class Sort(Operator):
 
             def value_of(entry: SortEntry) -> Any:
                 return entry[0][index]
-
-        elif self._aggregate:
-            grouped = compile_group_expression(expression, self._params, self._layout)
-
-            def value_of(entry: SortEntry) -> Any:
-                row, context = entry
-                extended = context + (row,)
-                return grouped([extended], extended)
 
         else:
             scalar = compile_expression(expression, self._params, self._layout)
@@ -1767,30 +1649,6 @@ def _lower_scan(
     return source
 
 
-def _equi_join_keys(
-    condition: ast.Expression, left_aliases: set[str], right_alias: str
-) -> Optional[tuple[ast.ColumnRef, str]]:
-    """Extract hash-join keys from a qualified ``a.x = b.y`` condition.
-
-    Returns ``(left_key_ref, right_key_column)`` or None when the condition
-    is not a simple two-sided equality between the accumulated left input
-    and the table being joined.
-    """
-    if not isinstance(condition, ast.BinaryOp) or condition.op != "=":
-        return None
-    left, right = condition.left, condition.right
-    if not (isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef)):
-        return None
-    if left.table is None or right.table is None:
-        return None
-    right_alias = right_alias.lower()
-    if left.table.lower() in left_aliases and right.table.lower() == right_alias:
-        return left, right.name
-    if right.table.lower() in left_aliases and left.table.lower() == right_alias:
-        return right, left.name
-    return None
-
-
 def lower_select_plan(
     plan: SelectPlan,
     catalog: Catalog,
@@ -1819,12 +1677,15 @@ def lower_select_plan(
     ``ordered`` the index walk already emits rows in ORDER BY order and no
     Sort operator is planted.
 
-    *params* is the execution's ``?`` tuple: every operator compiles its
-    expressions with it, so placeholders become slot reads and the cached
+    *params* is the execution's ``?`` tuple.  Filter, Project, HashJoin
+    and Aggregate run the plan's kernels (:mod:`repro.db.sql.kernels`),
+    generated when the plan was built, and pass them *params*; the other
+    operators compile their expressions with it.  Either way the cached
     plan itself is never rewritten.
     """
     root: Operator
     layout = plan.layout
+    kernels = plan.kernels
     if plan.from_crowd is not None:
         root = Bind(CrowdEnumerate(catalog, plan.from_crowd, session))
     elif plan.scan is None:
@@ -1833,16 +1694,12 @@ def lower_select_plan(
         source = _lower_scan(plan, plan.scan, catalog, session, access_path, params)
         root = Bind(source)
         left_est = source.est_rows if source.est_rows is not None else 1
-        aliases = {plan.scan.alias.lower()}
         for slot, join in enumerate(plan.joins, start=1):
             right = _lower_scan(plan, join.scan, catalog, session, params=params)
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
-            keys = None
-            if hash_joins and join.kind in ("inner", "left") and join.condition is not None:
-                keys = _equi_join_keys(join.condition, aliases, join.scan.alias)
-            if keys is not None:
-                left_key, right_column = keys
+            if hash_joins and join.hash_key is not None:
+                left_key, right_column = join.hash_key
                 root = HashJoin(
                     root,
                     right,
@@ -1851,7 +1708,8 @@ def lower_select_plan(
                     right_column,
                     join.kind,
                     right_columns,
-                    layout.prefix(slot),
+                    kernels.probes[slot - 1],
+                    params,
                 )
                 # Equi-join output heuristic: each left row matches about
                 # one right group, so the larger input bounds the estimate.
@@ -1872,22 +1730,17 @@ def lower_select_plan(
                 else:
                     left_est = max(1, left_est, right_est)
             root.est_rows = left_est
-            aliases.add(join.scan.alias.lower())
 
     if plan.where is not None:
-        root = Filter(root, plan.where, params, layout)
+        root = Filter(root, plan.where, kernels.where, params)
 
     if plan.aggregate is not None:
         root = Aggregate(
-            root,
-            plan.output,
-            plan.aggregate.group_by,
-            plan.aggregate.having,
-            params,
-            layout,
+            root, plan.aggregate.group_by, kernels.aggregate, kernels.emit, params, layout
         )
+        layout = plan.group_layout
     else:
-        root = Project(root, plan.output, params, layout)
+        root = Project(root, plan.output, kernels.project, params)
 
     if plan.distinct:
         root = Distinct(root)
@@ -1899,7 +1752,6 @@ def lower_select_plan(
             root,
             plan.order_by,
             [column.name for column in plan.output],
-            plan.aggregate is not None,
             params,
             # A LIMIT directly above needs only its first limit + offset rows.
             keep=None if plan.limit is None else plan.limit + (plan.offset or 0),

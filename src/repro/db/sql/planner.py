@@ -21,10 +21,15 @@ single-table scans are considered.  Range and ordered paths are taken only
 when the session acquires nothing (no value source, no predictor), and a
 point probe on a perceptual column only then: an index never returns a
 MISSING cell, which CrowdFill and PredictFill must see to fill.
+
+A logical plan carries the per-batch kernels of its Filter, Project,
+HashJoin probes and Aggregate (:mod:`repro.db.sql.kernels`), generated
+and compiled when the plan is built, so a cached plan pays for them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
@@ -33,6 +38,7 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind
 from repro.db.sql import ast
 from repro.db.sql.expressions import NO_TABLES, Params, RowLayout, evaluate, expression_label
+from repro.db.sql.kernels import PlanKernels, plan_kernels
 from repro.db.types import is_absent
 from repro.errors import PlanningError, UnknownColumnError
 
@@ -96,6 +102,10 @@ class JoinPlan:
     scan: ScanPlan
     condition: Optional[ast.Expression]
     kind: str
+    #: ``(left key, right key column)`` of an inner or LEFT join whose
+    #: condition is a qualified ``left.x = right.y``: lowering may run it
+    #: as a hash join.
+    hash_key: Optional[tuple[ast.ColumnRef, str]] = None
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,10 @@ class AggregatePlan:
 
     group_by: tuple[ast.Expression, ...]
     having: Optional[ast.Expression]
+    #: Every aggregate call of the outputs, HAVING and ORDER BY, each
+    #: structurally distinct call once, in order of appearance: the
+    #: accumulators the Aggregate operator keeps per group.
+    calls: tuple[ast.FunctionCall, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -140,6 +154,18 @@ class SelectPlan:
     #: The slot of each FROM/JOIN table in a pipeline row, in plan order;
     #: every operator compiles its expressions against it.
     layout: RowLayout = NO_TABLES
+    #: The plan's per-batch kernels, generated when the plan is built.
+    kernels: PlanKernels = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kernels", plan_kernels(self))
+
+    @functools.cached_property
+    def group_layout(self) -> RowLayout:
+        """The layout of an Aggregate's pipeline rows: the tables, then
+        the slot of the aggregate values."""
+        assert self.aggregate is not None
+        return self.layout.with_aggregates(self.aggregate.calls)
 
 
 #: The one slot of a ``FROM CROWD`` pipeline row: the relation's ``value``.
@@ -519,11 +545,23 @@ class Planner:
                 table=alias_tables[statement.from_table.effective_alias.lower()],
                 alias=statement.from_table.effective_alias,
             )
+            aliases = {scan.alias.lower()}
             for join in statement.joins:
                 join_scan = ScanPlan(
                     table=join.right.name, alias=join.right.effective_alias
                 )
-                joins.append(JoinPlan(scan=join_scan, condition=join.condition, kind=join.kind))
+                hash_key = None
+                if join.kind in ("inner", "left") and join.condition is not None:
+                    hash_key = _equi_join_keys(join.condition, aliases, join_scan.alias)
+                joins.append(
+                    JoinPlan(
+                        scan=join_scan,
+                        condition=join.condition,
+                        kind=join.kind,
+                        hash_key=hash_key,
+                    )
+                )
+                aliases.add(join_scan.alias.lower())
 
         output = self._resolve_output(statement, alias_tables)
         aggregate = self._resolve_aggregate(statement, output)
@@ -775,7 +813,17 @@ class Planner:
                     raise PlanningError(
                         f"column {column.name!r} must be aggregated when no GROUP BY is given"
                     )
-        return AggregatePlan(group_by=statement.group_by, having=statement.having)
+        expressions = [column.expression for column in output]
+        if statement.having is not None:
+            expressions.append(statement.having)
+        expressions.extend(item.expression for item in statement.order_by)
+        calls: dict[str, ast.FunctionCall] = {}
+        for expression in expressions:
+            for call in ast.aggregate_calls(expression):
+                calls.setdefault(ast.aggregate_key(call), call)
+        return AggregatePlan(
+            group_by=statement.group_by, having=statement.having, calls=tuple(calls.values())
+        )
 
     @staticmethod
     def _referenced_column_refs(
@@ -797,3 +845,27 @@ class Planner:
             for ref in ast.referenced_columns(expression):
                 refs.add((ref.table.lower() if ref.table else None, ref.name))
         return refs
+
+
+def _equi_join_keys(
+    condition: ast.Expression, left_aliases: set[str], right_alias: str
+) -> Optional[tuple[ast.ColumnRef, str]]:
+    """Extract hash-join keys from a qualified ``a.x = b.y`` condition.
+
+    Returns ``(left_key_ref, right_key_column)`` or None when the condition
+    is not a simple two-sided equality between the accumulated left input
+    and the table being joined.
+    """
+    if not isinstance(condition, ast.BinaryOp) or condition.op != "=":
+        return None
+    left, right = condition.left, condition.right
+    if not (isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef)):
+        return None
+    if left.table is None or right.table is None:
+        return None
+    right_alias = right_alias.lower()
+    if left.table.lower() in left_aliases and right.table.lower() == right_alias:
+        return left, right.name
+    if right.table.lower() in left_aliases and left.table.lower() == right_alias:
+        return right, left.name
+    return None

@@ -803,6 +803,41 @@ class TestThreadChokepoint:
         assert findings == []
 
 
+class TestCodegenChokepoint:
+    def test_flags_builtin_compile_outside_kernels(self):
+        findings = findings_of(
+            {
+                "src/repro/db/sql/operators.py": """
+                def run(text, namespace):
+                    exec(compile(text, "<sql>", "exec"), namespace)
+                """
+            },
+            "codegen-chokepoint",
+        )
+        assert sorted(finding.message.split("(")[0] for finding in findings) == [
+            "compile",
+            "exec",
+        ]
+
+    def test_attribute_compile_and_the_kernel_module_are_not_flagged(self):
+        findings = findings_of(
+            {
+                "src/repro/db/sql/expressions.py": """
+                import re
+
+                def like(pattern):
+                    return re.compile(pattern)
+                """,
+                "src/repro/db/sql/kernels.py": """
+                def define(text, namespace):
+                    exec(compile(text, "<kernel>", "exec"), namespace)
+                """,
+            },
+            "codegen-chokepoint",
+        )
+        assert findings == []
+
+
 def unreachable_in(root, files: dict[str, str], *paths: str) -> list[str]:
     """Qualified names ``unreachable-definition`` reports for a tree on disk.
 

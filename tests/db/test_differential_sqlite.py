@@ -580,6 +580,58 @@ class TestGeneratedQueryShapes:
         mine, theirs = run_both(tables, sql)
         assert mine == theirs == [(None, None)], sql
 
+    #: ``t(g, v)`` with rows ``(i, i % 3, i)`` for i < 10: groups of 4, 3 and 3.
+    _GROUPS = {"t": (("g", "v"), [(i, i % 3, i) for i in range(10)])}
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT g, abs(sum(v)) FROM t GROUP BY g ORDER BY g", [(0, 18), (1, 12), (2, 15)]),
+            (
+                "SELECT g, coalesce(sum(v), 0) FROM t GROUP BY g ORDER BY g",
+                [(0, 18), (1, 12), (2, 15)],
+            ),
+            (
+                "SELECT g, CASE WHEN count(*) > 3 THEN 'big' ELSE 'small' END FROM t "
+                "GROUP BY g ORDER BY g",
+                [(0, "big"), (1, "small"), (2, "small")],
+            ),
+            (
+                "SELECT g, sum(v) FROM t GROUP BY g HAVING abs(sum(v)) > 12 ORDER BY g",
+                [(0, 18), (2, 15)],
+            ),
+        ],
+        ids=["function", "coalesce", "case", "having"],
+    )
+    def test_aggregate_inside_a_function_case_or_having(self, sql, expected):
+        mine, theirs = run_both(self._GROUPS, sql)
+        assert mine == theirs == expected, sql
+
+    @pytest.mark.parametrize(
+        "first, sql, expected",
+        [
+            (
+                0,
+                "SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY sum(v) + 0 DESC",
+                [(0, 18), (2, 15), (1, 12)],
+            ),
+            (
+                1,
+                "SELECT g, count(*) FROM t GROUP BY g ORDER BY count(*) DESC, g",
+                [(1, 4), (0, 3), (2, 3)],
+            ),
+            (0, "SELECT g FROM t GROUP BY g ORDER BY max(v) - min(v), g", [(1,), (2,), (0,)]),
+        ],
+        ids=["expression", "count_then_key", "not_projected"],
+    )
+    def test_order_by_an_aggregate_expression_sorts_by_the_whole_group(
+        self, first, sql, expected
+    ):
+        # Rows (i, i % 3, i) for i from *first*: groups of unequal size.
+        tables = {"t": (("g", "v"), [(i, i % 3, i) for i in range(first, first + 10)])}
+        mine, theirs = run_both(tables, sql)
+        assert mine == theirs == expected, sql
+
     @pytest.mark.parametrize("rows", [[], [(1, 2, 3)]], ids=["empty", "non_empty"])
     def test_ambiguous_self_join_column_is_refused_whatever_the_data(self, rows):
         ours, reference = load_both({"t": (("a", "b"), rows)})
